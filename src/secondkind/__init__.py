@@ -29,7 +29,13 @@ from .descriptors import (
     parse_descriptor,
 )
 from .errors import ConvergenceError, InvalidInputError
-from .numerics import cluster_spectrum, jacobi_eigen, random_orthonormal_family, seeded_stream
+from .numerics import (
+    cluster_spectrum,
+    eigensolve,
+    jacobi_eigen,
+    random_orthonormal_family,
+    seeded_stream,
+)
 from .operator2k import (
     OracleResult,
     Spectrum,

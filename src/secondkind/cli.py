@@ -2,7 +2,8 @@
 
 Subcommands: ``spectrum``, ``classify``, ``threshold``, ``examples``,
 ``verify``, ``oracle``. All reports are JSON on stdout with floats printed
-to 17 significant digits so outputs are byte-stable and round-trip exact.
+to 17 significant digits so outputs round-trip exactly and are byte-stable
+per numpy/LAPACK build.
 
 Exit codes: 0 success, 1 verification mismatch or counterexample, 2 usage or
 parse error, 3 numeric failure.

@@ -235,9 +235,20 @@ def random_curvature(n, seed, scale=1.0):
 
 
 def _j_pair_average(t, jm):
-    t12 = np.einsum("ai,bj,abkl->ijkl", jm, jm, t, optimize=True)
-    t34 = np.einsum("ck,dl,ijcd->ijkl", jm, jm, t, optimize=True)
-    tboth = np.einsum("ck,dl,abcd->abkl", jm, jm, t12, optimize=True)
+    """Average of t over pulling back each index pair by J.
+
+    ``jm`` must be a signed permutation, as the standard J is:
+    ``J e_i = sign[i] e_perm[i]``. Pulling back is then an exact index
+    permutation times a sign, bitwise equal to the contraction
+    ``einsum("ai,bj,abkl->ijkl", jm, jm, t)`` without its path planning.
+    """
+    cols = np.arange(jm.shape[1])
+    perm = np.abs(jm).argmax(axis=0)
+    sign = jm[perm, cols]
+    pair_sign = np.multiply.outer(sign, sign)
+    t12 = pair_sign[:, :, None, None] * t[perm][:, perm]
+    t34 = pair_sign * t[:, :, perm][:, :, :, perm]
+    tboth = pair_sign * t12[:, :, perm][:, :, :, perm]
     return (t + t12 + t34 + tboth) / 4.0
 
 

@@ -15,6 +15,7 @@ A descriptor is a JSON object with a ``kind`` and kind-specific fields:
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,10 +138,25 @@ def _from_obj(obj, path):
     return ManifoldDescriptor(kind=kind, dim=dim, components=tuple(values))
 
 
+def _reject_constant(token):
+    raise DescriptorError(f"invalid JSON: non-finite number {token} is not allowed")
+
+
+def _finite_float(token):
+    value = float(token)
+    if not math.isfinite(value):
+        raise DescriptorError(f"invalid JSON: number {token} overflows to a non-finite double")
+    return value
+
+
 def parse_descriptor(text):
-    """Parse and validate a descriptor from JSON text."""
+    """Parse and validate a descriptor from JSON text.
+
+    ``NaN``, ``Infinity`` and number literals that overflow a double are
+    rejected here, so no non-finite value reaches a tensor.
+    """
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise DescriptorError(f"invalid JSON: {exc}") from exc
     return _from_obj(obj, "$")

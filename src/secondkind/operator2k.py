@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .numerics import cluster_spectrum, jacobi_eigen, random_orthonormal_family
+from .numerics import cluster_spectrum, eigensolve, random_orthonormal_family
 from .sym2 import standard_basis, sym2_dim
 
 CLASSIFY_TOL = 1e-9
@@ -70,7 +70,7 @@ def spectrum(r, cluster_tol=CLUSTER_TOL):
     """Spectrum of the operator of a curvature tensor, dim >= 2."""
     if r.dim < 2:
         raise InvalidInputError("spectra need ambient dimension at least 2")
-    w, _ = jacobi_eigen(operator_matrix(r, standard_basis(r.dim)))
+    w = eigensolve(operator_matrix(r, standard_basis(r.dim)))
     return Spectrum(n=r.dim, eigenvalues=w, clusters=tuple(cluster_spectrum(list(w), cluster_tol)))
 
 
@@ -184,7 +184,7 @@ def bruteforce_min_alpha_sum(r, alpha, samples, seed):
             total += frac * float(d[k])
         return total
 
-    w, vecs = jacobi_eigen(mat)
+    w, vecs = eigensolve(mat, vectors=True)
     values = [weighted(w)]
     digests = [_digest(vecs)]
     for s in range(1, samples + 1):

@@ -7,6 +7,7 @@ The inner product throughout is the Frobenius pairing
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,11 +73,13 @@ def empty_basis(dim):
     return Sym2Basis(dim, np.zeros((0, dim, dim)), ())
 
 
+@lru_cache(maxsize=32)
 def standard_basis(n):
     """Orthonormal basis of the traceless symmetric two-tensors on R^n.
 
     Off-diagonal tensors ``(1/sqrt(2)) e_i o e_j`` for i < j, followed by the
     n-1 diagonal traceless tensors with k leading ones and -k in slot k.
+    Cached per n and shared by every caller, so its tensors are read-only.
     """
     if n < 2:
         raise InvalidInputError("the traceless symmetric basis needs dimension at least 2")
@@ -91,8 +94,9 @@ def standard_basis(n):
             t[i, i] = 1.0
         t[k, k] = -float(k)
         tensors.append(t / np.sqrt(k * (k + 1.0)))
-    tensors = np.array(tensors)
-    return Sym2Basis(n, tensors, (LABEL_GENERIC,) * len(tensors))
+    basis = Sym2Basis(n, np.array(tensors), (LABEL_GENERIC,) * len(tensors))
+    basis.tensors.flags.writeable = False
+    return basis
 
 
 def _embed(tensor, n, offset):

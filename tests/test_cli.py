@@ -2,8 +2,10 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from secondkind.cli import dumps_json, run
@@ -220,6 +222,40 @@ class TestCliCommands:
         proc = run_cli(["spectrum", str(bad)])
         assert proc.returncode == 2
         assert "dim" in proc.stderr
+
+    @pytest.mark.parametrize("text", [
+        '{"kind":"sphere","dim":3,"kappa":Infinity}',
+        '{"kind":"custom","dim":2,"components":[' + "0," * 15 + "NaN]}",
+        '{"kind":"cp","m":1,"kappa":1e400}',
+    ], ids=["kappa-infinity", "custom-nan", "kappa-overflow"])
+    def test_non_finite_descriptor_exit_2(self, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        proc = run_cli(["spectrum", str(bad)])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and "non-finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_lapack_failure_exit_3(self, monkeypatch, capsys):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        assert run(["spectrum", str(DESCRIPTORS / "s3xr.json")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("numeric failure:")
+
+    def test_pinned_overflow_item_raises_no_warning(self, capsys):
+        # sample 73 of --seed 0; the Jacobi sweep overflowed on it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["verify", "product-kahler", "--m1", "2", "--m2", "2",
+                        "--seed", "146", "--samples", "1"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "consistent"
 
     def test_missing_file_exit_2(self):
         proc = run_cli(["spectrum", "/nonexistent/never.json"])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from secondkind import curvature
 from secondkind.curvature import (
     ComplexStructure,
     CurvatureTensor,
@@ -20,6 +21,7 @@ from secondkind.curvature import (
     standard_complex_structure,
 )
 from secondkind.errors import InvalidInputError
+from secondkind.numerics import seeded_stream
 
 
 def symmetry_errors(r):
@@ -214,6 +216,31 @@ class TestRandomKahlerCurvature:
         pulled = np.einsum("ck,dl,ijcd->ijkl", j.matrix, j.matrix, r.components)
         assert np.abs(r.components - pulled).max() <= 1e-12
         assert np.abs(r.components).max() > 1e-3  # generically nonzero
+
+
+def einsum_j_pair_average(t, jm):
+    """Reference: pulling back each index pair by J as a full contraction."""
+    t12 = np.einsum("ai,bj,abkl->ijkl", jm, jm, t, optimize=True)
+    t34 = np.einsum("ck,dl,ijcd->ijkl", jm, jm, t, optimize=True)
+    tboth = np.einsum("ck,dl,abcd->abkl", jm, jm, t12, optimize=True)
+    return (t + t12 + t34 + tboth) / 4.0
+
+
+class TestJPairAverage:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_bitwise_equal_to_einsum_form(self, m):
+        jm = standard_complex_structure(m).matrix
+        for seed in range(50):
+            t = seeded_stream(seed).standard_normal((2 * m,) * 4)
+            assert np.array_equal(curvature._j_pair_average(t, jm),
+                                  einsum_j_pair_average(t, jm))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_generator_unchanged_from_einsum_form(self, monkeypatch, m):
+        fast = [random_kahler_curvature(m, seed)[0].components for seed in range(5)]
+        monkeypatch.setattr(curvature, "_j_pair_average", einsum_j_pair_average)
+        for seed, comp in enumerate(fast):
+            assert np.array_equal(comp, random_kahler_curvature(m, seed)[0].components)
 
 
 class TestValidation:

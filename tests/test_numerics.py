@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secondkind.errors import InvalidInputError
+from secondkind.errors import ConvergenceError, InvalidInputError
 from secondkind.numerics import (
     cluster_spectrum,
+    eigensolve,
     jacobi_eigen,
     random_orthonormal_family,
     seeded_stream,
@@ -76,6 +77,47 @@ class TestJacobiEigen:
         mid = (a + d) / 2.0
         expected = np.array([mid - disc, mid + disc])
         assert np.abs(w - expected).max() <= 1e-12 * max(1.0, np.abs(m).max())
+
+
+class TestEigensolve:
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 20])
+    def test_matches_jacobi_reference(self, n):
+        a = random_symmetric(n, seed=n + 300)
+        scale = max(1.0, np.linalg.norm(a))
+        w_ref, _ = jacobi_eigen(a)
+        w = eigensolve(a)
+        w_vec, q = eigensolve(a, vectors=True)
+        assert np.all(np.diff(w) >= 0)
+        np.testing.assert_allclose(w, w_ref, atol=1e-12 * scale)
+        np.testing.assert_allclose(w_vec, w_ref, atol=1e-12 * scale)
+        assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-12
+        assert np.linalg.norm(q @ np.diag(w_vec) @ q.T - a) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("m", [np.zeros((2, 3)), np.zeros((0, 0)), np.zeros(3),
+                                   np.array([[0.0, 1.0], [0.0, 0.0]])])
+    def test_rejects_what_jacobi_rejects(self, m):
+        for vectors in (False, True):
+            with pytest.raises(InvalidInputError):
+                eigensolve(m, vectors=vectors)
+        with pytest.raises(InvalidInputError):
+            jacobi_eigen(m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        a = np.eye(3)
+        a[1, 2] = a[2, 1] = bad
+        for vectors in (False, True):
+            with pytest.raises(ConvergenceError, match="non-finite"):
+                eigensolve(a, vectors=vectors)
+
+    @pytest.mark.parametrize("name,vectors", [("eigvalsh", False), ("eigh", True)])
+    def test_lapack_failure_is_convergence_error(self, monkeypatch, name, vectors):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, name, fail)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            eigensolve(np.eye(2), vectors=vectors)
 
 
 class TestRandomOrthonormalFamily:

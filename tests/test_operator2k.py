@@ -13,6 +13,7 @@ from secondkind.curvature import (
     scalar,
     space_form,
 )
+from secondkind import numerics
 from secondkind.errors import InvalidInputError
 from secondkind.operator2k import (
     alpha_sum,
@@ -223,6 +224,18 @@ class TestBruteforceOracle:
         b = bruteforce_min_alpha_sum(r, 2.0, samples=10, seed=8)
         assert a.sample_values == b.sample_values
         assert a.argmin_digest == b.argmin_digest
+
+
+def test_hot_path_never_runs_jacobi(monkeypatch):
+    def boom(*args):
+        raise AssertionError("the Jacobi reference ran outside the tests")
+
+    monkeypatch.setattr(numerics, "_jacobi_sweeps", boom)
+    r = random_curvature(4, seed=6)
+    s = spectrum(r)
+    assert classify(r, 2.5) in ("nonnegative", "nonpositive", "both", "neither")
+    result = bruteforce_min_alpha_sum(r, 2.5, samples=5, seed=1)
+    assert abs(result.sample_values[0] - alpha_sum(s, 2.5)) <= 1e-12
 
 
 class TestProductBlockStructure:

@@ -51,6 +51,13 @@ class TestStandardBasis:
         with pytest.raises(InvalidInputError):
             standard_basis(1)
 
+    def test_cached_and_read_only(self):
+        basis = standard_basis(5)
+        assert standard_basis(5) is basis
+        with pytest.raises(ValueError, match="read-only"):
+            basis.tensors[0, 0, 1] = 1.0
+        assert_orthonormal_traceless(standard_basis(5))
+
 
 class TestProductAdaptedBasis:
     def test_counts_2x2(self):
