@@ -1,0 +1,107 @@
+#!/usr/bin/env python3
+"""Run a fixed set of seeded commands through ``secondkind.cli.run`` in one
+process and write every outcome to one JSON file, so that the outputs of two
+versions of the program can be compared with ``diff``.
+
+The command set: every ``verify`` harness at seeds 0 and 7, ``verify
+product`` over all ordered pairs of ``descriptors/*.json``, ``examples``,
+and ``spectrum``, ``threshold``, ``classify`` and ``oracle`` (1000 samples,
+seed 7, and 65 samples, seed 0) over ``descriptors/*.json`` at alpha in
+{1.5, 3, line, A, B}, plus two descriptors whose curvature overflows a
+double. Each record holds the command line, the exit code, stderr, and
+stdout parsed as JSON with every ``timing`` block removed. Warnings are
+reset before each command, so stderr shows what a fresh process would
+print.
+
+Usage: PYTHONPATH=src python scripts/seeded_outputs.py OUT.json
+(point PYTHONPATH at another checkout's ``src`` to record that version).
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import tempfile
+import warnings
+from pathlib import Path
+
+from secondkind.cli import run
+
+REPO = Path(__file__).resolve().parents[1]
+HARNESSES = ("line", "product-spheres", "product-kahler", "iff-spheres", "iff-kahler")
+SEEDS = (0, 7)
+ALPHAS = ("1.5", "3", "line", "A", "B")
+ORACLE_RUNS = (("1000", "7"), ("65", "0"))
+OVERFLOW_DESCRIPTORS = {
+    "overflow_cp2.json": '{"kind": "cp", "m": 2, "kappa": 1e308}',
+    "overflow_s3.json": '{"kind": "sphere", "dim": 3, "kappa": 1e308}',
+}
+
+
+def _without_timing(obj):
+    if isinstance(obj, dict):
+        return {k: _without_timing(v) for k, v in obj.items() if k != "timing"}
+    if isinstance(obj, list):
+        return [_without_timing(v) for v in obj]
+    return obj
+
+
+def _descriptor_commands(path):
+    commands = [("spectrum", path), ("threshold", path)]
+    for alpha in ALPHAS:
+        commands.append(("classify", path, "--alpha", alpha))
+        for samples, seed in ORACLE_RUNS:
+            commands.append(("oracle", path, "--alpha", alpha,
+                             "--samples", samples, "--seed", seed))
+    return commands
+
+
+def commands(overflow_dir):
+    """The fixed command list; descriptor paths are relative to the repo."""
+    descriptors = sorted(str(p.relative_to(REPO)) for p in (REPO / "descriptors").glob("*.json"))
+    out = [("verify", h, "--seed", str(s)) for h in HARNESSES for s in SEEDS]
+    out += [("verify", "product", "--file1", a, "--file2", b)
+            for a in descriptors for b in descriptors]
+    out.append(("examples",))
+    for path in descriptors:
+        out += _descriptor_commands(path)
+    for name in OVERFLOW_DESCRIPTORS:
+        out += _descriptor_commands(os.path.join(overflow_dir, name))
+    return out
+
+
+def run_one(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("default")
+        code = run(list(argv))
+    try:
+        stdout = _without_timing(json.loads(out.getvalue()))
+    except json.JSONDecodeError:
+        stdout = out.getvalue()
+    return {"exit": code, "stdout": stdout, "stderr": err.getvalue()}
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", help="JSON file to write")
+    args = parser.parse_args()
+    out_path = Path(args.out).resolve()
+    os.chdir(REPO)
+    records = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in OVERFLOW_DESCRIPTORS.items():
+            Path(tmp, name).write_text(text)
+        for argv in commands(tmp):
+            record = run_one(argv)
+            record["argv"] = " ".join(argv).replace(tmp, "<tmp>")
+            records.append(record)
+    out_path.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+    print(f"{len(records)} commands, exit codes "
+          f"{sorted({r['exit'] for r in records})}, written to {out_path}")
+
+
+if __name__ == "__main__":
+    main()

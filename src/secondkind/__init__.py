@@ -22,7 +22,6 @@ from .curvature import (
 from .descriptors import (
     DescriptorError,
     ManifoldDescriptor,
-    build_complex_structure,
     build_tensor,
     closed_form_clusters,
     descriptor_to_obj,

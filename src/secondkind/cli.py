@@ -6,13 +6,17 @@ to 17 significant digits so outputs round-trip exactly and are byte-stable
 per numpy/LAPACK build.
 
 Exit codes: 0 success, 1 verification mismatch or counterexample, 2 usage or
-parse error, 3 numeric failure.
+parse error, 3 numeric failure (including floating-point overflow and invalid
+operations, which every command runs under ``np.errstate(over="raise",
+invalid="raise")``).
 """
 
 import argparse
 import json
 import sys
 import time
+
+import numpy as np
 
 from .curvature import einstein_constant, scalar
 from .descriptors import (
@@ -456,11 +460,14 @@ def run(argv):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        # overflow or an invalid operation ends the command instead of
+        # leaving inf/NaN to surface later as warnings or odd results
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
     except (DescriptorError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ConvergenceError as exc:
+    except (ConvergenceError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -7,6 +7,7 @@ coordinate plane spanned by ``e_i`` and ``e_j``; the Ricci contraction
 constant curvature ``c``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,12 @@ class CurvatureTensor:
         c = np.ascontiguousarray(np.asarray(self.components, dtype=float))
         if c.ndim != 4 or len(set(c.shape)) != 1:
             raise InvalidInputError(f"components must have shape (n, n, n, n), got {c.shape}")
-        tol = SYMMETRY_TOL * max(1.0, float(np.abs(c).max()))
+        peak = float(np.abs(c).max())
+        # NaN propagates through max; a NaN or infinite entry would pass every
+        # tolerance check below
+        if not math.isfinite(peak):
+            raise InvalidInputError("components must be finite")
+        tol = SYMMETRY_TOL * max(1.0, peak)
         if float(np.abs(c + np.einsum("jikl->ijkl", c)).max()) > tol:
             raise InvalidInputError("components are not antisymmetric in the first index pair")
         if float(np.abs(c + np.einsum("ijlk->ijkl", c)).max()) > tol:
@@ -52,9 +58,6 @@ class CurvatureTensor:
 
     def __neg__(self):
         return CurvatureTensor(-self.components)
-
-    def scaled(self, factor):
-        return CurvatureTensor(float(factor) * self.components)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from .curvature import (
     kahler_space_form,
     product,
     space_form,
-    standard_complex_structure,
 )
 from .errors import InvalidInputError
 from .sym2 import sym2_dim
@@ -201,13 +200,6 @@ def build_tensor(desc):
         return CurvatureTensor(comp)
     except InvalidInputError as exc:
         raise DescriptorError(f"$.components: {exc}") from exc
-
-
-def build_complex_structure(desc):
-    """Standard complex structure for a single complex kind, else None."""
-    if desc.kind in ("cp", "ch", "complex_euclidean"):
-        return standard_complex_structure(desc.m)
-    return None
 
 
 def _leaf_rho(desc):

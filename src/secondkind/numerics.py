@@ -136,12 +136,15 @@ def jacobi_eigen(m):
     return w[order], v[:, order]
 
 
-def random_orthonormal_family(ambient_dim, count, seed):
-    """Orthonormalization of ``count`` independent standard normal vectors.
+def random_orthonormal_families(ambient_dim, count, seeds):
+    """One orthonormalized family of ``count`` standard normal vectors per seed.
 
-    Rows of the returned ``(count, ambient_dim)`` array are the family
-    vectors; the distribution is invariant under orthogonal maps and the
-    output is identical for identical seeds.
+    Returns a ``(len(seeds), count, ambient_dim)`` stack whose entry ``i``
+    is drawn from ``seeded_stream(seeds[i])`` alone, so a family depends
+    only on its own seed and not on its position in the stack. The
+    distribution is invariant under orthogonal maps. The draws are
+    orthonormalized by one stacked QR, which LAPACK runs matrix by matrix,
+    so each family is bitwise equal to the one drawn on its own.
     """
     if ambient_dim < 1:
         raise InvalidInputError("ambient dimension must be positive")
@@ -150,13 +153,25 @@ def random_orthonormal_family(ambient_dim, count, seed):
             f"count must satisfy 1 <= count <= ambient_dim, got count={count}, "
             f"ambient_dim={ambient_dim}"
         )
-    rng = seeded_stream(seed)
-    g = rng.standard_normal((ambient_dim, count))
+    g = np.empty((len(seeds), ambient_dim, count))
+    for draw, seed in zip(g, seeds):
+        seeded_stream(seed).standard_normal(out=draw)
     q, r = np.linalg.qr(g)
     # sign fix makes the columns agree with Gram-Schmidt on the draws
-    signs = np.sign(np.diagonal(r))
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0.0] = 1.0
-    return (q * signs).T
+    q *= signs[:, None, :]
+    return np.swapaxes(q, -2, -1)
+
+
+def random_orthonormal_family(ambient_dim, count, seed):
+    """Orthonormalization of ``count`` independent standard normal vectors.
+
+    Rows of the returned ``(count, ambient_dim)`` array are the family
+    vectors; the distribution is invariant under orthogonal maps and the
+    output is identical for identical seeds.
+    """
+    return random_orthonormal_families(ambient_dim, count, [seed])[0]
 
 
 def cluster_spectrum(values, rel_tol=CLUSTER_REL_TOL):

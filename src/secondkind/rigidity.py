@@ -7,7 +7,6 @@ predicate and record disagreements as findings with full diagnostics rather
 than treating them as failures.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +34,7 @@ from .operator2k import (
     nonneg_threshold,
     operator_matrix,
     spectrum,
+    weighted_partial_sums,
 )
 from .sym2 import LABEL_XI, empty_basis, product_adapted_basis, standard_basis, sym2_dim
 
@@ -69,20 +69,9 @@ def f_lemma(values, x):
     mean, with equality below the full count only for constant multisets.
     """
     vals = np.sort(np.asarray(list(values), dtype=float))
-    count = len(vals)
-    if count == 0:
+    if len(vals) == 0:
         raise InvalidInputError("the multiset must be nonempty")
-    x = float(x)
-    if not 1.0 <= x <= count:
-        raise InvalidInputError(f"x must lie in [1, {count}], got {x}")
-    k = int(math.floor(x))
-    frac = x - k
-    if k == count:
-        k, frac = count, 0.0
-    total = float(vals[:k].sum())
-    if frac > 0.0:
-        total += frac * float(vals[k])
-    return total
+    return float(weighted_partial_sums(vals, x))
 
 
 @dataclass

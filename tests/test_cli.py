@@ -237,6 +237,27 @@ class TestCliCommands:
         assert len(proc.stderr.splitlines()) == 1 and "non-finite" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("text", [
+        '{"kind":"cp","m":2,"kappa":1e308}',
+        '{"kind":"sphere","dim":3,"kappa":1e308}',
+    ], ids=["cp-tensor-overflow", "sphere-operator-overflow"])
+    def test_overflow_exit_3_one_line(self, tmp_path, text):
+        bad = tmp_path / "big.json"
+        bad.write_text(text)
+        proc = run_cli(["spectrum", str(bad)])
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("numeric failure: overflow")
+
+    @pytest.mark.parametrize("path", sorted(DESCRIPTORS.glob("*.json")), ids=lambda p: p.stem)
+    def test_oracle_consistent_on_every_descriptor(self, path, capsys):
+        assert run(["oracle", str(path), "--alpha", "1.5", "--samples", "130",
+                    "--seed", "5"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["consistent"] is True
+        assert abs(report["oracle_min"] - report["alpha_sum"]) <= 1e-9
+
     def test_lapack_failure_exit_3(self, monkeypatch, capsys):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")

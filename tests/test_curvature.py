@@ -259,3 +259,11 @@ class TestValidation:
         t = (t + np.einsum("klij->ijkl", t)) / 2.0
         with pytest.raises(InvalidInputError):
             CurvatureTensor(t)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_components(self, bad):
+        # every tolerance comparison is false on NaN, so only this check catches it
+        comp = space_form(3, 1.0).components.copy()
+        comp[0, 1, 0, 1] = bad
+        with pytest.raises(InvalidInputError, match="finite"):
+            CurvatureTensor(comp)

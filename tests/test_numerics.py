@@ -8,6 +8,7 @@ from secondkind.numerics import (
     cluster_spectrum,
     eigensolve,
     jacobi_eigen,
+    random_orthonormal_families,
     random_orthonormal_family,
     seeded_stream,
 )
@@ -153,6 +154,21 @@ class TestRandomOrthonormalFamily:
     def test_gram_property(self, seed):
         fam = random_orthonormal_family(6, 4, seed=seed)
         assert np.abs(fam @ fam.T - np.eye(4)).max() < 1e-12
+
+
+class TestRandomOrthonormalFamilies:
+    @pytest.mark.parametrize("dim,count", [(1, 1), (5, 5), (9, 4), (14, 14), (20, 20)])
+    def test_each_entry_is_the_single_draw_bitwise(self, dim, count):
+        seeds = [3 ^ s for s in range(1, 12)] + [(1 << 64) - 1]
+        stack = random_orthonormal_families(dim, count, seeds)
+        assert stack.shape == (len(seeds), count, dim)
+        for fam, seed in zip(stack, seeds):
+            single = random_orthonormal_family(dim, count, seed)
+            assert np.ascontiguousarray(fam).tobytes() == np.ascontiguousarray(single).tobytes()
+
+    def test_rejects_count_above_dim(self):
+        with pytest.raises(InvalidInputError):
+            random_orthonormal_families(3, 4, [0, 1])
 
 
 class TestClusterSpectrum:

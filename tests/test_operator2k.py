@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from secondkind.curvature import (
 )
 from secondkind import numerics
 from secondkind.errors import InvalidInputError
+from secondkind.rigidity import f_lemma
 from secondkind.operator2k import (
     alpha_sum,
     bruteforce_min_alpha_sum,
@@ -25,6 +29,7 @@ from secondkind.operator2k import (
     operator_matrix,
     spectrum,
     spectrum_from_eigenvalues,
+    weighted_partial_sums,
 )
 from secondkind.sym2 import (
     LABEL_XI,
@@ -224,6 +229,69 @@ class TestBruteforceOracle:
         b = bruteforce_min_alpha_sum(r, 2.0, samples=10, seed=8)
         assert a.sample_values == b.sample_values
         assert a.argmin_digest == b.argmin_digest
+
+    @staticmethod
+    def per_sample_reference(mat, alpha, samples, seed):
+        """One einsum and one weighted sum per sample, sample s seeded by seed ^ s."""
+        k = int(math.floor(alpha))
+        frac = alpha - k if k < len(mat) else 0.0
+        values = []
+        for s in range(1, samples + 1):
+            q = numerics.random_orthonormal_family(len(mat), len(mat), seed ^ s)
+            d = np.sort(np.einsum("ai,ij,aj->a", q, mat, q))
+            values.append(d[:k].sum() + (frac * d[k] if frac > 0.0 else 0.0))
+        return values
+
+    @pytest.mark.parametrize("samples", [1, 63, 64, 65, 1000])
+    def test_blocks_match_per_sample_reference(self, samples):
+        r = random_curvature(4, seed=21)
+        mat = operator_matrix(r, standard_basis(4))
+        seed = 1234
+        result = bruteforce_min_alpha_sum(r, 3.5, samples=samples, seed=seed)
+        assert len(result.sample_values) == samples + 1
+        expected = self.per_sample_reference(mat, 3.5, samples, seed)
+        tol = 1e-12 * max(1.0, float(np.linalg.norm(mat)))
+        assert np.abs(np.array(result.sample_values[1:]) - expected).max() <= tol
+
+    @staticmethod
+    def digest(array):
+        return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()[:16]
+
+    def test_argmin_digest_is_the_redrawn_basis(self):
+        # at alpha = N every basis gives the trace, so the argmin falls on a
+        # sample that ties the eigenbasis to rounding
+        r = random_curvature(4, seed=22)
+        mat = operator_matrix(r, standard_basis(4))
+        result = bruteforce_min_alpha_sum(r, float(len(mat)), samples=200, seed=9)
+        assert result.argmin_sample > 0
+        q = numerics.random_orthonormal_family(len(mat), len(mat), 9 ^ result.argmin_sample)
+        assert result.argmin_digest == self.digest(q)
+
+    def test_argmin_digest_is_the_eigenbasis(self):
+        r = random_curvature(4, seed=23)
+        mat = operator_matrix(r, standard_basis(4))
+        result = bruteforce_min_alpha_sum(r, 2.5, samples=100, seed=3)
+        assert result.argmin_sample == 0
+        assert result.argmin_digest == self.digest(numerics.eigensolve(mat, vectors=True)[1])
+
+
+class TestWeightedPartialSums:
+    def test_stack_rows_equal_single_rows_bitwise(self):
+        rows = np.sort(numerics.seeded_stream(5).standard_normal((40, 9)), axis=1)
+        for alpha in (1.0, 2.5, 4.0, 8.75, 9.0):
+            stacked = weighted_partial_sums(rows, alpha)
+            assert stacked.shape == (40,)
+            assert stacked.tolist() == [float(weighted_partial_sums(row, alpha)) for row in rows]
+
+    def test_matches_alpha_sum_and_f_lemma(self):
+        s = spectrum(random_curvature(4, seed=24))
+        for alpha in (1.0, 3.25, float(s.N)):
+            value = float(weighted_partial_sums(s.eigenvalues, alpha))
+            assert value == alpha_sum(s, alpha) == f_lemma(s.eigenvalues, alpha)
+
+    def test_rejects_alpha_out_of_range(self):
+        with pytest.raises(InvalidInputError, match="alpha must lie"):
+            weighted_partial_sums(np.zeros((3, 4)), 4.5)
 
 
 def test_hot_path_never_runs_jacobi(monkeypatch):
