@@ -6,7 +6,11 @@ accuracy reference the tests compare LAPACK against: Jacobi's method is more
 accurate than QR (Demmel and Veselic, SIAM J. Matrix Anal. Appl., 1992).
 Random sampling uses a counter-based generator (Philox) keyed by the
 caller's seed, so independent streams are derived by distinct seeds rather
-than shared mutable state.
+than shared mutable state. The stream of a 64-bit seed ``s`` is Philox with
+key ``(s, 0)`` from counter 0; that pair fixes the stream completely (Salmon
+et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), so
+``random_orthonormal_families`` re-keys one generator per call instead of
+building one per seed, and draws bit for bit what ``seeded_stream`` draws.
 """
 
 import numpy as np
@@ -140,8 +144,9 @@ def random_orthonormal_families(ambient_dim, count, seeds):
     """One orthonormalized family of ``count`` standard normal vectors per seed.
 
     Returns a ``(len(seeds), count, ambient_dim)`` stack whose entry ``i``
-    is drawn from ``seeded_stream(seeds[i])`` alone, so a family depends
-    only on its own seed and not on its position in the stack. The
+    is drawn from the stream of ``seeded_stream(seeds[i])`` alone, so a
+    family depends only on its own seed and not on its position in the
+    stack. One Philox generator is re-keyed before each draw. The
     distribution is invariant under orthogonal maps. The draws are
     orthonormalized by one stacked QR, which LAPACK runs matrix by matrix,
     so each family is bitwise equal to the one drawn on its own.
@@ -154,8 +159,23 @@ def random_orthonormal_families(ambient_dim, count, seeds):
             f"ambient_dim={ambient_dim}"
         )
     g = np.empty((len(seeds), ambient_dim, count))
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    key = np.zeros(2, dtype=np.uint64)
+    # the state of seeded_stream(seed) before its first draw: key (seed, 0),
+    # counter 0, empty buffer; the setter copies it, so one dict serves all
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     for draw, seed in zip(g, seeds):
-        seeded_stream(seed).standard_normal(out=draw)
+        key[0] = int(seed) & _SEED_MASK
+        bitgen.state = fresh
+        gen.standard_normal(out=draw)
     q, r = np.linalg.qr(g)
     # sign fix makes the columns agree with Gram-Schmidt on the draws
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))

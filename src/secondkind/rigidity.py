@@ -7,6 +7,7 @@ predicate and record disagreements as findings with full diagnostics rather
 than treating them as failures.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,8 +131,8 @@ def verify_product_structure(r1, r2, tol=1e-9):
     entry, and the multiset spectrum identity; those checks report
     not-applicable otherwise.
     """
-    if tol <= 0:
-        raise InvalidInputError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:  # also false for NaN
+        raise InvalidInputError(f"tolerance must be positive and finite, got {tol}")
     n1, n2 = r1.dim, r2.dim
     b1 = standard_basis(n1) if n1 >= 2 else empty_basis(n1)
     b2 = standard_basis(n2) if n2 >= 2 else empty_basis(n2)
@@ -211,8 +212,8 @@ def check_rigidity(case, params=None, seed=0, samples=200, tol=1e-9):
     Cases: ``line`` (one flat direction), ``product-spheres``,
     ``product-kahler``, ``iff-spheres``, ``iff-kahler``.
     """
-    if tol <= 0:
-        raise InvalidInputError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:  # also false for NaN
+        raise InvalidInputError(f"tolerance must be positive and finite, got {tol}")
     if samples < 0:
         raise InvalidInputError("sample count must be nonnegative")
     params = dict(params or {})

@@ -278,6 +278,35 @@ class TestCliCommands:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "consistent"
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "line", "--n", "4", "--samples", "3", "--tol", "nan"],
+        ["verify", "line", "--n", "4", "--samples", "3", "--tol", "inf"],
+        ["verify", "product", "--file1", str(DESCRIPTORS / "s4.json"),
+         "--file2", str(DESCRIPTORS / "s4.json"), "--tol", "nan"],
+        ["verify", "iff-spheres", "--tol", "nan"],
+        ["classify", str(DESCRIPTORS / "s4.json"), "--alpha", "1", "--tol", "nan"],
+        ["classify", str(DESCRIPTORS / "s4.json"), "--alpha", "1", "--tol=-inf"],
+    ], ids=["line-nan", "line-inf", "product-nan", "iff-spheres-nan", "classify-nan",
+            "classify-minus-inf"])
+    def test_non_finite_tol_exit_2(self, argv, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: tolerance must be")
+
+    @pytest.mark.parametrize("argv", [
+        ["frobnicate"],
+        ["classify", str(DESCRIPTORS / "s4.json"), "--alpha", "-inf"],
+        ["verify", "line", "--samples", "many"],
+    ], ids=["unknown-command", "option-like-value", "bad-int"])
+    def test_usage_error_is_one_line(self, argv, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: secondkind")
+
     def test_missing_file_exit_2(self):
         proc = run_cli(["spectrum", "/nonexistent/never.json"])
         assert proc.returncode == 2
@@ -296,3 +325,13 @@ class TestCliCommands:
         proc = run_cli(["spectrum", str(DESCRIPTORS / "s3xr.json")])
         normalized = re.sub(r'"seconds": [0-9.eE+-]+', '"seconds": 0', proc.stdout)
         assert normalized.strip() == (GOLDEN / "spectrum_s3xr.json").read_text().strip()
+
+    def test_golden_oracle_report(self, capsys):
+        # byte-stable per numpy/LAPACK build, like spectrum_s3xr.json:
+        # argmin_digest hashes the LAPACK eigenbasis, and the other 200
+        # samples pin the Philox draws through max_sample_value
+        assert run(["oracle", str(DESCRIPTORS / "s3xr.json"), "--alpha", "2.5",
+                    "--samples", "200", "--seed", "7"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        del report["timing"]
+        assert dumps_json(report) + "\n" == (GOLDEN / "oracle_s3xr.json").read_text()

@@ -170,6 +170,30 @@ class TestRandomOrthonormalFamilies:
         with pytest.raises(InvalidInputError):
             random_orthonormal_families(3, 4, [0, 1])
 
+    @pytest.mark.parametrize("dim,count", [(1, 1), (5, 5), (5, 2), (20, 20)])
+    def test_pinned_to_seeded_stream(self, dim, count):
+        # -5 and 2**70 + 3 check the 64-bit masking of the key
+        seeds = [0, 1, 2**63, 2**64 - 1, -5, 2**70 + 3]
+        stack = random_orthonormal_families(dim, count, seeds)
+        for fam, seed in zip(stack, seeds):
+            q, r = np.linalg.qr(seeded_stream(seed).standard_normal((dim, count)))
+            signs = np.sign(np.diagonal(r))
+            signs[signs == 0.0] = 1.0
+            expected = (q * signs).T
+            assert np.ascontiguousarray(fam).tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    def test_builds_at_most_one_philox_per_call(self, monkeypatch):
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(args or kwargs)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        random_orthonormal_families(9, 9, list(range(100)))
+        assert len(built) <= 1
+
 
 class TestClusterSpectrum:
     def test_all_equal(self):
