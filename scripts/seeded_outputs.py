@@ -3,8 +3,14 @@
 process and write every outcome to one JSON file, so that the outputs of two
 versions of the program can be compared with ``diff``.
 
-The command set: every ``verify`` harness at seeds 0 and 7, ``verify
-product`` over all ordered pairs of ``descriptors/*.json``, ``examples``,
+The command set: every ``verify`` harness at seeds 0 and 7 at its default
+sizes; the sampled harnesses at seeds 0 and 7 at the sizes of the
+benchmark's ``falsify`` workload (``line --n 6``, ``product-spheres --n1 3
+--n2 3``, ``product-kahler --m1 2 --m2 2``) and at asymmetric sizes in both
+factor orders (``line --n 5``, ``--n1 2 --n2 3``, ``--m1 1 --m2 2``); the
+benchmark's pinned ``product-kahler --m1 2 --m2 2 --seed 146 --samples 1``
+item; the iff sweeps at the asymmetric sizes on ``--kappa-grid 0.5,1,2``;
+``verify product`` over all ordered pairs of ``descriptors/*.json``, ``examples``,
 and ``spectrum``, ``threshold``, ``classify`` and ``oracle`` (1000 samples,
 seed 7, and 65 samples, seed 0) over ``descriptors/*.json`` at alpha in
 {1.5, 3, line, A, B}, plus two descriptors whose curvature overflows a
@@ -31,6 +37,25 @@ from secondkind.cli import run
 REPO = Path(__file__).resolve().parents[1]
 HARNESSES = ("line", "product-spheres", "product-kahler", "iff-spheres", "iff-kahler")
 SEEDS = (0, 7)
+SIZED_HARNESSES = (
+    ("line", "--n", "6"),
+    ("product-spheres", "--n1", "3", "--n2", "3"),
+    ("product-kahler", "--m1", "2", "--m2", "2"),
+    ("line", "--n", "5"),
+    ("product-spheres", "--n1", "2", "--n2", "3"),
+    ("product-spheres", "--n1", "3", "--n2", "2"),
+    ("product-kahler", "--m1", "1", "--m2", "2"),
+    ("product-kahler", "--m1", "2", "--m2", "1"),
+)
+PINNED_ITEM = ("verify", "product-kahler", "--m1", "2", "--m2", "2",
+               "--seed", "146", "--samples", "1")
+SWEEPS = (
+    ("iff-spheres", "--n1", "2", "--n2", "3"),
+    ("iff-spheres", "--n1", "3", "--n2", "2"),
+    ("iff-kahler", "--m1", "1", "--m2", "2"),
+    ("iff-kahler", "--m1", "2", "--m2", "1"),
+)
+KAPPA_GRID = "0.5,1,2"
 ALPHAS = ("1.5", "3", "line", "A", "B")
 ORACLE_RUNS = (("1000", "7"), ("65", "0"))
 OVERFLOW_DESCRIPTORS = {
@@ -61,6 +86,9 @@ def commands(overflow_dir):
     """The fixed command list; descriptor paths are relative to the repo."""
     descriptors = sorted(str(p.relative_to(REPO)) for p in (REPO / "descriptors").glob("*.json"))
     out = [("verify", h, "--seed", str(s)) for h in HARNESSES for s in SEEDS]
+    out += [("verify", *h, "--seed", str(s)) for h in SIZED_HARNESSES for s in SEEDS]
+    out.append(PINNED_ITEM)
+    out += [("verify", *h, "--kappa-grid", KAPPA_GRID) for h in SWEEPS]
     out += [("verify", "product", "--file1", a, "--file2", b)
             for a in descriptors for b in descriptors]
     out.append(("examples",))

@@ -47,6 +47,7 @@ from .operator2k import (
     operator_matrix,
     spectrum,
     spectrum_from_eigenvalues,
+    verdict,
 )
 from .rigidity import (
     HarnessReport,

@@ -13,7 +13,6 @@ invalid="raise")``).
 
 import argparse
 import json
-import math
 import sys
 import time
 
@@ -31,10 +30,10 @@ from .errors import ConvergenceError, InvalidInputError
 from .operator2k import (
     alpha_sum,
     bruteforce_min_alpha_sum,
-    negate_spectrum,
     nonneg_threshold,
     nonpos_threshold,
     spectrum,
+    verdict,
 )
 from .rigidity import (
     HARNESS_CASES,
@@ -183,20 +182,13 @@ def _cmd_spectrum(args):
 
 
 def _cmd_classify(args):
-    if not math.isfinite(args.tol):
-        raise InvalidInputError(f"tolerance must be finite, got {args.tol}")
     desc = _load_descriptor(args.file)
     tensor = build_tensor(desc)
     report, s, started = _base_report(desc, tensor)
-    neg = negate_spectrum(s)
     for token in args.alpha:
         alpha = _resolve_alpha(token, desc, tensor.dim)
-        nonneg = alpha_sum(s, alpha) >= -args.tol
-        nonpos = alpha_sum(neg, alpha) >= -args.tol
-        verdict = ("both" if nonneg and nonpos else "nonnegative" if nonneg
-                   else "nonpositive" if nonpos else "neither")
         report["classifications"].append(
-            {"requested": token, "alpha": alpha, "verdict": verdict}
+            {"requested": token, "alpha": alpha, "verdict": verdict(s, alpha, args.tol)}
         )
     print(dumps_json(_finish(report, started)))
     return EXIT_OK

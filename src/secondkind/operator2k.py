@@ -123,15 +123,20 @@ def alpha_sum(s, alpha):
     return float(weighted_partial_sums(s.eigenvalues, alpha))
 
 
-def classify(r, alpha, tol=CLASSIFY_TOL):
-    """Fractional-alpha verdict: nonnegative / nonpositive / both / neither.
+def verdict(s, alpha, tol=CLASSIFY_TOL):
+    """Fractional-alpha verdict of a spectrum: nonnegative / nonpositive /
+    both / neither.
 
-    Nonnegative means g(alpha) >= -tol on the spectrum; nonpositive is the
-    same test after negating the tensor. Flat tensors report both.
+    Nonnegative means g(alpha) >= -tol on the eigenvalues; nonpositive is the
+    same test on the negated eigenvalues, read in ascending order as the
+    reversed negation. Flat tensors report both. The tolerance must be
+    nonnegative and finite.
     """
-    s = spectrum(r)
-    nonneg = alpha_sum(s, alpha) >= -tol
-    nonpos = alpha_sum(negate_spectrum(s), alpha) >= -tol
+    if not 0.0 <= tol < math.inf:  # also false for NaN
+        raise InvalidInputError(f"tolerance must be nonnegative and finite, got {tol}")
+    w = s.eigenvalues
+    nonneg = weighted_partial_sums(w, alpha) >= -tol
+    nonpos = weighted_partial_sums(-w[::-1], alpha) >= -tol
     if nonneg and nonpos:
         return VERDICT_BOTH
     if nonneg:
@@ -139,6 +144,11 @@ def classify(r, alpha, tol=CLASSIFY_TOL):
     if nonpos:
         return VERDICT_NONPOSITIVE
     return VERDICT_NEITHER
+
+
+def classify(r, alpha, tol=CLASSIFY_TOL):
+    """Fractional-alpha verdict of a curvature tensor; see ``verdict``."""
+    return verdict(spectrum(r), alpha, tol)
 
 
 def nonneg_threshold(s):

@@ -5,10 +5,15 @@ and report ``consistent`` when no counterexample was found, never claiming a
 proof. The iff sweeps compare computed verdicts against the equal-curvature
 predicate and record disagreements as findings with full diagnostics rather
 than treating them as failures.
+
+Each harness is one row of a table: a product family (its dimension
+parameters, the kind of its factors and their structure detector) together
+with its optimal constant. One sampled loop and one iff sweep run every row.
 """
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -33,17 +38,17 @@ from .operator2k import (
     classify,
     negate_spectrum,
     nonneg_threshold,
+    nonpos_threshold,
     operator_matrix,
     spectrum,
+    verdict,
     weighted_partial_sums,
 )
-from .sym2 import LABEL_XI, empty_basis, product_adapted_basis, standard_basis, sym2_dim
+from .sym2 import LABEL_XI, empty_basis, product_adapted_basis, standard_basis
 
 _SEED_MASK = (1 << 64) - 1
 
 DEFAULT_KAPPA_GRID = tuple(0.25 * k for k in range(1, 9))
-
-HARNESS_CASES = ("line", "product-spheres", "product-kahler", "iff-spheres", "iff-kahler")
 
 
 def a_const(n1, n2):
@@ -94,14 +99,7 @@ class HarnessReport:
     details: dict = field(default_factory=dict)
 
     def finalize(self):
-        applicable = any(v != "not-applicable" for v in self.details.values()
-                         if isinstance(v, str))
-        if self.counterexamples:
-            self.verdict = "violated"
-        elif applicable or self.samples_run > 0:
-            self.verdict = "consistent"
-        else:
-            self.verdict = "not-applicable"
+        self.verdict = "violated" if self.counterexamples else "consistent"
         return self
 
     def to_dict(self):
@@ -206,6 +204,99 @@ def verify_product_structure(r1, r2, tol=1e-9):
     return report.finalize()
 
 
+@dataclass(frozen=True)
+class _Factors:
+    """How one kind of factor is modelled, sampled and recognised.
+
+    The fields are lambdas, so the curvature helpers they call are looked
+    up by name when they run, not when the table is built.
+    """
+
+    model: Callable    # (dim, kappa) -> space form of that curvature
+    random: Callable   # (dim, seed) -> (random tensor, its complex structure or None)
+    detect: Callable   # (tensor, structure) -> its constant curvature, or None
+
+
+_REAL = _Factors(
+    model=lambda n, kappa: space_form(n, kappa),
+    random=lambda n, seed: (random_curvature(n, seed), None),
+    detect=lambda r, j: constant_sectional(r),
+)
+
+_COMPLEX = _Factors(
+    model=lambda m, kappa: kahler_space_form(m, kappa)[0],
+    random=lambda m, seed: random_kahler_curvature(m, seed),
+    detect=lambda r, j: constant_holomorphic(r, j),
+)
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One rigidity statement: a product family and its optimal constant.
+
+    ``dims`` gives the dimensions of the curved factors. A family with one
+    curved factor is the line: its product takes the flat line R as second
+    factor, each sample draws one seed, and its model check reads the
+    nonpositive dual by its threshold.
+
+    A ``sharp`` constant is the model threshold itself: the model check
+    asserts it, a classified probe below it is a counterexample, and the
+    factors of a classified sample must share one constant. Otherwise the
+    probe and unequal factor constants are recorded as findings.
+    """
+
+    names: tuple        # dimension parameters, each defaulting to ``least``
+    least: int          # the least value of each dimension parameter
+    too_small: str
+    dims: Callable      # parameters -> curved factor dimensions
+    constant: Callable  # parameters -> optimal constant
+    factors: _Factors
+    sharp: bool
+    probe: Callable     # (alpha, model threshold, tol) -> alpha below it, or None
+
+
+_LINE = _Family(
+    names=("n",), least=4,
+    too_small="the line harness needs total dimension at least 4",
+    dims=lambda p: (p["n"] - 1,),
+    constant=lambda p: a_const(p["n"] - 1, 1),
+    factors=_REAL, sharp=True,
+    probe=lambda alpha, thr, tol: None,
+)
+
+_SPHERES = _Family(
+    names=("n1", "n2"), least=2,
+    too_small="both factor dimensions must be at least 2",
+    dims=lambda p: (p["n1"], p["n2"]),
+    constant=lambda p: a_const(p["n1"], p["n2"]),
+    factors=_REAL, sharp=True,
+    probe=lambda alpha, thr, tol: alpha - min(0.5, (alpha - 1.0) / 2.0),
+)
+
+_KAHLER = _Family(
+    names=("m1", "m2"), least=1,
+    too_small="both complex dimensions must be at least 1",
+    dims=lambda p: (p["m1"], p["m2"]),
+    constant=lambda p: b_const(p["m1"], p["m2"]),
+    factors=_COMPLEX, sharp=False,
+    probe=lambda alpha, thr, tol: (
+        (thr + alpha) / 2.0 if thr is not None and thr < alpha - tol else None
+    ),
+)
+
+# harness -> (family, whether it sweeps the space-form grid instead of
+# sampling random factors)
+_HARNESSES = {
+    "line": (_LINE, False),
+    "product-spheres": (_SPHERES, False),
+    "product-kahler": (_KAHLER, False),
+    "iff-spheres": (_SPHERES, True),
+    "iff-kahler": (_KAHLER, True),
+}
+
+HARNESS_CASES = tuple(_HARNESSES)
+
+
 def check_rigidity(case, params=None, seed=0, samples=200, tol=1e-9):
     """Run one of the rigidity harnesses and return its report.
 
@@ -216,221 +307,135 @@ def check_rigidity(case, params=None, seed=0, samples=200, tol=1e-9):
         raise InvalidInputError(f"tolerance must be positive and finite, got {tol}")
     if samples < 0:
         raise InvalidInputError("sample count must be nonnegative")
-    params = dict(params or {})
-    if case == "line":
-        return _check_line(params, seed, samples, tol)
-    if case == "product-spheres":
-        return _check_product_spheres(params, seed, samples, tol)
-    if case == "product-kahler":
-        return _check_product_kahler(params, seed, samples, tol)
-    if case == "iff-spheres":
-        return _check_iff_spheres(params, tol)
-    if case == "iff-kahler":
-        return _check_iff_kahler(params, tol)
-    raise InvalidInputError(f"unknown harness case {case!r}; expected one of {HARNESS_CASES}")
-
-
-def _detector_sign_ok(value, direction, tol):
-    if value is None:
-        return False
-    if direction == VERDICT_NONNEGATIVE:
-        return value >= -tol
-    return value <= tol
-
-
-def _check_line(params, seed, samples, tol):
-    n = int(params.pop("n", 4))
-    if params:
-        raise InvalidInputError(f"unexpected line parameters: {sorted(params)}")
-    if n < 4:
-        raise InvalidInputError("the line harness needs total dimension at least 4")
-    alpha = a_const(n - 1, 1)
+    if case not in _HARNESSES:
+        raise InvalidInputError(f"unknown harness case {case!r}; expected one of {HARNESS_CASES}")
+    family, sweep = _HARNESSES[case]
+    given = dict(params or {})
+    params = {name: int(given.pop(name, family.least)) for name in family.names}
+    grid = _kappa_grid(given) if sweep else None
+    if given:
+        raise InvalidInputError(f"unexpected {case} parameters: {sorted(given)}")
+    if min(params.values()) < family.least:
+        raise InvalidInputError(family.too_small)
+    alpha = family.constant(params)
+    run = {"grid": list(grid)} if sweep else {"seed": seed, "samples": samples}
     report = HarnessReport(
-        harness="line",
-        parameters={"n": n, "alpha": alpha, "seed": seed, "samples": samples, "tol": tol},
-        samples_run=samples,
+        harness=case,
+        parameters={**params, "alpha": alpha, **run, "tol": tol},
+        samples_run=2 * len(grid) ** 2 if sweep else samples,
     )
-
-    model = product(space_form(n - 1, 1.0), flat_tensor(1))
-    s_model = spectrum(model)
-    thr = nonneg_threshold(s_model)
-    report.details["model_threshold"] = thr
-    report.details["model_alpha_sum"] = alpha_sum(s_model, alpha)
-    model_ok = (
-        thr is not None
-        and abs(thr - alpha) <= tol
-        and abs(alpha_sum(s_model, alpha)) <= 1e-12
-    )
-    # negative-curvature dual: threshold of the negated spectrum matches
-    thr_neg = nonneg_threshold(negate_spectrum(spectrum(
-        product(space_form(n - 1, -1.0), flat_tensor(1)))))
-    report.details["model_threshold_nonpositive_dual"] = thr_neg
-    model_ok = model_ok and thr_neg is not None and abs(thr_neg - alpha) <= tol
-    report.details["model_check"] = "consistent" if model_ok else "violated"
-    if not model_ok:
-        report.counterexamples.append({"check": "model", "threshold": thr, "alpha": alpha})
-
-    for idx in range(samples):
-        sample_seed = (int(seed) ^ idx) & _SEED_MASK
-        r1 = random_curvature(n - 1, sample_seed)
-        verdict = classify(product(r1, flat_tensor(1)), alpha, tol)
-        if verdict == VERDICT_NEITHER:
-            continue
-        c = constant_sectional(r1)
-        if verdict == VERDICT_BOTH:
-            ok = c is not None and abs(c) <= tol
-        elif verdict == VERDICT_NONNEGATIVE:
-            ok = _detector_sign_ok(c, VERDICT_NONNEGATIVE, tol)
-        else:
-            ok = _detector_sign_ok(c, VERDICT_NONPOSITIVE, tol)
-        if not ok:
-            report.counterexamples.append({
-                "check": "random", "sample": idx, "seed": sample_seed,
-                "verdict": verdict, "constant_sectional": c,
-            })
+    if sweep:
+        _sweep(report, family, params, alpha, grid, tol)
+    else:
+        _check_model(report, family, params, alpha, tol)
+        _sample(report, family, params, alpha, seed, samples, tol)
     return report.finalize()
 
 
-def _check_product_spheres(params, seed, samples, tol):
-    n1 = int(params.pop("n1", 2))
-    n2 = int(params.pop("n2", 2))
-    if params:
-        raise InvalidInputError(f"unexpected product-spheres parameters: {sorted(params)}")
-    if n1 < 2 or n2 < 2:
-        raise InvalidInputError("both factor dimensions must be at least 2")
-    alpha = a_const(n1, n2)
-    report = HarnessReport(
-        harness="product-spheres",
-        parameters={"n1": n1, "n2": n2, "alpha": alpha, "seed": seed,
-                    "samples": samples, "tol": tol},
-        samples_run=samples,
-    )
+def _product(tensors):
+    if len(tensors) == 1:
+        return product(tensors[0], flat_tensor(1))
+    return product(*tensors)
 
-    model = product(space_form(n1, 1.0), space_form(n2, 1.0))
-    s_model = spectrum(model)
-    thr = nonneg_threshold(s_model)
-    report.details["model_threshold"] = thr
-    report.details["model_alpha_sum"] = alpha_sum(s_model, alpha)
-    model_ok = (
+
+def _model(family, params, kappas):
+    return _product([family.factors.model(d, k) for d, k in zip(family.dims(params), kappas)])
+
+
+def _probe(details, s, probe, tol):
+    details["flatness_probe_alpha"] = probe
+    details["flatness_probe_verdict"] = verdict(s, probe, tol)
+    return details["flatness_probe_verdict"]
+
+
+def _check_model(report, family, params, alpha, tol):
+    """Solve the unit-curvature model once and take every model verdict from
+    its spectrum; the negatively curved model is bitwise its negation."""
+    s = spectrum(_model(family, params, (1.0, 1.0)))
+    dual = negate_spectrum(s)
+    thr = nonneg_threshold(s)
+    details = report.details
+    details["model_threshold"] = thr
+    details["model_alpha_sum"] = alpha_sum(s, alpha)
+    ok = not family.sharp or (
         thr is not None
         and abs(thr - alpha) <= tol
-        and abs(alpha_sum(s_model, alpha)) <= 1e-12
-        and classify(model, alpha, tol) == VERDICT_NONNEGATIVE
-        and classify(-model, alpha, tol) == VERDICT_NONPOSITIVE
+        and abs(details["model_alpha_sum"]) <= 1e-12
     )
-    # below the constant the non-flat model must classify as neither
-    probe = alpha - min(0.5, (alpha - 1.0) / 2.0)
-    probe_verdict = classify(model, probe, tol)
-    report.details["flatness_probe_alpha"] = probe
-    report.details["flatness_probe_verdict"] = probe_verdict
-    model_ok = model_ok and probe_verdict == VERDICT_NEITHER
-    report.details["model_check"] = "consistent" if model_ok else "violated"
-    if not model_ok:
-        report.counterexamples.append({"check": "model", "threshold": thr, "alpha": alpha})
-
-    for idx in range(samples):
-        s1 = (int(seed) ^ (2 * idx)) & _SEED_MASK
-        s2 = (int(seed) ^ (2 * idx + 1)) & _SEED_MASK
-        r1 = random_curvature(n1, s1)
-        r2 = random_curvature(n2, s2)
-        verdict = classify(product(r1, r2), alpha, tol)
-        if verdict == VERDICT_NEITHER:
-            continue
-        c1 = constant_sectional(r1)
-        c2 = constant_sectional(r2)
-        matched = c1 is not None and c2 is not None and abs(c1 - c2) <= 1e-6
-        if verdict == VERDICT_BOTH:
-            ok = matched and abs(c1) <= tol
-        elif verdict == VERDICT_NONNEGATIVE:
-            ok = matched and c1 >= -tol
-        else:
-            ok = matched and c1 <= tol
-        if not ok:
-            report.counterexamples.append({
-                "check": "random", "sample": idx, "seeds": [s1, s2],
-                "verdict": verdict, "constants": [c1, c2],
-            })
-    return report.finalize()
-
-
-def _check_product_kahler(params, seed, samples, tol):
-    m1 = int(params.pop("m1", 1))
-    m2 = int(params.pop("m2", 1))
-    if params:
-        raise InvalidInputError(f"unexpected product-kahler parameters: {sorted(params)}")
-    if m1 < 1 or m2 < 1:
-        raise InvalidInputError("both complex dimensions must be at least 1")
-    alpha = b_const(m1, m2)
-    report = HarnessReport(
-        harness="product-kahler",
-        parameters={"m1": m1, "m2": m2, "alpha": alpha, "seed": seed,
-                    "samples": samples, "tol": tol},
-        samples_run=samples,
-    )
-
-    rk1, _ = kahler_space_form(m1, 1.0)
-    rk2, _ = kahler_space_form(m2, 1.0)
-    model = product(rk1, rk2)
-    s_model = spectrum(model)
-    thr = nonneg_threshold(s_model)
-    report.details["model_threshold"] = thr
-    report.details["model_alpha_sum"] = alpha_sum(s_model, alpha)
-    model_ok = (
-        classify(model, alpha, tol) == VERDICT_NONNEGATIVE
-        and classify(-model, alpha, tol) == VERDICT_NONPOSITIVE
-    )
-    report.details["model_check"] = "consistent" if model_ok else "violated"
-    if not model_ok:
-        report.counterexamples.append({"check": "model", "alpha": alpha})
-
-    # Probing below the constant: a verdict other than neither on the
-    # non-flat model contradicts the flatness statement; record it as a
-    # finding since the statement itself is in question at small m.
-    if thr is not None and thr < alpha - tol:
-        probe = (thr + alpha) / 2.0
-        probe_verdict = classify(model, probe, tol)
-        report.details["flatness_probe_alpha"] = probe
-        report.details["flatness_probe_verdict"] = probe_verdict
+    if len(family.dims(params)) == 1:  # the line
+        thr_neg = nonpos_threshold(dual)
+        details["model_threshold_nonpositive_dual"] = thr_neg
+        ok = ok and thr_neg is not None and abs(thr_neg - alpha) <= tol
+    else:
+        ok = (ok and verdict(s, alpha, tol) == VERDICT_NONNEGATIVE
+              and verdict(dual, alpha, tol) == VERDICT_NONPOSITIVE)
+    # below the constant the non-flat model should classify as neither
+    probe = family.probe(alpha, thr, tol)
+    if family.sharp and probe is not None:
+        ok = _probe(details, s, probe, tol) == VERDICT_NEITHER and ok
+    details["model_check"] = "consistent" if ok else "violated"
+    if not ok:
+        checked = {"threshold": thr} if family.sharp else {}
+        report.counterexamples.append({"check": "model", **checked, "alpha": alpha})
+    if not family.sharp and probe is not None:
+        probe_verdict = _probe(details, s, probe, tol)
         if probe_verdict != VERDICT_NEITHER:
+            # the flatness statement itself is in question at small m
             report.findings.append({
                 "statement": "alpha below the product constant forces flatness",
-                "m1": m1, "m2": m2, "alpha": probe, "constant": alpha,
+                **params, "alpha": probe, "constant": alpha,
                 "model_threshold": thr, "verdict": probe_verdict,
                 "note": "non-flat model space stays classified below the constant",
             })
 
+
+def _signs_match(v, constants, tol):
+    if v == VERDICT_BOTH:
+        return all(abs(c) <= tol for c in constants)
+    if v == VERDICT_NONNEGATIVE:
+        return all(c >= -tol for c in constants)
+    return all(c <= tol for c in constants)
+
+
+def _sample_record(idx, seeds, v, constants):
+    if len(seeds) == 1:
+        return {"sample": idx, "seed": seeds[0], "verdict": v, "constant_sectional": constants[0]}
+    return {"sample": idx, "seeds": seeds, "verdict": v, "constants": constants}
+
+
+def _sample(report, family, params, alpha, seed, samples, tol):
+    """Classify seeded random products at the constant; a classified sample
+    must have factors of constant curvature with the verdict's sign. Sample
+    ``idx`` of a family with ``k`` random factors draws factor ``j`` from
+    seed ``seed ^ (k * idx + j)``."""
+    dims = family.dims(params)
+    width = len(dims)
+    kind = family.factors
     for idx in range(samples):
-        s1 = (int(seed) ^ (2 * idx)) & _SEED_MASK
-        s2 = (int(seed) ^ (2 * idx + 1)) & _SEED_MASK
-        r1, j1 = random_kahler_curvature(m1, s1)
-        r2, j2 = random_kahler_curvature(m2, s2)
-        verdict = classify(product(r1, r2), alpha, tol)
-        if verdict == VERDICT_NEITHER:
+        seeds = [(int(seed) ^ (width * idx + j)) & _SEED_MASK for j in range(width)]
+        factors = [kind.random(d, s) for d, s in zip(dims, seeds)]
+        v = classify(_product([r for r, _ in factors]), alpha, tol)
+        if v == VERDICT_NEITHER:
             continue
-        c1 = constant_holomorphic(r1, j1)
-        c2 = constant_holomorphic(r2, j2)
-        present = c1 is not None and c2 is not None
-        if verdict == VERDICT_BOTH:
-            ok = present and abs(c1) <= tol and abs(c2) <= tol
-        elif verdict == VERDICT_NONNEGATIVE:
-            ok = present and c1 >= -tol and c2 >= -tol
+        constants = [kind.detect(r, j) for r, j in factors]
+        present = None not in constants
+        spread = max(constants) - min(constants) if present else math.inf
+        if family.sharp:
+            # one common constant, whose sign the verdict fixes
+            ok = present and spread <= 1e-6 and _signs_match(v, constants[:1], tol)
         else:
-            ok = present and c1 <= tol and c2 <= tol
+            ok = present and _signs_match(v, constants, tol)
         if not ok:
-            report.counterexamples.append({
-                "check": "random", "sample": idx, "seeds": [s1, s2],
-                "verdict": verdict, "constants": [c1, c2],
-            })
-        elif abs(c1 - c2) > 1e-6:
+            report.counterexamples.append(
+                {"check": "random", **_sample_record(idx, seeds, v, constants)})
+        elif spread > 1e-6:
             # the equal-constant clause inherits the questionable iff
             # statement; computation contradicts it at small m, so
             # disagreements are recorded verbatim rather than asserted
             report.findings.append({
                 "statement": "classification at the product constant forces equal factors",
-                "sample": idx, "seeds": [s1, s2],
-                "verdict": verdict, "constants": [c1, c2],
+                **_sample_record(idx, seeds, v, constants),
             })
-    return report.finalize()
 
 
 def _kappa_grid(params):
@@ -443,73 +448,18 @@ def _kappa_grid(params):
     return grid
 
 
-def _check_iff_spheres(params, tol):
-    n1 = int(params.pop("n1", 2))
-    n2 = int(params.pop("n2", 2))
-    grid = _kappa_grid(params)
-    if params:
-        raise InvalidInputError(f"unexpected iff-spheres parameters: {sorted(params)}")
-    if n1 < 2 or n2 < 2:
-        raise InvalidInputError("both factor dimensions must be at least 2")
-    alpha = a_const(n1, n2)
-    report = HarnessReport(
-        harness="iff-spheres",
-        parameters={"n1": n1, "n2": n2, "alpha": alpha, "grid": list(grid), "tol": tol},
-        samples_run=0,
-    )
+def _sweep(report, family, params, alpha, grid, tol):
+    """Classify the space-form products over the grid: the positive family
+    should be nonnegative, and the negative one nonpositive, exactly when
+    the two curvatures are equal; each disagreement is a finding."""
     for k1 in grid:
         for k2 in grid:
-            expected = k1 == k2
-            v_pos = classify(product(space_form(n1, k1), space_form(n2, k2)), alpha, tol)
-            if (v_pos == VERDICT_NONNEGATIVE) != expected:
-                report.findings.append({
-                    "family": "positive", "kappa1": k1, "kappa2": k2,
-                    "verdict": v_pos, "equal_kappa": expected,
-                })
-            v_neg = classify(product(space_form(n1, -k1), space_form(n2, -k2)), alpha, tol)
-            if (v_neg == VERDICT_NONPOSITIVE) != expected:
-                report.findings.append({
-                    "family": "negative", "kappa1": k1, "kappa2": k2,
-                    "verdict": v_neg, "equal_kappa": expected,
-                })
-            report.samples_run += 2
+            for name, sign, expected in (("positive", 1.0, VERDICT_NONNEGATIVE),
+                                         ("negative", -1.0, VERDICT_NONPOSITIVE)):
+                v = classify(_model(family, params, (sign * k1, sign * k2)), alpha, tol)
+                if (v == expected) != (k1 == k2):
+                    report.findings.append({
+                        "family": name, "kappa1": k1, "kappa2": k2,
+                        "verdict": v, "equal_kappa": k1 == k2,
+                    })
     report.details["mismatches"] = len(report.findings)
-    return report.finalize()
-
-
-def _check_iff_kahler(params, tol):
-    m1 = int(params.pop("m1", 1))
-    m2 = int(params.pop("m2", 1))
-    grid = _kappa_grid(params)
-    if params:
-        raise InvalidInputError(f"unexpected iff-kahler parameters: {sorted(params)}")
-    if m1 < 1 or m2 < 1:
-        raise InvalidInputError("both complex dimensions must be at least 1")
-    alpha = b_const(m1, m2)
-    report = HarnessReport(
-        harness="iff-kahler",
-        parameters={"m1": m1, "m2": m2, "alpha": alpha, "grid": list(grid), "tol": tol},
-        samples_run=0,
-    )
-    for k1 in grid:
-        for k2 in grid:
-            expected = k1 == k2
-            r1, _ = kahler_space_form(m1, k1)
-            r2, _ = kahler_space_form(m2, k2)
-            v_pos = classify(product(r1, r2), alpha, tol)
-            if (v_pos == VERDICT_NONNEGATIVE) != expected:
-                report.findings.append({
-                    "family": "positive", "kappa1": k1, "kappa2": k2,
-                    "verdict": v_pos, "equal_kappa": expected,
-                })
-            h1, _ = kahler_space_form(m1, -k1)
-            h2, _ = kahler_space_form(m2, -k2)
-            v_neg = classify(product(h1, h2), alpha, tol)
-            if (v_neg == VERDICT_NONPOSITIVE) != expected:
-                report.findings.append({
-                    "family": "negative", "kappa1": k1, "kappa2": k2,
-                    "verdict": v_neg, "equal_kappa": expected,
-                })
-            report.samples_run += 2
-    report.details["mismatches"] = len(report.findings)
-    return report.finalize()

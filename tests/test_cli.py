@@ -286,8 +286,9 @@ class TestCliCommands:
         ["verify", "iff-spheres", "--tol", "nan"],
         ["classify", str(DESCRIPTORS / "s4.json"), "--alpha", "1", "--tol", "nan"],
         ["classify", str(DESCRIPTORS / "s4.json"), "--alpha", "1", "--tol=-inf"],
+        ["classify", str(DESCRIPTORS / "custom_flat2.json"), "--alpha", "1", "--tol=-1"],
     ], ids=["line-nan", "line-inf", "product-nan", "iff-spheres-nan", "classify-nan",
-            "classify-minus-inf"])
+            "classify-minus-inf", "classify-negative"])
     def test_non_finite_tol_exit_2(self, argv, capsys):
         assert run(argv) == 2
         captured = capsys.readouterr()
@@ -335,3 +336,18 @@ class TestCliCommands:
         report = json.loads(capsys.readouterr().out)
         del report["timing"]
         assert dumps_json(report) + "\n" == (GOLDEN / "oracle_s3xr.json").read_text()
+
+    @pytest.mark.parametrize("argv", [
+        ["line", "--n", "5", "--samples", "20", "--seed", "3"],
+        ["product-spheres", "--n1", "2", "--n2", "3", "--samples", "20", "--seed", "3"],
+        ["product-kahler", "--m1", "1", "--m2", "2", "--samples", "10", "--seed", "3"],
+        ["iff-spheres", "--n1", "2", "--n2", "3", "--kappa-grid", "0.5,1,2"],
+        ["iff-kahler", "--m1", "1", "--m2", "2", "--kappa-grid", "0.5,1,2"],
+    ], ids=lambda argv: argv[0])
+    def test_golden_harness_report(self, argv, capsys):
+        # recorded before the harnesses became rows of one table, at sizes
+        # whose factors differ so that a swap of the two factors shows;
+        # byte-stable per numpy/LAPACK build, like spectrum_s3xr.json
+        assert run(["verify", *argv]) == 0
+        golden = GOLDEN / f"verify_{argv[0].replace('-', '_')}.json"
+        assert capsys.readouterr().out == golden.read_text()

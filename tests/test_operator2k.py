@@ -29,6 +29,7 @@ from secondkind.operator2k import (
     operator_matrix,
     spectrum,
     spectrum_from_eigenvalues,
+    verdict,
     weighted_partial_sums,
 )
 from secondkind.sym2 import (
@@ -175,6 +176,28 @@ class TestClassify:
             v = classify(r, alpha)
             flipped = {"nonnegative": "nonpositive", "nonpositive": "nonnegative"}
             assert classify(-r, alpha) == flipped.get(v, v)
+
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan"), float("inf")])
+    def test_rejects_negative_or_non_finite_tol(self, tol):
+        with pytest.raises(InvalidInputError, match="nonnegative and finite"):
+            classify(flat_tensor(3), 2.0, tol=tol)
+
+    def test_verdict_matches_negated_spectrum_reference(self):
+        # the nonpositive side reads the reversed negation of the eigenvalues
+        # instead of building and clustering the negated spectrum; tol = 0
+        # is allowed
+        names = {(True, True): "both", (True, False): "nonnegative",
+                 (False, True): "nonpositive", (False, False): "neither"}
+        tensors = (space_form(3, 1.0), product(space_form(3, -1.0), flat_tensor(1)),
+                   random_curvature(4, 3), flat_tensor(3))
+        for r in tensors:
+            s = spectrum(r)
+            neg = negate_spectrum(s)
+            for alpha in (1.0, 2.5, 4.5, float(s.N)):
+                for tol in (0.0, 1e-9):
+                    nonneg = alpha_sum(s, alpha) >= -tol
+                    nonpos = alpha_sum(neg, alpha) >= -tol
+                    assert verdict(s, alpha, tol) == names[nonneg, nonpos]
 
 
 class TestThresholds:

@@ -11,6 +11,7 @@ from secondkind.curvature import (
     random_curvature,
     space_form,
 )
+from secondkind import operator2k
 from secondkind.errors import InvalidInputError
 from secondkind.rigidity import (
     a_const,
@@ -167,6 +168,30 @@ class TestCheckRigidity:
         assert len(report.findings) > 0
         for finding in report.findings:
             assert finding["equal_kappa"] is False
+
+    @pytest.mark.parametrize("case", ["line", "product-spheres", "product-kahler"])
+    def test_model_solved_once(self, case, monkeypatch):
+        # the model's verdicts, its nonpositive dual and the flatness probe
+        # all come from one spectrum
+        real = operator2k.eigensolve
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(operator2k, "eigensolve", counting)
+        report = check_rigidity(case, samples=0)
+        assert report.details["model_check"] == "consistent"
+        assert len(calls) == 1
+
+    def test_violated_model_still_reports_its_probe(self):
+        # so loose a tolerance classifies the model as "both": the model
+        # check fails on its verdicts, and the probe is still reported
+        report = check_rigidity("product-spheres", samples=0, tol=50.0)
+        assert report.verdict == "violated"
+        assert report.details["flatness_probe_verdict"] == "both"
+        assert [c["check"] for c in report.counterexamples] == ["model"]
 
     def test_rejects_unknown_case(self):
         with pytest.raises(InvalidInputError):
