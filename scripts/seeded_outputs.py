@@ -14,10 +14,13 @@ item; the iff sweeps at the asymmetric sizes on ``--kappa-grid 0.5,1,2``;
 and ``spectrum``, ``threshold``, ``classify`` and ``oracle`` (1000 samples,
 seed 7, and 65 samples, seed 0) over ``descriptors/*.json`` at alpha in
 {1.5, 3, line, A, B}, plus two descriptors whose curvature overflows a
-double. Each record holds the command line, the exit code, stderr, and
-stdout parsed as JSON with every ``timing`` block removed. Warnings are
-reset before each command, so stderr shows what a fresh process would
-print.
+double; and ``spectrum`` over malformed descriptors, so that the parse
+errors of every kind are compared too: each model-space kind below its
+least size, a missing ``kappa``, a ``kappa`` on ``euclidean``, a bool
+``m``, and a product with a bad factor. Each record holds the command line,
+the exit code, stderr, and stdout parsed as JSON with every ``timing``
+block removed. Warnings are reset before each command, so stderr shows what
+a fresh process would print.
 
 Usage: PYTHONPATH=src python scripts/seeded_outputs.py OUT.json
 (point PYTHONPATH at another checkout's ``src`` to record that version).
@@ -62,6 +65,19 @@ OVERFLOW_DESCRIPTORS = {
     "overflow_cp2.json": '{"kind": "cp", "m": 2, "kappa": 1e308}',
     "overflow_s3.json": '{"kind": "sphere", "dim": 3, "kappa": 1e308}',
 }
+MALFORMED_DESCRIPTORS = {
+    "small_sphere.json": '{"kind": "sphere", "dim": 1, "kappa": 1}',
+    "small_hyperbolic.json": '{"kind": "hyperbolic", "dim": 1, "kappa": 1}',
+    "small_euclidean.json": '{"kind": "euclidean", "dim": 0}',
+    "small_cp.json": '{"kind": "cp", "m": 0, "kappa": 1}',
+    "small_ch.json": '{"kind": "ch", "m": 0, "kappa": 1}',
+    "small_complex_euclidean.json": '{"kind": "complex_euclidean", "m": 0}',
+    "no_kappa_cp.json": '{"kind": "cp", "m": 2}',
+    "kappa_euclidean.json": '{"kind": "euclidean", "dim": 2, "kappa": 1}',
+    "bool_m_ch.json": '{"kind": "ch", "m": true, "kappa": 1}',
+    "bad_factor.json": ('{"kind": "product", "factors": [{"kind": "sphere", "dim": 2, '
+                        '"kappa": 1}, {"kind": "complex_euclidean", "m": 0}]}'),
+}
 
 
 def _without_timing(obj):
@@ -82,8 +98,9 @@ def _descriptor_commands(path):
     return commands
 
 
-def commands(overflow_dir):
-    """The fixed command list; descriptor paths are relative to the repo."""
+def commands(tmp_dir):
+    """The fixed command list; descriptor paths are relative to the repo,
+    except the generated ones in ``tmp_dir``."""
     descriptors = sorted(str(p.relative_to(REPO)) for p in (REPO / "descriptors").glob("*.json"))
     out = [("verify", h, "--seed", str(s)) for h in HARNESSES for s in SEEDS]
     out += [("verify", *h, "--seed", str(s)) for h in SIZED_HARNESSES for s in SEEDS]
@@ -95,7 +112,8 @@ def commands(overflow_dir):
     for path in descriptors:
         out += _descriptor_commands(path)
     for name in OVERFLOW_DESCRIPTORS:
-        out += _descriptor_commands(os.path.join(overflow_dir, name))
+        out += _descriptor_commands(os.path.join(tmp_dir, name))
+    out += [("spectrum", os.path.join(tmp_dir, name)) for name in MALFORMED_DESCRIPTORS]
     return out
 
 
@@ -120,7 +138,7 @@ def main():
     os.chdir(REPO)
     records = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in OVERFLOW_DESCRIPTORS.items():
+        for name, text in {**OVERFLOW_DESCRIPTORS, **MALFORMED_DESCRIPTORS}.items():
             Path(tmp, name).write_text(text)
         for argv in commands(tmp):
             record = run_one(argv)

@@ -32,7 +32,6 @@ from .numerics import (
     cluster_spectrum,
     eigensolve,
     jacobi_eigen,
-    random_orthonormal_family,
     seeded_stream,
 )
 from .operator2k import (

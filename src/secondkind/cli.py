@@ -20,10 +20,13 @@ import numpy as np
 
 from .curvature import einstein_constant, scalar
 from .descriptors import (
+    COMPLEX_KINDS,
+    FLAT_KINDS,
     DescriptorError,
     build_tensor,
     closed_form_clusters,
     descriptor_to_obj,
+    leaf_obj,
     parse_descriptor,
 )
 from .errors import ConvergenceError, InvalidInputError
@@ -53,6 +56,19 @@ EXAMPLES_KAPPA_GRID = (0.5, 1.0, 2.0)
 EXAMPLES_REAL_DIMS = (2, 3, 4)
 EXAMPLES_COMPLEX_DIMS = (1, 2, 3)
 EXAMPLES_EUCLIDEAN_DIMS = (1, 2)
+# the products of two kinds, in the order ``examples`` reports them
+EXAMPLES_PRODUCTS = (
+    ("sphere", "sphere"),
+    ("hyperbolic", "hyperbolic"),
+    ("sphere", "euclidean"),
+    ("hyperbolic", "euclidean"),
+    ("sphere", "hyperbolic"),
+    ("cp", "cp"),
+    ("ch", "ch"),
+    ("cp", "complex_euclidean"),
+    ("ch", "complex_euclidean"),
+    ("cp", "ch"),
+)
 EXAMPLES_VALUE_TOL = 1e-9
 
 
@@ -134,8 +150,7 @@ def _resolve_alpha(token, desc, n):
         f1, f2 = desc.factors
         if token == "A":
             return a_const(f1.dim, f2.dim)
-        complex_kinds = ("cp", "ch", "complex_euclidean")
-        if f1.kind not in complex_kinds or f2.kind not in complex_kinds:
+        if f1.kind not in COMPLEX_KINDS or f2.kind not in COMPLEX_KINDS:
             raise DescriptorError("symbolic alpha 'B' needs two complex factors")
         return b_const(f1.m, f2.m)
     try:
@@ -212,84 +227,44 @@ def _cmd_threshold(args):
     return EXIT_OK
 
 
-def _desc_obj(kind, **fields):
-    obj = {"kind": kind}
-    obj.update(fields)
-    return obj
+def _example_sizes(kind, in_product=False):
+    """The size grid of a kind; a flat factor of a product takes the small
+    Euclidean sizes."""
+    if kind in FLAT_KINDS and in_product:
+        return EXAMPLES_EUCLIDEAN_DIMS
+    return EXAMPLES_COMPLEX_DIMS if kind in COMPLEX_KINDS else EXAMPLES_REAL_DIMS
 
 
-def _product_obj(*factors):
-    return {"kind": "product", "factors": list(factors)}
+def _example_leaves(kind, size):
+    """One leaf per grid curvature; a flat kind has none to vary."""
+    if kind in FLAT_KINDS:
+        return [leaf_obj(kind, size)]
+    return [leaf_obj(kind, size, k) for k in EXAMPLES_KAPPA_GRID]
+
+
+def _example_single(name, *kinds):
+    return name, [leaf for kind in kinds for size in _example_sizes(kind)
+                  for leaf in _example_leaves(kind, size)]
+
+
+def _example_product(a, b):
+    """Products over every size pair, then every curvature pair; a product of
+    a kind with itself lists each unordered size pair once."""
+    cases = [
+        {"kind": "product", "factors": [f1, f2]}
+        for s1 in _example_sizes(a, True) for s2 in _example_sizes(b, True)
+        if a != b or s1 <= s2
+        for f1 in _example_leaves(a, s1) for f2 in _example_leaves(b, s2)
+    ]
+    return f"{a}-x-{b}".replace("_", "-"), cases
 
 
 def _example_families():
     """The thirteen model families with their parameter grids."""
-    kappas = EXAMPLES_KAPPA_GRID
-    dims = EXAMPLES_REAL_DIMS
-    ms = EXAMPLES_COMPLEX_DIMS
-    eu = EXAMPLES_EUCLIDEAN_DIMS
-
-    def pairs_leq(values):
-        return [(a, b) for a in values for b in values if a <= b]
-
-    def pairs_all(values):
-        return [(a, b) for a in values for b in values]
-
-    families = []
-    families.append(("space-forms", [
-        _desc_obj(kind, dim=n, kappa=k)
-        for kind in ("sphere", "hyperbolic") for n in dims for k in kappas
-    ]))
-    families.append(("complex-space-forms", [
-        _desc_obj(kind, m=m, kappa=k)
-        for kind in ("cp", "ch") for m in ms for k in kappas
-    ]))
-    families.append(("sphere-x-sphere", [
-        _product_obj(_desc_obj("sphere", dim=n1, kappa=k1), _desc_obj("sphere", dim=n2, kappa=k2))
-        for n1, n2 in pairs_leq(dims) for k1 in kappas for k2 in kappas
-    ]))
-    families.append(("hyperbolic-x-hyperbolic", [
-        _product_obj(_desc_obj("hyperbolic", dim=n1, kappa=k1),
-                     _desc_obj("hyperbolic", dim=n2, kappa=k2))
-        for n1, n2 in pairs_leq(dims) for k1 in kappas for k2 in kappas
-    ]))
-    families.append(("sphere-x-euclidean", [
-        _product_obj(_desc_obj("sphere", dim=n1, kappa=k1), _desc_obj("euclidean", dim=n2))
-        for n1 in dims for n2 in eu for k1 in kappas
-    ]))
-    families.append(("hyperbolic-x-euclidean", [
-        _product_obj(_desc_obj("hyperbolic", dim=n1, kappa=k1), _desc_obj("euclidean", dim=n2))
-        for n1 in dims for n2 in eu for k1 in kappas
-    ]))
-    families.append(("sphere-x-hyperbolic", [
-        _product_obj(_desc_obj("sphere", dim=n1, kappa=k1),
-                     _desc_obj("hyperbolic", dim=n2, kappa=k2))
-        for n1, n2 in pairs_all(dims) for k1 in kappas for k2 in kappas
-    ]))
-    families.append(("cp-x-cp", [
-        _product_obj(_desc_obj("cp", m=m1, kappa=k1), _desc_obj("cp", m=m2, kappa=k2))
-        for m1, m2 in pairs_leq(ms) for k1 in kappas for k2 in kappas
-    ]))
-    families.append(("ch-x-ch", [
-        _product_obj(_desc_obj("ch", m=m1, kappa=k1), _desc_obj("ch", m=m2, kappa=k2))
-        for m1, m2 in pairs_leq(ms) for k1 in kappas for k2 in kappas
-    ]))
-    families.append(("cp-x-complex-euclidean", [
-        _product_obj(_desc_obj("cp", m=m1, kappa=k1), _desc_obj("complex_euclidean", m=m2))
-        for m1 in ms for m2 in eu for k1 in kappas
-    ]))
-    families.append(("ch-x-complex-euclidean", [
-        _product_obj(_desc_obj("ch", m=m1, kappa=k1), _desc_obj("complex_euclidean", m=m2))
-        for m1 in ms for m2 in eu for k1 in kappas
-    ]))
-    families.append(("cp-x-ch", [
-        _product_obj(_desc_obj("cp", m=m1, kappa=k1), _desc_obj("ch", m=m2, kappa=k2))
-        for m1, m2 in pairs_all(ms) for k1 in kappas for k2 in kappas
-    ]))
-    families.append(("euclidean-flat", [
-        _desc_obj("euclidean", dim=n) for n in dims
-    ]))
-    return families
+    return ([_example_single("space-forms", "sphere", "hyperbolic"),
+             _example_single("complex-space-forms", "cp", "ch")]
+            + [_example_product(a, b) for a, b in EXAMPLES_PRODUCTS]
+            + [_example_single("euclidean-flat", "euclidean")])
 
 
 def _compare_clusters(expected, computed, value_tol):

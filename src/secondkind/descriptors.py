@@ -12,11 +12,15 @@ A descriptor is a JSON object with a ``kind`` and kind-specific fields:
 * ``product``: ``factors`` list of at least two descriptors;
 * ``custom``: ``dim`` and ``components``, a flat list of ``dim**4`` reals
   with the last index fastest; all curvature identities are re-checked.
+
+The six model-space kinds are the rows of one table, ``_LEAVES``, which
+parsing, the canonical form, tensor construction and the closed forms read.
 """
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +34,23 @@ from .curvature import (
 from .errors import InvalidInputError
 from .sym2 import sym2_dim
 
-SINGLE_KINDS = ("sphere", "hyperbolic", "euclidean", "cp", "ch", "complex_euclidean")
+# One row per model-space kind: the size field (``m`` for the complex kinds,
+# whose ``dim`` is ``2m``), its least value and the message when it is
+# smaller, and the sign of the curvature, 0 for the flat kinds, which take
+# no ``kappa``.
+_Leaf = namedtuple("_Leaf", "size least too_small sign")
+_LEAVES = {
+    "sphere": _Leaf("dim", 2, "sphere/hyperbolic dimension must be at least 2", 1),
+    "hyperbolic": _Leaf("dim", 2, "sphere/hyperbolic dimension must be at least 2", -1),
+    "euclidean": _Leaf("dim", 1, "euclidean dimension must be at least 1", 0),
+    "cp": _Leaf("m", 1, "complex dimension must be at least 1", 1),
+    "ch": _Leaf("m", 1, "complex dimension must be at least 1", -1),
+    "complex_euclidean": _Leaf("m", 1, "complex dimension must be at least 1", 0),
+}
+
+SINGLE_KINDS = tuple(_LEAVES)
+COMPLEX_KINDS = tuple(kind for kind, leaf in _LEAVES.items() if leaf.size == "m")
+FLAT_KINDS = tuple(kind for kind, leaf in _LEAVES.items() if not leaf.sign)
 KINDS = SINGLE_KINDS + ("product", "custom")
 
 _MERGE_TOL = 1e-9
@@ -86,32 +106,16 @@ def _from_obj(obj, path):
     kind = obj.get("kind")
     if kind not in KINDS:
         _fail(f"{path}.kind", f"expected one of {list(KINDS)}, got {kind!r}")
-    if kind in ("sphere", "hyperbolic"):
-        _check_keys(obj, ("kind", "dim", "kappa"), path)
-        dim = _require_int(obj, "dim", path)
-        if dim < 2:
-            _fail(f"{path}.dim", "sphere/hyperbolic dimension must be at least 2")
-        return ManifoldDescriptor(kind=kind, dim=dim,
-                                  kappa=_require_positive_real(obj, "kappa", path))
-    if kind == "euclidean":
-        _check_keys(obj, ("kind", "dim"), path)
-        dim = _require_int(obj, "dim", path)
-        if dim < 1:
-            _fail(f"{path}.dim", "euclidean dimension must be at least 1")
-        return ManifoldDescriptor(kind=kind, dim=dim)
-    if kind in ("cp", "ch"):
-        _check_keys(obj, ("kind", "m", "kappa"), path)
-        m = _require_int(obj, "m", path)
-        if m < 1:
-            _fail(f"{path}.m", "complex dimension must be at least 1")
-        return ManifoldDescriptor(kind=kind, m=m, dim=2 * m,
-                                  kappa=_require_positive_real(obj, "kappa", path))
-    if kind == "complex_euclidean":
-        _check_keys(obj, ("kind", "m"), path)
-        m = _require_int(obj, "m", path)
-        if m < 1:
-            _fail(f"{path}.m", "complex dimension must be at least 1")
-        return ManifoldDescriptor(kind=kind, m=m, dim=2 * m)
+    leaf = _LEAVES.get(kind)
+    if leaf is not None:
+        _check_keys(obj, ("kind", leaf.size) + (("kappa",) if leaf.sign else ()), path)
+        size = _require_int(obj, leaf.size, path)
+        if size < leaf.least:
+            _fail(f"{path}.{leaf.size}", leaf.too_small)
+        kappa = _require_positive_real(obj, "kappa", path) if leaf.sign else 0.0
+        if leaf.size == "m":
+            return ManifoldDescriptor(kind=kind, m=size, dim=2 * size, kappa=kappa)
+        return ManifoldDescriptor(kind=kind, dim=size, kappa=kappa)
     if kind == "product":
         _check_keys(obj, ("kind", "factors"), path)
         factors = obj.get("factors")
@@ -161,16 +165,20 @@ def parse_descriptor(text):
     return _from_obj(obj, "$")
 
 
+def leaf_obj(kind, size, kappa=None):
+    """JSON form of a model space of one kind; ``size`` is its ``dim``, or
+    its ``m`` for a complex kind, and a flat kind takes no ``kappa``."""
+    obj = {"kind": kind, _LEAVES[kind].size: size}
+    if kappa is not None:
+        obj["kappa"] = kappa
+    return obj
+
+
 def descriptor_to_obj(desc):
     """Canonical JSON-ready form; parsing it back gives an equal descriptor."""
-    if desc.kind in ("sphere", "hyperbolic"):
-        return {"kind": desc.kind, "dim": desc.dim, "kappa": desc.kappa}
-    if desc.kind == "euclidean":
-        return {"kind": desc.kind, "dim": desc.dim}
-    if desc.kind in ("cp", "ch"):
-        return {"kind": desc.kind, "m": desc.m, "kappa": desc.kappa}
-    if desc.kind == "complex_euclidean":
-        return {"kind": desc.kind, "m": desc.m}
+    leaf = _LEAVES.get(desc.kind)
+    if leaf is not None:
+        return leaf_obj(desc.kind, getattr(desc, leaf.size), desc.kappa if leaf.sign else None)
     if desc.kind == "product":
         return {"kind": "product", "factors": [descriptor_to_obj(f) for f in desc.factors]}
     return {"kind": "custom", "dim": desc.dim, "components": list(desc.components)}
@@ -178,18 +186,13 @@ def descriptor_to_obj(desc):
 
 def build_tensor(desc):
     """Curvature tensor of a descriptor; custom components are re-validated."""
-    if desc.kind == "sphere":
-        return space_form(desc.dim, desc.kappa)
-    if desc.kind == "hyperbolic":
-        return space_form(desc.dim, -desc.kappa)
-    if desc.kind == "euclidean":
-        return flat_tensor(desc.dim)
-    if desc.kind == "cp":
-        return kahler_space_form(desc.m, desc.kappa)[0]
-    if desc.kind == "ch":
-        return kahler_space_form(desc.m, -desc.kappa)[0]
-    if desc.kind == "complex_euclidean":
-        return flat_tensor(2 * desc.m)
+    leaf = _LEAVES.get(desc.kind)
+    if leaf is not None:
+        if not leaf.sign:
+            return flat_tensor(desc.dim)
+        if leaf.size == "m":
+            return kahler_space_form(desc.m, leaf.sign * desc.kappa)[0]
+        return space_form(desc.dim, leaf.sign * desc.kappa)
     if desc.kind == "product":
         tensor = build_tensor(desc.factors[0])
         for f in desc.factors[1:]:
@@ -202,36 +205,15 @@ def build_tensor(desc):
         raise DescriptorError(f"$.components: {exc}") from exc
 
 
-def _leaf_rho(desc):
-    if desc.kind == "sphere":
-        return (desc.dim - 1) * desc.kappa
-    if desc.kind == "hyperbolic":
-        return -(desc.dim - 1) * desc.kappa
-    if desc.kind == "cp":
-        return 2 * (desc.m + 1) * desc.kappa
-    if desc.kind == "ch":
-        return -2 * (desc.m + 1) * desc.kappa
-    if desc.kind in ("euclidean", "complex_euclidean"):
-        return 0.0
-    return None
-
-
-def _leaf_eigenvalues(desc):
-    if desc.kind == "sphere":
-        return [(desc.kappa, sym2_dim(desc.dim))]
-    if desc.kind == "hyperbolic":
-        return [(-desc.kappa, sym2_dim(desc.dim))]
-    if desc.kind == "euclidean":
-        return [(0.0, sym2_dim(desc.dim))]
-    if desc.kind == "complex_euclidean":
-        return [(0.0, sym2_dim(2 * desc.m))]
-    if desc.kind == "cp":
-        m, k = desc.m, desc.kappa
-        return [(-2.0 * k, (m - 1) * (m + 1)), (4.0 * k, m * (m + 1))]
-    if desc.kind == "ch":
-        m, k = desc.m, desc.kappa
-        return [(2.0 * k, (m - 1) * (m + 1)), (-4.0 * k, m * (m + 1))]
-    return None
+def _leaf_closed_form(desc, leaf):
+    """(eigenvalue list, rho) of a model space. A curved complex kind has two
+    clusters and rho = 2(m+1)k; every other kind, C^m included, has one
+    cluster at its sectional curvature k and rho = (dim-1)k."""
+    k = leaf.sign * desc.kappa
+    if leaf.size == "m" and leaf.sign:
+        m = desc.m
+        return [(-2.0 * k, (m - 1) * (m + 1)), (4.0 * k, m * (m + 1))], 2 * (m + 1) * k
+    return [(k, sym2_dim(desc.dim))], (desc.dim - 1) * k
 
 
 def _closed_form_fold(desc):
@@ -242,8 +224,9 @@ def _closed_form_fold(desc):
     -(n2 rho1 + n1 rho2) / (n1 + n2); it applies as long as every partial
     product along the fold is Einstein.
     """
-    if desc.kind in SINGLE_KINDS:
-        return _leaf_eigenvalues(desc), _leaf_rho(desc), desc.dim
+    leaf = _LEAVES.get(desc.kind)
+    if leaf is not None:
+        return (*_leaf_closed_form(desc, leaf), desc.dim)
     if desc.kind != "product":
         return None
     parts = [_closed_form_fold(f) for f in desc.factors]

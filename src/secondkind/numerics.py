@@ -184,16 +184,6 @@ def random_orthonormal_families(ambient_dim, count, seeds):
     return np.swapaxes(q, -2, -1)
 
 
-def random_orthonormal_family(ambient_dim, count, seed):
-    """Orthonormalization of ``count`` independent standard normal vectors.
-
-    Rows of the returned ``(count, ambient_dim)`` array are the family
-    vectors; the distribution is invariant under orthogonal maps and the
-    output is identical for identical seeds.
-    """
-    return random_orthonormal_families(ambient_dim, count, [seed])[0]
-
-
 def cluster_spectrum(values, rel_tol=CLUSTER_REL_TOL):
     """Group an ascending list into (value, multiplicity) clusters.
 

@@ -451,12 +451,15 @@ def _kappa_grid(params):
 def _sweep(report, family, params, alpha, grid, tol):
     """Classify the space-form products over the grid: the positive family
     should be nonnegative, and the negative one nonpositive, exactly when
-    the two curvatures are equal; each disagreement is a finding."""
+    the two curvatures are equal; each disagreement is a finding. Each grid
+    point is solved once: the negative model is bitwise the negation of the
+    positive one."""
     for k1 in grid:
         for k2 in grid:
-            for name, sign, expected in (("positive", 1.0, VERDICT_NONNEGATIVE),
-                                         ("negative", -1.0, VERDICT_NONPOSITIVE)):
-                v = classify(_model(family, params, (sign * k1, sign * k2)), alpha, tol)
+            s = spectrum(_model(family, params, (k1, k2)))
+            for name, spec, expected in (("positive", s, VERDICT_NONNEGATIVE),
+                                         ("negative", negate_spectrum(s), VERDICT_NONPOSITIVE)):
+                v = verdict(spec, alpha, tol)
                 if (v == expected) != (k1 == k2):
                     report.findings.append({
                         "family": name, "kappa1": k1, "kappa2": k2,

@@ -14,6 +14,7 @@ from secondkind.descriptors import (
     build_tensor,
     closed_form_clusters,
     descriptor_to_obj,
+    leaf_obj,
     parse_descriptor,
 )
 
@@ -82,6 +83,62 @@ class TestParseDescriptor:
             text = (DESCRIPTORS / f"{name}.json").read_text()
             desc = parse_descriptor(text)
             assert parse_descriptor(json.dumps(descriptor_to_obj(desc))) == desc
+
+
+# kind, size field, least size, message when smaller, whether it takes kappa
+LEAF_ROWS = [
+    ("sphere", "dim", 2, "sphere/hyperbolic dimension must be at least 2", True),
+    ("hyperbolic", "dim", 2, "sphere/hyperbolic dimension must be at least 2", True),
+    ("euclidean", "dim", 1, "euclidean dimension must be at least 1", False),
+    ("cp", "m", 1, "complex dimension must be at least 1", True),
+    ("ch", "m", 1, "complex dimension must be at least 1", True),
+    ("complex_euclidean", "m", 1, "complex dimension must be at least 1", False),
+]
+
+
+@pytest.mark.parametrize("kind,size,least,too_small,curved", LEAF_ROWS)
+class TestLeafKinds:
+    @staticmethod
+    def errors(obj):
+        """The error of a bad leaf alone and as the second factor of a product."""
+        messages = []
+        for text in (json.dumps(obj), json.dumps(
+                {"kind": "product", "factors": [{"kind": "euclidean", "dim": 1}, obj]})):
+            with pytest.raises(DescriptorError) as info:
+                parse_descriptor(text)
+            messages.append(str(info.value))
+        return messages
+
+    @staticmethod
+    def leaf(kind, size, value, with_kappa):
+        obj = {"kind": kind, size: value}
+        if with_kappa:
+            obj["kappa"] = 1.0
+        return obj
+
+    def test_size_below_least(self, kind, size, least, too_small, curved):
+        assert self.errors(self.leaf(kind, size, least - 1, curved)) == [
+            f"$.{size}: {too_small}", f"$.factors[1].{size}: {too_small}"]
+
+    def test_bool_size(self, kind, size, least, too_small, curved):
+        assert self.errors(self.leaf(kind, size, True, curved)) == [
+            f"$.{size}: expected an integer", f"$.factors[1].{size}: expected an integer"]
+
+    def test_kappa_field(self, kind, size, least, too_small, curved):
+        if curved:
+            obj = self.leaf(kind, size, least, False)
+            expected = "missing required field 'kappa'"
+        else:
+            obj = self.leaf(kind, size, least, True)
+            expected = f"unknown field(s) ['kappa']; allowed: {sorted(['kind', size])}"
+        assert self.errors(obj) == [f"$: {expected}", f"$.factors[1]: {expected}"]
+
+    def test_leaf_obj_round_trip(self, kind, size, least, too_small, curved):
+        obj = leaf_obj(kind, least + 1, 1.5 if curved else None)
+        assert obj == {"kind": kind, size: least + 1, **({"kappa": 1.5} if curved else {})}
+        desc = parse_descriptor(json.dumps(obj))
+        assert desc.dim == (2 if size == "m" else 1) * (least + 1)
+        assert descriptor_to_obj(desc) == obj
 
 
 class TestClosedForms:
@@ -166,6 +223,19 @@ class TestCliCommands:
         )
         assert report["N"] == 9
         assert sum(c["multiplicity"] for c in report["spectrum"]) == report["N"]
+
+    def test_examples_grid(self, capsys):
+        assert run(["examples"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert [(f["family"], f["cases_run"]) for f in out["families"]] == [
+            ("space-forms", 18), ("complex-space-forms", 18),
+            ("sphere-x-sphere", 54), ("hyperbolic-x-hyperbolic", 54),
+            ("sphere-x-euclidean", 18), ("hyperbolic-x-euclidean", 18),
+            ("sphere-x-hyperbolic", 81), ("cp-x-cp", 54), ("ch-x-ch", 54),
+            ("cp-x-complex-euclidean", 18), ("ch-x-complex-euclidean", 18),
+            ("cp-x-ch", 81), ("euclidean-flat", 3),
+        ]
+        assert sum(f["cases_run"] for f in out["families"]) == 489
 
     def test_spectrum_round_trip_echo(self):
         proc = run_cli(["spectrum", str(DESCRIPTORS / "s3xr.json")])

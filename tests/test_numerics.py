@@ -9,7 +9,6 @@ from secondkind.numerics import (
     eigensolve,
     jacobi_eigen,
     random_orthonormal_families,
-    random_orthonormal_family,
     seeded_stream,
 )
 
@@ -123,36 +122,36 @@ class TestEigensolve:
 
 class TestRandomOrthonormalFamily:
     def test_dim1_is_sign(self):
-        v = random_orthonormal_family(1, 1, seed=11)
+        v = random_orthonormal_families(1, 1, [11])[0]
         assert v.shape == (1, 1) and abs(abs(v[0, 0]) - 1.0) < 1e-15
 
     def test_deterministic(self):
-        a = random_orthonormal_family(5, 3, seed=42)
-        b = random_orthonormal_family(5, 3, seed=42)
+        a = random_orthonormal_families(5, 3, [42])[0]
+        b = random_orthonormal_families(5, 3, [42])[0]
         assert np.array_equal(a, b)
 
     def test_distinct_seeds_differ(self):
-        a = random_orthonormal_family(5, 3, seed=1)
-        b = random_orthonormal_family(5, 3, seed=2)
+        a = random_orthonormal_families(5, 3, [1])[0]
+        b = random_orthonormal_families(5, 3, [2])[0]
         assert not np.array_equal(a, b)
 
     def test_gram_identity(self):
-        fam = random_orthonormal_family(9, 9, seed=7)
+        fam = random_orthonormal_families(9, 9, [7])[0]
         assert np.abs(fam @ fam.T - np.eye(9)).max() < 1e-12
 
     @pytest.mark.parametrize("dim", [1, 2, 4, 9])
     def test_full_family_has_unit_determinant(self, dim):
-        fam = random_orthonormal_family(dim, dim, seed=dim + 100)
+        fam = random_orthonormal_families(dim, dim, [dim + 100])[0]
         assert abs(abs(np.linalg.det(fam)) - 1.0) <= 1e-10
 
     def test_rejects_count_above_dim(self):
         with pytest.raises(InvalidInputError):
-            random_orthonormal_family(3, 4, seed=0)
+            random_orthonormal_families(3, 4, [0])
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
     def test_gram_property(self, seed):
-        fam = random_orthonormal_family(6, 4, seed=seed)
+        fam = random_orthonormal_families(6, 4, [seed])[0]
         assert np.abs(fam @ fam.T - np.eye(4)).max() < 1e-12
 
 
@@ -163,7 +162,7 @@ class TestRandomOrthonormalFamilies:
         stack = random_orthonormal_families(dim, count, seeds)
         assert stack.shape == (len(seeds), count, dim)
         for fam, seed in zip(stack, seeds):
-            single = random_orthonormal_family(dim, count, seed)
+            single = random_orthonormal_families(dim, count, [seed])[0]
             assert np.ascontiguousarray(fam).tobytes() == np.ascontiguousarray(single).tobytes()
 
     def test_rejects_count_above_dim(self):

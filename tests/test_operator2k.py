@@ -260,7 +260,7 @@ class TestBruteforceOracle:
         frac = alpha - k if k < len(mat) else 0.0
         values = []
         for s in range(1, samples + 1):
-            q = numerics.random_orthonormal_family(len(mat), len(mat), seed ^ s)
+            q = numerics.random_orthonormal_families(len(mat), len(mat), [seed ^ s])[0]
             d = np.sort(np.einsum("ai,ij,aj->a", q, mat, q))
             values.append(d[:k].sum() + (frac * d[k] if frac > 0.0 else 0.0))
         return values
@@ -287,7 +287,8 @@ class TestBruteforceOracle:
         mat = operator_matrix(r, standard_basis(4))
         result = bruteforce_min_alpha_sum(r, float(len(mat)), samples=200, seed=9)
         assert result.argmin_sample > 0
-        q = numerics.random_orthonormal_family(len(mat), len(mat), 9 ^ result.argmin_sample)
+        seed = 9 ^ result.argmin_sample
+        q = numerics.random_orthonormal_families(len(mat), len(mat), [seed])[0]
         assert result.argmin_digest == self.digest(q)
 
     def test_argmin_digest_is_the_eigenbasis(self):

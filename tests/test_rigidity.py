@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from secondkind.curvature import (
     flat_tensor,
     kahler_space_form,
+    product,
     random_curvature,
     space_form,
 )
@@ -184,6 +185,36 @@ class TestCheckRigidity:
         report = check_rigidity(case, samples=0)
         assert report.details["model_check"] == "consistent"
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("case", ["iff-spheres", "iff-kahler"])
+    def test_sweep_solves_each_grid_point_once(self, case, monkeypatch):
+        # the negative family's verdict is read from the positive spectrum
+        real = operator2k.eigensolve
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(operator2k, "eigensolve", counting)
+        grid = [0.5, 1.0, 2.0]
+        report = check_rigidity(case, {"grid": grid})
+        assert report.samples_run == 2 * len(grid) ** 2
+        assert len(calls) == len(grid) ** 2
+
+    @pytest.mark.parametrize("factor,d1,d2,alpha", [
+        (space_form, 2, 3, a_const(2, 3)),
+        (lambda m, k: kahler_space_form(m, k)[0], 1, 2, b_const(1, 2)),
+    ], ids=["spheres", "kahler"])
+    def test_negated_spectrum_verdict_matches_negative_model(self, factor, d1, d2, alpha):
+        # the identity the sweep rests on: H(k1) x H(k2) classifies as the
+        # negation of S(k1) x S(k2), without a second solve
+        for k1 in (0.5, 1.0, 2.0):
+            for k2 in (0.5, 1.0, 2.0):
+                s = operator2k.spectrum(product(factor(d1, k1), factor(d2, k2)))
+                negated = operator2k.verdict(operator2k.negate_spectrum(s), alpha)
+                assert negated == operator2k.classify(product(factor(d1, -k1), factor(d2, -k2)),
+                                                      alpha)
 
     def test_violated_model_still_reports_its_probe(self):
         # so loose a tolerance classifies the model as "both": the model
