@@ -8,16 +8,17 @@ sizes; the sampled harnesses at seeds 0 and 7 at the sizes of the
 benchmark's ``falsify`` workload (``line --n 6``, ``product-spheres --n1 3
 --n2 3``, ``product-kahler --m1 2 --m2 2``) and at asymmetric sizes in both
 factor orders (``line --n 5``, ``--n1 2 --n2 3``, ``--m1 1 --m2 2``); the
-benchmark's pinned ``product-kahler --m1 2 --m2 2 --seed 146 --samples 1``
-item; the iff sweeps at the asymmetric sizes on ``--kappa-grid 0.5,1,2``;
-``verify product`` over all ordered pairs of ``descriptors/*.json``, ``examples``,
-and ``spectrum``, ``threshold``, ``classify`` and ``oracle`` (1000 samples,
-seed 7, and 65 samples, seed 0) over ``descriptors/*.json`` at alpha in
-{1.5, 3, line, A, B}, plus two descriptors whose curvature overflows a
-double; and ``spectrum`` over malformed descriptors, so that the parse
-errors of every kind are compared too: each model-space kind below its
-least size, a missing ``kappa``, a ``kappa`` on ``euclidean``, a bool
-``m``, and a product with a bad factor. Each record holds the command line,
+largest Kahler draw, ``product-kahler --m1 3 --m2 3 --samples 20``, at
+seeds 0 and 7; the benchmark's pinned ``product-kahler --m1 2 --m2 2
+--seed 146 --samples 1`` item; the iff sweeps at the asymmetric sizes on
+``--kappa-grid 0.5,1,2``; ``verify product`` over all ordered pairs of
+``descriptors/*.json``, ``examples``, and ``spectrum``, ``threshold``,
+``classify`` and ``oracle`` (1000 samples, seed 7, and 65 samples, seed 0)
+over ``descriptors/*.json`` at alpha in {1.5, 3, line, A, B}, plus two
+descriptors whose curvature overflows a double; and ``spectrum`` over
+malformed descriptors, so that the parse errors of every kind are compared
+too: each model-space kind below its least size, a missing ``kappa``, a
+``kappa`` on ``euclidean``, a bool ``m``, and a product with a bad factor. Each record holds the command line,
 the exit code, stderr, and stdout parsed as JSON with every ``timing``
 block removed. Warnings are reset before each command, so stderr shows what
 a fresh process would print.
@@ -49,6 +50,7 @@ SIZED_HARNESSES = (
     ("product-spheres", "--n1", "3", "--n2", "2"),
     ("product-kahler", "--m1", "1", "--m2", "2"),
     ("product-kahler", "--m1", "2", "--m2", "1"),
+    ("product-kahler", "--m1", "3", "--m2", "3", "--samples", "20"),
 )
 PINNED_ITEM = ("verify", "product-kahler", "--m1", "2", "--m2", "2",
                "--seed", "146", "--samples", "1")

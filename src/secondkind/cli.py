@@ -78,16 +78,16 @@ def _format_float(x):
     return format(x, ".17g")
 
 
-def dumps_json(obj, indent=2):
-    """Serialize to JSON with floats at 17 significant digits."""
+def dumps_json(obj):
+    """Serialize to JSON, indented by two spaces, with floats at 17 digits."""
     out = []
-    _emit(obj, out, indent, 0)
+    _emit(obj, out, 0)
     return "".join(out)
 
 
-def _emit(obj, out, indent, level):
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _emit(obj, out, level):
+    pad = "  " * (level + 1)
+    close_pad = "  " * level
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -107,7 +107,7 @@ def _emit(obj, out, indent, level):
         out.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
             out.append(f"{pad}{json.dumps(str(key))}: ")
-            _emit(value, out, indent, level + 1)
+            _emit(value, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(close_pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -117,7 +117,7 @@ def _emit(obj, out, indent, level):
         out.append("[\n")
         for i, value in enumerate(obj):
             out.append(pad)
-            _emit(value, out, indent, level + 1)
+            _emit(value, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(close_pad + "]")
     else:

@@ -1,7 +1,8 @@
 """Model-space descriptors: JSON schema, tensor construction, and
 closed-form spectra.
 
-A descriptor is a JSON object with a ``kind`` and kind-specific fields:
+A descriptor is a JSON object with a ``kind`` and kind-specific fields, of
+total dimension at most ``MAX_DIM`` (32), products included:
 
 * ``sphere`` / ``hyperbolic``: ``dim >= 2``, ``kappa > 0`` (the sign of the
   curvature is applied internally for the hyperbolic kind);
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import (
+    MAX_DIM,
     CurvatureTensor,
     flat_tensor,
     kahler_space_form,
@@ -94,6 +96,12 @@ def _require_positive_real(obj, key, path):
     return float(value)
 
 
+def _bounded_dim(dim, path):
+    if dim > MAX_DIM:
+        _fail(path, f"total dimension {dim} exceeds the limit {MAX_DIM}")
+    return dim
+
+
 def _check_keys(obj, allowed, path):
     extra = sorted(set(obj) - set(allowed))
     if extra:
@@ -112,6 +120,7 @@ def _from_obj(obj, path):
         size = _require_int(obj, leaf.size, path)
         if size < leaf.least:
             _fail(f"{path}.{leaf.size}", leaf.too_small)
+        _bounded_dim(2 * size if leaf.size == "m" else size, f"{path}.{leaf.size}")
         kappa = _require_positive_real(obj, "kappa", path) if leaf.sign else 0.0
         if leaf.size == "m":
             return ManifoldDescriptor(kind=kind, m=size, dim=2 * size, kappa=kappa)
@@ -122,12 +131,14 @@ def _from_obj(obj, path):
         if not isinstance(factors, list) or len(factors) < 2:
             _fail(f"{path}.factors", "a product needs a list of at least two factors")
         parsed = tuple(_from_obj(f, f"{path}.factors[{i}]") for i, f in enumerate(factors))
-        return ManifoldDescriptor(kind=kind, dim=sum(f.dim for f in parsed), factors=parsed)
+        dim = _bounded_dim(sum(f.dim for f in parsed), f"{path}.factors")
+        return ManifoldDescriptor(kind=kind, dim=dim, factors=parsed)
     # custom
     _check_keys(obj, ("kind", "dim", "components"), path)
     dim = _require_int(obj, "dim", path)
     if dim < 1:
         _fail(f"{path}.dim", "dimension must be at least 1")
+    _bounded_dim(dim, f"{path}.dim")
     comp = obj.get("components")
     if not isinstance(comp, list):
         _fail(f"{path}.components", "expected a flat list of numbers")
@@ -253,8 +264,7 @@ def closed_form_clusters(desc):
     folded = _closed_form_fold(desc)
     if folded is None:
         return None
-    eigs = [(v, m) for v, m in folded[0] if m > 0]
-    eigs.sort()
+    eigs = sorted((v, m) for v, m in folded[0] if m > 0)
     merged = []
     for value, mult in eigs:
         if merged and value - merged[-1][0] <= _MERGE_TOL * max(1.0, abs(merged[-1][0])):

@@ -30,16 +30,21 @@ def seeded_stream(seed):
     return np.random.Generator(np.random.Philox(key=int(seed) & _SEED_MASK))
 
 
+def derived_seed(seed, index):
+    """The 64-bit seed ``seed ^ index`` of stream ``index`` under ``seed``."""
+    return (int(seed) ^ index) & _SEED_MASK
+
+
 def _jacobi_sweeps(a, v, tol, max_sweeps):
     n = a.shape[0]
-    for sweep in range(max_sweeps):
+    for sweep in range(max_sweeps + 1):
         off = 0.0
         for i in range(n):
             for j in range(i + 1, n):
                 off += 2.0 * a[i, j] * a[i, j]
         off = np.sqrt(off)
-        if off <= tol:
-            return sweep, off, True
+        if off <= tol or sweep == max_sweeps:
+            return sweep, off, off <= tol
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p, q]
@@ -70,12 +75,6 @@ def _jacobi_sweeps(a, v, tol, max_sweeps):
                     vkq = v[k, q]
                     v[k, p] = c * vkp - s * vkq
                     v[k, q] = s * vkp + c * vkq
-    off = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            off += 2.0 * a[i, j] * a[i, j]
-    off = np.sqrt(off)
-    return max_sweeps, off, off <= tol
 
 
 def _checked_symmetric(m):
@@ -184,11 +183,11 @@ def random_orthonormal_families(ambient_dim, count, seeds):
     return np.swapaxes(q, -2, -1)
 
 
-def cluster_spectrum(values, rel_tol=CLUSTER_REL_TOL):
+def cluster_spectrum(values):
     """Group an ascending list into (value, multiplicity) clusters.
 
-    Consecutive entries closer than ``rel_tol * max(1, |previous|)`` join the
-    current cluster; the reported value is the cluster mean.
+    Consecutive entries closer than ``CLUSTER_REL_TOL * max(1, |previous|)``
+    join the current cluster; the reported value is the cluster mean.
     """
     vals = [float(v) for v in values]
     for a, b in zip(vals, vals[1:]):
@@ -197,7 +196,7 @@ def cluster_spectrum(values, rel_tol=CLUSTER_REL_TOL):
     clusters = []
     start = 0
     for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[i - 1] > rel_tol * max(1.0, abs(vals[i - 1])):
+        if i == len(vals) or vals[i] - vals[i - 1] > CLUSTER_REL_TOL * max(1.0, abs(vals[i - 1])):
             chunk = vals[start:i]
             clusters.append((sum(chunk) / len(chunk), len(chunk)))
             start = i

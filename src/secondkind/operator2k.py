@@ -11,13 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .numerics import cluster_spectrum, eigensolve, random_orthonormal_families
+from .numerics import cluster_spectrum, derived_seed, eigensolve, random_orthonormal_families
 from .sym2 import standard_basis, sym2_dim
 
 CLASSIFY_TOL = 1e-9
-CLUSTER_TOL = 1e-7
 
-_SEED_MASK = (1 << 64) - 1
 # Samples per stacked QR in the oracle: large enough to amortize the numpy
 # call overhead, small enough that each stacked array stays near 0.4 MB at
 # N = 27 instead of growing with the sample count.
@@ -70,18 +68,18 @@ def operator_matrix(r, basis):
     return (mat + mat.T) / 2.0
 
 
-def spectrum(r, cluster_tol=CLUSTER_TOL):
+def spectrum(r):
     """Spectrum of the operator of a curvature tensor, dim >= 2."""
     if r.dim < 2:
         raise InvalidInputError("spectra need ambient dimension at least 2")
     w = eigensolve(operator_matrix(r, standard_basis(r.dim)))
-    return Spectrum(n=r.dim, eigenvalues=w, clusters=tuple(cluster_spectrum(list(w), cluster_tol)))
+    return Spectrum(n=r.dim, eigenvalues=w, clusters=tuple(cluster_spectrum(list(w))))
 
 
-def spectrum_from_eigenvalues(n, values, cluster_tol=CLUSTER_TOL):
+def spectrum_from_eigenvalues(n, values):
     """Build a Spectrum from known eigenvalues (sorted internally)."""
     w = np.sort(np.asarray(list(values), dtype=float))
-    return Spectrum(n=n, eigenvalues=w, clusters=tuple(cluster_spectrum(list(w), cluster_tol)))
+    return Spectrum(n=n, eigenvalues=w, clusters=tuple(cluster_spectrum(list(w))))
 
 
 def negate_spectrum(s):
@@ -203,7 +201,7 @@ def bruteforce_min_alpha_sum(r, alpha, samples, seed):
     n_dim = basis.count
     _split_alpha(float(alpha), n_dim)  # reject a bad alpha before sampling
     w, vecs = eigensolve(mat, vectors=True)
-    seeds = [(int(seed) ^ s) & _SEED_MASK for s in range(samples + 1)]
+    seeds = [derived_seed(seed, s) for s in range(samples + 1)]
     diags = np.empty((samples + 1, n_dim))
     diags[0] = w
     for start in range(1, samples + 1, _ORACLE_BLOCK):

@@ -12,12 +12,13 @@ with its optimal constant. One sampled loop and one iff sweep run every row.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .curvature import (
+    MAX_DIM,
     constant_holomorphic,
     constant_sectional,
     einstein_constant,
@@ -29,6 +30,7 @@ from .curvature import (
     space_form,
 )
 from .errors import InvalidInputError
+from .numerics import derived_seed
 from .operator2k import (
     VERDICT_BOTH,
     VERDICT_NEITHER,
@@ -45,8 +47,6 @@ from .operator2k import (
     weighted_partial_sums,
 )
 from .sym2 import LABEL_XI, empty_basis, product_adapted_basis, standard_basis
-
-_SEED_MASK = (1 << 64) - 1
 
 DEFAULT_KAPPA_GRID = tuple(0.25 * k for k in range(1, 9))
 
@@ -103,15 +103,12 @@ class HarnessReport:
         return self
 
     def to_dict(self):
-        return {
-            "harness": self.harness,
-            "parameters": self.parameters,
-            "samples_run": self.samples_run,
-            "counterexamples": self.counterexamples,
-            "findings": self.findings,
-            "verdict": self.verdict,
-            "details": self.details,
-        }
+        return asdict(self)
+
+
+def _check_total_dim(n):
+    if n > MAX_DIM:
+        raise InvalidInputError(f"total dimension {n} exceeds the limit {MAX_DIM}")
 
 
 def _factor_spectrum_values(r):
@@ -132,6 +129,7 @@ def verify_product_structure(r1, r2, tol=1e-9):
     if not 0.0 < tol < math.inf:  # also false for NaN
         raise InvalidInputError(f"tolerance must be positive and finite, got {tol}")
     n1, n2 = r1.dim, r2.dim
+    _check_total_dim(n1 + n2)
     b1 = standard_basis(n1) if n1 >= 2 else empty_basis(n1)
     b2 = standard_basis(n2) if n2 >= 2 else empty_basis(n2)
     adapted = product_adapted_basis(n1, n2, b1, b2)
@@ -249,6 +247,7 @@ class _Family:
     least: int          # the least value of each dimension parameter
     too_small: str
     dims: Callable      # parameters -> curved factor dimensions
+    total: Callable     # parameters -> total dimension of the product
     constant: Callable  # parameters -> optimal constant
     factors: _Factors
     sharp: bool
@@ -259,6 +258,7 @@ _LINE = _Family(
     names=("n",), least=4,
     too_small="the line harness needs total dimension at least 4",
     dims=lambda p: (p["n"] - 1,),
+    total=lambda p: p["n"],
     constant=lambda p: a_const(p["n"] - 1, 1),
     factors=_REAL, sharp=True,
     probe=lambda alpha, thr, tol: None,
@@ -268,6 +268,7 @@ _SPHERES = _Family(
     names=("n1", "n2"), least=2,
     too_small="both factor dimensions must be at least 2",
     dims=lambda p: (p["n1"], p["n2"]),
+    total=lambda p: p["n1"] + p["n2"],
     constant=lambda p: a_const(p["n1"], p["n2"]),
     factors=_REAL, sharp=True,
     probe=lambda alpha, thr, tol: alpha - min(0.5, (alpha - 1.0) / 2.0),
@@ -277,6 +278,7 @@ _KAHLER = _Family(
     names=("m1", "m2"), least=1,
     too_small="both complex dimensions must be at least 1",
     dims=lambda p: (p["m1"], p["m2"]),
+    total=lambda p: 2 * (p["m1"] + p["m2"]),
     constant=lambda p: b_const(p["m1"], p["m2"]),
     factors=_COMPLEX, sharp=False,
     probe=lambda alpha, thr, tol: (
@@ -317,6 +319,7 @@ def check_rigidity(case, params=None, seed=0, samples=200, tol=1e-9):
         raise InvalidInputError(f"unexpected {case} parameters: {sorted(given)}")
     if min(params.values()) < family.least:
         raise InvalidInputError(family.too_small)
+    _check_total_dim(family.total(params))
     alpha = family.constant(params)
     run = {"grid": list(grid)} if sweep else {"seed": seed, "samples": samples}
     report = HarnessReport(
@@ -412,7 +415,7 @@ def _sample(report, family, params, alpha, seed, samples, tol):
     width = len(dims)
     kind = family.factors
     for idx in range(samples):
-        seeds = [(int(seed) ^ (width * idx + j)) & _SEED_MASK for j in range(width)]
+        seeds = [derived_seed(seed, width * idx + j) for j in range(width)]
         factors = [kind.random(d, s) for d, s in zip(dims, seeds)]
         v = classify(_product([r for r, _ in factors]), alpha, tol)
         if v == VERDICT_NEITHER:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from secondkind.cli import dumps_json, run
+from secondkind.curvature import MAX_DIM
 from secondkind.descriptors import (
     DescriptorError,
     build_tensor,
@@ -77,6 +78,25 @@ class TestParseDescriptor:
         text = json.dumps({"kind": "custom", "dim": 2, "components": comps})
         with pytest.raises(DescriptorError, match="components"):
             build_tensor(parse_descriptor(text))
+
+    @pytest.mark.parametrize("obj,field,total", [
+        ({"kind": "euclidean", "dim": MAX_DIM + 1}, "dim", MAX_DIM + 1),
+        ({"kind": "cp", "m": MAX_DIM // 2 + 1, "kappa": 1}, "m", MAX_DIM + 2),
+        ({"kind": "product", "factors": [{"kind": "sphere", "dim": MAX_DIM - 1, "kappa": 1},
+                                         {"kind": "complex_euclidean", "m": 1}]},
+         "factors", MAX_DIM + 1),
+        # rejected before the components, which are not even a list, are read
+        ({"kind": "custom", "dim": 10**7, "components": None}, "dim", 10**7),
+    ], ids=["leaf-dim", "leaf-m", "product-total", "custom-dim"])
+    def test_rejects_total_dimension_above_bound(self, obj, field, total):
+        with pytest.raises(DescriptorError,
+                           match=rf"\$\.{field}: total dimension {total} exceeds the limit"):
+            parse_descriptor(json.dumps(obj))
+
+    def test_accepts_total_dimension_at_bound(self):
+        half = {"kind": "euclidean", "dim": MAX_DIM // 2}
+        assert parse_descriptor(json.dumps({"kind": "product", "factors": [half, half]})).dim \
+            == MAX_DIM
 
     def test_roundtrip_through_canonical_form(self):
         for name in ("s3xr", "cp1xcp1", "s2xs2", "cp2", "custom_flat2"):
@@ -306,6 +326,21 @@ class TestCliCommands:
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1 and "non-finite" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", '{"kind":"euclidean","dim":10000000}'],
+        ["verify", "line", "--n", "200"],
+    ], ids=["spectrum-huge-euclidean", "verify-line-n200"])
+    def test_dimension_above_bound_exit_2_one_line(self, tmp_path, argv):
+        if argv[0] == "spectrum":
+            path = tmp_path / "huge.json"
+            path.write_text(argv[1])
+            argv = ["spectrum", str(path)]
+        proc = run_cli(argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ") and "exceeds the limit" in proc.stderr
 
     @pytest.mark.parametrize("text", [
         '{"kind":"cp","m":2,"kappa":1e308}',

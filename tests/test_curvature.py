@@ -185,12 +185,9 @@ class TestDetectors:
 
 class TestRandomCurvature:
     def test_deterministic(self):
-        a = random_curvature(4, seed=1, scale=1.0)
-        b = random_curvature(4, seed=1, scale=1.0)
+        a = random_curvature(4, seed=1)
+        b = random_curvature(4, seed=1)
         assert np.array_equal(a.components, b.components)
-
-    def test_scale_zero_is_flat(self):
-        assert np.abs(random_curvature(4, seed=9, scale=0.0).components).max() == 0.0
 
     def test_rejects_dim1(self):
         with pytest.raises(InvalidInputError):
@@ -203,19 +200,70 @@ class TestRandomCurvature:
         assert symmetry_errors(r) <= 1e-12 * max(1.0, np.abs(r.components).max())
 
 
+def pair_symmetric_draw(m, seed):
+    """The sampler's draw before its projection: the stream of ``seed`` made
+    antisymmetric in each index pair and symmetric under pair exchange."""
+    n = 2 * m
+    t = seeded_stream(seed).standard_normal((n, n, n, n))
+    t = (t - np.einsum("jikl->ijkl", t)) / 2.0
+    t = (t - np.einsum("ijlk->ijkl", t)) / 2.0
+    return (t + np.einsum("klij->ijkl", t)) / 2.0
+
+
+def alternating_projection_kahler(m, seed):
+    """Reference: alternate the J-pair average and the removal of the cyclic
+    part until both residuals drop below 1e-14, at most 500 rounds."""
+    jm = standard_complex_structure(m).matrix
+    t = pair_symmetric_draw(m, seed)
+    tol = 1e-14 * max(1.0, float(np.abs(t).max()))
+    for _ in range(500):
+        t = curvature._j_pair_average(t, jm)
+        t = t - curvature._cyclic_part(t)
+        bianchi_res = float(np.abs(curvature._cyclic_part(t)).max())
+        j_res = float(np.abs(t - curvature._j_pair_average(t, jm)).max())
+        if bianchi_res <= tol and j_res <= tol:
+            break
+    return t
+
+
 class TestRandomKahlerCurvature:
     def test_deterministic(self):
         a, _ = random_kahler_curvature(2, seed=4)
         b, _ = random_kahler_curvature(2, seed=4)
         assert np.array_equal(a.components, b.components)
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_j_invariance_and_symmetries(self, m):
-        r, j = random_kahler_curvature(m, seed=m + 20)
-        assert symmetry_errors(r) <= 1e-12
+        seed = m + 20
+        r, j = random_kahler_curvature(m, seed)
+        tol = 1e-14 * np.abs(pair_symmetric_draw(m, seed)).max()
+        assert symmetry_errors(r) <= tol
         pulled = np.einsum("ck,dl,ijcd->ijkl", j.matrix, j.matrix, r.components)
-        assert np.abs(r.components - pulled).max() <= 1e-12
+        assert np.abs(r.components - pulled).max() <= tol
+        again = curvature._kahler_part(r.components, j.matrix)
+        assert np.abs(again - r.components).max() <= tol  # idempotent
         assert np.abs(r.components).max() > 1e-3  # generically nonzero
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_projection_identity(self, m):
+        """S = P_J b P_J satisfies S^2 = (2/3) S on pair-symmetric tensors,
+        which makes u - (3/2) P_J b u the exact projection."""
+        jm = standard_complex_structure(m).matrix
+
+        def s_map(u):
+            return curvature._j_pair_average(curvature._cyclic_part(u), jm)
+
+        for seed in range(3):
+            u = curvature._j_pair_average(pair_symmetric_draw(m, seed), jm)
+            su = s_map(u)
+            assert np.linalg.norm(s_map(su) - su * (2.0 / 3.0)) <= 1e-14 * np.linalg.norm(su)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_agrees_with_alternating_projections(self, m):
+        for seed in range(5):
+            reference = alternating_projection_kahler(m, seed)
+            r, _ = random_kahler_curvature(m, seed)
+            assert np.abs(r.components - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 def einsum_j_pair_average(t, jm):

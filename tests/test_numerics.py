@@ -196,28 +196,28 @@ class TestRandomOrthonormalFamilies:
 
 class TestClusterSpectrum:
     def test_all_equal(self):
-        assert cluster_spectrum([1.0, 1.0, 1.0], 1e-7) == [(1.0, 3)]
+        assert cluster_spectrum([1.0, 1.0, 1.0]) == [(1.0, 3)]
 
     def test_line_spectrum(self):
         values = [-0.5, 0, 0, 0, 1, 1, 1, 1, 1]
-        assert cluster_spectrum(values, 1e-7) == [(-0.5, 1), (0.0, 3), (1.0, 5)]
+        assert cluster_spectrum(values) == [(-0.5, 1), (0.0, 3), (1.0, 5)]
 
     def test_subtolerance_gap_merges(self):
-        clusters = cluster_spectrum([0.0, 1e-12], 1e-7)
+        clusters = cluster_spectrum([0.0, 1e-12])
         assert len(clusters) == 1 and clusters[0][1] == 2
         assert abs(clusters[0][0]) < 1e-12
 
     def test_rejects_unsorted(self):
         with pytest.raises(InvalidInputError):
-            cluster_spectrum([1.0, 0.0], 1e-7)
+            cluster_spectrum([1.0, 0.0])
 
     def test_empty(self):
-        assert cluster_spectrum([], 1e-7) == []
+        assert cluster_spectrum([]) == []
 
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=30))
     @settings(max_examples=100, deadline=None)
     def test_multiplicities_sum(self, values):
         values = sorted(values)
-        clusters = cluster_spectrum(values, 1e-7)
+        clusters = cluster_spectrum(values)
         assert sum(m for _, m in clusters) == len(values)
         assert all(m >= 1 for _, m in clusters)

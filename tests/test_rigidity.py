@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from secondkind.curvature import (
+    MAX_DIM,
     flat_tensor,
     kahler_space_form,
     product,
@@ -127,6 +128,11 @@ class TestVerifyProductStructure:
         # sanity: the report structure obeys the verdict invariant
         assert bool(report.counterexamples) == (report.verdict == "violated")
 
+    def test_rejects_total_dimension_above_bound(self):
+        half = MAX_DIM // 2 + 1
+        with pytest.raises(InvalidInputError, match=f"total dimension {2 * half} exceeds"):
+            verify_product_structure(flat_tensor(half), flat_tensor(half))
+
 
 class TestCheckRigidity:
     def test_line_harness(self):
@@ -231,6 +237,18 @@ class TestCheckRigidity:
     def test_rejects_unknown_params(self):
         with pytest.raises(InvalidInputError):
             check_rigidity("line", {"n": 4, "bogus": 1})
+
+    @pytest.mark.parametrize("case,params,total", [
+        ("line", {"n": MAX_DIM + 1}, MAX_DIM + 1),
+        ("product-spheres", {"n1": MAX_DIM, "n2": 2}, MAX_DIM + 2),
+        ("product-kahler", {"m1": 1, "m2": MAX_DIM // 2}, MAX_DIM + 2),
+        ("iff-spheres", {"n1": 10**7, "n2": 2}, 10**7 + 2),
+        ("iff-kahler", {"m1": MAX_DIM // 4, "m2": MAX_DIM // 4 + 1}, MAX_DIM + 2),
+    ])
+    def test_rejects_total_dimension_above_bound(self, case, params, total):
+        with pytest.raises(InvalidInputError,
+                           match=f"total dimension {total} exceeds the limit {MAX_DIM}"):
+            check_rigidity(case, params, samples=1)
 
     def test_report_serializes(self):
         report = check_rigidity("iff-spheres", {"n1": 2, "n2": 2, "grid": [1.0]})

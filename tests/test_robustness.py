@@ -1,15 +1,17 @@
 """Robustness of the command line over generated descriptors and arguments.
 
-Every descriptor kind, nested products, dimensions 0..4 per factor, finite
-curvature scales from 1e-300 to 1e300, wrong types, booleans and missing or
-extra fields go through ``cli.run`` in-process; ``--alpha`` and ``--tol``
-tokens include ``nan``, ``inf`` and negative values. Whatever the input, the
-command must end with a documented exit code (0, or 2/3 with exactly one
-stderr line), never with an exception, and print nothing to stderr on
-success. A second test draws only well-formed commands, which must not end
-in a usage error, so that the numerics are reached at every scale. Factors
-stay at most 4-dimensional and products at most three leaves, because
-tensors have n**4 entries.
+Every descriptor kind, nested products, dimensions 0..4 per factor and sizes
+over the bound on the total dimension, finite curvature scales from 1e-300
+to 1e300, wrong types, booleans and missing or extra fields go through
+``cli.run`` in-process; ``--alpha`` and ``--tol`` tokens include ``nan``,
+``inf`` and negative values. Whatever the input, the command must end with
+a documented exit code (0, or 2/3 with exactly one stderr line), never with
+an exception, and print nothing to stderr on success. A second test draws
+only well-formed commands, which must not end in a usage error, so that the
+numerics are reached at every scale. Factors stay at most 4-dimensional and
+products at most three leaves, because tensors have n**4 entries; only the
+malformed descriptors draw the larger sizes, a leaf over half the bound and
+leaves over the bound itself.
 """
 
 import contextlib
@@ -22,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from secondkind.cli import run
-from secondkind.curvature import random_curvature
+from secondkind.curvature import MAX_DIM, random_curvature
 
 SCALES = st.floats(min_value=1e-300, max_value=1e300)
 WRONG_VALUES = st.one_of(
@@ -37,13 +39,21 @@ NUMBER_TOKENS = st.one_of(
 VALID_ALPHAS = st.one_of(st.just("line"), st.floats(min_value=1, max_value=2).map(repr))
 ALPHA_TOKENS = st.one_of(VALID_ALPHAS, st.sampled_from(["A", "B", "bogus"]),
                          st.floats(min_value=-2, max_value=90).map(repr), NUMBER_TOKENS)
+# sizes over the bound: a leaf of more than half of it, which only a product
+# exceeds, and leaves over it; custom tensors take only the latter
+OVER_BOUND_DIMS = st.sampled_from([MAX_DIM + 1, 10**7])
+LARGE_DIMS = st.one_of(st.just(MAX_DIM // 2 + 1), OVER_BOUND_DIMS)
+LARGE_COMPLEX_DIMS = st.sampled_from([MAX_DIM // 4 + 1, MAX_DIM // 2 + 1, 10**7])
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
 
 @st.composite
 def custom_leaf(draw, valid):
-    dim = draw(st.integers(2 if valid else 0, 4))
+    dim = draw(st.integers(2, 4) if valid else st.one_of(st.integers(0, 4), OVER_BOUND_DIMS))
+    if dim > MAX_DIM:
+        # rejected before the components are read
+        return {"kind": "custom", "dim": dim, "components": []}
     if valid or (dim >= 2 and draw(st.booleans())):
         # a valid tensor at an extreme scale
         scale = draw(SCALES) * draw(st.sampled_from([1.0, -1.0]))
@@ -78,8 +88,9 @@ def corrupted(draw, obj):
 
 
 def descriptors(valid):
-    dims = st.integers(2 if valid else 0, 4)
-    complex_dims = st.integers(1 if valid else 0, 2)
+    dims = st.integers(2, 4) if valid else st.one_of(st.integers(0, 4), LARGE_DIMS)
+    complex_dims = st.integers(1, 2) if valid else st.one_of(st.integers(0, 2),
+                                                             LARGE_COMPLEX_DIMS)
     leaves = st.one_of(
         st.fixed_dictionaries({"kind": st.sampled_from(["sphere", "hyperbolic"]),
                                "dim": dims, "kappa": SCALES}),
