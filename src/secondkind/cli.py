@@ -12,6 +12,7 @@ invalid="raise")``).
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -379,7 +380,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"error: {self.prog}: {message}\n")
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: ``parse_args``
+    returns a fresh namespace on every call, so ``run`` can share it."""
     parser = _ArgumentParser(
         prog="secondkind",
         description="Spectra and fractional nonnegativity thresholds of the "

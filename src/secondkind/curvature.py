@@ -215,18 +215,18 @@ def random_curvature(n, seed):
     if n < 2:
         raise InvalidInputError("random curvature tensors need dimension at least 2")
     rng = seeded_stream(seed)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    p = len(pairs)
+    i, j = np.triu_indices(n, 1)
+    p = len(i)
     w = rng.standard_normal((p, p))
     w = (w + w.T) / 2.0
     t = np.zeros((n, n, n, n))
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            v = w[a, b]
-            t[i, j, k, l] = v
-            t[j, i, k, l] = -v
-            t[i, j, l, k] = -v
-            t[j, i, l, k] = v
+    # pair a = (i, j) with i < j indexes the rows, pair b = (k, l) the
+    # columns; the four antisymmetric placements never share an entry
+    i, j, k, l = i[:, None], j[:, None], i[None, :], j[None, :]
+    t[i, j, k, l] = w
+    t[j, i, k, l] = -w
+    t[i, j, l, k] = -w
+    t[j, i, l, k] = w
     return CurvatureTensor(t - _cyclic_part(t))
 
 

@@ -18,8 +18,12 @@ CLASSIFY_TOL = 1e-9
 
 # Samples per stacked QR in the oracle: large enough to amortize the numpy
 # call overhead, small enough that each stacked array stays near 0.4 MB at
-# N = 27 instead of growing with the sample count.
+# N = 27 instead of growing with the sample count. ``_oracle_block`` takes
+# fewer for wider operators.
 _ORACLE_BLOCK = 64
+# Most random bases one oracle call samples; the seeds and the sorted
+# diagonals of every sample are held at once.
+MAX_ORACLE_SAMPLES = 100_000
 
 VERDICT_NONNEGATIVE = "nonnegative"
 VERDICT_NONPOSITIVE = "nonpositive"
@@ -172,6 +176,13 @@ def _digest(array):
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()[:16]
 
 
+def _oracle_block(n_dim):
+    """Samples per stacked block for an N-wide operator: ``_ORACLE_BLOCK``
+    up to N = 27, then fewer, so that a block holds about as many numbers
+    as at N = 27, down to one sample from N = 153 on."""
+    return max(1, min(_ORACLE_BLOCK, (_ORACLE_BLOCK * 27 * 27) // (n_dim * n_dim)))
+
+
 @dataclass(frozen=True)
 class OracleResult:
     """Outcome of random-basis minimization; sample 0 is the eigenbasis."""
@@ -196,6 +207,9 @@ def bruteforce_min_alpha_sum(r, alpha, samples, seed):
     """
     if samples < 1:
         raise InvalidInputError("at least one sample is required")
+    if samples > MAX_ORACLE_SAMPLES:
+        raise InvalidInputError(
+            f"{samples} samples exceed the limit {MAX_ORACLE_SAMPLES}")
     basis = standard_basis(r.dim)
     mat = operator_matrix(r, basis)
     n_dim = basis.count
@@ -204,8 +218,9 @@ def bruteforce_min_alpha_sum(r, alpha, samples, seed):
     seeds = [derived_seed(seed, s) for s in range(samples + 1)]
     diags = np.empty((samples + 1, n_dim))
     diags[0] = w
-    for start in range(1, samples + 1, _ORACLE_BLOCK):
-        stop = min(start + _ORACLE_BLOCK, samples + 1)
+    block = _oracle_block(n_dim)
+    for start in range(1, samples + 1, block):
+        stop = min(start + block, samples + 1)
         qs = random_orthonormal_families(n_dim, n_dim, seeds[start:stop])
         diags[start:stop] = np.einsum("saj,saj->sa", qs @ mat, qs)
     diags.sort(axis=1)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from secondkind import cli
 from secondkind.cli import dumps_json, run
 from secondkind.curvature import MAX_DIM
 from secondkind.descriptors import (
@@ -313,6 +315,13 @@ class TestCliCommands:
         assert proc.returncode == 2
         assert "dim" in proc.stderr
 
+    def test_oracle_samples_above_bound_exit_2_one_line(self):
+        proc = run_cli(["oracle", str(DESCRIPTORS / "s4.json"), "--alpha", "2",
+                        "--samples", "100000000"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: 100000000 samples exceed the limit 100000\n"
+
     @pytest.mark.parametrize("text", [
         '{"kind":"sphere","dim":3,"kappa":Infinity}',
         '{"kind":"custom","dim":2,"components":[' + "0," * 15 + "NaN]}",
@@ -456,3 +465,50 @@ class TestCliCommands:
         assert run(["verify", *argv]) == 0
         golden = GOLDEN / f"verify_{argv[0].replace('-', '_')}.json"
         assert capsys.readouterr().out == golden.read_text()
+
+
+def without_timing(text):
+    report = json.loads(text)
+    report.pop("timing")
+    return report
+
+
+class TestSharedParser:
+    def test_parser_built_once_per_process(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        counts = []
+        for argv in (["threshold", str(DESCRIPTORS / "s4.json")],
+                     ["spectrum", str(DESCRIPTORS / "s2xs2.json")],
+                     ["frobnicate"]):
+            before = len(built)
+            run(argv)
+            counts.append(len(built) - before)
+        assert counts == [7, 0, 0]  # the parser and its six subparsers
+
+    def test_repeated_option_does_not_carry_over(self, capsys):
+        s4 = str(DESCRIPTORS / "s4.json")
+        assert run(["classify", s4, "--alpha", "1.5", "--alpha", "3"]) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert run(["classify", s4, "--alpha", "2"]) == 0
+        second = json.loads(capsys.readouterr().out)
+        assert [c["requested"] for c in first["classifications"]] == ["1.5", "3"]
+        assert [c["requested"] for c in second["classifications"]] == ["2"]
+
+    def test_usage_error_then_valid_command(self, capsys):
+        argv = ["spectrum", str(DESCRIPTORS / "cp1xcp1.json")]
+        assert run(["spectrum"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        fresh = run_cli(argv)
+        assert fresh.returncode == 0 and captured.err == fresh.stderr == ""
+        assert without_timing(captured.out) == without_timing(fresh.stdout)

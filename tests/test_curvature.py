@@ -183,7 +183,32 @@ class TestDetectors:
             constant_holomorphic(space_form(4, 1.0), j)
 
 
+def pair_loop_random_curvature(n, seed):
+    """Reference: the sampler's tensor filled by a double loop over index
+    pairs, one entry and its three antisymmetric partners at a time."""
+    rng = seeded_stream(seed)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    p = len(pairs)
+    w = rng.standard_normal((p, p))
+    w = (w + w.T) / 2.0
+    t = np.zeros((n, n, n, n))
+    for a, (i, j) in enumerate(pairs):
+        for b, (k, l) in enumerate(pairs):
+            v = w[a, b]
+            t[i, j, k, l] = v
+            t[j, i, k, l] = -v
+            t[i, j, l, k] = -v
+            t[j, i, l, k] = v
+    return t - curvature._cyclic_part(t)
+
+
 class TestRandomCurvature:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_bitwise_equal_to_pair_loop(self, n):
+        for seed in (0, 1, 7, 12345, 2**63 + 5):
+            assert np.array_equal(random_curvature(n, seed).components,
+                                  pair_loop_random_curvature(n, seed))
+
     def test_deterministic(self):
         a = random_curvature(4, seed=1)
         b = random_curvature(4, seed=1)

@@ -16,7 +16,7 @@ from secondkind.curvature import (
     scalar,
     space_form,
 )
-from secondkind import numerics
+from secondkind import numerics, operator2k
 from secondkind.errors import InvalidInputError
 from secondkind.rigidity import f_lemma
 from secondkind.operator2k import (
@@ -290,6 +290,29 @@ class TestBruteforceOracle:
         seed = 9 ^ result.argmin_sample
         q = numerics.random_orthonormal_families(len(mat), len(mat), [seed])[0]
         assert result.argmin_digest == self.digest(q)
+
+    def test_block_shrinks_with_width(self):
+        assert [operator2k._oracle_block(n) for n in (2, 20, 27, 28, 44, 77, 527)] == [
+            64, 64, 64, 59, 24, 7, 1]
+
+    def test_narrow_blocks_match_64_sample_blocks(self, monkeypatch):
+        # n = 9 gives N = 44, so the oracle stacks 24 samples per block
+        r = random_curvature(9, seed=31)
+        narrow = bruteforce_min_alpha_sum(r, 7.5, samples=70, seed=5)
+        monkeypatch.setattr(operator2k, "_oracle_block", lambda n_dim: 64)
+        wide = bruteforce_min_alpha_sum(r, 7.5, samples=70, seed=5)
+        assert narrow.sample_values == wide.sample_values
+        assert narrow.argmin_sample == wide.argmin_sample
+        assert narrow.argmin_digest == wide.argmin_digest
+
+    def test_rejects_samples_above_bound_before_sampling(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("sampled before checking the bound")
+
+        monkeypatch.setattr(operator2k, "standard_basis", boom)
+        with pytest.raises(InvalidInputError, match="exceed the limit"):
+            bruteforce_min_alpha_sum(space_form(3, 1.0), 2.0,
+                                     samples=operator2k.MAX_ORACLE_SAMPLES + 1, seed=0)
 
     def test_argmin_digest_is_the_eigenbasis(self):
         r = random_curvature(4, seed=23)
