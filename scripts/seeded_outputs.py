@@ -18,10 +18,12 @@ over ``descriptors/*.json`` at alpha in {1.5, 3, line, A, B}, plus two
 descriptors whose curvature overflows a double; and ``spectrum`` over
 malformed descriptors, so that the parse errors of every kind are compared
 too: each model-space kind below its least size, a missing ``kappa``, a
-``kappa`` on ``euclidean``, a bool ``m``, and a product with a bad factor. Each record holds the command line,
-the exit code, stderr, and stdout parsed as JSON with every ``timing``
-block removed. Warnings are reset before each command, so stderr shows what
-a fresh process would print.
+``kappa`` on ``euclidean``, a bool ``m``, and a product with a bad factor.
+Each record holds the command line, the exit code, stderr, stdout parsed as
+JSON with every ``timing`` block removed, and the raw stdout text with every
+``"seconds": <number>`` masked, so that a change in the emitted bytes shows
+too. Warnings are reset before each command, so stderr shows what a fresh
+process would print.
 
 Usage: PYTHONPATH=src python scripts/seeded_outputs.py OUT.json
 (point PYTHONPATH at another checkout's ``src`` to record that version).
@@ -32,6 +34,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -61,6 +64,8 @@ SWEEPS = (
     ("iff-kahler", "--m1", "2", "--m2", "1"),
 )
 KAPPA_GRID = "0.5,1,2"
+# the mask of tests/test_cli.py's golden spectrum check
+SECONDS = re.compile(r'"seconds": [0-9.eE+-]+')
 ALPHAS = ("1.5", "3", "line", "A", "B")
 ORACLE_RUNS = (("1000", "7"), ("65", "0"))
 OVERFLOW_DESCRIPTORS = {
@@ -129,7 +134,8 @@ def run_one(argv):
         stdout = _without_timing(json.loads(out.getvalue()))
     except json.JSONDecodeError:
         stdout = out.getvalue()
-    return {"exit": code, "stdout": stdout, "stderr": err.getvalue()}
+    raw = SECONDS.sub('"seconds": 0', out.getvalue())
+    return {"exit": code, "stdout": stdout, "stdout_text": raw, "stderr": err.getvalue()}
 
 
 def main():

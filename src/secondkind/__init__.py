@@ -31,7 +31,6 @@ from .errors import ConvergenceError, InvalidInputError
 from .numerics import (
     cluster_spectrum,
     eigensolve,
-    jacobi_eigen,
     seeded_stream,
 )
 from .operator2k import (
@@ -59,7 +58,6 @@ from .rigidity import (
 from .sym2 import (
     Sym2Basis,
     empty_basis,
-    kahler_basis,
     product_adapted_basis,
     standard_basis,
     sym2_dim,

@@ -6,9 +6,10 @@ to 17 significant digits so outputs round-trip exactly and are byte-stable
 per numpy/LAPACK build.
 
 Exit codes: 0 success, 1 verification mismatch or counterexample, 2 usage or
-parse error, 3 numeric failure (including floating-point overflow and invalid
-operations, which every command runs under ``np.errstate(over="raise",
-invalid="raise")``).
+parse error, 3 numeric or internal failure (including floating-point overflow
+and invalid operations, which every command runs under
+``np.errstate(over="raise", invalid="raise")``, and any other exception,
+reported as one ``internal error:`` line).
 """
 
 import argparse
@@ -16,6 +17,7 @@ import functools
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -80,7 +82,9 @@ def _format_float(x):
 
 
 def dumps_json(obj):
-    """Serialize to JSON, indented by two spaces, with floats at 17 digits."""
+    """Serialize to JSON, indented by two spaces, with floats at 17 digits;
+    strings and keys are escaped as ``json.dumps`` escapes them by default,
+    by the same ``encode_basestring_ascii``."""
     out = []
     _emit(obj, out, 0)
     return "".join(out)
@@ -100,14 +104,14 @@ def _emit(obj, out, level):
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
         out.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
-            out.append(f"{pad}{json.dumps(str(key))}: ")
+            out.append(f"{pad}{encode_basestring_ascii(str(key))}: ")
             _emit(value, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(close_pad + "}")
@@ -452,6 +456,11 @@ def run(argv):
         return EXIT_USAGE
     except (ConvergenceError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except Exception as exc:
+        # last resort: a defect still ends in one line and a documented code
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

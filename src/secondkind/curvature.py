@@ -22,7 +22,7 @@ MAX_DIM = 32
 
 
 def _cyclic_part(t):
-    return (t + np.einsum("jkil->ijkl", t) + np.einsum("kijl->ijkl", t)) / 3.0
+    return (t + t.transpose(2, 0, 1, 3) + t.transpose(1, 2, 0, 3)) / 3.0
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,11 @@ class CurvatureTensor:
         if not math.isfinite(peak):
             raise InvalidInputError("components must be finite")
         tol = SYMMETRY_TOL * max(1.0, peak)
-        if float(np.abs(c + np.einsum("jikl->ijkl", c)).max()) > tol:
+        if float(np.abs(c + c.transpose(1, 0, 2, 3)).max()) > tol:
             raise InvalidInputError("components are not antisymmetric in the first index pair")
-        if float(np.abs(c + np.einsum("ijlk->ijkl", c)).max()) > tol:
+        if float(np.abs(c + c.transpose(0, 1, 3, 2)).max()) > tol:
             raise InvalidInputError("components are not antisymmetric in the second index pair")
-        if float(np.abs(c - np.einsum("klij->ijkl", c)).max()) > tol:
+        if float(np.abs(c - c.transpose(2, 3, 0, 1)).max()) > tol:
             raise InvalidInputError("components are not symmetric under index-pair exchange")
         if float(np.abs(_cyclic_part(c)).max()) > tol:
             raise InvalidInputError("components violate the first Bianchi identity")
@@ -103,8 +103,8 @@ def space_form(n, c):
     """Constant sectional curvature c in dimension n >= 2."""
     if n < 2:
         raise InvalidInputError("space forms need dimension at least 2")
-    d = np.eye(n)
-    comp = float(c) * (np.einsum("ik,jl->ijkl", d, d) - np.einsum("il,jk->ijkl", d, d))
+    dd = np.multiply.outer(np.eye(n), np.eye(n))  # dd[i,k,j,l] = d_ik d_jl
+    comp = float(c) * (dd.transpose(0, 2, 1, 3) - dd.transpose(0, 2, 3, 1))
     return CurvatureTensor(comp)
 
 
@@ -117,14 +117,17 @@ def flat_tensor(n):
 
 def kahler_model_tensor(j, kappa):
     """Constant holomorphic sectional curvature ``4 * kappa`` adapted to j."""
-    jm = j.matrix
-    d = np.eye(j.dim)
+    # each entry is one product of two factors, so the transposed views of
+    # two outer products give the terms bitwise as the einsums ik,jl /
+    # il,jk (dd) and ki,lj / li,kj / ji,lk (jj) do
+    dd = np.multiply.outer(np.eye(j.dim), np.eye(j.dim))
+    jj = np.multiply.outer(j.matrix, j.matrix)
     comp = float(kappa) * (
-        np.einsum("ik,jl->ijkl", d, d)
-        - np.einsum("il,jk->ijkl", d, d)
-        + np.einsum("ki,lj->ijkl", jm, jm)
-        - np.einsum("li,kj->ijkl", jm, jm)
-        + 2.0 * np.einsum("ji,lk->ijkl", jm, jm)
+        dd.transpose(0, 2, 1, 3)
+        - dd.transpose(0, 2, 3, 1)
+        + jj.transpose(1, 3, 0, 2)
+        - jj.transpose(1, 3, 2, 0)
+        + 2.0 * jj.transpose(1, 0, 3, 2)
     )
     return CurvatureTensor(comp)
 
@@ -266,7 +269,7 @@ def random_kahler_curvature(m, seed):
         raise InvalidInputError("complex dimension must be at least 1")
     j = standard_complex_structure(m)
     t = seeded_stream(seed).standard_normal((2 * m,) * 4)
-    t = (t - np.einsum("jikl->ijkl", t)) / 2.0
-    t = (t - np.einsum("ijlk->ijkl", t)) / 2.0
-    t = (t + np.einsum("klij->ijkl", t)) / 2.0
+    t = (t - t.transpose(1, 0, 2, 3)) / 2.0
+    t = (t - t.transpose(0, 1, 3, 2)) / 2.0
+    t = (t + t.transpose(2, 3, 0, 1)) / 2.0
     return CurvatureTensor(_kahler_part(t, j.matrix)), j

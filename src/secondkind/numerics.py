@@ -1,16 +1,14 @@
 """Dense symmetric linear algebra at small sizes.
 
 Spectra come from LAPACK (``eigensolve``), so results are reproducible for
-a given numpy/LAPACK build. Cyclic Jacobi (``jacobi_eigen``) is kept as the
-accuracy reference the tests compare LAPACK against: Jacobi's method is more
-accurate than QR (Demmel and Veselic, SIAM J. Matrix Anal. Appl., 1992).
-Random sampling uses a counter-based generator (Philox) keyed by the
-caller's seed, so independent streams are derived by distinct seeds rather
-than shared mutable state. The stream of a 64-bit seed ``s`` is Philox with
-key ``(s, 0)`` from counter 0; that pair fixes the stream completely (Salmon
-et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), so
-``random_orthonormal_families`` re-keys one generator per call instead of
-building one per seed, and draws bit for bit what ``seeded_stream`` draws.
+a given numpy/LAPACK build. Random sampling uses a counter-based generator
+(Philox) keyed by the caller's seed, so independent streams are derived by
+distinct seeds rather than shared mutable state. The stream of a 64-bit
+seed ``s`` is Philox with key ``(s, 0)`` from counter 0; that pair fixes the
+stream completely (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+3", SC'11), so ``random_orthonormal_families`` re-keys one generator per
+call instead of building one per seed, and draws bit for bit what
+``seeded_stream`` draws.
 """
 
 import numpy as np
@@ -18,8 +16,6 @@ import numpy as np
 from .errors import ConvergenceError, InvalidInputError
 
 SYMMETRY_TOL = 1e-12
-JACOBI_REL_TOL = 1e-13
-JACOBI_MAX_SWEEPS = 100
 CLUSTER_REL_TOL = 1e-7
 
 _SEED_MASK = (1 << 64) - 1
@@ -33,48 +29,6 @@ def seeded_stream(seed):
 def derived_seed(seed, index):
     """The 64-bit seed ``seed ^ index`` of stream ``index`` under ``seed``."""
     return (int(seed) ^ index) & _SEED_MASK
-
-
-def _jacobi_sweeps(a, v, tol, max_sweeps):
-    n = a.shape[0]
-    for sweep in range(max_sweeps + 1):
-        off = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                off += 2.0 * a[i, j] * a[i, j]
-        off = np.sqrt(off)
-        if off <= tol or sweep == max_sweeps:
-            return sweep, off, off <= tol
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                app = a[p, p]
-                aqq = a[q, q]
-                for k in range(n):
-                    if k != p and k != q:
-                        akp = a[k, p]
-                        akq = a[k, q]
-                        a[k, p] = c * akp - s * akq
-                        a[p, k] = a[k, p]
-                        a[k, q] = s * akp + c * akq
-                        a[q, k] = a[k, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                for k in range(n):
-                    vkp = v[k, p]
-                    vkq = v[k, q]
-                    v[k, p] = c * vkp - s * vkq
-                    v[k, q] = s * vkp + c * vkq
 
 
 def _checked_symmetric(m):
@@ -102,8 +56,8 @@ def eigensolve(m, vectors=False):
     """Ascending eigenvalues of a real symmetric matrix, by LAPACK.
 
     With ``vectors=True`` returns ``(w, q)``, the columns of ``q`` being the
-    matching orthonormal eigenvectors. The input checks are those of
-    ``jacobi_eigen`` plus finiteness; a LAPACK failure raises
+    matching orthonormal eigenvectors. The input must be finite, square and
+    symmetric (``_checked_symmetric``); a LAPACK failure raises
     ConvergenceError.
     """
     a = _checked_symmetric(m)
@@ -113,30 +67,6 @@ def eigensolve(m, vectors=False):
         return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"LAPACK eigensolver failed at n={a.shape[0]}: {exc}") from exc
-
-
-def jacobi_eigen(m):
-    """Eigendecomposition of a real symmetric matrix by cyclic Jacobi rotations.
-
-    The accuracy reference for ``eigensolve``; plain Python, so slow beyond
-    a few dozen rows. Returns ``(w, q)`` with ``w`` ascending and the columns
-    of ``q`` the matching orthonormal eigenvectors, so ``q @ diag(w) @ q.T``
-    reconstructs the input. Convergence: off-diagonal Frobenius norm below
-    ``1e-13 * max(1, ||m||_F)`` within 100 sweeps, else ConvergenceError.
-    """
-    a = _checked_symmetric(m)
-    n = a.shape[0]
-    v = np.eye(n)
-    tol = JACOBI_REL_TOL * max(1.0, float(np.linalg.norm(a)))
-    sweeps, off, converged = _jacobi_sweeps(a, v, tol, JACOBI_MAX_SWEEPS)
-    if not converged:
-        raise ConvergenceError(
-            f"Jacobi eigensolver did not converge: n={n}, sweeps={sweeps}, "
-            f"off-diagonal norm={off:.3e}, tolerance={tol:.3e}"
-        )
-    w = np.diagonal(a).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
 
 
 def random_orthonormal_families(ambient_dim, count, seeds):

@@ -67,8 +67,14 @@ def operator_matrix(r, basis):
         )
     if basis.count != sym2_dim(r.dim):
         raise InvalidInputError("basis does not span the traceless symmetric two-tensors")
-    t = np.einsum("ail,ijkl->ajk", basis.tensors, r.components, optimize=True)
-    mat = np.einsum("ajk,bjk->ab", t, basis.tensors, optimize=True)
+    # the two matmuls that np.einsum(..., optimize=True) reduces this
+    # contraction to, in its operand order, without its per-call planning:
+    # t[(j,k), a] = sum_(i,l) R[i,j,k,l] b_a[i,l], then mat[a, b] = <t_a, b_b>
+    n, count = r.dim, basis.count
+    b = basis.tensors
+    r_jk_il = r.components.transpose(1, 2, 0, 3).reshape(n * n, n * n)
+    t = r_jk_il @ b.transpose(1, 2, 0).reshape(n * n, count)
+    mat = (b.reshape(count, n * n) @ t).T
     return (mat + mat.T) / 2.0
 
 
@@ -153,23 +159,28 @@ def classify(r, alpha, tol=CLASSIFY_TOL):
     return verdict(spectrum(r), alpha, tol)
 
 
+def _crossing(w):
+    """Least alpha in [1, N] with g(alpha) >= 0 over the ascending ``w``."""
+    if w[0] >= 0.0:
+        return 1.0
+    c = np.cumsum(w)
+    idx = int(np.argmax(c >= 0.0))  # first crossing; 0 when none, as c[0] < 0
+    if idx == 0:
+        return None
+    return float(idx + (-c[idx - 1]) / w[idx])
+
+
 def nonneg_threshold(s):
     """Least alpha in [1, N] with g(alpha) >= 0, using the exact root of the
     crossing linear segment; 1.0 when the least eigenvalue is nonnegative,
     None when even g(N) is negative."""
-    w = s.eigenvalues
-    if w[0] >= 0.0:
-        return 1.0
-    c = np.cumsum(w)
-    for idx in range(1, len(w)):
-        if c[idx] >= 0.0:
-            return float(idx + (-c[idx - 1]) / w[idx])
-    return None
+    return _crossing(s.eigenvalues)
 
 
 def nonpos_threshold(s):
-    """Least alpha making the negated tensor's sum nonnegative."""
-    return nonneg_threshold(negate_spectrum(s))
+    """Least alpha making the negated tensor's sum nonnegative: the
+    threshold of ``negate_spectrum(s)``, read off its sorted eigenvalues."""
+    return _crossing(np.sort(-s.eigenvalues))
 
 
 def _digest(array):

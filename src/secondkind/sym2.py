@@ -1,6 +1,6 @@
 """Traceless symmetric two-tensors and the orthonormal bases used to
-organize the curvature operator: a standard basis, the product-adapted
-basis, and the basis adapted to a complex structure.
+organize the curvature operator: a standard basis and the product-adapted
+basis.
 
 The inner product throughout is the Frobenius pairing
 ``<u, v> = sum_ij u[i, j] v[i, j]``.
@@ -17,10 +17,6 @@ LABEL_FACTOR1 = "factor1"
 LABEL_FACTOR2 = "factor2"
 LABEL_XI = "xi"
 LABEL_ZETA = "zeta"
-LABEL_PLUS = "plus"
-LABEL_MINUS = "minus"
-LABEL_ALPHA = "alpha"
-LABEL_ETA = "eta"
 LABEL_GENERIC = "generic"
 
 
@@ -141,55 +137,4 @@ def product_adapted_basis(n1, n2, b1, b2):
         zeta[i, i] = -float(n1)
     tensors.append(zeta / np.sqrt(n1 * n2 * (n1 + n2)))
     labels.append(LABEL_ZETA)
-    return Sym2Basis(n, np.array(tensors), tuple(labels))
-
-
-def kahler_basis(m, j):
-    """Orthonormal basis of the traceless symmetric two-tensors on R^{2m}
-    adapted to a complex structure.
-
-    Families, in order: the J-anti-invariant and J-invariant combinations of
-    off-diagonal symmetric products (labels ``plus``/``minus``), the 2m
-    diagonal-type tensors built from e_i and J e_i (``alpha``), and the m-1
-    invariant diagonal telescoping tensors (``eta``).
-    """
-    if m < 1:
-        raise InvalidInputError("complex dimension must be at least 1")
-    if j.dim != 2 * m:
-        raise InvalidInputError(
-            f"complex structure dimension {j.dim} does not match 2m = {2 * m}"
-        )
-    n = 2 * m
-    e = np.eye(n)
-    je = (j.matrix @ e.T).T
-    tensors = []
-    labels = []
-    for i in range(m):
-        for k in range(i + 1, m):
-            tensors.append(0.5 * (sym_product(e[i], e[k]) - sym_product(je[i], je[k])))
-            labels.append(LABEL_PLUS)
-    for i in range(m):
-        for k in range(i + 1, m):
-            tensors.append(0.5 * (sym_product(e[i], e[k]) + sym_product(je[i], je[k])))
-            labels.append(LABEL_MINUS)
-    for i in range(m):
-        for k in range(i + 1, m):
-            tensors.append(0.5 * (sym_product(e[i], je[k]) + sym_product(je[i], e[k])))
-            labels.append(LABEL_PLUS)
-    for i in range(m):
-        for k in range(i + 1, m):
-            tensors.append(0.5 * (sym_product(e[i], je[k]) - sym_product(je[i], e[k])))
-            labels.append(LABEL_MINUS)
-    for i in range(m):
-        tensors.append((sym_product(e[i], e[i]) - sym_product(je[i], je[i])) / (2.0 * np.sqrt(2.0)))
-        labels.append(LABEL_ALPHA)
-    for i in range(m):
-        tensors.append(sym_product(e[i], je[i]) / np.sqrt(2.0))
-        labels.append(LABEL_ALPHA)
-    for k in range(1, m):
-        t = float(k) * (sym_product(e[k], e[k]) + sym_product(je[k], je[k]))
-        for i in range(k):
-            t -= sym_product(e[i], e[i]) + sym_product(je[i], je[i])
-        tensors.append(t / np.sqrt(8.0 * k * (k + 1.0)))
-        labels.append(LABEL_ETA)
     return Sym2Basis(n, np.array(tensors), tuple(labels))

@@ -1,0 +1,152 @@
+"""Reference implementations the tests compare the package against.
+
+None of these runs in ``secondkind`` itself:
+
+* ``operator_matrix_einsum`` is operator assembly as two ``np.einsum``
+  contractions; ``operator2k.operator_matrix`` must equal it bitwise.
+* ``jacobi_eigen`` is cyclic Jacobi, the accuracy reference for the LAPACK
+  ``numerics.eigensolve``: Jacobi's method is more accurate than QR (Demmel
+  and Veselic, SIAM J. Matrix Anal. Appl., 1992).
+* ``kahler_basis`` is the orthonormal basis of ``S^2_0`` adapted to a
+  complex structure, used to check the Kahler trace identities.
+"""
+
+import numpy as np
+
+from secondkind.errors import ConvergenceError, InvalidInputError
+from secondkind.numerics import _checked_symmetric
+from secondkind.sym2 import Sym2Basis, sym_product
+
+JACOBI_REL_TOL = 1e-13
+JACOBI_MAX_SWEEPS = 100
+
+LABEL_PLUS = "plus"
+LABEL_MINUS = "minus"
+LABEL_ALPHA = "alpha"
+LABEL_ETA = "eta"
+
+
+def operator_matrix_einsum(r, basis):
+    """Matrix of the operator in a basis: entry [a, b] is
+    ``sum R[i,j,k,l] b_a[i,l] b_b[j,k]``, by two planned einsums."""
+    t = np.einsum("ail,ijkl->ajk", basis.tensors, r.components, optimize=True)
+    mat = np.einsum("ajk,bjk->ab", t, basis.tensors, optimize=True)
+    return (mat + mat.T) / 2.0
+
+
+def _jacobi_sweeps(a, v, tol, max_sweeps):
+    n = a.shape[0]
+    for sweep in range(max_sweeps + 1):
+        off = 0.0
+        for i in range(n):
+            for j in range(i + 1, n):
+                off += 2.0 * a[i, j] * a[i, j]
+        off = np.sqrt(off)
+        if off <= tol or sweep == max_sweeps:
+            return sweep, off, off <= tol
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                theta = 0.5 * (a[q, q] - a[p, p]) / apq
+                t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                app = a[p, p]
+                aqq = a[q, q]
+                for k in range(n):
+                    if k != p and k != q:
+                        akp = a[k, p]
+                        akq = a[k, q]
+                        a[k, p] = c * akp - s * akq
+                        a[p, k] = a[k, p]
+                        a[k, q] = s * akp + c * akq
+                        a[q, k] = a[k, q]
+                a[p, p] = app - t * apq
+                a[q, q] = aqq + t * apq
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                for k in range(n):
+                    vkp = v[k, p]
+                    vkq = v[k, q]
+                    v[k, p] = c * vkp - s * vkq
+                    v[k, q] = s * vkp + c * vkq
+
+
+def jacobi_eigen(m):
+    """Eigendecomposition of a real symmetric matrix by cyclic Jacobi rotations.
+
+    Plain Python, so slow beyond a few dozen rows. Returns ``(w, q)`` with
+    ``w`` ascending and the columns of ``q`` the matching orthonormal
+    eigenvectors, so ``q @ diag(w) @ q.T`` reconstructs the input. The input
+    checks are those of ``eigensolve``. Convergence: off-diagonal Frobenius
+    norm below ``1e-13 * max(1, ||m||_F)`` within 100 sweeps, else
+    ConvergenceError.
+    """
+    a = _checked_symmetric(m)
+    n = a.shape[0]
+    v = np.eye(n)
+    tol = JACOBI_REL_TOL * max(1.0, float(np.linalg.norm(a)))
+    sweeps, off, converged = _jacobi_sweeps(a, v, tol, JACOBI_MAX_SWEEPS)
+    if not converged:
+        raise ConvergenceError(
+            f"Jacobi eigensolver did not converge: n={n}, sweeps={sweeps}, "
+            f"off-diagonal norm={off:.3e}, tolerance={tol:.3e}"
+        )
+    w = np.diagonal(a).copy()
+    order = np.argsort(w, kind="stable")
+    return w[order], v[:, order]
+
+
+def kahler_basis(m, j):
+    """Orthonormal basis of the traceless symmetric two-tensors on R^{2m}
+    adapted to a complex structure.
+
+    Families, in order: the J-anti-invariant and J-invariant combinations of
+    off-diagonal symmetric products (labels ``plus``/``minus``), the 2m
+    diagonal-type tensors built from e_i and J e_i (``alpha``), and the m-1
+    invariant diagonal telescoping tensors (``eta``).
+    """
+    if m < 1:
+        raise InvalidInputError("complex dimension must be at least 1")
+    if j.dim != 2 * m:
+        raise InvalidInputError(
+            f"complex structure dimension {j.dim} does not match 2m = {2 * m}"
+        )
+    n = 2 * m
+    e = np.eye(n)
+    je = (j.matrix @ e.T).T
+    tensors = []
+    labels = []
+    for i in range(m):
+        for k in range(i + 1, m):
+            tensors.append(0.5 * (sym_product(e[i], e[k]) - sym_product(je[i], je[k])))
+            labels.append(LABEL_PLUS)
+    for i in range(m):
+        for k in range(i + 1, m):
+            tensors.append(0.5 * (sym_product(e[i], e[k]) + sym_product(je[i], je[k])))
+            labels.append(LABEL_MINUS)
+    for i in range(m):
+        for k in range(i + 1, m):
+            tensors.append(0.5 * (sym_product(e[i], je[k]) + sym_product(je[i], e[k])))
+            labels.append(LABEL_PLUS)
+    for i in range(m):
+        for k in range(i + 1, m):
+            tensors.append(0.5 * (sym_product(e[i], je[k]) - sym_product(je[i], e[k])))
+            labels.append(LABEL_MINUS)
+    for i in range(m):
+        tensors.append((sym_product(e[i], e[i]) - sym_product(je[i], je[i])) / (2.0 * np.sqrt(2.0)))
+        labels.append(LABEL_ALPHA)
+    for i in range(m):
+        tensors.append(sym_product(e[i], je[i]) / np.sqrt(2.0))
+        labels.append(LABEL_ALPHA)
+    for k in range(1, m):
+        t = float(k) * (sym_product(e[k], e[k]) + sym_product(je[k], je[k]))
+        for i in range(k):
+            t -= sym_product(e[i], e[i]) + sym_product(je[i], je[i])
+        tensors.append(t / np.sqrt(8.0 * k * (k + 1.0)))
+        labels.append(LABEL_ETA)
+    return Sym2Basis(n, np.array(tensors), tuple(labels))

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from secondkind import cli
+from secondkind import cli, operator2k
 from secondkind.cli import dumps_json, run
 from secondkind.curvature import MAX_DIM
 from secondkind.descriptors import (
@@ -207,6 +207,15 @@ class TestJsonEmitter:
     def test_stable_output(self):
         obj = {"a": [1.5, {"b": None, "c": True}], "d": "x"}
         assert dumps_json(obj) == dumps_json(obj)
+
+    @pytest.mark.parametrize("text", [
+        "", "plain", 'say "hi"', "back\\slash\\", "tab\tnew\nline\rcr",
+        "".join(chr(c) for c in range(32)) + "\x7f", "Kähler ℂP² × S³", "emoji \U0001f600",
+        "\ud800 lone surrogate", "/slash/",
+    ])
+    def test_strings_and_keys_escaped_as_json_dumps(self, text):
+        assert dumps_json(text) == json.dumps(text)
+        assert dumps_json({text: [text]}) == json.dumps({text: [text]}, indent=2)
 
 
 class TestCliCommands:
@@ -512,3 +521,63 @@ class TestSharedParser:
         fresh = run_cli(argv)
         assert fresh.returncode == 0 and captured.err == fresh.stderr == ""
         assert without_timing(captured.out) == without_timing(fresh.stdout)
+
+
+class TestSpectrumRequest:
+    @pytest.mark.parametrize("command", ["spectrum", "threshold", "classify"])
+    def test_clusters_once_per_request(self, command, monkeypatch, capsys):
+        calls = []
+        cluster = operator2k.cluster_spectrum
+
+        def counting(values):
+            calls.append(len(values))
+            return cluster(values)
+
+        monkeypatch.setattr(operator2k, "cluster_spectrum", counting)
+        for name in ("s3xr", "cp1xcp1", "h3xh3", "custom_flat2"):
+            argv = [command, str(DESCRIPTORS / f"{name}.json")]
+            if command == "classify":
+                argv += ["--alpha", "1.5"]
+            before = len(calls)
+            assert run(argv) == 0
+            assert len(calls) - before == 1, name
+        capsys.readouterr()
+
+
+class TestInternalError:
+    def test_unexpected_exception_is_one_line_exit_3(self, monkeypatch, capsys):
+        def boom(tensor):
+            raise RuntimeError("injected\nsecond line")
+
+        monkeypatch.setattr(cli, "spectrum", boom)
+        assert run(["spectrum", str(DESCRIPTORS / "s4.json")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: RuntimeError: injected second line\n"
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+    def test_interrupt_and_exit_propagate(self, exc, monkeypatch):
+        def boom(tensor):
+            raise exc()
+
+        monkeypatch.setattr(cli, "spectrum", boom)
+        with pytest.raises(exc):
+            run(["spectrum", str(DESCRIPTORS / "s4.json")])
+
+    def test_command_function_raising_in_subprocess(self):
+        # the parser is built on the first run, so it binds the patched command
+        code = (
+            "import sys\n"
+            "from secondkind import cli\n"
+            "def boom(args):\n"
+            "    raise KeyError('injected')\n"
+            "cli._cmd_spectrum = boom\n"
+            "sys.exit(cli.run(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "spectrum", str(DESCRIPTORS / "s4.json")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == "internal error: KeyError: 'injected'\n"

@@ -11,6 +11,7 @@ from secondkind.curvature import (
     constant_sectional,
     einstein_constant,
     flat_tensor,
+    kahler_model_tensor,
     kahler_space_form,
     product,
     random_curvature,
@@ -53,6 +54,13 @@ class TestSpaceForm:
         with pytest.raises(InvalidInputError):
             space_form(1, 1.0)
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_bitwise_equal_to_einsum_form(self, n):
+        d = np.eye(n)
+        for c in (1.0, -0.25, 3.0, 1.0 / 3.0, 1e300):
+            reference = c * (np.einsum("ik,jl->ijkl", d, d) - np.einsum("il,jk->ijkl", d, d))
+            assert np.array_equal(space_form(n, c).components, reference)
+
 
 class TestKahlerSpaceForm:
     def test_m1_equals_round_sphere(self):
@@ -84,6 +92,23 @@ class TestKahlerSpaceForm:
     def test_rejects_m0(self):
         with pytest.raises(InvalidInputError):
             kahler_space_form(0, 1.0)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_bitwise_equal_to_einsum_form(self, m):
+        q, _ = np.linalg.qr(seeded_stream(m).standard_normal((2 * m, 2 * m)))
+        rotated = ComplexStructure(q @ standard_complex_structure(m).matrix @ q.T)
+        d = np.eye(2 * m)
+        for j in (standard_complex_structure(m), rotated):
+            jm = j.matrix
+            for kappa in (1.0, -0.5, 1.0 / 3.0):
+                reference = kappa * (
+                    np.einsum("ik,jl->ijkl", d, d)
+                    - np.einsum("il,jk->ijkl", d, d)
+                    + np.einsum("ki,lj->ijkl", jm, jm)
+                    - np.einsum("li,kj->ijkl", jm, jm)
+                    + 2.0 * np.einsum("ji,lk->ijkl", jm, jm)
+                )
+                assert np.array_equal(kahler_model_tensor(j, kappa).components, reference)
 
 
 class TestComplexStructure:

