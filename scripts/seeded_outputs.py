@@ -15,9 +15,11 @@ seeds 0 and 7; the benchmark's pinned ``product-kahler --m1 2 --m2 2
 ``descriptors/*.json``, ``examples``, and ``spectrum``, ``threshold``,
 ``classify`` and ``oracle`` (1000 samples, seed 7, and 65 samples, seed 0)
 over ``descriptors/*.json`` at alpha in {1.5, 3, line, A, B}, plus two
-descriptors whose curvature overflows a double; and ``spectrum`` over
-malformed descriptors, so that the parse errors of every kind are compared
-too: each model-space kind below its least size, a missing ``kappa``, a
+descriptors whose curvature overflows a double; ``spectrum`` and
+``classify`` at those alphas of a three-factor product and of a product
+with a product factor, so that the n-ary block fill is compared too; and
+``spectrum`` over malformed descriptors, so that the parse errors of every
+kind are compared too: each model-space kind below its least size, a missing ``kappa``, a
 ``kappa`` on ``euclidean``, a bool ``m``, and a product with a bad factor.
 Each record holds the command line, the exit code, stderr, stdout parsed as
 JSON with every ``timing`` block removed, and the raw stdout text with every
@@ -72,6 +74,15 @@ OVERFLOW_DESCRIPTORS = {
     "overflow_cp2.json": '{"kind": "cp", "m": 2, "kappa": 1e308}',
     "overflow_s3.json": '{"kind": "sphere", "dim": 3, "kappa": 1e308}',
 }
+NARY_DESCRIPTORS = {
+    "nary_s2xs2xr.json": ('{"kind": "product", "factors": [{"kind": "sphere", "dim": 2, '
+                          '"kappa": 1}, {"kind": "sphere", "dim": 2, "kappa": 1}, '
+                          '{"kind": "euclidean", "dim": 1}]}'),
+    "nested_cp1xs2_xh3.json": ('{"kind": "product", "factors": [{"kind": "product", "factors": '
+                               '[{"kind": "cp", "m": 1, "kappa": 2}, {"kind": "sphere", '
+                               '"dim": 2, "kappa": 0.5}]}, {"kind": "hyperbolic", "dim": 3, '
+                               '"kappa": 0.25}]}'),
+}
 MALFORMED_DESCRIPTORS = {
     "small_sphere.json": '{"kind": "sphere", "dim": 1, "kappa": 1}',
     "small_hyperbolic.json": '{"kind": "hyperbolic", "dim": 1, "kappa": 1}',
@@ -120,6 +131,10 @@ def commands(tmp_dir):
         out += _descriptor_commands(path)
     for name in OVERFLOW_DESCRIPTORS:
         out += _descriptor_commands(os.path.join(tmp_dir, name))
+    for name in NARY_DESCRIPTORS:
+        path = os.path.join(tmp_dir, name)
+        out.append(("spectrum", path))
+        out += [("classify", path, "--alpha", alpha) for alpha in ALPHAS]
     out += [("spectrum", os.path.join(tmp_dir, name)) for name in MALFORMED_DESCRIPTORS]
     return out
 
@@ -146,7 +161,7 @@ def main():
     os.chdir(REPO)
     records = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in {**OVERFLOW_DESCRIPTORS, **MALFORMED_DESCRIPTORS}.items():
+        for name, text in {**OVERFLOW_DESCRIPTORS, **NARY_DESCRIPTORS, **MALFORMED_DESCRIPTORS}.items():
             Path(tmp, name).write_text(text)
         for argv in commands(tmp):
             record = run_one(argv)

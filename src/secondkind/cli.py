@@ -333,7 +333,7 @@ def _cmd_verify(args):
             value = getattr(args, key)
             if value is not None:
                 params[key] = value
-        if args.kappa_grid:
+        if args.kappa_grid is not None:
             try:
                 params["grid"] = [float(t) for t in args.kappa_grid.split(",")]
             except ValueError as exc:

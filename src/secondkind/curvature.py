@@ -1,5 +1,8 @@
 """Algebraic curvature tensors: model spaces, products, contractions,
-structure detectors, and seeded random generation.
+structure detectors, and seeded random generation. A tensor is checked once,
+when ``CurvatureTensor`` makes it from numbers; products and negations of
+checked tensors hold every identity exactly and are not checked again.
+Components and the cached standard J are read-only.
 
 Sign convention: ``R[i, j, i, j]`` is the sectional curvature of the
 coordinate plane spanned by ``e_i`` and ``e_j``; the Ricci contraction
@@ -9,6 +12,7 @@ constant curvature ``c``.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,7 +36,7 @@ class CurvatureTensor:
     components: np.ndarray
 
     def __post_init__(self):
-        c = np.ascontiguousarray(np.asarray(self.components, dtype=float))
+        c = np.array(self.components, dtype=float, order="C")
         if c.ndim != 4 or len(set(c.shape)) != 1:
             raise InvalidInputError(f"components must have shape (n, n, n, n), got {c.shape}")
         peak = float(np.abs(c).max())
@@ -49,6 +53,7 @@ class CurvatureTensor:
             raise InvalidInputError("components are not symmetric under index-pair exchange")
         if float(np.abs(_cyclic_part(c)).max()) > tol:
             raise InvalidInputError("components violate the first Bianchi identity")
+        c.flags.writeable = False
         object.__setattr__(self, "components", c)
 
     @property
@@ -56,7 +61,19 @@ class CurvatureTensor:
         return self.components.shape[0]
 
     def __neg__(self):
-        return CurvatureTensor(-self.components)
+        return _valid(-self.components)
+
+
+def _valid(components):
+    """Wrap block copies, zeros and sign flips of checked components; no
+    re-check could fail. Each residual of a block tensor is a factor's (same
+    operands, same order) or exactly 0 on mixed indices; a sign flip keeps
+    each residual's magnitude. The peak is the largest factor peak, so the
+    tolerance ``SYMMETRY_TOL * max(1, peak)`` is at least each factor's."""
+    components.flags.writeable = False
+    tensor = object.__new__(CurvatureTensor)
+    object.__setattr__(tensor, "components", components)
+    return tensor
 
 
 @dataclass(frozen=True)
@@ -66,7 +83,7 @@ class ComplexStructure:
     matrix: np.ndarray
 
     def __post_init__(self):
-        j = np.ascontiguousarray(np.asarray(self.matrix, dtype=float))
+        j = np.array(self.matrix, dtype=float, order="C")
         if j.ndim != 2 or j.shape[0] != j.shape[1]:
             raise InvalidInputError(f"expected a square matrix, got shape {j.shape}")
         n = j.shape[0]
@@ -77,6 +94,7 @@ class ComplexStructure:
             raise InvalidInputError("matrix does not square to minus the identity")
         if float(np.abs(j.T @ j - eye).max()) > SYMMETRY_TOL:
             raise InvalidInputError("matrix is not orthogonal")
+        j.flags.writeable = False
         object.__setattr__(self, "matrix", j)
 
     @property
@@ -88,8 +106,9 @@ class ComplexStructure:
         return self.matrix.shape[0] // 2
 
 
+@lru_cache(maxsize=32)
 def standard_complex_structure(m):
-    """J sending e_i to e_{m+i} and e_{m+i} to -e_i, for 0-based i < m."""
+    """J sending e_i to e_{m+i} and e_{m+i} to -e_i (0-based i < m); one per m."""
     if m < 1:
         raise InvalidInputError("complex dimension must be at least 1")
     j = np.zeros((2 * m, 2 * m))
@@ -144,18 +163,22 @@ def kahler_space_form(m, kappa):
     return kahler_model_tensor(j, kappa), j
 
 
-def product(r1, r2):
-    """Block curvature tensor of a Riemannian product.
+def product(*factors):
+    """Block curvature tensor of a Riemannian product of two or more factors.
 
     Components with all indices inside one factor equal that factor's
-    components; every mixed component is zero.
+    components; every mixed component is zero. Not checked again: see ``_valid``.
     """
-    n1 = r1.dim
-    n = n1 + r2.dim
+    if len(factors) < 2 or not all(isinstance(f, CurvatureTensor) for f in factors):
+        raise InvalidInputError("a product needs two or more curvature tensors")
+    n = sum(f.dim for f in factors)
     comp = np.zeros((n, n, n, n))
-    comp[:n1, :n1, :n1, :n1] = r1.components
-    comp[n1:, n1:, n1:, n1:] = r2.components
-    return CurvatureTensor(comp)
+    start = 0
+    for f in factors:
+        block = slice(start, start + f.dim)
+        comp[block, block, block, block] = f.components
+        start += f.dim
+    return _valid(comp)
 
 
 def ricci(r):

@@ -205,10 +205,7 @@ def build_tensor(desc):
             return kahler_space_form(desc.m, leaf.sign * desc.kappa)[0]
         return space_form(desc.dim, leaf.sign * desc.kappa)
     if desc.kind == "product":
-        tensor = build_tensor(desc.factors[0])
-        for f in desc.factors[1:]:
-            tensor = product(tensor, build_tensor(f))
-        return tensor
+        return product(*(build_tensor(f) for f in desc.factors))
     comp = np.array(desc.components, dtype=float).reshape((desc.dim,) * 4)
     try:
         return CurvatureTensor(comp)

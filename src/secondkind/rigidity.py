@@ -446,8 +446,8 @@ def _kappa_grid(params):
     if grid is None:
         return DEFAULT_KAPPA_GRID
     grid = tuple(float(g) for g in grid)
-    if not grid or any(g <= 0 for g in grid):
-        raise InvalidInputError("kappa grid values must be positive")
+    if not grid or not all(0.0 < g < math.inf for g in grid):  # false for NaN too
+        raise InvalidInputError("kappa grid values must be positive and finite")
     return grid
 
 

@@ -419,6 +419,23 @@ class TestCliCommands:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: tolerance must be")
 
+    @pytest.mark.parametrize("grid", ["nan,1", "inf,1", "1,-inf"])
+    def test_non_finite_kappa_grid_exit_2(self, grid, capsys):
+        # inf once ended in a numeric failure (exit 3), nan in a misleading
+        # "components must be finite"
+        assert run(["verify", "iff-spheres", f"--kappa-grid={grid}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: kappa grid values must be positive and finite\n"
+
+    def test_empty_kappa_grid_exit_2(self, capsys):
+        # an empty value once ran the default grid and exited 0
+        assert run(["verify", "iff-kahler", "--kappa-grid", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: --kappa-grid must be comma-separated numbers")
+
     @pytest.mark.parametrize("argv", [
         ["frobnicate"],
         ["classify", str(DESCRIPTORS / "s4.json"), "--alpha", "-inf"],

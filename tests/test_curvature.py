@@ -1,9 +1,12 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secondkind import curvature
+from secondkind import cli, curvature
 from secondkind.curvature import (
     ComplexStructure,
     CurvatureTensor,
@@ -148,6 +151,81 @@ class TestProduct:
     def test_dim1_factor(self):
         r = product(space_form(3, 1.0), flat_tensor(1))
         assert r.dim == 4 and abs(scalar(r) - 6.0) <= 1e-12
+
+
+class TestCheckOnce:
+    """A tensor is checked when it is made from numbers; products and
+    negations of checked tensors are built without a re-check, so an explicit
+    re-check must pass on each of them."""
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_products_and_negations_pass_a_recheck(self, n):
+        a = random_curvature(n, n)
+        b = random_curvature(2 + n % 3, 100 + n)
+        c = random_kahler_curvature(1 + n % 2, 200 + n)[0]
+        for t in (a, product(a, b), product(b, a, c), product(c, product(a, b))):
+            for u in (t, -t, -(-t)):
+                CurvatureTensor(u.components)
+
+    def test_nary_product_equals_the_fold_bitwise(self):
+        a, b, c = random_curvature(3, 1), space_form(2, -0.5), kahler_space_form(2, 1.5)[0]
+        assert np.array_equal(product(a, b, c).components,
+                              product(product(a, b), c).components)
+        assert np.array_equal(product(a, b, c).components,
+                              product(a, product(b, c)).components)
+
+    def test_negation_is_bitwise_sign_flip(self):
+        r = product(random_curvature(4, 3), flat_tensor(1))
+        assert np.array_equal((-r).components, -r.components)
+
+    def test_components_are_a_frozen_copy(self):
+        arr = space_form(3, 1.0).components.copy()
+        r = CurvatureTensor(arr)
+        arr[0, 1, 0, 1] = 7.0
+        assert r.components[0, 1, 0, 1] == 1.0
+        for t in (r, -r, product(r, r)):
+            assert not t.components.flags.writeable
+            with pytest.raises(ValueError):
+                t.components[0, 1, 0, 1] = 7.0
+
+    @pytest.mark.parametrize("factors", [
+        (space_form(2, 1.0), space_form(2, 1.0).components),
+        (space_form(2, 1.0), None),
+        (space_form(2, 1.0),),
+        (),
+    ], ids=["array", "none", "one-factor", "no-factor"])
+    def test_product_rejects_unchecked_or_too_few_factors(self, factors):
+        with pytest.raises(InvalidInputError):
+            product(*factors)
+
+    def test_standard_complex_structure_is_shared_and_frozen(self):
+        for m in (1, 2, 5):
+            j = standard_complex_structure(m)
+            assert standard_complex_structure(m) is j
+            assert not j.matrix.flags.writeable
+            with pytest.raises(ValueError):
+                j.matrix[0, 0] = 1.0
+        assert kahler_space_form(3, 1.0)[1] is random_kahler_curvature(3, 0)[1]
+
+    def test_complex_structure_matrix_is_a_frozen_copy(self):
+        arr = np.array([[0.0, -1.0], [1.0, 0.0]])
+        j = ComplexStructure(arr)
+        arr[0, 1] = 5.0
+        assert j.matrix[0, 1] == -1.0 and not j.matrix.flags.writeable
+
+    def test_spectrum_of_a_product_checks_each_leaf_once(self, monkeypatch, capsys):
+        real = CurvatureTensor.__post_init__
+        calls = []
+
+        def counting(self):
+            calls.append(self)
+            real(self)
+
+        monkeypatch.setattr(CurvatureTensor, "__post_init__", counting)
+        path = Path(__file__).resolve().parents[1] / "descriptors" / "s2xs2.json"
+        assert cli.run(["spectrum", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 4
+        assert len(calls) == 2
 
 
 class TestContractions:

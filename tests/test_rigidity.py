@@ -192,6 +192,15 @@ class TestCheckRigidity:
         assert report.details["model_check"] == "consistent"
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("grid", [
+        [float("nan"), 1.0], [float("inf"), 1.0], [1.0, float("-inf")], [0.0], [-0.5], [],
+    ], ids=["nan", "inf", "minus-inf", "zero", "negative", "empty"])
+    @pytest.mark.parametrize("case", ["iff-spheres", "iff-kahler"])
+    def test_rejects_kappa_grid_not_positive_and_finite(self, case, grid):
+        with pytest.raises(InvalidInputError,
+                           match="kappa grid values must be positive and finite"):
+            check_rigidity(case, {"grid": grid})
+
     @pytest.mark.parametrize("case", ["iff-spheres", "iff-kahler"])
     def test_sweep_solves_each_grid_point_once(self, case, monkeypatch):
         # the negative family's verdict is read from the positive spectrum
