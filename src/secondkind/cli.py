@@ -91,9 +91,38 @@ def dumps_json(obj):
 
 
 def _emit(obj, out, level):
-    pad = "  " * (level + 1)
-    close_pad = "  " * level
-    if obj is None:
+    # the exact types a report is made of come first; None, bools, numpy
+    # scalars and subclasses take the last branch
+    kind = type(obj)
+    if kind is float:
+        out.append(_format_float(obj))
+    elif kind is str:
+        out.append(encode_basestring_ascii(obj))
+    elif kind is int:
+        out.append(str(obj))
+    elif kind is dict:
+        if not obj:
+            out.append("{}")
+            return
+        pad = "  " * (level + 1)
+        sep, comma = "{\n" + pad, ",\n" + pad
+        for key, value in obj.items():
+            out.append(f"{sep}{encode_basestring_ascii(str(key))}: ")
+            _emit(value, out, level + 1)
+            sep = comma
+        out.append("\n" + "  " * level + "}")
+    elif kind is list or kind is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        pad = "  " * (level + 1)
+        sep, comma = "[\n" + pad, ",\n" + pad
+        for value in obj:
+            out.append(sep)
+            _emit(value, out, level + 1)
+            sep = comma
+        out.append("\n" + "  " * level + "]")
+    elif obj is None:
         out.append("null")
     elif obj is True:
         out.append("true")
@@ -106,25 +135,9 @@ def _emit(obj, out, level):
     elif isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            out.append(f"{pad}{encode_basestring_ascii(str(key))}: ")
-            _emit(value, out, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(close_pad + "}")
+        _emit(dict(obj.items()), out, level)
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(obj):
-            out.append(pad)
-            _emit(value, out, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(close_pad + "]")
+        _emit(list(obj), out, level)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -166,23 +179,30 @@ def _resolve_alpha(token, desc, n):
         ) from exc
 
 
-def _base_report(desc, tensor):
+def _thresholds_obj(s):
+    return {"nonneg": nonneg_threshold(s), "nonpos": nonpos_threshold(s)}
+
+
+def _report_head(desc, tensor):
+    """Solve the spectrum and start a report with the fields that every
+    spectrum-based report opens with: ``input``, ``n`` and ``N``."""
     started = time.perf_counter()
     s = spectrum(tensor)
-    report = {
-        "input": descriptor_to_obj(desc),
-        "n": tensor.dim,
-        "N": s.N,
-        "scalar_curvature": scalar(tensor),
-        "einstein_constant": einstein_constant(tensor),
-        "spectrum": _clusters_obj(s.clusters),
-        "thresholds": {
-            "nonneg": nonneg_threshold(s),
-            "nonpos": nonpos_threshold(s),
-        },
-        "classifications": [],
-        "closed_form": None,
-    }
+    return {"input": descriptor_to_obj(desc), "n": tensor.dim, "N": s.N}, s, started
+
+
+def _base_report(desc, tensor):
+    # computed in key order, so the first overflow is the one a report of
+    # huge curvature names
+    report, s, started = _report_head(desc, tensor)
+    report.update(
+        scalar_curvature=scalar(tensor),
+        einstein_constant=einstein_constant(tensor),
+        spectrum=_clusters_obj(s.clusters),
+        thresholds=_thresholds_obj(s),
+        classifications=[],
+        closed_form=None,
+    )
     closed = closed_form_clusters(desc)
     if closed is not None:
         report["closed_form"] = _clusters_obj(closed)
@@ -216,18 +236,8 @@ def _cmd_classify(args):
 
 def _cmd_threshold(args):
     desc = _load_descriptor(args.file)
-    tensor = build_tensor(desc)
-    started = time.perf_counter()
-    s = spectrum(tensor)
-    report = {
-        "input": descriptor_to_obj(desc),
-        "n": tensor.dim,
-        "N": s.N,
-        "thresholds": {
-            "nonneg": nonneg_threshold(s),
-            "nonpos": nonpos_threshold(s),
-        },
-    }
+    report, s, started = _report_head(desc, build_tensor(desc))
+    report["thresholds"] = _thresholds_obj(s)
     print(dumps_json(_finish(report, started)))
     return EXIT_OK
 

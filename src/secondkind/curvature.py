@@ -2,7 +2,8 @@
 structure detectors, and seeded random generation. A tensor is checked once,
 when ``CurvatureTensor`` makes it from numbers; products and negations of
 checked tensors hold every identity exactly and are not checked again.
-Components and the cached standard J are read-only.
+Components, the cached standard J and the cached unit model tensors are
+read-only.
 
 Sign convention: ``R[i, j, i, j]`` is the sectional curvature of the
 coordinate plane spanned by ``e_i`` and ``e_j``; the Ricci contraction
@@ -118,13 +119,23 @@ def standard_complex_structure(m):
     return ComplexStructure(j)
 
 
+@lru_cache(maxsize=8)
+def _unit_space_form(n):
+    """Read-only components of the unit space form in dimension n, an exact
+    0/+-1 pattern built once per n. Each entry of the two terms is one
+    product of two factors, so the terms equal the einsums ik,jl / il,jk
+    bitwise."""
+    dd = np.multiply.outer(np.eye(n), np.eye(n))  # dd[i,k,j,l] = d_ik d_jl
+    unit = dd.transpose(0, 2, 1, 3) - dd.transpose(0, 2, 3, 1)
+    unit.flags.writeable = False
+    return unit
+
+
 def space_form(n, c):
     """Constant sectional curvature c in dimension n >= 2."""
     if n < 2:
         raise InvalidInputError("space forms need dimension at least 2")
-    dd = np.multiply.outer(np.eye(n), np.eye(n))  # dd[i,k,j,l] = d_ik d_jl
-    comp = float(c) * (dd.transpose(0, 2, 1, 3) - dd.transpose(0, 2, 3, 1))
-    return CurvatureTensor(comp)
+    return CurvatureTensor(float(c) * _unit_space_form(n))
 
 
 def flat_tensor(n):
@@ -134,21 +145,35 @@ def flat_tensor(n):
     return CurvatureTensor(np.zeros((n, n, n, n)))
 
 
-def kahler_model_tensor(j, kappa):
-    """Constant holomorphic sectional curvature ``4 * kappa`` adapted to j."""
-    # each entry is one product of two factors, so the transposed views of
-    # two outer products give the terms bitwise as the einsums ik,jl /
-    # il,jk (dd) and ki,lj / li,kj / ji,lk (jj) do
-    dd = np.multiply.outer(np.eye(j.dim), np.eye(j.dim))
-    jj = np.multiply.outer(j.matrix, j.matrix)
-    comp = float(kappa) * (
-        dd.transpose(0, 2, 1, 3)
-        - dd.transpose(0, 2, 3, 1)
+def _kahler_unit(jm):
+    """Components of the complex space form of holomorphic curvature 4
+    adapted to the matrix ``jm``: the unit space form's two terms, then the
+    ki,lj / li,kj / ji,lk terms as transposed views of one outer product.
+    Each entry of a term is one product of two factors, so the terms equal
+    the einsums bitwise."""
+    jj = np.multiply.outer(jm, jm)
+    return (
+        _unit_space_form(jm.shape[0])
         + jj.transpose(1, 3, 0, 2)
         - jj.transpose(1, 3, 2, 0)
         + 2.0 * jj.transpose(1, 0, 3, 2)
     )
-    return CurvatureTensor(comp)
+
+
+@lru_cache(maxsize=8)
+def _unit_kahler_space_form(m):
+    """Read-only ``_kahler_unit`` of the standard J of complex dimension m:
+    an exact 0/+-1/+-2 pattern, built once per m."""
+    unit = _kahler_unit(standard_complex_structure(m).matrix)
+    unit.flags.writeable = False
+    return unit
+
+
+def kahler_model_tensor(j, kappa):
+    """Constant holomorphic sectional curvature ``4 * kappa`` adapted to j."""
+    if j is standard_complex_structure(j.m):
+        return CurvatureTensor(float(kappa) * _unit_kahler_space_form(j.m))
+    return CurvatureTensor(float(kappa) * _kahler_unit(j.matrix))
 
 
 def kahler_space_form(m, kappa):
@@ -160,7 +185,7 @@ def kahler_space_form(m, kappa):
     if m < 1:
         raise InvalidInputError("complex dimension must be at least 1")
     j = standard_complex_structure(m)
-    return kahler_model_tensor(j, kappa), j
+    return CurvatureTensor(float(kappa) * _unit_kahler_space_form(m)), j
 
 
 def product(*factors):

@@ -11,6 +11,8 @@ call instead of building one per seed, and draws bit for bit what
 ``seeded_stream`` draws.
 """
 
+import math
+
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError
@@ -39,15 +41,16 @@ def _checked_symmetric(m):
     return a meaningful spectrum for them; the shape and symmetry checks
     raise InvalidInputError.
     """
-    a = np.array(m, dtype=float)
+    a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise InvalidInputError("matrix dimension must be at least 1")
-    if not np.isfinite(a).all():
+    peak = float(np.abs(a).max())
+    # NaN propagates through max, and an infinite entry makes the peak infinite
+    if not math.isfinite(peak):
         raise ConvergenceError(f"matrix of dimension {a.shape[0]} has non-finite entries")
-    scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a - a.T).max()) > SYMMETRY_TOL * scale:
+    if float(np.abs(a - a.T).max()) > SYMMETRY_TOL * max(1.0, peak):
         raise InvalidInputError("matrix is asymmetric beyond 1e-12")
     return (a + a.T) / 2.0
 
@@ -117,17 +120,24 @@ def cluster_spectrum(values):
     """Group an ascending list into (value, multiplicity) clusters.
 
     Consecutive entries closer than ``CLUSTER_REL_TOL * max(1, |previous|)``
-    join the current cluster; the reported value is the cluster mean.
+    join the current cluster; the reported value is the cluster mean, a
+    Python sum over the cluster divided by its size.
     """
-    vals = [float(v) for v in values]
-    for a, b in zip(vals, vals[1:]):
-        if b < a:
+    w = np.asarray(values, dtype=float)
+    if w.size == 0:
+        return []
+    # IEEE results as Python floats give them: inf - inf is NaN, an
+    # overflowing gap is inf; a gap is negative exactly where b < a
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = w[1:] - w[:-1]
+        if (gap < 0.0).any():
             raise InvalidInputError("values must be sorted ascending")
+        far = gap > CLUSTER_REL_TOL * np.maximum(1.0, np.abs(w[:-1]))
+    vals = w.tolist()
     clusters = []
     start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[i - 1] > CLUSTER_REL_TOL * max(1.0, abs(vals[i - 1])):
-            chunk = vals[start:i]
-            clusters.append((sum(chunk) / len(chunk), len(chunk)))
-            start = i
+    for end in np.flatnonzero(far).tolist() + [len(vals) - 1]:
+        chunk = vals[start:end + 1]
+        clusters.append((sum(chunk) / len(chunk), len(chunk)))
+        start = end + 1
     return clusters

@@ -83,13 +83,13 @@ def spectrum(r):
     if r.dim < 2:
         raise InvalidInputError("spectra need ambient dimension at least 2")
     w = eigensolve(operator_matrix(r, standard_basis(r.dim)))
-    return Spectrum(n=r.dim, eigenvalues=w, clusters=tuple(cluster_spectrum(list(w))))
+    return Spectrum(n=r.dim, eigenvalues=w, clusters=tuple(cluster_spectrum(w)))
 
 
 def spectrum_from_eigenvalues(n, values):
     """Build a Spectrum from known eigenvalues (sorted internally)."""
     w = np.sort(np.asarray(list(values), dtype=float))
-    return Spectrum(n=n, eigenvalues=w, clusters=tuple(cluster_spectrum(list(w))))
+    return Spectrum(n=n, eigenvalues=w, clusters=tuple(cluster_spectrum(w)))
 
 
 def negate_spectrum(s):
@@ -179,8 +179,9 @@ def nonneg_threshold(s):
 
 def nonpos_threshold(s):
     """Least alpha making the negated tensor's sum nonnegative: the
-    threshold of ``negate_spectrum(s)``, read off its sorted eigenvalues."""
-    return _crossing(np.sort(-s.eigenvalues))
+    threshold of ``negate_spectrum(s)``, read off its eigenvalues negated
+    in reverse order, which is ascending."""
+    return _crossing(-s.eigenvalues[::-1])
 
 
 def _digest(array):

@@ -9,12 +9,17 @@ None of these runs in ``secondkind`` itself:
   and Veselic, SIAM J. Matrix Anal. Appl., 1992).
 * ``kahler_basis`` is the orthonormal basis of ``S^2_0`` adapted to a
   complex structure, used to check the Kahler trace identities.
+* ``space_form_components`` and ``kahler_model_components`` build the model
+  tensors' components from scratch on every call; the cached unit tensors
+  of ``curvature`` times the curvature must equal them bitwise.
+* ``cluster_spectrum_loop`` is clustering as one Python loop over the
+  gaps; ``numerics.cluster_spectrum`` must return its clusters bit for bit.
 """
 
 import numpy as np
 
 from secondkind.errors import ConvergenceError, InvalidInputError
-from secondkind.numerics import _checked_symmetric
+from secondkind.numerics import CLUSTER_REL_TOL, _checked_symmetric
 from secondkind.sym2 import Sym2Basis, sym_product
 
 JACOBI_REL_TOL = 1e-13
@@ -150,3 +155,41 @@ def kahler_basis(m, j):
         tensors.append(t / np.sqrt(8.0 * k * (k + 1.0)))
         labels.append(LABEL_ETA)
     return Sym2Basis(n, np.array(tensors), tuple(labels))
+
+
+def space_form_components(n, c):
+    """Components of constant sectional curvature c in dimension n."""
+    dd = np.multiply.outer(np.eye(n), np.eye(n))  # dd[i,k,j,l] = d_ik d_jl
+    return float(c) * (dd.transpose(0, 2, 1, 3) - dd.transpose(0, 2, 3, 1))
+
+
+def kahler_model_components(jm, kappa):
+    """Components of constant holomorphic sectional curvature ``4 * kappa``
+    adapted to the complex structure matrix ``jm``."""
+    dd = np.multiply.outer(np.eye(jm.shape[0]), np.eye(jm.shape[0]))
+    jj = np.multiply.outer(jm, jm)
+    return float(kappa) * (
+        dd.transpose(0, 2, 1, 3)
+        - dd.transpose(0, 2, 3, 1)
+        + jj.transpose(1, 3, 0, 2)
+        - jj.transpose(1, 3, 2, 0)
+        + 2.0 * jj.transpose(1, 0, 3, 2)
+    )
+
+
+def cluster_spectrum_loop(values):
+    """Group an ascending list into (value, multiplicity) clusters: an entry
+    joins the current cluster unless it lies more than
+    ``CLUSTER_REL_TOL * max(1, |previous|)`` above the previous entry."""
+    vals = [float(v) for v in values]
+    for a, b in zip(vals, vals[1:]):
+        if b < a:
+            raise InvalidInputError("values must be sorted ascending")
+    clusters = []
+    start = 0
+    for i in range(1, len(vals) + 1):
+        if i == len(vals) or vals[i] - vals[i - 1] > CLUSTER_REL_TOL * max(1.0, abs(vals[i - 1])):
+            chunk = vals[start:i]
+            clusters.append((sum(chunk) / len(chunk), len(chunk)))
+            start = i
+    return clusters

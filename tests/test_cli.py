@@ -4,10 +4,13 @@ import re
 import subprocess
 import sys
 import warnings
+from collections import OrderedDict, namedtuple
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secondkind import cli, operator2k
 from secondkind.cli import dumps_json, run
@@ -24,6 +27,13 @@ from secondkind.descriptors import (
 REPO = Path(__file__).resolve().parents[1]
 DESCRIPTORS = REPO / "descriptors"
 GOLDEN = REPO / "tests" / "golden"
+
+
+Pair = namedtuple("Pair", "first second")
+
+
+class Text(str):
+    pass
 
 
 def run_cli(args, **kwargs):
@@ -203,6 +213,51 @@ class TestJsonEmitter:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             dumps_json({"x": float("nan")})
+
+    @pytest.mark.parametrize("value,message", [
+        (float("nan"), "cannot serialize non-finite float nan"),
+        (float("-inf"), "cannot serialize non-finite float -inf"),
+        (np.float64("inf"), "cannot serialize non-finite float np.float64(inf)"),
+    ])
+    def test_non_finite_message(self, value, message):
+        for obj in (value, [1, {"x": value}]):
+            with pytest.raises(ValueError) as info:
+                dumps_json(obj)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("value,name", [
+        ({1, 2}, "set"), (b"x", "bytes"), (np.int64(3), "int64"), (np.array([1.0]), "ndarray"),
+        (object(), "object"),
+    ])
+    def test_unknown_type_message(self, value, name):
+        for obj in (value, {"a": [value]}):
+            with pytest.raises(TypeError) as info:
+                dumps_json(obj)
+            assert str(info.value) == f"cannot serialize {name}"
+
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text(),
+        lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                          | st.dictionaries(st.text(), children)),
+        max_leaves=30,
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_float_free_trees_equal_json_dumps(self, obj):
+        assert dumps_json(obj) == json.dumps(obj, indent=2)
+
+    def test_scalars_containers_and_keys(self):
+        obj = {
+            "flags": [True, False, None],
+            "empty": [[], {}, ()],
+            1: {2: "int keys"},
+            "nested": {"a": [{"b": []}]},
+            "subclasses": [OrderedDict(z=1, a=[2]), Pair(3, "4"), Text("five")],
+        }
+        assert dumps_json(obj) == json.dumps(obj, indent=2)
+        assert dumps_json(np.float64(0.1)) == dumps_json(0.1) == "0.10000000000000001"
+        assert dumps_json([np.float64(-2.5), {"x": np.float64(1e-300)}]) == dumps_json(
+            [-2.5, {"x": 1e-300}])
+        assert dumps_json({}) == "{}" and dumps_json([]) == "[]" and dumps_json(()) == "[]"
 
     def test_stable_output(self):
         obj = {"a": [1.5, {"b": None, "c": True}], "d": "x"}

@@ -27,6 +27,8 @@ from secondkind.curvature import (
 from secondkind.errors import InvalidInputError
 from secondkind.numerics import seeded_stream
 
+from reference import kahler_model_components, space_form_components
+
 
 def symmetry_errors(r):
     c = r.components
@@ -112,6 +114,60 @@ class TestKahlerSpaceForm:
                     + 2.0 * np.einsum("ji,lk->ijkl", jm, jm)
                 )
                 assert np.array_equal(kahler_model_tensor(j, kappa).components, reference)
+
+
+class TestCachedUnitTensors:
+    """The model tensors are a cached read-only unit times the curvature;
+    the components must be bitwise those built from scratch, and every
+    tensor is still checked."""
+
+    CURVATURES = (0.25, 1.0 / 3.0, -2.0, 0.0, 1e150)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_space_form_bitwise_equal_to_uncached_formula(self, n):
+        for c in self.CURVATURES:
+            expected = space_form_components(n, c).tobytes()
+            assert space_form(n, c).components.tobytes() == expected
+
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_kahler_bitwise_equal_to_uncached_formula(self, m):
+        standard = standard_complex_structure(m)
+        q, _ = np.linalg.qr(seeded_stream(m).standard_normal((2 * m, 2 * m)))
+        rotated = ComplexStructure(q @ standard.matrix @ q.T)
+        for kappa in self.CURVATURES:
+            expected = kahler_model_components(standard.matrix, kappa).tobytes()
+            r, j = kahler_space_form(m, kappa)
+            assert j is standard
+            assert r.components.tobytes() == expected
+            assert kahler_model_tensor(standard, kappa).components.tobytes() == expected
+            assert (kahler_model_tensor(rotated, kappa).components.tobytes()
+                    == kahler_model_components(rotated.matrix, kappa).tobytes())
+
+    def test_units_are_read_only_and_not_shared_with_tensors(self):
+        for unit, tensor in ((curvature._unit_space_form(3), space_form(3, 1.0)),
+                             (curvature._unit_kahler_space_form(2), kahler_space_form(2, 1.0)[0])):
+            assert not unit.flags.writeable
+            with pytest.raises(ValueError):
+                unit[0, 1, 0, 1] = 5.0
+            assert not np.shares_memory(unit, tensor.components)
+
+    def test_caches_are_bounded(self):
+        for n in range(2, 14):
+            space_form(n, 1.0)
+        for m in range(1, 11):
+            kahler_space_form(m, 1.0)
+        for cached in (curvature._unit_space_form, curvature._unit_kahler_space_form):
+            info = cached.cache_info()
+            assert info.maxsize == 8 and info.currsize == 8
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_model_tensors_are_still_checked(self, bad):
+        j = standard_complex_structure(2)
+        with np.errstate(invalid="ignore"):  # inf * 0
+            for build in (lambda: space_form(3, bad), lambda: kahler_space_form(2, bad),
+                          lambda: kahler_model_tensor(j, bad)):
+                with pytest.raises(InvalidInputError, match="components must be finite"):
+                    build()
 
 
 class TestComplexStructure:

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +7,14 @@ from hypothesis import strategies as st
 
 from secondkind.errors import ConvergenceError, InvalidInputError
 from secondkind.numerics import (
+    CLUSTER_REL_TOL,
     cluster_spectrum,
     eigensolve,
     random_orthonormal_families,
     seeded_stream,
 )
 
-from reference import jacobi_eigen
+from reference import cluster_spectrum_loop, jacobi_eigen
 
 
 def random_symmetric(n, seed, scale=1.0):
@@ -105,11 +108,17 @@ class TestEigensolve:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
+        # the same error and message with numpy floating-point errors
+        # ignored or raising, as every CLI command runs
         a = np.eye(3)
         a[1, 2] = a[2, 1] = bad
-        for vectors in (False, True):
-            with pytest.raises(ConvergenceError, match="non-finite"):
-                eigensolve(a, vectors=vectors)
+        for raising in (False, True):
+            for vectors in (False, True):
+                with (np.errstate(over="raise", invalid="raise") if raising
+                      else contextlib.nullcontext()):
+                    with pytest.raises(ConvergenceError) as info:
+                        eigensolve(a, vectors=vectors)
+                assert str(info.value) == "matrix of dimension 3 has non-finite entries"
 
     @pytest.mark.parametrize("name,vectors", [("eigvalsh", False), ("eigh", True)])
     def test_lapack_failure_is_convergence_error(self, monkeypatch, name, vectors):
@@ -195,7 +204,63 @@ class TestRandomOrthonormalFamilies:
         assert len(built) <= 1
 
 
+def _bits(clusters):
+    return [(float.hex(v), type(v), m, type(m)) for v, m in clusters]
+
+
+@st.composite
+def ascending_spectra(draw):
+    """Ascending values whose gaps sit exactly at, one ulp above or below,
+    or far from the clustering tolerance of the entry before, starting on
+    either side of |x| = 1 or at a point where the gap at the tolerance is
+    exact."""
+    value = draw(st.sampled_from([0.0, -1e-7, -2e-7, 1.0, -1.0, 1.0 - 5e-8, -1.0 - 5e-8])
+                 | st.floats(-1e6, 1e6))
+    values = [value]
+    for step in draw(st.lists(st.sampled_from(["at", "above", "below", "equal", "far"]),
+                              max_size=25)):
+        at = value + CLUSTER_REL_TOL * max(1.0, abs(value))
+        if step == "above":
+            at = float(np.nextafter(at, np.inf))
+        elif step == "below":
+            at = float(np.nextafter(at, -np.inf))
+        elif step == "equal":
+            at = value
+        elif step == "far":
+            at = value + draw(st.floats(1e-6, 10.0))
+        value = max(at, value)
+        values.append(value)
+    return values
+
+
 class TestClusterSpectrum:
+    @given(ascending_spectra())
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_to_loop(self, values):
+        expected = _bits(cluster_spectrum_loop(values))
+        assert _bits(cluster_spectrum(values)) == expected
+        assert _bits(cluster_spectrum(np.array(values))) == expected
+
+    @pytest.mark.parametrize("values,sizes", [
+        ([], []),
+        ([2.5], [1]),
+        ([-1.0], [1]),
+        ([0.0, 1e-7], [2]),  # the gap is the tolerance exactly: one cluster
+        ([-2e-7, -1e-7, 0.0], [3]),
+        ([0.0, float(np.nextafter(1e-7, 1.0))], [1, 1]),
+        ([-1.0 - 1.5e-7, -1.0, -1.0 + 1e-7, 1.0, 1.0 + 1.5e-7], [1, 2, 1, 1]),
+    ])
+    def test_edges_equal_to_loop(self, values, sizes):
+        for v in (values, np.array(values)):
+            clusters = cluster_spectrum(v)
+            assert [m for _, m in clusters] == sizes
+            assert _bits(clusters) == _bits(cluster_spectrum_loop(values))
+
+    def test_huge_gaps_as_python_floats_under_raising_errstate(self):
+        values = [-np.inf, -1e308, 1e308, np.inf]
+        with np.errstate(over="raise", invalid="raise"):
+            assert _bits(cluster_spectrum(values)) == _bits(cluster_spectrum_loop(values))
+
     def test_all_equal(self):
         assert cluster_spectrum([1.0, 1.0, 1.0]) == [(1.0, 3)]
 
