@@ -48,7 +48,6 @@ from .rigidity import (
     check_rigidity,
     verify_product_structure,
 )
-from .sym2 import sym2_dim
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -150,7 +149,7 @@ def _load_descriptor(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DescriptorError(f"cannot read descriptor file {path!r}: {exc}") from exc
     return parse_descriptor(text)
 

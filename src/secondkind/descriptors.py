@@ -159,8 +159,15 @@ def _reject_constant(token):
 def _finite_float(token):
     value = float(token)
     if not math.isfinite(value):
-        raise DescriptorError(f"invalid JSON: number {token} overflows to a non-finite double")
+        shown = token if len(token) <= 32 else f"{token[:16]}... ({len(token)} characters)"
+        raise DescriptorError(f"invalid JSON: number {shown} overflows to a non-finite double")
     return value
+
+
+def _finite_int(token):
+    # a literal that fits a double is far below int()'s digit limit
+    _finite_float(token)
+    return int(token)
 
 
 def parse_descriptor(text):
@@ -170,10 +177,13 @@ def parse_descriptor(text):
     rejected here, so no non-finite value reaches a tensor.
     """
     try:
-        obj = json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
+        obj = json.loads(text, parse_constant=_reject_constant,
+                         parse_float=_finite_float, parse_int=_finite_int)
+        return _from_obj(obj, "$")
     except json.JSONDecodeError as exc:
         raise DescriptorError(f"invalid JSON: {exc}") from exc
-    return _from_obj(obj, "$")
+    except RecursionError:
+        raise DescriptorError("descriptor is nested too deeply to parse") from None
 
 
 def leaf_obj(kind, size, kappa=None):

@@ -121,23 +121,19 @@ def cluster_spectrum(values):
 
     Consecutive entries closer than ``CLUSTER_REL_TOL * max(1, |previous|)``
     join the current cluster; the reported value is the cluster mean, a
-    Python sum over the cluster divided by its size.
+    Python sum over the cluster divided by its size. No gap raises: one that
+    overflows is inf, and the NaN gap ``inf - inf`` joins.
     """
-    w = np.asarray(values, dtype=float)
-    if w.size == 0:
-        return []
-    # IEEE results as Python floats give them: inf - inf is NaN, an
-    # overflowing gap is inf; a gap is negative exactly where b < a
-    with np.errstate(over="ignore", invalid="ignore"):
-        gap = w[1:] - w[:-1]
-        if (gap < 0.0).any():
-            raise InvalidInputError("values must be sorted ascending")
-        far = gap > CLUSTER_REL_TOL * np.maximum(1.0, np.abs(w[:-1]))
-    vals = w.tolist()
+    vals = np.asarray(values, dtype=float).tolist()
     clusters = []
     start = 0
-    for end in np.flatnonzero(far).tolist() + [len(vals) - 1]:
-        chunk = vals[start:end + 1]
+    for i in range(1, len(vals) + 1):
+        if i < len(vals):
+            if vals[i] < vals[i - 1]:
+                raise InvalidInputError("values must be sorted ascending")
+            if not vals[i] - vals[i - 1] > CLUSTER_REL_TOL * max(1.0, abs(vals[i - 1])):
+                continue
+        chunk = vals[start:i]
         clusters.append((sum(chunk) / len(chunk), len(chunk)))
-        start = end + 1
+        start = i
     return clusters

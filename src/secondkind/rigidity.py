@@ -46,7 +46,7 @@ from .operator2k import (
     verdict,
     weighted_partial_sums,
 )
-from .sym2 import LABEL_XI, empty_basis, product_adapted_basis, standard_basis
+from .sym2 import empty_basis, product_adapted_basis, standard_basis
 
 DEFAULT_KAPPA_GRID = tuple(0.25 * k for k in range(1, 9))
 
@@ -142,8 +142,8 @@ def verify_product_structure(r1, r2, tol=1e-9):
         samples_run=1,
     )
 
-    xi_rows = adapted.indices_with_label(LABEL_XI)
-    xi_norm = float(np.linalg.norm(mat[xi_rows], axis=1).max()) if xi_rows else 0.0
+    # the n1 n2 >= 1 mixed rows sit between the factor blocks and zeta
+    xi_norm = float(np.linalg.norm(mat[b1.count + b2.count:-1], axis=1).max())
     report.details["xi_row_max_norm"] = xi_norm
     if xi_norm <= tol:
         report.details["xi_block"] = "consistent"

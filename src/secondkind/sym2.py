@@ -4,6 +4,11 @@ basis.
 
 The inner product throughout is the Frobenius pairing
 ``<u, v> = sum_ij u[i, j] v[i, j]``.
+
+The product-adapted basis fixes its blocks by position, as
+``[N1 | N2 | n1 n2 | 1]``: the two factor blocks, the mixed (xi)
+directions and the trace difference (zeta); callers read a block as a
+slice.
 """
 
 from dataclasses import dataclass
@@ -12,12 +17,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInputError
-
-LABEL_FACTOR1 = "factor1"
-LABEL_FACTOR2 = "factor2"
-LABEL_XI = "xi"
-LABEL_ZETA = "zeta"
-LABEL_GENERIC = "generic"
 
 
 def sym2_dim(n):
@@ -34,39 +33,26 @@ def sym_product(u, v):
 
 @dataclass(frozen=True)
 class Sym2Basis:
-    """Ordered orthonormal family of traceless symmetric matrices.
-
-    ``tensors`` has shape (count, dim, dim); ``labels`` tags each tensor by
-    its role in an adapted decomposition.
-    """
+    """Ordered orthonormal family of traceless symmetric matrices;
+    ``tensors`` has shape (count, dim, dim)."""
 
     dim: int
     tensors: np.ndarray
-    labels: tuple
 
     def __post_init__(self):
         t = np.ascontiguousarray(np.asarray(self.tensors, dtype=float))
         if t.ndim != 3 or t.shape[1] != self.dim or t.shape[2] != self.dim:
             raise InvalidInputError(f"tensors must have shape (count, {self.dim}, {self.dim})")
-        if len(self.labels) != t.shape[0]:
-            raise InvalidInputError("one label per tensor is required")
         object.__setattr__(self, "tensors", t)
-        object.__setattr__(self, "labels", tuple(self.labels))
 
     @property
     def count(self):
         return self.tensors.shape[0]
 
-    def gram(self):
-        return np.einsum("aij,bij->ab", self.tensors, self.tensors)
-
-    def indices_with_label(self, label):
-        return [a for a, lab in enumerate(self.labels) if lab == label]
-
 
 def empty_basis(dim):
     """The basis of the zero space; used for dimension-1 factors."""
-    return Sym2Basis(dim, np.zeros((0, dim, dim)), ())
+    return Sym2Basis(dim, np.zeros((0, dim, dim)))
 
 
 @lru_cache(maxsize=32)
@@ -85,12 +71,9 @@ def standard_basis(n):
         for j in range(i + 1, n):
             tensors.append(sym_product(e[i], e[j]) / np.sqrt(2.0))
     for k in range(1, n):
-        t = np.zeros((n, n))
-        for i in range(k):
-            t[i, i] = 1.0
-        t[k, k] = -float(k)
+        t = np.diag([1.0] * k + [-float(k)] + [0.0] * (n - k - 1))
         tensors.append(t / np.sqrt(k * (k + 1.0)))
-    basis = Sym2Basis(n, np.array(tensors), (LABEL_GENERIC,) * len(tensors))
+    basis = Sym2Basis(n, np.array(tensors))
     basis.tensors.flags.writeable = False
     return basis
 
@@ -103,12 +86,13 @@ def _embed(tensor, n, offset):
 
 
 def product_adapted_basis(n1, n2, b1, b2):
-    """Basis of the product space ordered as [factor1 | factor2 | xi | zeta].
+    """Basis of the product space in the layout ``[N1 | N2 | n1 n2 | 1]``
+    with ``Ni = sym2_dim(ni)``; callers slice its blocks by position.
 
-    The factor bases are zero-extended; the mixed tensors are
-    ``(1/sqrt(2)) e_p o e_q`` with p in the first factor and q in the second,
-    ordered lexicographically; zeta is the normalized trace-difference
-    ``(n2 g1 - n1 g2) / sqrt(n1 n2 (n1 + n2))``.
+    First ``b1`` and ``b2``, zero-extended into their diagonal blocks; then
+    the mixed (xi) tensors ``(1/sqrt(2)) e_p o e_q`` with p in the first
+    factor and q in the second, ordered lexicographically; last zeta, the
+    normalized trace-difference ``(n2 g1 - n1 g2) / sqrt(n1 n2 (n1 + n2))``.
     """
     if n1 < 1 or n2 < 1:
         raise InvalidInputError("factor dimensions must be positive")
@@ -118,23 +102,11 @@ def product_adapted_basis(n1, n2, b1, b2):
         raise InvalidInputError("factor bases must span the factor traceless tensors")
     n = n1 + n2
     e = np.eye(n)
-    tensors = []
-    labels = []
-    for t in b1.tensors:
-        tensors.append(_embed(t, n, 0))
-        labels.append(LABEL_FACTOR1)
-    for t in b2.tensors:
-        tensors.append(_embed(t, n, n1))
-        labels.append(LABEL_FACTOR2)
+    tensors = [_embed(t, n, 0) for t in b1.tensors]
+    tensors += [_embed(t, n, n1) for t in b2.tensors]
     for p in range(n1):
         for q in range(n1, n):
             tensors.append(sym_product(e[p], e[q]) / np.sqrt(2.0))
-            labels.append(LABEL_XI)
-    zeta = np.zeros((n, n))
-    for i in range(n1):
-        zeta[i, i] = float(n2)
-    for i in range(n1, n):
-        zeta[i, i] = -float(n1)
+    zeta = np.diag([float(n2)] * n1 + [-float(n1)] * n2)
     tensors.append(zeta / np.sqrt(n1 * n2 * (n1 + n2)))
-    labels.append(LABEL_ZETA)
-    return Sym2Basis(n, np.array(tensors), tuple(labels))
+    return Sym2Basis(n, np.array(tensors))

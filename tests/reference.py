@@ -8,7 +8,8 @@ None of these runs in ``secondkind`` itself:
   ``numerics.eigensolve``: Jacobi's method is more accurate than QR (Demmel
   and Veselic, SIAM J. Matrix Anal. Appl., 1992).
 * ``kahler_basis`` is the orthonormal basis of ``S^2_0`` adapted to a
-  complex structure, used to check the Kahler trace identities.
+  complex structure, returned with one family label per tensor, used to
+  check the Kahler trace identities.
 * ``space_form_components`` and ``kahler_model_components`` build the model
   tensors' components from scratch on every call; the cached unit tensors
   of ``curvature`` times the curvature must equal them bitwise.
@@ -108,7 +109,7 @@ def jacobi_eigen(m):
 
 def kahler_basis(m, j):
     """Orthonormal basis of the traceless symmetric two-tensors on R^{2m}
-    adapted to a complex structure.
+    adapted to a complex structure, and the list of its tensors' labels.
 
     Families, in order: the J-anti-invariant and J-invariant combinations of
     off-diagonal symmetric products (labels ``plus``/``minus``), the 2m
@@ -154,7 +155,7 @@ def kahler_basis(m, j):
             t -= sym_product(e[i], e[i]) + sym_product(je[i], je[i])
         tensors.append(t / np.sqrt(8.0 * k * (k + 1.0)))
         labels.append(LABEL_ETA)
-    return Sym2Basis(n, np.array(tensors), tuple(labels))
+    return Sym2Basis(n, np.array(tensors)), labels
 
 
 def space_form_components(n, c):

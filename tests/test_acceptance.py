@@ -33,7 +33,7 @@ from secondkind.operator2k import (
     spectrum,
 )
 from secondkind.rigidity import a_const, b_const, check_rigidity, f_lemma
-from secondkind.sym2 import LABEL_XI, empty_basis, product_adapted_basis, standard_basis
+from secondkind.sym2 import product_adapted_basis, standard_basis, sym2_dim
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -132,8 +132,9 @@ def test_criterion_03_mixed_block_kernel():
         r2 = random_curvature(n2, int(rng.integers(0, 2 ** 63)))
         basis = product_adapted_basis(n1, n2, standard_basis(n1), standard_basis(n2))
         mat = operator_matrix(product(r1, r2), basis)
-        xi_rows = basis.indices_with_label(LABEL_XI)
-        worst = max(worst, float(np.linalg.norm(mat[xi_rows], axis=1).max()))
+        # layout [N1 | N2 | n1 n2 | 1]: the mixed rows sit before zeta
+        xi_rows = mat[sym2_dim(n1) + sym2_dim(n2):-1]
+        worst = max(worst, float(np.linalg.norm(xi_rows, axis=1).max()))
     report_line(3, "mixed-product directions lie in the operator kernel",
                 worst < 1e-10, f"100 pairs, worst row norm {worst:.2e}, tol 1e-10")
 

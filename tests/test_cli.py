@@ -80,6 +80,13 @@ class TestParseDescriptor:
         with pytest.raises(DescriptorError, match="invalid JSON"):
             parse_descriptor("{nope")
 
+    def test_integer_literal_bounded_by_double_range(self):
+        largest = int(sys.float_info.max)
+        text = '{"kind":"sphere","dim":3,"kappa":%d}'
+        assert parse_descriptor(text % largest).kappa == sys.float_info.max
+        with pytest.raises(DescriptorError, match="overflows to a non-finite double"):
+            parse_descriptor(text % 2 ** 1024)
+
     def test_custom_component_count_checked(self):
         with pytest.raises(DescriptorError, match="16"):
             parse_descriptor('{"kind":"custom","dim":2,"components":[0,0,0]}')
@@ -399,6 +406,26 @@ class TestCliCommands:
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1 and "non-finite" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("data,cause", [
+        (b'\xff\xfe{"kind":"euclidean","dim":2}', "codec can't decode byte 0xff"),
+        (b"[" * 100000, "nested too deeply"),
+        (b'{"kind":"sphere","dim":3,"kappa":1' + b"0" * 400 + b"}", "overflows"),
+        (b'{"kind":"custom","dim":2,"components":[' + b"0," * 15 + b"1" + b"0" * 400 + b"]}",
+         "overflows"),
+        (b'{"kind":"sphere","dim":3,"kappa":' + b"7" * 5000 + b"}", "overflows"),
+    ], ids=["not-utf8", "nested-past-recursion-limit", "int-kappa-overflow",
+            "int-component-overflow", "int-past-digit-limit"])
+    def test_malformed_file_exit_2_one_line(self, tmp_path, capsys, data, cause):
+        # each of these once ended in "internal error:" and exit 3
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        assert run(["spectrum", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ") and cause in captured.err
+        assert len(captured.err) < 200  # a long number is shortened
 
     @pytest.mark.parametrize("argv", [
         ["spectrum", '{"kind":"euclidean","dim":10000000}'],

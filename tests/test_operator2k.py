@@ -36,8 +36,6 @@ from secondkind.operator2k import (
     weighted_partial_sums,
 )
 from secondkind.sym2 import (
-    LABEL_XI,
-    LABEL_ZETA,
     empty_basis,
     product_adapted_basis,
     standard_basis,
@@ -101,8 +99,8 @@ class TestOperatorMatrix:
     def test_kahler_basis_bitwise_equals_einsum(self, m):
         r, j = random_kahler_curvature(m, seed=50 + m)
         model, j_model = kahler_space_form(m, 0.5)
-        for tensor, basis in [(r, kahler_basis(m, j)), (r, standard_basis(2 * m)),
-                              (model, kahler_basis(m, j_model))]:
+        for tensor, basis in [(r, kahler_basis(m, j)[0]), (r, standard_basis(2 * m)),
+                              (model, kahler_basis(m, j_model)[0])]:
             assert np.array_equal(operator_matrix(tensor, basis),
                                   operator_matrix_einsum(tensor, basis))
 
@@ -412,8 +410,8 @@ class TestProductBlockStructure:
         r2 = random_curvature(2, seed=32)
         basis = product_adapted_basis(3, 2, standard_basis(3), standard_basis(2))
         mat = operator_matrix(product(r1, r2), basis)
-        xi_rows = basis.indices_with_label(LABEL_XI)
-        assert np.abs(mat[xi_rows]).max() <= 1e-12
+        # layout [5 | 2 | 6 | 1]: the mixed rows are 7..12
+        assert np.abs(mat[7:-1]).max() <= 1e-12
 
     def test_einstein_block_diagonal_with_zeta_value(self):
         r1 = space_form(3, 2.0)          # rho = 4
@@ -424,12 +422,11 @@ class TestProductBlockStructure:
         off = mat.copy()
         off[:5, :5] = 0.0
         off[5:7, 5:7] = 0.0
-        for a in basis.indices_with_label(LABEL_XI):
-            off[a, a] = 0.0
-        z = basis.indices_with_label(LABEL_ZETA)[0]
+        xi = np.arange(7, basis.count - 1)  # layout [5 | 2 | 6 | 1]
+        off[xi, xi] = 0.0
         expected_zeta = -(2 * rho1 + 3 * rho2) / 5.0
-        assert abs(mat[z, z] - expected_zeta) <= 1e-10
-        off[z, z] = 0.0
+        assert abs(mat[-1, -1] - expected_zeta) <= 1e-10
+        off[-1, -1] = 0.0
         assert np.abs(off).max() <= 1e-10
 
     def test_product_spectrum_multiset(self):
@@ -455,14 +452,14 @@ class TestKahlerFamilyTraces:
     ])
     def test_invariant_family_trace_identities(self, make, m):
         r, j = make()
-        basis = kahler_basis(m, j)
+        basis, labels = kahler_basis(m, j)
         mat = operator_matrix(r, basis)
         s = scalar(r)
         minus_eta = sum(
-            mat[a, a] for a, lab in enumerate(basis.labels) if lab in ("minus", "eta")
+            mat[a, a] for a, lab in enumerate(labels) if lab in ("minus", "eta")
         )
         plus_alpha = sum(
-            mat[a, a] for a, lab in enumerate(basis.labels) if lab in ("plus", "alpha")
+            mat[a, a] for a, lab in enumerate(labels) if lab in ("plus", "alpha")
         )
         assert abs(minus_eta - (-(m - 1) / (2.0 * m) * s)) <= 1e-10
         assert abs(plus_alpha - s) <= 1e-10

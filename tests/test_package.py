@@ -1,0 +1,43 @@
+import re
+import types
+from pathlib import Path
+
+import pytest
+
+import secondkind
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# the README's Library example, plus b_const for scripts/threshold_scan.py
+PUBLIC_NAMES = {
+    "space_form", "kahler_space_form", "flat_tensor", "product",
+    "spectrum", "classify", "verdict", "nonneg_threshold", "a_const", "b_const",
+}
+
+
+def library_block():
+    text = README.read_text()
+    section = text[text.index("## Library"):]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_package_namespace_is_the_documented_names():
+    names = {name for name, value in vars(secondkind).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert names == PUBLIC_NAMES
+
+
+def test_readme_library_example_runs_as_commented():
+    code = library_block()
+    namespace = {}
+    exec(code, namespace)
+    s = namespace["s"]
+    assert "# clusters (-0.5, 1), (0, 3), (1, 5)" in code
+    assert [m for _, m in s.clusters] == [1, 3, 5]
+    assert [v for v, _ in s.clusters] == pytest.approx([-0.5, 0.0, 1.0], abs=1e-12)
+    assert "# 4.5 == a_const(3, 1)" in code
+    assert namespace["nonneg_threshold"](s) == pytest.approx(4.5, abs=1e-12)
+    assert namespace["a_const"](3, 1) == 4.5
+    assert '# "nonnegative"' in code
+    assert namespace["classify"](namespace["line"], 4.5) == "nonnegative"
+    assert namespace["verdict"](s, 4.5) == "nonnegative"

@@ -166,6 +166,7 @@ def assert_clean_ending(code, out, err_lines):
         json.loads(out)
     else:
         assert len(err_lines) == 1, err_lines
+        assert not err_lines[0].startswith("internal error:"), err_lines
         assert out == ""
 
 

@@ -4,10 +4,6 @@ import pytest
 from secondkind.curvature import standard_complex_structure
 from secondkind.errors import InvalidInputError
 from secondkind.sym2 import (
-    LABEL_FACTOR1,
-    LABEL_FACTOR2,
-    LABEL_XI,
-    LABEL_ZETA,
     empty_basis,
     product_adapted_basis,
     standard_basis,
@@ -25,9 +21,8 @@ from reference import (
 
 
 def assert_orthonormal_traceless(basis, tol=1e-12):
-    count = basis.count
-    gram = basis.gram()
-    assert np.abs(gram - np.eye(count)).max() <= tol
+    gram = np.einsum("aij,bij->ab", basis.tensors, basis.tensors)
+    assert np.abs(gram - np.eye(basis.count)).max() <= tol
     for t in basis.tensors:
         assert np.abs(t - t.T).max() <= tol
         assert abs(np.trace(t)) <= tol
@@ -62,21 +57,46 @@ class TestStandardBasis:
         assert_orthonormal_traceless(standard_basis(5))
 
 
+def block_roles(basis, n1):
+    """The block of each tensor of a product basis, read off its support:
+    ``factor1`` and ``factor2`` live in one diagonal block, ``xi`` in the
+    off-diagonal blocks, and ``zeta`` on both diagonal blocks."""
+    roles = []
+    for t in basis.tensors:
+        first, second, mixed = t[:n1, :n1].any(), t[n1:, n1:].any(), t[:n1, n1:].any()
+        if mixed:
+            assert not (first or second)
+            roles.append("xi")
+        elif first and second:
+            roles.append("zeta")
+        else:
+            roles.append("factor1" if first else "factor2")
+    return roles
+
+
+def layout(n1, n2):
+    """The documented layout ``[N1 | N2 | n1 n2 | 1]`` as one role per row."""
+    return (["factor1"] * sym2_dim(n1) + ["factor2"] * sym2_dim(n2)
+            + ["xi"] * (n1 * n2) + ["zeta"])
+
+
 class TestProductAdaptedBasis:
     def test_counts_2x2(self):
         basis = product_adapted_basis(2, 2, standard_basis(2), standard_basis(2))
-        labels = list(basis.labels)
-        assert labels.count(LABEL_FACTOR1) == 2
-        assert labels.count(LABEL_FACTOR2) == 2
-        assert labels.count(LABEL_XI) == 4
-        assert labels.count(LABEL_ZETA) == 1
+        roles = block_roles(basis, 2)
+        assert roles.count("factor1") == 2
+        assert roles.count("factor2") == 2
+        assert roles.count("xi") == 4
+        assert roles.count("zeta") == 1
+        assert roles == layout(2, 2)
         assert basis.count == 9
 
     def test_counts_3x1(self):
         basis = product_adapted_basis(3, 1, standard_basis(3), empty_basis(1))
-        labels = list(basis.labels)
-        assert (labels.count(LABEL_FACTOR1), labels.count(LABEL_FACTOR2),
-                labels.count(LABEL_XI), labels.count(LABEL_ZETA)) == (5, 0, 3, 1)
+        roles = block_roles(basis, 3)
+        assert (roles.count("factor1"), roles.count("factor2"),
+                roles.count("xi"), roles.count("zeta")) == (5, 0, 3, 1)
+        assert roles == layout(3, 1)
 
     def test_zeta_entries_2x2(self):
         basis = product_adapted_basis(2, 2, standard_basis(2), standard_basis(2))
@@ -89,11 +109,12 @@ class TestProductAdaptedBasis:
         b2 = standard_basis(n2) if n2 >= 2 else empty_basis(n2)
         basis = product_adapted_basis(n1, n2, b1, b2)
         assert_orthonormal_traceless(basis)
-        labels = list(basis.labels)
-        assert labels.count(LABEL_FACTOR1) == sym2_dim(n1)
-        assert labels.count(LABEL_FACTOR2) == sym2_dim(n2)
-        assert labels.count(LABEL_XI) == n1 * n2
-        assert labels.count(LABEL_ZETA) == 1
+        roles = block_roles(basis, n1)
+        assert roles.count("factor1") == sym2_dim(n1)
+        assert roles.count("factor2") == sym2_dim(n2)
+        assert roles.count("xi") == n1 * n2
+        assert roles.count("zeta") == 1
+        assert roles == layout(n1, n2)
         assert basis.count == sym2_dim(n1 + n2)
 
     def test_factor_ordering_and_extension(self):
@@ -117,16 +138,14 @@ class TestProductAdaptedBasis:
 
 class TestKahlerBasis:
     def test_counts_m1(self):
-        basis = kahler_basis(1, standard_complex_structure(1))
-        labels = list(basis.labels)
+        basis, labels = kahler_basis(1, standard_complex_structure(1))
         assert basis.count == 2
         assert labels.count(LABEL_ALPHA) == 2
         assert labels.count(LABEL_PLUS) == labels.count(LABEL_MINUS) == 0
         assert labels.count(LABEL_ETA) == 0
 
     def test_counts_m2(self):
-        basis = kahler_basis(2, standard_complex_structure(2))
-        labels = list(basis.labels)
+        basis, labels = kahler_basis(2, standard_complex_structure(2))
         assert basis.count == 9
         assert labels.count(LABEL_PLUS) == 2
         assert labels.count(LABEL_MINUS) == 2
@@ -135,13 +154,13 @@ class TestKahlerBasis:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_orthonormal_traceless(self, m):
-        basis = kahler_basis(m, standard_complex_structure(m))
+        basis, _ = kahler_basis(m, standard_complex_structure(m))
         assert_orthonormal_traceless(basis)
         assert basis.count == sym2_dim(2 * m)
 
     def test_label_family_sizes(self):
         m = 3
-        labels = list(kahler_basis(m, standard_complex_structure(m)).labels)
+        _, labels = kahler_basis(m, standard_complex_structure(m))
         half = m * (m - 1) // 2
         assert labels.count(LABEL_PLUS) == 2 * half
         assert labels.count(LABEL_MINUS) == 2 * half
