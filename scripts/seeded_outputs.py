@@ -12,7 +12,10 @@ largest Kahler draw, ``product-kahler --m1 3 --m2 3 --samples 20``, at
 seeds 0 and 7; the benchmark's pinned ``product-kahler --m1 2 --m2 2
 --seed 146 --samples 1`` item; the iff sweeps at the asymmetric sizes on
 ``--kappa-grid 0.5,1,2``; ``verify product`` over all ordered pairs of
-``descriptors/*.json``, ``examples``, and ``spectrum``, ``threshold``,
+``descriptors/*.json``, and of a generated ``{"kind": "euclidean", "dim":
+1}`` as ``--file1`` and as ``--file2`` against each of them and against
+itself, so that the dimension-1 factor blocks are compared too;
+``examples``, and ``spectrum``, ``threshold``,
 ``classify`` and ``oracle`` (1000 samples, seed 7, and 65 samples, seed 0)
 over ``descriptors/*.json`` at alpha in {1.5, 3, line, A, B}, plus two
 descriptors whose curvature overflows a double; ``spectrum`` and
@@ -20,7 +23,8 @@ descriptors whose curvature overflows a double; ``spectrum`` and
 with a product factor, so that the n-ary block fill is compared too; and
 ``spectrum`` over malformed descriptors, so that the parse errors of every
 kind are compared too: each model-space kind below its least size, a missing ``kappa``, a
-``kappa`` on ``euclidean``, a bool ``m``, and a product with a bad factor.
+``kappa`` on ``euclidean``, a bool ``m``, a product with a bad factor, and
+two-factor products nested 32, 40 and 300 levels deep.
 Each record holds the command line, the exit code, stderr, stdout parsed as
 JSON with every ``timing`` block removed, and the raw stdout text with every
 ``"seconds": <number>`` masked, so that a change in the emitted bytes shows
@@ -83,6 +87,19 @@ NARY_DESCRIPTORS = {
                                '"dim": 2, "kappa": 0.5}]}, {"kind": "hyperbolic", "dim": 3, '
                                '"kappa": 0.25}]}'),
 }
+LINE_DESCRIPTOR = "euclidean_line.json"
+LINE_TEXT = '{"kind": "euclidean", "dim": 1}'
+
+
+def _nested_product(depth):
+    """Text of ``depth`` two-factor products, each the first factor of the
+    next, with a flat line as every other factor."""
+    text = LINE_TEXT
+    for _ in range(depth):
+        text = f'{{"kind": "product", "factors": [{text}, {LINE_TEXT}]}}'
+    return text
+
+
 MALFORMED_DESCRIPTORS = {
     "small_sphere.json": '{"kind": "sphere", "dim": 1, "kappa": 1}',
     "small_hyperbolic.json": '{"kind": "hyperbolic", "dim": 1, "kappa": 1}',
@@ -95,6 +112,7 @@ MALFORMED_DESCRIPTORS = {
     "bool_m_ch.json": '{"kind": "ch", "m": true, "kappa": 1}',
     "bad_factor.json": ('{"kind": "product", "factors": [{"kind": "sphere", "dim": 2, '
                         '"kappa": 1}, {"kind": "complex_euclidean", "m": 0}]}'),
+    **{f"nested_{depth}.json": _nested_product(depth) for depth in (32, 40, 300)},
 }
 
 
@@ -126,6 +144,10 @@ def commands(tmp_dir):
     out += [("verify", *h, "--kappa-grid", KAPPA_GRID) for h in SWEEPS]
     out += [("verify", "product", "--file1", a, "--file2", b)
             for a in descriptors for b in descriptors]
+    line = os.path.join(tmp_dir, LINE_DESCRIPTOR)
+    out += [("verify", "product", "--file1", a, "--file2", b)
+            for a, b in [(line, line)] + [pair for path in descriptors
+                                          for pair in ((line, path), (path, line))]]
     out.append(("examples",))
     for path in descriptors:
         out += _descriptor_commands(path)
@@ -161,7 +183,9 @@ def main():
     os.chdir(REPO)
     records = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in {**OVERFLOW_DESCRIPTORS, **NARY_DESCRIPTORS, **MALFORMED_DESCRIPTORS}.items():
+        generated = {LINE_DESCRIPTOR: LINE_TEXT, **OVERFLOW_DESCRIPTORS, **NARY_DESCRIPTORS,
+                     **MALFORMED_DESCRIPTORS}
+        for name, text in generated.items():
             Path(tmp, name).write_text(text)
         for argv in commands(tmp):
             record = run_one(argv)

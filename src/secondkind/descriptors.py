@@ -108,7 +108,9 @@ def _check_keys(obj, allowed, path):
         _fail(path, f"unknown field(s) {extra}; allowed: {sorted(allowed)}")
 
 
-def _from_obj(obj, path):
+def _from_obj(obj, path, depth=0):
+    """Parse the descriptor at ``path``, the factor of ``depth`` enclosing
+    products."""
     if not isinstance(obj, dict):
         _fail(path, "descriptor must be a JSON object")
     kind = obj.get("kind")
@@ -126,11 +128,17 @@ def _from_obj(obj, path):
             return ManifoldDescriptor(kind=kind, m=size, dim=2 * size, kappa=kappa)
         return ManifoldDescriptor(kind=kind, dim=size, kappa=kappa)
     if kind == "product":
+        if depth >= MAX_DIM:
+            # every factor has dimension at least 1, so each enclosing
+            # product adds one: the whole descriptor exceeds the limit
+            _fail("$", f"products nested more than {MAX_DIM} levels deep exceed "
+                       f"the total dimension limit {MAX_DIM}")
         _check_keys(obj, ("kind", "factors"), path)
         factors = obj.get("factors")
         if not isinstance(factors, list) or len(factors) < 2:
             _fail(f"{path}.factors", "a product needs a list of at least two factors")
-        parsed = tuple(_from_obj(f, f"{path}.factors[{i}]") for i, f in enumerate(factors))
+        parsed = tuple(_from_obj(f, f"{path}.factors[{i}]", depth + 1)
+                       for i, f in enumerate(factors))
         dim = _bounded_dim(sum(f.dim for f in parsed), f"{path}.factors")
         return ManifoldDescriptor(kind=kind, dim=dim, factors=parsed)
     # custom

@@ -29,6 +29,13 @@ VERDICT_NONNEGATIVE = "nonnegative"
 VERDICT_NONPOSITIVE = "nonpositive"
 VERDICT_BOTH = "both"
 VERDICT_NEITHER = "neither"
+# the verdict of the negated tensor, read from the verdict of the tensor
+NEGATED_VERDICT = {
+    VERDICT_NONNEGATIVE: VERDICT_NONPOSITIVE,
+    VERDICT_NONPOSITIVE: VERDICT_NONNEGATIVE,
+    VERDICT_BOTH: VERDICT_BOTH,
+    VERDICT_NEITHER: VERDICT_NEITHER,
+}
 
 
 @dataclass(frozen=True)
@@ -84,17 +91,6 @@ def spectrum(r):
         raise InvalidInputError("spectra need ambient dimension at least 2")
     w = eigensolve(operator_matrix(r, standard_basis(r.dim)))
     return Spectrum(n=r.dim, eigenvalues=w, clusters=tuple(cluster_spectrum(w)))
-
-
-def spectrum_from_eigenvalues(n, values):
-    """Build a Spectrum from known eigenvalues (sorted internally)."""
-    w = np.sort(np.asarray(list(values), dtype=float))
-    return Spectrum(n=n, eigenvalues=w, clusters=tuple(cluster_spectrum(w)))
-
-
-def negate_spectrum(s):
-    """Spectrum of the negated tensor: eigenvalues flipped and re-sorted."""
-    return spectrum_from_eigenvalues(s.n, -s.eigenvalues)
 
 
 def _split_alpha(alpha, n_values):
@@ -179,8 +175,8 @@ def nonneg_threshold(s):
 
 def nonpos_threshold(s):
     """Least alpha making the negated tensor's sum nonnegative: the
-    threshold of ``negate_spectrum(s)``, read off its eigenvalues negated
-    in reverse order, which is ascending."""
+    ``nonneg_threshold`` of the negated tensor, read off the eigenvalues
+    negated in reverse order, which is ascending."""
     return _crossing(-s.eigenvalues[::-1])
 
 

@@ -32,21 +32,20 @@ from .curvature import (
 from .errors import InvalidInputError
 from .numerics import derived_seed
 from .operator2k import (
+    NEGATED_VERDICT,
     VERDICT_BOTH,
     VERDICT_NEITHER,
     VERDICT_NONNEGATIVE,
     VERDICT_NONPOSITIVE,
     alpha_sum,
     classify,
-    negate_spectrum,
     nonneg_threshold,
-    nonpos_threshold,
     operator_matrix,
     spectrum,
     verdict,
     weighted_partial_sums,
 )
-from .sym2 import empty_basis, product_adapted_basis, standard_basis
+from .sym2 import product_adapted_basis, standard_basis, sym2_dim
 
 DEFAULT_KAPPA_GRID = tuple(0.25 * k for k in range(1, 9))
 
@@ -117,6 +116,16 @@ def _factor_spectrum_values(r):
     return spectrum(r).eigenvalues
 
 
+def _record_check(report, check, field, value, tol):
+    """Mark ``check`` consistent when ``value <= tol``; otherwise mark it
+    violated and record a counterexample holding ``value`` as ``field``."""
+    if value <= tol:
+        report.details[check] = "consistent"
+    else:
+        report.details[check] = "violated"
+        report.counterexamples.append({"check": check, field: value, "tol": tol})
+
+
 def verify_product_structure(r1, r2, tol=1e-9):
     """Check the adapted-basis block structure of a product operator.
 
@@ -130,11 +139,9 @@ def verify_product_structure(r1, r2, tol=1e-9):
         raise InvalidInputError(f"tolerance must be positive and finite, got {tol}")
     n1, n2 = r1.dim, r2.dim
     _check_total_dim(n1 + n2)
-    b1 = standard_basis(n1) if n1 >= 2 else empty_basis(n1)
-    b2 = standard_basis(n2) if n2 >= 2 else empty_basis(n2)
-    adapted = product_adapted_basis(n1, n2, b1, b2)
     r = product(r1, r2)
-    mat = operator_matrix(r, adapted)
+    mat = operator_matrix(r, product_adapted_basis(n1, n2))
+    n1_count, n2_count = sym2_dim(n1), sym2_dim(n2)
 
     report = HarnessReport(
         harness="product-structure",
@@ -143,15 +150,9 @@ def verify_product_structure(r1, r2, tol=1e-9):
     )
 
     # the n1 n2 >= 1 mixed rows sit between the factor blocks and zeta
-    xi_norm = float(np.linalg.norm(mat[b1.count + b2.count:-1], axis=1).max())
+    xi_norm = float(np.linalg.norm(mat[n1_count + n2_count:-1], axis=1).max())
     report.details["xi_row_max_norm"] = xi_norm
-    if xi_norm <= tol:
-        report.details["xi_block"] = "consistent"
-    else:
-        report.details["xi_block"] = "violated"
-        report.counterexamples.append(
-            {"check": "xi_block", "max_row_norm": xi_norm, "tol": tol}
-        )
+    _record_check(report, "xi_block", "max_row_norm", xi_norm, tol)
 
     rho1 = einstein_constant(r1)
     rho2 = einstein_constant(r2)
@@ -161,27 +162,18 @@ def verify_product_structure(r1, r2, tol=1e-9):
         report.details["spectrum_multiset"] = "not-applicable"
         return report.finalize()
 
-    n1_count, n2_count = b1.count, b2.count
     zeta_expected = -(n2 * rho1 + n1 * rho2) / (n1 + n2)
     expected = np.zeros_like(mat)
-    if n1_count:
-        expected[:n1_count, :n1_count] = operator_matrix(r1, b1)
-    if n2_count:
-        expected[n1_count:n1_count + n2_count, n1_count:n1_count + n2_count] = (
-            operator_matrix(r2, b2)
-        )
+    for factor, start, stop in ((r1, 0, n1_count), (r2, n1_count, n1_count + n2_count)):
+        if stop > start:
+            expected[start:stop, start:stop] = operator_matrix(
+                factor, standard_basis(factor.dim))
     expected[-1, -1] = zeta_expected
     block_dev = float(np.abs(mat - expected).max())
     report.details["zeta_entry"] = float(mat[-1, -1])
     report.details["zeta_expected"] = zeta_expected
     report.details["block_max_deviation"] = block_dev
-    if block_dev <= tol:
-        report.details["einstein_blocks"] = "consistent"
-    else:
-        report.details["einstein_blocks"] = "violated"
-        report.counterexamples.append(
-            {"check": "einstein_blocks", "max_deviation": block_dev, "tol": tol}
-        )
+    _record_check(report, "einstein_blocks", "max_deviation", block_dev, tol)
 
     predicted = np.sort(np.concatenate([
         _factor_spectrum_values(r1),
@@ -192,13 +184,7 @@ def verify_product_structure(r1, r2, tol=1e-9):
     computed = spectrum(r).eigenvalues
     multiset_dev = float(np.abs(computed - predicted).max())
     report.details["spectrum_max_deviation"] = multiset_dev
-    if multiset_dev <= tol:
-        report.details["spectrum_multiset"] = "consistent"
-    else:
-        report.details["spectrum_multiset"] = "violated"
-        report.counterexamples.append(
-            {"check": "spectrum_multiset", "max_deviation": multiset_dev, "tol": tol}
-        )
+    _record_check(report, "spectrum_multiset", "max_deviation", multiset_dev, tol)
     return report.finalize()
 
 
@@ -234,8 +220,8 @@ class _Family:
 
     ``dims`` gives the dimensions of the curved factors. A family with one
     curved factor is the line: its product takes the flat line R as second
-    factor, each sample draws one seed, and its model check reads the
-    nonpositive dual by its threshold.
+    factor, each sample draws one seed, and its model check reports the
+    threshold of the negated model, which is the model threshold itself.
 
     A ``sharp`` constant is the model threshold itself: the model check
     asserts it, a classified probe below it is a counterexample, and the
@@ -353,9 +339,10 @@ def _probe(details, s, probe, tol):
 
 def _check_model(report, family, params, alpha, tol):
     """Solve the unit-curvature model once and take every model verdict from
-    its spectrum; the negatively curved model is bitwise its negation."""
+    its spectrum; the negatively curved model is bitwise its negation, so it
+    is nonpositive exactly when the model is nonnegative, at the same
+    threshold."""
     s = spectrum(_model(family, params, (1.0, 1.0)))
-    dual = negate_spectrum(s)
     thr = nonneg_threshold(s)
     details = report.details
     details["model_threshold"] = thr
@@ -366,12 +353,9 @@ def _check_model(report, family, params, alpha, tol):
         and abs(details["model_alpha_sum"]) <= 1e-12
     )
     if len(family.dims(params)) == 1:  # the line
-        thr_neg = nonpos_threshold(dual)
-        details["model_threshold_nonpositive_dual"] = thr_neg
-        ok = ok and thr_neg is not None and abs(thr_neg - alpha) <= tol
+        details["model_threshold_nonpositive_dual"] = thr
     else:
-        ok = (ok and verdict(s, alpha, tol) == VERDICT_NONNEGATIVE
-              and verdict(dual, alpha, tol) == VERDICT_NONPOSITIVE)
+        ok = ok and verdict(s, alpha, tol) == VERDICT_NONNEGATIVE
     # below the constant the non-flat model should classify as neither
     probe = family.probe(alpha, thr, tol)
     if family.sharp and probe is not None:
@@ -455,14 +439,14 @@ def _sweep(report, family, params, alpha, grid, tol):
     """Classify the space-form products over the grid: the positive family
     should be nonnegative, and the negative one nonpositive, exactly when
     the two curvatures are equal; each disagreement is a finding. Each grid
-    point is solved once: the negative model is bitwise the negation of the
-    positive one."""
+    point is solved and classified once: the negative model is bitwise the
+    negation of the positive one, so its verdict is the negated verdict."""
     for k1 in grid:
         for k2 in grid:
-            s = spectrum(_model(family, params, (k1, k2)))
-            for name, spec, expected in (("positive", s, VERDICT_NONNEGATIVE),
-                                         ("negative", negate_spectrum(s), VERDICT_NONPOSITIVE)):
-                v = verdict(spec, alpha, tol)
+            positive = verdict(spectrum(_model(family, params, (k1, k2))), alpha, tol)
+            for name, v, expected in (("positive", positive, VERDICT_NONNEGATIVE),
+                                      ("negative", NEGATED_VERDICT[positive],
+                                       VERDICT_NONPOSITIVE)):
                 if (v == expected) != (k1 == k2):
                     report.findings.append({
                         "family": name, "kappa1": k1, "kappa2": k2,

@@ -5,9 +5,9 @@ basis.
 The inner product throughout is the Frobenius pairing
 ``<u, v> = sum_ij u[i, j] v[i, j]``.
 
-The product-adapted basis fixes its blocks by position, as
-``[N1 | N2 | n1 n2 | 1]``: the two factor blocks, the mixed (xi)
-directions and the trace difference (zeta); callers read a block as a
+``product_adapted_basis(n1, n2)`` fixes its blocks by position, as
+``[N1 | N2 | n1 n2 | 1]``: the standard bases of the two factors, the mixed
+(xi) directions and the trace difference (zeta); callers read a block as a
 slice.
 """
 
@@ -50,11 +50,6 @@ class Sym2Basis:
         return self.tensors.shape[0]
 
 
-def empty_basis(dim):
-    """The basis of the zero space; used for dimension-1 factors."""
-    return Sym2Basis(dim, np.zeros((0, dim, dim)))
-
-
 @lru_cache(maxsize=32)
 def standard_basis(n):
     """Orthonormal basis of the traceless symmetric two-tensors on R^n.
@@ -85,25 +80,22 @@ def _embed(tensor, n, offset):
     return out
 
 
-def product_adapted_basis(n1, n2, b1, b2):
+def product_adapted_basis(n1, n2):
     """Basis of the product space in the layout ``[N1 | N2 | n1 n2 | 1]``
     with ``Ni = sym2_dim(ni)``; callers slice its blocks by position.
 
-    First ``b1`` and ``b2``, zero-extended into their diagonal blocks; then
-    the mixed (xi) tensors ``(1/sqrt(2)) e_p o e_q`` with p in the first
-    factor and q in the second, ordered lexicographically; last zeta, the
-    normalized trace-difference ``(n2 g1 - n1 g2) / sqrt(n1 n2 (n1 + n2))``.
+    First the standard bases of the two factors, zero-extended into their
+    diagonal blocks (a factor of dimension 1 has none); then the mixed (xi)
+    tensors ``(1/sqrt(2)) e_p o e_q`` with p in the first factor and q in
+    the second, ordered lexicographically; last zeta, the normalized
+    trace-difference ``(n2 g1 - n1 g2) / sqrt(n1 n2 (n1 + n2))``.
     """
     if n1 < 1 or n2 < 1:
         raise InvalidInputError("factor dimensions must be positive")
-    if b1.dim != n1 or b2.dim != n2:
-        raise InvalidInputError("factor basis dimensions do not match n1, n2")
-    if b1.count != sym2_dim(n1) or b2.count != sym2_dim(n2):
-        raise InvalidInputError("factor bases must span the factor traceless tensors")
     n = n1 + n2
     e = np.eye(n)
-    tensors = [_embed(t, n, 0) for t in b1.tensors]
-    tensors += [_embed(t, n, n1) for t in b2.tensors]
+    tensors = [_embed(t, n, offset) for d, offset in ((n1, 0), (n2, n1)) if d >= 2
+               for t in standard_basis(d).tensors]
     for p in range(n1):
         for q in range(n1, n):
             tensors.append(sym_product(e[p], e[q]) / np.sqrt(2.0))

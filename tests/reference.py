@@ -15,12 +15,17 @@ None of these runs in ``secondkind`` itself:
   of ``curvature`` times the curvature must equal them bitwise.
 * ``cluster_spectrum_loop`` is clustering as one Python loop over the
   gaps; ``numerics.cluster_spectrum`` must return its clusters bit for bit.
+* ``spectrum_from_eigenvalues`` and ``negate_spectrum`` build a spectrum
+  from given eigenvalues by sorting and clustering them; the negated
+  tensor's verdict and threshold, which ``operator2k`` reads off the
+  tensor's own eigenvalues, must equal those of ``negate_spectrum``.
 """
 
 import numpy as np
 
 from secondkind.errors import ConvergenceError, InvalidInputError
-from secondkind.numerics import CLUSTER_REL_TOL, _checked_symmetric
+from secondkind.numerics import CLUSTER_REL_TOL, _checked_symmetric, cluster_spectrum
+from secondkind.operator2k import Spectrum
 from secondkind.sym2 import Sym2Basis, sym_product
 
 JACOBI_REL_TOL = 1e-13
@@ -194,3 +199,15 @@ def cluster_spectrum_loop(values):
             clusters.append((sum(chunk) / len(chunk), len(chunk)))
             start = i
     return clusters
+
+
+def spectrum_from_eigenvalues(n, values):
+    """Spectrum of ambient dimension ``n`` with the given eigenvalues,
+    sorted and clustered."""
+    w = np.sort(np.asarray(list(values), dtype=float))
+    return Spectrum(n=n, eigenvalues=w, clusters=tuple(cluster_spectrum(w)))
+
+
+def negate_spectrum(s):
+    """Spectrum of the negated tensor: eigenvalues flipped and re-sorted."""
+    return spectrum_from_eigenvalues(s.n, -s.eigenvalues)

@@ -27,13 +27,14 @@ from secondkind.operator2k import (
     alpha_sum,
     bruteforce_min_alpha_sum,
     classify,
-    negate_spectrum,
     nonneg_threshold,
     operator_matrix,
     spectrum,
 )
 from secondkind.rigidity import a_const, b_const, check_rigidity, f_lemma
-from secondkind.sym2 import product_adapted_basis, standard_basis, sym2_dim
+from secondkind.sym2 import product_adapted_basis, sym2_dim
+
+from reference import negate_spectrum
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -130,7 +131,7 @@ def test_criterion_03_mixed_block_kernel():
         n2 = int(rng.integers(2, 5))
         r1 = random_curvature(n1, int(rng.integers(0, 2 ** 63)))
         r2 = random_curvature(n2, int(rng.integers(0, 2 ** 63)))
-        basis = product_adapted_basis(n1, n2, standard_basis(n1), standard_basis(n2))
+        basis = product_adapted_basis(n1, n2)
         mat = operator_matrix(product(r1, r2), basis)
         # layout [N1 | N2 | n1 n2 | 1]: the mixed rows sit before zeta
         xi_rows = mat[sym2_dim(n1) + sym2_dim(n2):-1]

@@ -36,6 +36,17 @@ class Text(str):
     pass
 
 
+def nested_products(depth, leaf='{"kind": "euclidean", "dim": 1}'):
+    """JSON text of ``depth`` two-factor products, each the first factor of
+    the next, around ``leaf``, with a flat line as every other factor; built
+    as text, since ``json.dumps`` may run out of stack at a few hundred
+    levels."""
+    text = leaf
+    for _ in range(depth):
+        text = f'{{"kind": "product", "factors": [{text}, {{"kind": "euclidean", "dim": 1}}]}}'
+    return text
+
+
 def run_cli(args, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "secondkind", *args],
@@ -441,6 +452,32 @@ class TestCliCommands:
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: ") and "exceeds the limit" in proc.stderr
+
+    @pytest.mark.parametrize("depth,message", [
+        (32, "$.factors: total dimension 33 exceeds the limit 32"),
+        (40, "$: products nested more than 32 levels deep exceed the total dimension limit 32"),
+        (300, "$: products nested more than 32 levels deep exceed the total dimension limit 32"),
+        (490, "$: products nested more than 32 levels deep exceed the total dimension limit 32"),
+    ])
+    def test_nested_products_exit_2_one_short_line(self, tmp_path, depth, message):
+        # the error path once grew by ".factors[0]" per level: 3006 bytes at
+        # 300; a fresh process, since a test's deeper stack leaves the JSON
+        # decoder fewer levels than the command has
+        bad = tmp_path / "nested.json"
+        bad.write_text(nested_products(depth))
+        proc = run_cli(["spectrum", str(bad)])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {message}\n"
+        assert len(proc.stderr.encode()) <= 200
+
+    def test_products_nested_32_levels_are_descended(self):
+        # a leaf error under 32 products keeps its full path
+        with pytest.raises(DescriptorError) as info:
+            parse_descriptor(nested_products(32, '{"kind": "euclidean", "dim": 0}'))
+        assert str(info.value) == (
+            "$" + ".factors[0]" * 32 + ".dim: euclidean dimension must be at least 1")
+        assert parse_descriptor(nested_products(31)).dim == MAX_DIM
 
     @pytest.mark.parametrize("text", [
         '{"kind":"cp","m":2,"kappa":1e308}',

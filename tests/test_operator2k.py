@@ -23,26 +23,31 @@ from secondkind import numerics, operator2k
 from secondkind.errors import InvalidInputError
 from secondkind.rigidity import f_lemma
 from secondkind.operator2k import (
+    CLASSIFY_TOL,
+    NEGATED_VERDICT,
     alpha_sum,
     bruteforce_min_alpha_sum,
     classify,
-    negate_spectrum,
     nonneg_threshold,
     nonpos_threshold,
     operator_matrix,
     spectrum,
-    spectrum_from_eigenvalues,
     verdict,
     weighted_partial_sums,
 )
 from secondkind.sym2 import (
-    empty_basis,
     product_adapted_basis,
     standard_basis,
+    sym2_dim,
     sym_product,
 )
 
-from reference import kahler_basis, operator_matrix_einsum
+from reference import (
+    kahler_basis,
+    negate_spectrum,
+    operator_matrix_einsum,
+    spectrum_from_eigenvalues,
+)
 
 
 def clusters_match(clusters, expected, tol=1e-9):
@@ -114,8 +119,7 @@ class TestOperatorMatrix:
     def test_product_bases_bitwise_equal_einsum(self, make, n1, n2):
         r1, r2 = make()
         r = product(r1, r2)
-        factor = [standard_basis(k) if k >= 2 else empty_basis(k) for k in (n1, n2)]
-        for basis in (product_adapted_basis(n1, n2, *factor), standard_basis(n1 + n2)):
+        for basis in (product_adapted_basis(n1, n2), standard_basis(n1 + n2)):
             assert np.array_equal(operator_matrix(r, basis), operator_matrix_einsum(r, basis))
 
 
@@ -274,6 +278,44 @@ class TestThresholds:
         assert alpha_sum(s, thr - 1e-6) < 0
 
 
+# signed zeros, values at and next to the classification tolerance, and
+# repeats of a few values, so that ties and zeros of both signs are common
+_EDGE_VALUES = st.sampled_from([
+    -0.0, 0.0, CLASSIFY_TOL, -CLASSIFY_TOL, 2 * CLASSIFY_TOL, -2 * CLASSIFY_TOL,
+    0.5 * CLASSIFY_TOL, -0.5 * CLASSIFY_TOL, 1.0, -1.0, 0.25, -0.25, 3.0, -3.0,
+])
+_VALUES = st.one_of(_EDGE_VALUES, st.floats(-4.0, 4.0, allow_subnormal=False))
+
+
+@st.composite
+def edge_spectra(draw):
+    n = draw(st.integers(2, 4))
+    values = draw(st.lists(_VALUES, min_size=sym2_dim(n), max_size=sym2_dim(n)))
+    return spectrum_from_eigenvalues(n, values)
+
+
+class TestNegatedReadings:
+    """The negated tensor's verdict and threshold, read off the tensor's own
+    eigenvalues, against the sorted and re-clustered negation."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(s=edge_spectra(), fraction=st.floats(0.0, 1.0),
+           tol=st.sampled_from([0.0, CLASSIFY_TOL]))
+    def test_mapped_verdict_and_threshold_equal_reference_negation(self, s, fraction, tol):
+        neg = negate_spectrum(s)
+        alpha = 1.0 + fraction * (s.N - 1)
+        assert NEGATED_VERDICT[verdict(s, alpha, tol)] == verdict(neg, alpha, tol)
+        got, expected = nonpos_threshold(s), nonneg_threshold(neg)
+        if expected is None:
+            assert got is None
+        else:
+            assert type(got) is float and got.hex() == expected.hex()
+
+    def test_mapping_swaps_the_signs_and_keeps_both_and_neither(self):
+        assert NEGATED_VERDICT == {"nonnegative": "nonpositive", "nonpositive": "nonnegative",
+                                   "both": "both", "neither": "neither"}
+
+
 class TestBruteforceOracle:
     def test_eigenbasis_sample_matches_alpha_sum(self):
         r = random_curvature(4, seed=12)
@@ -408,7 +450,7 @@ class TestProductBlockStructure:
     def test_xi_rows_vanish_for_arbitrary_factors(self):
         r1 = random_curvature(3, seed=31)
         r2 = random_curvature(2, seed=32)
-        basis = product_adapted_basis(3, 2, standard_basis(3), standard_basis(2))
+        basis = product_adapted_basis(3, 2)
         mat = operator_matrix(product(r1, r2), basis)
         # layout [5 | 2 | 6 | 1]: the mixed rows are 7..12
         assert np.abs(mat[7:-1]).max() <= 1e-12
@@ -417,7 +459,7 @@ class TestProductBlockStructure:
         r1 = space_form(3, 2.0)          # rho = 4
         r2, _ = kahler_space_form(1, 1.0)  # rho = 4
         rho1, rho2 = einstein_constant(r1), einstein_constant(r2)
-        basis = product_adapted_basis(3, 2, standard_basis(3), standard_basis(2))
+        basis = product_adapted_basis(3, 2)
         mat = operator_matrix(product(r1, r2), basis)
         off = mat.copy()
         off[:5, :5] = 0.0

@@ -8,10 +8,10 @@ import secondkind
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-# the README's Library example, plus b_const for scripts/threshold_scan.py
+# the README's Library example
 PUBLIC_NAMES = {
     "space_form", "kahler_space_form", "flat_tensor", "product",
-    "spectrum", "classify", "verdict", "nonneg_threshold", "a_const", "b_const",
+    "spectrum", "classify", "verdict", "nonneg_threshold", "a_const",
 }
 
 
@@ -41,3 +41,10 @@ def test_readme_library_example_runs_as_commented():
     assert '# "nonnegative"' in code
     assert namespace["classify"](namespace["line"], 4.5) == "nonnegative"
     assert namespace["verdict"](s, 4.5) == "nonnegative"
+
+
+def test_readme_library_imports_exactly_the_namespace():
+    imported = re.search(r"from secondkind import \((.*?)\)", library_block(), re.S).group(1)
+    assert {name.strip() for name in imported.split(",") if name.strip()} == PUBLIC_NAMES
+    assert re.search(r"The\s+nine\s+names\s+above\s+are\s+the\s+package\s+namespace\.",
+                     README.read_text())

@@ -48,6 +48,14 @@ class TestConstants:
         assert b_const(2, 2) == pytest.approx(29.0)
         assert b_const(2, 1) == pytest.approx(97.0 / 6.0, abs=1e-12)
 
+    @pytest.mark.parametrize("m1", [1, 2, 3])
+    @pytest.mark.parametrize("m2", [1, 2, 3])
+    def test_b_sits_three_halves_above_the_kahler_model_threshold(self, m1, m2):
+        # measured in floats; the constant exceeds the computed threshold
+        s = operator2k.spectrum(product(kahler_space_form(m1, 1.0)[0],
+                                        kahler_space_form(m2, 1.0)[0]))
+        assert b_const(m1, m2) - operator2k.nonneg_threshold(s) == pytest.approx(1.5, abs=1e-9)
+
     def test_reject_nonpositive_dims(self):
         with pytest.raises(InvalidInputError):
             a_const(0, 2)
@@ -217,17 +225,32 @@ class TestCheckRigidity:
         assert report.samples_run == 2 * len(grid) ** 2
         assert len(calls) == len(grid) ** 2
 
+    @pytest.mark.parametrize("case", ["iff-spheres", "iff-kahler"])
+    def test_sweep_clusters_each_grid_point_once(self, case, monkeypatch):
+        # the negative family's verdict is mapped from the positive one,
+        # with no second, negated spectrum to sort and cluster
+        real = operator2k.cluster_spectrum
+        calls = []
+
+        def counting(values):
+            calls.append(len(values))
+            return real(values)
+
+        monkeypatch.setattr(operator2k, "cluster_spectrum", counting)
+        check_rigidity(case, {"grid": [0.5, 1.0, 2.0]})
+        assert len(calls) == 9
+
     @pytest.mark.parametrize("factor,d1,d2,alpha", [
         (space_form, 2, 3, a_const(2, 3)),
         (lambda m, k: kahler_space_form(m, k)[0], 1, 2, b_const(1, 2)),
     ], ids=["spheres", "kahler"])
     def test_negated_spectrum_verdict_matches_negative_model(self, factor, d1, d2, alpha):
         # the identity the sweep rests on: H(k1) x H(k2) classifies as the
-        # negation of S(k1) x S(k2), without a second solve
+        # mapped verdict of S(k1) x S(k2), without a second solve
         for k1 in (0.5, 1.0, 2.0):
             for k2 in (0.5, 1.0, 2.0):
                 s = operator2k.spectrum(product(factor(d1, k1), factor(d2, k2)))
-                negated = operator2k.verdict(operator2k.negate_spectrum(s), alpha)
+                negated = operator2k.NEGATED_VERDICT[operator2k.verdict(s, alpha)]
                 assert negated == operator2k.classify(product(factor(d1, -k1), factor(d2, -k2)),
                                                       alpha)
 

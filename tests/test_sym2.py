@@ -4,7 +4,6 @@ import pytest
 from secondkind.curvature import standard_complex_structure
 from secondkind.errors import InvalidInputError
 from secondkind.sym2 import (
-    empty_basis,
     product_adapted_basis,
     standard_basis,
     sym2_dim,
@@ -82,7 +81,7 @@ def layout(n1, n2):
 
 class TestProductAdaptedBasis:
     def test_counts_2x2(self):
-        basis = product_adapted_basis(2, 2, standard_basis(2), standard_basis(2))
+        basis = product_adapted_basis(2, 2)
         roles = block_roles(basis, 2)
         assert roles.count("factor1") == 2
         assert roles.count("factor2") == 2
@@ -92,22 +91,20 @@ class TestProductAdaptedBasis:
         assert basis.count == 9
 
     def test_counts_3x1(self):
-        basis = product_adapted_basis(3, 1, standard_basis(3), empty_basis(1))
+        basis = product_adapted_basis(3, 1)
         roles = block_roles(basis, 3)
         assert (roles.count("factor1"), roles.count("factor2"),
                 roles.count("xi"), roles.count("zeta")) == (5, 0, 3, 1)
         assert roles == layout(3, 1)
 
     def test_zeta_entries_2x2(self):
-        basis = product_adapted_basis(2, 2, standard_basis(2), standard_basis(2))
+        basis = product_adapted_basis(2, 2)
         zeta = basis.tensors[-1]
         np.testing.assert_allclose(zeta, np.diag([1.0, 1.0, -1.0, -1.0]) / 2.0, atol=1e-15)
 
     @pytest.mark.parametrize("n1,n2", [(2, 2), (2, 3), (3, 1), (1, 4), (4, 3)])
     def test_orthonormal_and_partition(self, n1, n2):
-        b1 = standard_basis(n1) if n1 >= 2 else empty_basis(n1)
-        b2 = standard_basis(n2) if n2 >= 2 else empty_basis(n2)
-        basis = product_adapted_basis(n1, n2, b1, b2)
+        basis = product_adapted_basis(n1, n2)
         assert_orthonormal_traceless(basis)
         roles = block_roles(basis, n1)
         assert roles.count("factor1") == sym2_dim(n1)
@@ -119,21 +116,22 @@ class TestProductAdaptedBasis:
 
     def test_factor_ordering_and_extension(self):
         b1, b2 = standard_basis(2), standard_basis(3)
-        basis = product_adapted_basis(2, 3, b1, b2)
-        # zero-extended factor tensors keep their block and vanish elsewhere
+        basis = product_adapted_basis(2, 3)
+        # the factors' standard tensors, zero-extended, keep their block and
+        # vanish elsewhere
         for a in range(b1.count):
             t = basis.tensors[a]
             assert np.array_equal(t[:2, :2], b1.tensors[a])
             assert np.abs(t[2:, :]).max() == 0.0
+        for a in range(b2.count):
+            t = basis.tensors[b1.count + a]
+            assert np.array_equal(t[2:, 2:], b2.tensors[a])
+            assert np.abs(t[:2, :]).max() == 0.0 and np.abs(t[:, :2]).max() == 0.0
 
-    def test_rejects_dim_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            product_adapted_basis(2, 3, standard_basis(2), standard_basis(2))
-
-    def test_rejects_partial_factor_basis(self):
-        partial = empty_basis(2)
-        with pytest.raises(InvalidInputError):
-            product_adapted_basis(2, 2, partial, standard_basis(2))
+    @pytest.mark.parametrize("n1,n2", [(0, 2), (2, 0), (-1, 3)])
+    def test_rejects_nonpositive_factor_dims(self, n1, n2):
+        with pytest.raises(InvalidInputError, match="factor dimensions must be positive"):
+            product_adapted_basis(n1, n2)
 
 
 class TestKahlerBasis:
