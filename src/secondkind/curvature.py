@@ -2,8 +2,11 @@
 structure detectors, and seeded random generation. A tensor is checked once,
 when ``CurvatureTensor`` makes it from numbers; products and negations of
 checked tensors hold every identity exactly and are not checked again.
-Components, the cached standard J and the cached unit model tensors are
-read-only.
+The one complex structure is the standard J of ``standard_complex_structure``:
+any orthogonal complex structure on R^{2m} is an orthogonal change of frame
+away from it, which changes no spectrum, so the Kahler model, its detector
+and the random Kahler tensors all use it. Components, the cached J matrices
+and the cached unit model tensors are read-only.
 
 Sign convention: ``R[i, j, i, j]`` is the sectional curvature of the
 coordinate plane spanned by ``e_i`` and ``e_j``; the Ricci contraction
@@ -77,46 +80,18 @@ def _valid(components):
     return tensor
 
 
-@dataclass(frozen=True)
-class ComplexStructure:
-    """Orthogonal endomorphism squaring to minus the identity."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        j = np.array(self.matrix, dtype=float, order="C")
-        if j.ndim != 2 or j.shape[0] != j.shape[1]:
-            raise InvalidInputError(f"expected a square matrix, got shape {j.shape}")
-        n = j.shape[0]
-        if n % 2 != 0 or n == 0:
-            raise InvalidInputError("a complex structure needs even positive dimension")
-        eye = np.eye(n)
-        if float(np.abs(j @ j + eye).max()) > SYMMETRY_TOL:
-            raise InvalidInputError("matrix does not square to minus the identity")
-        if float(np.abs(j.T @ j - eye).max()) > SYMMETRY_TOL:
-            raise InvalidInputError("matrix is not orthogonal")
-        j.flags.writeable = False
-        object.__setattr__(self, "matrix", j)
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
-    @property
-    def m(self):
-        return self.matrix.shape[0] // 2
-
-
 @lru_cache(maxsize=32)
 def standard_complex_structure(m):
-    """J sending e_i to e_{m+i} and e_{m+i} to -e_i (0-based i < m); one per m."""
+    """Read-only matrix of the complex structure J on R^{2m}, sending e_i to
+    e_{m+i} and e_{m+i} to -e_i (0-based i < m); one per m."""
     if m < 1:
         raise InvalidInputError("complex dimension must be at least 1")
     j = np.zeros((2 * m, 2 * m))
     for i in range(m):
         j[m + i, i] = 1.0
         j[i, m + i] = -1.0
-    return ComplexStructure(j)
+    j.flags.writeable = False
+    return j
 
 
 @lru_cache(maxsize=8)
@@ -145,47 +120,30 @@ def flat_tensor(n):
     return CurvatureTensor(np.zeros((n, n, n, n)))
 
 
-def _kahler_unit(jm):
-    """Components of the complex space form of holomorphic curvature 4
-    adapted to the matrix ``jm``: the unit space form's two terms, then the
-    ki,lj / li,kj / ji,lk terms as transposed views of one outer product.
+@lru_cache(maxsize=8)
+def _unit_kahler_space_form(m):
+    """Read-only components of the complex space form of holomorphic
+    curvature 4 and complex dimension m, an exact 0/+-1/+-2 pattern built
+    once per m: the unit space form's two terms, then the ki,lj / li,kj /
+    ji,lk terms of the standard J as transposed views of one outer product.
     Each entry of a term is one product of two factors, so the terms equal
     the einsums bitwise."""
+    jm = standard_complex_structure(m)
     jj = np.multiply.outer(jm, jm)
-    return (
-        _unit_space_form(jm.shape[0])
+    unit = (
+        _unit_space_form(2 * m)
         + jj.transpose(1, 3, 0, 2)
         - jj.transpose(1, 3, 2, 0)
         + 2.0 * jj.transpose(1, 0, 3, 2)
     )
-
-
-@lru_cache(maxsize=8)
-def _unit_kahler_space_form(m):
-    """Read-only ``_kahler_unit`` of the standard J of complex dimension m:
-    an exact 0/+-1/+-2 pattern, built once per m."""
-    unit = _kahler_unit(standard_complex_structure(m).matrix)
     unit.flags.writeable = False
     return unit
 
 
-def kahler_model_tensor(j, kappa):
-    """Constant holomorphic sectional curvature ``4 * kappa`` adapted to j."""
-    if j is standard_complex_structure(j.m):
-        return CurvatureTensor(float(kappa) * _unit_kahler_space_form(j.m))
-    return CurvatureTensor(float(kappa) * _kahler_unit(j.matrix))
-
-
 def kahler_space_form(m, kappa):
-    """Complex space form of complex dimension m, holomorphic curvature 4*kappa.
-
-    Returns the curvature tensor together with the standard complex
-    structure it is adapted to.
-    """
-    if m < 1:
-        raise InvalidInputError("complex dimension must be at least 1")
-    j = standard_complex_structure(m)
-    return CurvatureTensor(float(kappa) * _unit_kahler_space_form(m)), j
+    """Complex space form of complex dimension m, holomorphic curvature
+    4*kappa, adapted to the standard J."""
+    return CurvatureTensor(float(kappa) * _unit_kahler_space_form(m))
 
 
 def product(*factors):
@@ -241,16 +199,14 @@ def constant_sectional(r):
     return None
 
 
-def constant_holomorphic(r, j):
+def constant_holomorphic(r):
     """Return the holomorphic sectional curvature c when r is the complex
-    space form adapted to j, else None."""
-    if j.dim != r.dim:
-        raise InvalidInputError(
-            f"dimension mismatch: tensor has dim {r.dim}, complex structure {j.dim}"
-        )
-    m = j.m
+    space form of the standard J, else None."""
+    if r.dim % 2:
+        raise InvalidInputError(f"a complex space form needs even dimension, got {r.dim}")
+    m = r.dim // 2
     c = 4.0 * scalar(r) / (2 * m * (2 * m + 2))
-    dev = float(np.abs(r.components - kahler_model_tensor(j, c / 4.0).components).max())
+    dev = float(np.abs(r.components - kahler_space_form(m, c / 4.0).components).max())
     if dev <= DETECTOR_TOL * max(1.0, float(np.abs(r.components).max())):
         return c
     return None
@@ -311,13 +267,11 @@ def _kahler_part(t, jm):
 
 
 def random_kahler_curvature(m, seed):
-    """Seeded random curvature tensor invariant under the standard J, returned
-    with J: one Gaussian draw, made pair-symmetric and projected by ``_kahler_part``."""
-    if m < 1:
-        raise InvalidInputError("complex dimension must be at least 1")
-    j = standard_complex_structure(m)
+    """Seeded random curvature tensor invariant under the standard J: one
+    Gaussian draw, made pair-symmetric and projected by ``_kahler_part``."""
+    jm = standard_complex_structure(m)
     t = seeded_stream(seed).standard_normal((2 * m,) * 4)
     t = (t - t.transpose(1, 0, 2, 3)) / 2.0
     t = (t - t.transpose(0, 1, 3, 2)) / 2.0
     t = (t + t.transpose(2, 3, 0, 1)) / 2.0
-    return CurvatureTensor(_kahler_part(t, j.matrix)), j
+    return CurvatureTensor(_kahler_part(t, jm))

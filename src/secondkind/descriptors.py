@@ -220,7 +220,7 @@ def build_tensor(desc):
         if not leaf.sign:
             return flat_tensor(desc.dim)
         if leaf.size == "m":
-            return kahler_space_form(desc.m, leaf.sign * desc.kappa)[0]
+            return kahler_space_form(desc.m, leaf.sign * desc.kappa)
         return space_form(desc.dim, leaf.sign * desc.kappa)
     if desc.kind == "product":
         return product(*(build_tensor(f) for f in desc.factors))

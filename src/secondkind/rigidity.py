@@ -43,7 +43,6 @@ from .operator2k import (
     operator_matrix,
     spectrum,
     verdict,
-    weighted_partial_sums,
 )
 from .sym2 import product_adapted_basis, standard_basis, sym2_dim
 
@@ -64,19 +63,6 @@ def b_const(m1, m2):
     if m1 < 1 or m2 < 1:
         raise InvalidInputError("complex factor dimensions must be positive")
     return 4.0 * m1 * m2 + 1.5 * (m1 * m1 + m2 * m2) + (m1 * m2) / (m1 + m2)
-
-
-def f_lemma(values, x):
-    """Weighted partial sum of the x smallest values of a multiset.
-
-    On the ascending sort, sums the first floor(x) entries plus the
-    fractional remainder times the next one; bounded above by x times the
-    mean, with equality below the full count only for constant multisets.
-    """
-    vals = np.sort(np.asarray(list(values), dtype=float))
-    if len(vals) == 0:
-        raise InvalidInputError("the multiset must be nonempty")
-    return float(weighted_partial_sums(vals, x))
 
 
 @dataclass
@@ -103,6 +89,11 @@ class HarnessReport:
 
     def to_dict(self):
         return asdict(self)
+
+
+def _check_tol(tol):
+    if not 0.0 < tol < math.inf:  # also false for NaN
+        raise InvalidInputError(f"tolerance must be positive and finite, got {tol}")
 
 
 def _check_total_dim(n):
@@ -135,8 +126,7 @@ def verify_product_structure(r1, r2, tol=1e-9):
     entry, and the multiset spectrum identity; those checks report
     not-applicable otherwise.
     """
-    if not 0.0 < tol < math.inf:  # also false for NaN
-        raise InvalidInputError(f"tolerance must be positive and finite, got {tol}")
+    _check_tol(tol)
     n1, n2 = r1.dim, r2.dim
     _check_total_dim(n1 + n2)
     r = product(r1, r2)
@@ -197,20 +187,20 @@ class _Factors:
     """
 
     model: Callable    # (dim, kappa) -> space form of that curvature
-    random: Callable   # (dim, seed) -> (random tensor, its complex structure or None)
-    detect: Callable   # (tensor, structure) -> its constant curvature, or None
+    random: Callable   # (dim, seed) -> seeded random tensor of that kind
+    detect: Callable   # tensor -> its constant (sectional or holomorphic) curvature, or None
 
 
 _REAL = _Factors(
     model=lambda n, kappa: space_form(n, kappa),
-    random=lambda n, seed: (random_curvature(n, seed), None),
-    detect=lambda r, j: constant_sectional(r),
+    random=lambda n, seed: random_curvature(n, seed),
+    detect=lambda r: constant_sectional(r),
 )
 
 _COMPLEX = _Factors(
-    model=lambda m, kappa: kahler_space_form(m, kappa)[0],
+    model=lambda m, kappa: kahler_space_form(m, kappa),
     random=lambda m, seed: random_kahler_curvature(m, seed),
-    detect=lambda r, j: constant_holomorphic(r, j),
+    detect=lambda r: constant_holomorphic(r),
 )
 
 
@@ -291,8 +281,7 @@ def check_rigidity(case, params=None, seed=0, samples=200, tol=1e-9):
     Cases: ``line`` (one flat direction), ``product-spheres``,
     ``product-kahler``, ``iff-spheres``, ``iff-kahler``.
     """
-    if not 0.0 < tol < math.inf:  # also false for NaN
-        raise InvalidInputError(f"tolerance must be positive and finite, got {tol}")
+    _check_tol(tol)
     if samples < 0:
         raise InvalidInputError("sample count must be nonnegative")
     if case not in _HARNESSES:
@@ -401,10 +390,10 @@ def _sample(report, family, params, alpha, seed, samples, tol):
     for idx in range(samples):
         seeds = [derived_seed(seed, width * idx + j) for j in range(width)]
         factors = [kind.random(d, s) for d, s in zip(dims, seeds)]
-        v = classify(_product([r for r, _ in factors]), alpha, tol)
+        v = classify(_product(factors), alpha, tol)
         if v == VERDICT_NEITHER:
             continue
-        constants = [kind.detect(r, j) for r, j in factors]
+        constants = [kind.detect(r) for r in factors]
         present = None not in constants
         spread = max(constants) - min(constants) if present else math.inf
         if family.sharp:

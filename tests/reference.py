@@ -7,14 +7,16 @@ None of these runs in ``secondkind`` itself:
 * ``jacobi_eigen`` is cyclic Jacobi, the accuracy reference for the LAPACK
   ``numerics.eigensolve``: Jacobi's method is more accurate than QR (Demmel
   and Veselic, SIAM J. Matrix Anal. Appl., 1992).
-* ``kahler_basis`` is the orthonormal basis of ``S^2_0`` adapted to a
-  complex structure, returned with one family label per tensor, used to
-  check the Kahler trace identities.
+* ``kahler_basis`` is the orthonormal basis of ``S^2_0`` adapted to the
+  standard complex structure, returned with one family label per tensor,
+  used to check the Kahler trace identities.
 * ``space_form_components`` and ``kahler_model_components`` build the model
   tensors' components from scratch on every call; the cached unit tensors
   of ``curvature`` times the curvature must equal them bitwise.
 * ``cluster_spectrum_loop`` is clustering as one Python loop over the
   gaps; ``numerics.cluster_spectrum`` must return its clusters bit for bit.
+* ``f_lemma`` is the weighted partial sum of a multiset's smallest values,
+  taken on a sorted copy; ``operator2k.alpha_sum`` must equal it.
 * ``spectrum_from_eigenvalues`` and ``negate_spectrum`` build a spectrum
   from given eigenvalues by sorting and clustering them; the negated
   tensor's verdict and threshold, which ``operator2k`` reads off the
@@ -23,9 +25,10 @@ None of these runs in ``secondkind`` itself:
 
 import numpy as np
 
+from secondkind.curvature import standard_complex_structure
 from secondkind.errors import ConvergenceError, InvalidInputError
 from secondkind.numerics import CLUSTER_REL_TOL, _checked_symmetric, cluster_spectrum
-from secondkind.operator2k import Spectrum
+from secondkind.operator2k import Spectrum, weighted_partial_sums
 from secondkind.sym2 import Sym2Basis, sym_product
 
 JACOBI_REL_TOL = 1e-13
@@ -112,24 +115,19 @@ def jacobi_eigen(m):
     return w[order], v[:, order]
 
 
-def kahler_basis(m, j):
+def kahler_basis(m):
     """Orthonormal basis of the traceless symmetric two-tensors on R^{2m}
-    adapted to a complex structure, and the list of its tensors' labels.
+    adapted to the standard complex structure J, and the list of its
+    tensors' labels.
 
     Families, in order: the J-anti-invariant and J-invariant combinations of
     off-diagonal symmetric products (labels ``plus``/``minus``), the 2m
     diagonal-type tensors built from e_i and J e_i (``alpha``), and the m-1
     invariant diagonal telescoping tensors (``eta``).
     """
-    if m < 1:
-        raise InvalidInputError("complex dimension must be at least 1")
-    if j.dim != 2 * m:
-        raise InvalidInputError(
-            f"complex structure dimension {j.dim} does not match 2m = {2 * m}"
-        )
     n = 2 * m
     e = np.eye(n)
-    je = (j.matrix @ e.T).T
+    je = (standard_complex_structure(m) @ e.T).T
     tensors = []
     labels = []
     for i in range(m):
@@ -199,6 +197,19 @@ def cluster_spectrum_loop(values):
             clusters.append((sum(chunk) / len(chunk), len(chunk)))
             start = i
     return clusters
+
+
+def f_lemma(values, x):
+    """Weighted partial sum of the x smallest values of a multiset.
+
+    On the ascending sort, sums the first floor(x) entries plus the
+    fractional remainder times the next one; bounded above by x times the
+    mean, with equality below the full count only for constant multisets.
+    """
+    vals = np.sort(np.asarray(list(values), dtype=float))
+    if len(vals) == 0:
+        raise InvalidInputError("the multiset must be nonempty")
+    return float(weighted_partial_sums(vals, x))
 
 
 def spectrum_from_eigenvalues(n, values):

@@ -31,10 +31,10 @@ from secondkind.operator2k import (
     operator_matrix,
     spectrum,
 )
-from secondkind.rigidity import a_const, b_const, check_rigidity, f_lemma
+from secondkind.rigidity import a_const, b_const, check_rigidity
 from secondkind.sym2 import product_adapted_basis, sym2_dim
 
-from reference import negate_spectrum
+from reference import f_lemma, negate_spectrum
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -70,7 +70,7 @@ def _random_einstein_leaf(rng):
     if kind == "kahler":
         m = int(rng.integers(1, 3))
         kappa = float(rng.uniform(0.3, 2.0)) * (1 if rng.random() < 0.7 else -1)
-        r, _ = kahler_space_form(m, kappa)
+        r = kahler_space_form(m, kappa)
         return r, 2 * (m + 1) * kappa, 2 * m
     n = int(rng.integers(1, 4))
     return flat_tensor(n), 0.0, n
@@ -89,7 +89,7 @@ def _random_einstein_factor(rng):
             r2 = space_form(n2, rho / (n2 - 1))
         else:
             m2 = int(rng.integers(1, 3))
-            r2, _ = kahler_space_form(m2, rho / (2 * (m2 + 1)))
+            r2 = kahler_space_form(m2, rho / (2 * (m2 + 1)))
         return product(r1, r2), rho
     r, rho, _ = _random_einstein_leaf(rng)
     return r, rho
@@ -213,13 +213,13 @@ def test_criterion_07_oracle_consistency():
 def test_criterion_08_trace_identity():
     tensors = [
         space_form(3, 1.0), space_form(4, -0.5), space_form(6, 2.0),
-        kahler_space_form(1, 1.0)[0], kahler_space_form(2, -1.5)[0],
-        kahler_space_form(3, 0.7)[0],
+        kahler_space_form(1, 1.0), kahler_space_form(2, -1.5),
+        kahler_space_form(3, 0.7),
         flat_tensor(4),
         product(space_form(2, 1.0), space_form(3, -1.0)),
-        product(kahler_space_form(2, 1.0)[0], flat_tensor(2)),
+        product(kahler_space_form(2, 1.0), flat_tensor(2)),
         product(space_form(3, 1.0), flat_tensor(1)),
-        random_kahler_curvature(2, seed=88)[0],
+        random_kahler_curvature(2, seed=88),
     ]
     rng = np.random.default_rng(808)
     for _ in range(100):
@@ -281,8 +281,8 @@ def test_criterion_11_kahler_product_checks():
     ok = True
     details = []
     for m1, m2 in [(1, 1), (1, 2), (2, 2)]:
-        r1, _ = kahler_space_form(m1, 1.0)
-        r2, _ = kahler_space_form(m2, 1.0)
+        r1 = kahler_space_form(m1, 1.0)
+        r2 = kahler_space_form(m2, 1.0)
         r = product(r1, r2)
         verdict = classify(r, b_const(m1, m2))
         ok = ok and verdict == "nonnegative"

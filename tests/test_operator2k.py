@@ -21,7 +21,6 @@ from secondkind.curvature import (
 import secondkind
 from secondkind import numerics, operator2k
 from secondkind.errors import InvalidInputError
-from secondkind.rigidity import f_lemma
 from secondkind.operator2k import (
     CLASSIFY_TOL,
     NEGATED_VERDICT,
@@ -43,6 +42,7 @@ from secondkind.sym2 import (
 )
 
 from reference import (
+    f_lemma,
     kahler_basis,
     negate_spectrum,
     operator_matrix_einsum,
@@ -102,10 +102,10 @@ class TestOperatorMatrix:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_kahler_basis_bitwise_equals_einsum(self, m):
-        r, j = random_kahler_curvature(m, seed=50 + m)
-        model, j_model = kahler_space_form(m, 0.5)
-        for tensor, basis in [(r, kahler_basis(m, j)[0]), (r, standard_basis(2 * m)),
-                              (model, kahler_basis(m, j_model)[0])]:
+        r = random_kahler_curvature(m, seed=50 + m)
+        model = kahler_space_form(m, 0.5)
+        for tensor, basis in [(r, kahler_basis(m)[0]), (r, standard_basis(2 * m)),
+                              (model, kahler_basis(m)[0])]:
             assert np.array_equal(operator_matrix(tensor, basis),
                                   operator_matrix_einsum(tensor, basis))
 
@@ -113,7 +113,7 @@ class TestOperatorMatrix:
         (lambda: (space_form(3, 1.0), flat_tensor(1)), 3, 1),
         (lambda: (space_form(2, 1.0), space_form(3, 0.5)), 2, 3),
         (lambda: (space_form(3, -2.0), space_form(3, -0.25)), 3, 3),
-        (lambda: (kahler_space_form(1, 1.0)[0], kahler_space_form(2, 0.5)[0]), 2, 4),
+        (lambda: (kahler_space_form(1, 1.0), kahler_space_form(2, 0.5)), 2, 4),
         (lambda: (random_curvature(3, seed=61), random_curvature(4, seed=62)), 3, 4),
     ])
     def test_product_bases_bitwise_equal_einsum(self, make, n1, n2):
@@ -129,8 +129,8 @@ class TestSpectrum:
         assert clusters_match(s.clusters, [(-7.0 / 5.0, 1), (0.0, 6), (1.0, 7)])
 
     def test_cp1_x_cp1_clusters(self):
-        r1, _ = kahler_space_form(1, 1.0)
-        r2, _ = kahler_space_form(1, 1.0)
+        r1 = kahler_space_form(1, 1.0)
+        r2 = kahler_space_form(1, 1.0)
         s = spectrum(product(r1, r2))
         assert clusters_match(s.clusters, [(-4.0, 1), (0.0, 4), (4.0, 4)])
 
@@ -145,7 +145,7 @@ class TestSpectrum:
     @pytest.mark.parametrize("make", [
         lambda: space_form(4, 1.0),
         lambda: space_form(3, -2.0),
-        lambda: kahler_space_form(2, 1.0)[0],
+        lambda: kahler_space_form(2, 1.0),
         lambda: product(space_form(2, 1.0), space_form(3, 1.0)),
         lambda: random_curvature(5, seed=8),
     ])
@@ -457,7 +457,7 @@ class TestProductBlockStructure:
 
     def test_einstein_block_diagonal_with_zeta_value(self):
         r1 = space_form(3, 2.0)          # rho = 4
-        r2, _ = kahler_space_form(1, 1.0)  # rho = 4
+        r2 = kahler_space_form(1, 1.0)  # rho = 4
         rho1, rho2 = einstein_constant(r1), einstein_constant(r2)
         basis = product_adapted_basis(3, 2)
         mat = operator_matrix(product(r1, r2), basis)
@@ -493,8 +493,8 @@ class TestKahlerFamilyTraces:
         (lambda: random_kahler_curvature(3, seed=43), 3),
     ])
     def test_invariant_family_trace_identities(self, make, m):
-        r, j = make()
-        basis, labels = kahler_basis(m, j)
+        r = make()
+        basis, labels = kahler_basis(m)
         mat = operator_matrix(r, basis)
         s = scalar(r)
         minus_eta = sum(

@@ -2,9 +2,11 @@ import re
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import secondkind
+from secondkind.curvature import CurvatureTensor
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -41,6 +43,11 @@ def test_readme_library_example_runs_as_commented():
     assert '# "nonnegative"' in code
     assert namespace["classify"](namespace["line"], 4.5) == "nonnegative"
     assert namespace["verdict"](s, 4.5) == "nonnegative"
+    assert "# CP^1 of holomorphic curvature 4: the 2-sphere space_form(2, 4.0)" in code
+    cp1 = namespace["cp1"]
+    assert isinstance(cp1, CurvatureTensor)
+    sphere = namespace["space_form"](2, 4.0)
+    assert np.abs(cp1.components - sphere.components).max() <= 1e-12
 
 
 def test_readme_library_imports_exactly_the_namespace():

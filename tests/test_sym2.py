@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from secondkind.curvature import standard_complex_structure
 from secondkind.errors import InvalidInputError
 from secondkind.sym2 import (
     product_adapted_basis,
@@ -136,14 +135,14 @@ class TestProductAdaptedBasis:
 
 class TestKahlerBasis:
     def test_counts_m1(self):
-        basis, labels = kahler_basis(1, standard_complex_structure(1))
+        basis, labels = kahler_basis(1)
         assert basis.count == 2
         assert labels.count(LABEL_ALPHA) == 2
         assert labels.count(LABEL_PLUS) == labels.count(LABEL_MINUS) == 0
         assert labels.count(LABEL_ETA) == 0
 
     def test_counts_m2(self):
-        basis, labels = kahler_basis(2, standard_complex_structure(2))
+        basis, labels = kahler_basis(2)
         assert basis.count == 9
         assert labels.count(LABEL_PLUS) == 2
         assert labels.count(LABEL_MINUS) == 2
@@ -152,19 +151,15 @@ class TestKahlerBasis:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_orthonormal_traceless(self, m):
-        basis, _ = kahler_basis(m, standard_complex_structure(m))
+        basis, _ = kahler_basis(m)
         assert_orthonormal_traceless(basis)
         assert basis.count == sym2_dim(2 * m)
 
     def test_label_family_sizes(self):
         m = 3
-        _, labels = kahler_basis(m, standard_complex_structure(m))
+        _, labels = kahler_basis(m)
         half = m * (m - 1) // 2
         assert labels.count(LABEL_PLUS) == 2 * half
         assert labels.count(LABEL_MINUS) == 2 * half
         assert labels.count(LABEL_ALPHA) == 2 * m
         assert labels.count(LABEL_ETA) == m - 1
-
-    def test_rejects_mismatched_structure(self):
-        with pytest.raises(InvalidInputError):
-            kahler_basis(2, standard_complex_structure(1))
