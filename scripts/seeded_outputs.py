@@ -24,7 +24,10 @@ with a product factor, so that the n-ary block fill is compared too; and
 ``spectrum`` over malformed descriptors, so that the parse errors of every
 kind are compared too: each model-space kind below its least size, a missing ``kappa``, a
 ``kappa`` on ``euclidean``, a bool ``m``, a product with a bad factor, and
-two-factor products nested 32, 40 and 300 levels deep.
+two-factor products nested 32, 40 and 300 levels deep; and two ``verify``
+commands given flags their harness does not read, ``line --file1
+nonexistent.json`` and ``product`` of ``descriptors/s4.json`` with itself
+with ``--n 7 --kappa-grid 1,2``.
 Each record holds the command line, the exit code, stderr, stdout parsed as
 JSON with every ``timing`` block removed, and the raw stdout text with every
 ``"seconds": <number>`` masked, so that a change in the emitted bytes shows
@@ -87,6 +90,11 @@ NARY_DESCRIPTORS = {
                                '"dim": 2, "kappa": 0.5}]}, {"kind": "hyperbolic", "dim": 3, '
                                '"kappa": 0.25}]}'),
 }
+UNREAD_FLAGS = (
+    ("verify", "line", "--file1", "nonexistent.json"),
+    ("verify", "product", "--file1", "descriptors/s4.json", "--file2", "descriptors/s4.json",
+     "--n", "7", "--kappa-grid", "1,2"),
+)
 LINE_DESCRIPTOR = "euclidean_line.json"
 LINE_TEXT = '{"kind": "euclidean", "dim": 1}'
 
@@ -158,6 +166,7 @@ def commands(tmp_dir):
         out.append(("spectrum", path))
         out += [("classify", path, "--alpha", alpha) for alpha in ALPHAS]
     out += [("spectrum", os.path.join(tmp_dir, name)) for name in MALFORMED_DESCRIPTORS]
+    out += UNREAD_FLAGS
     return out
 
 

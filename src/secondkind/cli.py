@@ -330,25 +330,29 @@ def _cmd_examples(args):
 
 
 def _cmd_verify(args):
+    # each given size, grid or file flag is a parameter, which a harness
+    # that does not read it rejects
+    params = {}
+    for key in ("n", "n1", "n2", "m1", "m2", "file1", "file2"):
+        value = getattr(args, key)
+        if value is not None:
+            params[key] = value
+    if args.kappa_grid is not None:
+        try:
+            params["grid"] = [float(t) for t in args.kappa_grid.split(",")]
+        except ValueError as exc:
+            raise DescriptorError(
+                f"--kappa-grid must be comma-separated numbers: {exc}"
+            ) from exc
     if args.harness == "product":
-        if not args.file1 or not args.file2:
+        files = [params.pop("file1", None), params.pop("file2", None)]
+        if params:
+            raise InvalidInputError(f"unexpected product parameters: {sorted(params)}")
+        if not all(files):
             raise DescriptorError("the product harness needs --file1 and --file2")
-        r1 = build_tensor(_load_descriptor(args.file1))
-        r2 = build_tensor(_load_descriptor(args.file2))
+        r1, r2 = (build_tensor(_load_descriptor(path)) for path in files)
         report = verify_product_structure(r1, r2, tol=args.tol)
     else:
-        params = {}
-        for key in ("n", "n1", "n2", "m1", "m2"):
-            value = getattr(args, key)
-            if value is not None:
-                params[key] = value
-        if args.kappa_grid is not None:
-            try:
-                params["grid"] = [float(t) for t in args.kappa_grid.split(",")]
-            except ValueError as exc:
-                raise DescriptorError(
-                    f"--kappa-grid must be comma-separated numbers: {exc}"
-                ) from exc
         report = check_rigidity(args.harness, params, seed=args.seed,
                                 samples=args.samples, tol=args.tol)
     print(dumps_json(report.to_dict()))
@@ -364,6 +368,7 @@ def _cmd_oracle(args):
     expected = alpha_sum(s, alpha)
     result = bruteforce_min_alpha_sum(tensor, alpha, args.samples, args.seed)
     eigenbasis_value = result.sample_values[0]
+    least = min(result.sample_values)
     # rounding in the sums grows with the operator norm, so the tolerances do
     scale = max(1.0, float(np.abs(s.eigenvalues).max()))
     eigen_ok = abs(eigenbasis_value - expected) <= 1e-9 * scale
@@ -372,12 +377,12 @@ def _cmd_oracle(args):
         "input": descriptor_to_obj(desc),
         "alpha": alpha,
         "alpha_sum": expected,
-        "oracle_min": result.min_value,
+        "oracle_min": least,
         "eigenbasis_value": eigenbasis_value,
         "argmin_sample": result.argmin_sample,
         "argmin_digest": result.argmin_digest,
         "samples": args.samples,
-        "min_sample_value": min(result.sample_values),
+        "min_sample_value": least,
         "max_sample_value": max(result.sample_values),
         "consistent": eigen_ok and floor_ok,
         "timing": {"seconds": time.perf_counter() - started},

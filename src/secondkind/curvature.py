@@ -1,7 +1,7 @@
 """Algebraic curvature tensors: model spaces, products, contractions,
 structure detectors, and seeded random generation. A tensor is checked once,
-when ``CurvatureTensor`` makes it from numbers; products and negations of
-checked tensors hold every identity exactly and are not checked again.
+when ``CurvatureTensor`` makes it from numbers; products of checked tensors
+hold every identity exactly and are not checked again.
 The one complex structure is the standard J of ``standard_complex_structure``:
 any orthogonal complex structure on R^{2m} is an orthogonal change of frame
 away from it, which changes no spectrum, so the Kahler model, its detector
@@ -63,21 +63,6 @@ class CurvatureTensor:
     @property
     def dim(self):
         return self.components.shape[0]
-
-    def __neg__(self):
-        return _valid(-self.components)
-
-
-def _valid(components):
-    """Wrap block copies, zeros and sign flips of checked components; no
-    re-check could fail. Each residual of a block tensor is a factor's (same
-    operands, same order) or exactly 0 on mixed indices; a sign flip keeps
-    each residual's magnitude. The peak is the largest factor peak, so the
-    tolerance ``SYMMETRY_TOL * max(1, peak)`` is at least each factor's."""
-    components.flags.writeable = False
-    tensor = object.__new__(CurvatureTensor)
-    object.__setattr__(tensor, "components", components)
-    return tensor
 
 
 @lru_cache(maxsize=32)
@@ -150,7 +135,11 @@ def product(*factors):
     """Block curvature tensor of a Riemannian product of two or more factors.
 
     Components with all indices inside one factor equal that factor's
-    components; every mixed component is zero. Not checked again: see ``_valid``.
+    components; every mixed component is zero. The result is not checked
+    again, since no re-check could fail: each residual of a block tensor is
+    a factor's (same operands, same order) or exactly 0 on mixed indices,
+    and the peak is the largest factor peak, so the tolerance
+    ``SYMMETRY_TOL * max(1, peak)`` is at least each factor's.
     """
     if len(factors) < 2 or not all(isinstance(f, CurvatureTensor) for f in factors):
         raise InvalidInputError("a product needs two or more curvature tensors")
@@ -161,7 +150,10 @@ def product(*factors):
         block = slice(start, start + f.dim)
         comp[block, block, block, block] = f.components
         start += f.dim
-    return _valid(comp)
+    comp.flags.writeable = False
+    tensor = object.__new__(CurvatureTensor)
+    object.__setattr__(tensor, "components", comp)
+    return tensor
 
 
 def ricci(r):
@@ -174,6 +166,17 @@ def scalar(r):
     return float(np.einsum("ijij->", r.components))
 
 
+def _matches(value, actual, model):
+    """``value`` when ``actual`` is ``model`` within ``DETECTOR_TOL`` times
+    ``max(1, max|actual|)``, else None. The detectors' models are the
+    cached units times the curvature, the products that ``space_form`` and
+    ``kahler_space_form`` check and copy."""
+    dev = float(np.abs(actual - model).max())
+    if dev <= DETECTOR_TOL * max(1.0, float(np.abs(actual).max())):
+        return value
+    return None
+
+
 def einstein_constant(r):
     """Return rho with Ric = rho * Id, or None when Ricci is not proportional.
 
@@ -181,10 +184,7 @@ def einstein_constant(r):
     """
     ric = ricci(r)
     rho = scalar(r) / r.dim
-    dev = float(np.abs(ric - rho * np.eye(r.dim)).max())
-    if dev <= DETECTOR_TOL * max(1.0, float(np.abs(ric).max())):
-        return rho
-    return None
+    return _matches(rho, ric, rho * np.eye(r.dim))
 
 
 def constant_sectional(r):
@@ -193,10 +193,7 @@ def constant_sectional(r):
     if n < 2:
         return 0.0
     c = scalar(r) / (n * (n - 1))
-    dev = float(np.abs(r.components - space_form(n, c).components).max())
-    if dev <= DETECTOR_TOL * max(1.0, float(np.abs(r.components).max())):
-        return c
-    return None
+    return _matches(c, r.components, c * _unit_space_form(n))
 
 
 def constant_holomorphic(r):
@@ -206,10 +203,7 @@ def constant_holomorphic(r):
         raise InvalidInputError(f"a complex space form needs even dimension, got {r.dim}")
     m = r.dim // 2
     c = 4.0 * scalar(r) / (2 * m * (2 * m + 2))
-    dev = float(np.abs(r.components - kahler_space_form(m, c / 4.0).components).max())
-    if dev <= DETECTOR_TOL * max(1.0, float(np.abs(r.components).max())):
-        return c
-    return None
+    return _matches(c, r.components, (c / 4.0) * _unit_kahler_space_form(m))
 
 
 def random_curvature(n, seed):

@@ -72,25 +72,21 @@ def eigensolve(m, vectors=False):
         raise ConvergenceError(f"LAPACK eigensolver failed at n={a.shape[0]}: {exc}") from exc
 
 
-def random_orthonormal_families(ambient_dim, count, seeds):
-    """One orthonormalized family of ``count`` standard normal vectors per seed.
+def random_orthonormal_families(n, seeds):
+    """One random orthonormal basis of R^n per seed: ``n`` standard normal
+    vectors, orthonormalized.
 
-    Returns a ``(len(seeds), count, ambient_dim)`` stack whose entry ``i``
-    is drawn from the stream of ``seeded_stream(seeds[i])`` alone, so a
-    family depends only on its own seed and not on its position in the
-    stack. One Philox generator is re-keyed before each draw. The
+    Returns a ``(len(seeds), n, n)`` stack whose entry ``i``, one basis
+    vector per row, is drawn from the stream of ``seeded_stream(seeds[i])``
+    alone, so a family depends only on its own seed and not on its position
+    in the stack. One Philox generator is re-keyed before each draw. The
     distribution is invariant under orthogonal maps. The draws are
     orthonormalized by one stacked QR, which LAPACK runs matrix by matrix,
     so each family is bitwise equal to the one drawn on its own.
     """
-    if ambient_dim < 1:
+    if n < 1:
         raise InvalidInputError("ambient dimension must be positive")
-    if not 1 <= count <= ambient_dim:
-        raise InvalidInputError(
-            f"count must satisfy 1 <= count <= ambient_dim, got count={count}, "
-            f"ambient_dim={ambient_dim}"
-        )
-    g = np.empty((len(seeds), ambient_dim, count))
+    g = np.empty((len(seeds), n, n))
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     key = np.zeros(2, dtype=np.uint64)

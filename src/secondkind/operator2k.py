@@ -21,9 +21,10 @@ CLASSIFY_TOL = 1e-9
 # N = 27 instead of growing with the sample count. ``_oracle_block`` takes
 # fewer for wider operators.
 _ORACLE_BLOCK = 64
-# Most random bases one oracle call samples; the seeds and the sorted
-# diagonals of every sample are held at once.
-MAX_ORACLE_SAMPLES = 100_000
+# Most samples one oracle call or one sampled rigidity harness runs; the
+# oracle holds the seeds and the sorted diagonals of every sample at once,
+# and a harness may hold a finding per sample.
+MAX_SAMPLES = 100_000
 
 VERDICT_NONNEGATIVE = "nonnegative"
 VERDICT_NONPOSITIVE = "nonpositive"
@@ -193,9 +194,9 @@ def _oracle_block(n_dim):
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Outcome of random-basis minimization; sample 0 is the eigenbasis."""
+    """Outcome of random-basis minimization; sample 0 is the eigenbasis, and
+    the minimum is ``sample_values[argmin_sample]``, the first least value."""
 
-    min_value: float
     argmin_sample: int
     argmin_digest: str
     sample_values: tuple
@@ -215,9 +216,8 @@ def bruteforce_min_alpha_sum(r, alpha, samples, seed):
     """
     if samples < 1:
         raise InvalidInputError("at least one sample is required")
-    if samples > MAX_ORACLE_SAMPLES:
-        raise InvalidInputError(
-            f"{samples} samples exceed the limit {MAX_ORACLE_SAMPLES}")
+    if samples > MAX_SAMPLES:
+        raise InvalidInputError(f"{samples} samples exceed the limit {MAX_SAMPLES}")
     basis = standard_basis(r.dim)
     mat = operator_matrix(r, basis)
     n_dim = basis.count
@@ -229,7 +229,7 @@ def bruteforce_min_alpha_sum(r, alpha, samples, seed):
     block = _oracle_block(n_dim)
     for start in range(1, samples + 1, block):
         stop = min(start + block, samples + 1)
-        qs = random_orthonormal_families(n_dim, n_dim, seeds[start:stop])
+        qs = random_orthonormal_families(n_dim, seeds[start:stop])
         diags[start:stop] = np.einsum("saj,saj->sa", qs @ mat, qs)
     diags.sort(axis=1)
     values = weighted_partial_sums(diags, alpha).tolist()
@@ -237,9 +237,8 @@ def bruteforce_min_alpha_sum(r, alpha, samples, seed):
     if argmin == 0:
         argmin_basis = vecs
     else:
-        argmin_basis = random_orthonormal_families(n_dim, n_dim, [seeds[argmin]])[0]
+        argmin_basis = random_orthonormal_families(n_dim, [seeds[argmin]])[0]
     return OracleResult(
-        min_value=values[argmin],
         argmin_sample=argmin,
         argmin_digest=_digest(argmin_basis),
         sample_values=tuple(values),

@@ -30,8 +30,9 @@ from .curvature import (
     space_form,
 )
 from .errors import InvalidInputError
-from .numerics import derived_seed
+from .numerics import derived_seed, eigensolve
 from .operator2k import (
+    MAX_SAMPLES,
     NEGATED_VERDICT,
     VERDICT_BOTH,
     VERDICT_NEITHER,
@@ -101,12 +102,6 @@ def _check_total_dim(n):
         raise InvalidInputError(f"total dimension {n} exceeds the limit {MAX_DIM}")
 
 
-def _factor_spectrum_values(r):
-    if r.dim < 2:
-        return np.zeros(0)
-    return spectrum(r).eigenvalues
-
-
 def _record_check(report, check, field, value, tol):
     """Mark ``check`` consistent when ``value <= tol``; otherwise mark it
     violated and record a counterexample holding ``value`` as ``field``."""
@@ -154,10 +149,13 @@ def verify_product_structure(r1, r2, tol=1e-9):
 
     zeta_expected = -(n2 * rho1 + n1 * rho2) / (n1 + n2)
     expected = np.zeros_like(mat)
+    # each factor's spectrum is the spectrum of its block
+    factor_values = []
     for factor, start, stop in ((r1, 0, n1_count), (r2, n1_count, n1_count + n2_count)):
         if stop > start:
-            expected[start:stop, start:stop] = operator_matrix(
-                factor, standard_basis(factor.dim))
+            block = operator_matrix(factor, standard_basis(factor.dim))
+            expected[start:stop, start:stop] = block
+            factor_values.append(eigensolve(block))
     expected[-1, -1] = zeta_expected
     block_dev = float(np.abs(mat - expected).max())
     report.details["zeta_entry"] = float(mat[-1, -1])
@@ -166,8 +164,7 @@ def verify_product_structure(r1, r2, tol=1e-9):
     _record_check(report, "einstein_blocks", "max_deviation", block_dev, tol)
 
     predicted = np.sort(np.concatenate([
-        _factor_spectrum_values(r1),
-        _factor_spectrum_values(r2),
+        *factor_values,
         np.zeros(n1 * n2),
         np.array([zeta_expected]),
     ]))
@@ -284,6 +281,8 @@ def check_rigidity(case, params=None, seed=0, samples=200, tol=1e-9):
     _check_tol(tol)
     if samples < 0:
         raise InvalidInputError("sample count must be nonnegative")
+    if samples > MAX_SAMPLES:
+        raise InvalidInputError(f"{samples} samples exceed the limit {MAX_SAMPLES}")
     if case not in _HARNESSES:
         raise InvalidInputError(f"unknown harness case {case!r}; expected one of {HARNESS_CASES}")
     family, sweep = _HARNESSES[case]

@@ -13,6 +13,12 @@ None of these runs in ``secondkind`` itself:
 * ``space_form_components`` and ``kahler_model_components`` build the model
   tensors' components from scratch on every call; the cached unit tensors
   of ``curvature`` times the curvature must equal them bitwise.
+* ``einstein_constant_model``, ``constant_sectional_model`` and
+  ``constant_holomorphic_model`` are the structure detectors compared
+  against checked model tensors, ``space_form(n, c)`` and
+  ``kahler_space_form(m, c / 4)``; the detectors of ``curvature``, which
+  compare against the cached unit tensors times the curvature, must return
+  the same values.
 * ``cluster_spectrum_loop`` is clustering as one Python loop over the
   gaps; ``numerics.cluster_spectrum`` must return its clusters bit for bit.
 * ``f_lemma`` is the weighted partial sum of a multiset's smallest values,
@@ -25,7 +31,14 @@ None of these runs in ``secondkind`` itself:
 
 import numpy as np
 
-from secondkind.curvature import standard_complex_structure
+from secondkind.curvature import (
+    DETECTOR_TOL,
+    kahler_space_form,
+    ricci,
+    scalar,
+    space_form,
+    standard_complex_structure,
+)
 from secondkind.errors import ConvergenceError, InvalidInputError
 from secondkind.numerics import CLUSTER_REL_TOL, _checked_symmetric, cluster_spectrum
 from secondkind.operator2k import Spectrum, weighted_partial_sums
@@ -179,6 +192,37 @@ def kahler_model_components(jm, kappa):
         - jj.transpose(1, 3, 2, 0)
         + 2.0 * jj.transpose(1, 0, 3, 2)
     )
+
+
+def _within_detector_tol(value, actual, model):
+    dev = float(np.abs(actual - model).max())
+    if dev <= DETECTOR_TOL * max(1.0, float(np.abs(actual).max())):
+        return value
+    return None
+
+
+def einstein_constant_model(r):
+    """rho with Ric = rho * Id within the detector tolerance, else None."""
+    ric = ricci(r)
+    rho = scalar(r) / r.dim
+    return _within_detector_tol(rho, ric, rho * np.eye(r.dim))
+
+
+def constant_sectional_model(r):
+    """c when r equals the checked ``space_form(n, c)``, else None."""
+    n = r.dim
+    if n < 2:
+        return 0.0
+    c = scalar(r) / (n * (n - 1))
+    return _within_detector_tol(c, r.components, space_form(n, c).components)
+
+
+def constant_holomorphic_model(r):
+    """c when r equals the checked ``kahler_space_form(m, c / 4)``, else
+    None; r has even dimension 2m."""
+    m = r.dim // 2
+    c = 4.0 * scalar(r) / (2 * m * (2 * m + 2))
+    return _within_detector_tol(c, r.components, kahler_space_form(m, c / 4.0).components)
 
 
 def cluster_spectrum_loop(values):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secondkind import cli, operator2k
+from secondkind import cli, operator2k, rigidity
 from secondkind.cli import dumps_json, run
 from secondkind.curvature import MAX_DIM
 from secondkind.descriptors import (
@@ -396,6 +396,39 @@ class TestCliCommands:
         proc = run_cli(["spectrum", str(bad)])
         assert proc.returncode == 2
         assert "dim" in proc.stderr
+
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_oracle_min_is_min_sample_value(self, seed, capsys):
+        assert run(["oracle", str(DESCRIPTORS / "s3xr.json"), "--alpha", "2.5",
+                    "--samples", "40", "--seed", str(seed)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["oracle_min"] == report["min_sample_value"]
+
+    def test_verify_samples_above_bound_exit_2_one_line(self, monkeypatch, capsys):
+        def boom(*args, **kwargs):
+            raise AssertionError("sampled before checking the bound")
+
+        monkeypatch.setattr(rigidity, "random_curvature", boom)
+        monkeypatch.setattr(rigidity, "spectrum", boom)
+        assert run(["verify", "line", "--samples", "100001"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 100001 samples exceed the limit 100000\n"
+
+    @pytest.mark.parametrize("argv,unread", [
+        (["line", "--file1", "nonexistent.json"], "line parameters: ['file1']"),
+        (["iff-kahler", "--file2", "nonexistent.json", "--n", "5"],
+         "iff-kahler parameters: ['file2', 'n']"),
+        (["product", "--file1", str(DESCRIPTORS / "s4.json"),
+          "--file2", str(DESCRIPTORS / "s4.json"), "--n", "7", "--kappa-grid", "1,2"],
+         "product parameters: ['grid', 'n']"),
+        (["product", "--m1", "2"], "product parameters: ['m1']"),
+    ], ids=["line-file1", "iff-kahler-file2-n", "product-n-grid", "product-m1-no-files"])
+    def test_unread_verify_flag_exit_2_one_line(self, argv, unread, capsys):
+        assert run(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unexpected {unread}\n"
 
     def test_oracle_samples_above_bound_exit_2_one_line(self):
         proc = run_cli(["oracle", str(DESCRIPTORS / "s4.json"), "--alpha", "2",

@@ -26,7 +26,13 @@ from secondkind.curvature import (
 from secondkind.errors import InvalidInputError
 from secondkind.numerics import seeded_stream
 
-from reference import kahler_model_components, space_form_components
+from reference import (
+    constant_holomorphic_model,
+    constant_sectional_model,
+    einstein_constant_model,
+    kahler_model_components,
+    space_form_components,
+)
 
 
 def symmetry_errors(r):
@@ -192,9 +198,9 @@ class TestProduct:
 
 
 class TestCheckOnce:
-    """A tensor is checked when it is made from numbers; products and
-    negations of checked tensors are built without a re-check, so an explicit
-    re-check must pass on each of them."""
+    """A tensor is checked when it is made from numbers; products of checked
+    tensors are built without a re-check, so an explicit re-check must pass
+    on each of them and on their negations."""
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_products_and_negations_pass_a_recheck(self, n):
@@ -202,8 +208,8 @@ class TestCheckOnce:
         b = random_curvature(2 + n % 3, 100 + n)
         c = random_kahler_curvature(1 + n % 2, 200 + n)
         for t in (a, product(a, b), product(b, a, c), product(c, product(a, b))):
-            for u in (t, -t, -(-t)):
-                CurvatureTensor(u.components)
+            CurvatureTensor(t.components)
+            CurvatureTensor(-t.components)
 
     def test_nary_product_equals_the_fold_bitwise(self):
         a, b, c = random_curvature(3, 1), space_form(2, -0.5), kahler_space_form(2, 1.5)
@@ -212,16 +218,12 @@ class TestCheckOnce:
         assert np.array_equal(product(a, b, c).components,
                               product(a, product(b, c)).components)
 
-    def test_negation_is_bitwise_sign_flip(self):
-        r = product(random_curvature(4, 3), flat_tensor(1))
-        assert np.array_equal((-r).components, -r.components)
-
     def test_components_are_a_frozen_copy(self):
         arr = space_form(3, 1.0).components.copy()
         r = CurvatureTensor(arr)
         arr[0, 1, 0, 1] = 7.0
         assert r.components[0, 1, 0, 1] == 1.0
-        for t in (r, -r, product(r, r)):
+        for t in (r, CurvatureTensor(-r.components), product(r, r)):
             assert not t.components.flags.writeable
             with pytest.raises(ValueError):
                 t.components[0, 1, 0, 1] = 7.0
@@ -329,6 +331,40 @@ class TestDetectors:
         # no complex structure fits an odd dimension
         with pytest.raises(InvalidInputError, match="needs even dimension, got 3"):
             constant_holomorphic(space_form(3, 1.0))
+
+    @staticmethod
+    def detector_inputs():
+        """Space forms (n = 2..8) and Kahler forms (m = 1..4) at a few
+        curvatures, each also perturbed by 1e-7 times a seeded random tensor
+        of its kind, and 20 seeded random tensors of each size."""
+        kinds = [(n, space_form, random_curvature) for n in range(2, 9)]
+        kinds += [(m, kahler_space_form, random_kahler_curvature) for m in range(1, 5)]
+        for size, model, draw in kinds:
+            for i, c in enumerate((-2.0, -0.25, 0.5, 1.0, 3.0)):
+                form = model(size, c)
+                yield form
+                yield CurvatureTensor(form.components + 1e-7 * draw(size, i).components)
+            for seed in range(20):
+                yield draw(size, seed)
+
+    def test_detectors_equal_the_model_tensor_references(self):
+        # the detectors compare against the cached unit tensor times the
+        # curvature, the product that space_form and kahler_space_form
+        # compute, so they return what a comparison against those tensors
+        # returns, bit for bit
+        pairs = [(einstein_constant, einstein_constant_model),
+                 (constant_sectional, constant_sectional_model),
+                 (constant_holomorphic, constant_holomorphic_model)]
+        outcomes = {detect: set() for detect, _ in pairs}
+        for r in self.detector_inputs():
+            for detect, reference in pairs:
+                if detect is constant_holomorphic and r.dim % 2:
+                    continue
+                value = detect(r)
+                assert repr(value) == repr(reference(r))
+                outcomes[detect].add(value is None)
+        # each detector both recognises and rejects somewhere in the set
+        assert all(seen == {True, False} for seen in outcomes.values())
 
 
 def pair_loop_random_curvature(n, seed):

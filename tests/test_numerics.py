@@ -130,66 +130,67 @@ class TestEigensolve:
             eigensolve(np.eye(2), vectors=vectors)
 
 
+def square_id(dim):
+    """Test id of a square family of dimension ``dim``: its shape."""
+    return f"{dim}-{dim}"
+
+
 class TestRandomOrthonormalFamily:
     def test_dim1_is_sign(self):
-        v = random_orthonormal_families(1, 1, [11])[0]
+        v = random_orthonormal_families(1, [11])[0]
         assert v.shape == (1, 1) and abs(abs(v[0, 0]) - 1.0) < 1e-15
 
     def test_deterministic(self):
-        a = random_orthonormal_families(5, 3, [42])[0]
-        b = random_orthonormal_families(5, 3, [42])[0]
+        a = random_orthonormal_families(5, [42])[0]
+        b = random_orthonormal_families(5, [42])[0]
         assert np.array_equal(a, b)
 
     def test_distinct_seeds_differ(self):
-        a = random_orthonormal_families(5, 3, [1])[0]
-        b = random_orthonormal_families(5, 3, [2])[0]
+        a = random_orthonormal_families(5, [1])[0]
+        b = random_orthonormal_families(5, [2])[0]
         assert not np.array_equal(a, b)
 
     def test_gram_identity(self):
-        fam = random_orthonormal_families(9, 9, [7])[0]
+        fam = random_orthonormal_families(9, [7])[0]
         assert np.abs(fam @ fam.T - np.eye(9)).max() < 1e-12
 
     @pytest.mark.parametrize("dim", [1, 2, 4, 9])
     def test_full_family_has_unit_determinant(self, dim):
-        fam = random_orthonormal_families(dim, dim, [dim + 100])[0]
+        fam = random_orthonormal_families(dim, [dim + 100])[0]
         assert abs(abs(np.linalg.det(fam)) - 1.0) <= 1e-10
-
-    def test_rejects_count_above_dim(self):
-        with pytest.raises(InvalidInputError):
-            random_orthonormal_families(3, 4, [0])
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
     def test_gram_property(self, seed):
-        fam = random_orthonormal_families(6, 4, [seed])[0]
-        assert np.abs(fam @ fam.T - np.eye(4)).max() < 1e-12
+        fam = random_orthonormal_families(6, [seed])[0]
+        assert np.abs(fam @ fam.T - np.eye(6)).max() < 1e-12
 
 
 class TestRandomOrthonormalFamilies:
-    @pytest.mark.parametrize("dim,count", [(1, 1), (5, 5), (9, 4), (14, 14), (20, 20)])
-    def test_each_entry_is_the_single_draw_bitwise(self, dim, count):
+    @pytest.mark.parametrize("dim", [1, 5, 14, 20], ids=square_id)
+    def test_each_entry_is_the_single_draw_bitwise(self, dim):
         seeds = [3 ^ s for s in range(1, 12)] + [(1 << 64) - 1]
-        stack = random_orthonormal_families(dim, count, seeds)
-        assert stack.shape == (len(seeds), count, dim)
+        stack = random_orthonormal_families(dim, seeds)
+        assert stack.shape == (len(seeds), dim, dim)
         for fam, seed in zip(stack, seeds):
-            single = random_orthonormal_families(dim, count, [seed])[0]
+            single = random_orthonormal_families(dim, [seed])[0]
             assert np.ascontiguousarray(fam).tobytes() == np.ascontiguousarray(single).tobytes()
 
-    def test_rejects_count_above_dim(self):
-        with pytest.raises(InvalidInputError):
-            random_orthonormal_families(3, 4, [0, 1])
-
-    @pytest.mark.parametrize("dim,count", [(1, 1), (5, 5), (5, 2), (20, 20)])
-    def test_pinned_to_seeded_stream(self, dim, count):
+    @pytest.mark.parametrize("dim", [1, 5, 20], ids=square_id)
+    def test_pinned_to_seeded_stream(self, dim):
         # -5 and 2**70 + 3 check the 64-bit masking of the key
         seeds = [0, 1, 2**63, 2**64 - 1, -5, 2**70 + 3]
-        stack = random_orthonormal_families(dim, count, seeds)
+        stack = random_orthonormal_families(dim, seeds)
         for fam, seed in zip(stack, seeds):
-            q, r = np.linalg.qr(seeded_stream(seed).standard_normal((dim, count)))
+            q, r = np.linalg.qr(seeded_stream(seed).standard_normal((dim, dim)))
             signs = np.sign(np.diagonal(r))
             signs[signs == 0.0] = 1.0
             expected = (q * signs).T
             assert np.ascontiguousarray(fam).tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    def test_rejects_empty_dimension(self):
+        with pytest.raises(InvalidInputError, match="ambient dimension must be positive"):
+            random_orthonormal_families(0, [0])
 
     def test_builds_at_most_one_philox_per_call(self, monkeypatch):
         built = []
@@ -200,7 +201,7 @@ class TestRandomOrthonormalFamilies:
             return philox(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "Philox", counting)
-        random_orthonormal_families(9, 9, list(range(100)))
+        random_orthonormal_families(9, list(range(100)))
         assert len(built) <= 1
 
 

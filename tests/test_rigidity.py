@@ -13,7 +13,7 @@ from secondkind.curvature import (
     random_curvature,
     space_form,
 )
-from secondkind import operator2k
+from secondkind import operator2k, rigidity
 from secondkind.errors import InvalidInputError
 from secondkind.rigidity import (
     a_const,
@@ -141,6 +141,33 @@ class TestVerifyProductStructure:
         half = MAX_DIM // 2 + 1
         with pytest.raises(InvalidInputError, match=f"total dimension {2 * half} exceeds"):
             verify_product_structure(flat_tensor(half), flat_tensor(half))
+
+    @pytest.mark.parametrize("r1,r2,assemblies", [
+        (space_form(3, 1.0), space_form(2, 0.5), 4),
+        (kahler_space_form(2, 1.0), kahler_space_form(1, 2.0), 4),
+        (space_form(3, 1.0), flat_tensor(1), 3),
+    ], ids=["two-curved", "two-kahler", "line"])
+    def test_factor_spectra_come_from_their_blocks(self, r1, r2, assemblies, monkeypatch):
+        # one assembly for the adapted matrix, one per factor block of
+        # dimension at least 2, one for the product's spectrum; each factor
+        # spectrum is solved from its block, so only the product clusters
+        counts = {"assemble": 0, "cluster": 0}
+        real_assemble, real_cluster = operator2k.operator_matrix, operator2k.cluster_spectrum
+
+        def assemble(*args):
+            counts["assemble"] += 1
+            return real_assemble(*args)
+
+        def cluster(values):
+            counts["cluster"] += 1
+            return real_cluster(values)
+
+        for module in (operator2k, rigidity):
+            monkeypatch.setattr(module, "operator_matrix", assemble)
+        monkeypatch.setattr(operator2k, "cluster_spectrum", cluster)
+        report = verify_product_structure(r1, r2)
+        assert report.details["spectrum_multiset"] == "consistent"
+        assert counts == {"assemble": assemblies, "cluster": 1}
 
 
 class TestCheckRigidity:
@@ -270,6 +297,18 @@ class TestCheckRigidity:
     def test_rejects_unknown_params(self):
         with pytest.raises(InvalidInputError):
             check_rigidity("line", {"n": 4, "bogus": 1})
+
+    @pytest.mark.parametrize("case", list(rigidity.HARNESS_CASES))
+    def test_rejects_samples_above_bound_before_sampling(self, case, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("ran before checking the bound")
+
+        monkeypatch.setattr(rigidity, "spectrum", boom)
+        monkeypatch.setattr(rigidity, "classify", boom)
+        with pytest.raises(InvalidInputError,
+                           match=f"^{operator2k.MAX_SAMPLES + 1} samples exceed the limit "
+                                 f"{operator2k.MAX_SAMPLES}$"):
+            check_rigidity(case, samples=operator2k.MAX_SAMPLES + 1)
 
     @pytest.mark.parametrize("case,params,total", [
         ("line", {"n": MAX_DIM + 1}, MAX_DIM + 1),
