@@ -184,11 +184,9 @@ def run_one(argv):
     return {"exit": code, "stdout": stdout, "stdout_text": raw, "stderr": err.getvalue()}
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("out", help="JSON file to write")
-    args = parser.parse_args()
-    out_path = Path(args.out).resolve()
+def run_all():
+    """Run the command set from the repo root, with the generated
+    descriptors in a temporary directory; returns one record per command."""
     os.chdir(REPO)
     records = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -200,6 +198,15 @@ def main():
             record = run_one(argv)
             record["argv"] = " ".join(argv).replace(tmp, "<tmp>")
             records.append(record)
+    return records
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", help="JSON file to write")
+    args = parser.parse_args()
+    out_path = Path(args.out).resolve()
+    records = run_all()
     out_path.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
     print(f"{len(records)} commands, exit codes "
           f"{sorted({r['exit'] for r in records})}, written to {out_path}")

@@ -83,15 +83,18 @@ def _format_float(x):
 def dumps_json(obj):
     """Serialize to JSON, indented by two spaces, with floats at 17 digits;
     strings and keys are escaped as ``json.dumps`` escapes them by default,
-    by the same ``encode_basestring_ascii``."""
+    by the same ``encode_basestring_ascii``. A report holds only exact
+    ``dict``, ``list``, ``tuple``, ``str``, ``int``, ``float``, ``bool`` and
+    ``None``; any other type, a subclass or a numpy scalar included, raises
+    ``TypeError: cannot serialize <type>``."""
     out = []
     _emit(obj, out, 0)
     return "".join(out)
 
 
 def _emit(obj, out, level):
-    # the exact types a report is made of come first; None, bools, numpy
-    # scalars and subclasses take the last branch
+    # dispatch on the exact type, so a subclass or a numpy scalar, which no
+    # report holds, falls through to the TypeError
     kind = type(obj)
     if kind is float:
         out.append(_format_float(obj))
@@ -127,16 +130,6 @@ def _emit(obj, out, level):
         out.append("true")
     elif obj is False:
         out.append("false")
-    elif isinstance(obj, float):
-        out.append(_format_float(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-    elif isinstance(obj, dict):
-        _emit(dict(obj.items()), out, level)
-    elif isinstance(obj, (list, tuple)):
-        _emit(list(obj), out, level)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 

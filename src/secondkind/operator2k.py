@@ -7,6 +7,7 @@ oracle for the classification.
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,29 +42,18 @@ NEGATED_VERDICT = {
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending eigenvalues of the projected operator, with clusters."""
+    """Ascending eigenvalues of the projected operator. Its ``clusters``
+    are built by ``cluster_spectrum`` on first read and kept."""
 
-    n: int
     eigenvalues: np.ndarray
-    clusters: tuple
-
-    def __post_init__(self):
-        w = np.ascontiguousarray(np.asarray(self.eigenvalues, dtype=float))
-        if w.ndim != 1:
-            raise InvalidInputError("eigenvalues must be a flat list")
-        if np.any(np.diff(w) < 0):
-            raise InvalidInputError("eigenvalues must be ascending")
-        if len(w) != sym2_dim(self.n):
-            raise InvalidInputError(
-                f"expected {sym2_dim(self.n)} eigenvalues for ambient dimension {self.n}, "
-                f"got {len(w)}"
-            )
-        object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "clusters", tuple((float(v), int(m)) for v, m in self.clusters))
 
     @property
     def N(self):
         return len(self.eigenvalues)
+
+    @cached_property
+    def clusters(self):
+        return tuple(cluster_spectrum(self.eigenvalues))
 
 
 def operator_matrix(r, basis):
@@ -90,8 +80,7 @@ def spectrum(r):
     """Spectrum of the operator of a curvature tensor, dim >= 2."""
     if r.dim < 2:
         raise InvalidInputError("spectra need ambient dimension at least 2")
-    w = eigensolve(operator_matrix(r, standard_basis(r.dim)))
-    return Spectrum(n=r.dim, eigenvalues=w, clusters=tuple(cluster_spectrum(w)))
+    return Spectrum(eigensolve(operator_matrix(r, standard_basis(r.dim))))
 
 
 def _split_alpha(alpha, n_values):

@@ -39,12 +39,6 @@ class Sym2Basis:
     dim: int
     tensors: np.ndarray
 
-    def __post_init__(self):
-        t = np.ascontiguousarray(np.asarray(self.tensors, dtype=float))
-        if t.ndim != 3 or t.shape[1] != self.dim or t.shape[2] != self.dim:
-            raise InvalidInputError(f"tensors must have shape (count, {self.dim}, {self.dim})")
-        object.__setattr__(self, "tensors", t)
-
     @property
     def count(self):
         return self.tensors.shape[0]

@@ -24,9 +24,9 @@ None of these runs in ``secondkind`` itself:
 * ``f_lemma`` is the weighted partial sum of a multiset's smallest values,
   taken on a sorted copy; ``operator2k.alpha_sum`` must equal it.
 * ``spectrum_from_eigenvalues`` and ``negate_spectrum`` build a spectrum
-  from given eigenvalues by sorting and clustering them; the negated
-  tensor's verdict and threshold, which ``operator2k`` reads off the
-  tensor's own eigenvalues, must equal those of ``negate_spectrum``.
+  from given eigenvalues by sorting them; the negated tensor's verdict and
+  threshold, which ``operator2k`` reads off the tensor's own eigenvalues,
+  must equal those of ``negate_spectrum``.
 """
 
 import numpy as np
@@ -40,7 +40,7 @@ from secondkind.curvature import (
     standard_complex_structure,
 )
 from secondkind.errors import ConvergenceError, InvalidInputError
-from secondkind.numerics import CLUSTER_REL_TOL, _checked_symmetric, cluster_spectrum
+from secondkind.numerics import CLUSTER_REL_TOL, _checked_symmetric
 from secondkind.operator2k import Spectrum, weighted_partial_sums
 from secondkind.sym2 import Sym2Basis, sym_product
 
@@ -256,13 +256,11 @@ def f_lemma(values, x):
     return float(weighted_partial_sums(vals, x))
 
 
-def spectrum_from_eigenvalues(n, values):
-    """Spectrum of ambient dimension ``n`` with the given eigenvalues,
-    sorted and clustered."""
-    w = np.sort(np.asarray(list(values), dtype=float))
-    return Spectrum(n=n, eigenvalues=w, clusters=tuple(cluster_spectrum(w)))
+def spectrum_from_eigenvalues(values):
+    """Spectrum with the given eigenvalues, sorted."""
+    return Spectrum(np.sort(np.asarray(list(values), dtype=float)))
 
 
 def negate_spectrum(s):
     """Spectrum of the negated tensor: eigenvalues flipped and re-sorted."""
-    return spectrum_from_eigenvalues(s.n, -s.eigenvalues)
+    return spectrum_from_eigenvalues(-s.eigenvalues)

@@ -35,6 +35,7 @@ from secondkind.operator2k import (
     verdict,
     weighted_partial_sums,
 )
+from secondkind.rigidity import check_rigidity
 from secondkind.sym2 import (
     product_adapted_basis,
     standard_basis,
@@ -157,6 +158,41 @@ class TestSpectrum:
         assert abs(s.eigenvalues.sum() - (n + 2) / (2.0 * n) * scalar(r)) <= 1e-9
 
 
+class TestClustersOnFirstRead:
+    """A spectrum is clustered when its clusters are first read, once; the
+    solve, the harnesses and the oracle read the eigenvalues alone."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        real = operator2k.cluster_spectrum
+
+        def counting(values):
+            calls.append(len(values))
+            return real(values)
+
+        monkeypatch.setattr(operator2k, "cluster_spectrum", counting)
+        return calls
+
+    def test_spectrum_does_not_cluster(self, calls):
+        spectrum(product(space_form(3, 1.0), flat_tensor(1)))
+        assert calls == []
+
+    def test_clusters_are_built_once_on_first_read(self, calls):
+        s = spectrum(random_curvature(5, seed=8))
+        first = s.clusters
+        assert s.clusters is first
+        assert calls == [14]
+        expected = tuple(numerics.cluster_spectrum(s.eigenvalues))
+        assert [(v.hex(), type(v), m, type(m)) for v, m in first] == [
+            (v.hex(), type(v), m, type(m)) for v, m in expected]
+
+    def test_harness_and_oracle_do_not_cluster(self, calls):
+        assert check_rigidity("line", {"n": 5}, samples=5).samples_run == 5
+        bruteforce_min_alpha_sum(random_curvature(4, seed=3), 2.5, samples=5, seed=1)
+        assert calls == []
+
+
 class TestAlphaSum:
     def line_spectrum(self):
         return spectrum(product(space_form(3, 1.0), flat_tensor(1)))
@@ -263,8 +299,8 @@ class TestThresholds:
         lambda: spectrum(space_form(4, 1.0)),    # nonpos threshold None
         lambda: spectrum(space_form(4, -1.0)),   # nonneg threshold None
         lambda: spectrum(flat_tensor(3)),        # flat: both 1.0
-        lambda: spectrum_from_eigenvalues(3, [-0.0, 0.0, 0.0, -0.0, 0.0]),
-        lambda: spectrum_from_eigenvalues(3, [-2.0, -0.5, -0.5, 1.0, 1.0]),
+        lambda: spectrum_from_eigenvalues([-0.0, 0.0, 0.0, -0.0, 0.0]),
+        lambda: spectrum_from_eigenvalues([-2.0, -0.5, -0.5, 1.0, 1.0]),
     ])
     def test_nonpos_threshold_equals_negated_spectrum_threshold(self, make):
         s = make()
@@ -273,7 +309,7 @@ class TestThresholds:
         assert got == expected and type(got) is type(expected)
 
     def test_threshold_value_is_exact_root(self):
-        s = spectrum_from_eigenvalues(4, [-1.0, -0.25, 0, 0, 0.5, 1, 1, 1, 2])
+        s = spectrum_from_eigenvalues([-1.0, -0.25, 0, 0, 0.5, 1, 1, 1, 2])
         thr = nonneg_threshold(s)
         assert alpha_sum(s, thr) == pytest.approx(0.0, abs=1e-12)
         assert alpha_sum(s, thr - 1e-6) < 0
@@ -292,7 +328,7 @@ _VALUES = st.one_of(_EDGE_VALUES, st.floats(-4.0, 4.0, allow_subnormal=False))
 def edge_spectra(draw):
     n = draw(st.integers(2, 4))
     values = draw(st.lists(_VALUES, min_size=sym2_dim(n), max_size=sym2_dim(n)))
-    return spectrum_from_eigenvalues(n, values)
+    return spectrum_from_eigenvalues(values)
 
 
 class TestNegatedReadings:
