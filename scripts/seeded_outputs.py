@@ -27,7 +27,8 @@ kind are compared too: each model-space kind below its least size, a missing ``k
 two-factor products nested 32, 40 and 300 levels deep; and two ``verify``
 commands given flags their harness does not read, ``line --file1
 nonexistent.json`` and ``product`` of ``descriptors/s4.json`` with itself
-with ``--n 7 --kappa-grid 1,2``.
+with ``--n 7 --kappa-grid 1,2``; and ``iff-spheres`` on a grid of 224
+values, one more than the sweep sample bound allows.
 Each record holds the command line, the exit code, stderr, stdout parsed as
 JSON with every ``timing`` block removed, and the raw stdout text with every
 ``"seconds": <number>`` masked, so that a change in the emitted bytes shows
@@ -95,6 +96,9 @@ UNREAD_FLAGS = (
     ("verify", "product", "--file1", "descriptors/s4.json", "--file2", "descriptors/s4.json",
      "--n", "7", "--kappa-grid", "1,2"),
 )
+# 2 * 224^2 sweep samples, one grid value over MAX_SAMPLES
+OVERSIZED_GRID = ("verify", "iff-spheres", "--kappa-grid",
+                  ",".join(str(k / 4) for k in range(1, 225)))
 LINE_DESCRIPTOR = "euclidean_line.json"
 LINE_TEXT = '{"kind": "euclidean", "dim": 1}'
 
@@ -167,6 +171,7 @@ def commands(tmp_dir):
         out += [("classify", path, "--alpha", alpha) for alpha in ALPHAS]
     out += [("spectrum", os.path.join(tmp_dir, name)) for name in MALFORMED_DESCRIPTORS]
     out += UNREAD_FLAGS
+    out.append(OVERSIZED_GRID)
     return out
 
 

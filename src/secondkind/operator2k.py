@@ -7,12 +7,11 @@ oracle for the classification.
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .numerics import cluster_spectrum, derived_seed, eigensolve, random_orthonormal_families
+from .numerics import derived_seed, eigensolve, random_orthonormal_families
 from .sym2 import standard_basis, sym2_dim
 
 CLASSIFY_TOL = 1e-9
@@ -40,22 +39,6 @@ NEGATED_VERDICT = {
 }
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Ascending eigenvalues of the projected operator. Its ``clusters``
-    are built by ``cluster_spectrum`` on first read and kept."""
-
-    eigenvalues: np.ndarray
-
-    @property
-    def N(self):
-        return len(self.eigenvalues)
-
-    @cached_property
-    def clusters(self):
-        return tuple(cluster_spectrum(self.eigenvalues))
-
-
 def operator_matrix(r, basis):
     """Matrix of the operator in a basis: entry [a, b] is
     ``sum R[i,j,k,l] b_a[i,l] b_b[j,k]``."""
@@ -77,10 +60,11 @@ def operator_matrix(r, basis):
 
 
 def spectrum(r):
-    """Spectrum of the operator of a curvature tensor, dim >= 2."""
+    """Ascending eigenvalues of the operator of a curvature tensor, dim >= 2,
+    as a float64 array."""
     if r.dim < 2:
         raise InvalidInputError("spectra need ambient dimension at least 2")
-    return Spectrum(eigensolve(operator_matrix(r, standard_basis(r.dim))))
+    return eigensolve(operator_matrix(r, standard_basis(r.dim)))
 
 
 def _split_alpha(alpha, n_values):
@@ -114,12 +98,12 @@ def alpha_sum(s, alpha):
 
     Piecewise linear and convex in alpha, with slopes the eigenvalues.
     """
-    return float(weighted_partial_sums(s.eigenvalues, alpha))
+    return float(weighted_partial_sums(s, alpha))
 
 
 def verdict(s, alpha, tol=CLASSIFY_TOL):
-    """Fractional-alpha verdict of a spectrum: nonnegative / nonpositive /
-    both / neither.
+    """Fractional-alpha verdict of ascending eigenvalues: nonnegative /
+    nonpositive / both / neither.
 
     Nonnegative means g(alpha) >= -tol on the eigenvalues; nonpositive is the
     same test on the negated eigenvalues, read in ascending order as the
@@ -128,9 +112,8 @@ def verdict(s, alpha, tol=CLASSIFY_TOL):
     """
     if not 0.0 <= tol < math.inf:  # also false for NaN
         raise InvalidInputError(f"tolerance must be nonnegative and finite, got {tol}")
-    w = s.eigenvalues
-    nonneg = weighted_partial_sums(w, alpha) >= -tol
-    nonpos = weighted_partial_sums(-w[::-1], alpha) >= -tol
+    nonneg = weighted_partial_sums(s, alpha) >= -tol
+    nonpos = weighted_partial_sums(-s[::-1], alpha) >= -tol
     if nonneg and nonpos:
         return VERDICT_BOTH
     if nonneg:
@@ -145,29 +128,24 @@ def classify(r, alpha, tol=CLASSIFY_TOL):
     return verdict(spectrum(r), alpha, tol)
 
 
-def _crossing(w):
-    """Least alpha in [1, N] with g(alpha) >= 0 over the ascending ``w``."""
-    if w[0] >= 0.0:
+def nonneg_threshold(s):
+    """Least alpha in [1, N] with g(alpha) >= 0 over the ascending ``s``,
+    using the exact root of the crossing linear segment; 1.0 when the least
+    eigenvalue is nonnegative, None when even g(N) is negative."""
+    if s[0] >= 0.0:
         return 1.0
-    c = np.cumsum(w)
+    c = np.cumsum(s)
     idx = int(np.argmax(c >= 0.0))  # first crossing; 0 when none, as c[0] < 0
     if idx == 0:
         return None
-    return float(idx + (-c[idx - 1]) / w[idx])
-
-
-def nonneg_threshold(s):
-    """Least alpha in [1, N] with g(alpha) >= 0, using the exact root of the
-    crossing linear segment; 1.0 when the least eigenvalue is nonnegative,
-    None when even g(N) is negative."""
-    return _crossing(s.eigenvalues)
+    return float(idx + (-c[idx - 1]) / s[idx])
 
 
 def nonpos_threshold(s):
     """Least alpha making the negated tensor's sum nonnegative: the
-    ``nonneg_threshold`` of the negated tensor, read off the eigenvalues
-    negated in reverse order, which is ascending."""
-    return _crossing(-s.eigenvalues[::-1])
+    ``nonneg_threshold`` of the eigenvalues negated in reverse order, which
+    is ascending."""
+    return nonneg_threshold(-s[::-1])
 
 
 def _digest(array):

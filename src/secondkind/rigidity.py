@@ -32,6 +32,7 @@ from .curvature import (
 from .errors import InvalidInputError
 from .numerics import derived_seed, eigensolve
 from .operator2k import (
+    CLASSIFY_TOL,
     MAX_SAMPLES,
     NEGATED_VERDICT,
     VERDICT_BOTH,
@@ -112,7 +113,7 @@ def _record_check(report, check, field, value, tol):
         report.counterexamples.append({"check": check, field: value, "tol": tol})
 
 
-def verify_product_structure(r1, r2, tol=1e-9):
+def verify_product_structure(r1, r2, tol=CLASSIFY_TOL):
     """Check the adapted-basis block structure of a product operator.
 
     Always checks that the mixed-product rows of the operator matrix vanish.
@@ -168,7 +169,7 @@ def verify_product_structure(r1, r2, tol=1e-9):
         np.zeros(n1 * n2),
         np.array([zeta_expected]),
     ]))
-    computed = spectrum(r).eigenvalues
+    computed = spectrum(r)
     multiset_dev = float(np.abs(computed - predicted).max())
     report.details["spectrum_max_deviation"] = multiset_dev
     _record_check(report, "spectrum_multiset", "max_deviation", multiset_dev, tol)
@@ -272,7 +273,7 @@ _HARNESSES = {
 HARNESS_CASES = tuple(_HARNESSES)
 
 
-def check_rigidity(case, params=None, seed=0, samples=200, tol=1e-9):
+def check_rigidity(case, params=None, seed=0, samples=200, tol=CLASSIFY_TOL):
     """Run one of the rigidity harnesses and return its report.
 
     Cases: ``line`` (one flat direction), ``product-spheres``,
@@ -420,6 +421,10 @@ def _kappa_grid(params):
     grid = tuple(float(g) for g in grid)
     if not grid or not all(0.0 < g < math.inf for g in grid):  # false for NaN too
         raise InvalidInputError("kappa grid values must be positive and finite")
+    # a sweep classifies two models per grid pair and may hold a finding each
+    samples = 2 * len(grid) ** 2
+    if samples > MAX_SAMPLES:
+        raise InvalidInputError(f"{samples} sweep samples exceed the limit {MAX_SAMPLES}")
     return grid
 
 

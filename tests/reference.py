@@ -23,10 +23,10 @@ None of these runs in ``secondkind`` itself:
   gaps; ``numerics.cluster_spectrum`` must return its clusters bit for bit.
 * ``f_lemma`` is the weighted partial sum of a multiset's smallest values,
   taken on a sorted copy; ``operator2k.alpha_sum`` must equal it.
-* ``spectrum_from_eigenvalues`` and ``negate_spectrum`` build a spectrum
-  from given eigenvalues by sorting them; the negated tensor's verdict and
-  threshold, which ``operator2k`` reads off the tensor's own eigenvalues,
-  must equal those of ``negate_spectrum``.
+* ``spectrum_from_eigenvalues`` and ``negate_spectrum`` build a spectrum,
+  an ascending array, from given eigenvalues by sorting them; the negated
+  tensor's verdict and threshold, which ``operator2k`` reads off the
+  tensor's own eigenvalues, must equal those of ``negate_spectrum``.
 """
 
 import numpy as np
@@ -41,7 +41,7 @@ from secondkind.curvature import (
 )
 from secondkind.errors import ConvergenceError, InvalidInputError
 from secondkind.numerics import CLUSTER_REL_TOL, _checked_symmetric
-from secondkind.operator2k import Spectrum, weighted_partial_sums
+from secondkind.operator2k import weighted_partial_sums
 from secondkind.sym2 import Sym2Basis, sym_product
 
 JACOBI_REL_TOL = 1e-13
@@ -257,10 +257,10 @@ def f_lemma(values, x):
 
 
 def spectrum_from_eigenvalues(values):
-    """Spectrum with the given eigenvalues, sorted."""
-    return Spectrum(np.sort(np.asarray(list(values), dtype=float)))
+    """Spectrum with the given eigenvalues: the values sorted ascending."""
+    return np.sort(np.asarray(list(values), dtype=float))
 
 
 def negate_spectrum(s):
     """Spectrum of the negated tensor: eigenvalues flipped and re-sorted."""
-    return spectrum_from_eigenvalues(-s.eigenvalues)
+    return spectrum_from_eigenvalues(-s)

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import re
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secondkind import cli, operator2k, rigidity
+from secondkind import cli, rigidity
 from secondkind.cli import dumps_json, run
 from secondkind.curvature import MAX_DIM
 from secondkind.descriptors import (
@@ -408,6 +409,31 @@ class TestCliCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["oracle_min"] == report["min_sample_value"]
 
+    @pytest.mark.parametrize("index,shift", [(-1, -1e-6), (0, 1e-6)],
+                             ids=["sample-below-floor", "eigenbasis-off"])
+    def test_oracle_inconsistent_samples_exit_1(self, index, shift, monkeypatch, capsys):
+        # s3xr's largest |eigenvalue| is 1, so scale is 1: a sample 1e-6
+        # below g(alpha) breaks the 1e-8 floor, and an eigenbasis value 1e-6
+        # off breaks the 1e-9 match
+        real = cli.bruteforce_min_alpha_sum
+
+        def shifted(*args):
+            result = real(*args)
+            values = list(result.sample_values)
+            values[index] = values[0] + shift
+            return dataclasses.replace(result, sample_values=tuple(values))
+
+        monkeypatch.setattr(cli, "bruteforce_min_alpha_sum", shifted)
+        assert run(["oracle", str(DESCRIPTORS / "s3xr.json"), "--alpha", "2.5",
+                    "--samples", "40", "--seed", "5"]) == 1
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert captured.err == ""
+        assert report["consistent"] is False
+        eigen_off = abs(report["eigenbasis_value"] - report["alpha_sum"]) > 1e-9
+        below_floor = report["oracle_min"] < report["alpha_sum"] - 1e-8
+        assert (eigen_off, below_floor) == (index == 0, index == -1)
+
     def test_verify_samples_above_bound_exit_2_one_line(self, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise AssertionError("sampled before checking the bound")
@@ -703,13 +729,13 @@ class TestSpectrumRequest:
     ], ids=["spectrum", "threshold", "classify"])
     def test_clusters_once_per_request(self, command, clusterings, monkeypatch, capsys):
         calls = []
-        cluster = operator2k.cluster_spectrum
+        cluster = cli.cluster_spectrum
 
         def counting(values):
             calls.append(len(values))
             return cluster(values)
 
-        monkeypatch.setattr(operator2k, "cluster_spectrum", counting)
+        monkeypatch.setattr(cli, "cluster_spectrum", counting)
         for name in ("s3xr", "cp1xcp1", "h3xh3", "custom_flat2"):
             argv = [command, str(DESCRIPTORS / f"{name}.json")]
             if command == "classify":

@@ -128,21 +128,28 @@ class TestOperatorMatrix:
 class TestSpectrum:
     def test_product_sphere_clusters(self):
         s = spectrum(product(space_form(2, 1.0), space_form(3, 1.0)))
-        assert clusters_match(s.clusters, [(-7.0 / 5.0, 1), (0.0, 6), (1.0, 7)])
+        assert clusters_match(numerics.cluster_spectrum(s), [(-7.0 / 5.0, 1), (0.0, 6), (1.0, 7)])
 
     def test_cp1_x_cp1_clusters(self):
         r1 = kahler_space_form(1, 1.0)
         r2 = kahler_space_form(1, 1.0)
         s = spectrum(product(r1, r2))
-        assert clusters_match(s.clusters, [(-4.0, 1), (0.0, 4), (4.0, 4)])
+        assert clusters_match(numerics.cluster_spectrum(s), [(-4.0, 1), (0.0, 4), (4.0, 4)])
 
     def test_flat_dim5(self):
         s = spectrum(flat_tensor(5))
-        assert clusters_match(s.clusters, [(0.0, 14)])
+        assert clusters_match(numerics.cluster_spectrum(s), [(0.0, 14)])
 
     def test_rejects_dim1(self):
         with pytest.raises(InvalidInputError):
             spectrum(flat_tensor(1))
+
+    def test_is_the_eigensolved_operator_array(self):
+        r = random_curvature(5, seed=8)
+        s = spectrum(r)
+        assert type(s) is np.ndarray and s.ndim == 1 and s.dtype == np.float64
+        expected = numerics.eigensolve(operator_matrix(r, standard_basis(5)))
+        assert s.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("make", [
         lambda: space_form(4, 1.0),
@@ -155,37 +162,28 @@ class TestSpectrum:
         r = make()
         s = spectrum(r)
         n = r.dim
-        assert abs(s.eigenvalues.sum() - (n + 2) / (2.0 * n) * scalar(r)) <= 1e-9
+        assert abs(s.sum() - (n + 2) / (2.0 * n) * scalar(r)) <= 1e-9
 
 
 class TestClustersOnFirstRead:
-    """A spectrum is clustered when its clusters are first read, once; the
-    solve, the harnesses and the oracle read the eigenvalues alone."""
+    """A spectrum is the ascending eigenvalue array; the solve, the
+    harnesses and the oracle read it alone and never cluster it."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = []
-        real = operator2k.cluster_spectrum
+        real = numerics.cluster_spectrum
 
         def counting(values):
             calls.append(len(values))
             return real(values)
 
-        monkeypatch.setattr(operator2k, "cluster_spectrum", counting)
+        monkeypatch.setattr(numerics, "cluster_spectrum", counting)
         return calls
 
     def test_spectrum_does_not_cluster(self, calls):
         spectrum(product(space_form(3, 1.0), flat_tensor(1)))
         assert calls == []
-
-    def test_clusters_are_built_once_on_first_read(self, calls):
-        s = spectrum(random_curvature(5, seed=8))
-        first = s.clusters
-        assert s.clusters is first
-        assert calls == [14]
-        expected = tuple(numerics.cluster_spectrum(s.eigenvalues))
-        assert [(v.hex(), type(v), m, type(m)) for v, m in first] == [
-            (v.hex(), type(v), m, type(m)) for v, m in expected]
 
     def test_harness_and_oracle_do_not_cluster(self, calls):
         assert check_rigidity("line", {"n": 5}, samples=5).samples_run == 5
@@ -206,7 +204,7 @@ class TestAlphaSum:
     def test_full_range_equals_trace(self):
         r = random_curvature(4, seed=5)
         s = spectrum(r)
-        assert abs(alpha_sum(s, s.N) - (r.dim + 2) / (2.0 * r.dim) * scalar(r)) <= 1e-9
+        assert abs(alpha_sum(s, len(s)) - (r.dim + 2) / (2.0 * r.dim) * scalar(r)) <= 1e-9
 
     def test_rejects_out_of_range(self):
         s = self.line_spectrum()
@@ -218,7 +216,7 @@ class TestAlphaSum:
     @settings(max_examples=25, deadline=None)
     def test_piecewise_linear_convex(self, seed):
         s = spectrum(random_curvature(4, seed))
-        alphas = np.linspace(1.0, s.N, 33)
+        alphas = np.linspace(1.0, len(s), 33)
         values = [alpha_sum(s, a) for a in alphas]
         slopes = np.diff(values) / np.diff(alphas)
         assert all(b >= a - 1e-9 for a, b in zip(slopes, slopes[1:]))
@@ -266,7 +264,7 @@ class TestClassify:
         for r in tensors:
             s = spectrum(r)
             neg = negate_spectrum(s)
-            for alpha in (1.0, 2.5, 4.5, float(s.N)):
+            for alpha in (1.0, 2.5, 4.5, float(len(s))):
                 for tol in (0.0, 1e-9):
                     nonneg = alpha_sum(s, alpha) >= -tol
                     nonpos = alpha_sum(neg, alpha) >= -tol
@@ -333,14 +331,14 @@ def edge_spectra(draw):
 
 class TestNegatedReadings:
     """The negated tensor's verdict and threshold, read off the tensor's own
-    eigenvalues, against the sorted and re-clustered negation."""
+    eigenvalues, against the sorted negation."""
 
     @settings(max_examples=400, deadline=None)
     @given(s=edge_spectra(), fraction=st.floats(0.0, 1.0),
            tol=st.sampled_from([0.0, CLASSIFY_TOL]))
     def test_mapped_verdict_and_threshold_equal_reference_negation(self, s, fraction, tol):
         neg = negate_spectrum(s)
-        alpha = 1.0 + fraction * (s.N - 1)
+        alpha = 1.0 + fraction * (len(s) - 1)
         assert NEGATED_VERDICT[verdict(s, alpha, tol)] == verdict(neg, alpha, tol)
         got, expected = nonpos_threshold(s), nonneg_threshold(neg)
         if expected is None:
@@ -357,7 +355,7 @@ class TestBruteforceOracle:
     def test_eigenbasis_sample_matches_alpha_sum(self):
         r = random_curvature(4, seed=12)
         s = spectrum(r)
-        for alpha in (1.0, 2.5, 4.0, float(s.N)):
+        for alpha in (1.0, 2.5, 4.0, float(len(s))):
             result = bruteforce_min_alpha_sum(r, alpha, samples=30, seed=99)
             assert abs(result.sample_values[0] - alpha_sum(s, alpha)) <= 1e-9
 
@@ -459,9 +457,9 @@ class TestWeightedPartialSums:
 
     def test_matches_alpha_sum_and_f_lemma(self):
         s = spectrum(random_curvature(4, seed=24))
-        for alpha in (1.0, 3.25, float(s.N)):
-            value = float(weighted_partial_sums(s.eigenvalues, alpha))
-            assert value == alpha_sum(s, alpha) == f_lemma(s.eigenvalues, alpha)
+        for alpha in (1.0, 3.25, float(len(s))):
+            value = float(weighted_partial_sums(s, alpha))
+            assert value == alpha_sum(s, alpha) == f_lemma(s, alpha)
 
     def test_rejects_alpha_out_of_range(self):
         with pytest.raises(InvalidInputError, match="alpha must lie"):
@@ -513,12 +511,12 @@ class TestProductBlockStructure:
         r2 = space_form(3, 0.5)
         rho1, rho2 = 1.0, 1.0
         predicted = np.sort(np.concatenate([
-            spectrum(r1).eigenvalues,
-            spectrum(r2).eigenvalues,
+            spectrum(r1),
+            spectrum(r2),
             np.zeros(6),
             [-(3 * rho1 + 2 * rho2) / 5.0],
         ]))
-        computed = spectrum(product(r1, r2)).eigenvalues
+        computed = spectrum(product(r1, r2))
         assert np.abs(computed - predicted).max() <= 1e-9
 
 

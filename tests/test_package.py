@@ -34,9 +34,9 @@ def test_readme_library_example_runs_as_commented():
     namespace = {}
     exec(code, namespace)
     s = namespace["s"]
-    assert "# clusters (-0.5, 1), (0, 3), (1, 5)" in code
-    assert [m for _, m in s.clusters] == [1, 3, 5]
-    assert [v for v, _ in s.clusters] == pytest.approx([-0.5, 0.0, 1.0], abs=1e-12)
+    assert "# ascending eigenvalues -0.5; 0 x3; 1 x5" in code
+    assert type(s) is np.ndarray and s.shape == (9,)
+    assert s.tolist() == pytest.approx([-0.5] + [0.0] * 3 + [1.0] * 5, abs=1e-12)
     assert "# 4.5 == a_const(3, 1)" in code
     assert namespace["nonneg_threshold"](s) == pytest.approx(4.5, abs=1e-12)
     assert namespace["a_const"](3, 1) == 4.5

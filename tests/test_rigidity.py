@@ -13,7 +13,7 @@ from secondkind.curvature import (
     random_curvature,
     space_form,
 )
-from secondkind import operator2k, rigidity
+from secondkind import numerics, operator2k, rigidity
 from secondkind.errors import InvalidInputError
 from secondkind.rigidity import (
     a_const,
@@ -152,7 +152,7 @@ class TestVerifyProductStructure:
         # dimension at least 2, one for the product's spectrum; each factor
         # spectrum is solved from its block, and no spectrum is clustered
         counts = {"assemble": 0, "cluster": 0}
-        real_assemble, real_cluster = operator2k.operator_matrix, operator2k.cluster_spectrum
+        real_assemble, real_cluster = operator2k.operator_matrix, numerics.cluster_spectrum
 
         def assemble(*args):
             counts["assemble"] += 1
@@ -164,7 +164,7 @@ class TestVerifyProductStructure:
 
         for module in (operator2k, rigidity):
             monkeypatch.setattr(module, "operator_matrix", assemble)
-        monkeypatch.setattr(operator2k, "cluster_spectrum", cluster)
+        monkeypatch.setattr(numerics, "cluster_spectrum", cluster)
         report = verify_product_structure(r1, r2)
         assert report.details["spectrum_multiset"] == "consistent"
         assert counts == {"assemble": assemblies, "cluster": 0}
@@ -238,6 +238,25 @@ class TestCheckRigidity:
             check_rigidity(case, {"grid": grid})
 
     @pytest.mark.parametrize("case", ["iff-spheres", "iff-kahler"])
+    def test_rejects_kappa_grid_above_sample_bound_before_solving(self, case, monkeypatch):
+        # 224 values give 2 * 224^2 = 100352 samples, over MAX_SAMPLES
+        def boom(*args, **kwargs):
+            raise AssertionError("solved before checking the bound")
+
+        monkeypatch.setattr(rigidity, "spectrum", boom)
+        grid = [1.0 + k / 1000 for k in range(224)]
+        with pytest.raises(InvalidInputError,
+                           match="^100352 sweep samples exceed the limit 100000$"):
+            check_rigidity(case, {"grid": grid})
+
+    @pytest.mark.parametrize("case", ["iff-spheres", "iff-kahler"])
+    def test_accepts_kappa_grid_at_sample_bound(self, case, monkeypatch):
+        monkeypatch.setattr(rigidity, "_sweep", lambda *args: None)
+        grid = [1.0 + k / 1000 for k in range(223)]
+        report = check_rigidity(case, {"grid": grid})
+        assert report.samples_run == 2 * 223 ** 2 <= operator2k.MAX_SAMPLES
+
+    @pytest.mark.parametrize("case", ["iff-spheres", "iff-kahler"])
     def test_sweep_solves_each_grid_point_once(self, case, monkeypatch):
         # the negative family's verdict is read from the positive spectrum
         real = operator2k.eigensolve
@@ -258,14 +277,14 @@ class TestCheckRigidity:
         # the verdicts read the eigenvalues alone, and the negative
         # family's verdict is mapped from the positive one, so no spectrum
         # is clustered
-        real = operator2k.cluster_spectrum
+        real = numerics.cluster_spectrum
         calls = []
 
         def counting(values):
             calls.append(len(values))
             return real(values)
 
-        monkeypatch.setattr(operator2k, "cluster_spectrum", counting)
+        monkeypatch.setattr(numerics, "cluster_spectrum", counting)
         check_rigidity(case, {"grid": [0.5, 1.0, 2.0]})
         assert calls == []
 
