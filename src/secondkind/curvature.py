@@ -5,8 +5,9 @@ hold every identity exactly and are not checked again.
 The one complex structure is the standard J of ``standard_complex_structure``:
 any orthogonal complex structure on R^{2m} is an orthogonal change of frame
 away from it, which changes no spectrum, so the Kahler model, its detector
-and the random Kahler tensors all use it. Components, the cached J matrices
-and the cached unit model tensors are read-only.
+and the random Kahler tensors all use it. Components, the cached J matrices,
+the cached flat tensors and unit model tensors, and the cached index tables
+of the random builders are read-only.
 
 Sign convention: ``R[i, j, i, j]`` is the sectional curvature of the
 coordinate plane spanned by ``e_i`` and ``e_j``; the Ricci contraction
@@ -21,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInputError
-from .numerics import SYMMETRY_TOL, seeded_stream
+from .numerics import SYMMETRY_TOL, fill_standard_normal
 
 DETECTOR_TOL = 1e-6
 # Largest total dimension n taken from input: a tensor has n**4 entries and
@@ -98,8 +99,10 @@ def space_form(n, c):
     return CurvatureTensor(float(c) * _unit_space_form(n))
 
 
+@lru_cache(maxsize=8)
 def flat_tensor(n):
-    """Zero curvature tensor; dimension 1 models a line factor."""
+    """Zero curvature tensor, checked once and shared per n; dimension 1
+    models a line factor."""
     if n < 1:
         raise InvalidInputError("dimension must be positive")
     return CurvatureTensor(np.zeros((n, n, n, n)))
@@ -206,6 +209,26 @@ def constant_holomorphic(r):
     return _matches(c, r.components, (c / 4.0) * _unit_kahler_space_form(m))
 
 
+@lru_cache(maxsize=8)
+def _pair_placements(n):
+    """Read-only flat indices and signs of the four antisymmetric placements
+    of a bilinear form on the pairs (i, j), i < j: entry ``[s, a, b]`` is
+    where ``sign[s] * w[a, b]`` lands, with pair a = (i, j) indexing the
+    rows and pair b = (k, l) the columns, at (i,j,k,l), (j,i,k,l), (i,j,l,k)
+    and (j,i,l,k). No two placements share an entry. One table per n."""
+    i, j = np.triu_indices(n, 1)
+    i, j, k, l = i[:, None], j[:, None], i[None, :], j[None, :]
+
+    def flat(a, b, c, d):
+        return ((a * n + b) * n + c) * n + d
+
+    index = np.stack([flat(i, j, k, l), flat(j, i, k, l), flat(i, j, l, k), flat(j, i, l, k)])
+    sign = np.array([1.0, -1.0, -1.0, 1.0])[:, None, None]
+    index.flags.writeable = False
+    sign.flags.writeable = False
+    return index, sign
+
+
 def random_curvature(n, seed):
     """Seeded random algebraic curvature tensor.
 
@@ -215,57 +238,76 @@ def random_curvature(n, seed):
     """
     if n < 2:
         raise InvalidInputError("random curvature tensors need dimension at least 2")
-    rng = seeded_stream(seed)
-    i, j = np.triu_indices(n, 1)
-    p = len(i)
-    w = rng.standard_normal((p, p))
+    index, sign = _pair_placements(n)
+    p = index.shape[1]
+    w = fill_standard_normal((seed,), np.empty((1, p, p)))[0]
     w = (w + w.T) / 2.0
     t = np.zeros((n, n, n, n))
-    # pair a = (i, j) with i < j indexes the rows, pair b = (k, l) the
-    # columns; the four antisymmetric placements never share an entry
-    i, j, k, l = i[:, None], j[:, None], i[None, :], j[None, :]
-    t[i, j, k, l] = w
-    t[j, i, k, l] = -w
-    t[i, j, l, k] = -w
-    t[j, i, l, k] = w
+    t.put(index, sign * w)
     return CurvatureTensor(t - _cyclic_part(t))
 
 
-def _j_pair_average(t, jm):
-    """Average of t over pulling back each index pair by J.
+@lru_cache(maxsize=8)
+def _j_pullbacks(m):
+    """Read-only flat gather indices and +-1 signs of the three pullbacks
+    by the standard J of a tensor on R^{2m}: of the first index pair, of the
+    second, and of both; one table per m. With ``J e_i = sign[i] e_perm[i]``,
+    pulling back the first pair reads ``t[perm[i], perm[j], k, l]`` times
+    ``sign[i] sign[j]``. Products of signs are exact, so one sign per term
+    gives the bits of the chained ``sign34 * (sign12 * t[...])``."""
+    jm = standard_complex_structure(m)
+    n = 2 * m
+    perm = np.abs(jm).argmax(axis=0)
+    sign = jm[perm, np.arange(n)]
+    # read t as a matrix over index pairs: pair (i, j) is row i * n + j
+    size = n * n
+    pair = (perm[:, None] * n + perm[None, :]).ravel()
+    same = np.arange(size)
+    index = np.stack([
+        pair[:, None] * size + same[None, :],
+        same[:, None] * size + pair[None, :],
+        pair[:, None] * size + pair[None, :],
+    ])
+    pair_sign = np.multiply.outer(sign, sign).ravel()
+    sign12, sign34 = np.broadcast_arrays(pair_sign[:, None], pair_sign[None, :])
+    signs = np.stack([sign12, sign34, sign12 * sign34])
+    shape = (3,) + (n,) * 4
+    index, signs = index.reshape(shape), signs.reshape(shape)
+    index.flags.writeable = False
+    signs.flags.writeable = False
+    return index, signs
 
-    ``jm`` must be a signed permutation, as the standard J is:
-    ``J e_i = sign[i] e_perm[i]``. Pulling back is then an exact index
-    permutation times a sign, bitwise equal to the contraction
+
+def _j_pair_average(t):
+    """Average of t on R^{2m} over pulling back each index pair by the
+    standard J.
+
+    Each pullback is one gather of t times a +-1 sign (``_j_pullbacks``):
+    exact, and bitwise equal to the contraction
     ``einsum("ai,bj,abkl->ijkl", jm, jm, t)`` without its path planning.
     """
-    cols = np.arange(jm.shape[1])
-    perm = np.abs(jm).argmax(axis=0)
-    sign = jm[perm, cols]
-    pair_sign = np.multiply.outer(sign, sign)
-    t12 = pair_sign[:, :, None, None] * t[perm][:, perm]
-    t34 = pair_sign * t[:, :, perm][:, :, :, perm]
-    tboth = pair_sign * t12[:, :, perm][:, :, :, perm]
+    index, signs = _j_pullbacks(t.shape[0] // 2)
+    t12, t34, tboth = signs * t.take(index)
     return (t + t12 + t34 + tboth) / 4.0
 
 
-def _kahler_part(t, jm):
+def _kahler_part(t):
     """Orthogonal projection of a pair-symmetric ``t`` onto the Kahler
-    curvature tensors of the signed permutation ``jm``: ``u - (3/2) P_J b u``
+    curvature tensors of the standard J: ``u - (3/2) P_J b u``
     with ``u = P_J t`` (``P_J`` the J-pair average, ``b`` the cyclic part).
     Exact because ``S = P_J b P_J`` has ``S^2 = (2/3) S`` there: ``b`` maps
     onto real (2,2)-forms ``w``, where ``<w, P_J w> = (1+1/3+1/3+1)/4 |w|^2``.
     Alternating ``P_J`` and ``I - b`` (Halperin 1962) converges at rate 1/3."""
-    u = _j_pair_average(t, jm)
-    return u - 1.5 * _j_pair_average(_cyclic_part(u), jm)
+    u = _j_pair_average(t)
+    return u - 1.5 * _j_pair_average(_cyclic_part(u))
 
 
 def random_kahler_curvature(m, seed):
     """Seeded random curvature tensor invariant under the standard J: one
     Gaussian draw, made pair-symmetric and projected by ``_kahler_part``."""
-    jm = standard_complex_structure(m)
-    t = seeded_stream(seed).standard_normal((2 * m,) * 4)
+    standard_complex_structure(m)  # rejects m < 1 before the draw
+    t = fill_standard_normal((seed,), np.empty((1,) + (2 * m,) * 4))[0]
     t = (t - t.transpose(1, 0, 2, 3)) / 2.0
     t = (t - t.transpose(0, 1, 3, 2)) / 2.0
     t = (t + t.transpose(2, 3, 0, 1)) / 2.0
-    return CurvatureTensor(_kahler_part(t, jm))
+    return CurvatureTensor(_kahler_part(t))

@@ -6,12 +6,14 @@ a given numpy/LAPACK build. Random sampling uses a counter-based generator
 distinct seeds rather than shared mutable state. The stream of a 64-bit
 seed ``s`` is Philox with key ``(s, 0)`` from counter 0; that pair fixes the
 stream completely (Salmon et al., "Parallel random numbers: as easy as 1, 2,
-3", SC'11), so ``random_orthonormal_families`` re-keys one generator per
-call instead of building one per seed, and draws bit for bit what
-``seeded_stream`` draws.
+3", SC'11). So one shared generator, built on the first draw and re-keyed
+before each draw, serves every seeded draw (``fill_standard_normal``: the
+oracle's bases and both random tensor builders), and draws bit for bit what
+``seeded_stream``, the reference definition, draws.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,6 +74,42 @@ def eigensolve(m, vectors=False):
         raise ConvergenceError(f"LAPACK eigensolver failed at n={a.shape[0]}: {exc}") from exc
 
 
+@lru_cache(maxsize=1)
+def _shared_philox():
+    """The one Philox bit generator and its Generator, built on the first
+    draw: building it imports ``numpy.random``, which the commands that
+    draw nothing never pay for."""
+    bitgen = np.random.Philox(key=0)
+    return bitgen, np.random.Generator(bitgen)
+
+
+def fill_standard_normal(seeds, out):
+    """Fill ``out[i]`` with standard normal draws from the stream of
+    ``seeds[i]`` alone, bitwise equal to
+    ``seeded_stream(seeds[i]).standard_normal(out[i].shape)``; returns ``out``.
+
+    The shared generator is re-keyed before each draw to the state of a
+    fresh ``seeded_stream``: key ``(seed, 0)``, counter 0, empty buffer. The
+    setter copies that state, and reads it fastest from Python ints, so one
+    dict of lists serves every draw.
+    """
+    bitgen, gen = _shared_philox()
+    key = [0, 0]
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for draw, seed in zip(out, seeds):
+        key[0] = int(seed) & _SEED_MASK
+        bitgen.state = fresh
+        gen.standard_normal(out=draw)
+    return out
+
+
 def random_orthonormal_families(n, seeds):
     """One random orthonormal basis of R^n per seed: ``n`` standard normal
     vectors, orthonormalized.
@@ -79,32 +117,15 @@ def random_orthonormal_families(n, seeds):
     Returns a ``(len(seeds), n, n)`` stack whose entry ``i``, one basis
     vector per row, is drawn from the stream of ``seeded_stream(seeds[i])``
     alone, so a family depends only on its own seed and not on its position
-    in the stack. One Philox generator is re-keyed before each draw. The
-    distribution is invariant under orthogonal maps. The draws are
-    orthonormalized by one stacked QR, which LAPACK runs matrix by matrix,
-    so each family is bitwise equal to the one drawn on its own.
+    in the stack. The draws come from ``fill_standard_normal``, the one
+    shared generator re-keyed before each draw. The distribution is
+    invariant under orthogonal maps. The draws are orthonormalized by one
+    stacked QR, which LAPACK runs matrix by matrix, so each family is
+    bitwise equal to the one drawn on its own.
     """
     if n < 1:
         raise InvalidInputError("ambient dimension must be positive")
-    g = np.empty((len(seeds), n, n))
-    bitgen = np.random.Philox(key=0)
-    gen = np.random.Generator(bitgen)
-    key = np.zeros(2, dtype=np.uint64)
-    # the state of seeded_stream(seed) before its first draw: key (seed, 0),
-    # counter 0, empty buffer; the setter copies it, so one dict serves all
-    fresh = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    for draw, seed in zip(g, seeds):
-        key[0] = int(seed) & _SEED_MASK
-        bitgen.state = fresh
-        gen.standard_normal(out=draw)
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(fill_standard_normal(seeds, np.empty((len(seeds), n, n))))
     # sign fix makes the columns agree with Gram-Schmidt on the draws
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0.0] = 1.0

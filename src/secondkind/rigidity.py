@@ -12,7 +12,7 @@ with its optimal constant. One sampled loop and one iff sweep run every row.
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -90,7 +90,8 @@ class HarnessReport:
         return self
 
     def to_dict(self):
-        return asdict(self)
+        """The fields by name, in order; the values are shared, not copied."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _check_tol(tol):
@@ -433,10 +434,12 @@ def _sweep(report, family, params, alpha, grid, tol):
     should be nonnegative, and the negative one nonpositive, exactly when
     the two curvatures are equal; each disagreement is a finding. Each grid
     point is solved and classified once: the negative model is bitwise the
-    negation of the positive one, so its verdict is the negated verdict."""
+    negation of the positive one, so its verdict is the negated verdict.
+    Each factor's model is built once per grid value."""
+    first, second = ({k: family.factors.model(d, k) for k in grid} for d in family.dims(params))
     for k1 in grid:
         for k2 in grid:
-            positive = verdict(spectrum(_model(family, params, (k1, k2))), alpha, tol)
+            positive = verdict(spectrum(product(first[k1], second[k2])), alpha, tol)
             for name, v, expected in (("positive", positive, VERDICT_NONNEGATIVE),
                                       ("negative", NEGATED_VERDICT[positive],
                                        VERDICT_NONPOSITIVE)):

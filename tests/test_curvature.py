@@ -151,7 +151,13 @@ class TestCachedUnitTensors:
             space_form(n, 1.0)
         for m in range(1, 11):
             kahler_space_form(m, 1.0)
-        for cached in (curvature._unit_space_form, curvature._unit_kahler_space_form):
+        for n in range(1, 13):
+            flat_tensor(n)
+            random_curvature(n + 1, 0)
+        for m in range(1, 11):
+            random_kahler_curvature(m, 0)
+        for cached in (curvature._unit_space_form, curvature._unit_kahler_space_form,
+                       flat_tensor, curvature._pair_placements, curvature._j_pullbacks):
             info = cached.cache_info()
             assert info.maxsize == 8 and info.currsize == 8
 
@@ -237,6 +243,13 @@ class TestCheckOnce:
     def test_product_rejects_unchecked_or_too_few_factors(self, factors):
         with pytest.raises(InvalidInputError):
             product(*factors)
+
+    def test_flat_tensor_is_shared_and_frozen(self):
+        r = flat_tensor(1)
+        assert flat_tensor(1) is r
+        assert not r.components.flags.writeable
+        with pytest.raises(ValueError):
+            r.components[0, 0, 0, 0] = 1.0
 
     def test_standard_complex_structure_is_shared_and_frozen(self):
         # the one complex structure: an exact orthogonal square root of -I,
@@ -422,14 +435,13 @@ def pair_symmetric_draw(m, seed):
 def alternating_projection_kahler(m, seed):
     """Reference: alternate the J-pair average and the removal of the cyclic
     part until both residuals drop below 1e-14, at most 500 rounds."""
-    jm = standard_complex_structure(m)
     t = pair_symmetric_draw(m, seed)
     tol = 1e-14 * max(1.0, float(np.abs(t).max()))
     for _ in range(500):
-        t = curvature._j_pair_average(t, jm)
+        t = curvature._j_pair_average(t)
         t = t - curvature._cyclic_part(t)
         bianchi_res = float(np.abs(curvature._cyclic_part(t)).max())
-        j_res = float(np.abs(t - curvature._j_pair_average(t, jm)).max())
+        j_res = float(np.abs(t - curvature._j_pair_average(t)).max())
         if bianchi_res <= tol and j_res <= tol:
             break
     return t
@@ -450,7 +462,7 @@ class TestRandomKahlerCurvature:
         assert symmetry_errors(r) <= tol
         pulled = np.einsum("ck,dl,ijcd->ijkl", jm, jm, r.components)
         assert np.abs(r.components - pulled).max() <= tol
-        again = curvature._kahler_part(r.components, jm)
+        again = curvature._kahler_part(r.components)
         assert np.abs(again - r.components).max() <= tol  # idempotent
         assert np.abs(r.components).max() > 1e-3  # generically nonzero
 
@@ -458,13 +470,11 @@ class TestRandomKahlerCurvature:
     def test_projection_identity(self, m):
         """S = P_J b P_J satisfies S^2 = (2/3) S on pair-symmetric tensors,
         which makes u - (3/2) P_J b u the exact projection."""
-        jm = standard_complex_structure(m)
-
         def s_map(u):
-            return curvature._j_pair_average(curvature._cyclic_part(u), jm)
+            return curvature._j_pair_average(curvature._cyclic_part(u))
 
         for seed in range(3):
-            u = curvature._j_pair_average(pair_symmetric_draw(m, seed), jm)
+            u = curvature._j_pair_average(pair_symmetric_draw(m, seed))
             su = s_map(u)
             assert np.linalg.norm(s_map(su) - su * (2.0 / 3.0)) <= 1e-14 * np.linalg.norm(su)
 
@@ -476,8 +486,10 @@ class TestRandomKahlerCurvature:
             assert np.abs(r.components - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
-def einsum_j_pair_average(t, jm):
-    """Reference: pulling back each index pair by J as a full contraction."""
+def einsum_j_pair_average(t):
+    """Reference: pulling back each index pair by the standard J as a full
+    contraction."""
+    jm = standard_complex_structure(t.shape[0] // 2)
     t12 = np.einsum("ai,bj,abkl->ijkl", jm, jm, t, optimize=True)
     t34 = np.einsum("ck,dl,ijcd->ijkl", jm, jm, t, optimize=True)
     tboth = np.einsum("ck,dl,abcd->abkl", jm, jm, t12, optimize=True)
@@ -487,11 +499,9 @@ def einsum_j_pair_average(t, jm):
 class TestJPairAverage:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_bitwise_equal_to_einsum_form(self, m):
-        jm = standard_complex_structure(m)
         for seed in range(50):
             t = seeded_stream(seed).standard_normal((2 * m,) * 4)
-            assert np.array_equal(curvature._j_pair_average(t, jm),
-                                  einsum_j_pair_average(t, jm))
+            assert np.array_equal(curvature._j_pair_average(t), einsum_j_pair_average(t))
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_generator_unchanged_from_einsum_form(self, monkeypatch, m):

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from secondkind.curvature import random_curvature, random_kahler_curvature
 from secondkind.errors import ConvergenceError, InvalidInputError
 from secondkind.numerics import (
     CLUSTER_REL_TOL,
     cluster_spectrum,
     eigensolve,
+    fill_standard_normal,
     random_orthonormal_families,
     seeded_stream,
 )
@@ -193,6 +195,8 @@ class TestRandomOrthonormalFamilies:
             random_orthonormal_families(0, [0])
 
     def test_builds_at_most_one_philox_per_call(self, monkeypatch):
+        # the one shared generator is built on the first draw of the process
+        fill_standard_normal([0], np.empty((1, 2)))
         built = []
         philox = np.random.Philox
 
@@ -202,7 +206,33 @@ class TestRandomOrthonormalFamilies:
 
         monkeypatch.setattr(np.random, "Philox", counting)
         random_orthonormal_families(9, list(range(100)))
-        assert len(built) <= 1
+        random_curvature(4, 1)
+        random_kahler_curvature(2, 1)
+        assert built == []
+
+
+class TestFillStandardNormal:
+    # -1 and 2**64 - 1 are one key after the 64-bit masking
+    SEEDS = (0, 1, 2**63 + 5, 2**64 - 1, -1)
+
+    @pytest.mark.parametrize("shape", [(6, 6), (4, 4, 4, 4)], ids=["pair-form", "tensor"])
+    def test_bitwise_equal_to_seeded_stream(self, shape):
+        out = np.empty((len(self.SEEDS),) + shape)
+        assert fill_standard_normal(self.SEEDS, out) is out
+        for draw, seed in zip(out, self.SEEDS):
+            assert draw.tobytes() == seeded_stream(seed).standard_normal(shape).tobytes()
+
+    def test_no_state_leaks_between_draws(self):
+        # three doubles leave the Philox buffer part used, so a draw that
+        # inherited the previous state would differ
+        a, b = 7, 2**63 + 5
+        stacked = fill_standard_normal([a, b, a], np.empty((3, 3)))
+        assert stacked[2].tobytes() == stacked[0].tobytes()
+        assert stacked[1].tobytes() != stacked[0].tobytes()
+        first = fill_standard_normal([a], np.empty((1, 3)))[0]
+        fill_standard_normal([b], np.empty((1, 5)))
+        again = fill_standard_normal([a], np.empty((1, 3)))[0]
+        assert again.tobytes() == first.tobytes() == stacked[0].tobytes()
 
 
 def _bits(clusters):

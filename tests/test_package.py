@@ -1,4 +1,6 @@
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -55,3 +57,23 @@ def test_readme_library_imports_exactly_the_namespace():
     assert {name.strip() for name in imported.split(",") if name.strip()} == PUBLIC_NAMES
     assert re.search(r"The\s+nine\s+names\s+above\s+are\s+the\s+package\s+namespace\.",
                      README.read_text())
+
+
+def test_numpy_random_is_imported_on_the_first_draw_only():
+    # the shared Philox generator is built by the first seeded draw, so
+    # start-up and the commands that draw nothing never import numpy.random
+    s4 = Path(__file__).resolve().parents[1] / "descriptors" / "s4.json"
+    code = (
+        "import contextlib, io, sys\n"
+        "import secondkind.cli as cli\n"
+        "loaded = ['numpy.random' in sys.modules]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.run(['spectrum', {str(s4)!r}]) == 0\n"
+        "    loaded.append('numpy.random' in sys.modules)\n"
+        "    assert cli.run(['verify', 'line', '--samples', '1']) == 0\n"
+        "loaded.append('numpy.random' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[False, False, True]\n"

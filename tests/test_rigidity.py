@@ -1,3 +1,5 @@
+import dataclasses
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +15,7 @@ from secondkind.curvature import (
     random_curvature,
     space_form,
 )
-from secondkind import numerics, operator2k, rigidity
+from secondkind import cli, numerics, operator2k, rigidity
 from secondkind.errors import InvalidInputError
 from secondkind.rigidity import (
     a_const,
@@ -341,6 +343,27 @@ class TestCheckRigidity:
         with pytest.raises(InvalidInputError,
                            match=f"total dimension {total} exceeds the limit {MAX_DIM}"):
             check_rigidity(case, params, samples=1)
+
+    def test_sweep_builds_each_factor_model_once_per_grid_value(self, monkeypatch, capsys):
+        real = rigidity.space_form
+        calls = []
+
+        def counting(n, c):
+            calls.append((n, c))
+            return real(n, c)
+
+        monkeypatch.setattr(rigidity, "space_form", counting)
+        argv = ["verify", "iff-spheres", "--n1", "2", "--n2", "3", "--kappa-grid", "0.5,1,2"]
+        assert cli.run(argv) == 0
+        assert json.loads(capsys.readouterr().out)["samples_run"] == 18
+        assert sorted(calls) == [(d, k) for d in (2, 3) for k in (0.5, 1.0, 2.0)]
+
+    def test_report_dict_shares_the_fields_in_order(self):
+        report = check_rigidity("iff-kahler", {"grid": [0.5, 1.0]})
+        obj = report.to_dict()
+        assert obj == dataclasses.asdict(report)
+        assert list(obj) == [f.name for f in dataclasses.fields(report)]
+        assert obj["findings"] is report.findings and obj["details"] is report.details
 
     def test_report_serializes(self):
         report = check_rigidity("iff-spheres", {"n1": 2, "n2": 2, "grid": [1.0]})
