@@ -18,7 +18,11 @@ itself, so that the dimension-1 factor blocks are compared too;
 ``examples``, and ``spectrum``, ``threshold``,
 ``classify`` and ``oracle`` (1000 samples, seed 7, and 65 samples, seed 0)
 over ``descriptors/*.json`` at alpha in {1.5, 3, line, A, B}, plus two
-descriptors whose curvature overflows a double; ``spectrum`` and
+descriptors whose curvature overflows a double; ``spectrum`` of each
+curved model kind at kappa in {0.3, 1/3, 7.1, 5e-324}, off the dyadic grid
+and at the least subnormal, and of ``cp`` with ``m = 1`` at 4e307 (peak
+1.6e308) and 4.5e307 (peak overflows), so that the scaled model tensors are
+compared too; ``spectrum`` and
 ``classify`` at those alphas of a three-factor product and of a product
 with a product factor, so that the n-ary block fill is compared too; and
 ``spectrum`` over malformed descriptors, so that the parse errors of every
@@ -81,6 +85,15 @@ ORACLE_RUNS = (("1000", "7"), ("65", "0"))
 OVERFLOW_DESCRIPTORS = {
     "overflow_cp2.json": '{"kind": "cp", "m": 2, "kappa": 1e308}',
     "overflow_s3.json": '{"kind": "sphere", "dim": 3, "kappa": 1e308}',
+}
+SCALED_KAPPAS = (("0.3", 0.3), ("third", 1 / 3), ("7.1", 7.1), ("5e-324", 5e-324))
+SCALED_DESCRIPTORS = {
+    **{f"scaled_{kind}_{label}.json": json.dumps({"kind": kind, size: value, "kappa": kappa})
+       for kind, size, value in (("sphere", "dim", 3), ("hyperbolic", "dim", 3),
+                                 ("cp", "m", 2), ("ch", "m", 2))
+       for label, kappa in SCALED_KAPPAS},
+    "scaled_cp_4e307.json": '{"kind": "cp", "m": 1, "kappa": 4e307}',
+    "scaled_cp_4.5e307.json": '{"kind": "cp", "m": 1, "kappa": 4.5e307}',
 }
 NARY_DESCRIPTORS = {
     "nary_s2xs2xr.json": ('{"kind": "product", "factors": [{"kind": "sphere", "dim": 2, '
@@ -165,6 +178,7 @@ def commands(tmp_dir):
         out += _descriptor_commands(path)
     for name in OVERFLOW_DESCRIPTORS:
         out += _descriptor_commands(os.path.join(tmp_dir, name))
+    out += [("spectrum", os.path.join(tmp_dir, name)) for name in SCALED_DESCRIPTORS]
     for name in NARY_DESCRIPTORS:
         path = os.path.join(tmp_dir, name)
         out.append(("spectrum", path))
@@ -195,8 +209,8 @@ def run_all():
     os.chdir(REPO)
     records = []
     with tempfile.TemporaryDirectory() as tmp:
-        generated = {LINE_DESCRIPTOR: LINE_TEXT, **OVERFLOW_DESCRIPTORS, **NARY_DESCRIPTORS,
-                     **MALFORMED_DESCRIPTORS}
+        generated = {LINE_DESCRIPTOR: LINE_TEXT, **OVERFLOW_DESCRIPTORS, **SCALED_DESCRIPTORS,
+                     **NARY_DESCRIPTORS, **MALFORMED_DESCRIPTORS}
         for name, text in generated.items():
             Path(tmp, name).write_text(text)
         for argv in commands(tmp):

@@ -1,7 +1,8 @@
 """Algebraic curvature tensors: model spaces, products, contractions,
 structure detectors, and seeded random generation. A tensor is checked once,
 when ``CurvatureTensor`` makes it from numbers; products of checked tensors
-hold every identity exactly and are not checked again.
+and model tensors, a checked unit per size times the curvature, hold every
+identity exactly and are not checked again.
 The one complex structure is the standard J of ``standard_complex_structure``:
 any orthogonal complex structure on R^{2m} is an orthogonal change of frame
 away from it, which changes no spectrum, so the Kahler model, its detector
@@ -66,6 +67,15 @@ class CurvatureTensor:
         return self.components.shape[0]
 
 
+def _unchecked(comp):
+    """``CurvatureTensor`` of a fresh float64 array that holds every identity
+    by construction, marked read-only and not checked again."""
+    comp.flags.writeable = False
+    tensor = object.__new__(CurvatureTensor)
+    object.__setattr__(tensor, "components", comp)
+    return tensor
+
+
 @lru_cache(maxsize=32)
 def standard_complex_structure(m):
     """Read-only matrix of the complex structure J on R^{2m}, sending e_i to
@@ -82,21 +92,42 @@ def standard_complex_structure(m):
 
 @lru_cache(maxsize=8)
 def _unit_space_form(n):
-    """Read-only components of the unit space form in dimension n, an exact
-    0/+-1 pattern built once per n. Each entry of the two terms is one
-    product of two factors, so the terms equal the einsums ik,jl / il,jk
-    bitwise."""
+    """Unit space form in dimension n, an exact 0/+-1 pattern built and
+    checked once per n. Each entry of the two terms is one product of two
+    factors, so the terms equal the einsums ik,jl / il,jk bitwise."""
     dd = np.multiply.outer(np.eye(n), np.eye(n))  # dd[i,k,j,l] = d_ik d_jl
-    unit = dd.transpose(0, 2, 1, 3) - dd.transpose(0, 2, 3, 1)
-    unit.flags.writeable = False
-    return unit
+    return CurvatureTensor(dd.transpose(0, 2, 1, 3) - dd.transpose(0, 2, 3, 1))
+
+
+def _scaled(c, unit, peak):
+    """The checked tensor ``float(c) * unit.components`` of a cached unit
+    whose largest entry magnitude is ``peak``, not checked again.
+
+    ``comp`` is computed first, so an overflow under a raising
+    ``np.errstate`` raises ``FloatingPointError`` as it would before a check.
+    The check of ``CurvatureTensor`` would accept ``comp`` exactly when
+    ``abs(c) * peak`` is finite. Every unit entry is 0, +-1, +-2 or +-4,
+    so each entry ``c * e`` is exact (a power of two times c, subnormal c
+    included) and ``max|comp|`` is exactly ``abs(c) * peak``, or inf. Each
+    antisymmetry and pair-exchange residual is ``c*e - c*e = 0``. The
+    unit's cyclic sums vanish, ``a + b = -d`` with d again 0 or a power of
+    two, so the partial sum ``c*a + c*b`` is the representable ``-c*d`` and
+    every Bianchi residual is 0. All residuals are 0 within any tolerance,
+    and only the finiteness check can fail: NaN and +-inf c, or an ``abs(c)
+    * peak`` that overflows, are rejected with its message.
+    """
+    c = float(c)
+    comp = c * unit.components
+    if not math.isfinite(abs(c) * peak):
+        raise InvalidInputError("components must be finite")
+    return _unchecked(comp)
 
 
 def space_form(n, c):
     """Constant sectional curvature c in dimension n >= 2."""
     if n < 2:
         raise InvalidInputError("space forms need dimension at least 2")
-    return CurvatureTensor(float(c) * _unit_space_form(n))
+    return _scaled(c, _unit_space_form(n), 1.0)
 
 
 @lru_cache(maxsize=8)
@@ -110,28 +141,27 @@ def flat_tensor(n):
 
 @lru_cache(maxsize=8)
 def _unit_kahler_space_form(m):
-    """Read-only components of the complex space form of holomorphic
-    curvature 4 and complex dimension m, an exact 0/+-1/+-2 pattern built
-    once per m: the unit space form's two terms, then the ki,lj / li,kj /
-    ji,lk terms of the standard J as transposed views of one outer product.
-    Each entry of a term is one product of two factors, so the terms equal
-    the einsums bitwise."""
+    """Complex space form of holomorphic curvature 4 and complex dimension
+    m, built and checked once per m: the unit space form's two terms, then
+    the ki,lj / li,kj / ji,lk terms of the standard J as transposed views of
+    one outer product. Its entries are exactly 0, +-1, +-2 and +-4 (only 0
+    and +-4 at m = 1), with peak 4 at ``[i, m+i, i, m+i]``. Each entry of a
+    term is one product of two factors, so the terms equal the einsums
+    bitwise."""
     jm = standard_complex_structure(m)
     jj = np.multiply.outer(jm, jm)
-    unit = (
-        _unit_space_form(2 * m)
+    return CurvatureTensor(
+        _unit_space_form(2 * m).components
         + jj.transpose(1, 3, 0, 2)
         - jj.transpose(1, 3, 2, 0)
         + 2.0 * jj.transpose(1, 0, 3, 2)
     )
-    unit.flags.writeable = False
-    return unit
 
 
 def kahler_space_form(m, kappa):
     """Complex space form of complex dimension m, holomorphic curvature
     4*kappa, adapted to the standard J."""
-    return CurvatureTensor(float(kappa) * _unit_kahler_space_form(m))
+    return _scaled(kappa, _unit_kahler_space_form(m), 4.0)
 
 
 def product(*factors):
@@ -153,10 +183,7 @@ def product(*factors):
         block = slice(start, start + f.dim)
         comp[block, block, block, block] = f.components
         start += f.dim
-    comp.flags.writeable = False
-    tensor = object.__new__(CurvatureTensor)
-    object.__setattr__(tensor, "components", comp)
-    return tensor
+    return _unchecked(comp)
 
 
 def ricci(r):
@@ -172,8 +199,8 @@ def scalar(r):
 def _matches(value, actual, model):
     """``value`` when ``actual`` is ``model`` within ``DETECTOR_TOL`` times
     ``max(1, max|actual|)``, else None. The detectors' models are the
-    cached units times the curvature, the products that ``space_form`` and
-    ``kahler_space_form`` check and copy."""
+    cached checked units times the curvature, the products that
+    ``space_form`` and ``kahler_space_form`` return."""
     dev = float(np.abs(actual - model).max())
     if dev <= DETECTOR_TOL * max(1.0, float(np.abs(actual).max())):
         return value
@@ -196,7 +223,7 @@ def constant_sectional(r):
     if n < 2:
         return 0.0
     c = scalar(r) / (n * (n - 1))
-    return _matches(c, r.components, c * _unit_space_form(n))
+    return _matches(c, r.components, c * _unit_space_form(n).components)
 
 
 def constant_holomorphic(r):
@@ -206,7 +233,7 @@ def constant_holomorphic(r):
         raise InvalidInputError(f"a complex space form needs even dimension, got {r.dim}")
     m = r.dim // 2
     c = 4.0 * scalar(r) / (2 * m * (2 * m + 2))
-    return _matches(c, r.components, (c / 4.0) * _unit_kahler_space_form(m))
+    return _matches(c, r.components, (c / 4.0) * _unit_kahler_space_form(m).components)
 
 
 @lru_cache(maxsize=8)

@@ -119,9 +119,9 @@ class TestKahlerSpaceForm:
 
 
 class TestCachedUnitTensors:
-    """The model tensors are a cached read-only unit times the curvature;
-    the components must be bitwise those built from scratch, and every
-    tensor is still checked."""
+    """The model tensors are a cached checked unit times the curvature; the
+    components must be bitwise those built from scratch, and the check that
+    each unit passed once must decide every product as a re-check would."""
 
     CURVATURES = (0.25, 1.0 / 3.0, -2.0, 0.0, 1e150)
 
@@ -141,10 +141,12 @@ class TestCachedUnitTensors:
     def test_units_are_read_only_and_not_shared_with_tensors(self):
         for unit, tensor in ((curvature._unit_space_form(3), space_form(3, 1.0)),
                              (curvature._unit_kahler_space_form(2), kahler_space_form(2, 1.0))):
-            assert not unit.flags.writeable
+            assert isinstance(unit, CurvatureTensor)
+            assert not unit.components.flags.writeable
             with pytest.raises(ValueError):
-                unit[0, 1, 0, 1] = 5.0
-            assert not np.shares_memory(unit, tensor.components)
+                unit.components[0, 1, 0, 1] = 5.0
+            assert not np.shares_memory(unit.components, tensor.components)
+            assert not tensor.components.flags.writeable
 
     def test_caches_are_bounded(self):
         for n in range(2, 14):
@@ -160,6 +162,9 @@ class TestCachedUnitTensors:
                        flat_tensor, curvature._pair_placements, curvature._j_pullbacks):
             info = cached.cache_info()
             assert info.maxsize == 8 and info.currsize == 8
+        # the unit caches hold the checked tensors, one n**4 array per entry
+        assert isinstance(curvature._unit_space_form(13), CurvatureTensor)
+        assert isinstance(curvature._unit_kahler_space_form(10), CurvatureTensor)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_model_tensors_are_still_checked(self, bad):
@@ -167,6 +172,80 @@ class TestCachedUnitTensors:
             for build in (lambda: space_form(3, bad), lambda: kahler_space_form(2, bad)):
                 with pytest.raises(InvalidInputError, match="components must be finite"):
                     build()
+
+
+# (unit, its peak, model builder) for every cached size the tests pin
+UNIT_SIZES = (
+    [("space", n) for n in (*range(2, 13), 32)]
+    + [("kahler", m) for m in (*range(1, 7), 16)]
+)
+UNIT_KINDS = {
+    "space": (curvature._unit_space_form, 1.0, space_form),
+    "kahler": (curvature._unit_kahler_space_form, 4.0, kahler_space_form),
+}
+SCALES = (0.25, -0.25, 0.3, 1.0 / 3.0, 7.1, 1e-300, 5e-324, 1e300,
+          np.nan, np.inf, -np.inf)
+
+
+def _outcome(build):
+    """("ok", component bytes) or ("error", message) of a build, with
+    numpy's floating-point warnings silenced."""
+    with np.errstate(all="ignore"):
+        try:
+            return "ok", build().components.tobytes()
+        except InvalidInputError as exc:
+            return "error", str(exc)
+
+
+class TestScaledUnits:
+    """A model tensor is its checked unit times the curvature and is not
+    checked again; that is sound because every unit entry is 0, +-1, +-2 or
+    +-4 (see ``curvature._scaled``)."""
+
+    @pytest.mark.parametrize("kind, size", UNIT_SIZES)
+    def test_unit_entries_are_powers_of_two_with_the_stated_peak(self, kind, size):
+        unit, peak, _ = UNIT_KINDS[kind]
+        values = set(np.unique(unit(size).components).tolist())
+        assert values <= {0.0, 1.0, -1.0, 2.0, -2.0, 4.0, -4.0}
+        assert float(np.abs(unit(size).components).max()) == peak
+        if kind == "kahler" and size == 1:
+            assert values == {0.0, 4.0, -4.0}
+
+    @pytest.mark.parametrize("kind, size", UNIT_SIZES)
+    def test_model_equals_a_full_recheck_of_the_product(self, kind, size):
+        unit, _, model = UNIT_KINDS[kind]
+        for c in SCALES:
+            expected = _outcome(lambda: CurvatureTensor(c * unit(size).components))
+            assert _outcome(lambda: model(size, c)) == expected, c
+
+    @given(st.sampled_from([("space", n) for n in range(2, 6)]
+                           + [("kahler", m) for m in range(1, 4)]),
+           st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=200, deadline=None)
+    def test_model_equals_a_full_recheck_for_any_finite_curvature(self, kind_size, c):
+        kind, size = kind_size
+        unit, _, model = UNIT_KINDS[kind]
+        expected = _outcome(lambda: CurvatureTensor(c * unit(size).components))
+        assert _outcome(lambda: model(size, c)) == expected
+
+    def test_largest_finite_kahler_peak_builds(self):
+        r = kahler_space_form(1, 4e307)
+        assert float(np.abs(r.components).max()) == 1.6e308
+
+    def test_overflowing_kahler_peak_is_rejected(self):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(InvalidInputError, match="components must be finite"):
+                kahler_space_form(1, 4.5e307)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            kahler_space_form(1, 4.5e307)
+
+    def test_overflowing_kahler_peak_exits_3_on_the_command_line(self, tmp_path, capsys):
+        path = tmp_path / "cp1.json"
+        path.write_text('{"kind": "cp", "m": 1, "kappa": 4.5e307}')
+        assert cli.run(["spectrum", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numeric failure: overflow encountered in multiply\n"
 
 
 class TestComplexStructure:
@@ -264,7 +343,9 @@ class TestCheckOnce:
             with pytest.raises(ValueError):
                 j[0, 0] = 1.0
 
-    def test_spectrum_of_a_product_checks_each_leaf_once(self, monkeypatch, capsys):
+    @staticmethod
+    def count_checks(monkeypatch):
+        """List that gets one entry per run of the ``CurvatureTensor`` check."""
         real = CurvatureTensor.__post_init__
         calls = []
 
@@ -273,11 +354,27 @@ class TestCheckOnce:
             real(self)
 
         monkeypatch.setattr(CurvatureTensor, "__post_init__", counting)
-        path = Path(__file__).resolve().parents[1] / "descriptors" / "s2xs2.json"
-        assert cli.run(["spectrum", str(path)]) == 0
-        assert json.loads(capsys.readouterr().out)["n"] == 4
-        assert len(calls) == 2
+        return calls
 
+    def test_model_units_are_checked_once_per_size(self, monkeypatch, capsys):
+        curvature._unit_space_form.cache_clear()
+        curvature._unit_kahler_space_form.cache_clear()
+        calls = self.count_checks(monkeypatch)
+        descriptors = Path(__file__).resolve().parents[1] / "descriptors"
+        # s2xs2: the one unit of dimension 2 is checked on the first request
+        for expected in (1, 0):
+            calls.clear()
+            assert cli.run(["spectrum", str(descriptors / "s2xs2.json")]) == 0
+            assert json.loads(capsys.readouterr().out)["n"] == 4
+            assert len(calls) == expected
+        # tensors made from numbers are checked on every request
+        calls.clear()
+        assert cli.run(["spectrum", str(descriptors / "custom_flat2.json")]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+        calls.clear()
+        random_curvature(4, 0)
+        assert len(calls) == 1
 
 class TestContractions:
     def test_space_form_ricci(self):
