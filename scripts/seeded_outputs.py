@@ -32,7 +32,11 @@ two-factor products nested 32, 40 and 300 levels deep; and two ``verify``
 commands given flags their harness does not read, ``line --file1
 nonexistent.json`` and ``product`` of ``descriptors/s4.json`` with itself
 with ``--n 7 --kappa-grid 1,2``; and ``iff-spheres`` on a grid of 224
-values, one more than the sweep sample bound allows.
+values, one more than the sweep sample bound allows; and three runs that
+cross the seams of the harnesses' sample blocks and reach the structure
+detectors: ``line --n 5 --samples 130 --tol 50`` (every sample classifies),
+``product-kahler --m1 1 --m2 1 --samples 70 --tol 50`` (a finding per
+sample) and ``iff-spheres`` on a 9-value grid (81 grid pairs).
 Each record holds the command line, the exit code, stderr, stdout parsed as
 JSON with every ``timing`` block removed, and the raw stdout text with every
 ``"seconds": <number>`` masked, so that a change in the emitted bytes shows
@@ -112,6 +116,11 @@ UNREAD_FLAGS = (
 # 2 * 224^2 sweep samples, one grid value over MAX_SAMPLES
 OVERSIZED_GRID = ("verify", "iff-spheres", "--kappa-grid",
                   ",".join(str(k / 4) for k in range(1, 225)))
+BLOCK_SEAMS = (
+    ("verify", "line", "--n", "5", "--samples", "130", "--tol", "50"),
+    ("verify", "product-kahler", "--m1", "1", "--m2", "1", "--samples", "70", "--tol", "50"),
+    ("verify", "iff-spheres", "--kappa-grid", "0.25,0.5,0.75,1,1.25,1.5,1.75,2,2.25"),
+)
 LINE_DESCRIPTOR = "euclidean_line.json"
 LINE_TEXT = '{"kind": "euclidean", "dim": 1}'
 
@@ -186,6 +195,7 @@ def commands(tmp_dir):
     out += [("spectrum", os.path.join(tmp_dir, name)) for name in MALFORMED_DESCRIPTORS]
     out += UNREAD_FLAGS
     out.append(OVERSIZED_GRID)
+    out += BLOCK_SEAMS
     return out
 
 

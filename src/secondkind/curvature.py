@@ -1,8 +1,11 @@
 """Algebraic curvature tensors: model spaces, products, contractions,
 structure detectors, and seeded random generation. A tensor is checked once,
-when ``CurvatureTensor`` makes it from numbers; products of checked tensors
-and model tensors, a checked unit per size times the curvature, hold every
-identity exactly and are not checked again.
+when ``CurvatureTensor`` makes it from numbers, or with its stack when a
+stacked random builder makes it; products of checked tensors and model
+tensors, a checked unit per size times the curvature, hold every identity
+exactly and are not checked again. The random builders, the identity check,
+the product fill and the tensor helpers take a single tensor ``(n, n, n, n)``
+or a stack of them ``(..., n, n, n, n)``.
 The one complex structure is the standard J of ``standard_complex_structure``:
 any orthogonal complex structure on R^{2m} is an orthogonal change of frame
 away from it, which changes no spectrum, so the Kahler model, its detector
@@ -31,8 +34,77 @@ DETECTOR_TOL = 1e-6
 MAX_DIM = 32
 
 
+_TENSOR_AXES = (-4, -3, -2, -1)
+
+
+def _permuted(t, perm):
+    """View of a tensor, or of a stack of tensors ``(..., n, n, n, n)``, with
+    its last four axes permuted by ``perm``."""
+    lead = t.ndim - 4
+    return t.transpose(*range(lead), *(lead + p for p in perm)) if lead else t.transpose(perm)
+
+
 def _cyclic_part(t):
-    return (t + t.transpose(2, 0, 1, 3) + t.transpose(1, 2, 0, 3)) / 3.0
+    # (t + t_201 + t_120) / 3: the same operations in the same order, in one
+    # new array instead of three
+    part = t + _permuted(t, (2, 0, 1, 3))
+    part += _permuted(t, (1, 2, 0, 3))
+    part /= 3.0
+    return part
+
+
+def _largest(residual):
+    """Largest entry magnitude of a fresh tensor or of each tensor of a fresh
+    stack, taken in place: a stack's temporaries are large enough that each
+    new one costs page faults."""
+    return np.abs(residual, out=residual).max(axis=_TENSOR_AXES)
+
+
+# the curvature identities in the order they are checked, after finiteness:
+# the message of a violation and the residual that must vanish
+_IDENTITIES = (
+    ("components are not antisymmetric in the first index pair",
+     lambda c: c + _permuted(c, (1, 0, 2, 3))),
+    ("components are not antisymmetric in the second index pair",
+     lambda c: c + _permuted(c, (0, 1, 3, 2))),
+    ("components are not symmetric under index-pair exchange",
+     lambda c: c - _permuted(c, (2, 3, 0, 1))),
+    ("components violate the first Bianchi identity", _cyclic_part),
+)
+
+
+def check_identities(c):
+    """Check a float tensor ``(n, n, n, n)``, or each tensor of a stack
+    ``(..., n, n, n, n)``: its entries are finite and every residual of
+    ``_IDENTITIES`` is at most ``SYMMETRY_TOL * max(1, peak)``, ``peak``
+    being the tensor's largest entry magnitude.
+
+    Raises InvalidInputError with the message of the first check failed by
+    the first failing tensor in stack order, which is what checking the
+    tensors one at a time raises. A stack is checked by axis reductions in
+    one pass with floating-point errors ignored; only a stack that fails is
+    checked again one tensor at a time, under the caller's error state,
+    and that raises.
+    """
+    if c.ndim > 4:
+        with np.errstate(over="ignore", invalid="ignore"):
+            peak = np.abs(c).max(axis=_TENSOR_AXES)
+            tol = SYMMETRY_TOL * np.maximum(1.0, peak)
+            passed = bool(np.isfinite(peak).all()) and all(
+                bool((_largest(residual(c)) <= tol).all()) for _, residual in _IDENTITIES)
+        if not passed:
+            for tensor in c.reshape((-1,) + c.shape[-4:]):
+                check_identities(tensor)
+        return
+    peak = float(np.abs(c).max())
+    # NaN propagates through max; a NaN or infinite entry would pass every
+    # tolerance check below
+    if not math.isfinite(peak):
+        raise InvalidInputError("components must be finite")
+    tol = SYMMETRY_TOL * max(1.0, peak)
+    for message, residual in _IDENTITIES:
+        if float(_largest(residual(c))) > tol:
+            raise InvalidInputError(message)
 
 
 @dataclass(frozen=True)
@@ -45,20 +117,7 @@ class CurvatureTensor:
         c = np.array(self.components, dtype=float, order="C")
         if c.ndim != 4 or len(set(c.shape)) != 1:
             raise InvalidInputError(f"components must have shape (n, n, n, n), got {c.shape}")
-        peak = float(np.abs(c).max())
-        # NaN propagates through max; a NaN or infinite entry would pass every
-        # tolerance check below
-        if not math.isfinite(peak):
-            raise InvalidInputError("components must be finite")
-        tol = SYMMETRY_TOL * max(1.0, peak)
-        if float(np.abs(c + c.transpose(1, 0, 2, 3)).max()) > tol:
-            raise InvalidInputError("components are not antisymmetric in the first index pair")
-        if float(np.abs(c + c.transpose(0, 1, 3, 2)).max()) > tol:
-            raise InvalidInputError("components are not antisymmetric in the second index pair")
-        if float(np.abs(c - c.transpose(2, 3, 0, 1)).max()) > tol:
-            raise InvalidInputError("components are not symmetric under index-pair exchange")
-        if float(np.abs(_cyclic_part(c)).max()) > tol:
-            raise InvalidInputError("components violate the first Bianchi identity")
+        check_identities(c)
         c.flags.writeable = False
         object.__setattr__(self, "components", c)
 
@@ -67,9 +126,10 @@ class CurvatureTensor:
         return self.components.shape[0]
 
 
-def _unchecked(comp):
-    """``CurvatureTensor`` of a fresh float64 array that holds every identity
-    by construction, marked read-only and not checked again."""
+def unchecked_tensor(comp):
+    """``CurvatureTensor`` of a float64 array that holds every identity by
+    construction or has passed ``check_identities``, marked read-only and
+    not checked again; a view into a stack is marked, not copied."""
     comp.flags.writeable = False
     tensor = object.__new__(CurvatureTensor)
     object.__setattr__(tensor, "components", comp)
@@ -120,7 +180,7 @@ def _scaled(c, unit, peak):
     comp = c * unit.components
     if not math.isfinite(abs(c) * peak):
         raise InvalidInputError("components must be finite")
-    return _unchecked(comp)
+    return unchecked_tensor(comp)
 
 
 def space_form(n, c):
@@ -176,14 +236,23 @@ def product(*factors):
     """
     if len(factors) < 2 or not all(isinstance(f, CurvatureTensor) for f in factors):
         raise InvalidInputError("a product needs two or more curvature tensors")
-    n = sum(f.dim for f in factors)
-    comp = np.zeros((n, n, n, n))
+    return unchecked_tensor(product_components([f.components for f in factors]))
+
+
+def product_components(parts):
+    """Block components of a product: each of ``parts``, a factor's
+    components ``(d, d, d, d)`` or a stack of them ``(S, d, d, d, d)``, in
+    its diagonal block in order, and zeros elsewhere. With stacks, the
+    first part is one, entry ``i`` is the product of entry ``i`` of each
+    stack, and a single tensor is a factor of every entry."""
+    n = sum(p.shape[-1] for p in parts)
+    comp = np.zeros(parts[0].shape[:-4] + (n,) * 4)
     start = 0
-    for f in factors:
-        block = slice(start, start + f.dim)
-        comp[block, block, block, block] = f.components
-        start += f.dim
-    return _unchecked(comp)
+    for p in parts:
+        block = slice(start, start + p.shape[-1])
+        comp[..., block, block, block, block] = p
+        start += p.shape[-1]
+    return comp
 
 
 def ricci(r):
@@ -256,6 +325,23 @@ def _pair_placements(n):
     return index, sign
 
 
+def _random_real(n, seeds):
+    """Unchecked stack of the tensors of ``random_curvature``, one per seed,
+    each drawn from its seed's stream alone; the stack is symmetrized,
+    placed and has its cyclic part removed at once."""
+    if n < 2:
+        raise InvalidInputError("random curvature tensors need dimension at least 2")
+    index, sign = _pair_placements(n)
+    p = index.shape[1]
+    w = fill_standard_normal(seeds, np.empty((len(seeds), p, p)))
+    w = (w + w.swapaxes(1, 2)) / 2.0
+    t = np.zeros((len(seeds), n ** 4))
+    t[:, index] = sign * w[:, None]
+    t = t.reshape((len(seeds),) + (n,) * 4)
+    t -= _cyclic_part(t)
+    return t
+
+
 def random_curvature(n, seed):
     """Seeded random algebraic curvature tensor.
 
@@ -263,15 +349,19 @@ def random_curvature(n, seed):
     removes its cyclic part so the first Bianchi identity holds exactly to
     rounding. Identical seeds give identical components.
     """
-    if n < 2:
-        raise InvalidInputError("random curvature tensors need dimension at least 2")
-    index, sign = _pair_placements(n)
-    p = index.shape[1]
-    w = fill_standard_normal((seed,), np.empty((1, p, p)))[0]
-    w = (w + w.T) / 2.0
-    t = np.zeros((n, n, n, n))
-    t.put(index, sign * w)
-    return CurvatureTensor(t - _cyclic_part(t))
+    return CurvatureTensor(_random_real(n, (seed,))[0])
+
+
+def random_curvatures(n, seeds):
+    """Checked read-only stack ``(len(seeds), n, n, n, n)`` whose entry
+    ``i`` is ``random_curvature(n, seeds[i]).components`` bit for bit."""
+    return _checked_stack(_random_real(n, seeds))
+
+
+def _checked_stack(comp):
+    check_identities(comp)
+    comp.flags.writeable = False
+    return comp
 
 
 @lru_cache(maxsize=8)
@@ -306,16 +396,25 @@ def _j_pullbacks(m):
 
 
 def _j_pair_average(t):
-    """Average of t on R^{2m} over pulling back each index pair by the
-    standard J.
+    """Average of t on R^{2m}, or of each tensor of a stack, over pulling
+    back each index pair by the standard J.
 
     Each pullback is one gather of t times a +-1 sign (``_j_pullbacks``):
     exact, and bitwise equal to the contraction
     ``einsum("ai,bj,abkl->ijkl", jm, jm, t)`` without its path planning.
     """
-    index, signs = _j_pullbacks(t.shape[0] // 2)
-    t12, t34, tboth = signs * t.take(index)
-    return (t + t12 + t34 + tboth) / 4.0
+    index, signs = _j_pullbacks(t.shape[-1] // 2)
+    lead = t.ndim - 4
+    pulled = np.take(t.reshape(t.shape[:lead] + (-1,)), index, axis=-1)
+    pulled *= signs
+    # the axis of the three pullbacks, after the stack axes, goes first
+    t12, t34, tboth = pulled.transpose(lead, *range(lead), *range(lead + 1, lead + 5))
+    # ((t + t12) + t34 + tboth) / 4 in one new array
+    average = t + t12
+    average += t34
+    average += tboth
+    average /= 4.0
+    return average
 
 
 def _kahler_part(t):
@@ -326,15 +425,32 @@ def _kahler_part(t):
     onto real (2,2)-forms ``w``, where ``<w, P_J w> = (1+1/3+1/3+1)/4 |w|^2``.
     Alternating ``P_J`` and ``I - b`` (Halperin 1962) converges at rate 1/3."""
     u = _j_pair_average(t)
-    return u - 1.5 * _j_pair_average(_cyclic_part(u))
+    correction = _j_pair_average(_cyclic_part(u))
+    correction *= 1.5
+    u -= correction
+    return u
+
+
+def _random_kahler(m, seeds):
+    """Unchecked stack of the tensors of ``random_kahler_curvature``, one
+    per seed, each drawn from its seed's stream alone; the stack is made
+    pair-symmetric and projected at once."""
+    standard_complex_structure(m)  # rejects m < 1 before the draw
+    t = fill_standard_normal(seeds, np.empty((len(seeds),) + (2 * m,) * 4))
+    t = (t - _permuted(t, (1, 0, 2, 3))) / 2.0
+    t = (t - _permuted(t, (0, 1, 3, 2))) / 2.0
+    t = (t + _permuted(t, (2, 3, 0, 1))) / 2.0
+    return _kahler_part(t)
 
 
 def random_kahler_curvature(m, seed):
     """Seeded random curvature tensor invariant under the standard J: one
     Gaussian draw, made pair-symmetric and projected by ``_kahler_part``."""
-    standard_complex_structure(m)  # rejects m < 1 before the draw
-    t = fill_standard_normal((seed,), np.empty((1,) + (2 * m,) * 4))[0]
-    t = (t - t.transpose(1, 0, 2, 3)) / 2.0
-    t = (t - t.transpose(0, 1, 3, 2)) / 2.0
-    t = (t + t.transpose(2, 3, 0, 1)) / 2.0
-    return CurvatureTensor(_kahler_part(t))
+    return CurvatureTensor(_random_kahler(m, (seed,))[0])
+
+
+def random_kahler_curvatures(m, seeds):
+    """Checked read-only stack ``(len(seeds), 2m, 2m, 2m, 2m)`` whose entry
+    ``i`` is ``random_kahler_curvature(m, seeds[i]).components`` bit for
+    bit."""
+    return _checked_stack(_random_kahler(m, seeds))

@@ -37,28 +37,39 @@ def derived_seed(seed, index):
 
 def _checked_symmetric(m):
     """Symmetrized float copy of a finite, square, symmetric matrix of
-    dimension at least 1.
+    dimension at least 1, or of a stack of them ``(..., N, N)``.
 
-    Non-finite entries raise ConvergenceError, because no eigensolver can
-    return a meaningful spectrum for them; the shape and symmetry checks
-    raise InvalidInputError.
+    Non-finite entries anywhere raise ConvergenceError, because no
+    eigensolver can return a meaningful spectrum for them; the shape and
+    symmetry checks raise InvalidInputError. Each matrix is held to the
+    symmetry tolerance of its own largest entry.
     """
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise InvalidInputError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] < 1:
+    if a.shape[-1] < 1:
         raise InvalidInputError("matrix dimension must be at least 1")
-    peak = float(np.abs(a).max())
     # NaN propagates through max, and an infinite entry makes the peak infinite
+    peak = float(np.abs(a).max())
     if not math.isfinite(peak):
-        raise ConvergenceError(f"matrix of dimension {a.shape[0]} has non-finite entries")
-    if float(np.abs(a - a.T).max()) > SYMMETRY_TOL * max(1.0, peak):
-        raise InvalidInputError("matrix is asymmetric beyond 1e-12")
-    return (a + a.T) / 2.0
+        raise ConvergenceError(f"matrix of dimension {a.shape[-1]} has non-finite entries")
+    at = a.swapaxes(-1, -2)
+    dev = np.abs(a - at)
+    # every tolerance is at least SYMMETRY_TOL, so only a larger deviation
+    # needs the tolerance of its own matrix
+    if float(dev.max()) > SYMMETRY_TOL:
+        rows = (-1, a.shape[-1] ** 2)
+        tol = SYMMETRY_TOL * np.maximum(1.0, np.abs(a).reshape(rows).max(axis=1))
+        if (dev.reshape(rows).max(axis=1) > tol).any():
+            raise InvalidInputError("matrix is asymmetric beyond 1e-12")
+    return (a + at) / 2.0
 
 
 def eigensolve(m, vectors=False):
-    """Ascending eigenvalues of a real symmetric matrix, by LAPACK.
+    """Ascending eigenvalues of a real symmetric matrix, by LAPACK, or one
+    ascending row per matrix of a stack ``(..., N, N)``; LAPACK solves the
+    matrices of a stack one by one, so each row is bitwise its matrix's
+    own solve.
 
     With ``vectors=True`` returns ``(w, q)``, the columns of ``q`` being the
     matching orthonormal eigenvectors. The input must be finite, square and
@@ -71,7 +82,7 @@ def eigensolve(m, vectors=False):
             return np.linalg.eigh(a)
         return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"LAPACK eigensolver failed at n={a.shape[0]}: {exc}") from exc
+        raise ConvergenceError(f"LAPACK eigensolver failed at n={a.shape[-1]}: {exc}") from exc
 
 
 @lru_cache(maxsize=1)

@@ -37,6 +37,13 @@ NEGATED_VERDICT = {
     VERDICT_BOTH: VERDICT_BOTH,
     VERDICT_NEITHER: VERDICT_NEITHER,
 }
+# (nonnegative, nonpositive) -> verdict
+_VERDICTS = {
+    (True, True): VERDICT_BOTH,
+    (True, False): VERDICT_NONNEGATIVE,
+    (False, True): VERDICT_NONPOSITIVE,
+    (False, False): VERDICT_NEITHER,
+}
 
 
 def operator_matrix(r, basis):
@@ -48,15 +55,24 @@ def operator_matrix(r, basis):
         )
     if basis.count != sym2_dim(r.dim):
         raise InvalidInputError("basis does not span the traceless symmetric two-tensors")
+    return operator_matrices(r.components, basis)
+
+
+def operator_matrices(components, basis):
+    """``operator_matrix`` of components ``(n, n, n, n)`` in a basis of
+    matching dimension, unchecked, or one matrix per tensor of a stack
+    ``(..., n, n, n, n)``; numpy runs a stacked matmul matrix by matrix, so
+    each matrix of a stack is bitwise its tensor's own."""
     # the two matmuls that np.einsum(..., optimize=True) reduces this
     # contraction to, in its operand order, without its per-call planning:
     # t[(j,k), a] = sum_(i,l) R[i,j,k,l] b_a[i,l], then mat[a, b] = <t_a, b_b>
-    n, count = r.dim, basis.count
+    n, count = basis.dim, basis.count
     b = basis.tensors
-    r_jk_il = r.components.transpose(1, 2, 0, 3).reshape(n * n, n * n)
+    r_jk_il = components.swapaxes(-4, -3).swapaxes(-3, -2)
+    r_jk_il = r_jk_il.reshape(components.shape[:-4] + (n * n, n * n))
     t = r_jk_il @ b.transpose(1, 2, 0).reshape(n * n, count)
-    mat = (b.reshape(count, n * n) @ t).T
-    return (mat + mat.T) / 2.0
+    mat = (b.reshape(count, n * n) @ t).swapaxes(-1, -2)
+    return (mat + mat.swapaxes(-1, -2)) / 2.0
 
 
 def spectrum(r):
@@ -103,7 +119,8 @@ def alpha_sum(s, alpha):
 
 def verdict(s, alpha, tol=CLASSIFY_TOL):
     """Fractional-alpha verdict of ascending eigenvalues: nonnegative /
-    nonpositive / both / neither.
+    nonpositive / both / neither; for a stack of ascending rows, the list of
+    the rows' verdicts.
 
     Nonnegative means g(alpha) >= -tol on the eigenvalues; nonpositive is the
     same test on the negated eigenvalues, read in ascending order as the
@@ -113,14 +130,10 @@ def verdict(s, alpha, tol=CLASSIFY_TOL):
     if not 0.0 <= tol < math.inf:  # also false for NaN
         raise InvalidInputError(f"tolerance must be nonnegative and finite, got {tol}")
     nonneg = weighted_partial_sums(s, alpha) >= -tol
-    nonpos = weighted_partial_sums(-s[::-1], alpha) >= -tol
-    if nonneg and nonpos:
-        return VERDICT_BOTH
-    if nonneg:
-        return VERDICT_NONNEGATIVE
-    if nonpos:
-        return VERDICT_NONPOSITIVE
-    return VERDICT_NEITHER
+    nonpos = weighted_partial_sums(-s[..., ::-1], alpha) >= -tol
+    if nonneg.ndim:
+        return [_VERDICTS[pair] for pair in zip(nonneg.tolist(), nonpos.tolist())]
+    return _VERDICTS[bool(nonneg), bool(nonpos)]
 
 
 def classify(r, alpha, tol=CLASSIFY_TOL):

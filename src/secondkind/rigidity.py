@@ -8,7 +8,8 @@ than treating them as failures.
 
 Each harness is one row of a table: a product family (its dimension
 parameters, the kind of its factors and their structure detector) together
-with its optimal constant. One sampled loop and one iff sweep run every row.
+with its optimal constant. One sampled loop and one iff sweep run every row,
+each classifying stacked blocks of samples (``_blocks``).
 """
 
 import math
@@ -25,9 +26,11 @@ from .curvature import (
     flat_tensor,
     kahler_space_form,
     product,
-    random_curvature,
-    random_kahler_curvature,
+    product_components,
+    random_curvatures,
+    random_kahler_curvatures,
     space_form,
+    unchecked_tensor,
 )
 from .errors import InvalidInputError
 from .numerics import derived_seed, eigensolve
@@ -40,8 +43,8 @@ from .operator2k import (
     VERDICT_NONNEGATIVE,
     VERDICT_NONPOSITIVE,
     alpha_sum,
-    classify,
     nonneg_threshold,
+    operator_matrices,
     operator_matrix,
     spectrum,
     verdict,
@@ -49,6 +52,10 @@ from .operator2k import (
 from .sym2 import product_adapted_basis, standard_basis, sym2_dim
 
 DEFAULT_KAPPA_GRID = tuple(0.25 * k for k in range(1, 9))
+# Most samples, or sweep grid pairs, classified in one stacked block: enough
+# to spread numpy's per-call overhead, few enough that a block of tensors at
+# n = 8 holds 64 * 8^4 numbers (2 MB); ``_blocks`` takes fewer when wider.
+_BLOCK = 64
 
 
 def a_const(n1, n2):
@@ -186,19 +193,19 @@ class _Factors:
     """
 
     model: Callable    # (dim, kappa) -> space form of that curvature
-    random: Callable   # (dim, seed) -> seeded random tensor of that kind
+    random: Callable   # (dim, seeds) -> checked stack of seeded random tensors of that kind
     detect: Callable   # tensor -> its constant (sectional or holomorphic) curvature, or None
 
 
 _REAL = _Factors(
     model=lambda n, kappa: space_form(n, kappa),
-    random=lambda n, seed: random_curvature(n, seed),
+    random=lambda n, seeds: random_curvatures(n, seeds),
     detect=lambda r: constant_sectional(r),
 )
 
 _COMPLEX = _Factors(
     model=lambda m, kappa: kahler_space_form(m, kappa),
-    random=lambda m, seed: random_kahler_curvature(m, seed),
+    random=lambda m, seeds: random_kahler_curvatures(m, seeds),
     detect=lambda r: constant_holomorphic(r),
 )
 
@@ -380,39 +387,61 @@ def _sample_record(idx, seeds, v, constants):
     return {"sample": idx, "seeds": seeds, "verdict": v, "constants": constants}
 
 
+def _blocks(count, n):
+    """``range(count)`` in consecutive blocks of at most ``_BLOCK`` samples,
+    fewer at total dimension n above 8, so that a block holds about as many
+    numbers as ``_BLOCK`` tensors at n = 8: one sample per block from
+    n = 20 on."""
+    step = max(1, min(_BLOCK, (_BLOCK * 8 ** 4) // n ** 4))
+    return [range(start, min(start + step, count)) for start in range(0, count, step)]
+
+
+def _block_verdicts(parts, alpha, tol):
+    """Verdicts of a block of products, one per entry of the factors'
+    component stacks ``parts``: one block fill, one stacked assembly and one
+    stacked eigensolve; each verdict is that of its product alone."""
+    comp = product_components(parts)
+    basis = standard_basis(comp.shape[-1])
+    return verdict(eigensolve(operator_matrices(comp, basis)), alpha, tol)
+
+
 def _sample(report, family, params, alpha, seed, samples, tol):
     """Classify seeded random products at the constant; a classified sample
     must have factors of constant curvature with the verdict's sign. Sample
     ``idx`` of a family with ``k`` random factors draws factor ``j`` from
-    seed ``seed ^ (k * idx + j)``."""
+    seed ``seed ^ (k * idx + j)``. Samples run in blocks (``_blocks``):
+    each factor of a block is one checked stack, and a classified sample's
+    detector reads a read-only view of its entry."""
     dims = family.dims(params)
     width = len(dims)
     kind = family.factors
-    for idx in range(samples):
-        seeds = [derived_seed(seed, width * idx + j) for j in range(width)]
-        factors = [kind.random(d, s) for d, s in zip(dims, seeds)]
-        v = classify(_product(factors), alpha, tol)
-        if v == VERDICT_NEITHER:
-            continue
-        constants = [kind.detect(r) for r in factors]
-        present = None not in constants
-        spread = max(constants) - min(constants) if present else math.inf
-        if family.sharp:
-            # one common constant, whose sign the verdict fixes
-            ok = present and spread <= 1e-6 and _signs_match(v, constants[:1], tol)
-        else:
-            ok = present and _signs_match(v, constants, tol)
-        if not ok:
-            report.counterexamples.append(
-                {"check": "random", **_sample_record(idx, seeds, v, constants)})
-        elif spread > 1e-6:
-            # the equal-constant clause inherits the questionable iff
-            # statement; computation contradicts it at small m, so
-            # disagreements are recorded verbatim rather than asserted
-            report.findings.append({
-                "statement": "classification at the product constant forces equal factors",
-                **_sample_record(idx, seeds, v, constants),
-            })
+    for block in _blocks(samples, family.total(params)):
+        seeds = [[derived_seed(seed, width * idx + j) for j in range(width)] for idx in block]
+        stacks = [kind.random(d, column) for d, column in zip(dims, zip(*seeds))]
+        # the line's flat factor R is one zero block shared by every entry
+        parts = stacks if width > 1 else [*stacks, flat_tensor(1).components]
+        for i, (idx, v) in enumerate(zip(block, _block_verdicts(parts, alpha, tol))):
+            if v == VERDICT_NEITHER:
+                continue
+            constants = [kind.detect(unchecked_tensor(stack[i])) for stack in stacks]
+            present = None not in constants
+            spread = max(constants) - min(constants) if present else math.inf
+            if family.sharp:
+                # one common constant, whose sign the verdict fixes
+                ok = present and spread <= 1e-6 and _signs_match(v, constants[:1], tol)
+            else:
+                ok = present and _signs_match(v, constants, tol)
+            if not ok:
+                report.counterexamples.append(
+                    {"check": "random", **_sample_record(idx, seeds[i], v, constants)})
+            elif spread > 1e-6:
+                # the equal-constant clause inherits the questionable iff
+                # statement; computation contradicts it at small m, so
+                # disagreements are recorded verbatim rather than asserted
+                report.findings.append({
+                    "statement": "classification at the product constant forces equal factors",
+                    **_sample_record(idx, seeds[i], v, constants),
+                })
 
 
 def _kappa_grid(params):
@@ -433,13 +462,17 @@ def _sweep(report, family, params, alpha, grid, tol):
     """Classify the space-form products over the grid: the positive family
     should be nonnegative, and the negative one nonpositive, exactly when
     the two curvatures are equal; each disagreement is a finding. Each grid
-    point is solved and classified once: the negative model is bitwise the
-    negation of the positive one, so its verdict is the negated verdict.
-    Each factor's model is built once per grid value."""
-    first, second = ({k: family.factors.model(d, k) for k in grid} for d in family.dims(params))
-    for k1 in grid:
-        for k2 in grid:
-            positive = verdict(spectrum(product(first[k1], second[k2])), alpha, tol)
+    point is solved and classified once, in blocks of grid pairs
+    (``_blocks``): the negative model is bitwise the negation of the
+    positive one, so its verdict is the negated verdict. Each factor's
+    model is built once per grid value."""
+    first, second = ({k: family.factors.model(d, k).components for k in grid}
+                     for d in family.dims(params))
+    pairs = [(k1, k2) for k1 in grid for k2 in grid]
+    for block in _blocks(len(pairs), family.total(params)):
+        chunk = pairs[block.start:block.stop]
+        parts = [np.stack([first[k1] for k1, _ in chunk]), np.stack([second[k2] for _, k2 in chunk])]
+        for (k1, k2), positive in zip(chunk, _block_verdicts(parts, alpha, tol)):
             for name, v, expected in (("positive", positive, VERDICT_NONNEGATIVE),
                                       ("negative", NEGATED_VERDICT[positive],
                                        VERDICT_NONPOSITIVE)):

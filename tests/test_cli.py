@@ -438,7 +438,7 @@ class TestCliCommands:
         def boom(*args, **kwargs):
             raise AssertionError("sampled before checking the bound")
 
-        monkeypatch.setattr(rigidity, "random_curvature", boom)
+        monkeypatch.setattr(rigidity, "random_curvatures", boom)
         monkeypatch.setattr(rigidity, "spectrum", boom)
         assert run(["verify", "line", "--samples", "100001"]) == 2
         captured = capsys.readouterr()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secondkind import cli, curvature
+from secondkind import cli, curvature, rigidity
 from secondkind.curvature import (
     CurvatureTensor,
     constant_holomorphic,
@@ -585,7 +585,9 @@ class TestRandomKahlerCurvature:
 
 def einsum_j_pair_average(t):
     """Reference: pulling back each index pair by the standard J as a full
-    contraction."""
+    contraction, tensor by tensor for a stack."""
+    if t.ndim > 4:
+        return np.stack([einsum_j_pair_average(tensor) for tensor in t])
     jm = standard_complex_structure(t.shape[0] // 2)
     t12 = np.einsum("ai,bj,abkl->ijkl", jm, jm, t, optimize=True)
     t34 = np.einsum("ck,dl,ijcd->ijkl", jm, jm, t, optimize=True)
@@ -664,3 +666,109 @@ class TestValidation:
         comp[0, 1, 0, 1] = bad
         with pytest.raises(InvalidInputError, match="finite"):
             CurvatureTensor(comp)
+
+
+# stack sizes around one harness block: one sample, a block less one, a
+# block, a block and one more
+BLOCK_SIZES = (1, rigidity._BLOCK - 1, rigidity._BLOCK, rigidity._BLOCK + 1)
+
+
+def violations(n):
+    """Tensors of dimension n >= 4 that pass every check before the one
+    they fail, one per check in check order: (expected message,
+    components). Below dimension 4 every pair-symmetric tensor holds the
+    Bianchi identity."""
+    bianchi = np.random.default_rng(2).standard_normal((n,) * 4)
+    bianchi = (bianchi - bianchi.transpose(1, 0, 2, 3)) / 2.0
+    bianchi = (bianchi - bianchi.transpose(0, 1, 3, 2)) / 2.0
+    bianchi = (bianchi + bianchi.transpose(2, 3, 0, 1)) / 2.0
+    first_pair = np.zeros((n,) * 4)
+    first_pair[0, 1, 0, 1] = 1.0
+    second_pair = first_pair.copy()
+    second_pair[1, 0, 0, 1] = -1.0
+    exchange = np.zeros((n,) * 4)
+    for i, j, k, l, v in ((0, 1, 0, 2, 1.0), (1, 0, 0, 2, -1.0), (0, 1, 2, 0, -1.0),
+                          (1, 0, 2, 0, 1.0)):
+        exchange[i, j, k, l] = v
+    non_finite = np.zeros((n,) * 4)
+    non_finite[0, 1, 0, 1] = np.nan
+    return [("components must be finite", non_finite),
+            ("not antisymmetric in the first index pair", first_pair),
+            ("not antisymmetric in the second index pair", second_pair),
+            ("not symmetric under index-pair exchange", exchange),
+            ("first Bianchi identity", bianchi)]
+
+
+class TestStackedBuilders:
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_real_stack_is_the_single_tensors_bitwise(self, n, size):
+        seeds = [7 * s + n for s in range(size)]
+        stack = curvature.random_curvatures(n, seeds)
+        assert stack.shape == (size,) + (n,) * 4 and not stack.flags.writeable
+        for seed, entry in zip(seeds, stack):
+            assert np.array_equal(entry, random_curvature(n, seed).components)
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @pytest.mark.parametrize("m", range(1, 4))
+    def test_kahler_stack_is_the_single_tensors_bitwise(self, m, size):
+        seeds = [5 * s + m for s in range(size)]
+        stack = curvature.random_kahler_curvatures(m, seeds)
+        assert stack.shape == (size,) + (2 * m,) * 4 and not stack.flags.writeable
+        for seed, entry in zip(seeds, stack):
+            assert np.array_equal(entry, random_kahler_curvature(m, seed).components)
+
+    def test_stacked_builders_reject_small_sizes(self):
+        with pytest.raises(InvalidInputError, match="at least 2"):
+            curvature.random_curvatures(1, [0])
+        with pytest.raises(InvalidInputError, match="at least 1"):
+            curvature.random_kahler_curvatures(0, [0])
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_each_violation_has_its_message(self, n):
+        for message, comp in violations(n):
+            with pytest.raises(InvalidInputError, match=message):
+                CurvatureTensor(comp)
+            with pytest.raises(InvalidInputError, match=message):
+                curvature.check_identities(comp[None])
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_stack_reports_first_failing_tensor_first_failed_check(self, n):
+        # a stack fails as checking its tensors one by one would: the first
+        # failing tensor in stack order, with the first check it fails,
+        # whatever later tensors fail
+        good = curvature.random_curvatures(n, range(6)).copy()
+        bad = violations(n)
+        for first in range(len(bad)):
+            for later in range(len(bad)):
+                stack = good.copy()
+                stack[2] = bad[first][1]
+                stack[4] = bad[later][1]
+                with pytest.raises(InvalidInputError, match=bad[first][0]):
+                    curvature.check_identities(stack)
+        curvature.check_identities(good)  # passes
+
+    def test_stack_check_keeps_the_callers_error_state(self):
+        # a stack is first reduced with floating-point errors ignored; a
+        # tensor whose residual overflows then raises as on its own
+        huge = np.zeros((2, 2, 2, 2, 2))
+        huge[1, 0, 1, 0, 1] = huge[1, 1, 0, 0, 1] = 1e308
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                CurvatureTensor(huge[1])
+            with pytest.raises(FloatingPointError):
+                curvature.check_identities(huge)
+        with np.errstate(over="ignore"):
+            with pytest.raises(InvalidInputError, match="first index pair"):
+                curvature.check_identities(huge)
+
+    def test_product_components_of_stacks_are_the_single_products(self):
+        a = curvature.random_curvatures(3, range(5))
+        b = curvature.random_kahler_curvatures(1, range(10, 15))
+        line = flat_tensor(1).components
+        stacked = curvature.product_components([a, b, line])
+        assert stacked.shape == (5,) + (6,) * 4
+        for i in range(5):
+            single = product(curvature.unchecked_tensor(a[i]), curvature.unchecked_tensor(b[i]),
+                             flat_tensor(1))
+            assert np.array_equal(stacked[i], single.components)

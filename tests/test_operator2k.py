@@ -20,8 +20,8 @@ from secondkind.curvature import (
     space_form,
 )
 import secondkind
-from secondkind import numerics, operator2k
-from secondkind.errors import InvalidInputError
+from secondkind import curvature, numerics, operator2k, rigidity
+from secondkind.errors import ConvergenceError, InvalidInputError
 from secondkind.operator2k import (
     CLASSIFY_TOL,
     NEGATED_VERDICT,
@@ -540,3 +540,73 @@ class TestKahlerFamilyTraces:
         )
         assert abs(minus_eta - (-(m - 1) / (2.0 * m) * s)) <= 1e-10
         assert abs(plus_alpha - s) <= 1e-10
+
+
+# stack sizes around one harness block: one sample, a block less one, a
+# block, a block and one more
+BLOCK_SIZES = (1, rigidity._BLOCK - 1, rigidity._BLOCK, rigidity._BLOCK + 1)
+STACKED_FAMILIES = {
+    # name -> (seeds -> factor component stacks of one product each)
+    "line": lambda seeds: [curvature.random_curvatures(4, seeds), flat_tensor(1).components],
+    "spheres": lambda seeds: [curvature.random_curvatures(2, seeds),
+                              curvature.random_curvatures(3, [s + 1 for s in seeds])],
+    "kahler": lambda seeds: [curvature.random_kahler_curvatures(1, seeds),
+                             curvature.random_kahler_curvatures(2, [s + 1 for s in seeds])],
+}
+
+
+class TestStackedSpectra:
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @pytest.mark.parametrize("family", sorted(STACKED_FAMILIES))
+    def test_stack_equals_single_tensors_bitwise(self, family, size):
+        # the harness block path (one fill, one stacked assembly, one
+        # stacked eigensolve, one verdict call) against the single-tensor
+        # path, entry by entry
+        comp = curvature.product_components(STACKED_FAMILIES[family](range(0, 2 * size, 2)))
+        basis = standard_basis(comp.shape[-1])
+        mats = operator2k.operator_matrices(comp, basis)
+        rows = numerics.eigensolve(mats)
+        assert rows.shape == (size, basis.count)
+        singles = [curvature.unchecked_tensor(entry) for entry in comp]
+        for mat, row, r in zip(mats, rows, singles):
+            assert np.array_equal(mat, operator_matrix(r, basis))
+            assert np.array_equal(row, spectrum(r))
+        for alpha in (1.0, 2.5, float(basis.count) / 2, float(basis.count)):
+            for side in (rows, -rows[:, ::-1]):
+                assert weighted_partial_sums(side, alpha).tolist() == [
+                    float(weighted_partial_sums(row, alpha)) for row in side]
+            for tol in (0.0, CLASSIFY_TOL, 50.0):
+                verdicts = verdict(rows, alpha, tol)
+                assert verdicts == [verdict(row, alpha, tol) for row in rows]
+                assert verdicts == [classify(r, alpha, tol) for r in singles]
+                assert all(type(v) is str for v in verdicts)
+
+    def test_single_row_verdict_is_a_string(self):
+        s = spectrum(space_form(3, 1.0))
+        assert type(verdict(s, 1.0)) is str
+        assert verdict(s[None], 1.0) == [verdict(s, 1.0)]
+
+    def test_stacked_eigensolve_holds_each_matrix_to_its_own_tolerance(self):
+        big = np.diag([1e6, 2.0, 3.0])
+        small = np.diag([1.0, 2.0, 3.0])
+        small[0, 1] = 1e-9  # asymmetric beyond 1e-12 of its own peak 3
+        assert numerics.eigensolve(np.stack([big, big])).shape == (2, 3)
+        for stack in (np.stack([big, small]), np.stack([small, big])):
+            with pytest.raises(InvalidInputError, match="asymmetric"):
+                numerics.eigensolve(stack)
+        # within 1e-12 of the large matrix's own peak
+        big[0, 1] = 1e-9
+        assert numerics.eigensolve(np.stack([big, np.diag([1.0, 2.0, 3.0])])).shape == (2, 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_stacked_eigensolve_rejects_a_non_finite_matrix_before_lapack(self, bad, monkeypatch):
+        def fail(a):
+            raise AssertionError("non-finite stack reached LAPACK")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        stack = np.stack([np.eye(3)] * 4)
+        stack[2, 1, 2] = stack[2, 2, 1] = bad
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(ConvergenceError,
+                               match="^matrix of dimension 3 has non-finite entries$"):
+                numerics.eigensolve(stack)

@@ -15,7 +15,7 @@ from secondkind.curvature import (
     random_curvature,
     space_form,
 )
-from secondkind import cli, numerics, operator2k, rigidity
+from secondkind import cli, curvature, numerics, operator2k, rigidity
 from secondkind.errors import InvalidInputError
 from secondkind.rigidity import (
     a_const,
@@ -214,21 +214,30 @@ class TestCheckRigidity:
         for finding in report.findings:
             assert finding["equal_kappa"] is False
 
+    @staticmethod
+    def count_solved(monkeypatch):
+        """List that gets the number of matrices solved, one for a matrix and
+        the stack length for a stack, per ``eigensolve`` call through any
+        module that binds it."""
+        real = numerics.eigensolve
+        solved = []
+
+        def counting(m, *args, **kwargs):
+            solved.append(int(np.prod(np.shape(m)[:-2])))
+            return real(m, *args, **kwargs)
+
+        for module in (numerics, operator2k, rigidity):
+            monkeypatch.setattr(module, "eigensolve", counting)
+        return solved
+
     @pytest.mark.parametrize("case", ["line", "product-spheres", "product-kahler"])
     def test_model_solved_once(self, case, monkeypatch):
         # the model's verdicts, its nonpositive dual and the flatness probe
         # all come from one spectrum
-        real = operator2k.eigensolve
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(operator2k, "eigensolve", counting)
+        solved = self.count_solved(monkeypatch)
         report = check_rigidity(case, samples=0)
         assert report.details["model_check"] == "consistent"
-        assert len(calls) == 1
+        assert solved == [1]
 
     @pytest.mark.parametrize("grid", [
         [float("nan"), 1.0], [float("inf"), 1.0], [1.0, float("-inf")], [0.0], [-0.5], [],
@@ -246,6 +255,7 @@ class TestCheckRigidity:
             raise AssertionError("solved before checking the bound")
 
         monkeypatch.setattr(rigidity, "spectrum", boom)
+        monkeypatch.setattr(rigidity, "eigensolve", boom)
         grid = [1.0 + k / 1000 for k in range(224)]
         with pytest.raises(InvalidInputError,
                            match="^100352 sweep samples exceed the limit 100000$"):
@@ -261,18 +271,11 @@ class TestCheckRigidity:
     @pytest.mark.parametrize("case", ["iff-spheres", "iff-kahler"])
     def test_sweep_solves_each_grid_point_once(self, case, monkeypatch):
         # the negative family's verdict is read from the positive spectrum
-        real = operator2k.eigensolve
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(operator2k, "eigensolve", counting)
+        solved = self.count_solved(monkeypatch)
         grid = [0.5, 1.0, 2.0]
         report = check_rigidity(case, {"grid": grid})
         assert report.samples_run == 2 * len(grid) ** 2
-        assert len(calls) == len(grid) ** 2
+        assert sum(solved) == len(grid) ** 2
 
     @pytest.mark.parametrize("case", ["iff-spheres", "iff-kahler"])
     def test_sweep_clusters_each_grid_point_once(self, case, monkeypatch):
@@ -326,7 +329,7 @@ class TestCheckRigidity:
             raise AssertionError("ran before checking the bound")
 
         monkeypatch.setattr(rigidity, "spectrum", boom)
-        monkeypatch.setattr(rigidity, "classify", boom)
+        monkeypatch.setattr(rigidity, "eigensolve", boom)
         with pytest.raises(InvalidInputError,
                            match=f"^{operator2k.MAX_SAMPLES + 1} samples exceed the limit "
                                  f"{operator2k.MAX_SAMPLES}$"):
@@ -370,3 +373,92 @@ class TestCheckRigidity:
         obj = report.to_dict()
         assert obj["harness"] == "iff-spheres"
         assert obj["verdict"] == "consistent"
+
+
+class TestSampleBlocks:
+    """The sampled harnesses and the iff sweeps classify in stacked blocks
+    of at most ``rigidity._BLOCK`` samples; a report must not depend on the
+    blocks."""
+
+    @pytest.mark.parametrize("argv", [
+        ["line", "--n", "5", "--samples", "130", "--tol", "50"],
+        ["product-spheres", "--n1", "2", "--n2", "3", "--samples", "70", "--tol", "50"],
+        ["product-kahler", "--m1", "1", "--m2", "1", "--samples", "70", "--tol", "50"],
+        ["iff-spheres", "--kappa-grid", "0.25,0.5,0.75,1,1.25,1.5,1.75,2,2.25"],
+        ["iff-kahler", "--kappa-grid", "0.25,0.5,0.75,1,1.25,1.5,1.75,2,2.25"],
+    ], ids=["line", "spheres", "kahler", "iff-spheres", "iff-kahler"])
+    def test_report_does_not_depend_on_block_size(self, argv, monkeypatch, capsys):
+        outputs = []
+        for block in (rigidity._BLOCK, 1, 5):
+            monkeypatch.setattr(rigidity, "_BLOCK", block)
+            assert cli.run(["verify", *argv]) in (0, 1)
+            out = json.loads(capsys.readouterr().out)
+            out.pop("timing", None)
+            outputs.append(out)
+        assert outputs[1] == outputs[0] == outputs[2]
+        # the detectors ran: tol 50 classifies the samples, and the sweep
+        # pairs cross a block seam
+        assert outputs[0]["counterexamples"] or outputs[0]["findings"] or argv[0] == "iff-spheres"
+
+    def test_block_rule(self):
+        sizes = {n: len(rigidity._blocks(1000, n)[0]) for n in (4, 8, 9, 12, 19, 20, 32)}
+        assert sizes == {4: 64, 8: 64, 9: 39, 12: 12, 19: 2, 20: 1, 32: 1}
+        assert [list(b) for b in rigidity._blocks(130, 5)] == [
+            list(range(0, 64)), list(range(64, 128)), [128, 129]]
+        assert rigidity._blocks(0, 5) == []
+
+    def test_line_at_n32_runs_one_sample_per_block(self, monkeypatch, capsys):
+        shapes = []
+        real = numerics.eigensolve
+
+        def recording(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return real(m, *args, **kwargs)
+
+        for module in (operator2k, rigidity):
+            monkeypatch.setattr(module, "eigensolve", recording)
+        assert cli.run(["verify", "line", "--n", "32", "--samples", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["samples_run"] == 3
+        # the model, then three blocks of one 527-wide operator each
+        assert shapes == [(527, 527)] + [(1, 527, 527)] * 3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("case,argv,factor,seed", [
+        ("line", ["--n", "5", "--samples", "130"], (4, False), 70),
+        ("product-kahler", ["--m1", "1", "--m2", "1", "--samples", "130"], (1, True), 2 * 100 + 1),
+    ], ids=["line", "kahler"])
+    def test_corrupt_sample_in_a_later_block_ends_as_its_tensor_alone(
+            self, case, argv, factor, seed, bad, monkeypatch, capsys):
+        # one draw of a later block is corrupted; the run ends with the one
+        # line that building that tensor alone gives, and no non-finite
+        # matrix reaches LAPACK
+        real_fill = curvature.fill_standard_normal
+
+        def corrupting(seeds, out):
+            real_fill(seeds, out)
+            for draw, s in zip(out, seeds):
+                if s == seed:
+                    draw.flat[0] = bad
+            return out
+
+        real_eigvalsh = np.linalg.eigvalsh
+
+        def finite_only(a):
+            assert np.isfinite(a).all(), "a non-finite matrix reached LAPACK"
+            return real_eigvalsh(a)
+
+        monkeypatch.setattr(curvature, "fill_standard_normal", corrupting)
+        monkeypatch.setattr(np.linalg, "eigvalsh", finite_only)
+        dim, kahler = factor
+        single = curvature.random_kahler_curvature if kahler else random_curvature
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises((InvalidInputError, FloatingPointError)) as info:
+                single(dim, seed)
+        expected = (2, f"error: {info.value}\n") if info.type is InvalidInputError \
+            else (3, f"numeric failure: {info.value}\n")
+        code = cli.run(["verify", case, *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == expected
+        assert captured.out == ""
+        if bad != bad:  # NaN ends in the tensor check
+            assert captured.err == "error: components must be finite\n"
