@@ -36,7 +36,10 @@ values, one more than the sweep sample bound allows; and three runs that
 cross the seams of the harnesses' sample blocks and reach the structure
 detectors: ``line --n 5 --samples 130 --tol 50`` (every sample classifies),
 ``product-kahler --m1 1 --m2 1 --samples 70 --tol 50`` (a finding per
-sample) and ``iff-spheres`` on a 9-value grid (81 grid pairs).
+sample) and ``iff-spheres`` on a 9-value grid (81 grid pairs); and
+``spectrum`` of S^2(1) x S^2(1.00000005) and of that product times R,
+whose factors' Einstein constants and eigenvalues are one cluster, so that
+the clustering of the closed forms is compared too.
 Each record holds the command line, the exit code, stderr, stdout parsed as
 JSON with every ``timing`` block removed, and the raw stdout text with every
 ``"seconds": <number>`` masked, so that a change in the emitted bytes shows
@@ -121,6 +124,13 @@ BLOCK_SEAMS = (
     ("verify", "product-kahler", "--m1", "1", "--m2", "1", "--samples", "70", "--tol", "50"),
     ("verify", "iff-spheres", "--kappa-grid", "0.25,0.5,0.75,1,1.25,1.5,1.75,2,2.25"),
 )
+NEAR_EQUAL_SPHERES = ('{"kind": "sphere", "dim": 2, "kappa": 1}, '
+                      '{"kind": "sphere", "dim": 2, "kappa": 1.00000005}')
+NEAR_EQUAL_DESCRIPTORS = {
+    "near_equal_s2xs2.json": f'{{"kind": "product", "factors": [{NEAR_EQUAL_SPHERES}]}}',
+    "near_equal_s2xs2xr.json": (f'{{"kind": "product", "factors": [{NEAR_EQUAL_SPHERES}, '
+                                '{"kind": "euclidean", "dim": 1}]}'),
+}
 LINE_DESCRIPTOR = "euclidean_line.json"
 LINE_TEXT = '{"kind": "euclidean", "dim": 1}'
 
@@ -196,6 +206,7 @@ def commands(tmp_dir):
     out += UNREAD_FLAGS
     out.append(OVERSIZED_GRID)
     out += BLOCK_SEAMS
+    out += [("spectrum", os.path.join(tmp_dir, name)) for name in NEAR_EQUAL_DESCRIPTORS]
     return out
 
 
@@ -220,7 +231,7 @@ def run_all():
     records = []
     with tempfile.TemporaryDirectory() as tmp:
         generated = {LINE_DESCRIPTOR: LINE_TEXT, **OVERFLOW_DESCRIPTORS, **SCALED_DESCRIPTORS,
-                     **NARY_DESCRIPTORS, **MALFORMED_DESCRIPTORS}
+                     **NARY_DESCRIPTORS, **MALFORMED_DESCRIPTORS, **NEAR_EQUAL_DESCRIPTORS}
         for name, text in generated.items():
             Path(tmp, name).write_text(text)
         for argv in commands(tmp):

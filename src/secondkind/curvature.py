@@ -3,9 +3,9 @@ structure detectors, and seeded random generation. A tensor is checked once,
 when ``CurvatureTensor`` makes it from numbers, or with its stack when a
 stacked random builder makes it; products of checked tensors and model
 tensors, a checked unit per size times the curvature, hold every identity
-exactly and are not checked again. The random builders, the identity check,
-the product fill and the tensor helpers take a single tensor ``(n, n, n, n)``
-or a stack of them ``(..., n, n, n, n)``.
+exactly and are not checked again. The identity check, the product fill and
+the tensor helpers take a single tensor ``(n, n, n, n)`` or a stack of them
+``(..., n, n, n, n)``; the random builders make stacks.
 The one complex structure is the standard J of ``standard_complex_structure``:
 any orthogonal complex structure on R^{2m} is an orthogonal change of frame
 away from it, which changes no spectrum, so the Kahler model, its detector
@@ -326,9 +326,10 @@ def _pair_placements(n):
 
 
 def _random_real(n, seeds):
-    """Unchecked stack of the tensors of ``random_curvature``, one per seed,
-    each drawn from its seed's stream alone; the stack is symmetrized,
-    placed and has its cyclic part removed at once."""
+    """Unchecked stack of random algebraic curvature tensors: entry ``i``
+    comes from the stream of ``seeds[i]`` alone, whatever its position in
+    the stack. A symmetric form on antisymmetric index pairs is placed and
+    its cyclic part removed, so Bianchi holds exactly to rounding."""
     if n < 2:
         raise InvalidInputError("random curvature tensors need dimension at least 2")
     index, sign = _pair_placements(n)
@@ -342,19 +343,10 @@ def _random_real(n, seeds):
     return t
 
 
-def random_curvature(n, seed):
-    """Seeded random algebraic curvature tensor.
-
-    Draws a symmetric bilinear form on antisymmetric index pairs, then
-    removes its cyclic part so the first Bianchi identity holds exactly to
-    rounding. Identical seeds give identical components.
-    """
-    return CurvatureTensor(_random_real(n, (seed,))[0])
-
-
 def random_curvatures(n, seeds):
-    """Checked read-only stack ``(len(seeds), n, n, n, n)`` whose entry
-    ``i`` is ``random_curvature(n, seeds[i]).components`` bit for bit."""
+    """Checked read-only stack ``(len(seeds), n, n, n, n)`` of
+    ``_random_real``: entry ``i`` comes from the stream of ``seeds[i]``
+    alone, whatever its position in the stack."""
     return _checked_stack(_random_real(n, seeds))
 
 
@@ -432,9 +424,10 @@ def _kahler_part(t):
 
 
 def _random_kahler(m, seeds):
-    """Unchecked stack of the tensors of ``random_kahler_curvature``, one
-    per seed, each drawn from its seed's stream alone; the stack is made
-    pair-symmetric and projected at once."""
+    """Unchecked stack of random curvature tensors invariant under the
+    standard J: entry ``i`` comes from the stream of ``seeds[i]`` alone,
+    whatever its position in the stack. A Gaussian draw is made
+    pair-symmetric and projected by ``_kahler_part``."""
     standard_complex_structure(m)  # rejects m < 1 before the draw
     t = fill_standard_normal(seeds, np.empty((len(seeds),) + (2 * m,) * 4))
     t = (t - _permuted(t, (1, 0, 2, 3))) / 2.0
@@ -443,14 +436,8 @@ def _random_kahler(m, seeds):
     return _kahler_part(t)
 
 
-def random_kahler_curvature(m, seed):
-    """Seeded random curvature tensor invariant under the standard J: one
-    Gaussian draw, made pair-symmetric and projected by ``_kahler_part``."""
-    return CurvatureTensor(_random_kahler(m, (seed,))[0])
-
-
 def random_kahler_curvatures(m, seeds):
-    """Checked read-only stack ``(len(seeds), 2m, 2m, 2m, 2m)`` whose entry
-    ``i`` is ``random_kahler_curvature(m, seeds[i]).components`` bit for
-    bit."""
+    """Checked read-only stack ``(len(seeds), 2m, 2m, 2m, 2m)`` of
+    ``_random_kahler``: entry ``i`` comes from the stream of ``seeds[i]``
+    alone, whatever its position in the stack."""
     return _checked_stack(_random_kahler(m, seeds))

@@ -34,6 +34,8 @@ from .curvature import (
     space_form,
 )
 from .errors import InvalidInputError
+from .numerics import joins_cluster
+from .operator2k import einstein_product_eigenvalues
 from .sym2 import sym2_dim
 
 # One row per model-space kind: the size field (``m`` for the complex kinds,
@@ -54,8 +56,6 @@ SINGLE_KINDS = tuple(_LEAVES)
 COMPLEX_KINDS = tuple(kind for kind, leaf in _LEAVES.items() if leaf.size == "m")
 FLAT_KINDS = tuple(kind for kind, leaf in _LEAVES.items() if not leaf.sign)
 KINDS = SINGLE_KINDS + ("product", "custom")
-
-_MERGE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -245,10 +245,9 @@ def _leaf_closed_form(desc, leaf):
 def _closed_form_fold(desc):
     """Return (eigenvalue list, rho, dim) or None when no closed form applies.
 
-    Product spectra come from the Einstein product rule: factor eigenvalues,
-    zero with multiplicity n1*n2, and the single trace-difference eigenvalue
-    -(n2 rho1 + n1 rho2) / (n1 + n2); it applies as long as every partial
-    product along the fold is Einstein.
+    Product spectra come from the Einstein product rule: the factor
+    eigenvalues and those of ``einstein_product_eigenvalues``; it applies as
+    long as every partial product along the fold is Einstein.
     """
     leaf = _LEAVES.get(desc.kind)
     if leaf is not None:
@@ -262,9 +261,8 @@ def _closed_form_fold(desc):
     for eigs2, rho2, n2 in parts[1:]:
         if rho is None or rho2 is None:
             return None
-        zeta = -(n2 * rho + n * rho2) / (n + n2)
-        eigs = list(eigs) + list(eigs2) + [(0.0, n * n2), (zeta, 1)]
-        rho = rho if abs(rho - rho2) <= _MERGE_TOL else None
+        eigs = [*eigs, *eigs2, *einstein_product_eigenvalues(n, rho, n2, rho2)]
+        rho = rho if joins_cluster(*sorted((rho, rho2))) else None
         n = n + n2
     return eigs, rho, n
 
@@ -273,19 +271,22 @@ def closed_form_clusters(desc):
     """Ascending (value, multiplicity) clusters predicted in closed form.
 
     Covers the single model spaces and every product of them whose partial
-    products are Einstein; returns None otherwise (custom tensors, products
-    of mismatched factors).
+    products are Einstein: a partial product has its first factor's
+    constant when ``joins_cluster`` puts the factors' constants in one
+    cluster. Returns None otherwise (custom tensors, products of mismatched
+    factors). Adjacent values merge by the same rule, that of
+    ``cluster_spectrum``, into their running weighted mean.
     """
     folded = _closed_form_fold(desc)
     if folded is None:
         return None
-    eigs = sorted((v, m) for v, m in folded[0] if m > 0)
-    merged = []
-    for value, mult in eigs:
-        if merged and value - merged[-1][0] <= _MERGE_TOL * max(1.0, abs(merged[-1][0])):
+    merged, previous = [], None
+    for value, mult in sorted((v, m) for v, m in folded[0] if m > 0):
+        if merged and joins_cluster(previous, value):
             prev_v, prev_m = merged[-1]
             total = prev_m + mult
             merged[-1] = ((prev_v * prev_m + value * mult) / total, total)
         else:
             merged.append((value, mult))
+        previous = value
     return merged

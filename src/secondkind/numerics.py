@@ -144,13 +144,19 @@ def random_orthonormal_families(n, seeds):
     return np.swapaxes(q, -2, -1)
 
 
+def joins_cluster(previous, value):
+    """Whether ``value``, next after ``previous`` in ascending order, joins
+    its cluster: whether it lies at most ``CLUSTER_REL_TOL * max(1,
+    |previous|)`` above it. No gap raises; the NaN gap ``inf - inf`` joins."""
+    return not value - previous > CLUSTER_REL_TOL * max(1.0, abs(previous))
+
+
 def cluster_spectrum(values):
     """Group an ascending list into (value, multiplicity) clusters.
 
-    Consecutive entries closer than ``CLUSTER_REL_TOL * max(1, |previous|)``
-    join the current cluster; the reported value is the cluster mean, a
-    Python sum over the cluster divided by its size. No gap raises: one that
-    overflows is inf, and the NaN gap ``inf - inf`` joins.
+    Consecutive entries join one cluster by ``joins_cluster``; the reported
+    value is the cluster mean, a Python sum over the cluster divided by its
+    size.
     """
     vals = np.asarray(values, dtype=float).tolist()
     clusters = []
@@ -159,7 +165,7 @@ def cluster_spectrum(values):
         if i < len(vals):
             if vals[i] < vals[i - 1]:
                 raise InvalidInputError("values must be sorted ascending")
-            if not vals[i] - vals[i - 1] > CLUSTER_REL_TOL * max(1.0, abs(vals[i - 1])):
+            if joins_cluster(vals[i - 1], vals[i]):
                 continue
         chunk = vals[start:i]
         clusters.append((sum(chunk) / len(chunk), len(chunk)))

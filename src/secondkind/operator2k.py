@@ -83,6 +83,13 @@ def spectrum(r):
     return eigensolve(operator_matrix(r, standard_basis(r.dim)))
 
 
+def einstein_product_eigenvalues(n1, rho1, n2, rho2):
+    """(value, multiplicity) pairs that a product of Einstein factors of
+    dimensions n1, n2 and constants rho1, rho2 adds to the factor spectra: 0
+    on the n1 n2 mixed products, zeta = -(n2 rho1 + n1 rho2) / (n1 + n2) once."""
+    return [(0.0, n1 * n2), (-(n2 * rho1 + n1 * rho2) / (n1 + n2), 1)]
+
+
 def _split_alpha(alpha, n_values):
     if not 1.0 <= alpha <= n_values:
         raise InvalidInputError(f"alpha must lie in [1, {n_values}], got {alpha}")

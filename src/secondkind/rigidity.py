@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .curvature import (
+    DETECTOR_TOL,
     MAX_DIM,
     constant_holomorphic,
     constant_sectional,
@@ -43,6 +44,7 @@ from .operator2k import (
     VERDICT_NONNEGATIVE,
     VERDICT_NONPOSITIVE,
     alpha_sum,
+    einstein_product_eigenvalues,
     nonneg_threshold,
     operator_matrices,
     operator_matrix,
@@ -156,7 +158,7 @@ def verify_product_structure(r1, r2, tol=CLASSIFY_TOL):
         report.details["spectrum_multiset"] = "not-applicable"
         return report.finalize()
 
-    zeta_expected = -(n2 * rho1 + n1 * rho2) / (n1 + n2)
+    (_, zeros), (zeta_expected, _) = einstein_product_eigenvalues(n1, rho1, n2, rho2)
     expected = np.zeros_like(mat)
     # each factor's spectrum is the spectrum of its block
     factor_values = []
@@ -172,11 +174,7 @@ def verify_product_structure(r1, r2, tol=CLASSIFY_TOL):
     report.details["block_max_deviation"] = block_dev
     _record_check(report, "einstein_blocks", "max_deviation", block_dev, tol)
 
-    predicted = np.sort(np.concatenate([
-        *factor_values,
-        np.zeros(n1 * n2),
-        np.array([zeta_expected]),
-    ]))
+    predicted = np.sort(np.concatenate([*factor_values, np.zeros(zeros), [zeta_expected]]))
     computed = spectrum(r)
     multiset_dev = float(np.abs(computed - predicted).max())
     report.details["spectrum_max_deviation"] = multiset_dev
@@ -428,13 +426,13 @@ def _sample(report, family, params, alpha, seed, samples, tol):
             spread = max(constants) - min(constants) if present else math.inf
             if family.sharp:
                 # one common constant, whose sign the verdict fixes
-                ok = present and spread <= 1e-6 and _signs_match(v, constants[:1], tol)
+                ok = present and spread <= DETECTOR_TOL and _signs_match(v, constants[:1], tol)
             else:
                 ok = present and _signs_match(v, constants, tol)
             if not ok:
                 report.counterexamples.append(
                     {"check": "random", **_sample_record(idx, seeds[i], v, constants)})
-            elif spread > 1e-6:
+            elif spread > DETECTOR_TOL:
                 # the equal-constant clause inherits the questionable iff
                 # statement; computation contradicts it at small m, so
                 # disagreements are recorded verbatim rather than asserted

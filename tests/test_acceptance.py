@@ -18,8 +18,6 @@ from secondkind.curvature import (
     flat_tensor,
     kahler_space_form,
     product,
-    random_curvature,
-    random_kahler_curvature,
     scalar,
     space_form,
 )
@@ -36,6 +34,7 @@ from secondkind.rigidity import a_const, b_const, check_rigidity
 from secondkind.sym2 import product_adapted_basis, sym2_dim
 
 from reference import f_lemma, negate_spectrum
+from samples import random_kahler_tensor, random_tensor
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -130,8 +129,8 @@ def test_criterion_03_mixed_block_kernel():
     for _ in range(100):
         n1 = int(rng.integers(2, 5))
         n2 = int(rng.integers(2, 5))
-        r1 = random_curvature(n1, int(rng.integers(0, 2 ** 63)))
-        r2 = random_curvature(n2, int(rng.integers(0, 2 ** 63)))
+        r1 = random_tensor(n1, int(rng.integers(0, 2 ** 63)))
+        r2 = random_tensor(n2, int(rng.integers(0, 2 ** 63)))
         basis = product_adapted_basis(n1, n2)
         mat = operator_matrix(product(r1, r2), basis)
         # layout [N1 | N2 | n1 n2 | 1]: the mixed rows sit before zeta
@@ -198,7 +197,7 @@ def test_criterion_07_oracle_consistency():
     floor_ok = True
     for case in range(20):
         n = 4 if case % 2 == 0 else 5
-        r = random_curvature(n, int(rng.integers(0, 2 ** 63)))
+        r = random_tensor(n, int(rng.integers(0, 2 ** 63)))
         s = spectrum(r)
         for alpha in (1.0, 2.5, float(n), float(len(s))):
             result = bruteforce_min_alpha_sum(r, alpha, samples=500,
@@ -220,12 +219,12 @@ def test_criterion_08_trace_identity():
         product(space_form(2, 1.0), space_form(3, -1.0)),
         product(kahler_space_form(2, 1.0), flat_tensor(2)),
         product(space_form(3, 1.0), flat_tensor(1)),
-        random_kahler_curvature(2, seed=88),
+        random_kahler_tensor(2, seed=88),
     ]
     rng = np.random.default_rng(808)
     for _ in range(100):
-        tensors.append(random_curvature(int(rng.integers(2, 6)),
-                                        int(rng.integers(0, 2 ** 63))))
+        tensors.append(random_tensor(int(rng.integers(2, 6)),
+                                     int(rng.integers(0, 2 ** 63))))
     worst = 0.0
     for r in tensors:
         n = r.dim
@@ -267,7 +266,7 @@ def test_criterion_10_line_falsification():
     for n in (4, 5):
         alpha = a_const(n - 1, 1)
         for _ in range(100):
-            r1 = random_curvature(n - 1, int(rng.integers(0, 2 ** 63)))
+            r1 = random_tensor(n - 1, int(rng.integers(0, 2 ** 63)))
             if constant_sectional(r1) is not None:
                 skipped += 1
                 continue

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secondkind import cli, rigidity
+from secondkind import cli, descriptors, rigidity
 from secondkind.cli import dumps_json, run
 from secondkind.curvature import MAX_DIM
 from secondkind.descriptors import (
@@ -24,6 +24,7 @@ from secondkind.descriptors import (
     leaf_obj,
     parse_descriptor,
 )
+from secondkind.numerics import CLUSTER_REL_TOL, cluster_spectrum
 
 REPO = Path(__file__).resolve().parents[1]
 DESCRIPTORS = REPO / "descriptors"
@@ -220,6 +221,52 @@ class TestClosedForms:
         clusters = closed_form_clusters(desc)
         assert clusters is not None
         assert sum(m for _, m in clusters) == 14
+
+    @staticmethod
+    def near_equal_report(tmp_path, capsys, flat_factor):
+        """The ``spectrum`` report of S^2(1) x S^2(1.00000005), times R when
+        ``flat_factor``: the two Einstein constants lie within
+        ``CLUSTER_REL_TOL`` of each other."""
+        factors = [leaf_obj("sphere", 2, 1.0), leaf_obj("sphere", 2, 1.00000005)]
+        if flat_factor:
+            factors.append(leaf_obj("euclidean", 1))
+        path = tmp_path / "near_equal.json"
+        path.write_text(json.dumps({"kind": "product", "factors": factors}))
+        assert run(["spectrum", str(path)]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_near_equal_factors_cluster_like_the_spectrum(self, tmp_path, capsys):
+        report = self.near_equal_report(tmp_path, capsys, False)
+        computed = [c["multiplicity"] for c in report["spectrum"]]
+        assert computed == [1, 4, 4]
+        assert [c["multiplicity"] for c in report["closed_form"]] == computed
+
+    def test_near_equal_einstein_constants_keep_the_closed_form(self, tmp_path, capsys):
+        # the partial product S^2 x S^2 counts as Einstein, so R still folds in
+        report = self.near_equal_report(tmp_path, capsys, True)
+        assert report["closed_form"] is not None
+        assert len(report["closed_form"]) == len(report["spectrum"])
+        for expected, computed in zip(report["closed_form"], report["spectrum"]):
+            assert expected["multiplicity"] == computed["multiplicity"]
+            v = computed["value"]
+            assert abs(expected["value"] - v) <= CLUSTER_REL_TOL * max(1.0, abs(v))
+
+    @given(st.floats(-10.0, 10.0),
+           st.lists(st.tuples(st.sampled_from([0.0, 1e-12, 5e-8, 1e-7, 2e-7, 1e-3, 1.0]),
+                              st.integers(1, 4)), min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_merge_partitions_like_cluster_spectrum(self, start, steps):
+        # ascending (value, multiplicity) pairs whose gaps straddle the
+        # cluster tolerance, merged as closed forms and clustered expanded
+        pairs, value = [], start
+        for gap, mult in steps:
+            value += gap * max(1.0, abs(value))
+            pairs.append((value, mult))
+        expanded = [v for v, m in pairs for _ in range(m)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(descriptors, "_closed_form_fold", lambda desc: (pairs, None, 0))
+            merged = closed_form_clusters(None)
+        assert [m for _, m in merged] == [m for _, m in cluster_spectrum(expanded)]
 
 
 class TestJsonEmitter:

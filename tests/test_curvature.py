@@ -16,8 +16,6 @@ from secondkind.curvature import (
     flat_tensor,
     kahler_space_form,
     product,
-    random_curvature,
-    random_kahler_curvature,
     ricci,
     scalar,
     space_form,
@@ -33,6 +31,7 @@ from reference import (
     kahler_model_components,
     space_form_components,
 )
+from samples import random_kahler_tensor, random_tensor
 
 
 def symmetry_errors(r):
@@ -155,9 +154,9 @@ class TestCachedUnitTensors:
             kahler_space_form(m, 1.0)
         for n in range(1, 13):
             flat_tensor(n)
-            random_curvature(n + 1, 0)
+            random_tensor(n + 1, 0)
         for m in range(1, 11):
-            random_kahler_curvature(m, 0)
+            random_kahler_tensor(m, 0)
         for cached in (curvature._unit_space_form, curvature._unit_kahler_space_form,
                        flat_tensor, curvature._pair_placements, curvature._j_pullbacks):
             info = cached.cache_info()
@@ -266,15 +265,15 @@ class TestProduct:
         assert np.array_equal(r.components[2:, 2:, 2:, 2:], r2.components)
 
     def test_mixed_components_zero(self):
-        r = product(random_curvature(3, 1), random_curvature(2, 2))
+        r = product(random_tensor(3, 1), random_tensor(2, 2))
         comp = r.components.copy()
         comp[:3, :3, :3, :3] = 0.0
         comp[3:, 3:, 3:, 3:] = 0.0
         assert np.abs(comp).max() == 0.0
 
     def test_scalar_additivity(self):
-        r1 = random_curvature(3, 10)
-        r2 = random_curvature(4, 11)
+        r1 = random_tensor(3, 10)
+        r2 = random_tensor(4, 11)
         assert abs(scalar(product(r1, r2)) - scalar(r1) - scalar(r2)) <= 1e-12
 
     def test_dim1_factor(self):
@@ -289,15 +288,15 @@ class TestCheckOnce:
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_products_and_negations_pass_a_recheck(self, n):
-        a = random_curvature(n, n)
-        b = random_curvature(2 + n % 3, 100 + n)
-        c = random_kahler_curvature(1 + n % 2, 200 + n)
+        a = random_tensor(n, n)
+        b = random_tensor(2 + n % 3, 100 + n)
+        c = random_kahler_tensor(1 + n % 2, 200 + n)
         for t in (a, product(a, b), product(b, a, c), product(c, product(a, b))):
             CurvatureTensor(t.components)
             CurvatureTensor(-t.components)
 
     def test_nary_product_equals_the_fold_bitwise(self):
-        a, b, c = random_curvature(3, 1), space_form(2, -0.5), kahler_space_form(2, 1.5)
+        a, b, c = random_tensor(3, 1), space_form(2, -0.5), kahler_space_form(2, 1.5)
         assert np.array_equal(product(a, b, c).components,
                               product(product(a, b), c).components)
         assert np.array_equal(product(a, b, c).components,
@@ -372,9 +371,12 @@ class TestCheckOnce:
         assert cli.run(["spectrum", str(descriptors / "custom_flat2.json")]) == 0
         capsys.readouterr()
         assert len(calls) == 1
+        # a random stack is checked once, as one stack, by its builder
         calls.clear()
-        random_curvature(4, 0)
-        assert len(calls) == 1
+        checked = []
+        monkeypatch.setattr(curvature, "check_identities", lambda c: checked.append(c.shape))
+        curvature.random_curvatures(4, [0, 1])
+        assert checked == [(2, 4, 4, 4, 4)] and calls == []
 
 class TestContractions:
     def test_space_form_ricci(self):
@@ -391,7 +393,7 @@ class TestContractions:
         np.testing.assert_allclose(ricci(r), np.diag([1.0, 1.0, 2.0, 2.0, 2.0]), atol=1e-14)
 
     def test_ricci_symmetric_on_random(self):
-        ric = ricci(random_curvature(5, 3))
+        ric = ricci(random_tensor(5, 3))
         assert np.abs(ric - ric.T).max() <= 1e-12
 
 
@@ -429,7 +431,7 @@ class TestDetectors:
     @pytest.mark.parametrize("m", range(2, 5))
     def test_constant_holomorphic_none_on_random_kahler(self, m):
         for seed in (0, 1, 146):
-            assert constant_holomorphic(random_kahler_curvature(m, seed)) is None
+            assert constant_holomorphic(random_kahler_tensor(m, seed)) is None
 
     def test_constant_holomorphic_rejects_round_sphere(self):
         assert constant_holomorphic(space_form(4, 1.0)) is None
@@ -447,8 +449,8 @@ class TestDetectors:
         """Space forms (n = 2..8) and Kahler forms (m = 1..4) at a few
         curvatures, each also perturbed by 1e-7 times a seeded random tensor
         of its kind, and 20 seeded random tensors of each size."""
-        kinds = [(n, space_form, random_curvature) for n in range(2, 9)]
-        kinds += [(m, kahler_space_form, random_kahler_curvature) for m in range(1, 5)]
+        kinds = [(n, space_form, random_tensor) for n in range(2, 9)]
+        kinds += [(m, kahler_space_form, random_kahler_tensor) for m in range(1, 5)]
         for size, model, draw in kinds:
             for i, c in enumerate((-2.0, -0.25, 0.5, 1.0, 3.0)):
                 form = model(size, c)
@@ -500,22 +502,22 @@ class TestRandomCurvature:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_bitwise_equal_to_pair_loop(self, n):
         for seed in (0, 1, 7, 12345, 2**63 + 5):
-            assert np.array_equal(random_curvature(n, seed).components,
+            assert np.array_equal(random_tensor(n, seed).components,
                                   pair_loop_random_curvature(n, seed))
 
     def test_deterministic(self):
-        a = random_curvature(4, seed=1)
-        b = random_curvature(4, seed=1)
+        a = random_tensor(4, seed=1)
+        b = random_tensor(4, seed=1)
         assert np.array_equal(a.components, b.components)
 
     def test_rejects_dim1(self):
         with pytest.raises(InvalidInputError):
-            random_curvature(1, seed=0)
+            random_tensor(1, seed=0)
 
     @given(st.integers(min_value=0, max_value=5_000), st.integers(min_value=2, max_value=5))
     @settings(max_examples=40, deadline=None)
     def test_symmetries_and_bianchi(self, seed, n):
-        r = random_curvature(n, seed)
+        r = random_tensor(n, seed)
         assert symmetry_errors(r) <= 1e-12 * max(1.0, np.abs(r.components).max())
 
 
@@ -546,14 +548,14 @@ def alternating_projection_kahler(m, seed):
 
 class TestRandomKahlerCurvature:
     def test_deterministic(self):
-        a = random_kahler_curvature(2, seed=4)
-        b = random_kahler_curvature(2, seed=4)
+        a = random_kahler_tensor(2, seed=4)
+        b = random_kahler_tensor(2, seed=4)
         assert np.array_equal(a.components, b.components)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_j_invariance_and_symmetries(self, m):
         seed = m + 20
-        r = random_kahler_curvature(m, seed)
+        r = random_kahler_tensor(m, seed)
         jm = standard_complex_structure(m)
         tol = 1e-14 * np.abs(pair_symmetric_draw(m, seed)).max()
         assert symmetry_errors(r) <= tol
@@ -579,7 +581,7 @@ class TestRandomKahlerCurvature:
     def test_agrees_with_alternating_projections(self, m):
         for seed in range(5):
             reference = alternating_projection_kahler(m, seed)
-            r = random_kahler_curvature(m, seed)
+            r = random_kahler_tensor(m, seed)
             assert np.abs(r.components - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
@@ -604,10 +606,10 @@ class TestJPairAverage:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_generator_unchanged_from_einsum_form(self, monkeypatch, m):
-        fast = [random_kahler_curvature(m, seed).components for seed in range(5)]
+        fast = [random_kahler_tensor(m, seed).components for seed in range(5)]
         monkeypatch.setattr(curvature, "_j_pair_average", einsum_j_pair_average)
         for seed, comp in enumerate(fast):
-            assert np.array_equal(comp, random_kahler_curvature(m, seed).components)
+            assert np.array_equal(comp, random_kahler_tensor(m, seed).components)
 
 
 # SHA-256 of the seeded random tensors' component bytes: a change in a
@@ -637,7 +639,7 @@ SEEDED_DIGESTS = {
 
 @pytest.mark.parametrize("kind,size,seed", sorted(SEEDED_DIGESTS))
 def test_seeded_tensor_bytes_are_pinned(kind, size, seed):
-    sample = random_kahler_curvature if kind == "kahler" else random_curvature
+    sample = random_kahler_tensor if kind == "kahler" else random_tensor
     digest = hashlib.sha256(sample(size, seed).components.tobytes()).hexdigest()
     assert digest == SEEDED_DIGESTS[kind, size, seed]
 
@@ -702,21 +704,23 @@ def violations(n):
 class TestStackedBuilders:
     @pytest.mark.parametrize("size", BLOCK_SIZES)
     @pytest.mark.parametrize("n", range(2, 7))
-    def test_real_stack_is_the_single_tensors_bitwise(self, n, size):
+    def test_real_entries_do_not_depend_on_position(self, n, size):
         seeds = [7 * s + n for s in range(size)]
         stack = curvature.random_curvatures(n, seeds)
         assert stack.shape == (size,) + (n,) * 4 and not stack.flags.writeable
         for seed, entry in zip(seeds, stack):
-            assert np.array_equal(entry, random_curvature(n, seed).components)
+            assert np.array_equal(entry, curvature.random_curvatures(n, [seed])[0])
+            assert np.array_equal(entry, curvature.random_curvatures(n, [seed + 1, seed])[1])
 
     @pytest.mark.parametrize("size", BLOCK_SIZES)
     @pytest.mark.parametrize("m", range(1, 4))
-    def test_kahler_stack_is_the_single_tensors_bitwise(self, m, size):
+    def test_kahler_entries_do_not_depend_on_position(self, m, size):
         seeds = [5 * s + m for s in range(size)]
         stack = curvature.random_kahler_curvatures(m, seeds)
         assert stack.shape == (size,) + (2 * m,) * 4 and not stack.flags.writeable
         for seed, entry in zip(seeds, stack):
-            assert np.array_equal(entry, random_kahler_curvature(m, seed).components)
+            assert np.array_equal(entry, curvature.random_kahler_curvatures(m, [seed])[0])
+            assert np.array_equal(entry, curvature.random_kahler_curvatures(m, [seed + 1, seed])[1])
 
     def test_stacked_builders_reject_small_sizes(self):
         with pytest.raises(InvalidInputError, match="at least 2"):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secondkind.curvature import random_curvature, random_kahler_curvature
+from secondkind.curvature import random_curvatures, random_kahler_curvatures
 from secondkind.errors import ConvergenceError, InvalidInputError
 from secondkind.numerics import (
     CLUSTER_REL_TOL,
@@ -206,8 +206,8 @@ class TestRandomOrthonormalFamilies:
 
         monkeypatch.setattr(np.random, "Philox", counting)
         random_orthonormal_families(9, list(range(100)))
-        random_curvature(4, 1)
-        random_kahler_curvature(2, 1)
+        random_curvatures(4, [1])
+        random_kahler_curvatures(2, [1])
         assert built == []
 
 

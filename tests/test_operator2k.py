@@ -14,8 +14,6 @@ from secondkind.curvature import (
     flat_tensor,
     kahler_space_form,
     product,
-    random_curvature,
-    random_kahler_curvature,
     scalar,
     space_form,
 )
@@ -50,6 +48,7 @@ from reference import (
     operator_matrix_einsum,
     spectrum_from_eigenvalues,
 )
+from samples import random_kahler_tensor, random_tensor
 
 
 def clusters_match(clusters, expected, tol=1e-9):
@@ -67,7 +66,7 @@ class TestOperatorMatrix:
         assert np.abs(mat - np.eye(9)).max() <= 1e-12
 
     def test_diagonal_entries_are_plane_curvatures(self):
-        r = random_curvature(4, seed=17)
+        r = random_tensor(4, seed=17)
         basis = standard_basis(4)
         mat = operator_matrix(r, basis)
         # the first n(n-1)/2 basis tensors are (1/sqrt 2) e_k o e_l with k < l
@@ -78,7 +77,7 @@ class TestOperatorMatrix:
                 idx += 1
 
     def test_unnormalized_pairing_identity(self):
-        r = random_curvature(5, seed=23)
+        r = random_tensor(5, seed=23)
         e = np.eye(5)
         c = r.components
         for (i, j, k, l) in [(0, 1, 2, 3), (0, 2, 1, 4), (1, 3, 0, 2)]:
@@ -88,7 +87,7 @@ class TestOperatorMatrix:
             assert abs(lhs - 2.0 * (c[i, k, l, j] + c[i, l, k, j])) <= 1e-12
 
     def test_symmetric(self):
-        mat = operator_matrix(random_curvature(4, seed=3), standard_basis(4))
+        mat = operator_matrix(random_tensor(4, seed=3), standard_basis(4))
         assert np.abs(mat - mat.T).max() <= 1e-12
 
     def test_rejects_dim_mismatch(self):
@@ -98,13 +97,13 @@ class TestOperatorMatrix:
     @pytest.mark.parametrize("n,seed", [(n, seed) for n in range(2, 13) for seed in (1, 2)]
                              + [(32, 1)])
     def test_standard_basis_bitwise_equals_einsum(self, n, seed):
-        r = random_curvature(n, seed=seed)
+        r = random_tensor(n, seed=seed)
         basis = standard_basis(n)
         assert np.array_equal(operator_matrix(r, basis), operator_matrix_einsum(r, basis))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_kahler_basis_bitwise_equals_einsum(self, m):
-        r = random_kahler_curvature(m, seed=50 + m)
+        r = random_kahler_tensor(m, seed=50 + m)
         model = kahler_space_form(m, 0.5)
         for tensor, basis in [(r, kahler_basis(m)[0]), (r, standard_basis(2 * m)),
                               (model, kahler_basis(m)[0])]:
@@ -116,7 +115,7 @@ class TestOperatorMatrix:
         (lambda: (space_form(2, 1.0), space_form(3, 0.5)), 2, 3),
         (lambda: (space_form(3, -2.0), space_form(3, -0.25)), 3, 3),
         (lambda: (kahler_space_form(1, 1.0), kahler_space_form(2, 0.5)), 2, 4),
-        (lambda: (random_curvature(3, seed=61), random_curvature(4, seed=62)), 3, 4),
+        (lambda: (random_tensor(3, seed=61), random_tensor(4, seed=62)), 3, 4),
     ])
     def test_product_bases_bitwise_equal_einsum(self, make, n1, n2):
         r1, r2 = make()
@@ -145,7 +144,7 @@ class TestSpectrum:
             spectrum(flat_tensor(1))
 
     def test_is_the_eigensolved_operator_array(self):
-        r = random_curvature(5, seed=8)
+        r = random_tensor(5, seed=8)
         s = spectrum(r)
         assert type(s) is np.ndarray and s.ndim == 1 and s.dtype == np.float64
         expected = numerics.eigensolve(operator_matrix(r, standard_basis(5)))
@@ -156,7 +155,7 @@ class TestSpectrum:
         lambda: space_form(3, -2.0),
         lambda: kahler_space_form(2, 1.0),
         lambda: product(space_form(2, 1.0), space_form(3, 1.0)),
-        lambda: random_curvature(5, seed=8),
+        lambda: random_tensor(5, seed=8),
     ])
     def test_trace_identity(self, make):
         r = make()
@@ -187,7 +186,7 @@ class TestClustersOnFirstRead:
 
     def test_harness_and_oracle_do_not_cluster(self, calls):
         assert check_rigidity("line", {"n": 5}, samples=5).samples_run == 5
-        bruteforce_min_alpha_sum(random_curvature(4, seed=3), 2.5, samples=5, seed=1)
+        bruteforce_min_alpha_sum(random_tensor(4, seed=3), 2.5, samples=5, seed=1)
         assert calls == []
 
 
@@ -202,7 +201,7 @@ class TestAlphaSum:
         assert alpha_sum(self.line_spectrum(), 4.0) == pytest.approx(-0.5, abs=1e-12)
 
     def test_full_range_equals_trace(self):
-        r = random_curvature(4, seed=5)
+        r = random_tensor(4, seed=5)
         s = spectrum(r)
         assert abs(alpha_sum(s, len(s)) - (r.dim + 2) / (2.0 * r.dim) * scalar(r)) <= 1e-9
 
@@ -215,7 +214,7 @@ class TestAlphaSum:
     @given(st.integers(min_value=0, max_value=2_000))
     @settings(max_examples=25, deadline=None)
     def test_piecewise_linear_convex(self, seed):
-        s = spectrum(random_curvature(4, seed))
+        s = spectrum(random_tensor(4, seed))
         alphas = np.linspace(1.0, len(s), 33)
         values = [alpha_sum(s, a) for a in alphas]
         slopes = np.diff(values) / np.diff(alphas)
@@ -242,7 +241,7 @@ class TestClassify:
     @given(st.integers(min_value=0, max_value=2_000))
     @settings(max_examples=20, deadline=None)
     def test_sign_symmetry(self, seed):
-        r = random_curvature(4, seed)
+        r = random_tensor(4, seed)
         for alpha in (1.0, 4.5, 9.0):
             v = classify(r, alpha)
             flipped = {"nonnegative": "nonpositive", "nonpositive": "nonnegative"}
@@ -260,7 +259,7 @@ class TestClassify:
         names = {(True, True): "both", (True, False): "nonnegative",
                  (False, True): "nonpositive", (False, False): "neither"}
         tensors = (space_form(3, 1.0), product(space_form(3, -1.0), flat_tensor(1)),
-                   random_curvature(4, 3), flat_tensor(3))
+                   random_tensor(4, 3), flat_tensor(3))
         for r in tensors:
             s = spectrum(r)
             neg = negate_spectrum(s)
@@ -291,7 +290,7 @@ class TestThresholds:
         assert nonpos_threshold(s) == pytest.approx(4.5, abs=1e-12)
 
     @pytest.mark.parametrize("make", [
-        lambda: spectrum(random_curvature(5, seed=71)),
+        lambda: spectrum(random_tensor(5, seed=71)),
         lambda: spectrum(product(space_form(3, -1.0), flat_tensor(1))),
         lambda: spectrum(product(space_form(2, 1.0), space_form(3, -0.5))),
         lambda: spectrum(space_form(4, 1.0)),    # nonpos threshold None
@@ -353,7 +352,7 @@ class TestNegatedReadings:
 
 class TestBruteforceOracle:
     def test_eigenbasis_sample_matches_alpha_sum(self):
-        r = random_curvature(4, seed=12)
+        r = random_tensor(4, seed=12)
         s = spectrum(r)
         for alpha in (1.0, 2.5, 4.0, float(len(s))):
             result = bruteforce_min_alpha_sum(r, alpha, samples=30, seed=99)
@@ -364,7 +363,7 @@ class TestBruteforceOracle:
         assert min(result.sample_values) == pytest.approx(2.0, abs=1e-9)
 
     def test_samples_bounded_below_by_eigen_minimum(self):
-        r = random_curvature(5, seed=77)
+        r = random_tensor(5, seed=77)
         s = spectrum(r)
         result = bruteforce_min_alpha_sum(r, 3.5, samples=200, seed=5)
         floor = alpha_sum(s, 3.5)
@@ -372,7 +371,7 @@ class TestBruteforceOracle:
         assert min(result.sample_values) == pytest.approx(floor, abs=1e-9)
 
     def test_deterministic_per_seed(self):
-        r = random_curvature(4, seed=2)
+        r = random_tensor(4, seed=2)
         a = bruteforce_min_alpha_sum(r, 2.0, samples=10, seed=8)
         b = bruteforce_min_alpha_sum(r, 2.0, samples=10, seed=8)
         assert a.sample_values == b.sample_values
@@ -392,7 +391,7 @@ class TestBruteforceOracle:
 
     @pytest.mark.parametrize("samples", [1, 63, 64, 65, 1000])
     def test_blocks_match_per_sample_reference(self, samples):
-        r = random_curvature(4, seed=21)
+        r = random_tensor(4, seed=21)
         mat = operator_matrix(r, standard_basis(4))
         seed = 1234
         result = bruteforce_min_alpha_sum(r, 3.5, samples=samples, seed=seed)
@@ -408,7 +407,7 @@ class TestBruteforceOracle:
     def test_argmin_digest_is_the_redrawn_basis(self):
         # at alpha = N every basis gives the trace, so the argmin falls on a
         # sample that ties the eigenbasis to rounding
-        r = random_curvature(4, seed=22)
+        r = random_tensor(4, seed=22)
         mat = operator_matrix(r, standard_basis(4))
         result = bruteforce_min_alpha_sum(r, float(len(mat)), samples=200, seed=9)
         assert result.argmin_sample > 0
@@ -422,7 +421,7 @@ class TestBruteforceOracle:
 
     def test_narrow_blocks_match_64_sample_blocks(self, monkeypatch):
         # n = 9 gives N = 44, so the oracle stacks 24 samples per block
-        r = random_curvature(9, seed=31)
+        r = random_tensor(9, seed=31)
         narrow = bruteforce_min_alpha_sum(r, 7.5, samples=70, seed=5)
         monkeypatch.setattr(operator2k, "_oracle_block", lambda n_dim: 64)
         wide = bruteforce_min_alpha_sum(r, 7.5, samples=70, seed=5)
@@ -440,7 +439,7 @@ class TestBruteforceOracle:
                                      samples=operator2k.MAX_SAMPLES + 1, seed=0)
 
     def test_argmin_digest_is_the_eigenbasis(self):
-        r = random_curvature(4, seed=23)
+        r = random_tensor(4, seed=23)
         mat = operator_matrix(r, standard_basis(4))
         result = bruteforce_min_alpha_sum(r, 2.5, samples=100, seed=3)
         assert result.argmin_sample == 0
@@ -456,7 +455,7 @@ class TestWeightedPartialSums:
             assert stacked.tolist() == [float(weighted_partial_sums(row, alpha)) for row in rows]
 
     def test_matches_alpha_sum_and_f_lemma(self):
-        s = spectrum(random_curvature(4, seed=24))
+        s = spectrum(random_tensor(4, seed=24))
         for alpha in (1.0, 3.25, float(len(s))):
             value = float(weighted_partial_sums(s, alpha))
             assert value == alpha_sum(s, alpha) == f_lemma(s, alpha)
@@ -474,7 +473,7 @@ def test_hot_path_never_runs_jacobi():
                if info.name != "__main__"]
     for module in [secondkind, *modules]:
         assert not [name for name in vars(module) if "jacobi" in name.lower()], module
-    r = random_curvature(4, seed=6)
+    r = random_tensor(4, seed=6)
     s = spectrum(r)
     assert classify(r, 2.5) in ("nonnegative", "nonpositive", "both", "neither")
     result = bruteforce_min_alpha_sum(r, 2.5, samples=5, seed=1)
@@ -483,8 +482,8 @@ def test_hot_path_never_runs_jacobi():
 
 class TestProductBlockStructure:
     def test_xi_rows_vanish_for_arbitrary_factors(self):
-        r1 = random_curvature(3, seed=31)
-        r2 = random_curvature(2, seed=32)
+        r1 = random_tensor(3, seed=31)
+        r2 = random_tensor(2, seed=32)
         basis = product_adapted_basis(3, 2)
         mat = operator_matrix(product(r1, r2), basis)
         # layout [5 | 2 | 6 | 1]: the mixed rows are 7..12
@@ -524,8 +523,8 @@ class TestKahlerFamilyTraces:
     @pytest.mark.parametrize("make,m", [
         (lambda: kahler_space_form(2, 1.0), 2),
         (lambda: kahler_space_form(3, 0.5), 3),
-        (lambda: random_kahler_curvature(2, seed=41), 2),
-        (lambda: random_kahler_curvature(3, seed=43), 3),
+        (lambda: random_kahler_tensor(2, seed=41), 2),
+        (lambda: random_kahler_tensor(3, seed=43), 3),
     ])
     def test_invariant_family_trace_identities(self, make, m):
         r = make()

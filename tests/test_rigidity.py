@@ -12,7 +12,6 @@ from secondkind.curvature import (
     flat_tensor,
     kahler_space_form,
     product,
-    random_curvature,
     space_form,
 )
 from secondkind import cli, curvature, numerics, operator2k, rigidity
@@ -25,6 +24,7 @@ from secondkind.rigidity import (
 )
 
 from reference import f_lemma
+from samples import random_tensor
 
 
 class TestConstants:
@@ -118,7 +118,7 @@ class TestVerifyProductStructure:
         assert report.details["spectrum_multiset"] == "consistent"
 
     def test_random_factors_only_xi_applicable(self):
-        report = verify_product_structure(random_curvature(3, 5), random_curvature(2, 6))
+        report = verify_product_structure(random_tensor(3, 5), random_tensor(2, 6))
         assert report.verdict == "consistent"
         assert report.details["xi_block"] == "consistent"
         assert report.details["einstein_blocks"] == "not-applicable"
@@ -450,10 +450,10 @@ class TestSampleBlocks:
         monkeypatch.setattr(curvature, "fill_standard_normal", corrupting)
         monkeypatch.setattr(np.linalg, "eigvalsh", finite_only)
         dim, kahler = factor
-        single = curvature.random_kahler_curvature if kahler else random_curvature
+        build = curvature.random_kahler_curvatures if kahler else curvature.random_curvatures
         with np.errstate(over="raise", invalid="raise"):
             with pytest.raises((InvalidInputError, FloatingPointError)) as info:
-                single(dim, seed)
+                build(dim, [seed])
         expected = (2, f"error: {info.value}\n") if info.type is InvalidInputError \
             else (3, f"numeric failure: {info.value}\n")
         code = cli.run(["verify", case, *argv])

@@ -24,7 +24,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from secondkind.cli import run
-from secondkind.curvature import MAX_DIM, random_curvature
+from secondkind.curvature import MAX_DIM
+
+from samples import random_tensor
 
 SCALES = st.floats(min_value=1e-300, max_value=1e300)
 WRONG_VALUES = st.one_of(
@@ -57,7 +59,7 @@ def custom_leaf(draw, valid):
     if valid or (dim >= 2 and draw(st.booleans())):
         # a valid tensor at an extreme scale
         scale = draw(SCALES) * draw(st.sampled_from([1.0, -1.0]))
-        base = random_curvature(dim, draw(st.integers(0, 2**64 - 1)))
+        base = random_tensor(dim, draw(st.integers(0, 2**64 - 1)))
         components = [scale * v for v in base.components.ravel().tolist()]
     else:
         # zeros, possibly of the wrong length, with one drawn entry
