@@ -39,7 +39,11 @@ detectors: ``line --n 5 --samples 130 --tol 50`` (every sample classifies),
 sample) and ``iff-spheres`` on a 9-value grid (81 grid pairs); and
 ``spectrum`` of S^2(1) x S^2(1.00000005) and of that product times R,
 whose factors' Einstein constants and eigenvalues are one cluster, so that
-the clustering of the closed forms is compared too.
+the clustering of the closed forms is compared too; ``threshold`` of S^4 at
+kappa 5e307, whose negated running sum overflows (exit 3), so that the
+thresholds' overflow path is compared too; and ``spectrum`` of an S^3
+descriptor that starts with a UTF-8 byte order mark, which is rejected as
+``json.loads`` rejects it.
 Each record holds the command line, the exit code, stderr, stdout parsed as
 JSON with every ``timing`` block removed, and the raw stdout text with every
 ``"seconds": <number>`` masked, so that a change in the emitted bytes shows
@@ -131,6 +135,12 @@ NEAR_EQUAL_DESCRIPTORS = {
     "near_equal_s2xs2xr.json": (f'{{"kind": "product", "factors": [{NEAR_EQUAL_SPHERES}, '
                                 '{"kind": "euclidean", "dim": 1}]}'),
 }
+OVERFLOW_SUM_DESCRIPTOR = "overflow_sum_s4.json"
+BOM_DESCRIPTOR = "bom_s3.json"
+EDGE_DESCRIPTORS = {
+    OVERFLOW_SUM_DESCRIPTOR: '{"kind": "sphere", "dim": 4, "kappa": 5e307}',
+    BOM_DESCRIPTOR: '\ufeff{"kind": "sphere", "dim": 3, "kappa": 1}',
+}
 LINE_DESCRIPTOR = "euclidean_line.json"
 LINE_TEXT = '{"kind": "euclidean", "dim": 1}'
 
@@ -207,6 +217,8 @@ def commands(tmp_dir):
     out.append(OVERSIZED_GRID)
     out += BLOCK_SEAMS
     out += [("spectrum", os.path.join(tmp_dir, name)) for name in NEAR_EQUAL_DESCRIPTORS]
+    out += [("threshold", os.path.join(tmp_dir, OVERFLOW_SUM_DESCRIPTOR)),
+            ("spectrum", os.path.join(tmp_dir, BOM_DESCRIPTOR))]
     return out
 
 
@@ -231,9 +243,10 @@ def run_all():
     records = []
     with tempfile.TemporaryDirectory() as tmp:
         generated = {LINE_DESCRIPTOR: LINE_TEXT, **OVERFLOW_DESCRIPTORS, **SCALED_DESCRIPTORS,
-                     **NARY_DESCRIPTORS, **MALFORMED_DESCRIPTORS, **NEAR_EQUAL_DESCRIPTORS}
+                     **NARY_DESCRIPTORS, **MALFORMED_DESCRIPTORS, **NEAR_EQUAL_DESCRIPTORS,
+                     **EDGE_DESCRIPTORS}
         for name, text in generated.items():
-            Path(tmp, name).write_text(text)
+            Path(tmp, name).write_text(text, encoding="utf-8")
         for argv in commands(tmp):
             record = run_one(argv)
             record["argv"] = " ".join(argv).replace(tmp, "<tmp>")

@@ -15,6 +15,7 @@ reported as one ``internal error:`` line).
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from json.encoder import encode_basestring_ascii
@@ -77,9 +78,20 @@ EXAMPLES_VALUE_TOL = 1e-9
 
 
 def _format_float(x):
-    if x != x or x in (float("inf"), float("-inf")):
+    if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite float {x!r}")
     return format(x, ".17g")
+
+
+# the text of each scalar, by exact type, so that a subclass or a numpy
+# scalar, which no report holds, falls through to the TypeError
+_SCALARS = {
+    float: _format_float,
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
 
 
 def dumps_json(obj):
@@ -95,15 +107,10 @@ def dumps_json(obj):
 
 
 def _emit(obj, out, level):
-    # dispatch on the exact type, so a subclass or a numpy scalar, which no
-    # report holds, falls through to the TypeError
     kind = type(obj)
-    if kind is float:
-        out.append(_format_float(obj))
-    elif kind is str:
-        out.append(encode_basestring_ascii(obj))
-    elif kind is int:
-        out.append(str(obj))
+    scalar_text = _SCALARS.get(kind)
+    if scalar_text is not None:
+        out.append(scalar_text(obj))
     elif kind is dict:
         if not obj:
             out.append("{}")
@@ -111,8 +118,13 @@ def _emit(obj, out, level):
         pad = "  " * (level + 1)
         sep, comma = "{\n" + pad, ",\n" + pad
         for key, value in obj.items():
-            out.append(f"{sep}{encode_basestring_ascii(str(key))}: ")
-            _emit(value, out, level + 1)
+            head = f"{sep}{encode_basestring_ascii(str(key))}: "
+            scalar_text = _SCALARS.get(type(value))
+            if scalar_text is None:
+                out.append(head)
+                _emit(value, out, level + 1)
+            else:
+                out.append(head + scalar_text(value))
             sep = comma
         out.append("\n" + "  " * level + "}")
     elif kind is list or kind is tuple:
@@ -122,18 +134,16 @@ def _emit(obj, out, level):
         pad = "  " * (level + 1)
         sep, comma = "[\n" + pad, ",\n" + pad
         for value in obj:
-            out.append(sep)
-            _emit(value, out, level + 1)
+            scalar_text = _SCALARS.get(type(value))
+            if scalar_text is None:
+                out.append(sep)
+                _emit(value, out, level + 1)
+            else:
+                out.append(sep + scalar_text(value))
             sep = comma
         out.append("\n" + "  " * level + "]")
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        raise TypeError(f"cannot serialize {kind.__name__}")
 
 
 def _clusters_obj(clusters):

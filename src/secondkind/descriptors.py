@@ -178,6 +178,11 @@ def _finite_int(token):
     return int(token)
 
 
+# shared by every call; json.loads(text, **hooks) would build one per call
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float,
+                            parse_int=_finite_int)
+
+
 def parse_descriptor(text):
     """Parse and validate a descriptor from JSON text.
 
@@ -185,9 +190,9 @@ def parse_descriptor(text):
     rejected here, so no non-finite value reaches a tensor.
     """
     try:
-        obj = json.loads(text, parse_constant=_reject_constant,
-                         parse_float=_finite_float, parse_int=_finite_int)
-        return _from_obj(obj, "$")
+        if text.startswith("\ufeff"):  # rejected as json.loads rejects it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _from_obj(_DECODER.decode(text), "$")
     except json.JSONDecodeError as exc:
         raise DescriptorError(f"invalid JSON: {exc}") from exc
     except RecursionError:

@@ -7,6 +7,7 @@ oracle for the classification.
 import hashlib
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -149,16 +150,24 @@ def classify(r, alpha, tol=CLASSIFY_TOL):
 
 
 def nonneg_threshold(s):
-    """Least alpha in [1, N] with g(alpha) >= 0 over the ascending ``s``,
-    using the exact root of the crossing linear segment; 1.0 when the least
-    eigenvalue is nonnegative, None when even g(N) is negative."""
-    if s[0] >= 0.0:
+    """Least alpha in [1, N] with g(alpha) >= 0 over the ascending float64
+    ``s``, using the exact root of the crossing linear segment; 1.0 when the
+    least eigenvalue is nonnegative, None when even g(N) is negative.
+
+    The running sums are added left to right in one list scan, in the order
+    and the rounding of ``np.cumsum``."""
+    values = np.asarray(s, dtype=float).tolist()
+    if values[0] >= 0.0:
         return 1.0
-    c = np.cumsum(s)
-    idx = int(np.argmax(c >= 0.0))  # first crossing; 0 when none, as c[0] < 0
-    if idx == 0:
-        return None
-    return float(idx + (-c[idx - 1]) / s[idx])
+    sums = list(accumulate(values))
+    if not math.isfinite(sums[-1]):
+        # a sum overflowed (or an entry is not finite): np.cumsum raises or
+        # warns under the caller's np.errstate; Python's float sums do not
+        np.cumsum(s)
+    for idx, total in enumerate(sums):
+        if total >= 0.0:  # first crossing; idx >= 1, as sums[0] < 0
+            return idx + (-sums[idx - 1]) / values[idx]
+    return None
 
 
 def nonpos_threshold(s):

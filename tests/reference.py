@@ -27,10 +27,20 @@ None of these runs in ``secondkind`` itself:
   an ascending array, from given eigenvalues by sorting them; the negated
   tensor's verdict and threshold, which ``operator2k`` reads off the
   tensor's own eigenvalues, must equal those of ``negate_spectrum``.
+* ``nonneg_threshold_cumsum`` is the threshold read off ``np.cumsum`` and
+  ``np.argmax``; ``operator2k.nonneg_threshold``, one scan of Python float
+  sums, must return the same value bit for bit and raise or warn as it does
+  under every ``np.errstate``.
+* ``parse_descriptor_loads`` parses with ``json.loads(text, **hooks)``;
+  ``descriptors.parse_descriptor``, which shares one decoder between calls,
+  must return the same descriptor or raise the same error text.
 """
+
+import json
 
 import numpy as np
 
+from secondkind import descriptors
 from secondkind.curvature import (
     DETECTOR_TOL,
     kahler_space_form,
@@ -264,3 +274,30 @@ def spectrum_from_eigenvalues(values):
 def negate_spectrum(s):
     """Spectrum of the negated tensor: eigenvalues flipped and re-sorted."""
     return spectrum_from_eigenvalues(-s)
+
+
+def nonneg_threshold_cumsum(s):
+    """Least alpha in [1, N] with g(alpha) >= 0 over the ascending ``s``:
+    1.0 when the least value is nonnegative, else the exact root of the
+    first segment whose cumulative sum crosses zero, None when none does."""
+    if s[0] >= 0.0:
+        return 1.0
+    c = np.cumsum(s)
+    idx = int(np.argmax(c >= 0.0))  # first crossing; 0 when none, as c[0] < 0
+    if idx == 0:
+        return None
+    return float(idx + (-c[idx - 1]) / s[idx])
+
+
+def parse_descriptor_loads(text):
+    """A descriptor parsed by ``json.loads`` with the parser's hooks, and
+    its errors worded as ``parse_descriptor`` words them."""
+    try:
+        obj = json.loads(text, parse_constant=descriptors._reject_constant,
+                         parse_float=descriptors._finite_float,
+                         parse_int=descriptors._finite_int)
+        return descriptors._from_obj(obj, "$")
+    except json.JSONDecodeError as exc:
+        raise descriptors.DescriptorError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise descriptors.DescriptorError("descriptor is nested too deeply to parse") from None

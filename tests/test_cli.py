@@ -26,6 +26,8 @@ from secondkind.descriptors import (
 )
 from secondkind.numerics import CLUSTER_REL_TOL, cluster_spectrum
 
+from reference import parse_descriptor_loads
+
 REPO = Path(__file__).resolve().parents[1]
 DESCRIPTORS = REPO / "descriptors"
 GOLDEN = REPO / "tests" / "golden"
@@ -92,6 +94,27 @@ class TestParseDescriptor:
     def test_rejects_bad_json(self):
         with pytest.raises(DescriptorError, match="invalid JSON"):
             parse_descriptor("{nope")
+
+    @pytest.mark.parametrize("text", [
+        '\ufeff{"kind":"sphere","dim":3,"kappa":1}',
+        '{"kind":"sphere","dim":3,"kappa":NaN}',
+        '{"kind":"sphere","dim":3,"kappa":-Infinity}',
+        '{"kind":"sphere","dim":3,"kappa":1e999}',
+        '{"kind":"sphere","dim":3,"kappa":' + "9" * 400 + "}",
+        '{"kind":"sphere","dim":3,"kappa":1} {}',
+        "",
+        "[" * 100000,
+        '{"kind":"sphere","dim":3,"kappa":1}',
+    ], ids=["bom", "nan", "minus-infinity", "float-overflow", "400-digit-int",
+            "trailing-data", "empty", "deep-nesting", "valid"])
+    def test_shared_decoder_equals_json_loads(self, text):
+        outcomes = []
+        for parse in (parse_descriptor, parse_descriptor_loads):
+            try:
+                outcomes.append(parse(text))
+            except DescriptorError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
     def test_integer_literal_bounded_by_double_range(self):
         largest = int(sys.float_info.max)
@@ -620,6 +643,16 @@ class TestCliCommands:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("numeric failure:")
+
+    def test_threshold_sum_overflow_exit_3(self, tmp_path, capsys):
+        # the negation's running sum, nine times -5e307, overflows; the
+        # thresholds hand it to np.cumsum, which raises under the errstate
+        path = tmp_path / "s4.json"
+        path.write_text('{"kind":"sphere","dim":4,"kappa":5e307}')
+        assert run(["threshold", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numeric failure: overflow encountered in accumulate\n"
 
     def test_pinned_overflow_item_raises_no_warning(self, capsys):
         # sample 73 of --seed 0; the Jacobi sweep overflowed on it

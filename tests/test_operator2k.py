@@ -2,10 +2,11 @@ import hashlib
 import importlib
 import math
 import pkgutil
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secondkind.curvature import (
@@ -45,6 +46,7 @@ from reference import (
     f_lemma,
     kahler_basis,
     negate_spectrum,
+    nonneg_threshold_cumsum,
     operator_matrix_einsum,
     spectrum_from_eigenvalues,
 )
@@ -348,6 +350,65 @@ class TestNegatedReadings:
     def test_mapping_swaps_the_signs_and_keeps_both_and_neither(self):
         assert NEGATED_VERDICT == {"nonnegative": "nonpositive", "nonpositive": "nonnegative",
                                    "both": "both", "neither": "neither"}
+
+
+# signed zeros, subnormals, the least normal, values at and next to the
+# largest double, and a few small values drawn often enough to tie
+_THRESHOLD_EDGES = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+    -2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308,
+    -1.7976931348623157e308, 8.98846567431158e307, -8.98846567431158e307,
+    1.0, -1.0, 0.5, -2.0,
+])
+_THRESHOLD_VALUES = st.one_of(_THRESHOLD_EDGES, st.floats(-8.0, 8.0),
+                              st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _threshold_outcome(threshold, s, over):
+    """(result or raised error, warnings) of a threshold under
+    ``np.errstate(over=over)``."""
+    with warnings.catch_warnings(record=True) as caught, np.errstate(over=over):
+        warnings.simplefilter("always")
+        try:
+            result = threshold(s)
+        except FloatingPointError as exc:
+            result = ("FloatingPointError", str(exc))
+    if type(result) is float:
+        result = ("float", result.hex())
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class TestThresholdParity:
+    """The one-scan threshold against ``np.cumsum``, bit for bit, errors
+    and warnings included."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(values=st.lists(_THRESHOLD_VALUES, min_size=1, max_size=80),
+           over=st.sampled_from(["raise", "warn"]))
+    @example(values=[-1e308, -1e308, 1.0], over="raise")
+    @example(values=[-1e308, 1e308, 1e308, 1e308], over="warn")
+    @example(values=[-1.0, 1e308, 1e308], over="raise")
+    def test_equals_cumsum_reference(self, values, over):
+        s = np.sort(np.array(values, dtype=float))
+        expected = _threshold_outcome(nonneg_threshold_cumsum, s, over)
+        got = _threshold_outcome(nonneg_threshold, s, over)
+        assert got == expected
+
+    @pytest.mark.parametrize("values,over,outcome", [
+        ([-1e308, -1e308, 1.0], "raise", ("FloatingPointError",
+                                          "overflow encountered in accumulate")),
+        ([-1.0, 1e308, 1e308], "raise", ("FloatingPointError",
+                                         "overflow encountered in accumulate")),
+        ([-1.0, 1e308, 1e308], "warn", ("float", 1.0.hex())),
+        ([-1e308, -1e308, 1.0], "warn", None),
+    ])
+    def test_overflow_goes_to_cumsum(self, values, over, outcome):
+        # an overflow after the crossing still raises, as np.cumsum always
+        # summed the whole spectrum
+        result, caught = _threshold_outcome(nonneg_threshold, np.array(values), over)
+        assert result == outcome
+        assert caught == ([] if over == "raise" else
+                          [(RuntimeWarning, "overflow encountered in accumulate")])
 
 
 class TestBruteforceOracle:
