@@ -43,7 +43,16 @@ the clustering of the closed forms is compared too; ``threshold`` of S^4 at
 kappa 5e307, whose negated running sum overflows (exit 3), so that the
 thresholds' overflow path is compared too; and ``spectrum`` of an S^3
 descriptor that starts with a UTF-8 byte order mark, which is rejected as
-``json.loads`` rejects it.
+``json.loads`` rejects it; and ``spectrum`` of five ``custom`` descriptors
+that each fail one identity check, so that the per-tensor re-check of
+``curvature.check_identities`` and its messages are compared too: dimension
+2 with ``R[1,0,0,1] = +R[0,1,0,1]`` (first index pair), dimension 2 with
+``R[1,0,0,1] = -R[0,1,0,1]`` and no ``R[0,1,1,0]`` (second index pair),
+dimension 3 with ``R[0,1,0,2]`` and its antisymmetric placements but no
+exchange partner (pair exchange), dimension 4 with ``w (x) w`` for ``w =
+e0^e1 + e2^e3`` (first Bianchi identity), and dimension 2 with
+``R[0,1,0,1] = R[1,0,0,1] = 1.5e308``, whose first residual overflows
+(exit 3).
 Each record holds the command line, the exit code, stderr, stdout parsed as
 JSON with every ``timing`` block removed, and the raw stdout text with every
 ``"seconds": <number>`` masked, so that a change in the emitted bytes shows
@@ -141,6 +150,27 @@ EDGE_DESCRIPTORS = {
     OVERFLOW_SUM_DESCRIPTOR: '{"kind": "sphere", "dim": 4, "kappa": 5e307}',
     BOM_DESCRIPTOR: '\ufeff{"kind": "sphere", "dim": 3, "kappa": 1}',
 }
+
+
+def _custom(dim, entries):
+    """Text of a ``custom`` descriptor of dimension ``dim`` whose components
+    are 0 except ``entries``, a dict from index quadruples to values."""
+    comp = [0.0] * dim ** 4
+    for (i, j, k, l), value in entries.items():
+        comp[((i * dim + j) * dim + k) * dim + l] = value
+    return json.dumps({"kind": "custom", "dim": dim, "components": comp})
+
+
+OMEGA = {(0, 1): 1.0, (1, 0): -1.0, (2, 3): 1.0, (3, 2): -1.0}
+IDENTITY_FAULTS = {
+    "fault_first_pair.json": _custom(2, {(0, 1, 0, 1): 1.0, (1, 0, 0, 1): 1.0}),
+    "fault_second_pair.json": _custom(2, {(0, 1, 0, 1): 1.0, (1, 0, 0, 1): -1.0}),
+    "fault_exchange.json": _custom(3, {(0, 1, 0, 2): 1.0, (1, 0, 0, 2): -1.0,
+                                       (0, 1, 2, 0): -1.0, (1, 0, 2, 0): 1.0}),
+    "fault_bianchi.json": _custom(4, {a + b: x * y for a, x in OMEGA.items()
+                                      for b, y in OMEGA.items()}),
+    "fault_overflow.json": _custom(2, {(0, 1, 0, 1): 1.5e308, (1, 0, 0, 1): 1.5e308}),
+}
 LINE_DESCRIPTOR = "euclidean_line.json"
 LINE_TEXT = '{"kind": "euclidean", "dim": 1}'
 
@@ -219,6 +249,7 @@ def commands(tmp_dir):
     out += [("spectrum", os.path.join(tmp_dir, name)) for name in NEAR_EQUAL_DESCRIPTORS]
     out += [("threshold", os.path.join(tmp_dir, OVERFLOW_SUM_DESCRIPTOR)),
             ("spectrum", os.path.join(tmp_dir, BOM_DESCRIPTOR))]
+    out += [("spectrum", os.path.join(tmp_dir, name)) for name in IDENTITY_FAULTS]
     return out
 
 
@@ -244,7 +275,7 @@ def run_all():
     with tempfile.TemporaryDirectory() as tmp:
         generated = {LINE_DESCRIPTOR: LINE_TEXT, **OVERFLOW_DESCRIPTORS, **SCALED_DESCRIPTORS,
                      **NARY_DESCRIPTORS, **MALFORMED_DESCRIPTORS, **NEAR_EQUAL_DESCRIPTORS,
-                     **EDGE_DESCRIPTORS}
+                     **EDGE_DESCRIPTORS, **IDENTITY_FAULTS}
         for name, text in generated.items():
             Path(tmp, name).write_text(text, encoding="utf-8")
         for argv in commands(tmp):

@@ -1,11 +1,12 @@
 """Algebraic curvature tensors: model spaces, products, contractions,
 structure detectors, and seeded random generation. A tensor is checked once,
-when ``CurvatureTensor`` makes it from numbers, or with its stack when a
-stacked random builder makes it; products of checked tensors and model
-tensors, a checked unit per size times the curvature, hold every identity
-exactly and are not checked again. The identity check, the product fill and
-the tensor helpers take a single tensor ``(n, n, n, n)`` or a stack of them
-``(..., n, n, n, n)``; the random builders make stacks.
+by the one identity check ``check_identities``: when ``CurvatureTensor``
+makes it from numbers, or with its stack when a random builder draws it;
+products of checked tensors and model tensors, a checked unit per size
+times the curvature, hold every identity exactly and are not checked again.
+The identity check, the product fill and the tensor helpers take a single
+tensor ``(n, n, n, n)`` or a stack of them ``(..., n, n, n, n)`` alike; the
+random builders draw, check and return read-only stacks.
 The one complex structure is the standard J of ``standard_complex_structure``:
 any orthogonal complex structure on R^{2m} is an orthogonal change of frame
 away from it, which changes no spectrum, so the Kahler model, its detector
@@ -80,31 +81,29 @@ def check_identities(c):
     being the tensor's largest entry magnitude.
 
     Raises InvalidInputError with the message of the first check failed by
-    the first failing tensor in stack order, which is what checking the
-    tensors one at a time raises. A stack is checked by axis reductions in
-    one pass with floating-point errors ignored; only a stack that fails is
-    checked again one tensor at a time, under the caller's error state,
-    and that raises.
+    the first failing tensor in stack order. One pass of axis reductions
+    checks any shape with floating-point errors ignored, which no valid
+    tensor meets (an overflowed residual is inf or NaN and fails); only a
+    failing pass is checked again, tensor by tensor under the caller's
+    error state, which raises, or warns and then raises, as on its own.
     """
-    if c.ndim > 4:
-        with np.errstate(over="ignore", invalid="ignore"):
-            peak = np.abs(c).max(axis=_TENSOR_AXES)
-            tol = SYMMETRY_TOL * np.maximum(1.0, peak)
-            passed = bool(np.isfinite(peak).all()) and all(
-                bool((_largest(residual(c)) <= tol).all()) for _, residual in _IDENTITIES)
-        if not passed:
-            for tensor in c.reshape((-1,) + c.shape[-4:]):
-                check_identities(tensor)
+    with np.errstate(over="ignore", invalid="ignore"):
+        peak = np.abs(c).max(axis=_TENSOR_AXES)
+        tol = SYMMETRY_TOL * np.maximum(1.0, peak)
+        passed = bool(np.isfinite(peak).all()) and all(
+            bool((_largest(residual(c)) <= tol).all()) for _, residual in _IDENTITIES)
+    if passed:
         return
-    peak = float(np.abs(c).max())
-    # NaN propagates through max; a NaN or infinite entry would pass every
-    # tolerance check below
-    if not math.isfinite(peak):
-        raise InvalidInputError("components must be finite")
-    tol = SYMMETRY_TOL * max(1.0, peak)
-    for message, residual in _IDENTITIES:
-        if float(_largest(residual(c))) > tol:
-            raise InvalidInputError(message)
+    for tensor in c.reshape((-1,) + c.shape[-4:]):
+        peak = float(np.abs(tensor).max())
+        # NaN propagates through max; a NaN or infinite entry would pass every
+        # tolerance check below
+        if not math.isfinite(peak):
+            raise InvalidInputError("components must be finite")
+        tol = SYMMETRY_TOL * max(1.0, peak)
+        for message, residual in _IDENTITIES:
+            if float(_largest(residual(tensor))) > tol:
+                raise InvalidInputError(message)
 
 
 @dataclass(frozen=True)
@@ -325,11 +324,12 @@ def _pair_placements(n):
     return index, sign
 
 
-def _random_real(n, seeds):
-    """Unchecked stack of random algebraic curvature tensors: entry ``i``
-    comes from the stream of ``seeds[i]`` alone, whatever its position in
-    the stack. A symmetric form on antisymmetric index pairs is placed and
-    its cyclic part removed, so Bianchi holds exactly to rounding."""
+def random_curvatures(n, seeds):
+    """Checked read-only stack ``(len(seeds), n, n, n, n)`` of random
+    algebraic curvature tensors: entry ``i`` comes from the stream of
+    ``seeds[i]`` alone, whatever its position in the stack. A symmetric form
+    on antisymmetric index pairs is placed and its cyclic part removed, so
+    Bianchi holds exactly to rounding."""
     if n < 2:
         raise InvalidInputError("random curvature tensors need dimension at least 2")
     index, sign = _pair_placements(n)
@@ -340,20 +340,9 @@ def _random_real(n, seeds):
     t[:, index] = sign * w[:, None]
     t = t.reshape((len(seeds),) + (n,) * 4)
     t -= _cyclic_part(t)
+    check_identities(t)
+    t.flags.writeable = False
     return t
-
-
-def random_curvatures(n, seeds):
-    """Checked read-only stack ``(len(seeds), n, n, n, n)`` of
-    ``_random_real``: entry ``i`` comes from the stream of ``seeds[i]``
-    alone, whatever its position in the stack."""
-    return _checked_stack(_random_real(n, seeds))
-
-
-def _checked_stack(comp):
-    check_identities(comp)
-    comp.flags.writeable = False
-    return comp
 
 
 @lru_cache(maxsize=8)
@@ -423,21 +412,17 @@ def _kahler_part(t):
     return u
 
 
-def _random_kahler(m, seeds):
-    """Unchecked stack of random curvature tensors invariant under the
-    standard J: entry ``i`` comes from the stream of ``seeds[i]`` alone,
-    whatever its position in the stack. A Gaussian draw is made
-    pair-symmetric and projected by ``_kahler_part``."""
+def random_kahler_curvatures(m, seeds):
+    """Checked read-only stack ``(len(seeds), 2m, 2m, 2m, 2m)`` of random
+    curvature tensors invariant under the standard J: entry ``i`` comes from
+    the stream of ``seeds[i]`` alone, whatever its position in the stack. A
+    Gaussian draw is made pair-symmetric and projected by ``_kahler_part``."""
     standard_complex_structure(m)  # rejects m < 1 before the draw
     t = fill_standard_normal(seeds, np.empty((len(seeds),) + (2 * m,) * 4))
     t = (t - _permuted(t, (1, 0, 2, 3))) / 2.0
     t = (t - _permuted(t, (0, 1, 3, 2))) / 2.0
     t = (t + _permuted(t, (2, 3, 0, 1))) / 2.0
-    return _kahler_part(t)
-
-
-def random_kahler_curvatures(m, seeds):
-    """Checked read-only stack ``(len(seeds), 2m, 2m, 2m, 2m)`` of
-    ``_random_kahler``: entry ``i`` comes from the stream of ``seeds[i]``
-    alone, whatever its position in the stack."""
-    return _checked_stack(_random_kahler(m, seeds))
+    t = _kahler_part(t)
+    check_identities(t)
+    t.flags.writeable = False
+    return t

@@ -21,8 +21,19 @@ from .errors import ConvergenceError, InvalidInputError
 
 SYMMETRY_TOL = 1e-12
 CLUSTER_REL_TOL = 1e-7
+# Most items one stacked numpy call takes: enough to spread numpy's per-call
+# overhead; ``blocks`` takes fewer when the items are large.
+MAX_BLOCK = 64
 
 _SEED_MASK = (1 << 64) - 1
+
+
+def blocks(start, stop, size, budget):
+    """``range(start, stop)`` in consecutive blocks of items of ``size``
+    numbers each: at most ``MAX_BLOCK`` items and ``budget`` numbers per
+    block, but one item at least."""
+    step = max(1, min(MAX_BLOCK, budget // size))
+    return [range(i, min(i + step, stop)) for i in range(start, stop, step)]
 
 
 def seeded_stream(seed):

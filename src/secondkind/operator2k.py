@@ -12,16 +12,15 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import InvalidInputError
-from .numerics import derived_seed, eigensolve, random_orthonormal_families
+from .numerics import MAX_BLOCK, blocks, derived_seed, eigensolve, random_orthonormal_families
 from .sym2 import standard_basis, sym2_dim
 
 CLASSIFY_TOL = 1e-9
 
-# Samples per stacked QR in the oracle: large enough to amortize the numpy
-# call overhead, small enough that each stacked array stays near 0.4 MB at
-# N = 27 instead of growing with the sample count. ``_oracle_block`` takes
-# fewer for wider operators.
-_ORACLE_BLOCK = 64
+# Numbers one stacked QR block of the oracle holds: those of ``MAX_BLOCK``
+# samples at N = 27, about 0.4 MB, so that wider operators take fewer
+# samples per block, down to one from N = 153 on.
+_ORACLE_BUDGET = MAX_BLOCK * 27 * 27
 # Most samples one oracle call or one sampled rigidity harness runs; the
 # oracle holds the seeds and the sorted diagonals of every sample at once,
 # and a harness may hold a finding per sample.
@@ -95,10 +94,7 @@ def _split_alpha(alpha, n_values):
     if not 1.0 <= alpha <= n_values:
         raise InvalidInputError(f"alpha must lie in [1, {n_values}], got {alpha}")
     k = int(math.floor(alpha))
-    frac = alpha - k
-    if k == n_values:
-        return n_values, 0.0
-    return k, frac
+    return k, alpha - k
 
 
 def weighted_partial_sums(rows, alpha):
@@ -181,13 +177,6 @@ def _digest(array):
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()[:16]
 
 
-def _oracle_block(n_dim):
-    """Samples per stacked block for an N-wide operator: ``_ORACLE_BLOCK``
-    up to N = 27, then fewer, so that a block holds about as many numbers
-    as at N = 27, down to one sample from N = 153 on."""
-    return max(1, min(_ORACLE_BLOCK, (_ORACLE_BLOCK * 27 * 27) // (n_dim * n_dim)))
-
-
 @dataclass(frozen=True)
 class OracleResult:
     """Outcome of random-basis minimization; sample 0 is the eigenbasis, and
@@ -222,11 +211,9 @@ def bruteforce_min_alpha_sum(r, alpha, samples, seed):
     seeds = [derived_seed(seed, s) for s in range(samples + 1)]
     diags = np.empty((samples + 1, n_dim))
     diags[0] = w
-    block = _oracle_block(n_dim)
-    for start in range(1, samples + 1, block):
-        stop = min(start + block, samples + 1)
-        qs = random_orthonormal_families(n_dim, seeds[start:stop])
-        diags[start:stop] = np.einsum("saj,saj->sa", qs @ mat, qs)
+    for block in blocks(1, samples + 1, n_dim * n_dim, _ORACLE_BUDGET):
+        qs = random_orthonormal_families(n_dim, seeds[block.start:block.stop])
+        diags[block.start:block.stop] = np.einsum("saj,saj->sa", qs @ mat, qs)
     diags.sort(axis=1)
     values = weighted_partial_sums(diags, alpha).tolist()
     argmin = int(np.argmin(values))

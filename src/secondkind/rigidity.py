@@ -9,7 +9,7 @@ than treating them as failures.
 Each harness is one row of a table: a product family (its dimension
 parameters, the kind of its factors and their structure detector) together
 with its optimal constant. One sampled loop and one iff sweep run every row,
-each classifying stacked blocks of samples (``_blocks``).
+each classifying stacked blocks of samples (``numerics.blocks``).
 """
 
 import math
@@ -34,7 +34,7 @@ from .curvature import (
     unchecked_tensor,
 )
 from .errors import InvalidInputError
-from .numerics import derived_seed, eigensolve
+from .numerics import MAX_BLOCK, blocks, derived_seed, eigensolve
 from .operator2k import (
     CLASSIFY_TOL,
     MAX_SAMPLES,
@@ -54,10 +54,10 @@ from .operator2k import (
 from .sym2 import product_adapted_basis, standard_basis, sym2_dim
 
 DEFAULT_KAPPA_GRID = tuple(0.25 * k for k in range(1, 9))
-# Most samples, or sweep grid pairs, classified in one stacked block: enough
-# to spread numpy's per-call overhead, few enough that a block of tensors at
-# n = 8 holds 64 * 8^4 numbers (2 MB); ``_blocks`` takes fewer when wider.
-_BLOCK = 64
+# Numbers one stacked block of samples, or of sweep grid pairs, holds: those
+# of ``MAX_BLOCK`` tensors at n = 8 (2 MB), so that wider tensors take fewer
+# per block, down to one from n = 20 on.
+_TENSOR_BUDGET = MAX_BLOCK * 8 ** 4
 
 
 def a_const(n1, n2):
@@ -385,15 +385,6 @@ def _sample_record(idx, seeds, v, constants):
     return {"sample": idx, "seeds": seeds, "verdict": v, "constants": constants}
 
 
-def _blocks(count, n):
-    """``range(count)`` in consecutive blocks of at most ``_BLOCK`` samples,
-    fewer at total dimension n above 8, so that a block holds about as many
-    numbers as ``_BLOCK`` tensors at n = 8: one sample per block from
-    n = 20 on."""
-    step = max(1, min(_BLOCK, (_BLOCK * 8 ** 4) // n ** 4))
-    return [range(start, min(start + step, count)) for start in range(0, count, step)]
-
-
 def _block_verdicts(parts, alpha, tol):
     """Verdicts of a block of products, one per entry of the factors'
     component stacks ``parts``: one block fill, one stacked assembly and one
@@ -407,13 +398,13 @@ def _sample(report, family, params, alpha, seed, samples, tol):
     """Classify seeded random products at the constant; a classified sample
     must have factors of constant curvature with the verdict's sign. Sample
     ``idx`` of a family with ``k`` random factors draws factor ``j`` from
-    seed ``seed ^ (k * idx + j)``. Samples run in blocks (``_blocks``):
-    each factor of a block is one checked stack, and a classified sample's
-    detector reads a read-only view of its entry."""
+    seed ``seed ^ (k * idx + j)``. Samples run in ``numerics.blocks`` of
+    ``_TENSOR_BUDGET``: each factor of a block is one checked stack, and a
+    classified sample's detector reads a read-only view of its entry."""
     dims = family.dims(params)
     width = len(dims)
     kind = family.factors
-    for block in _blocks(samples, family.total(params)):
+    for block in blocks(0, samples, family.total(params) ** 4, _TENSOR_BUDGET):
         seeds = [[derived_seed(seed, width * idx + j) for j in range(width)] for idx in block]
         stacks = [kind.random(d, column) for d, column in zip(dims, zip(*seeds))]
         # the line's flat factor R is one zero block shared by every entry
@@ -460,14 +451,14 @@ def _sweep(report, family, params, alpha, grid, tol):
     """Classify the space-form products over the grid: the positive family
     should be nonnegative, and the negative one nonpositive, exactly when
     the two curvatures are equal; each disagreement is a finding. Each grid
-    point is solved and classified once, in blocks of grid pairs
-    (``_blocks``): the negative model is bitwise the negation of the
-    positive one, so its verdict is the negated verdict. Each factor's
-    model is built once per grid value."""
+    point is solved and classified once, in ``numerics.blocks`` of grid
+    pairs of ``_TENSOR_BUDGET``: the negative model is bitwise the negation
+    of the positive one, so its verdict is the negated verdict. Each
+    factor's model is built once per grid value."""
     first, second = ({k: family.factors.model(d, k).components for k in grid}
                      for d in family.dims(params))
     pairs = [(k1, k2) for k1 in grid for k2 in grid]
-    for block in _blocks(len(pairs), family.total(params)):
+    for block in blocks(0, len(pairs), family.total(params) ** 4, _TENSOR_BUDGET):
         chunk = pairs[block.start:block.stop]
         parts = [np.stack([first[k1] for k1, _ in chunk]), np.stack([second[k2] for _, k2 in chunk])]
         for (k1, k2), positive in zip(chunk, _block_verdicts(parts, alpha, tol)):

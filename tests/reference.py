@@ -34,15 +34,24 @@ None of these runs in ``secondkind`` itself:
 * ``parse_descriptor_loads`` parses with ``json.loads(text, **hooks)``;
   ``descriptors.parse_descriptor``, which shares one decoder between calls,
   must return the same descriptor or raise the same error text.
+* ``check_identities_two_branch`` checks a single tensor on its own path,
+  under the caller's error state, and a stack by one reduction pass that,
+  when it fails, checks each tensor on the single path;
+  ``curvature.check_identities``, one pass for any shape, must raise the
+  same exception with the same message and emit the same warnings.
 """
 
 import json
+import math
 
 import numpy as np
 
 from secondkind import descriptors
 from secondkind.curvature import (
+    _IDENTITIES,
+    _TENSOR_AXES,
     DETECTOR_TOL,
+    _largest,
     kahler_space_form,
     ricci,
     scalar,
@@ -50,7 +59,7 @@ from secondkind.curvature import (
     standard_complex_structure,
 )
 from secondkind.errors import ConvergenceError, InvalidInputError
-from secondkind.numerics import CLUSTER_REL_TOL, _checked_symmetric
+from secondkind.numerics import CLUSTER_REL_TOL, SYMMETRY_TOL, _checked_symmetric
 from secondkind.operator2k import weighted_partial_sums
 from secondkind.sym2 import Sym2Basis, sym_product
 
@@ -287,6 +296,31 @@ def nonneg_threshold_cumsum(s):
     if idx == 0:
         return None
     return float(idx + (-c[idx - 1]) / s[idx])
+
+
+def check_identities_two_branch(c):
+    """Check a tensor ``(n, n, n, n)`` or each tensor of a stack ``(..., n,
+    n, n, n)`` as ``curvature.check_identities`` does, by two paths: a stack
+    is reduced in one pass with floating-point errors ignored and, if that
+    fails, re-checked tensor by tensor; a single tensor is checked under the
+    caller's error state."""
+    if c.ndim > 4:
+        with np.errstate(over="ignore", invalid="ignore"):
+            peak = np.abs(c).max(axis=_TENSOR_AXES)
+            tol = SYMMETRY_TOL * np.maximum(1.0, peak)
+            passed = bool(np.isfinite(peak).all()) and all(
+                bool((_largest(residual(c)) <= tol).all()) for _, residual in _IDENTITIES)
+        if not passed:
+            for tensor in c.reshape((-1,) + c.shape[-4:]):
+                check_identities_two_branch(tensor)
+        return
+    peak = float(np.abs(c).max())
+    if not math.isfinite(peak):
+        raise InvalidInputError("components must be finite")
+    tol = SYMMETRY_TOL * max(1.0, peak)
+    for message, residual in _IDENTITIES:
+        if float(_largest(residual(c))) > tol:
+            raise InvalidInputError(message)
 
 
 def parse_descriptor_loads(text):

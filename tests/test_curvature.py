@@ -1,13 +1,14 @@
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from secondkind import cli, curvature, rigidity
+from secondkind import cli, curvature, numerics
 from secondkind.curvature import (
     CurvatureTensor,
     constant_holomorphic,
@@ -25,6 +26,7 @@ from secondkind.errors import InvalidInputError
 from secondkind.numerics import seeded_stream
 
 from reference import (
+    check_identities_two_branch,
     constant_holomorphic_model,
     constant_sectional_model,
     einstein_constant_model,
@@ -672,7 +674,7 @@ class TestValidation:
 
 # stack sizes around one harness block: one sample, a block less one, a
 # block, a block and one more
-BLOCK_SIZES = (1, rigidity._BLOCK - 1, rigidity._BLOCK, rigidity._BLOCK + 1)
+BLOCK_SIZES = (1, numerics.MAX_BLOCK - 1, numerics.MAX_BLOCK, numerics.MAX_BLOCK + 1)
 
 
 def violations(n):
@@ -776,3 +778,99 @@ class TestStackedBuilders:
             single = product(curvature.unchecked_tensor(a[i]), curvature.unchecked_tensor(b[i]),
                              flat_tensor(1))
             assert np.array_equal(stacked[i], single.components)
+
+
+# fault -> least dimension it can be planted in
+PLANTED_FAULTS = {"none": 2, "nan": 2, "inf": 2, "-inf": 2, "first_pair": 2, "second_pair": 2,
+                  "exchange": 3, "bianchi": 4, "overflow": 2}
+# the 4-pair pattern of R[0,1,0,2], antisymmetric in both index pairs, with
+# no exchange partner
+EXCHANGE_PATTERN = {(0, 1, 0, 2): 1.0, (1, 0, 0, 2): -1.0, (0, 1, 2, 0): -1.0, (1, 0, 2, 0): 1.0}
+
+
+def planted(n, seed, faults, huge, stack=True):
+    """Random tensors of dimension n, one per entry of ``faults``, each with
+    that fault planted: a NaN or infinite entry, one identity broken, or an
+    entry pair ``huge`` whose first-pair residual overflows. A stack
+    ``(len(faults), n, n, n, n)``, or the one tensor when ``stack`` is
+    false."""
+    c = curvature.random_curvatures(n, range(seed, seed + len(faults))).copy()
+    for t, fault in zip(c, faults):
+        if fault in ("nan", "inf", "-inf"):
+            t[0, 1, 0, 1] = float(fault)
+        elif fault == "first_pair":
+            t[0, 1, 0, 1] += 1.0
+        elif fault == "second_pair":
+            t[0, 1, 0, 1] += 1.0
+            t[1, 0, 0, 1] -= 1.0
+        elif fault == "exchange":
+            for index, value in EXCHANGE_PATTERN.items():
+                t[index] += value
+        elif fault == "bianchi":
+            w = np.zeros((n, n))
+            w[0, 1] = w[2, 3] = 1.0
+            w -= w.T
+            t += np.multiply.outer(w, w)  # w (x) w, w = e0^e1 + e2^e3
+        elif fault == "overflow":
+            t[0, 1, 0, 1] = t[1, 0, 0, 1] = huge
+    return c if stack else c[0]
+
+
+@st.composite
+def planted_tensors(draw):
+    n = draw(st.integers(2, 5))
+    size = draw(st.sampled_from([None, 1, 2, 5]))
+    options = [fault for fault, least in PLANTED_FAULTS.items() if n >= least]
+    faults = draw(st.lists(st.sampled_from(options), min_size=size or 1, max_size=size or 1))
+    huge = draw(st.floats(0.9e308, 1.79e308))
+    return planted(n, draw(st.integers(0, 2 ** 32)), faults, huge, stack=size is not None)
+
+
+def check_outcome(check, c, state):
+    """(exception type and message or None, warnings emitted) of one check
+    under ``np.errstate(**state)``."""
+    raised = None
+    with warnings.catch_warnings(record=True) as caught, np.errstate(**state):
+        warnings.simplefilter("always")
+        try:
+            check(c)
+        except (InvalidInputError, FloatingPointError) as exc:
+            raised = (type(exc), str(exc))
+    return raised, [(w.category, str(w.message)) for w in caught]
+
+
+class TestSingleCheckPath:
+    """``check_identities`` checks a tensor and a stack by one pass; it
+    must raise and warn as the two-branch reference does."""
+
+    @pytest.mark.parametrize("state", [
+        {"over": "raise", "invalid": "raise"},
+        {"divide": "warn", "over": "warn", "under": "ignore", "invalid": "warn"},
+    ], ids=["raise", "numpy-default"])
+    @settings(max_examples=150, deadline=None)
+    @given(c=planted_tensors())
+    @example(c=planted(2, 0, ["overflow"], 1.5e308, stack=False))
+    @example(c=planted(4, 1, ["none", "bianchi"], 1.5e308))
+    @example(c=planted(3, 2, ["none", "exchange", "none", "overflow", "nan"], 1.5e308))
+    @example(c=planted(5, 3, ["none", "none", "none", "none", "second_pair"], 1.5e308))
+    def test_matches_two_branch_reference(self, c, state):
+        assert check_outcome(curvature.check_identities, c, state) == check_outcome(
+            check_identities_two_branch, c, state)
+
+    @pytest.mark.parametrize("fault", sorted(PLANTED_FAULTS))
+    def test_fault_after_a_passing_tensor(self, fault):
+        # the planted faults reach every outcome: a pass, each message, the
+        # overflow raised under the CLI's error state and warned otherwise
+        c = planted(5, 4, ["none", fault], 1.5e308)
+        raised, caught = check_outcome(curvature.check_identities, c,
+                                       {"over": "raise", "invalid": "raise"})
+        if fault == "none":
+            assert raised is None
+        elif fault == "overflow":
+            assert raised == (FloatingPointError, "overflow encountered in add")
+            raised, caught = check_outcome(curvature.check_identities, c, {"over": "warn"})
+            assert raised == (InvalidInputError,
+                              "components are not antisymmetric in the first index pair")
+            assert caught == [(RuntimeWarning, "overflow encountered in add")]
+        else:
+            assert raised[0] is InvalidInputError and caught == []

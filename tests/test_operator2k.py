@@ -19,7 +19,7 @@ from secondkind.curvature import (
     space_form,
 )
 import secondkind
-from secondkind import curvature, numerics, operator2k, rigidity
+from secondkind import curvature, numerics, operator2k
 from secondkind.errors import ConvergenceError, InvalidInputError
 from secondkind.operator2k import (
     CLASSIFY_TOL,
@@ -477,14 +477,15 @@ class TestBruteforceOracle:
         assert result.argmin_digest == self.digest(q)
 
     def test_block_shrinks_with_width(self):
-        assert [operator2k._oracle_block(n) for n in (2, 20, 27, 28, 44, 77, 527)] == [
-            64, 64, 64, 59, 24, 7, 1]
+        sizes = [len(numerics.blocks(1, 1001, n * n, operator2k._ORACLE_BUDGET)[0])
+                 for n in (2, 20, 27, 28, 44, 77, 527)]
+        assert sizes == [64, 64, 64, 59, 24, 7, 1]
 
     def test_narrow_blocks_match_64_sample_blocks(self, monkeypatch):
         # n = 9 gives N = 44, so the oracle stacks 24 samples per block
         r = random_tensor(9, seed=31)
         narrow = bruteforce_min_alpha_sum(r, 7.5, samples=70, seed=5)
-        monkeypatch.setattr(operator2k, "_oracle_block", lambda n_dim: 64)
+        monkeypatch.setattr(operator2k, "_ORACLE_BUDGET", 64 * 44 * 44)
         wide = bruteforce_min_alpha_sum(r, 7.5, samples=70, seed=5)
         assert narrow.sample_values == wide.sample_values
         assert narrow.argmin_sample == wide.argmin_sample
@@ -604,7 +605,7 @@ class TestKahlerFamilyTraces:
 
 # stack sizes around one harness block: one sample, a block less one, a
 # block, a block and one more
-BLOCK_SIZES = (1, rigidity._BLOCK - 1, rigidity._BLOCK, rigidity._BLOCK + 1)
+BLOCK_SIZES = (1, numerics.MAX_BLOCK - 1, numerics.MAX_BLOCK, numerics.MAX_BLOCK + 1)
 STACKED_FAMILIES = {
     # name -> (seeds -> factor component stacks of one product each)
     "line": lambda seeds: [curvature.random_curvatures(4, seeds), flat_tensor(1).components],

@@ -377,7 +377,7 @@ class TestCheckRigidity:
 
 class TestSampleBlocks:
     """The sampled harnesses and the iff sweeps classify in stacked blocks
-    of at most ``rigidity._BLOCK`` samples; a report must not depend on the
+    of at most ``numerics.MAX_BLOCK`` samples; a report must not depend on the
     blocks."""
 
     @pytest.mark.parametrize("argv", [
@@ -389,8 +389,8 @@ class TestSampleBlocks:
     ], ids=["line", "spheres", "kahler", "iff-spheres", "iff-kahler"])
     def test_report_does_not_depend_on_block_size(self, argv, monkeypatch, capsys):
         outputs = []
-        for block in (rigidity._BLOCK, 1, 5):
-            monkeypatch.setattr(rigidity, "_BLOCK", block)
+        for block in (numerics.MAX_BLOCK, 1, 5):
+            monkeypatch.setattr(numerics, "MAX_BLOCK", block)
             assert cli.run(["verify", *argv]) in (0, 1)
             out = json.loads(capsys.readouterr().out)
             out.pop("timing", None)
@@ -401,11 +401,13 @@ class TestSampleBlocks:
         assert outputs[0]["counterexamples"] or outputs[0]["findings"] or argv[0] == "iff-spheres"
 
     def test_block_rule(self):
-        sizes = {n: len(rigidity._blocks(1000, n)[0]) for n in (4, 8, 9, 12, 19, 20, 32)}
+        budget = rigidity._TENSOR_BUDGET
+        sizes = {n: len(numerics.blocks(0, 1000, n ** 4, budget)[0])
+                 for n in (4, 8, 9, 12, 19, 20, 32)}
         assert sizes == {4: 64, 8: 64, 9: 39, 12: 12, 19: 2, 20: 1, 32: 1}
-        assert [list(b) for b in rigidity._blocks(130, 5)] == [
+        assert [list(b) for b in numerics.blocks(0, 130, 5 ** 4, budget)] == [
             list(range(0, 64)), list(range(64, 128)), [128, 129]]
-        assert rigidity._blocks(0, 5) == []
+        assert numerics.blocks(0, 0, 5 ** 4, budget) == []
 
     def test_line_at_n32_runs_one_sample_per_block(self, monkeypatch, capsys):
         shapes = []
