@@ -52,7 +52,11 @@ dimension 3 with ``R[0,1,0,2]`` and its antisymmetric placements but no
 exchange partner (pair exchange), dimension 4 with ``w (x) w`` for ``w =
 e0^e1 + e2^e3`` (first Bianchi identity), and dimension 2 with
 ``R[0,1,0,1] = R[1,0,0,1] = 1.5e308``, whose first residual overflows
-(exit 3).
+(exit 3); and four runs with unequal factors that cross a block seam and
+whose every sample reaches the structure detectors, so that the bordered
+blocks of unequal factor widths are compared too: ``product-spheres --n1 2
+--n2 4`` and ``--n1 4 --n2 2``, ``product-kahler --m1 1 --m2 2`` and
+``--m1 2 --m2 1``, each ``--samples 70 --tol 50 --seed 3``.
 Each record holds the command line, the exit code, stderr, stdout parsed as
 JSON with every ``timing`` block removed, and the raw stdout text with every
 ``"seconds": <number>`` masked, so that a change in the emitted bytes shows
@@ -137,6 +141,12 @@ BLOCK_SEAMS = (
     ("verify", "product-kahler", "--m1", "1", "--m2", "1", "--samples", "70", "--tol", "50"),
     ("verify", "iff-spheres", "--kappa-grid", "0.25,0.5,0.75,1,1.25,1.5,1.75,2,2.25"),
 )
+UNEQUAL_SEAMS = tuple(
+    ("verify", *sizes, "--samples", "70", "--tol", "50", "--seed", "3")
+    for sizes in (("product-spheres", "--n1", "2", "--n2", "4"),
+                  ("product-spheres", "--n1", "4", "--n2", "2"),
+                  ("product-kahler", "--m1", "1", "--m2", "2"),
+                  ("product-kahler", "--m1", "2", "--m2", "1")))
 NEAR_EQUAL_SPHERES = ('{"kind": "sphere", "dim": 2, "kappa": 1}, '
                       '{"kind": "sphere", "dim": 2, "kappa": 1.00000005}')
 NEAR_EQUAL_DESCRIPTORS = {
@@ -250,6 +260,7 @@ def commands(tmp_dir):
     out += [("threshold", os.path.join(tmp_dir, OVERFLOW_SUM_DESCRIPTOR)),
             ("spectrum", os.path.join(tmp_dir, BOM_DESCRIPTOR))]
     out += [("spectrum", os.path.join(tmp_dir, name)) for name in IDENTITY_FAULTS]
+    out += UNEQUAL_SEAMS
     return out
 
 

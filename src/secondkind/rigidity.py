@@ -9,11 +9,15 @@ than treating them as failures.
 Each harness is one row of a table: a product family (its dimension
 parameters, the kind of its factors and their structure detector) together
 with its optimal constant. One sampled loop and one iff sweep run every row,
-each classifying stacked blocks of samples (``numerics.blocks``).
+each classifying stacked blocks of samples (``numerics.blocks``). A block is
+solved on the product-adapted basis without its mixed directions, where a
+product's operator is a bordered block; the model checks keep the full
+standard-basis operator.
 """
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -51,7 +55,7 @@ from .operator2k import (
     spectrum,
     verdict,
 )
-from .sym2 import product_adapted_basis, standard_basis, sym2_dim
+from .sym2 import Sym2Basis, product_adapted_basis, standard_basis, sym2_dim
 
 DEFAULT_KAPPA_GRID = tuple(0.25 * k for k in range(1, 9))
 # Numbers one stacked block of samples, or of sweep grid pairs, holds: those
@@ -385,13 +389,25 @@ def _sample_record(idx, seeds, v, constants):
     return {"sample": idx, "seeds": seeds, "verdict": v, "constants": constants}
 
 
-def _block_verdicts(parts, alpha, tol):
-    """Verdicts of a block of products, one per entry of the factors'
-    component stacks ``parts``: one block fill, one stacked assembly and one
-    stacked eigensolve; each verdict is that of its product alone."""
-    comp = product_components(parts)
-    basis = standard_basis(comp.shape[-1])
-    return verdict(eigensolve(operator_matrices(comp, basis)), alpha, tol)
+@lru_cache(maxsize=32)
+def _bordered_basis(n1, n2):
+    """The product-adapted basis without its n1 n2 mixed (xi) directions,
+    ``[N1 | N2 | 1]``: a product's operator vanishes on those."""
+    tensors = product_adapted_basis(n1, n2).tensors
+    kept = np.concatenate([tensors[:sym2_dim(n1) + sym2_dim(n2)], tensors[-1:]])
+    kept.flags.writeable = False
+    return Sym2Basis(n1 + n2, kept)
+
+
+def _block_spectra(parts):
+    """Ascending spectra of a block of products of two factors, one row per
+    entry of the factors' component stacks ``parts``: one block fill, one
+    stacked assembly over ``_bordered_basis`` and one stacked eigensolve of
+    that bordered block, whose eigenvalues with the n1 n2 exact zeros of the
+    mixed directions are each product's spectrum (Golub 1973)."""
+    n1, n2 = (p.shape[-1] for p in parts)
+    rows = eigensolve(operator_matrices(product_components(parts), _bordered_basis(n1, n2)))
+    return np.sort(np.concatenate([rows, np.zeros(rows.shape[:-1] + (n1 * n2,))], axis=-1))
 
 
 def _sample(report, family, params, alpha, seed, samples, tol):
@@ -399,17 +415,22 @@ def _sample(report, family, params, alpha, seed, samples, tol):
     must have factors of constant curvature with the verdict's sign. Sample
     ``idx`` of a family with ``k`` random factors draws factor ``j`` from
     seed ``seed ^ (k * idx + j)``. Samples run in ``numerics.blocks`` of
-    ``_TENSOR_BUDGET``: each factor of a block is one checked stack, and a
-    classified sample's detector reads a read-only view of its entry."""
+    ``_TENSOR_BUDGET``: the factors of one dimension in a block are one
+    checked stack, drawn factor after factor and split back into each
+    factor's stack, and a classified sample's detector reads a read-only
+    view of its entry."""
     dims = family.dims(params)
     width = len(dims)
     kind = family.factors
     for block in blocks(0, samples, family.total(params) ** 4, _TENSOR_BUDGET):
         seeds = [[derived_seed(seed, width * idx + j) for j in range(width)] for idx in block]
-        stacks = [kind.random(d, column) for d, column in zip(dims, zip(*seeds))]
+        drawn = {d: kind.random(d, [s for e, col in zip(dims, zip(*seeds)) if e == d for s in col])
+                 for d in dict.fromkeys(dims)}
+        size = len(block)
+        stacks = [drawn[d][size * dims[:j].count(d):][:size] for j, d in enumerate(dims)]
         # the line's flat factor R is one zero block shared by every entry
         parts = stacks if width > 1 else [*stacks, flat_tensor(1).components]
-        for i, (idx, v) in enumerate(zip(block, _block_verdicts(parts, alpha, tol))):
+        for i, (idx, v) in enumerate(zip(block, verdict(_block_spectra(parts), alpha, tol))):
             if v == VERDICT_NEITHER:
                 continue
             constants = [kind.detect(unchecked_tensor(stack[i])) for stack in stacks]
@@ -461,7 +482,8 @@ def _sweep(report, family, params, alpha, grid, tol):
     for block in blocks(0, len(pairs), family.total(params) ** 4, _TENSOR_BUDGET):
         chunk = pairs[block.start:block.stop]
         parts = [np.stack([first[k1] for k1, _ in chunk]), np.stack([second[k2] for _, k2 in chunk])]
-        for (k1, k2), positive in zip(chunk, _block_verdicts(parts, alpha, tol)):
+        positives = verdict(_block_spectra(parts), alpha, tol)
+        for (k1, k2), positive in zip(chunk, positives):
             for name, v, expected in (("positive", positive, VERDICT_NONNEGATIVE),
                                       ("negative", NEGATED_VERDICT[positive],
                                        VERDICT_NONPOSITIVE)):

@@ -74,9 +74,12 @@ def _embed(tensor, n, offset):
     return out
 
 
+@lru_cache(maxsize=32)
 def product_adapted_basis(n1, n2):
     """Basis of the product space in the layout ``[N1 | N2 | n1 n2 | 1]``
     with ``Ni = sym2_dim(ni)``; callers slice its blocks by position.
+    Cached per (n1, n2) and shared by every caller, so its tensors are
+    read-only.
 
     First the standard bases of the two factors, zero-extended into their
     diagonal blocks (a factor of dimension 1 has none); then the mixed (xi)
@@ -95,4 +98,6 @@ def product_adapted_basis(n1, n2):
             tensors.append(sym_product(e[p], e[q]) / np.sqrt(2.0))
     zeta = np.diag([float(n2)] * n1 + [-float(n1)] * n2)
     tensors.append(zeta / np.sqrt(n1 * n2 * (n1 + n2)))
-    return Sym2Basis(n, np.array(tensors))
+    basis = Sym2Basis(n, np.array(tensors))
+    basis.tensors.flags.writeable = False
+    return basis

@@ -14,7 +14,7 @@ from secondkind.curvature import (
     product,
     space_form,
 )
-from secondkind import cli, curvature, numerics, operator2k, rigidity
+from secondkind import cli, curvature, numerics, operator2k, rigidity, sym2
 from secondkind.errors import InvalidInputError
 from secondkind.rigidity import (
     a_const,
@@ -421,8 +421,9 @@ class TestSampleBlocks:
             monkeypatch.setattr(module, "eigensolve", recording)
         assert cli.run(["verify", "line", "--n", "32", "--samples", "3"]) == 0
         assert json.loads(capsys.readouterr().out)["samples_run"] == 3
-        # the model, then three blocks of one 527-wide operator each
-        assert shapes == [(527, 527)] + [(1, 527, 527)] * 3
+        # the model at full width, then three blocks of one sample each,
+        # solved on the 496-wide bordered block (527 less the 31 mixed rows)
+        assert shapes == [(527, 527)] + [(1, 496, 496)] * 3
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("case,argv,factor,seed", [
@@ -464,3 +465,101 @@ class TestSampleBlocks:
         assert captured.out == ""
         if bad != bad:  # NaN ends in the tensor check
             assert captured.err == "error: components must be finite\n"
+
+
+def _factor_stack(kahler, d, seeds):
+    """Seeded stack of one factor: real of dimension d, the flat line R for
+    d = 1, or Kahler of complex dimension d."""
+    if kahler:
+        return curvature.random_kahler_curvatures(d, seeds)
+    if d == 1:
+        return np.zeros((len(seeds), 1, 1, 1, 1))
+    return curvature.random_curvatures(d, seeds)
+
+
+_REAL_PAIRS = [(n1, n2) for n1 in range(1, 8) for n2 in range(1, 8)
+               if n1 + n2 <= 8 and max(n1, n2) >= 2]
+_KAHLER_PAIRS = [(m1, m2) for m1 in range(1, 4) for m2 in range(1, 4) if m1 + m2 <= 4]
+
+
+class TestBorderedBlock:
+    """A block of products is solved on the product-adapted basis without
+    its mixed (xi) directions; its rows, with the n1 n2 exact zeros, are the
+    spectra of the full standard-basis operator."""
+
+    # worst |bordered - full| over max |lambda| of a row; the rounding of two
+    # LAPACK solves, at most 3.2e-15 over these stacks
+    REL_BOUND = 1e-13
+
+    @pytest.mark.parametrize("kahler,d1,d2", [(False, *p) for p in _REAL_PAIRS]
+                             + [(True, *p) for p in _KAHLER_PAIRS])
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_bordered_route_equals_the_full_route(self, kahler, d1, d2, scale):
+        seeds = [1000 * d1 + 10 * d2 + i for i in range(6)]
+        parts = [_factor_stack(kahler, d1, seeds),
+                 scale * _factor_stack(kahler, d2, [s + 500 for s in seeds])]
+        n1, n2 = (p.shape[-1] for p in parts)
+        n = n1 + n2
+        full = numerics.eigensolve(operator2k.operator_matrices(
+            curvature.product_components(parts), sym2.standard_basis(n)))
+        bordered = rigidity._block_spectra(parts)
+        assert bordered.shape == full.shape == (6, sym2.sym2_dim(n))
+        assert (np.diff(bordered, axis=-1) >= 0.0).all()
+        peak = np.abs(full).max(axis=-1, keepdims=True)
+        assert (np.abs(bordered - full) <= self.REL_BOUND * peak).all()
+        constant = b_const(d1, d2) if kahler else a_const(d1, d2)
+        for alpha in (1.5, constant, full.shape[-1] / 2):
+            for tol in (1e-9, 50.0):
+                assert (operator2k.verdict(bordered, alpha, tol)
+                        == operator2k.verdict(full, alpha, tol))
+        # Cauchy: the factor blocks, the bordered block's leading principal
+        # submatrix, interlace the bordered block's eigenvalues
+        block = numerics.eigensolve(operator2k.operator_matrices(
+            curvature.product_components(parts), rigidity._bordered_basis(n1, n2)))
+        factors = np.sort(np.concatenate(
+            [numerics.eigensolve(operator2k.operator_matrices(p, sym2.standard_basis(d)))
+             for p, d in zip(parts, (n1, n2)) if d >= 2], axis=-1))
+        slack = self.REL_BOUND * peak
+        assert (block[:, :-1] <= factors + slack).all()
+        assert (factors <= block[:, 1:] + slack).all()
+
+    def test_bordered_basis_is_the_adapted_basis_without_xi(self):
+        basis = rigidity._bordered_basis(3, 2)
+        assert rigidity._bordered_basis(3, 2) is basis
+        adapted = sym2.product_adapted_basis(3, 2).tensors
+        assert np.array_equal(basis.tensors, np.delete(adapted, range(7, 13), axis=0))
+        assert (basis.dim, basis.count) == (5, 8)
+        assert not basis.tensors.flags.writeable
+
+    @pytest.mark.parametrize("argv,kahler,dims,draws", [
+        (["product-spheres", "--n1", "3", "--n2", "3"], False, (3, 3), [(3, 10)]),
+        (["product-spheres", "--n1", "2", "--n2", "3"], False, (2, 3), [(2, 5), (3, 5)]),
+        (["product-kahler", "--m1", "2", "--m2", "1"], True, (2, 1), [(2, 5), (1, 5)]),
+        (["line", "--n", "5"], False, (4,), [(4, 5)]),
+    ], ids=["equal", "unequal", "kahler", "line"])
+    def test_one_draw_per_factor_dimension(self, argv, kahler, dims, draws, monkeypatch, capsys):
+        calls, blocks = [], []
+
+        def recording(real):
+            def draw(d, seeds):
+                calls.append((d, len(seeds)))
+                return real(d, seeds)
+            return draw
+
+        def spectra(parts):
+            blocks.append(parts)
+            return real_spectra(parts)
+
+        real_spectra = rigidity._block_spectra
+        for name in ("random_curvatures", "random_kahler_curvatures"):
+            monkeypatch.setattr(rigidity, name, recording(getattr(curvature, name)))
+        monkeypatch.setattr(rigidity, "_block_spectra", spectra)
+        assert cli.run(["verify", *argv, "--samples", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["samples_run"] == 5
+        assert calls == draws
+        # each factor's stack is bitwise the draw of its own seeds alone
+        build = curvature.random_kahler_curvatures if kahler else curvature.random_curvatures
+        (parts,) = blocks
+        for j, d in enumerate(dims):
+            own = build(d, [numerics.derived_seed(0, len(dims) * idx + j) for idx in range(5)])
+            assert np.array_equal(parts[j], own)

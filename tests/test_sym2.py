@@ -127,6 +127,14 @@ class TestProductAdaptedBasis:
             assert np.array_equal(t[2:, 2:], b2.tensors[a])
             assert np.abs(t[:2, :]).max() == 0.0 and np.abs(t[:, :2]).max() == 0.0
 
+    def test_cached_and_read_only_per_size_pair(self):
+        basis = product_adapted_basis(2, 3)
+        assert product_adapted_basis(2, 3) is basis
+        assert product_adapted_basis(3, 2) is not basis
+        with pytest.raises(ValueError, match="read-only"):
+            basis.tensors[0, 0, 1] = 1.0
+        assert_orthonormal_traceless(product_adapted_basis(2, 3))
+
     @pytest.mark.parametrize("n1,n2", [(0, 2), (2, 0), (-1, 3)])
     def test_rejects_nonpositive_factor_dims(self, n1, n2):
         with pytest.raises(InvalidInputError, match="factor dimensions must be positive"):
