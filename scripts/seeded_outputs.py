@@ -56,7 +56,15 @@ e0^e1 + e2^e3`` (first Bianchi identity), and dimension 2 with
 whose every sample reaches the structure detectors, so that the bordered
 blocks of unequal factor widths are compared too: ``product-spheres --n1 2
 --n2 4`` and ``--n1 4 --n2 2``, ``product-kahler --m1 1 --m2 2`` and
-``--m1 2 --m2 1``, each ``--samples 70 --tol 50 --seed 3``.
+``--m1 2 --m2 1``, each ``--samples 70 --tol 50 --seed 3``; and both iff
+sweeps at their default sizes on grids at the ends of the double range, so
+that the closed-form sweep's overflow, its exact fallback and its
+underflow are compared too: ``--kappa-grid 1e308,1`` (overflow, exit 3),
+``3e307,1`` (Kahler overflows, the spheres do not), twelve non-dyadic
+values ``1e30 * (1 + k/7)`` (rounding of about 1e15 against g = 0 at equal
+curvatures) and ``5e-324,1e-323,1`` with ``--tol 5e-324`` (subnormal
+curvatures and tolerance), and ``iff-kahler --kappa-grid 1e307,1``, whose
+g(B) at unequal curvatures is 6 exactly but about 0 in floats.
 Each record holds the command line, the exit code, stderr, stdout parsed as
 JSON with every ``timing`` block removed, and the raw stdout text with every
 ``"seconds": <number>`` masked, so that a change in the emitted bytes shows
@@ -147,6 +155,13 @@ UNEQUAL_SEAMS = tuple(
                   ("product-spheres", "--n1", "4", "--n2", "2"),
                   ("product-kahler", "--m1", "1", "--m2", "2"),
                   ("product-kahler", "--m1", "2", "--m2", "1")))
+EXTREME_SWEEPS = tuple(
+    ("verify", case, "--kappa-grid", *grid)
+    for case in ("iff-spheres", "iff-kahler")
+    for grid in (("1e308,1",), ("3e307,1",),
+                 (",".join(repr(1e30 * (1 + k / 7)) for k in range(12)),),
+                 ("5e-324,1e-323,1", "--tol", "5e-324"))
+) + (("verify", "iff-kahler", "--kappa-grid", "1e307,1"),)
 NEAR_EQUAL_SPHERES = ('{"kind": "sphere", "dim": 2, "kappa": 1}, '
                       '{"kind": "sphere", "dim": 2, "kappa": 1.00000005}')
 NEAR_EQUAL_DESCRIPTORS = {
@@ -261,6 +276,7 @@ def commands(tmp_dir):
             ("spectrum", os.path.join(tmp_dir, BOM_DESCRIPTOR))]
     out += [("spectrum", os.path.join(tmp_dir, name)) for name in IDENTITY_FAULTS]
     out += UNEQUAL_SEAMS
+    out += EXTREME_SWEEPS
     return out
 
 

@@ -236,15 +236,16 @@ def build_tensor(desc):
         raise DescriptorError(f"$.components: {exc}") from exc
 
 
-def _leaf_closed_form(desc, leaf):
-    """(eigenvalue list, rho) of a model space. A curved complex kind has two
-    clusters and rho = 2(m+1)k; every other kind, C^m included, has one
-    cluster at its sectional curvature k and rho = (dim-1)k."""
-    k = leaf.sign * desc.kappa
+def leaf_closed_form(kind, dim, kappa):
+    """(eigenvalue list, rho) of a model space in kappa's number type. A curved
+    complex kind has two clusters and rho = 2(m+1)k, 2m = dim; every other
+    kind, C^m included, has one cluster at its curvature k and rho = (dim-1)k."""
+    leaf = _LEAVES[kind]
+    k = leaf.sign * kappa
     if leaf.size == "m" and leaf.sign:
-        m = desc.m
-        return [(-2.0 * k, (m - 1) * (m + 1)), (4.0 * k, m * (m + 1))], 2 * (m + 1) * k
-    return [(k, sym2_dim(desc.dim))], (desc.dim - 1) * k
+        m = dim // 2
+        return [(-2 * k, (m - 1) * (m + 1)), (4 * k, m * (m + 1))], 2 * (m + 1) * k
+    return [(k, sym2_dim(dim))], (dim - 1) * k
 
 
 def _closed_form_fold(desc):
@@ -254,9 +255,8 @@ def _closed_form_fold(desc):
     eigenvalues and those of ``einstein_product_eigenvalues``; it applies as
     long as every partial product along the fold is Einstein.
     """
-    leaf = _LEAVES.get(desc.kind)
-    if leaf is not None:
-        return (*_leaf_closed_form(desc, leaf), desc.dim)
+    if desc.kind in _LEAVES:
+        return (*leaf_closed_form(desc.kind, desc.dim, desc.kappa), desc.dim)
     if desc.kind != "product":
         return None
     parts = [_closed_form_fold(f) for f in desc.factors]

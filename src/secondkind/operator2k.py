@@ -38,7 +38,7 @@ NEGATED_VERDICT = {
     VERDICT_NEITHER: VERDICT_NEITHER,
 }
 # (nonnegative, nonpositive) -> verdict
-_VERDICTS = {
+VERDICTS = {
     (True, True): VERDICT_BOTH,
     (True, False): VERDICT_NONNEGATIVE,
     (False, True): VERDICT_NONPOSITIVE,
@@ -84,10 +84,11 @@ def spectrum(r):
 
 
 def einstein_product_eigenvalues(n1, rho1, n2, rho2):
-    """(value, multiplicity) pairs that a product of Einstein factors of
-    dimensions n1, n2 and constants rho1, rho2 adds to the factor spectra: 0
-    on the n1 n2 mixed products, zeta = -(n2 rho1 + n1 rho2) / (n1 + n2) once."""
-    return [(0.0, n1 * n2), (-(n2 * rho1 + n1 * rho2) / (n1 + n2), 1)]
+    """(value, multiplicity) pairs, in rho1's number type, that a product of
+    Einstein factors of dimensions n1, n2 and constants rho1, rho2 adds to the
+    factor spectra: 0 (never -0.0) on the n1 n2 mixed products, and once
+    zeta = -(n2 rho1 + n1 rho2) / (n1 + n2)."""
+    return [(type(rho1)(0), n1 * n2), (-(n2 * rho1 + n1 * rho2) / (n1 + n2), 1)]
 
 
 def _split_alpha(alpha, n_values):
@@ -136,8 +137,8 @@ def verdict(s, alpha, tol=CLASSIFY_TOL):
     nonneg = weighted_partial_sums(s, alpha) >= -tol
     nonpos = weighted_partial_sums(-s[..., ::-1], alpha) >= -tol
     if nonneg.ndim:
-        return [_VERDICTS[pair] for pair in zip(nonneg.tolist(), nonpos.tolist())]
-    return _VERDICTS[bool(nonneg), bool(nonpos)]
+        return [VERDICTS[pair] for pair in zip(nonneg.tolist(), nonpos.tolist())]
+    return VERDICTS[bool(nonneg), bool(nonpos)]
 
 
 def classify(r, alpha, tol=CLASSIFY_TOL):

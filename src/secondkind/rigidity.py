@@ -2,22 +2,23 @@
 
 The harnesses are falsification suites: they sample seeded random tensors
 and report ``consistent`` when no counterexample was found, never claiming a
-proof. The iff sweeps compare computed verdicts against the equal-curvature
-predicate and record disagreements as findings with full diagnostics rather
-than treating them as failures.
+proof. The iff sweeps compare verdicts against the equal-curvature predicate
+and record disagreements as findings rather than treating them as failures.
 
 Each harness is one row of a table: a product family (its dimension
 parameters, the kind of its factors and their structure detector) together
-with its optimal constant. One sampled loop and one iff sweep run every row,
-each classifying stacked blocks of samples (``numerics.blocks``). A block is
-solved on the product-adapted basis without its mixed directions, where a
-product's operator is a bordered block; the model checks keep the full
-standard-basis operator.
+with its optimal constant. One sampled loop runs every row in stacked blocks
+of samples (``numerics.blocks``), each solved on the product-adapted basis
+without its mixed directions, where a product's operator is a bordered
+block; the model checks keep the full standard-basis operator. One iff sweep
+decides each grid pair from its closed-form spectrum, with no tensor, and
+exactly where rounding could decide.
 """
 
 import math
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -37,6 +38,7 @@ from .curvature import (
     space_form,
     unchecked_tensor,
 )
+from .descriptors import leaf_closed_form
 from .errors import InvalidInputError
 from .numerics import MAX_BLOCK, blocks, derived_seed, eigensolve
 from .operator2k import (
@@ -47,6 +49,7 @@ from .operator2k import (
     VERDICT_NEITHER,
     VERDICT_NONNEGATIVE,
     VERDICT_NONPOSITIVE,
+    VERDICTS,
     alpha_sum,
     einstein_product_eigenvalues,
     nonneg_threshold,
@@ -58,26 +61,27 @@ from .operator2k import (
 from .sym2 import Sym2Basis, product_adapted_basis, standard_basis, sym2_dim
 
 DEFAULT_KAPPA_GRID = tuple(0.25 * k for k in range(1, 9))
-# Numbers one stacked block of samples, or of sweep grid pairs, holds: those
-# of ``MAX_BLOCK`` tensors at n = 8 (2 MB), so that wider tensors take fewer
-# per block, down to one from n = 20 on.
+# Numbers one stacked block of samples holds: those of ``MAX_BLOCK`` tensors
+# at n = 8 (2 MB), so that wider tensors take fewer per block, down to one
+# from n = 20 on.
 _TENSOR_BUDGET = MAX_BLOCK * 8 ** 4
+_UNIT, _TINY = 2.0 ** -53, math.ulp(0.0)  # unit roundoff, least subnormal
 
 
-def a_const(n1, n2):
-    """Optimal threshold constant for products of real factors:
-    1 + n1*n2 + (n1(n2-1) + n2(n1-1)) / (n1+n2)."""
+def a_const(n1, n2, one=1.0):
+    """Optimal threshold constant for products of real factors, in the type
+    of ``one``: 1 + n1*n2 + (n1(n2-1) + n2(n1-1)) / (n1+n2)."""
     if n1 < 1 or n2 < 1:
         raise InvalidInputError("factor dimensions must be positive")
-    return 1.0 + n1 * n2 + (n1 * (n2 - 1) + n2 * (n1 - 1)) / (n1 + n2)
+    return one + n1 * n2 + one * (n1 * (n2 - 1) + n2 * (n1 - 1)) / (n1 + n2)
 
 
-def b_const(m1, m2):
-    """Optimal threshold constant for products of complex factors:
-    4 m1 m2 + 3/2 (m1^2 + m2^2) + m1 m2 / (m1+m2)."""
+def b_const(m1, m2, one=1.0):
+    """Optimal threshold constant for products of complex factors, in the
+    type of ``one``: 4 m1 m2 + 3/2 (m1^2 + m2^2) + m1 m2 / (m1+m2)."""
     if m1 < 1 or m2 < 1:
         raise InvalidInputError("complex factor dimensions must be positive")
-    return 4.0 * m1 * m2 + 1.5 * (m1 * m1 + m2 * m2) + (m1 * m2) / (m1 + m2)
+    return 4 * one * m1 * m2 + 3 * one / 2 * (m1 * m1 + m2 * m2) + one * (m1 * m2) / (m1 + m2)
 
 
 @dataclass
@@ -195,18 +199,21 @@ class _Factors:
     """
 
     model: Callable    # (dim, kappa) -> space form of that curvature
+    leaf: Callable     # (dim, kappa) -> (clusters, rho, real dim) of that model, in kappa's type
     random: Callable   # (dim, seeds) -> checked stack of seeded random tensors of that kind
     detect: Callable   # tensor -> its constant (sectional or holomorphic) curvature, or None
 
 
 _REAL = _Factors(
     model=lambda n, kappa: space_form(n, kappa),
+    leaf=lambda n, kappa: (*leaf_closed_form("sphere", n, kappa), n),
     random=lambda n, seeds: random_curvatures(n, seeds),
     detect=lambda r: constant_sectional(r),
 )
 
 _COMPLEX = _Factors(
     model=lambda m, kappa: kahler_space_form(m, kappa),
+    leaf=lambda m, kappa: (*leaf_closed_form("cp", 2 * m, kappa), 2 * m),
     random=lambda m, seeds: random_kahler_curvatures(m, seeds),
     detect=lambda r: constant_holomorphic(r),
 )
@@ -232,7 +239,7 @@ class _Family:
     too_small: str
     dims: Callable      # parameters -> curved factor dimensions
     total: Callable     # parameters -> total dimension of the product
-    constant: Callable  # parameters -> optimal constant
+    constant: Callable  # (parameters, one=1.0) -> optimal constant, in the type of one
     factors: _Factors
     sharp: bool
     probe: Callable     # (alpha, model threshold, tol) -> alpha below it, or None
@@ -243,7 +250,7 @@ _LINE = _Family(
     too_small="the line harness needs total dimension at least 4",
     dims=lambda p: (p["n"] - 1,),
     total=lambda p: p["n"],
-    constant=lambda p: a_const(p["n"] - 1, 1),
+    constant=lambda p, one=1.0: a_const(p["n"] - 1, 1, one),
     factors=_REAL, sharp=True,
     probe=lambda alpha, thr, tol: None,
 )
@@ -253,7 +260,7 @@ _SPHERES = _Family(
     too_small="both factor dimensions must be at least 2",
     dims=lambda p: (p["n1"], p["n2"]),
     total=lambda p: p["n1"] + p["n2"],
-    constant=lambda p: a_const(p["n1"], p["n2"]),
+    constant=lambda p, one=1.0: a_const(p["n1"], p["n2"], one),
     factors=_REAL, sharp=True,
     probe=lambda alpha, thr, tol: alpha - min(0.5, (alpha - 1.0) / 2.0),
 )
@@ -263,7 +270,7 @@ _KAHLER = _Family(
     too_small="both complex dimensions must be at least 1",
     dims=lambda p: (p["m1"], p["m2"]),
     total=lambda p: 2 * (p["m1"] + p["m2"]),
-    constant=lambda p: b_const(p["m1"], p["m2"]),
+    constant=lambda p, one=1.0: b_const(p["m1"], p["m2"], one),
     factors=_COMPLEX, sharp=False,
     probe=lambda alpha, thr, tol: (
         (thr + alpha) / 2.0 if thr is not None and thr < alpha - tol else None
@@ -468,28 +475,50 @@ def _kappa_grid(params):
     return grid
 
 
+def _cluster_sum(clusters, alpha):
+    """g(alpha) and the sum of its |terms| over ascending (value, mult) clusters."""
+    starts = accumulate((mult for _, mult in clusters), initial=0)
+    terms = [min(mult, alpha - start) * value
+             for (value, mult), start in zip(clusters, starts) if alpha > start]
+    return sum(terms), sum(map(abs, terms))
+
+
+def _pair_sums(first, second, alpha):
+    """``_cluster_sum`` of the product of two model leaves ``(clusters, rho,
+    dim)`` and of its negation, and the product's largest |eigenvalue|."""
+    (c1, rho1, n1), (c2, rho2, n2) = first, second
+    clusters = sorted([*c1, *c2, *einstein_product_eigenvalues(n1, rho1, n2, rho2)])
+    negated = [(-v, m) for v, m in reversed(clusters)]
+    peak = max(negated[-1][0], clusters[-1][0])
+    return [_cluster_sum(side, alpha) for side in (clusters, negated)], peak
+
+
 def _sweep(report, family, params, alpha, grid, tol):
     """Classify the space-form products over the grid: the positive family
     should be nonnegative, and the negative one nonpositive, exactly when
-    the two curvatures are equal; each disagreement is a finding. Each grid
-    point is solved and classified once, in ``numerics.blocks`` of grid
-    pairs of ``_TENSOR_BUDGET``: the negative model is bitwise the negation
-    of the positive one, so its verdict is the negated verdict. Each
-    factor's model is built once per grid value."""
-    first, second = ({k: family.factors.model(d, k).components for k in grid}
-                     for d in family.dims(params))
-    pairs = [(k1, k2) for k1 in grid for k2 in grid]
-    for block in blocks(0, len(pairs), family.total(params) ** 4, _TENSOR_BUDGET):
-        chunk = pairs[block.start:block.stop]
-        parts = [np.stack([first[k1] for k1, _ in chunk]), np.stack([second[k2] for _, k2 in chunk])]
-        positives = verdict(_block_spectra(parts), alpha, tol)
-        for (k1, k2), positive in zip(chunk, positives):
+    the two curvatures are equal; each disagreement is a finding. Verdicts
+    come from the closed-form clusters, the factors' made once per grid
+    value, and where a float g lies within twice its rounding bound of -tol,
+    from them in ``Fraction`` (Shewchuk 1997). The bound (Higham, ch. 3) is
+    gamma_16 (sum |w_i l_i| + alpha max |l_i|), for 6 terms, 3 roundings of
+    alpha and 4 of a value, plus 8 alpha subnormals for underflow."""
+    dims = family.dims(params)
+    leaves = [{k: family.factors.leaf(d, k) for k in grid} for d in dims]
+    for k1 in grid:
+        for k2 in grid:
+            sums, peak = _pair_sums(leaves[0][k1], leaves[1][k2], alpha)
+            if not all(math.isfinite(size) for _, size in sums):
+                raise FloatingPointError("overflow encountered in a closed-form spectrum")
+            bound = 16 * _UNIT * alpha * peak + 8 * _TINY * alpha
+            if any(abs(g + tol) <= 2 * (bound + 16 * _UNIT * size) for g, size in sums):
+                from fractions import Fraction  # Fraction >= float compares exactly
+                sums, _ = _pair_sums(*map(family.factors.leaf, dims, map(Fraction, (k1, k2))),
+                                     family.constant(params, Fraction(1)))
+            positive = VERDICTS[tuple(g >= -tol for g, _ in sums)]
             for name, v, expected in (("positive", positive, VERDICT_NONNEGATIVE),
                                       ("negative", NEGATED_VERDICT[positive],
                                        VERDICT_NONPOSITIVE)):
                 if (v == expected) != (k1 == k2):
-                    report.findings.append({
-                        "family": name, "kappa1": k1, "kappa2": k2,
-                        "verdict": v, "equal_kappa": k1 == k2,
-                    })
+                    report.findings.append({"family": name, "kappa1": k1, "kappa2": k2,
+                                            "verdict": v, "equal_kappa": k1 == k2})
     report.details["mismatches"] = len(report.findings)

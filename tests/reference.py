@@ -80,6 +80,49 @@ def operator_matrix_einsum(r, basis):
     return (mat + mat.T) / 2.0
 
 
+def _rotate(a, v, p, q, c, s, t):
+    """Apply the rotation that zeroes a[p, q] to a and v: rows and columns p
+    and q at once, each entry by the expression of ``_rotate_loop``'s
+    element loop, so the results are bitwise its own; the four entries at p
+    and q, which the slices also write, are set after."""
+    apq, app, aqq = a[p, q], a[p, p], a[q, q]
+    akp = a[:, p].copy()
+    akq = a[:, q].copy()
+    a[:, p] = a[p, :] = c * akp - s * akq
+    a[:, q] = a[q, :] = s * akp + c * akq
+    a[p, p] = app - t * apq
+    a[q, q] = aqq + t * apq
+    a[p, q] = 0.0
+    a[q, p] = 0.0
+    vkp = v[:, p].copy()
+    vkq = v[:, q].copy()
+    v[:, p] = c * vkp - s * vkq
+    v[:, q] = s * vkp + c * vkq
+
+
+def _rotate_loop(a, v, p, q, c, s, t):
+    """``_rotate`` element by element: the reference it is compared with."""
+    apq, app, aqq = a[p, q], a[p, p], a[q, q]
+    n = a.shape[0]
+    for k in range(n):
+        if k != p and k != q:
+            akp = a[k, p]
+            akq = a[k, q]
+            a[k, p] = c * akp - s * akq
+            a[p, k] = a[k, p]
+            a[k, q] = s * akp + c * akq
+            a[q, k] = a[k, q]
+    a[p, p] = app - t * apq
+    a[q, q] = aqq + t * apq
+    a[p, q] = 0.0
+    a[q, p] = 0.0
+    for k in range(n):
+        vkp = v[k, p]
+        vkq = v[k, q]
+        v[k, p] = c * vkp - s * vkq
+        v[k, q] = s * vkp + c * vkq
+
+
 def _jacobi_sweeps(a, v, tol, max_sweeps):
     n = a.shape[0]
     for sweep in range(max_sweeps + 1):
@@ -100,26 +143,7 @@ def _jacobi_sweeps(a, v, tol, max_sweeps):
                 if theta < 0.0:
                     t = -t
                 c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                app = a[p, p]
-                aqq = a[q, q]
-                for k in range(n):
-                    if k != p and k != q:
-                        akp = a[k, p]
-                        akq = a[k, q]
-                        a[k, p] = c * akp - s * akq
-                        a[p, k] = a[k, p]
-                        a[k, q] = s * akp + c * akq
-                        a[q, k] = a[k, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                for k in range(n):
-                    vkp = v[k, p]
-                    vkq = v[k, q]
-                    v[k, p] = c * vkp - s * vkq
-                    v[k, q] = s * vkp + c * vkq
+                _rotate(a, v, p, q, c, t * c, t)
 
 
 def jacobi_eigen(m):

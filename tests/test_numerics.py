@@ -16,6 +16,7 @@ from secondkind.numerics import (
     seeded_stream,
 )
 
+import reference
 from reference import cluster_spectrum_loop, jacobi_eigen
 
 
@@ -64,6 +65,14 @@ class TestJacobiEigen:
         scale = max(1.0, np.linalg.norm(a))
         np.testing.assert_allclose(w, np.linalg.eigvalsh(a), atol=1e-10 * scale)
         assert np.linalg.norm(q @ np.diag(w) @ q.T - a) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("n", [2, 9, 20])
+    def test_sliced_rotations_equal_the_element_loop_bitwise(self, n, monkeypatch):
+        a = random_symmetric(n, seed=n)
+        w, q = jacobi_eigen(a)
+        monkeypatch.setattr(reference, "_rotate", reference._rotate_loop)
+        w_loop, q_loop = jacobi_eigen(a)
+        assert w.tobytes() == w_loop.tobytes() and q.tobytes() == q_loop.tobytes()
 
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=10))
     @settings(max_examples=40, deadline=None)

@@ -77,3 +77,22 @@ def test_numpy_random_is_imported_on_the_first_draw_only():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[False, False, True]\n"
+
+
+def test_fractions_is_imported_by_the_exact_sweep_fallback_only():
+    # the iff sweeps decide in Fraction only where float rounding could
+    # decide, so start-up and an ordinary sweep never import fractions
+    code = (
+        "import contextlib, io, sys\n"
+        "import secondkind.cli as cli\n"
+        "loaded = ['fractions' in sys.modules]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.run(['verify', 'iff-spheres']) == 0\n"
+        "    loaded.append('fractions' in sys.modules)\n"
+        "    assert cli.run(['verify', 'iff-spheres', '--kappa-grid', '1e30,1']) == 0\n"
+        "loaded.append('fractions' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[False, False, True]\n"

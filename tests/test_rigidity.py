@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ from secondkind.curvature import (
     product,
     space_form,
 )
-from secondkind import cli, curvature, numerics, operator2k, rigidity, sym2
+from secondkind import cli, curvature, descriptors, numerics, operator2k, rigidity, sym2
 from secondkind.errors import InvalidInputError
 from secondkind.rigidity import (
     a_const,
@@ -25,6 +26,36 @@ from secondkind.rigidity import (
 
 from reference import f_lemma
 from samples import random_tensor
+
+
+def exact_g(clusters, alpha):
+    """g(alpha) over (value, multiplicity) clusters in any order: the
+    floor(alpha) smallest eigenvalues and frac(alpha) times the next one."""
+    whole = math.floor(alpha)
+    total, left = 0, whole
+    for value, mult in sorted(clusters):
+        taken = min(mult, left)
+        total += taken * value
+        left -= taken
+        if taken < mult:  # this cluster holds the next eigenvalue
+            return total + (alpha - whole) * value
+    return total
+
+
+def product_clusters(kind, n1, kappa1, n2, kappa2, kind2=None):
+    """Clusters of the product of two model spaces of real dimensions n1, n2
+    by the closed form, in the number type of the kappas."""
+    (c1, rho1), (c2, rho2) = (descriptors.leaf_closed_form(k, n, c) for k, n, c in
+                              ((kind, n1, kappa1), (kind2 or kind, n2, kappa2)))
+    return [*c1, *c2, *operator2k.einstein_product_eigenvalues(n1, rho1, n2, rho2)]
+
+
+def exact_a(n1, n2):
+    return 1 + n1 * n2 + Fraction(n1 * (n2 - 1) + n2 * (n1 - 1), n1 + n2)
+
+
+def exact_b(m1, m2):
+    return 4 * m1 * m2 + Fraction(3, 2) * (m1 * m1 + m2 * m2) + Fraction(m1 * m2, m1 + m2)
 
 
 class TestConstants:
@@ -58,6 +89,50 @@ class TestConstants:
         s = operator2k.spectrum(product(kahler_space_form(m1, 1.0),
                                         kahler_space_form(m2, 1.0)))
         assert b_const(m1, m2) - operator2k.nonneg_threshold(s) == pytest.approx(1.5, abs=1e-9)
+
+    def test_float_constants_keep_their_formula_and_exact_ones_are_rational(self):
+        # the float A is not always the correctly rounded A, so the float
+        # view is pinned to its own arithmetic at every size pair
+        for n1 in range(1, MAX_DIM):
+            for n2 in range(1, MAX_DIM + 1 - n1):
+                a = 1.0 + n1 * n2 + (n1 * (n2 - 1) + n2 * (n1 - 1)) / (n1 + n2)
+                assert a_const(n1, n2).hex() == a.hex()
+                assert a_const(n1, n2, Fraction(1)) == exact_a(n1, n2)
+        for m1 in range(1, MAX_DIM // 2):
+            for m2 in range(1, MAX_DIM // 2 + 1 - m1):
+                b = 4.0 * m1 * m2 + 1.5 * (m1 * m1 + m2 * m2) + (m1 * m2) / (m1 + m2)
+                assert b_const(m1, m2).hex() == b.hex()
+                assert b_const(m1, m2, Fraction(1)) == exact_b(m1, m2)
+
+    @staticmethod
+    def assert_exact_threshold(clusters, constant):
+        # g is convex in alpha, so g < 0 at 1 and just below the constant and
+        # g = 0 at it make the constant exactly the least alpha with g >= 0
+        assert exact_g(clusters, constant) == 0
+        assert exact_g(clusters, constant - Fraction(1, 1000)) < 0
+        assert exact_g(clusters, Fraction(1)) < 0
+
+    def test_a_is_exactly_the_sphere_product_threshold(self):
+        for n1 in range(2, 31):
+            for n2 in range(2, 31):
+                clusters = product_clusters("sphere", n1, Fraction(1), n2, Fraction(1))
+                self.assert_exact_threshold(clusters, exact_a(n1, n2))
+
+    def test_line_constant_is_exactly_the_threshold_of_s_times_r(self):
+        for n in range(3, 33):
+            constant = n + Fraction(n - 2, n)
+            assert a_const(n - 1, 1, Fraction(1)) == constant
+            clusters = product_clusters("sphere", n - 1, Fraction(1), 1, Fraction(0),
+                                        kind2="euclidean")
+            self.assert_exact_threshold(clusters, constant)
+
+    def test_b_sits_exactly_three_halves_above_the_kahler_product_threshold(self):
+        for m1 in range(1, 31):
+            for m2 in range(1, 31):
+                clusters = product_clusters("cp", 2 * m1, Fraction(1), 2 * m2, Fraction(1))
+                b = exact_b(m1, m2)
+                self.assert_exact_threshold(clusters, b - Fraction(3, 2))
+                assert exact_g(clusters, b) > 0
 
     def test_reject_nonpositive_dims(self):
         with pytest.raises(InvalidInputError):
@@ -269,15 +344,6 @@ class TestCheckRigidity:
         assert report.samples_run == 2 * 223 ** 2 <= operator2k.MAX_SAMPLES
 
     @pytest.mark.parametrize("case", ["iff-spheres", "iff-kahler"])
-    def test_sweep_solves_each_grid_point_once(self, case, monkeypatch):
-        # the negative family's verdict is read from the positive spectrum
-        solved = self.count_solved(monkeypatch)
-        grid = [0.5, 1.0, 2.0]
-        report = check_rigidity(case, {"grid": grid})
-        assert report.samples_run == 2 * len(grid) ** 2
-        assert sum(solved) == len(grid) ** 2
-
-    @pytest.mark.parametrize("case", ["iff-spheres", "iff-kahler"])
     def test_sweep_clusters_each_grid_point_once(self, case, monkeypatch):
         # the verdicts read the eigenvalues alone, and the negative
         # family's verdict is mapped from the positive one, so no spectrum
@@ -347,20 +413,6 @@ class TestCheckRigidity:
                            match=f"total dimension {total} exceeds the limit {MAX_DIM}"):
             check_rigidity(case, params, samples=1)
 
-    def test_sweep_builds_each_factor_model_once_per_grid_value(self, monkeypatch, capsys):
-        real = rigidity.space_form
-        calls = []
-
-        def counting(n, c):
-            calls.append((n, c))
-            return real(n, c)
-
-        monkeypatch.setattr(rigidity, "space_form", counting)
-        argv = ["verify", "iff-spheres", "--n1", "2", "--n2", "3", "--kappa-grid", "0.5,1,2"]
-        assert cli.run(argv) == 0
-        assert json.loads(capsys.readouterr().out)["samples_run"] == 18
-        assert sorted(calls) == [(d, k) for d in (2, 3) for k in (0.5, 1.0, 2.0)]
-
     def test_report_dict_shares_the_fields_in_order(self):
         report = check_rigidity("iff-kahler", {"grid": [0.5, 1.0]})
         obj = report.to_dict()
@@ -396,8 +448,8 @@ class TestSampleBlocks:
             out.pop("timing", None)
             outputs.append(out)
         assert outputs[1] == outputs[0] == outputs[2]
-        # the detectors ran: tol 50 classifies the samples, and the sweep
-        # pairs cross a block seam
+        # the detectors ran: tol 50 classifies the samples; the sweeps take
+        # no blocks, so their rows pin that the sweep ignores the block size
         assert outputs[0]["counterexamples"] or outputs[0]["findings"] or argv[0] == "iff-spheres"
 
     def test_block_rule(self):
@@ -563,3 +615,155 @@ class TestBorderedBlock:
         for j, d in enumerate(dims):
             own = build(d, [numerics.derived_seed(0, len(dims) * idx + j) for idx in range(5)])
             assert np.array_equal(parts[j], own)
+
+
+_SWEEP_SIZES = (
+    [("iff-spheres", {"n1": n1, "n2": n2}) for n1, n2 in ((2, 2), (2, 3), (3, 2), (3, 3))]
+    + [("iff-kahler", {"m1": m1, "m2": m2}) for m1, m2 in ((1, 1), (1, 2), (2, 1), (2, 2))])
+_SEEDED_GRIDS = [list(rigidity.DEFAULT_KAPPA_GRID), [0.5, 1.0, 2.0],
+                 [0.25 * k for k in range(1, 10)]]
+
+
+def _findings(pairs, positives):
+    """The sweep's findings from each grid pair's positive verdict."""
+    out = []
+    for (k1, k2), positive in zip(pairs, positives):
+        for name, v, expected in (("positive", positive, "nonnegative"),
+                                  ("negative", operator2k.NEGATED_VERDICT[positive],
+                                   "nonpositive")):
+            if (v == expected) != (k1 == k2):
+                out.append({"family": name, "kappa1": k1, "kappa2": k2,
+                            "verdict": v, "equal_kappa": k1 == k2})
+    return out
+
+
+def lapack_findings(case, params, grid, tol):
+    """The findings of the tensor route the sweep replaced: the model stacks
+    filled, assembled on the bordered block and solved by LAPACK."""
+    family, _ = rigidity._HARNESSES[case]
+    pairs = [(k1, k2) for k1 in grid for k2 in grid]
+    parts = [np.stack([family.factors.model(d, pair[j]).components for pair in pairs])
+             for j, d in enumerate(family.dims(params))]
+    spectra = rigidity._block_spectra(parts)
+    return _findings(pairs, operator2k.verdict(spectra, family.constant(params), tol))
+
+
+def fraction_findings(case, params, grid, tol):
+    """The findings with every grid pair decided in Fraction, at the exact
+    constant."""
+    d1, d2 = params.values()
+    if case == "iff-spheres":
+        kind, n1, n2, constant = "sphere", d1, d2, exact_a(d1, d2)
+    else:
+        kind, n1, n2, constant = "cp", 2 * d1, 2 * d2, exact_b(d1, d2)
+    pairs = [(k1, k2) for k1 in grid for k2 in grid]
+    positives = []
+    for k1, k2 in pairs:
+        clusters = product_clusters(kind, n1, Fraction(k1), n2, Fraction(k2))
+        negated = [(-v, m) for v, m in clusters]
+        positives.append(operator2k.VERDICTS[exact_g(clusters, constant) >= -Fraction(tol),
+                                             exact_g(negated, constant) >= -Fraction(tol)])
+    return _findings(pairs, positives)
+
+
+class TestClosedFormSweep:
+    """The iff sweeps decide every grid pair from its closed-form spectrum,
+    in floats where rounding cannot decide and in Fraction where it could."""
+
+    @pytest.mark.parametrize("case,params", _SWEEP_SIZES)
+    def test_sweep_builds_no_tensor_and_solves_nothing(self, case, params, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("the sweep reached the tensor route")
+
+        for module, names in (
+                (rigidity, ("space_form", "kahler_space_form", "flat_tensor", "product",
+                            "product_components", "operator_matrices", "operator_matrix",
+                            "eigensolve", "spectrum", "_block_spectra")),
+                (curvature, ("space_form", "kahler_space_form", "product_components")),
+                (operator2k, ("operator_matrices", "eigensolve")),
+                (numerics, ("eigensolve",)), (np.linalg, ("eigvalsh", "eigh"))):
+            for name in names:
+                monkeypatch.setattr(module, name, boom)
+        real = rigidity.leaf_closed_form
+        leaves = []
+
+        def counting(kind, dim, kappa):
+            leaves.append((dim, kappa))
+            return real(kind, dim, kappa)
+
+        monkeypatch.setattr(rigidity, "leaf_closed_form", counting)
+        grid = [0.5, 1.0, 2.0, 1e30]
+        report = check_rigidity(case, {**params, "grid": grid})
+        assert report.samples_run == 2 * len(grid) ** 2
+        assert report.details["mismatches"] == len(report.findings)
+        # float leaves once per factor and grid value, Fraction ones only on
+        # the exact fallback, which the spheres take at equal curvatures 1e30
+        floats = sorted((d, k) for d, k in leaves if type(k) is float)
+        real_dims = [2 * p for p in params.values()] if case == "iff-kahler" else params.values()
+        assert floats == sorted((d, k) for d in real_dims for k in grid)
+        assert len(leaves) > len(floats) or case == "iff-kahler"
+
+    @pytest.mark.parametrize("tol", [1e-9, 50.0])
+    @pytest.mark.parametrize("grid", _SEEDED_GRIDS, ids=["default", "three", "nine"])
+    @pytest.mark.parametrize("case,params", _SWEEP_SIZES)
+    def test_seeded_grids_keep_the_findings_of_the_tensor_route(self, case, params, grid, tol):
+        report = check_rigidity(case, {**params, "grid": grid}, tol=tol)
+        assert report.findings == lapack_findings(case, params, grid, tol)
+
+    @given(case=st.sampled_from(_SWEEP_SIZES),
+           grid=st.lists(st.one_of(st.floats(1 / 16, 16), st.sampled_from([0.25, 0.5, 1.0, 3.0])),
+                         min_size=1, max_size=4),
+           tol=st.sampled_from([1e-9, 50.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_findings_equal_the_tensor_route_at_ordinary_scales(self, case, grid, tol):
+        report = check_rigidity(case[0], {**case[1], "grid": grid}, tol=tol)
+        assert report.findings == lapack_findings(*case, grid, tol)
+
+    @given(case=st.sampled_from(_SWEEP_SIZES),
+           grid=st.lists(st.one_of(st.floats(5e-324, 1e307),
+                                   st.sampled_from([5e-324, 1e-323, 2.2e-308, 1.0, 1e30,
+                                                    1.1e30, 1e300, 1e307])),
+                         min_size=1, max_size=4),
+           tol=st.one_of(st.sampled_from([5e-324, 1e-9, 50.0]), st.floats(5e-324, 1e3)))
+    @settings(max_examples=200, deadline=None)
+    def test_filtered_route_equals_the_fraction_route(self, case, grid, tol):
+        try:
+            report = check_rigidity(case[0], {**case[1], "grid": grid}, tol=tol)
+        except FloatingPointError as exc:
+            # the float closed form overflows only near the top of the range
+            assert str(exc) == "overflow encountered in a closed-form spectrum"
+            assert max(grid) > 1e305
+            return
+        assert report.findings == fraction_findings(*case, grid, tol)
+
+    @pytest.mark.parametrize("scale", [1e30, 1e100])
+    @pytest.mark.parametrize("tol", [1e-9, 50.0])
+    @pytest.mark.parametrize("case,params", [
+        ("iff-spheres", {"n1": 2, "n2": 3}), ("iff-spheres", {"n1": 3, "n2": 3}),
+        ("iff-kahler", {"m1": 1, "m2": 2}), ("iff-kahler", {"m1": 2, "m2": 2})])
+    def test_no_equal_kappa_finding_at_large_scales(self, case, params, tol, scale):
+        # g is exactly 0 (spheres) or positive (Kahler) at equal curvatures,
+        # while its float rounding there is about 1e15 at 1e30
+        grid = [scale * (1 + k / 7) for k in range(12)]
+        report = check_rigidity(case, {**params, "grid": grid}, tol=tol)
+        assert not [f for f in report.findings if f["equal_kappa"]]
+        assert report.findings == fraction_findings(case, params, grid, tol)
+
+    def test_kahler_pair_at_1e307_is_exactly_nonnegative(self):
+        # g(B) of CP^1(1e307) x CP^1(1) is 6 exactly, about 0 in floats
+        report = check_rigidity("iff-kahler", {"grid": [1e307, 1.0]})
+        assert len(report.findings) == 4
+        assert {f["verdict"] for f in report.findings} == {"nonnegative", "nonpositive"}
+        clusters = product_clusters("cp", 2, Fraction(1e307), 2, Fraction(1))
+        assert exact_g(clusters, exact_b(1, 1)) == 6
+
+    @pytest.mark.parametrize("case", ["iff-spheres", "iff-kahler"])
+    @pytest.mark.parametrize("grid", ["1e308,1", "5e307,1"])
+    def test_overflowing_closed_form_is_a_numeric_failure(self, case, grid, capsys):
+        assert cli.run(["verify", case, "--kappa-grid", grid]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numeric failure: overflow encountered in a closed-form spectrum\n"
+        # Python floats do not raise under np.errstate, so the sweep does
+        with pytest.raises(FloatingPointError):
+            check_rigidity(case, {"grid": [float(k) for k in grid.split(",")]})
