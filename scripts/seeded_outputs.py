@@ -64,7 +64,14 @@ underflow are compared too: ``--kappa-grid 1e308,1`` (overflow, exit 3),
 values ``1e30 * (1 + k/7)`` (rounding of about 1e15 against g = 0 at equal
 curvatures) and ``5e-324,1e-323,1`` with ``--tol 5e-324`` (subnormal
 curvatures and tolerance), and ``iff-kahler --kappa-grid 1e307,1``, whose
-g(B) at unequal curvatures is 6 exactly but about 0 in floats.
+g(B) at unequal curvatures is 6 exactly but about 0 in floats; and four
+runs at the edge of the sizes whose factors the sampled harnesses map
+straight from their draws, each crossing a block seam with every sample
+classified, so that the rebuilt factors and their detectors are compared
+too: ``line --n 7 --samples 130 --tol 50``, ``product-spheres --n1 5 --n2
+5`` and ``product-kahler --m1 2 --m2 2``, each ``--samples 70 --tol 50
+--seed 3``, the largest mapped sizes, and ``line --n 8 --samples 70 --tol
+50``, the least size above them, which builds its tensors.
 Each record holds the command line, the exit code, stderr, stdout parsed as
 JSON with every ``timing`` block removed, and the raw stdout text with every
 ``"seconds": <number>`` masked, so that a change in the emitted bytes shows
@@ -162,6 +169,14 @@ EXTREME_SWEEPS = tuple(
                  (",".join(repr(1e30 * (1 + k / 7)) for k in range(12)),),
                  ("5e-324,1e-323,1", "--tol", "5e-324"))
 ) + (("verify", "iff-kahler", "--kappa-grid", "1e307,1"),)
+MAP_EDGES = (
+    ("verify", "line", "--n", "7", "--samples", "130", "--tol", "50"),
+    ("verify", "product-spheres", "--n1", "5", "--n2", "5", "--samples", "70", "--tol", "50",
+     "--seed", "3"),
+    ("verify", "product-kahler", "--m1", "2", "--m2", "2", "--samples", "70", "--tol", "50",
+     "--seed", "3"),
+    ("verify", "line", "--n", "8", "--samples", "70", "--tol", "50"),
+)
 NEAR_EQUAL_SPHERES = ('{"kind": "sphere", "dim": 2, "kappa": 1}, '
                       '{"kind": "sphere", "dim": 2, "kappa": 1.00000005}')
 NEAR_EQUAL_DESCRIPTORS = {
@@ -277,6 +292,7 @@ def commands(tmp_dir):
     out += [("spectrum", os.path.join(tmp_dir, name)) for name in IDENTITY_FAULTS]
     out += UNEQUAL_SEAMS
     out += EXTREME_SWEEPS
+    out += MAP_EDGES
     return out
 
 

@@ -6,7 +6,10 @@ products of checked tensors and model tensors, a checked unit per size
 times the curvature, hold every identity exactly and are not checked again.
 The identity check, the product fill and the tensor helpers take a single
 tensor ``(n, n, n, n)`` or a stack of them ``(..., n, n, n, n)`` alike; the
-random builders draw, check and return read-only stacks.
+random builders draw, check and return read-only stacks. What a builder
+does after its draw (``real_image``, ``kahler_image``) is linear and shared,
+so a caller may run it on unit draws, check their images and map any draw
+to its tensor's image by linearity.
 The one complex structure is the standard J of ``standard_complex_structure``:
 any orthogonal complex structure on R^{2m} is an orthogonal change of frame
 away from it, which changes no spectrum, so the Kahler model, its detector
@@ -324,25 +327,47 @@ def _pair_placements(n):
     return index, sign
 
 
-def random_curvatures(n, seeds):
-    """Checked read-only stack ``(len(seeds), n, n, n, n)`` of random
-    algebraic curvature tensors: entry ``i`` comes from the stream of
-    ``seeds[i]`` alone, whatever its position in the stack. A symmetric form
-    on antisymmetric index pairs is placed and its cyclic part removed, so
-    Bianchi holds exactly to rounding."""
-    if n < 2:
-        raise InvalidInputError("random curvature tensors need dimension at least 2")
-    index, sign = _pair_placements(n)
-    p = index.shape[1]
-    w = fill_standard_normal(seeds, np.empty((len(seeds), p, p)))
-    w = (w + w.swapaxes(1, 2)) / 2.0
-    t = np.zeros((len(seeds), n ** 4))
-    t[:, index] = sign * w[:, None]
-    t = t.reshape((len(seeds),) + (n,) * 4)
-    t -= _cyclic_part(t)
+def standard_normal_draws(seeds, shape):
+    """Stack ``(len(seeds),) + shape`` of standard normal draws, entry ``i``
+    from the stream of ``seeds[i]`` alone (``fill_standard_normal``)."""
+    return fill_standard_normal(seeds, np.empty((len(seeds),) + shape))
+
+
+def _checked_stack(t):
     check_identities(t)
     t.flags.writeable = False
     return t
+
+
+def real_draw_shape(n):
+    """Shape ``(p, p)`` of the draw of one random tensor of dimension n, a
+    bilinear form on the p = n(n-1)/2 index pairs i < j."""
+    if n < 2:
+        raise InvalidInputError("random curvature tensors need dimension at least 2")
+    p = n * (n - 1) // 2
+    return (p, p)
+
+
+def real_image(w, n):
+    """Unchecked tensors of dimension n from draws ``w`` ``(..., p, p)``:
+    each draw's symmetric part is placed on the antisymmetric index pairs
+    and its cyclic part removed, so Bianchi holds exactly to rounding.
+    Linear in each draw."""
+    index, sign = _pair_placements(n)
+    w = (w + w.swapaxes(-1, -2)) / 2.0
+    t = np.zeros(w.shape[:-2] + (n ** 4,))
+    t[..., index] = sign * w[..., None, :, :]
+    t = t.reshape(w.shape[:-2] + (n,) * 4)
+    t -= _cyclic_part(t)
+    return t
+
+
+def random_curvatures(n, seeds):
+    """Checked read-only stack ``(len(seeds), n, n, n, n)`` of random
+    algebraic curvature tensors, ``real_image`` of ``standard_normal_draws``:
+    entry ``i`` comes from the stream of ``seeds[i]`` alone, whatever its
+    position in the stack."""
+    return _checked_stack(real_image(standard_normal_draws(seeds, real_draw_shape(n)), n))
 
 
 @lru_cache(maxsize=8)
@@ -412,17 +437,25 @@ def _kahler_part(t):
     return u
 
 
-def random_kahler_curvatures(m, seeds):
-    """Checked read-only stack ``(len(seeds), 2m, 2m, 2m, 2m)`` of random
-    curvature tensors invariant under the standard J: entry ``i`` comes from
-    the stream of ``seeds[i]`` alone, whatever its position in the stack. A
-    Gaussian draw is made pair-symmetric and projected by ``_kahler_part``."""
+def kahler_draw_shape(m):
+    """Shape ``(2m, 2m, 2m, 2m)`` of the draw of one random Kahler tensor."""
     standard_complex_structure(m)  # rejects m < 1 before the draw
-    t = fill_standard_normal(seeds, np.empty((len(seeds),) + (2 * m,) * 4))
+    return (2 * m,) * 4
+
+
+def kahler_image(t):
+    """Unchecked Kahler tensors from draws ``t`` ``(..., 2m, 2m, 2m, 2m)``:
+    each draw made pair-symmetric and projected by ``_kahler_part``. Linear
+    in each draw."""
     t = (t - _permuted(t, (1, 0, 2, 3))) / 2.0
     t = (t - _permuted(t, (0, 1, 3, 2))) / 2.0
     t = (t + _permuted(t, (2, 3, 0, 1))) / 2.0
-    t = _kahler_part(t)
-    check_identities(t)
-    t.flags.writeable = False
-    return t
+    return _kahler_part(t)
+
+
+def random_kahler_curvatures(m, seeds):
+    """Checked read-only stack ``(len(seeds), 2m, 2m, 2m, 2m)`` of random
+    curvature tensors invariant under the standard J, ``kahler_image`` of
+    ``standard_normal_draws``: entry ``i`` comes from the stream of
+    ``seeds[i]`` alone, whatever its position in the stack."""
+    return _checked_stack(kahler_image(standard_normal_draws(seeds, kahler_draw_shape(m))))

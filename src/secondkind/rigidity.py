@@ -10,9 +10,17 @@ parameters, the kind of its factors and their structure detector) together
 with its optimal constant. One sampled loop runs every row in stacked blocks
 of samples (``numerics.blocks``), each solved on the product-adapted basis
 without its mixed directions, where a product's operator is a bordered
-block; the model checks keep the full standard-basis operator. One iff sweep
-decides each grid pair from its closed-form spectrum, with no tensor, and
-exactly where rounding could decide.
+block; the model checks keep the full standard-basis operator. Every step
+from a factor's standard normal draw to its part of that block is linear,
+so where the factors' maps fit ``_TENSOR_BUDGET`` (``line`` up to n = 7,
+the sphere products up to (5, 5) and (4, 6), the Kahler products up to
+(2, 2)) a block's blocks are its draws times cached maps, and only a
+classified sample's factors are built as tensors. Each map is built from
+the unit draws, whose images are checked once: the identity residuals of a
+draw's image are the same combination of theirs. Larger sizes build every
+factor with the random builders. One iff sweep decides each grid pair from
+its closed-form spectrum, with no tensor, and exactly where rounding could
+decide.
 """
 
 import math
@@ -26,16 +34,22 @@ import numpy as np
 from .curvature import (
     DETECTOR_TOL,
     MAX_DIM,
+    check_identities,
     constant_holomorphic,
     constant_sectional,
     einstein_constant,
     flat_tensor,
+    kahler_draw_shape,
+    kahler_image,
     kahler_space_form,
     product,
     product_components,
     random_curvatures,
     random_kahler_curvatures,
+    real_draw_shape,
+    real_image,
     space_form,
+    standard_normal_draws,
     unchecked_tensor,
 )
 from .descriptors import leaf_closed_form
@@ -63,8 +77,11 @@ from .sym2 import Sym2Basis, product_adapted_basis, standard_basis, sym2_dim
 DEFAULT_KAPPA_GRID = tuple(0.25 * k for k in range(1, 9))
 # Numbers one stacked block of samples holds: those of ``MAX_BLOCK`` tensors
 # at n = 8 (2 MB), so that wider tensors take fewer per block, down to one
-# from n = 20 on.
+# from n = 20 on. A factor map (``_factor_map``) is used only when it holds
+# at most as many; it is built from blocks of unit draws whose images hold
+# at most ``_MAP_BUDGET`` numbers.
 _TENSOR_BUDGET = MAX_BLOCK * 8 ** 4
+_MAP_BUDGET = _TENSOR_BUDGET // 16
 _UNIT, _TINY = 2.0 ** -53, math.ulp(0.0)  # unit roundoff, least subnormal
 
 
@@ -200,6 +217,9 @@ class _Factors:
 
     model: Callable    # (dim, kappa) -> space form of that curvature
     leaf: Callable     # (dim, kappa) -> (clusters, rho, real dim) of that model, in kappa's type
+    real: Callable     # dim -> real dimension
+    shape: Callable    # dim -> shape of one random tensor's standard normal draw
+    image: Callable    # (dim, draws) -> unchecked random tensors of those draws, linear in them
     random: Callable   # (dim, seeds) -> checked stack of seeded random tensors of that kind
     detect: Callable   # tensor -> its constant (sectional or holomorphic) curvature, or None
 
@@ -207,6 +227,9 @@ class _Factors:
 _REAL = _Factors(
     model=lambda n, kappa: space_form(n, kappa),
     leaf=lambda n, kappa: (*leaf_closed_form("sphere", n, kappa), n),
+    real=lambda n: n,
+    shape=lambda n: real_draw_shape(n),
+    image=lambda n, w: real_image(w, n),
     random=lambda n, seeds: random_curvatures(n, seeds),
     detect=lambda r: constant_sectional(r),
 )
@@ -214,6 +237,9 @@ _REAL = _Factors(
 _COMPLEX = _Factors(
     model=lambda m, kappa: kahler_space_form(m, kappa),
     leaf=lambda m, kappa: (*leaf_closed_form("cp", 2 * m, kappa), 2 * m),
+    real=lambda m: 2 * m,
+    shape=lambda m: kahler_draw_shape(m),
+    image=lambda m, t: kahler_image(t),
     random=lambda m, seeds: random_kahler_curvatures(m, seeds),
     detect=lambda r: constant_holomorphic(r),
 )
@@ -406,15 +432,83 @@ def _bordered_basis(n1, n2):
     return Sym2Basis(n1 + n2, kept)
 
 
+def _with_mixed_zeros(rows, n1, n2):
+    """Ascending spectra of products from the eigenvalues ``rows`` of their
+    bordered blocks and the n1 n2 exact zeros of the mixed directions
+    (Golub 1973)."""
+    return np.sort(np.concatenate([rows, np.zeros(rows.shape[:-1] + (n1 * n2,))], axis=-1))
+
+
 def _block_spectra(parts):
     """Ascending spectra of a block of products of two factors, one row per
     entry of the factors' component stacks ``parts``: one block fill, one
     stacked assembly over ``_bordered_basis`` and one stacked eigensolve of
-    that bordered block, whose eigenvalues with the n1 n2 exact zeros of the
-    mixed directions are each product's spectrum (Golub 1973)."""
+    that bordered block."""
     n1, n2 = (p.shape[-1] for p in parts)
     rows = eigensolve(operator_matrices(product_components(parts), _bordered_basis(n1, n2)))
-    return np.sort(np.concatenate([rows, np.zeros(rows.shape[:-1] + (n1 * n2,))], axis=-1))
+    return _with_mixed_zeros(rows, n1, n2)
+
+
+@lru_cache(maxsize=8)
+def _factor_map(kind, dim, n1, n2, j):
+    """Read-only ``(columns, mapped)``: the linear map from the K draw
+    entries of a random factor of ``kind`` and size ``dim``, factor ``j`` of
+    a product of real dimensions n1, n2, to its part of the product's
+    operator on ``_bordered_basis(n1, n2)``, flattened. That part lies on
+    the basis directions that meet the factor's index block: ``columns``
+    are their flat operator entries, and row k of ``mapped`` ``(K,
+    len(columns))`` is the part of the image of unit draw k. Every image
+    passes ``check_identities``, which so covers every draw: a draw's image
+    is the sum of w_k times the unit images, and so is each identity
+    residual of it. The unit draws go in ``numerics.blocks`` of
+    ``_MAP_BUDGET`` numbers, so that the temporaries stay small."""
+    shape = kind.shape(dim)
+    size = math.prod(shape)
+    real = kind.real(dim)
+    basis = _bordered_basis(n1, n2)
+    block = slice(n1 * j, n1 * j + real)
+    tensors = basis.tensors[:, block, block]
+    met = np.flatnonzero(tensors.any(axis=(1, 2)))
+    restricted = Sym2Basis(real, tensors[met])
+    mapped = np.empty((size, len(met) ** 2))
+    for rows in blocks(0, size, real ** 4, _MAP_BUDGET):
+        units = np.eye(len(rows), size, rows.start).reshape((len(rows),) + shape)
+        images = kind.image(dim, units)
+        check_identities(images)
+        mapped[rows.start:rows.stop] = operator_matrices(images, restricted).reshape(len(rows), -1)
+    columns = (met[:, None] * basis.count + met[None, :]).ravel()
+    columns.flags.writeable = mapped.flags.writeable = False
+    return columns, mapped
+
+
+def _factor_maps(kind, dims, n1, n2):
+    """The ``_factor_map`` of each curved factor, or None when one would
+    hold more than ``_TENSOR_BUDGET`` numbers over the whole operator."""
+    width = _bordered_basis(n1, n2).count
+    if any(math.prod(kind.shape(d)) * width ** 2 > _TENSOR_BUDGET for d in dims):
+        return None
+    return [_factor_map(kind, d, n1, n2, j) for j, d in enumerate(dims)]
+
+
+def _mapped_spectra(maps, draws, n1, n2):
+    """``_block_spectra`` of the products of the factors drawn as ``draws``,
+    one stack of standard normal draws per ``_factor_map``: each factor's
+    part of the bordered blocks is its draws times its map."""
+    width = _bordered_basis(n1, n2).count
+    mats = np.zeros((len(draws[0]), width * width))
+    for w, (columns, mapped) in zip(draws, maps):
+        mats[:, columns] += w.reshape(len(w), -1) @ mapped
+    return _with_mixed_zeros(eigensolve(mats.reshape(-1, width, width)), n1, n2)
+
+
+def _by_dimension(build, dims, seeds):
+    """``build(d, seeds)`` once per factor dimension d over the seeds of
+    every factor of that dimension, factor after factor, split back into
+    one stack per factor; ``seeds`` holds each sample's factor seeds."""
+    size = len(seeds)
+    drawn = {d: build(d, [s for e, col in zip(dims, zip(*seeds)) if e == d for s in col])
+             for d in dict.fromkeys(dims)}
+    return [drawn[d][size * dims[:j].count(d):][:size] for j, d in enumerate(dims)]
 
 
 def _sample(report, family, params, alpha, seed, samples, tol):
@@ -422,25 +516,40 @@ def _sample(report, family, params, alpha, seed, samples, tol):
     must have factors of constant curvature with the verdict's sign. Sample
     ``idx`` of a family with ``k`` random factors draws factor ``j`` from
     seed ``seed ^ (k * idx + j)``. Samples run in ``numerics.blocks`` of
-    ``_TENSOR_BUDGET``: the factors of one dimension in a block are one
-    checked stack, drawn factor after factor and split back into each
-    factor's stack, and a classified sample's detector reads a read-only
-    view of its entry."""
+    ``_TENSOR_BUDGET``, drawn in one Philox fill per factor dimension. Where
+    the factors' maps fit the budget, a block's draws go through them and
+    only a classified sample's factors are built, from its seeds by the
+    random builders, bitwise the tensors a block build gives. A block with
+    a non-finite draw, and every block of larger sizes, is built by the
+    random builders, whose identity check rejects a non-finite draw, and
+    solved by ``_block_spectra``. A classified sample's detector reads a
+    read-only view of its factors."""
     dims = family.dims(params)
-    width = len(dims)
     kind = family.factors
+    # the line's flat factor R is the second, of dimension 1
+    n1, n2 = [kind.real(d) for d in dims] + [1] * (2 - len(dims))
+    maps = _factor_maps(kind, dims, n1, n2)
     for block in blocks(0, samples, family.total(params) ** 4, _TENSOR_BUDGET):
-        seeds = [[derived_seed(seed, width * idx + j) for j in range(width)] for idx in block]
-        drawn = {d: kind.random(d, [s for e, col in zip(dims, zip(*seeds)) if e == d for s in col])
-                 for d in dict.fromkeys(dims)}
-        size = len(block)
-        stacks = [drawn[d][size * dims[:j].count(d):][:size] for j, d in enumerate(dims)]
-        # the line's flat factor R is one zero block shared by every entry
-        parts = stacks if width > 1 else [*stacks, flat_tensor(1).components]
-        for i, (idx, v) in enumerate(zip(block, verdict(_block_spectra(parts), alpha, tol))):
-            if v == VERDICT_NEITHER:
-                continue
-            constants = [kind.detect(unchecked_tensor(stack[i])) for stack in stacks]
+        seeds = [[derived_seed(seed, len(dims) * idx + j) for j in range(len(dims))]
+                 for idx in block]
+        draws = maps and _by_dimension(
+            lambda d, s: standard_normal_draws(s, kind.shape(d)), dims, seeds)
+        if draws and all(np.isfinite(w).all() for w in draws):
+            stacks, spectra = None, _mapped_spectra(maps, draws, n1, n2)
+        else:
+            stacks = _by_dimension(kind.random, dims, seeds)
+            # the line's flat factor R is one zero block shared by every entry
+            parts = stacks if len(dims) > 1 else [*stacks, flat_tensor(1).components]
+            spectra = _block_spectra(parts)
+        verdicts = verdict(spectra, alpha, tol)
+        hits = [i for i, v in enumerate(verdicts) if v != VERDICT_NEITHER]
+        rows = hits
+        if hits and stacks is None:
+            stacks = _by_dimension(kind.random, dims, [seeds[i] for i in hits])
+            rows = range(len(hits))
+        for i, row in zip(hits, rows):
+            v, idx = verdicts[i], block[i]
+            constants = [kind.detect(unchecked_tensor(stack[row])) for stack in stacks]
             present = None not in constants
             spread = max(constants) - min(constants) if present else math.inf
             if family.sharp:

@@ -509,6 +509,7 @@ class TestCliCommands:
             raise AssertionError("sampled before checking the bound")
 
         monkeypatch.setattr(rigidity, "random_curvatures", boom)
+        monkeypatch.setattr(rigidity, "standard_normal_draws", boom)
         monkeypatch.setattr(rigidity, "spectrum", boom)
         assert run(["verify", "line", "--samples", "100001"]) == 2
         captured = capsys.readouterr()

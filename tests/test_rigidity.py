@@ -583,38 +583,199 @@ class TestBorderedBlock:
         assert (basis.dim, basis.count) == (5, 8)
         assert not basis.tensors.flags.writeable
 
-    @pytest.mark.parametrize("argv,kahler,dims,draws", [
+
+def _kind(kahler):
+    return rigidity._COMPLEX if kahler else rigidity._REAL
+
+
+def _mapped(kahler, d1, d2):
+    """Whether every curved factor's map of a (d1, d2) product fits the
+    budget; a real factor of dimension 1 is the flat line R."""
+    kind = _kind(kahler)
+    n1, n2 = kind.real(d1), kind.real(d2)
+    width = sym2.sym2_dim(n1) + sym2.sym2_dim(n2) + 1
+    return all(math.prod(kind.shape(d)) * width ** 2 <= rigidity._TENSOR_BUDGET
+               for d in (d1, d2) if kahler or d >= 2)
+
+
+class TestFactorMaps:
+    """Where a factor's map fits the budget, the sampled harnesses take each
+    factor's bordered part straight from its standard normal draws through
+    a cached linear map, checked once on the images of the unit draws."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_maps(self):
+        rigidity._factor_map.cache_clear()
+        yield
+        rigidity._factor_map.cache_clear()
+
+    @pytest.mark.parametrize("kahler,d1,d2",
+                             [(False, *p) for p in _REAL_PAIRS if _mapped(False, *p)]
+                             + [(True, *p) for p in _KAHLER_PAIRS if _mapped(True, *p)])
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_mapped_route_equals_the_block_route(self, kahler, d1, d2, scale):
+        kind = _kind(kahler)
+        seeds = [1000 * d1 + 10 * d2 + i for i in range(6)]
+        factor_seeds = [seeds, [s + 500 for s in seeds]]
+        parts = [_factor_stack(kahler, d1, seeds),
+                 scale * _factor_stack(kahler, d2, factor_seeds[1])]
+        n1, n2 = (p.shape[-1] for p in parts)
+        curved = [(j, d) for j, d in enumerate((d1, d2)) if kahler or d >= 2]
+        maps = [rigidity._factor_map(kind, d, n1, n2, j) for j, d in curved]
+        draws = [(scale if j else 1.0)
+                 * curvature.standard_normal_draws(factor_seeds[j], kind.shape(d))
+                 for j, d in curved]
+        mapped = rigidity._mapped_spectra(maps, draws, n1, n2)
+        block = rigidity._block_spectra(parts)
+        assert mapped.shape == block.shape == (6, sym2.sym2_dim(n1 + n2))
+        assert (np.diff(mapped, axis=-1) >= 0.0).all()
+        peak = np.abs(block).max(axis=-1, keepdims=True)
+        assert (np.abs(mapped - block) <= TestBorderedBlock.REL_BOUND * peak).all()
+        constant = b_const(d1, d2) if kahler else a_const(d1, d2)
+        for alpha in (1.5, constant, block.shape[-1] / 2):
+            for tol in (1e-9, 50.0):
+                assert (operator2k.verdict(mapped, alpha, tol)
+                        == operator2k.verdict(block, alpha, tol))
+
+    @pytest.mark.parametrize("kahler,dim,n1,n2,j", [
+        (True, 2, 4, 4, 1), (True, 1, 2, 4, 0), (False, 5, 5, 1, 0), (False, 3, 2, 3, 1)])
+    def test_map_is_the_full_assembly_on_the_factors_directions(self, kahler, dim, n1, n2, j):
+        kind = _kind(kahler)
+        columns, mapped = rigidity._factor_map(kind, dim, n1, n2, j)
+        assert rigidity._factor_map(kind, dim, n1, n2, j)[1] is mapped
+        assert not columns.flags.writeable and not mapped.flags.writeable
+        # the factor's standard directions and zeta, and no other
+        count = (sym2.sym2_dim(n2) if j else sym2.sym2_dim(n1)) + 1
+        width = rigidity._bordered_basis(n1, n2).count
+        rows, cols = np.divmod(columns, width)
+        met = set(range(sym2.sym2_dim(n1), width - 1) if j else range(sym2.sym2_dim(n1)))
+        assert set(rows) == set(cols) == met | {width - 1}
+        size = math.prod(kind.shape(dim))
+        assert mapped.shape == (size, count ** 2)
+        # the unit draws' images through the block fill and the bordered
+        # assembly: zero off those entries, the map on them
+        images = kind.image(dim, np.eye(size).reshape((size,) + kind.shape(dim)))
+        flat = np.zeros((size,) + (n1 if j else n2,) * 4)
+        full = operator2k.operator_matrices(curvature.product_components(
+            [flat, images] if j else [images, flat]), rigidity._bordered_basis(n1, n2))
+        full = full.reshape(size, width * width)
+        assert not np.delete(full, columns, axis=1).any()
+        assert np.allclose(full[:, columns], mapped, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("argv,mapped", [
+        (["line", "--n", "7"], True),
+        (["product-kahler", "--m1", "2", "--m2", "2"], True),
+        (["product-spheres", "--n1", "5", "--n2", "5"], True),
+        (["product-spheres", "--n1", "4", "--n2", "6"], True),
+        (["line", "--n", "8"], False),
+        (["product-kahler", "--m1", "2", "--m2", "3"], False),
+        (["product-spheres", "--n1", "5", "--n2", "6"], False),
+    ], ids=["line7", "kahler22", "spheres55", "spheres46", "line8", "kahler23", "spheres56"])
+    def test_maps_only_within_the_budget(self, argv, mapped, monkeypatch, capsys):
+        routes = []
+
+        def recording(name):
+            real = getattr(rigidity, name)
+
+            def route(*args):
+                routes.append(name)
+                return real(*args)
+            return route
+
+        for name in ("_mapped_spectra", "_block_spectra"):
+            monkeypatch.setattr(rigidity, name, recording(name))
+        assert cli.run(["verify", *argv, "--samples", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["samples_run"] == 3
+        assert routes == ["_mapped_spectra" if mapped else "_block_spectra"]
+
+    @pytest.mark.parametrize("kahler,argv,dim", [
+        (False, ["line", "--n", "5"], 4),
+        (True, ["product-kahler", "--m1", "2", "--m2", "1"], 2),
+    ], ids=["real", "kahler"])
+    def test_identity_check_of_the_unit_images_bites(self, kahler, argv, dim, monkeypatch,
+                                                     capsys):
+        # w (x) w with w = e0^e1 + e2^e3 holds every symmetry but Bianchi
+        form = np.zeros((4, 4))
+        form[0, 1] = form[2, 3] = 1.0
+        form -= form.T
+        name = "kahler_image" if kahler else "real_image"
+        real = getattr(rigidity, name)
+
+        def breaking(*args):
+            images = real(*args)
+            if images.shape[-1] == 4:
+                images[0] += np.multiply.outer(form, form)
+            return images
+
+        monkeypatch.setattr(rigidity, name, breaking)
+        message = "components violate the first Bianchi identity"
+        kind = _kind(kahler)
+        with pytest.raises(InvalidInputError, match=message):
+            rigidity._factor_map(kind, dim, kind.real(dim), 2 if kahler else 1, 0)
+        assert cli.run(["verify", *argv, "--samples", "3"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv,kahler,dims,fills", [
         (["product-spheres", "--n1", "3", "--n2", "3"], False, (3, 3), [(3, 10)]),
         (["product-spheres", "--n1", "2", "--n2", "3"], False, (2, 3), [(2, 5), (3, 5)]),
         (["product-kahler", "--m1", "2", "--m2", "1"], True, (2, 1), [(2, 5), (1, 5)]),
         (["line", "--n", "5"], False, (4,), [(4, 5)]),
     ], ids=["equal", "unequal", "kahler", "line"])
-    def test_one_draw_per_factor_dimension(self, argv, kahler, dims, draws, monkeypatch, capsys):
-        calls, blocks = [], []
-
-        def recording(real):
-            def draw(d, seeds):
-                calls.append((d, len(seeds)))
-                return real(d, seeds)
-            return draw
-
-        def spectra(parts):
-            blocks.append(parts)
-            return real_spectra(parts)
-
-        real_spectra = rigidity._block_spectra
-        for name in ("random_curvatures", "random_kahler_curvatures"):
-            monkeypatch.setattr(rigidity, name, recording(getattr(curvature, name)))
-        monkeypatch.setattr(rigidity, "_block_spectra", spectra)
-        assert cli.run(["verify", *argv, "--samples", "5"]) == 0
-        assert json.loads(capsys.readouterr().out)["samples_run"] == 5
-        assert calls == draws
-        # each factor's stack is bitwise the draw of its own seeds alone
+    def test_one_fill_per_factor_dimension_and_detectors_read_the_builders_tensors(
+            self, argv, kahler, dims, fills, monkeypatch, capsys):
+        kind = _kind(kahler)
         build = curvature.random_kahler_curvatures if kahler else curvature.random_curvatures
-        (parts,) = blocks
-        for j, d in enumerate(dims):
-            own = build(d, [numerics.derived_seed(0, len(dims) * idx + j) for idx in range(5)])
-            assert np.array_equal(parts[j], own)
+        draws, built, detected = [], [], []
+
+        def drawing(seeds, shape):
+            draws.append((shape, list(seeds)))
+            return curvature.standard_normal_draws(seeds, shape)
+
+        def building(d, seeds):
+            built.append((d, list(seeds)))
+            return build(d, seeds)
+
+        def detecting(real):
+            def detect(r):
+                detected.append(r.components)
+                return real(r)
+            return detect
+
+        monkeypatch.setattr(rigidity, "standard_normal_draws", drawing)
+        monkeypatch.setattr(rigidity, build.__name__, building)
+        for name in ("constant_sectional", "constant_holomorphic"):
+            monkeypatch.setattr(rigidity, name, detecting(getattr(rigidity, name)))
+        # tol 50 classifies every sample, so each one's factors are rebuilt
+        assert cli.run(["verify", *argv, "--samples", "5", "--tol", "50"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        records = report["counterexamples"] + report["findings"]
+        assert sorted(r["sample"] for r in records if "sample" in r) == list(range(5))
+        # one fill per factor dimension, over the seeds of every factor of
+        # that dimension, factor after factor: today's seeds
+        seeds = [[numerics.derived_seed(0, len(dims) * idx + j) for idx in range(5)]
+                 for j in range(len(dims))]
+        by_dim = {d: [s for e, col in zip(dims, seeds) if e == d for s in col] for d in dims}
+        assert [(kind.shape(d), by_dim[d]) for d, _ in fills] == draws
+        assert [len(s) for _, s in draws] == [count for _, count in fills]
+        # the draws are bitwise the builders' own
+        for shape, drawn in draws:
+            own = []
+
+            def recording(seeds, out):
+                own.append(numerics.fill_standard_normal(seeds, out).copy())
+                return out
+
+            monkeypatch.setattr(curvature, "fill_standard_normal", recording)
+            build({kind.shape(d): d for d in dims}[shape], drawn)
+            monkeypatch.undo()
+            assert np.array_equal(own[0], curvature.standard_normal_draws(drawn, shape))
+        # the classified samples are rebuilt once per factor dimension, and
+        # each detector reads bitwise its seed's own tensor
+        assert built == [(d, by_dim[d]) for d in dict.fromkeys(dims)]
+        assert len(detected) == 5 * len(dims)
+        for k, components in enumerate(detected):
+            idx, j = divmod(k, len(dims))
+            assert np.array_equal(components, build(dims[j], [seeds[j][idx]])[0])
 
 
 _SWEEP_SIZES = (
