@@ -71,7 +71,11 @@ classified, so that the rebuilt factors and their detectors are compared
 too: ``line --n 7 --samples 130 --tol 50``, ``product-spheres --n1 5 --n2
 5`` and ``product-kahler --m1 2 --m2 2``, each ``--samples 70 --tol 50
 --seed 3``, the largest mapped sizes, and ``line --n 8 --samples 70 --tol
-50``, the least size above them, which builds its tensors.
+50``, the least size above them, which builds its tensors; and, last,
+``product-spheres --n1 3 --n2 3`` and ``line --n 6`` with ``--samples 0
+--tol 50``, whose model checks at a loose tol read the model spectra that
+the default-tol runs above solved, so that a spectrum cached within the
+process is compared too.
 Each record holds the command line, the exit code, stderr, stdout parsed as
 JSON with every ``timing`` block removed, and the raw stdout text with every
 ``"seconds": <number>`` masked, so that a change in the emitted bytes shows
@@ -177,6 +181,10 @@ MAP_EDGES = (
      "--seed", "3"),
     ("verify", "line", "--n", "8", "--samples", "70", "--tol", "50"),
 )
+# the model spectra of these sizes are cached by the SIZED_HARNESSES runs
+WARM_MODELS = tuple(
+    ("verify", *sizes, "--samples", "0", "--tol", "50")
+    for sizes in (("product-spheres", "--n1", "3", "--n2", "3"), ("line", "--n", "6")))
 NEAR_EQUAL_SPHERES = ('{"kind": "sphere", "dim": 2, "kappa": 1}, '
                       '{"kind": "sphere", "dim": 2, "kappa": 1.00000005}')
 NEAR_EQUAL_DESCRIPTORS = {
@@ -293,6 +301,7 @@ def commands(tmp_dir):
     out += UNEQUAL_SEAMS
     out += EXTREME_SWEEPS
     out += MAP_EDGES
+    out += WARM_MODELS
     return out
 
 

@@ -10,14 +10,18 @@ parameters, the kind of its factors and their structure detector) together
 with its optimal constant. One sampled loop runs every row in stacked blocks
 of samples (``numerics.blocks``), each solved on the product-adapted basis
 without its mixed directions, where a product's operator is a bordered
-block; the model checks keep the full standard-basis operator. Every step
-from a factor's standard normal draw to its part of that block is linear,
-so where the factors' maps fit ``_TENSOR_BUDGET`` (``line`` up to n = 7,
-the sphere products up to (5, 5) and (4, 6), the Kahler products up to
-(2, 2)) a block's blocks are its draws times cached maps, and only a
-classified sample's factors are built as tensors. Each map is built from
-the unit draws, whose images are checked once: the identity residuals of a
-draw's image are the same combination of theirs. Larger sizes build every
+block. The model checks keep the full standard-basis operator of the
+unit-curvature model, the same matrix on every request of one size, so
+its spectrum is solved once per process and cached read-only
+(``_model_spectrum``); its verdicts are taken per request. Every step from
+a factor's standard normal draw to its part of that block is linear, so
+where the factors' maps fit ``_TENSOR_BUDGET`` (``line`` up to n = 7, the
+sphere products up to (5, 5) and (4, 6), the Kahler products up to (2, 2))
+a block's blocks are its draws times cached maps, and only a classified
+sample's factors are built as tensors. The maps of every factor of one
+size are built in one pass over the unit draws, whose images are checked
+once: the identity residuals of a draw's image are the same combination
+of theirs. Larger sizes build every
 factor with the random builders. One iff sweep decides each grid pair from
 its closed-form spectrum, with no tensor, and exactly where rounding could
 decide.
@@ -359,8 +363,14 @@ def _product(tensors):
     return product(*tensors)
 
 
-def _model(family, params, kappas):
-    return _product([family.factors.model(d, k) for d, k in zip(family.dims(params), kappas)])
+@lru_cache(maxsize=8)
+def _model_spectrum(kind, dims):
+    """Read-only ascending spectrum of the unit-curvature model: the product
+    of the curvature-1 models of ``kind`` of sizes ``dims``, times R for one
+    factor, solved on the full standard basis once per process."""
+    s = spectrum(_product([kind.model(d, 1.0) for d in dims]))
+    s.flags.writeable = False
+    return s
 
 
 def _probe(details, s, probe, tol):
@@ -370,11 +380,11 @@ def _probe(details, s, probe, tol):
 
 
 def _check_model(report, family, params, alpha, tol):
-    """Solve the unit-curvature model once and take every model verdict from
-    its spectrum; the negatively curved model is bitwise its negation, so it
-    is nonpositive exactly when the model is nonnegative, at the same
-    threshold."""
-    s = spectrum(_model(family, params, (1.0, 1.0)))
+    """Take every model verdict from the unit-curvature model's cached
+    spectrum, at this request's alpha and tol; the negatively curved model
+    is bitwise its negation, so it is nonpositive exactly when the model is
+    nonnegative, at the same threshold."""
+    s = _model_spectrum(family.factors, family.dims(params))
     thr = nonneg_threshold(s)
     details = report.details
     details["model_threshold"] = thr
@@ -450,44 +460,55 @@ def _block_spectra(parts):
 
 
 @lru_cache(maxsize=8)
-def _factor_map(kind, dim, n1, n2, j):
-    """Read-only ``(columns, mapped)``: the linear map from the K draw
-    entries of a random factor of ``kind`` and size ``dim``, factor ``j`` of
-    a product of real dimensions n1, n2, to its part of the product's
-    operator on ``_bordered_basis(n1, n2)``, flattened. That part lies on
-    the basis directions that meet the factor's index block: ``columns``
-    are their flat operator entries, and row k of ``mapped`` ``(K,
-    len(columns))`` is the part of the image of unit draw k. Every image
-    passes ``check_identities``, which so covers every draw: a draw's image
-    is the sum of w_k times the unit images, and so is each identity
-    residual of it. The unit draws go in ``numerics.blocks`` of
-    ``_MAP_BUDGET`` numbers, so that the temporaries stay small."""
+def _factor_maps_at(kind, dim, n1, n2, positions):
+    """Read-only ``(columns, mapped)`` of each factor position j in
+    ``positions``: the linear map from the K draw entries of a random
+    factor of ``kind`` and size ``dim``, factor ``j`` of a product of real
+    dimensions n1, n2, to its part of the product's operator on
+    ``_bordered_basis(n1, n2)``, flattened. That part lies on the basis
+    directions that meet the factor's index block: ``columns`` are their
+    flat operator entries, and row k of ``mapped`` ``(K, len(columns))`` is
+    the part of the image of unit draw k. Every image passes
+    ``check_identities``, which so covers every draw: a draw's image is the
+    sum of w_k times the unit images, and so is each identity residual of
+    it. The unit draws go once, for every position, in ``numerics.blocks``
+    of ``_MAP_BUDGET`` numbers, so that the temporaries stay small."""
     shape = kind.shape(dim)
     size = math.prod(shape)
     real = kind.real(dim)
     basis = _bordered_basis(n1, n2)
-    block = slice(n1 * j, n1 * j + real)
-    tensors = basis.tensors[:, block, block]
-    met = np.flatnonzero(tensors.any(axis=(1, 2)))
-    restricted = Sym2Basis(real, tensors[met])
-    mapped = np.empty((size, len(met) ** 2))
+    parts = []
+    for j in positions:
+        block = slice(n1 * j, n1 * j + real)
+        tensors = basis.tensors[:, block, block]
+        met = np.flatnonzero(tensors.any(axis=(1, 2)))
+        parts.append((met, Sym2Basis(real, tensors[met]), np.empty((size, len(met) ** 2))))
     for rows in blocks(0, size, real ** 4, _MAP_BUDGET):
         units = np.eye(len(rows), size, rows.start).reshape((len(rows),) + shape)
         images = kind.image(dim, units)
         check_identities(images)
-        mapped[rows.start:rows.stop] = operator_matrices(images, restricted).reshape(len(rows), -1)
-    columns = (met[:, None] * basis.count + met[None, :]).ravel()
-    columns.flags.writeable = mapped.flags.writeable = False
-    return columns, mapped
+        for _, restricted, mapped in parts:
+            mapped[rows.start:rows.stop] = operator_matrices(images, restricted).reshape(
+                len(rows), -1)
+    maps = []
+    for met, _, mapped in parts:
+        columns = (met[:, None] * basis.count + met[None, :]).ravel()
+        columns.flags.writeable = mapped.flags.writeable = False
+        maps.append((columns, mapped))
+    return tuple(maps)
 
 
 def _factor_maps(kind, dims, n1, n2):
-    """The ``_factor_map`` of each curved factor, or None when one would
-    hold more than ``_TENSOR_BUDGET`` numbers over the whole operator."""
+    """The map of each curved factor, built once per factor dimension for
+    all its positions by ``_factor_maps_at``, or None when one would hold
+    more than ``_TENSOR_BUDGET`` numbers over the whole operator."""
     width = _bordered_basis(n1, n2).count
     if any(math.prod(kind.shape(d)) * width ** 2 > _TENSOR_BUDGET for d in dims):
         return None
-    return [_factor_map(kind, d, n1, n2, j) for j, d in enumerate(dims)]
+    built = {d: iter(_factor_maps_at(kind, d, n1, n2,
+                                     tuple(j for j, e in enumerate(dims) if e == d)))
+             for d in dict.fromkeys(dims)}
+    return [next(built[d]) for d in dims]
 
 
 def _mapped_spectra(maps, draws, n1, n2):

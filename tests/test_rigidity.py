@@ -308,11 +308,27 @@ class TestCheckRigidity:
     @pytest.mark.parametrize("case", ["line", "product-spheres", "product-kahler"])
     def test_model_solved_once(self, case, monkeypatch):
         # the model's verdicts, its nonpositive dual and the flatness probe
-        # all come from one spectrum
+        # all come from one spectrum, solved once per process
+        rigidity._model_spectrum.cache_clear()
         solved = self.count_solved(monkeypatch)
         report = check_rigidity(case, samples=0)
         assert report.details["model_check"] == "consistent"
         assert solved == [1]
+        # a warm request solves no model, and its details at its own tol are
+        # those of a cold one: no verdict is cached with the spectrum
+        warm = check_rigidity(case, seed=5, samples=0, tol=50.0)
+        assert solved == [1]
+        rigidity._model_spectrum.cache_clear()
+        cold = check_rigidity(case, seed=5, samples=0, tol=50.0)
+        assert solved == [1, 1]
+        assert warm.details == cold.details
+        assert warm.to_dict() == cold.to_dict()
+        # tol 50 turns the probe of the product models and their model check
+        assert warm.details != report.details or case == "line"
+        family, _ = rigidity._HARNESSES[case]
+        s = rigidity._model_spectrum(family.factors, family.dims(cold.parameters))
+        with pytest.raises(ValueError):
+            s[0] = 0.0
 
     @pytest.mark.parametrize("grid", [
         [float("nan"), 1.0], [float("inf"), 1.0], [1.0, float("-inf")], [0.0], [-0.5], [],
@@ -471,6 +487,7 @@ class TestSampleBlocks:
 
         for module in (operator2k, rigidity):
             monkeypatch.setattr(module, "eigensolve", recording)
+        rigidity._model_spectrum.cache_clear()
         assert cli.run(["verify", "line", "--n", "32", "--samples", "3"]) == 0
         assert json.loads(capsys.readouterr().out)["samples_run"] == 3
         # the model at full width, then three blocks of one sample each,
@@ -598,6 +615,26 @@ def _mapped(kahler, d1, d2):
                for d in (d1, d2) if kahler or d >= 2)
 
 
+def _map_built_alone(kind, dim, n1, n2, j):
+    """The map of factor position j built on its own: its unit draws in the
+    same blocks, through the same image, check and restricted assembly."""
+    shape = kind.shape(dim)
+    size = math.prod(shape)
+    real = kind.real(dim)
+    basis = rigidity._bordered_basis(n1, n2)
+    tensors = basis.tensors[:, n1 * j:n1 * j + real, n1 * j:n1 * j + real]
+    met = np.flatnonzero(tensors.any(axis=(1, 2)))
+    restricted = sym2.Sym2Basis(real, tensors[met])
+    mapped = np.empty((size, len(met) ** 2))
+    for rows in numerics.blocks(0, size, real ** 4, rigidity._MAP_BUDGET):
+        units = np.eye(len(rows), size, rows.start).reshape((len(rows),) + shape)
+        images = kind.image(dim, units)
+        curvature.check_identities(images)
+        mapped[rows.start:rows.stop] = operator2k.operator_matrices(
+            images, restricted).reshape(len(rows), -1)
+    return (met[:, None] * basis.count + met[None, :]).ravel(), mapped
+
+
 class TestFactorMaps:
     """Where a factor's map fits the budget, the sampled harnesses take each
     factor's bordered part straight from its standard normal draws through
@@ -605,9 +642,9 @@ class TestFactorMaps:
 
     @pytest.fixture(autouse=True)
     def fresh_maps(self):
-        rigidity._factor_map.cache_clear()
+        rigidity._factor_maps_at.cache_clear()
         yield
-        rigidity._factor_map.cache_clear()
+        rigidity._factor_maps_at.cache_clear()
 
     @pytest.mark.parametrize("kahler,d1,d2",
                              [(False, *p) for p in _REAL_PAIRS if _mapped(False, *p)]
@@ -621,7 +658,7 @@ class TestFactorMaps:
                  scale * _factor_stack(kahler, d2, factor_seeds[1])]
         n1, n2 = (p.shape[-1] for p in parts)
         curved = [(j, d) for j, d in enumerate((d1, d2)) if kahler or d >= 2]
-        maps = [rigidity._factor_map(kind, d, n1, n2, j) for j, d in curved]
+        maps = [rigidity._factor_maps_at(kind, d, n1, n2, (j,))[0] for j, d in curved]
         draws = [(scale if j else 1.0)
                  * curvature.standard_normal_draws(factor_seeds[j], kind.shape(d))
                  for j, d in curved]
@@ -641,8 +678,8 @@ class TestFactorMaps:
         (True, 2, 4, 4, 1), (True, 1, 2, 4, 0), (False, 5, 5, 1, 0), (False, 3, 2, 3, 1)])
     def test_map_is_the_full_assembly_on_the_factors_directions(self, kahler, dim, n1, n2, j):
         kind = _kind(kahler)
-        columns, mapped = rigidity._factor_map(kind, dim, n1, n2, j)
-        assert rigidity._factor_map(kind, dim, n1, n2, j)[1] is mapped
+        columns, mapped = rigidity._factor_maps_at(kind, dim, n1, n2, (j,))[0]
+        assert rigidity._factor_maps_at(kind, dim, n1, n2, (j,))[0][1] is mapped
         assert not columns.flags.writeable and not mapped.flags.writeable
         # the factor's standard directions and zeta, and no other
         count = (sym2.sym2_dim(n2) if j else sym2.sym2_dim(n1)) + 1
@@ -661,6 +698,44 @@ class TestFactorMaps:
         full = full.reshape(size, width * width)
         assert not np.delete(full, columns, axis=1).any()
         assert np.allclose(full[:, columns], mapped, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("kahler,dim", [(False, 2), (False, 3), (False, 5), (True, 1),
+                                            (True, 2)])
+    def test_equal_factors_share_one_pass_bitwise_the_maps_built_alone(self, kahler, dim):
+        kind = _kind(kahler)
+        n = kind.real(dim)
+        shared = rigidity._factor_maps_at(kind, dim, n, n, (0, 1))
+        assert all(a is b for a, b in zip(rigidity._factor_maps(kind, (dim, dim), n, n), shared))
+        for j, (columns, mapped) in enumerate(shared):
+            assert not columns.flags.writeable and not mapped.flags.writeable
+            for alone in (_map_built_alone(kind, dim, n, n, j),
+                          rigidity._factor_maps_at(kind, dim, n, n, (j,))[0]):
+                assert np.array_equal(columns, alone[0])
+                assert mapped.tobytes() == alone[1].tobytes()
+
+    @pytest.mark.parametrize("argv,kahler,draws", [
+        (["product-kahler", "--m1", "2", "--m2", "2"], True, [256]),
+        (["product-spheres", "--n1", "3", "--n2", "3"], False, [9]),
+        (["product-kahler", "--m1", "2", "--m2", "1"], True, [256, 16]),
+    ], ids=["kahler22", "spheres33", "kahler21"])
+    def test_a_cold_run_images_the_unit_draws_once_per_factor_size(self, argv, kahler, draws,
+                                                                  monkeypatch, capsys):
+        name = "kahler_image" if kahler else "real_image"
+        real = getattr(rigidity, name)
+        imaged = []
+
+        def counting(*args):
+            images = real(*args)
+            imaged.append(len(images))
+            return images
+
+        monkeypatch.setattr(rigidity, name, counting)
+        assert cli.run(["verify", *argv, "--samples", "3"]) == 0
+        capsys.readouterr()
+        assert sum(imaged) == sum(draws)
+        assert cli.run(["verify", *argv, "--samples", "3", "--seed", "1"]) == 0
+        capsys.readouterr()
+        assert sum(imaged) == sum(draws)
 
     @pytest.mark.parametrize("argv,mapped", [
         (["line", "--n", "7"], True),
@@ -711,7 +786,7 @@ class TestFactorMaps:
         message = "components violate the first Bianchi identity"
         kind = _kind(kahler)
         with pytest.raises(InvalidInputError, match=message):
-            rigidity._factor_map(kind, dim, kind.real(dim), 2 if kahler else 1, 0)
+            rigidity._factor_maps_at(kind, dim, kind.real(dim), 2 if kahler else 1, (0,))
         assert cli.run(["verify", *argv, "--samples", "3"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
