@@ -75,7 +75,11 @@ too: ``line --n 7 --samples 130 --tol 50``, ``product-spheres --n1 5 --n2
 ``product-spheres --n1 3 --n2 3`` and ``line --n 6`` with ``--samples 0
 --tol 50``, whose model checks at a loose tol read the model spectra that
 the default-tol runs above solved, so that a spectrum cached within the
-process is compared too.
+process is compared too; and, last, ``line --n 6 --samples 64 --tol 3``,
+``product-spheres --n1 3 --n2 3 --samples 64 --tol 5`` and
+``product-kahler --m1 1 --m2 2 --samples 64 --tol 1`` at seeds 0 and 7,
+whose one block the sorted diagonal decides in part and the eigensolve
+in part, so that a block split between the two is compared too.
 Each record holds the command line, the exit code, stderr, stdout parsed as
 JSON with every ``timing`` block removed, and the raw stdout text with every
 ``"seconds": <number>`` masked, so that a change in the emitted bytes shows
@@ -185,6 +189,13 @@ MAP_EDGES = (
 WARM_MODELS = tuple(
     ("verify", *sizes, "--samples", "0", "--tol", "50")
     for sizes in (("product-spheres", "--n1", "3", "--n2", "3"), ("line", "--n", "6")))
+# one block each, some samples decided by the diagonal and the rest solved
+SPLIT_BLOCKS = tuple(
+    ("verify", *sizes, "--samples", "64", "--tol", tol, "--seed", str(seed))
+    for sizes, tol in ((("line", "--n", "6"), "3"),
+                       (("product-spheres", "--n1", "3", "--n2", "3"), "5"),
+                       (("product-kahler", "--m1", "1", "--m2", "2"), "1"))
+    for seed in SEEDS)
 NEAR_EQUAL_SPHERES = ('{"kind": "sphere", "dim": 2, "kappa": 1}, '
                       '{"kind": "sphere", "dim": 2, "kappa": 1.00000005}')
 NEAR_EQUAL_DESCRIPTORS = {
@@ -302,6 +313,7 @@ def commands(tmp_dir):
     out += EXTREME_SWEEPS
     out += MAP_EDGES
     out += WARM_MODELS
+    out += SPLIT_BLOCKS
     return out
 
 

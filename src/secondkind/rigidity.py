@@ -8,9 +8,17 @@ and record disagreements as findings rather than treating them as failures.
 Each harness is one row of a table: a product family (its dimension
 parameters, the kind of its factors and their structure detector) together
 with its optimal constant. One sampled loop runs every row in stacked blocks
-of samples (``numerics.blocks``), each solved on the product-adapted basis
-without its mixed directions, where a product's operator is a bordered
-block. The model checks keep the full standard-basis operator of the
+of samples (``numerics.blocks``), each assembled on the product-adapted
+basis without its mixed directions, where a product's operator is a
+bordered block. By Ky Fan's minimum principle g(alpha) of a block's sorted
+diagonal, with the zeros of the mixed directions, bounds g(alpha) of its
+spectrum from above, and so for the negation; a sample whose two diagonal
+sums lie below -tol by more than a bound on LAPACK's eigenvalue error and
+the sums' rounding (``_block_verdicts``) is ``neither`` with no spectrum.
+An upper bound can only show that a sum is negative, so the certificate
+says nothing else: every other sample is solved in one stacked eigensolve
+and classified by ``verdict``, bit for bit as if the whole block were
+solved. The model checks keep the full standard-basis operator of the
 unit-curvature model, the same matrix on every request of one size, so
 its spectrum is solved once per process and cached read-only
 (``_model_spectrum``); its verdicts are taken per request. Every step from
@@ -75,13 +83,14 @@ from .operator2k import (
     operator_matrix,
     spectrum,
     verdict,
+    weighted_partial_sums,
 )
 from .sym2 import Sym2Basis, product_adapted_basis, standard_basis, sym2_dim
 
 DEFAULT_KAPPA_GRID = tuple(0.25 * k for k in range(1, 9))
 # Numbers one stacked block of samples holds: those of ``MAX_BLOCK`` tensors
 # at n = 8 (2 MB), so that wider tensors take fewer per block, down to one
-# from n = 20 on. A factor map (``_factor_map``) is used only when it holds
+# from n = 20 on. A factor map (``_factor_maps``) is used only when it holds
 # at most as many; it is built from blocks of unit draws whose images hold
 # at most ``_MAP_BUDGET`` numbers.
 _TENSOR_BUDGET = MAX_BLOCK * 8 ** 4
@@ -449,14 +458,12 @@ def _with_mixed_zeros(rows, n1, n2):
     return np.sort(np.concatenate([rows, np.zeros(rows.shape[:-1] + (n1 * n2,))], axis=-1))
 
 
-def _block_spectra(parts):
-    """Ascending spectra of a block of products of two factors, one row per
-    entry of the factors' component stacks ``parts``: one block fill, one
-    stacked assembly over ``_bordered_basis`` and one stacked eigensolve of
-    that bordered block."""
+def _block_matrices(parts):
+    """The bordered blocks of a block of products of two factors, one per
+    entry of the factors' component stacks ``parts``: one block fill and
+    one stacked assembly over ``_bordered_basis``."""
     n1, n2 = (p.shape[-1] for p in parts)
-    rows = eigensolve(operator_matrices(product_components(parts), _bordered_basis(n1, n2)))
-    return _with_mixed_zeros(rows, n1, n2)
+    return operator_matrices(product_components(parts), _bordered_basis(n1, n2))
 
 
 @lru_cache(maxsize=8)
@@ -511,15 +518,62 @@ def _factor_maps(kind, dims, n1, n2):
     return [next(built[d]) for d in dims]
 
 
-def _mapped_spectra(maps, draws, n1, n2):
-    """``_block_spectra`` of the products of the factors drawn as ``draws``,
-    one stack of standard normal draws per ``_factor_map``: each factor's
-    part of the bordered blocks is its draws times its map."""
+def _mapped_matrices(maps, draws, n1, n2):
+    """``_block_matrices`` of the products of the factors drawn as
+    ``draws``, one stack of standard normal draws per factor map
+    (``_factor_maps``): each factor's part of the bordered blocks is its
+    draws times its map."""
     width = _bordered_basis(n1, n2).count
     mats = np.zeros((len(draws[0]), width * width))
     for w, (columns, mapped) in zip(draws, maps):
         mats[:, columns] += w.reshape(len(w), -1) @ mapped
-    return _with_mixed_zeros(eigensolve(mats.reshape(-1, width, width)), n1, n2)
+    return mats.reshape(-1, width, width)
+
+
+def _block_verdicts(mats, n1, n2, alpha, tol):
+    """The verdict of each product of a block from its bordered block in
+    ``mats`` ``(B, W, W)``: that of ``verdict`` on the block's eigenvalues
+    with the n1 n2 mixed zeros (``_with_mixed_zeros``), where only the
+    blocks that the diagonal leaves open are solved, in one stacked
+    ``eigensolve`` that gives each its own bits.
+
+    The product's operator in the adapted basis is the bordered block
+    beside n1 n2 zero rows, so its diagonal is the block's with n1 n2
+    zeros, N = W + n1 n2 values. By Ky Fan's minimum principle g(alpha) of
+    a symmetric matrix's eigenvalues is at most g(alpha) of its sorted
+    diagonal, and so for the negated matrix. LAPACK's eigenvalues of M lie
+    within p(N) u ||M||_2 of the exact ones, p modestly growing (LAPACK
+    Users' Guide, sec. 4.7), so sorted they move g by at most alpha times
+    that (Weyl); each float g lies within gamma_N alpha max|x| and alpha
+    halved subnormals of its exact value (Higham, ch. 3). With
+    ||M||_2 <= W max|m_ij| and p(N) <= 28 N, the bound
+    32 N W u alpha max|m_ij| + 8 alpha subnormals, over the whole stack,
+    covers all of them and the rounding of the bound itself. A block whose
+    two diagonal sums lie below -tol - bound is ``neither`` on its solved
+    spectrum too, so it needs no spectrum; the diagonal can only bound g
+    from above, so it never certifies a classified sample. A stack with a
+    non-finite entry, or one large enough that a sum could overflow, is
+    solved whole, for ``eigensolve`` to reject or classify as before."""
+    width = mats.shape[-1]
+    count = width + n1 * n2
+    peak = float(np.abs(mats).max())  # NaN or inf with a non-finite entry
+    rows = range(len(mats))
+    if count * alpha * peak < 2.0 ** 1000:  # so no sum below overflows
+        bound = 32 * count * width * _UNIT * alpha * peak + 8 * _TINY * alpha
+        # the diagonal with the mixed zeros, and its negation, each sorted
+        sides = np.zeros((2, len(mats), count))
+        diagonal = np.diagonal(mats, axis1=-2, axis2=-1)
+        sides[0, :, :width] = diagonal
+        np.negative(diagonal, out=sides[1, :, :width])
+        sides.sort(axis=-1)
+        certified = (weighted_partial_sums(sides, alpha) < -tol - bound).all(axis=0)
+        rows = [i for i, done in enumerate(certified.tolist()) if not done]
+    verdicts = [VERDICT_NEITHER] * len(mats)
+    if rows:
+        solved = _with_mixed_zeros(eigensolve(mats[rows]), n1, n2)
+        for i, v in zip(rows, verdict(solved, alpha, tol)):
+            verdicts[i] = v
+    return verdicts
 
 
 def _by_dimension(build, dims, seeds):
@@ -538,31 +592,33 @@ def _sample(report, family, params, alpha, seed, samples, tol):
     ``idx`` of a family with ``k`` random factors draws factor ``j`` from
     seed ``seed ^ (k * idx + j)``. Samples run in ``numerics.blocks`` of
     ``_TENSOR_BUDGET``, drawn in one Philox fill per factor dimension. Where
-    the factors' maps fit the budget, a block's draws go through them and
-    only a classified sample's factors are built, from its seeds by the
-    random builders, bitwise the tensors a block build gives. A block with
-    a non-finite draw, and every block of larger sizes, is built by the
+    the factors' maps fit the budget (built for the first block, so a run
+    without samples builds none), a block's draws go through them and only
+    a classified sample's factors are built, from its seeds by the random
+    builders, bitwise the tensors a block build gives. A block with a
+    non-finite draw, and every block of larger sizes, is built by the
     random builders, whose identity check rejects a non-finite draw, and
-    solved by ``_block_spectra``. A classified sample's detector reads a
+    assembled by ``_block_matrices``. Either way ``_block_verdicts``
+    classifies the bordered blocks. A classified sample's detector reads a
     read-only view of its factors."""
     dims = family.dims(params)
     kind = family.factors
     # the line's flat factor R is the second, of dimension 1
     n1, n2 = [kind.real(d) for d in dims] + [1] * (2 - len(dims))
-    maps = _factor_maps(kind, dims, n1, n2)
+    maps = _factor_maps(kind, dims, n1, n2) if samples else None
     for block in blocks(0, samples, family.total(params) ** 4, _TENSOR_BUDGET):
         seeds = [[derived_seed(seed, len(dims) * idx + j) for j in range(len(dims))]
                  for idx in block]
         draws = maps and _by_dimension(
             lambda d, s: standard_normal_draws(s, kind.shape(d)), dims, seeds)
         if draws and all(np.isfinite(w).all() for w in draws):
-            stacks, spectra = None, _mapped_spectra(maps, draws, n1, n2)
+            stacks, mats = None, _mapped_matrices(maps, draws, n1, n2)
         else:
             stacks = _by_dimension(kind.random, dims, seeds)
             # the line's flat factor R is one zero block shared by every entry
             parts = stacks if len(dims) > 1 else [*stacks, flat_tensor(1).components]
-            spectra = _block_spectra(parts)
-        verdicts = verdict(spectra, alpha, tol)
+            mats = _block_matrices(parts)
+        verdicts = _block_verdicts(mats, n1, n2, alpha, tol)
         hits = [i for i, v in enumerate(verdicts) if v != VERDICT_NEITHER]
         rows = hits
         if hits and stacks is None:

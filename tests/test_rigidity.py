@@ -16,7 +16,7 @@ from secondkind.curvature import (
     space_form,
 )
 from secondkind import cli, curvature, descriptors, numerics, operator2k, rigidity, sym2
-from secondkind.errors import InvalidInputError
+from secondkind.errors import ConvergenceError, InvalidInputError
 from secondkind.rigidity import (
     a_const,
     b_const,
@@ -478,21 +478,28 @@ class TestSampleBlocks:
         assert numerics.blocks(0, 0, 5 ** 4, budget) == []
 
     def test_line_at_n32_runs_one_sample_per_block(self, monkeypatch, capsys):
-        shapes = []
-        real = numerics.eigensolve
+        shapes, assembled = [], []
+        real, classify = numerics.eigensolve, rigidity._block_verdicts
 
         def recording(m, *args, **kwargs):
             shapes.append(np.shape(m))
             return real(m, *args, **kwargs)
 
+        def assembling(mats, *args):
+            assembled.append(mats.shape)
+            return classify(mats, *args)
+
         for module in (operator2k, rigidity):
             monkeypatch.setattr(module, "eigensolve", recording)
+        monkeypatch.setattr(rigidity, "_block_verdicts", assembling)
         rigidity._model_spectrum.cache_clear()
         assert cli.run(["verify", "line", "--n", "32", "--samples", "3"]) == 0
         assert json.loads(capsys.readouterr().out)["samples_run"] == 3
-        # the model at full width, then three blocks of one sample each,
-        # solved on the 496-wide bordered block (527 less the 31 mixed rows)
-        assert shapes == [(527, 527)] + [(1, 496, 496)] * 3
+        # three blocks of one sample each, assembled on the 496-wide
+        # bordered block (527 less the 31 mixed rows); their diagonals
+        # decide them, so the model at full width is the one solve
+        assert assembled == [(1, 496, 496)] * 3
+        assert shapes == [(527, 527)]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("case,argv,factor,seed", [
@@ -546,6 +553,13 @@ def _factor_stack(kahler, d, seeds):
     return curvature.random_curvatures(d, seeds)
 
 
+def bordered_spectra(mats, n1, n2):
+    """Every bordered block of ``mats`` solved by LAPACK, with the n1 n2
+    exact zeros of the mixed directions: the route that the diagonal
+    certificate of ``rigidity._block_verdicts`` short-cuts."""
+    return rigidity._with_mixed_zeros(numerics.eigensolve(mats), n1, n2)
+
+
 _REAL_PAIRS = [(n1, n2) for n1 in range(1, 8) for n2 in range(1, 8)
                if n1 + n2 <= 8 and max(n1, n2) >= 2]
 _KAHLER_PAIRS = [(m1, m2) for m1 in range(1, 4) for m2 in range(1, 4) if m1 + m2 <= 4]
@@ -571,7 +585,8 @@ class TestBorderedBlock:
         n = n1 + n2
         full = numerics.eigensolve(operator2k.operator_matrices(
             curvature.product_components(parts), sym2.standard_basis(n)))
-        bordered = rigidity._block_spectra(parts)
+        mats = rigidity._block_matrices(parts)
+        bordered = bordered_spectra(mats, n1, n2)
         assert bordered.shape == full.shape == (6, sym2.sym2_dim(n))
         assert (np.diff(bordered, axis=-1) >= 0.0).all()
         peak = np.abs(full).max(axis=-1, keepdims=True)
@@ -580,11 +595,11 @@ class TestBorderedBlock:
         for alpha in (1.5, constant, full.shape[-1] / 2):
             for tol in (1e-9, 50.0):
                 assert (operator2k.verdict(bordered, alpha, tol)
+                        == rigidity._block_verdicts(mats, n1, n2, alpha, tol)
                         == operator2k.verdict(full, alpha, tol))
         # Cauchy: the factor blocks, the bordered block's leading principal
         # submatrix, interlace the bordered block's eigenvalues
-        block = numerics.eigensolve(operator2k.operator_matrices(
-            curvature.product_components(parts), rigidity._bordered_basis(n1, n2)))
+        block = numerics.eigensolve(mats)
         factors = np.sort(np.concatenate(
             [numerics.eigensolve(operator2k.operator_matrices(p, sym2.standard_basis(d)))
              for p, d in zip(parts, (n1, n2)) if d >= 2], axis=-1))
@@ -662,8 +677,10 @@ class TestFactorMaps:
         draws = [(scale if j else 1.0)
                  * curvature.standard_normal_draws(factor_seeds[j], kind.shape(d))
                  for j, d in curved]
-        mapped = rigidity._mapped_spectra(maps, draws, n1, n2)
-        block = rigidity._block_spectra(parts)
+        mapped_mats = rigidity._mapped_matrices(maps, draws, n1, n2)
+        block_mats = rigidity._block_matrices(parts)
+        mapped = bordered_spectra(mapped_mats, n1, n2)
+        block = bordered_spectra(block_mats, n1, n2)
         assert mapped.shape == block.shape == (6, sym2.sym2_dim(n1 + n2))
         assert (np.diff(mapped, axis=-1) >= 0.0).all()
         peak = np.abs(block).max(axis=-1, keepdims=True)
@@ -672,6 +689,8 @@ class TestFactorMaps:
         for alpha in (1.5, constant, block.shape[-1] / 2):
             for tol in (1e-9, 50.0):
                 assert (operator2k.verdict(mapped, alpha, tol)
+                        == rigidity._block_verdicts(mapped_mats, n1, n2, alpha, tol)
+                        == rigidity._block_verdicts(block_mats, n1, n2, alpha, tol)
                         == operator2k.verdict(block, alpha, tol))
 
     @pytest.mark.parametrize("kahler,dim,n1,n2,j", [
@@ -737,6 +756,25 @@ class TestFactorMaps:
         capsys.readouterr()
         assert sum(imaged) == sum(draws)
 
+    def test_a_run_without_samples_builds_no_map(self, monkeypatch):
+        real = rigidity.kahler_image
+        imaged = []
+
+        def counting(*args):
+            images = real(*args)
+            imaged.append(len(images))
+            return images
+
+        monkeypatch.setattr(rigidity, "kahler_image", counting)
+        report = check_rigidity("product-kahler", {"m1": 2, "m2": 2}, samples=0)
+        assert report.details["model_check"] == "consistent"
+        assert imaged == []
+        assert rigidity._factor_maps_at.cache_info().currsize == 0
+        # the first block of a sampled run builds them
+        check_rigidity("product-kahler", {"m1": 2, "m2": 2}, samples=1)
+        assert sum(imaged) == 256
+        assert rigidity._factor_maps_at.cache_info().currsize == 1
+
     @pytest.mark.parametrize("argv,mapped", [
         (["line", "--n", "7"], True),
         (["product-kahler", "--m1", "2", "--m2", "2"], True),
@@ -757,11 +795,11 @@ class TestFactorMaps:
                 return real(*args)
             return route
 
-        for name in ("_mapped_spectra", "_block_spectra"):
+        for name in ("_mapped_matrices", "_block_matrices"):
             monkeypatch.setattr(rigidity, name, recording(name))
         assert cli.run(["verify", *argv, "--samples", "3"]) == 0
         assert json.loads(capsys.readouterr().out)["samples_run"] == 3
-        assert routes == ["_mapped_spectra" if mapped else "_block_spectra"]
+        assert routes == ["_mapped_matrices" if mapped else "_block_matrices"]
 
     @pytest.mark.parametrize("kahler,argv,dim", [
         (False, ["line", "--n", "5"], 4),
@@ -853,6 +891,190 @@ class TestFactorMaps:
             assert np.array_equal(components, build(dims[j], [seeds[j][idx]])[0])
 
 
+_CERTIFIED_SIZES = (
+    [("line", {"n": n}) for n in range(4, 8)]
+    + [("product-spheres", {"n1": n1, "n2": n2}) for n1, n2 in ((2, 2), (2, 3), (3, 2), (3, 3))]
+    + [("product-kahler", {"m1": m1, "m2": m2}) for m1, m2 in ((1, 1), (1, 2), (2, 1), (2, 2))])
+_CERTIFIED_TOLS = (1e-9, 1.0, 2.0, 3.0, 5.0, 50.0)
+# (harness, parameters, tol) -> (open, classified) samples of the first
+# 64-sample block at seed 0
+_SPLIT_BLOCKS = {
+    ("line", (6,), 3.0): (25, 0),
+    ("product-spheres", (3, 3), 5.0): (59, 11),
+    ("product-kahler", (1, 2), 1.0): (49, 3),
+}
+
+
+def _harness_blocks(case, params, seed, block):
+    """The bordered blocks of samples ``block`` of a sampled harness at
+    ``seed``, by the map route and by the builder route, and n1, n2 and the
+    harness constant."""
+    family, _ = rigidity._HARNESSES[case]
+    dims, kind = family.dims(params), family.factors
+    n1, n2 = [kind.real(d) for d in dims] + [1] * (2 - len(dims))
+    seeds = [[numerics.derived_seed(seed, len(dims) * idx + j) for j in range(len(dims))]
+             for idx in block]
+    draws = rigidity._by_dimension(
+        lambda d, s: curvature.standard_normal_draws(s, kind.shape(d)), dims, seeds)
+    mapped = rigidity._mapped_matrices(rigidity._factor_maps(kind, dims, n1, n2), draws, n1, n2)
+    stacks = rigidity._by_dimension(kind.random, dims, seeds)
+    parts = stacks + [flat_tensor(1).components] * (2 - len(dims))
+    return (mapped, rigidity._block_matrices(parts)), n1, n2, family.constant(params)
+
+
+def _solve_everything(mats, n1, n2, alpha, tol):
+    """``rigidity._block_verdicts`` without its certificate."""
+    return operator2k.verdict(bordered_spectra(mats, n1, n2), alpha, tol)
+
+
+class TestDiagonalCertificate:
+    """A block whose sorted diagonal, with the mixed zeros, puts g(alpha)
+    and g of its negation below -tol by more than the rounding bound is
+    ``neither`` without a spectrum; the other blocks are solved, so every
+    verdict is the solved route's."""
+
+    @staticmethod
+    def solved_rows(monkeypatch):
+        """List that gets the number of blocks of each ``eigensolve`` call
+        that ``rigidity`` makes."""
+        real = numerics.eigensolve
+        rows = []
+
+        def counting(m, *args, **kwargs):
+            rows.append(len(m))
+            return real(m, *args, **kwargs)
+
+        monkeypatch.setattr(rigidity, "eigensolve", counting)
+        return rows
+
+    @pytest.mark.parametrize("case,params", _CERTIFIED_SIZES)
+    def test_verdicts_equal_the_solved_route(self, case, params, monkeypatch):
+        solved = self.solved_rows(monkeypatch)
+        split, certified = False, {tol: 0 for tol in _CERTIFIED_TOLS}
+        for seed in range(10):
+            # block `seed` of a run at `seed`: ten different sets of samples
+            routes, n1, n2, alpha = _harness_blocks(case, params, seed,
+                                                    range(64 * seed, 64 * seed + 64))
+            for mats in routes:
+                spectra = bordered_spectra(mats, n1, n2)
+                for tol in _CERTIFIED_TOLS:
+                    solved.clear()
+                    verdicts = rigidity._block_verdicts(mats, n1, n2, alpha, tol)
+                    assert verdicts == operator2k.verdict(spectra, alpha, tol)
+                    assert len(solved) <= 1
+                    opened = sum(solved)
+                    split = split or 0 < opened < 64
+                    certified[tol] += 64 - opened
+                    key = (case, tuple(params.values()), tol)
+                    if seed == 0 and key in _SPLIT_BLOCKS:
+                        classified = 64 - verdicts.count("neither")
+                        assert (opened, classified) == _SPLIT_BLOCKS[key]
+        # the diagonal decides samples at the default tol, none at tol 50,
+        # where every sample classifies, and splits some block between the
+        # certificate and the eigensolve
+        assert certified[1e-9] > 0
+        assert certified[50.0] == 0
+        assert split
+
+    @pytest.mark.parametrize("case,params", _CERTIFIED_SIZES)
+    def test_near_model_blocks_reach_the_eigensolve(self, case, params, monkeypatch):
+        family, _ = rigidity._HARNESSES[case]
+        dims, kind = family.dims(params), family.factors
+        # unit models plus 1e-6 times a random tensor of their kind
+        parts = [kind.model(d, 1.0).components
+                 + 1e-6 * kind.random(d, [100 * j + i for i in range(64)])
+                 for j, d in enumerate(dims)] + [flat_tensor(1).components] * (2 - len(dims))
+        n1, n2 = (p.shape[-1] for p in parts)
+        mats = rigidity._block_matrices(parts)
+        alpha = family.constant(params)
+        solved = self.solved_rows(monkeypatch)
+        # above the noise's reach every sample classifies, so none is certified
+        assert rigidity._block_verdicts(mats, n1, n2, alpha, 1e-5) == ["nonnegative"] * 64
+        assert solved == [64]
+        for tol in (1e-9, 1e-7):
+            assert (rigidity._block_verdicts(mats, n1, n2, alpha, tol)
+                    == _solve_everything(mats, n1, n2, alpha, tol))
+
+    def test_the_bound_covers_the_rounding_of_a_tie(self, monkeypatch):
+        # M = A (+) B, A's eigenvalues below B's diagonal: the 4 smallest
+        # diagonal entries are A's, whose sum tr A is g(4) of the spectrum,
+        # so rounding alone separates the two sums. At tol = -g of the
+        # solved spectrum that spectrum is nonnegative, and only the bound
+        # keeps the diagonal's own rounding from certifying it
+        rng = np.random.default_rng(5)
+        k, width, count = 4, 10, 256
+        q = np.linalg.qr(rng.standard_normal((count, k, k)))[0]
+        a = (q * rng.uniform(-5.0, -2.0, (count, 1, k))) @ q.swapaxes(-1, -2)
+        mats = np.zeros((count, width, width))
+        mats[:, :k, :k] = (a + a.swapaxes(-1, -2)) / 2
+        mats[:, range(k, width), range(k, width)] = rng.uniform(2.0, 5.0, (count, width - k))
+        spectra = bordered_spectra(mats, 1, 1)
+        below = 0
+        for mat, s in zip(mats, spectra):
+            g = operator2k.alpha_sum(s, k)
+            diagonal = np.sort(np.append(np.diag(mat), 0.0))
+            below += operator2k.alpha_sum(diagonal, k) < g
+            for tol in (-g, np.nextafter(-g, math.inf), np.nextafter(-g, 0.0)):
+                assert (rigidity._block_verdicts(mat[None], 1, 1, float(k), tol)
+                        == [operator2k.verdict(s, k, tol)])
+        # the diagonal's float sum lies below the spectrum's often enough
+        # that a certificate without the bound would certify a classified
+        # block
+        assert below > count // 8
+
+    @pytest.mark.parametrize("entries,bad", [
+        ([(0, 1)], np.nan), ([(0, 1)], np.inf), ([(0, 0)], -1e308), ([(0, 0), (1, 1)], -1e308)])
+    def test_a_non_finite_or_overflowing_block_ends_as_the_solved_route(
+            self, entries, bad, monkeypatch):
+        # off the diagonal, which alone would still certify the block, or
+        # on it, where the symmetrization and the diagonal's sum overflow
+        (mats, _), n1, n2, alpha = _harness_blocks("line", {"n": 6}, 0, range(64))
+        solved = self.solved_rows(monkeypatch)
+        assert rigidity._block_verdicts(mats, n1, n2, alpha, 1e-9) == ["neither"] * 64
+        assert solved == []
+        for i, j in entries:
+            mats[3, i, j] = mats[3, j, i] = bad
+        errors = []
+        for classify in (_solve_everything, rigidity._block_verdicts):
+            with np.errstate(over="raise", invalid="raise"):
+                with pytest.raises((ConvergenceError, FloatingPointError)) as info:
+                    classify(mats, n1, n2, alpha, 1e-9)
+            errors.append((info.type, str(info.value)))
+        assert errors[0] == errors[1]
+        # the whole stack goes to the eigensolve, as without the certificate
+        assert solved == [64]
+
+    @pytest.mark.parametrize("tol,solved", [("1e-9", [1]), ("50", [1, 64])])
+    def test_one_solve_at_the_default_tol(self, tol, solved, monkeypatch, capsys):
+        rigidity._model_spectrum.cache_clear()
+        counted = TestCheckRigidity.count_solved(monkeypatch)
+        assert cli.run(["verify", "line", "--n", "6", "--samples", "64", "--tol", tol]) in (0, 1)
+        capsys.readouterr()
+        # the model's solve, and at tol 50 the one 64-sample block
+        assert counted == solved
+
+    @pytest.mark.parametrize("argv", [
+        ["line", "--n", "6", "--samples", "64", "--tol", "3"],
+        ["product-spheres", "--n1", "3", "--n2", "3", "--samples", "64", "--tol", "5"],
+        ["product-kahler", "--m1", "1", "--m2", "2", "--samples", "64", "--tol", "1"],
+        ["product-kahler", "--m1", "1", "--m2", "1", "--samples", "70"],
+        ["product-kahler", "--m1", "2", "--m2", "2", "--samples", "70"],
+        ["line", "--n", "8", "--samples", "20", "--tol", "10"],
+        ["product-spheres", "--n1", "4", "--n2", "5", "--samples", "20", "--tol", "10"],
+    ], ids=["line6-tol3", "spheres33-tol5", "kahler12-tol1", "kahler11", "kahler22",
+            "line8-tol10", "spheres45-tol10"])
+    @pytest.mark.parametrize("seed", ["0", "7"])
+    def test_report_equals_the_solved_route(self, argv, seed, monkeypatch, capsys):
+        reports = []
+        for _ in range(2):
+            assert cli.run(["verify", *argv, "--seed", seed]) in (0, 1)
+            reports.append(json.loads(capsys.readouterr().out))
+            reports[-1].pop("timing", None)
+            monkeypatch.setattr(rigidity, "_block_verdicts", _solve_everything)
+        assert reports[0] == reports[1]
+        assert reports[0]["samples_run"] > 0
+
+
 _SWEEP_SIZES = (
     [("iff-spheres", {"n1": n1, "n2": n2}) for n1, n2 in ((2, 2), (2, 3), (3, 2), (3, 3))]
     + [("iff-kahler", {"m1": m1, "m2": m2}) for m1, m2 in ((1, 1), (1, 2), (2, 1), (2, 2))])
@@ -880,7 +1102,7 @@ def lapack_findings(case, params, grid, tol):
     pairs = [(k1, k2) for k1 in grid for k2 in grid]
     parts = [np.stack([family.factors.model(d, pair[j]).components for pair in pairs])
              for j, d in enumerate(family.dims(params))]
-    spectra = rigidity._block_spectra(parts)
+    spectra = bordered_spectra(rigidity._block_matrices(parts), *(p.shape[-1] for p in parts))
     return _findings(pairs, operator2k.verdict(spectra, family.constant(params), tol))
 
 
@@ -914,7 +1136,8 @@ class TestClosedFormSweep:
         for module, names in (
                 (rigidity, ("space_form", "kahler_space_form", "flat_tensor", "product",
                             "product_components", "operator_matrices", "operator_matrix",
-                            "eigensolve", "spectrum", "_block_spectra")),
+                            "eigensolve", "spectrum", "_block_matrices",
+                            "_block_verdicts")),
                 (curvature, ("space_form", "kahler_space_form", "product_components")),
                 (operator2k, ("operator_matrices", "eigensolve")),
                 (numerics, ("eigensolve",)), (np.linalg, ("eigvalsh", "eigh"))):
