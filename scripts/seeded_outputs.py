@@ -67,19 +67,26 @@ curvatures and tolerance), and ``iff-kahler --kappa-grid 1e307,1``, whose
 g(B) at unequal curvatures is 6 exactly but about 0 in floats; and four
 runs at the edge of the sizes whose factors the sampled harnesses map
 straight from their draws, each crossing a block seam with every sample
-classified, so that the rebuilt factors and their detectors are compared
-too: ``line --n 7 --samples 130 --tol 50``, ``product-spheres --n1 5 --n2
-5`` and ``product-kahler --m1 2 --m2 2``, each ``--samples 70 --tol 50
---seed 3``, the largest mapped sizes, and ``line --n 8 --samples 70 --tol
-50``, the least size above them, which builds its tensors; and, last,
+classified, so that the classified samples' factors and their detectors
+are compared too: ``line --n 7 --samples 130 --tol 50``,
+``product-spheres --n1 5 --n2 5`` and ``product-kahler --m1 2 --m2 2``,
+each ``--samples 70 --tol 50 --seed 3``, the largest mapped sizes, and
+``line --n 8 --samples 70 --tol 50``, the least size above them, which
+takes its factors' parts of its own draws; and
 ``product-spheres --n1 3 --n2 3`` and ``line --n 6`` with ``--samples 0
 --tol 50``, whose model checks at a loose tol read the model spectra that
 the default-tol runs above solved, so that a spectrum cached within the
-process is compared too; and, last, ``line --n 6 --samples 64 --tol 3``,
+process is compared too; and ``line --n 6 --samples 64 --tol 3``,
 ``product-spheres --n1 3 --n2 3 --samples 64 --tol 5`` and
 ``product-kahler --m1 1 --m2 2 --samples 64 --tol 1`` at seeds 0 and 7,
 whose one block the sorted diagonal decides in part and the eigensolve
-in part, so that a block split between the two is compared too.
+in part, so that a block split between the two is compared too; and, last,
+four runs above the sizes whose factors are mapped, with two curved
+factors and 32 to 70 counterexamples each, so that the bordered blocks
+taken of the draws' own images and the detectors of their classified
+samples are compared too: ``product-spheres --n1 5 --n2 6`` and ``--n1 6 --n2 5``,
+``product-kahler --m1 2 --m2 3`` and ``--m1 3 --m2 2``, each ``--samples
+70 --tol 50 --seed 3``.
 Each record holds the command line, the exit code, stderr, stdout parsed as
 JSON with every ``timing`` block removed, and the raw stdout text with every
 ``"seconds": <number>`` masked, so that a change in the emitted bytes shows
@@ -196,6 +203,13 @@ SPLIT_BLOCKS = tuple(
                        (("product-spheres", "--n1", "3", "--n2", "3"), "5"),
                        (("product-kahler", "--m1", "1", "--m2", "2"), "1"))
     for seed in SEEDS)
+# two curved factors above the mapped sizes; 32 to 70 of 70 samples classify
+UNMAPPED_PAIRS = tuple(
+    ("verify", *sizes, "--samples", "70", "--tol", "50", "--seed", "3")
+    for sizes in (("product-spheres", "--n1", "5", "--n2", "6"),
+                  ("product-spheres", "--n1", "6", "--n2", "5"),
+                  ("product-kahler", "--m1", "2", "--m2", "3"),
+                  ("product-kahler", "--m1", "3", "--m2", "2")))
 NEAR_EQUAL_SPHERES = ('{"kind": "sphere", "dim": 2, "kappa": 1}, '
                       '{"kind": "sphere", "dim": 2, "kappa": 1.00000005}')
 NEAR_EQUAL_DESCRIPTORS = {
@@ -314,6 +328,7 @@ def commands(tmp_dir):
     out += MAP_EDGES
     out += WARM_MODELS
     out += SPLIT_BLOCKS
+    out += UNMAPPED_PAIRS
     return out
 
 

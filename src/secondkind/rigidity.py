@@ -21,18 +21,18 @@ and classified by ``verdict``, bit for bit as if the whole block were
 solved. The model checks keep the full standard-basis operator of the
 unit-curvature model, the same matrix on every request of one size, so
 its spectrum is solved once per process and cached read-only
-(``_model_spectrum``); its verdicts are taken per request. Every step from
-a factor's standard normal draw to its part of that block is linear, so
-where the factors' maps fit ``_TENSOR_BUDGET`` (``line`` up to n = 7, the
-sphere products up to (5, 5) and (4, 6), the Kahler products up to (2, 2))
-a block's blocks are its draws times cached maps, and only a classified
-sample's factors are built as tensors. The maps of every factor of one
-size are built in one pass over the unit draws, whose images are checked
-once: the identity residuals of a draw's image are the same combination
-of theirs. Larger sizes build every
-factor with the random builders. One iff sweep decides each grid pair from
-its closed-form spectrum, with no tensor, and exactly where rounding could
-decide.
+(``_model_spectrum``); its verdicts are taken per request. A factor's part
+of a bordered block is the operator of its checked image (``_images``) on
+the directions that meet its index block (``_factor_directions``), linear
+in its standard normal draw. Where the factors' maps fit ``_TENSOR_BUDGET``
+(``line`` up to n = 7, the sphere products up to (5, 5) and (4, 6), the
+Kahler products up to (2, 2)) a block's blocks are its draws times cached
+maps, built from unit draws whose images are checked once: the identity
+residuals of a draw's image are the same combination of theirs. Larger
+sizes take the part of the block's own draws, and the detectors read the
+images of a classified sample's draws. One iff sweep decides each grid
+pair from its closed-form spectrum, with no tensor, and exactly where
+rounding could decide.
 """
 
 import math
@@ -55,9 +55,6 @@ from .curvature import (
     kahler_image,
     kahler_space_form,
     product,
-    product_components,
-    random_curvatures,
-    random_kahler_curvatures,
     real_draw_shape,
     real_image,
     space_form,
@@ -88,11 +85,13 @@ from .operator2k import (
 from .sym2 import Sym2Basis, product_adapted_basis, standard_basis, sym2_dim
 
 DEFAULT_KAPPA_GRID = tuple(0.25 * k for k in range(1, 9))
-# Numbers one stacked block of samples holds: those of ``MAX_BLOCK`` tensors
-# at n = 8 (2 MB), so that wider tensors take fewer per block, down to one
-# from n = 20 on. A factor map (``_factor_maps``) is used only when it holds
-# at most as many; it is built from blocks of unit draws whose images hold
-# at most ``_MAP_BUDGET`` numbers.
+# Numbers one stack of a block of samples may hold: those of ``MAX_BLOCK``
+# tensors at n = 8 (2 MB). A sample's factor draws, its factors' images and
+# their assembly, and its W x W bordered block each hold at most n^4
+# numbers, n the total dimension, so a block holds this over n^4 samples,
+# down to one from n = 20 on. A factor map (``_factor_maps``) is used only
+# when it holds at most as many; it is built from blocks of unit draws
+# whose images hold at most ``_MAP_BUDGET`` numbers.
 _TENSOR_BUDGET = MAX_BLOCK * 8 ** 4
 _MAP_BUDGET = _TENSOR_BUDGET // 16
 _UNIT, _TINY = 2.0 ** -53, math.ulp(0.0)  # unit roundoff, least subnormal
@@ -233,7 +232,6 @@ class _Factors:
     real: Callable     # dim -> real dimension
     shape: Callable    # dim -> shape of one random tensor's standard normal draw
     image: Callable    # (dim, draws) -> unchecked random tensors of those draws, linear in them
-    random: Callable   # (dim, seeds) -> checked stack of seeded random tensors of that kind
     detect: Callable   # tensor -> its constant (sectional or holomorphic) curvature, or None
 
 
@@ -243,7 +241,6 @@ _REAL = _Factors(
     real=lambda n: n,
     shape=lambda n: real_draw_shape(n),
     image=lambda n, w: real_image(w, n),
-    random=lambda n, seeds: random_curvatures(n, seeds),
     detect=lambda r: constant_sectional(r),
 )
 
@@ -253,7 +250,6 @@ _COMPLEX = _Factors(
     real=lambda m: 2 * m,
     shape=lambda m: kahler_draw_shape(m),
     image=lambda m, t: kahler_image(t),
-    random=lambda m, seeds: random_kahler_curvatures(m, seeds),
     detect=lambda r: constant_holomorphic(r),
 )
 
@@ -458,51 +454,52 @@ def _with_mixed_zeros(rows, n1, n2):
     return np.sort(np.concatenate([rows, np.zeros(rows.shape[:-1] + (n1 * n2,))], axis=-1))
 
 
-def _block_matrices(parts):
-    """The bordered blocks of a block of products of two factors, one per
-    entry of the factors' component stacks ``parts``: one block fill and
-    one stacked assembly over ``_bordered_basis``."""
-    n1, n2 = (p.shape[-1] for p in parts)
-    return operator_matrices(product_components(parts), _bordered_basis(n1, n2))
+def _images(kind, dim, draws):
+    """Checked tensors of ``kind`` and size ``dim`` from a stack of standard
+    normal ``draws``: the random builders' steps, entry by entry, so bitwise
+    their tensors, and a non-finite draw fails as in a builder."""
+    images = kind.image(dim, draws)
+    check_identities(images)
+    return images
+
+
+def _factor_directions(real, n1, n2, j):
+    """The directions of ``_bordered_basis(n1, n2)`` that meet the index
+    block of factor j, of real dimension ``real``: their flat entries of the
+    W x W block and the ``Sym2Basis`` of their restrictions to the factor.
+    The factor's part of the block is its operator on the latter."""
+    basis = _bordered_basis(n1, n2)
+    block = slice(n1 * j, n1 * j + real)
+    tensors = basis.tensors[:, block, block]
+    met = np.flatnonzero(tensors.any(axis=(1, 2)))
+    return (met[:, None] * basis.count + met[None, :]).ravel(), Sym2Basis(real, tensors[met])
 
 
 @lru_cache(maxsize=8)
 def _factor_maps_at(kind, dim, n1, n2, positions):
     """Read-only ``(columns, mapped)`` of each factor position j in
-    ``positions``: the linear map from the K draw entries of a random
-    factor of ``kind`` and size ``dim``, factor ``j`` of a product of real
-    dimensions n1, n2, to its part of the product's operator on
-    ``_bordered_basis(n1, n2)``, flattened. That part lies on the basis
-    directions that meet the factor's index block: ``columns`` are their
-    flat operator entries, and row k of ``mapped`` ``(K, len(columns))`` is
-    the part of the image of unit draw k. Every image passes
-    ``check_identities``, which so covers every draw: a draw's image is the
-    sum of w_k times the unit images, and so is each identity residual of
-    it. The unit draws go once, for every position, in ``numerics.blocks``
-    of ``_MAP_BUDGET`` numbers, so that the temporaries stay small."""
+    ``positions``: the linear map from the K draw entries of a factor of
+    ``kind`` and size ``dim`` to its part of the bordered block of a product
+    of real dimensions n1, n2 at ``columns`` (``_factor_directions``); row k
+    of ``mapped`` is the part of the image of unit draw k. Every image passes
+    ``check_identities``, which so covers every draw: a draw's image, and
+    each identity residual of it, is the sum of w_k times the unit ones. The
+    unit draws go once, for every position, in ``numerics.blocks`` of
+    ``_MAP_BUDGET`` numbers, so that the temporaries stay small."""
     shape = kind.shape(dim)
     size = math.prod(shape)
     real = kind.real(dim)
-    basis = _bordered_basis(n1, n2)
-    parts = []
-    for j in positions:
-        block = slice(n1 * j, n1 * j + real)
-        tensors = basis.tensors[:, block, block]
-        met = np.flatnonzero(tensors.any(axis=(1, 2)))
-        parts.append((met, Sym2Basis(real, tensors[met]), np.empty((size, len(met) ** 2))))
+    parts = [(columns, restricted, np.empty((size, len(columns))))
+             for columns, restricted in (_factor_directions(real, n1, n2, j) for j in positions)]
     for rows in blocks(0, size, real ** 4, _MAP_BUDGET):
         units = np.eye(len(rows), size, rows.start).reshape((len(rows),) + shape)
-        images = kind.image(dim, units)
-        check_identities(images)
+        images = _images(kind, dim, units)
         for _, restricted, mapped in parts:
             mapped[rows.start:rows.stop] = operator_matrices(images, restricted).reshape(
                 len(rows), -1)
-    maps = []
-    for met, _, mapped in parts:
-        columns = (met[:, None] * basis.count + met[None, :]).ravel()
+    for columns, _, mapped in parts:
         columns.flags.writeable = mapped.flags.writeable = False
-        maps.append((columns, mapped))
-    return tuple(maps)
+    return tuple((columns, mapped) for columns, _, mapped in parts)
 
 
 def _factor_maps(kind, dims, n1, n2):
@@ -518,15 +515,21 @@ def _factor_maps(kind, dims, n1, n2):
     return [next(built[d]) for d in dims]
 
 
-def _mapped_matrices(maps, draws, n1, n2):
-    """``_block_matrices`` of the products of the factors drawn as
-    ``draws``, one stack of standard normal draws per factor map
-    (``_factor_maps``): each factor's part of the bordered blocks is its
-    draws times its map."""
+def _bordered_matrices(kind, dims, draws, n1, n2, maps=None):
+    """The bordered blocks ``(B, W, W)`` of the products whose curved
+    factors of sizes ``dims`` are drawn as ``draws``, one stack per factor:
+    the sum of each factor's part, its draws times its map of ``maps``
+    (``_factor_maps``), or else taken of its images. R adds nothing."""
     width = _bordered_basis(n1, n2).count
     mats = np.zeros((len(draws[0]), width * width))
-    for w, (columns, mapped) in zip(draws, maps):
-        mats[:, columns] += w.reshape(len(w), -1) @ mapped
+    for j, (d, w) in enumerate(zip(dims, draws)):
+        if maps:
+            columns, mapped = maps[j]
+            mats[:, columns] += w.reshape(len(w), -1) @ mapped
+        else:
+            columns, restricted = _factor_directions(kind.real(d), n1, n2, j)
+            mats[:, columns] += operator_matrices(_images(kind, d, w), restricted).reshape(
+                len(w), -1)
     return mats.reshape(-1, width, width)
 
 
@@ -576,13 +579,15 @@ def _block_verdicts(mats, n1, n2, alpha, tol):
     return verdicts
 
 
-def _by_dimension(build, dims, seeds):
-    """``build(d, seeds)`` once per factor dimension d over the seeds of
-    every factor of that dimension, factor after factor, split back into
-    one stack per factor; ``seeds`` holds each sample's factor seeds."""
+def _draws(kind, dims, seeds):
+    """One stack of standard normal draws per curved factor of sizes
+    ``dims``, from one fill per factor dimension d over the seeds of every
+    factor of that dimension, factor after factor; ``seeds`` holds each
+    sample's factor seeds."""
     size = len(seeds)
-    drawn = {d: build(d, [s for e, col in zip(dims, zip(*seeds)) if e == d for s in col])
-             for d in dict.fromkeys(dims)}
+    drawn = {d: standard_normal_draws(
+        [s for e, col in zip(dims, zip(*seeds)) if e == d for s in col], kind.shape(d))
+        for d in dict.fromkeys(dims)}
     return [drawn[d][size * dims[:j].count(d):][:size] for j, d in enumerate(dims)]
 
 
@@ -591,16 +596,12 @@ def _sample(report, family, params, alpha, seed, samples, tol):
     must have factors of constant curvature with the verdict's sign. Sample
     ``idx`` of a family with ``k`` random factors draws factor ``j`` from
     seed ``seed ^ (k * idx + j)``. Samples run in ``numerics.blocks`` of
-    ``_TENSOR_BUDGET``, drawn in one Philox fill per factor dimension. Where
-    the factors' maps fit the budget (built for the first block, so a run
-    without samples builds none), a block's draws go through them and only
-    a classified sample's factors are built, from its seeds by the random
-    builders, bitwise the tensors a block build gives. A block with a
-    non-finite draw, and every block of larger sizes, is built by the
-    random builders, whose identity check rejects a non-finite draw, and
-    assembled by ``_block_matrices``. Either way ``_block_verdicts``
-    classifies the bordered blocks. A classified sample's detector reads a
-    read-only view of its factors."""
+    ``_TENSOR_BUDGET``, drawn by ``_draws``, assembled by
+    ``_bordered_matrices`` and classified by ``_block_verdicts``. The maps
+    (built for the first block, so a run without samples builds none) are
+    used where they fit the budget and the block's draws are finite; a
+    non-finite draw fails the check of its images. A classified sample's
+    detectors read the images of its own draws."""
     dims = family.dims(params)
     kind = family.factors
     # the line's flat factor R is the second, of dimension 1
@@ -609,24 +610,15 @@ def _sample(report, family, params, alpha, seed, samples, tol):
     for block in blocks(0, samples, family.total(params) ** 4, _TENSOR_BUDGET):
         seeds = [[derived_seed(seed, len(dims) * idx + j) for j in range(len(dims))]
                  for idx in block]
-        draws = maps and _by_dimension(
-            lambda d, s: standard_normal_draws(s, kind.shape(d)), dims, seeds)
-        if draws and all(np.isfinite(w).all() for w in draws):
-            stacks, mats = None, _mapped_matrices(maps, draws, n1, n2)
-        else:
-            stacks = _by_dimension(kind.random, dims, seeds)
-            # the line's flat factor R is one zero block shared by every entry
-            parts = stacks if len(dims) > 1 else [*stacks, flat_tensor(1).components]
-            mats = _block_matrices(parts)
+        draws = _draws(kind, dims, seeds)
+        finite = maps and all(np.isfinite(w).all() for w in draws)
+        mats = _bordered_matrices(kind, dims, draws, n1, n2, maps if finite else None)
         verdicts = _block_verdicts(mats, n1, n2, alpha, tol)
         hits = [i for i, v in enumerate(verdicts) if v != VERDICT_NEITHER]
-        rows = hits
-        if hits and stacks is None:
-            stacks = _by_dimension(kind.random, dims, [seeds[i] for i in hits])
-            rows = range(len(hits))
-        for i, row in zip(hits, rows):
+        images = [_images(kind, d, w[hits]) for d, w in zip(dims, draws)] if hits else []
+        for row, i in enumerate(hits):
             v, idx = verdicts[i], block[i]
-            constants = [kind.detect(unchecked_tensor(stack[row])) for stack in stacks]
+            constants = [kind.detect(unchecked_tensor(stack[row])) for stack in images]
             present = None not in constants
             spread = max(constants) - min(constants) if present else math.inf
             if family.sharp:

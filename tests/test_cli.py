@@ -508,7 +508,6 @@ class TestCliCommands:
         def boom(*args, **kwargs):
             raise AssertionError("sampled before checking the bound")
 
-        monkeypatch.setattr(rigidity, "random_curvatures", boom)
         monkeypatch.setattr(rigidity, "standard_normal_draws", boom)
         monkeypatch.setattr(rigidity, "spectrum", boom)
         assert run(["verify", "line", "--samples", "100001"]) == 2

@@ -560,6 +560,17 @@ def bordered_spectra(mats, n1, n2):
     return rigidity._with_mixed_zeros(numerics.eigensolve(mats), n1, n2)
 
 
+def block_matrices(parts):
+    """The bordered blocks of a block of products of two factors, one per
+    entry of the factors' component stacks ``parts``, by the product
+    tensor: one block fill and one stacked assembly over
+    ``rigidity._bordered_basis``. The reference route that
+    ``rigidity._bordered_matrices`` replaced."""
+    n1, n2 = (p.shape[-1] for p in parts)
+    return operator2k.operator_matrices(curvature.product_components(parts),
+                                        rigidity._bordered_basis(n1, n2))
+
+
 _REAL_PAIRS = [(n1, n2) for n1 in range(1, 8) for n2 in range(1, 8)
                if n1 + n2 <= 8 and max(n1, n2) >= 2]
 _KAHLER_PAIRS = [(m1, m2) for m1 in range(1, 4) for m2 in range(1, 4) if m1 + m2 <= 4]
@@ -568,7 +579,9 @@ _KAHLER_PAIRS = [(m1, m2) for m1 in range(1, 4) for m2 in range(1, 4) if m1 + m2
 class TestBorderedBlock:
     """A block of products is solved on the product-adapted basis without
     its mixed (xi) directions; its rows, with the n1 n2 exact zeros, are the
-    spectra of the full standard-basis operator."""
+    spectra of the full standard-basis operator. So are those of the
+    harnesses' route from the factors' draws, which fills no product
+    tensor."""
 
     # worst |bordered - full| over max |lambda| of a row; the rounding of two
     # LAPACK solves, at most 3.2e-15 over these stacks
@@ -578,34 +591,45 @@ class TestBorderedBlock:
                              + [(True, *p) for p in _KAHLER_PAIRS])
     @pytest.mark.parametrize("scale", [1.0, 1e3])
     def test_bordered_route_equals_the_full_route(self, kahler, d1, d2, scale):
+        kind = _kind(kahler)
         seeds = [1000 * d1 + 10 * d2 + i for i in range(6)]
+        factor_seeds = [seeds, [s + 500 for s in seeds]]
         parts = [_factor_stack(kahler, d1, seeds),
-                 scale * _factor_stack(kahler, d2, [s + 500 for s in seeds])]
+                 scale * _factor_stack(kahler, d2, factor_seeds[1])]
         n1, n2 = (p.shape[-1] for p in parts)
         n = n1 + n2
         full = numerics.eigensolve(operator2k.operator_matrices(
             curvature.product_components(parts), sym2.standard_basis(n)))
-        mats = rigidity._block_matrices(parts)
-        bordered = bordered_spectra(mats, n1, n2)
-        assert bordered.shape == full.shape == (6, sym2.sym2_dim(n))
-        assert (np.diff(bordered, axis=-1) >= 0.0).all()
         peak = np.abs(full).max(axis=-1, keepdims=True)
-        assert (np.abs(bordered - full) <= self.REL_BOUND * peak).all()
-        constant = b_const(d1, d2) if kahler else a_const(d1, d2)
-        for alpha in (1.5, constant, full.shape[-1] / 2):
-            for tol in (1e-9, 50.0):
-                assert (operator2k.verdict(bordered, alpha, tol)
-                        == rigidity._block_verdicts(mats, n1, n2, alpha, tol)
-                        == operator2k.verdict(full, alpha, tol))
-        # Cauchy: the factor blocks, the bordered block's leading principal
-        # submatrix, interlace the bordered block's eigenvalues
-        block = numerics.eigensolve(mats)
         factors = np.sort(np.concatenate(
             [numerics.eigensolve(operator2k.operator_matrices(p, sym2.standard_basis(d)))
              for p, d in zip(parts, (n1, n2)) if d >= 2], axis=-1))
-        slack = self.REL_BOUND * peak
-        assert (block[:, :-1] <= factors + slack).all()
-        assert (factors <= block[:, 1:] + slack).all()
+        # the tensor route in either factor order, and the harnesses' route
+        # from the same draws, whose flat line R comes second
+        routes = [block_matrices(parts)]
+        if kahler or d1 >= 2:
+            curved = [d for d in (d1, d2) if kahler or d >= 2]
+            draws = [(scale if j else 1.0)
+                     * curvature.standard_normal_draws(factor_seeds[j], kind.shape(d))
+                     for j, d in enumerate(curved)]
+            routes.append(rigidity._bordered_matrices(kind, curved, draws, n1, n2, maps=None))
+        for mats in routes:
+            bordered = bordered_spectra(mats, n1, n2)
+            assert bordered.shape == full.shape == (6, sym2.sym2_dim(n))
+            assert (np.diff(bordered, axis=-1) >= 0.0).all()
+            assert (np.abs(bordered - full) <= self.REL_BOUND * peak).all()
+            constant = b_const(d1, d2) if kahler else a_const(d1, d2)
+            for alpha in (1.5, constant, full.shape[-1] / 2):
+                for tol in (1e-9, 50.0):
+                    assert (operator2k.verdict(bordered, alpha, tol)
+                            == rigidity._block_verdicts(mats, n1, n2, alpha, tol)
+                            == operator2k.verdict(full, alpha, tol))
+            # Cauchy: the factor blocks, the bordered block's leading
+            # principal submatrix, interlace the bordered block's eigenvalues
+            block = numerics.eigensolve(mats)
+            slack = self.REL_BOUND * peak
+            assert (block[:, :-1] <= factors + slack).all()
+            assert (factors <= block[:, 1:] + slack).all()
 
     def test_bordered_basis_is_the_adapted_basis_without_xi(self):
         basis = rigidity._bordered_basis(3, 2)
@@ -677,8 +701,9 @@ class TestFactorMaps:
         draws = [(scale if j else 1.0)
                  * curvature.standard_normal_draws(factor_seeds[j], kind.shape(d))
                  for j, d in curved]
-        mapped_mats = rigidity._mapped_matrices(maps, draws, n1, n2)
-        block_mats = rigidity._block_matrices(parts)
+        mapped_mats = rigidity._bordered_matrices(kind, [d for _, d in curved], draws, n1, n2,
+                                                  maps)
+        block_mats = block_matrices(parts)
         mapped = bordered_spectra(mapped_mats, n1, n2)
         block = bordered_spectra(block_mats, n1, n2)
         assert mapped.shape == block.shape == (6, sym2.sym2_dim(n1 + n2))
@@ -786,20 +811,16 @@ class TestFactorMaps:
     ], ids=["line7", "kahler22", "spheres55", "spheres46", "line8", "kahler23", "spheres56"])
     def test_maps_only_within_the_budget(self, argv, mapped, monkeypatch, capsys):
         routes = []
+        real = rigidity._bordered_matrices
 
-        def recording(name):
-            real = getattr(rigidity, name)
+        def recording(kind, dims, draws, n1, n2, maps=None):
+            routes.append(maps is not None)
+            return real(kind, dims, draws, n1, n2, maps)
 
-            def route(*args):
-                routes.append(name)
-                return real(*args)
-            return route
-
-        for name in ("_mapped_matrices", "_block_matrices"):
-            monkeypatch.setattr(rigidity, name, recording(name))
+        monkeypatch.setattr(rigidity, "_bordered_matrices", recording)
         assert cli.run(["verify", *argv, "--samples", "3"]) == 0
         assert json.loads(capsys.readouterr().out)["samples_run"] == 3
-        assert routes == ["_mapped_matrices" if mapped else "_block_matrices"]
+        assert routes == [mapped]
 
     @pytest.mark.parametrize("kahler,argv,dim", [
         (False, ["line", "--n", "5"], 4),
@@ -838,15 +859,11 @@ class TestFactorMaps:
             self, argv, kahler, dims, fills, monkeypatch, capsys):
         kind = _kind(kahler)
         build = curvature.random_kahler_curvatures if kahler else curvature.random_curvatures
-        draws, built, detected = [], [], []
+        draws, detected = [], []
 
         def drawing(seeds, shape):
             draws.append((shape, list(seeds)))
             return curvature.standard_normal_draws(seeds, shape)
-
-        def building(d, seeds):
-            built.append((d, list(seeds)))
-            return build(d, seeds)
 
         def detecting(real):
             def detect(r):
@@ -855,10 +872,9 @@ class TestFactorMaps:
             return detect
 
         monkeypatch.setattr(rigidity, "standard_normal_draws", drawing)
-        monkeypatch.setattr(rigidity, build.__name__, building)
         for name in ("constant_sectional", "constant_holomorphic"):
             monkeypatch.setattr(rigidity, name, detecting(getattr(rigidity, name)))
-        # tol 50 classifies every sample, so each one's factors are rebuilt
+        # tol 50 classifies every sample, so each one reaches the detectors
         assert cli.run(["verify", *argv, "--samples", "5", "--tol", "50"]) == 1
         report = json.loads(capsys.readouterr().out)
         records = report["counterexamples"] + report["findings"]
@@ -882,13 +898,55 @@ class TestFactorMaps:
             build({kind.shape(d): d for d in dims}[shape], drawn)
             monkeypatch.undo()
             assert np.array_equal(own[0], curvature.standard_normal_draws(drawn, shape))
-        # the classified samples are rebuilt once per factor dimension, and
-        # each detector reads bitwise its seed's own tensor
-        assert built == [(d, by_dim[d]) for d in dict.fromkeys(dims)]
+        # each detector reads bitwise its seed's own tensor of the builders
         assert len(detected) == 5 * len(dims)
         for k, components in enumerate(detected):
             idx, j = divmod(k, len(dims))
             assert np.array_equal(components, build(dims[j], [seeds[j][idx]])[0])
+
+    @pytest.mark.parametrize("argv,kahler,dims,sizes", [
+        (["line", "--n", "5", "--samples", "130"], False, (4,), [64, 64, 2]),
+        (["product-kahler", "--m1", "1", "--m2", "1", "--samples", "70"], True, (1, 1), [64, 6]),
+        (["product-kahler", "--m1", "2", "--m2", "1", "--samples", "70"], True, (2, 1), [64, 6]),
+        (["line", "--n", "8", "--samples", "70"], False, (7,), [64, 6]),
+        (["product-kahler", "--m1", "2", "--m2", "3", "--samples", "30"], True, (2, 3), [26, 4]),
+    ], ids=["line5", "kahler11", "kahler21", "line8", "kahler23"])
+    def test_a_classified_block_is_drawn_once(self, argv, kahler, dims, sizes, monkeypatch,
+                                              capsys):
+        # mapped (line5, kahler11, kahler21) and unmapped (line8, kahler23),
+        # over a block seam: every sample classifies at tol 50, and its
+        # detectors read its block's own draws, drawn by one fill per factor
+        # dimension per block
+        kind = _kind(kahler)
+        build = curvature.random_kahler_curvatures if kahler else curvature.random_curvatures
+        real_fill = curvature.fill_standard_normal
+        fills, detected = [], []
+
+        def filling(seeds, out):
+            fills.append((out.shape[1:], len(seeds)))
+            return real_fill(seeds, out)
+
+        def detecting(real):
+            def detect(r):
+                detected.append(r.components)
+                return real(r)
+            return detect
+
+        monkeypatch.setattr(curvature, "fill_standard_normal", filling)
+        for name in ("constant_sectional", "constant_holomorphic"):
+            monkeypatch.setattr(rigidity, name, detecting(getattr(rigidity, name)))
+        assert cli.run(["verify", *argv, "--tol", "50"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        records = report["counterexamples"] + report["findings"]
+        assert sorted(r["sample"] for r in records if "sample" in r) == list(range(sum(sizes)))
+        assert fills == [(kind.shape(d), size * dims.count(d))
+                         for size in sizes for d in dict.fromkeys(dims)]
+        monkeypatch.undo()
+        assert len(detected) == sum(sizes) * len(dims)
+        for k, components in enumerate(detected):
+            idx, j = divmod(k, len(dims))
+            seed = numerics.derived_seed(0, len(dims) * idx + j)
+            assert np.array_equal(components, build(dims[j], [seed])[0])
 
 
 _CERTIFIED_SIZES = (
@@ -907,19 +965,20 @@ _SPLIT_BLOCKS = {
 
 def _harness_blocks(case, params, seed, block):
     """The bordered blocks of samples ``block`` of a sampled harness at
-    ``seed``, by the map route and by the builder route, and n1, n2 and the
-    harness constant."""
+    ``seed``, through the factors' maps, from the draws' images without
+    them, and by the tensor route over the builders' tensors, and n1, n2
+    and the harness constant."""
     family, _ = rigidity._HARNESSES[case]
     dims, kind = family.dims(params), family.factors
     n1, n2 = [kind.real(d) for d in dims] + [1] * (2 - len(dims))
     seeds = [[numerics.derived_seed(seed, len(dims) * idx + j) for j in range(len(dims))]
              for idx in block]
-    draws = rigidity._by_dimension(
-        lambda d, s: curvature.standard_normal_draws(s, kind.shape(d)), dims, seeds)
-    mapped = rigidity._mapped_matrices(rigidity._factor_maps(kind, dims, n1, n2), draws, n1, n2)
-    stacks = rigidity._by_dimension(kind.random, dims, seeds)
-    parts = stacks + [flat_tensor(1).components] * (2 - len(dims))
-    return (mapped, rigidity._block_matrices(parts)), n1, n2, family.constant(params)
+    draws = rigidity._draws(kind, dims, seeds)
+    routes = [rigidity._bordered_matrices(kind, dims, draws, n1, n2, maps)
+              for maps in (rigidity._factor_maps(kind, dims, n1, n2), None)]
+    parts = [_factor_stack(kind is rigidity._COMPLEX, d, [s[j] for s in seeds])
+             for j, d in enumerate(dims)] + [flat_tensor(1).components] * (2 - len(dims))
+    return (*routes, block_matrices(parts)), n1, n2, family.constant(params)
 
 
 def _solve_everything(mats, n1, n2, alpha, tol):
@@ -982,10 +1041,11 @@ class TestDiagonalCertificate:
         dims, kind = family.dims(params), family.factors
         # unit models plus 1e-6 times a random tensor of their kind
         parts = [kind.model(d, 1.0).components
-                 + 1e-6 * kind.random(d, [100 * j + i for i in range(64)])
+                 + 1e-6 * _factor_stack(kind is rigidity._COMPLEX, d,
+                                        [100 * j + i for i in range(64)])
                  for j, d in enumerate(dims)] + [flat_tensor(1).components] * (2 - len(dims))
         n1, n2 = (p.shape[-1] for p in parts)
-        mats = rigidity._block_matrices(parts)
+        mats = block_matrices(parts)
         alpha = family.constant(params)
         solved = self.solved_rows(monkeypatch)
         # above the noise's reach every sample classifies, so none is certified
@@ -1028,7 +1088,7 @@ class TestDiagonalCertificate:
             self, entries, bad, monkeypatch):
         # off the diagonal, which alone would still certify the block, or
         # on it, where the symmetrization and the diagonal's sum overflow
-        (mats, _), n1, n2, alpha = _harness_blocks("line", {"n": 6}, 0, range(64))
+        (mats, *_), n1, n2, alpha = _harness_blocks("line", {"n": 6}, 0, range(64))
         solved = self.solved_rows(monkeypatch)
         assert rigidity._block_verdicts(mats, n1, n2, alpha, 1e-9) == ["neither"] * 64
         assert solved == []
@@ -1102,7 +1162,7 @@ def lapack_findings(case, params, grid, tol):
     pairs = [(k1, k2) for k1 in grid for k2 in grid]
     parts = [np.stack([family.factors.model(d, pair[j]).components for pair in pairs])
              for j, d in enumerate(family.dims(params))]
-    spectra = bordered_spectra(rigidity._block_matrices(parts), *(p.shape[-1] for p in parts))
+    spectra = bordered_spectra(block_matrices(parts), *(p.shape[-1] for p in parts))
     return _findings(pairs, operator2k.verdict(spectra, family.constant(params), tol))
 
 
@@ -1135,9 +1195,8 @@ class TestClosedFormSweep:
 
         for module, names in (
                 (rigidity, ("space_form", "kahler_space_form", "flat_tensor", "product",
-                            "product_components", "operator_matrices", "operator_matrix",
-                            "eigensolve", "spectrum", "_block_matrices",
-                            "_block_verdicts")),
+                            "operator_matrices", "operator_matrix", "eigensolve", "spectrum",
+                            "_draws", "_images", "_bordered_matrices", "_block_verdicts")),
                 (curvature, ("space_form", "kahler_space_form", "product_components")),
                 (operator2k, ("operator_matrices", "eigensolve")),
                 (numerics, ("eigensolve",)), (np.linalg, ("eigvalsh", "eigh"))):
