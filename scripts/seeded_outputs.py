@@ -86,7 +86,14 @@ factors and 32 to 70 counterexamples each, so that the bordered blocks
 taken of the draws' own images and the detectors of their classified
 samples are compared too: ``product-spheres --n1 5 --n2 6`` and ``--n1 6 --n2 5``,
 ``product-kahler --m1 2 --m2 3`` and ``--m1 3 --m2 2``, each ``--samples
-70 --tol 50 --seed 3``.
+70 --tol 50 --seed 3``; and seven argv forms that the strict grammar of
+``cli.run`` declines, so that what argparse makes of them is compared too:
+``verify line --n=6 --seed 0 --samples 6`` (the ``=`` form), ``--sam 6``
+for ``--samples 6`` (an abbreviation), ``verify --n 6 line --samples 6``
+(an option before the positional), ``--seed 1 --seed 2`` (a repeat),
+``--seed -3`` (a value that starts with ``-``), ``--samples x`` (a bad
+int, exit 2) and ``oracle descriptors/s4.json --samples 5`` (no required
+``--alpha``, exit 2).
 Each record holds the command line, the exit code, stderr, stdout parsed as
 JSON with every ``timing`` block removed, and the raw stdout text with every
 ``"seconds": <number>`` masked, so that a change in the emitted bytes shows
@@ -210,6 +217,16 @@ UNMAPPED_PAIRS = tuple(
                   ("product-spheres", "--n1", "6", "--n2", "5"),
                   ("product-kahler", "--m1", "2", "--m2", "3"),
                   ("product-kahler", "--m1", "3", "--m2", "2")))
+# forms that the strict grammar of cli.run passes on to argparse
+FALLBACK_FORMS = (
+    ("verify", "line", "--n=6", "--seed", "0", "--samples", "6"),
+    ("verify", "line", "--n", "6", "--seed", "0", "--sam", "6"),
+    ("verify", "--n", "6", "line", "--samples", "6"),
+    ("verify", "line", "--n", "6", "--seed", "1", "--seed", "2", "--samples", "6"),
+    ("verify", "line", "--n", "6", "--seed", "-3", "--samples", "6"),
+    ("verify", "line", "--n", "6", "--samples", "x"),
+    ("oracle", "descriptors/s4.json", "--samples", "5"),
+)
 NEAR_EQUAL_SPHERES = ('{"kind": "sphere", "dim": 2, "kappa": 1}, '
                       '{"kind": "sphere", "dim": 2, "kappa": 1.00000005}')
 NEAR_EQUAL_DESCRIPTORS = {
@@ -329,6 +346,7 @@ def commands(tmp_dir):
     out += WARM_MODELS
     out += SPLIT_BLOCKS
     out += UNMAPPED_PAIRS
+    out += FALLBACK_FORMS
     return out
 
 

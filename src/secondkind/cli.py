@@ -396,6 +396,49 @@ def _cmd_oracle(args):
     return EXIT_OK if report["consistent"] else EXIT_MISMATCH
 
 
+@functools.cache
+def _commands():
+    """The one definition of the command line, read by ``build_parser`` and
+    by ``_strict_namespace``: each subcommand's handler, help, positionals
+    and options, in the order the help lists them. An argument's spec is the
+    keyword arguments of its ``add_argument``. Built on the first run, so it
+    binds the handlers of that time."""
+    file = ("file", {"help": "descriptor JSON file"})
+    tol = {"type": float, "default": CLASSIFY_TOL}
+    return {
+        "spectrum": (_cmd_spectrum, "spectrum, thresholds, and invariants of a descriptor",
+                     (file,), {}),
+        "classify": (
+            _cmd_classify, "spectrum report plus verdicts at requested alphas", (file,),
+            {"--alpha": {"action": "append", "required": True,
+                         "help": "numeric alpha or one of 'A', 'B', 'line' (repeatable)"},
+             "--tol": tol}),
+        "threshold": (_cmd_threshold, "nonnegativity/nonpositivity thresholds only",
+                      (file,), {}),
+        "examples": (_cmd_examples, "evaluate the thirteen model families against closed forms",
+                     (), {}),
+        "verify": (
+            _cmd_verify, "run a verification harness",
+            (("harness", {"choices": list(HARNESS_CASES) + ["product"]}),),
+            {"--seed": {"type": int, "default": 0},
+             "--samples": {"type": int, "default": 200},
+             "--tol": tol,
+             "--n": {"type": int, "help": "total dimension (line harness)"},
+             "--n1": {"type": int},
+             "--n2": {"type": int},
+             "--m1": {"type": int},
+             "--m2": {"type": int},
+             "--kappa-grid": {"help": "comma-separated kappa values for the iff sweeps"},
+             "--file1": {"help": "first factor descriptor (product harness)"},
+             "--file2": {"help": "second factor descriptor (product harness)"}}),
+        "oracle": (
+            _cmd_oracle, "compare the eigenvalue sum against random-basis sampling", (file,),
+            {"--alpha": {"required": True},
+             "--samples": {"type": int, "default": 200},
+             "--seed": {"type": int, "default": 0}}),
+    }
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a usage error in one ``error:`` line, without the usage text."""
 
@@ -405,66 +448,75 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser():
-    """The command-line parser, built once per process: ``parse_args``
-    returns a fresh namespace on every call, so ``run`` can share it."""
+    """The command-line parser of ``_commands()``, built once per process:
+    ``parse_args`` returns a fresh namespace on every call, so ``run`` can
+    share it."""
     parser = _ArgumentParser(
         prog="secondkind",
         description="Spectra and fractional nonnegativity thresholds of the "
                     "curvature operator on traceless symmetric two-tensors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum", help="spectrum, thresholds, and invariants of a descriptor")
-    p.add_argument("file", help="descriptor JSON file")
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser("classify", help="spectrum report plus verdicts at requested alphas")
-    p.add_argument("file", help="descriptor JSON file")
-    p.add_argument("--alpha", action="append", required=True,
-                   help="numeric alpha or one of 'A', 'B', 'line' (repeatable)")
-    p.add_argument("--tol", type=float, default=CLASSIFY_TOL)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("threshold", help="nonnegativity/nonpositivity thresholds only")
-    p.add_argument("file", help="descriptor JSON file")
-    p.set_defaults(func=_cmd_threshold)
-
-    p = sub.add_parser("examples",
-                       help="evaluate the thirteen model families against closed forms")
-    p.set_defaults(func=_cmd_examples)
-
-    p = sub.add_parser("verify", help="run a verification harness")
-    p.add_argument("harness", choices=list(HARNESS_CASES) + ["product"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--tol", type=float, default=CLASSIFY_TOL)
-    p.add_argument("--n", type=int, default=None, help="total dimension (line harness)")
-    p.add_argument("--n1", type=int, default=None)
-    p.add_argument("--n2", type=int, default=None)
-    p.add_argument("--m1", type=int, default=None)
-    p.add_argument("--m2", type=int, default=None)
-    p.add_argument("--kappa-grid", default=None,
-                   help="comma-separated kappa values for the iff sweeps")
-    p.add_argument("--file1", default=None, help="first factor descriptor (product harness)")
-    p.add_argument("--file2", default=None, help="second factor descriptor (product harness)")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("oracle",
-                       help="compare the eigenvalue sum against random-basis sampling")
-    p.add_argument("file", help="descriptor JSON file")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_oracle)
+    for name, (func, text, positionals, options) in _commands().items():
+        p = sub.add_parser(name, help=text)
+        for arg, spec in positionals + tuple(options.items()):
+            p.add_argument(arg, **spec)
+        p.set_defaults(func=func)
     return parser
+
+
+def _dest(flag):
+    return flag[2:].replace("-", "_")
+
+
+def _strict_namespace(argv):
+    """The namespace that ``build_parser().parse_args(argv)`` returns, for an
+    argv ``SUBCOMMAND POSITIONAL... (--option VALUE)...`` of exact, distinct
+    ``store`` options with every required one given, no token after the
+    subcommand that starts with ``-``, and each value of its argument's type
+    and choices; None for any other argv, which argparse parses or rejects."""
+    row = _commands().get(argv[0]) if argv else None
+    if row is None:
+        return None
+    func, _, positionals, options = row
+    first = len(positionals) + 1
+    if len(argv) < first or (len(argv) - first) % 2:
+        return None
+    values = {"command": argv[0], **{dest: None for dest, _ in positionals},
+              **{_dest(flag): spec.get("default") for flag, spec in options.items()}}
+    args = list(zip(positionals, argv[1:first]))
+    given = set()
+    for flag, token in zip(argv[first::2], argv[first + 1::2]):
+        spec = options.get(flag)
+        if spec is None or "action" in spec or flag in given:
+            return None
+        given.add(flag)
+        args.append(((_dest(flag), spec), token))
+    if any(spec.get("required") and flag not in given for flag, spec in options.items()):
+        return None
+    for (dest, spec), token in args:
+        if token[:1] == "-":
+            return None
+        try:
+            value = spec.get("type", str)(token)
+        except (TypeError, ValueError):
+            return None
+        choices = spec.get("choices")
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    values["func"] = func
+    return argparse.Namespace(**values)
 
 
 def run(argv):
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    args = _strict_namespace(argv)
+    if args is None:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         # overflow or an invalid operation ends the command instead of
         # leaving inf/NaN to surface later as warnings or odd results

@@ -1,13 +1,13 @@
 """Algebraic curvature tensors: model spaces, products, contractions,
 structure detectors, and seeded random generation. A tensor is checked once,
 by the one identity check ``check_identities``: when ``CurvatureTensor``
-makes it from numbers, or with its stack when a random builder draws it;
+makes it from numbers, or as one stack of images of seeded draws;
 products of checked tensors and model tensors, a checked unit per size
 times the curvature, hold every identity exactly and are not checked again.
 The identity check, the product fill and the tensor helpers take a single
-tensor ``(n, n, n, n)`` or a stack of them ``(..., n, n, n, n)`` alike; the
-random builders draw, check and return read-only stacks. What a builder
-does after its draw (``real_image``, ``kahler_image``) is linear and shared,
+tensor ``(n, n, n, n)`` or a stack of them ``(..., n, n, n, n)`` alike.
+The image that makes a random tensor of its standard normal draw
+(``standard_normal_draws``), ``real_image`` or ``kahler_image``, is linear,
 so a caller may run it on unit draws, check their images and map any draw
 to its tensor's image by linearity.
 The one complex structure is the standard J of ``standard_complex_structure``:
@@ -15,7 +15,7 @@ any orthogonal complex structure on R^{2m} is an orthogonal change of frame
 away from it, which changes no spectrum, so the Kahler model, its detector
 and the random Kahler tensors all use it. Components, the cached J matrices,
 the cached flat tensors and unit model tensors, and the cached index tables
-of the random builders are read-only.
+of the images are read-only.
 
 Sign convention: ``R[i, j, i, j]`` is the sectional curvature of the
 coordinate plane spanned by ``e_i`` and ``e_j``; the Ricci contraction
@@ -333,12 +333,6 @@ def standard_normal_draws(seeds, shape):
     return fill_standard_normal(seeds, np.empty((len(seeds),) + shape))
 
 
-def _checked_stack(t):
-    check_identities(t)
-    t.flags.writeable = False
-    return t
-
-
 def real_draw_shape(n):
     """Shape ``(p, p)`` of the draw of one random tensor of dimension n, a
     bilinear form on the p = n(n-1)/2 index pairs i < j."""
@@ -360,14 +354,6 @@ def real_image(w, n):
     t = t.reshape(w.shape[:-2] + (n,) * 4)
     t -= _cyclic_part(t)
     return t
-
-
-def random_curvatures(n, seeds):
-    """Checked read-only stack ``(len(seeds), n, n, n, n)`` of random
-    algebraic curvature tensors, ``real_image`` of ``standard_normal_draws``:
-    entry ``i`` comes from the stream of ``seeds[i]`` alone, whatever its
-    position in the stack."""
-    return _checked_stack(real_image(standard_normal_draws(seeds, real_draw_shape(n)), n))
 
 
 @lru_cache(maxsize=8)
@@ -451,11 +437,3 @@ def kahler_image(t):
     t = (t - _permuted(t, (0, 1, 3, 2))) / 2.0
     t = (t + _permuted(t, (2, 3, 0, 1))) / 2.0
     return _kahler_part(t)
-
-
-def random_kahler_curvatures(m, seeds):
-    """Checked read-only stack ``(len(seeds), 2m, 2m, 2m, 2m)`` of random
-    curvature tensors invariant under the standard J, ``kahler_image`` of
-    ``standard_normal_draws``: entry ``i`` comes from the stream of
-    ``seeds[i]`` alone, whatever its position in the stack."""
-    return _checked_stack(kahler_image(standard_normal_draws(seeds, kahler_draw_shape(m))))

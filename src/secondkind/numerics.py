@@ -8,7 +8,7 @@ seed ``s`` is Philox with key ``(s, 0)`` from counter 0; that pair fixes the
 stream completely (Salmon et al., "Parallel random numbers: as easy as 1, 2,
 3", SC'11). So one shared generator, built on the first draw and re-keyed
 before each draw, serves every seeded draw (``fill_standard_normal``: the
-oracle's bases and both random tensor builders), and draws bit for bit what
+oracle's bases and the random tensors' draws), and draws bit for bit what
 ``seeded_stream``, the reference definition, draws.
 """
 

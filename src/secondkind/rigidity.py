@@ -456,8 +456,8 @@ def _with_mixed_zeros(rows, n1, n2):
 
 def _images(kind, dim, draws):
     """Checked tensors of ``kind`` and size ``dim`` from a stack of standard
-    normal ``draws``: the random builders' steps, entry by entry, so bitwise
-    their tensors, and a non-finite draw fails as in a builder."""
+    normal ``draws``: the image and the identity check of a stack, so a
+    non-finite draw fails the check."""
     images = kind.image(dim, draws)
     check_identities(images)
     return images

@@ -1,5 +1,8 @@
 import argparse
+import contextlib
 import dataclasses
+import importlib.util
+import io
 import json
 import re
 import subprocess
@@ -800,6 +803,134 @@ class TestSharedParser:
         fresh = run_cli(argv)
         assert fresh.returncode == 0 and captured.err == fresh.stderr == ""
         assert without_timing(captured.out) == without_timing(fresh.stdout)
+
+
+def argparse_namespace(argv):
+    """The shared parser's namespace of ``argv``, or None where argparse
+    exits; its help and error text are swallowed."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def strict_namespace(argv):
+    """The strict grammar's namespace of ``argv``, after asserting that it is
+    argparse's: the same names in the same order, with values of the same
+    types. None where the grammar declines."""
+    fast = cli._strict_namespace(argv)
+    if fast is not None:
+        slow = argparse_namespace(argv)
+        assert slow is not None, argv
+        assert [(k, type(v), v) for k, v in vars(fast).items()] == \
+            [(k, type(v), v) for k, v in vars(slow).items()], argv
+    return fast
+
+
+def value_tokens(spec):
+    """Tokens that an argument's type converts and its choices hold, none of
+    which starts with ``-``."""
+    if spec.get("choices"):
+        return st.sampled_from(spec["choices"])
+    kind = spec.get("type")
+    if kind is int:
+        return st.integers(0, 10 ** 6).map(str)
+    if kind is float:
+        return st.floats(0, allow_nan=False).map(lambda x: repr(abs(x)))
+    return st.text("ab./,019 =", max_size=8)
+
+
+# each mutation, applied, makes an argv that the strict grammar declines,
+# except an abbreviation, which may be another exact option ("--n" of "--n1")
+MUTATIONS = ("equals", "abbreviation", "option_first", "dashdash", "negative", "repeat",
+             "unknown", "drop_required", "bad_value", "bad_choice", "extra_positional",
+             "missing_positional", "help", "unknown_command")
+
+
+@st.composite
+def table_argvs(draw):
+    """``(argv, mutation)``: an argv of the command table with its required
+    options and a subset of the others in any order, then at most one
+    mutation, which is None where none was applied."""
+    name = draw(st.sampled_from(list(cli._commands())))
+    _, _, positionals, options = cli._commands()[name]
+    head = [name] + [draw(value_tokens(spec)) for _, spec in positionals]
+    flags = draw(st.lists(st.sampled_from(list(options)), unique=True)) if options else []
+    flags += [f for f, spec in options.items() if spec.get("required") and f not in flags]
+    pairs = [[flag, draw(value_tokens(options[flag]))] for flag in flags]
+    tail = []
+    mutation = draw(st.none() | st.sampled_from(MUTATIONS))
+    typed = [pair for pair in pairs if options[pair[0]].get("type")]
+    if mutation == "equals" and pairs:
+        pairs[0] = ["=".join(pairs[0])]
+    elif mutation == "abbreviation" and pairs and len(pairs[0][0]) > 3:
+        pairs[0][0] = pairs[0][0][:draw(st.integers(3, len(pairs[0][0]) - 1))]
+    elif mutation == "option_first" and pairs and positionals:
+        head[1:1] = pairs.pop(0)
+    elif mutation == "negative" and pairs:
+        pairs[0][1] = "-" + draw(st.sampled_from(["3", "0", "1.5", "inf"]))
+    elif mutation == "repeat" and pairs:
+        pairs.append([pairs[0][0], draw(value_tokens(options[pairs[0][0]]))])
+    elif mutation == "unknown":
+        pairs.insert(draw(st.integers(0, len(pairs))), ["--bogus", "1"])
+    elif mutation == "drop_required" and any(options[f].get("required") for f in flags):
+        pairs = [pair for pair in pairs if not options[pair[0]].get("required")]
+    elif mutation == "bad_value" and typed:
+        typed[0][1] = draw(st.sampled_from(["x", "", "1e", "0x10", "1.5" if
+                                            options[typed[0][0]]["type"] is int else "1,5"]))
+    elif mutation == "bad_choice" and name == "verify":
+        head[1] = "nope"
+    elif mutation == "extra_positional":
+        tail = ["extra"]
+    elif mutation == "missing_positional" and positionals:
+        del head[1:]
+    elif mutation == "unknown_command":
+        head[0] = draw(st.sampled_from(["frobnicate", "verif", "", "spectrum=x"]))
+    elif mutation not in ("dashdash", "help"):
+        mutation = None
+    argv = head + [token for pair in pairs for token in pair] + tail
+    if mutation in ("dashdash", "help"):
+        mark = "--" if mutation == "dashdash" else draw(st.sampled_from(["-h", "--help"]))
+        argv.insert(draw(st.integers(0, len(argv))), mark)
+    return argv, mutation
+
+
+class TestStrictGrammar:
+    @given(table_argvs())
+    @settings(max_examples=400, deadline=None)
+    def test_namespace_is_argparses_or_declined(self, case):
+        argv, mutation = case
+        fast = strict_namespace(argv)
+        appended = any("action" in cli._commands()[argv[0]][3].get(token, {})
+                       for token in argv[1:]) if argv[0] in cli._commands() else False
+        if mutation is None and not appended:
+            assert fast is not None, argv
+        elif mutation not in (None, "abbreviation"):
+            assert fast is None, argv
+
+    def test_seeded_commands(self, tmp_path):
+        spec = importlib.util.spec_from_file_location(
+            "seeded_outputs", REPO / "scripts" / "seeded_outputs.py")
+        seeded = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(seeded)
+        commands = [list(argv) for argv in seeded.commands(str(tmp_path))]
+        declined = [argv for argv in commands if strict_namespace(argv) is None]
+        # classify's --alpha appends, so argparse parses every classify argv
+        assert declined == [argv for argv in commands if argv[0] == "classify"] + \
+            [list(argv) for argv in seeded.FALLBACK_FORMS]
+
+    def test_only_declined_argv_reach_argparse(self, monkeypatch, capsys):
+        parser = cli.build_parser()
+        parse = parser.parse_args
+        calls = []
+        monkeypatch.setattr(parser, "parse_args", lambda argv: calls.append(argv) or parse(argv))
+        strict = ["verify", "line", "--n", "6", "--samples", "3"]
+        equals = ["verify", "line", "--n=6", "--samples", "3"]
+        assert run(strict) == run(equals) == 0
+        assert calls == [equals]
+        first, second = capsys.readouterr().out.split("\n}\n", 1)
+        assert json.loads(first + "}") == json.loads(second)
 
 
 class TestSpectrumRequest:

@@ -33,7 +33,12 @@ from reference import (
     kahler_model_components,
     space_form_components,
 )
-from samples import random_kahler_tensor, random_tensor
+from samples import (
+    random_curvatures,
+    random_kahler_curvatures,
+    random_kahler_tensor,
+    random_tensor,
+)
 
 
 def symmetry_errors(r):
@@ -377,7 +382,7 @@ class TestCheckOnce:
         calls.clear()
         checked = []
         monkeypatch.setattr(curvature, "check_identities", lambda c: checked.append(c.shape))
-        curvature.random_curvatures(4, [0, 1])
+        random_curvatures(4, [0, 1])
         assert checked == [(2, 4, 4, 4, 4)] and calls == []
 
 class TestContractions:
@@ -708,27 +713,27 @@ class TestStackedBuilders:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_real_entries_do_not_depend_on_position(self, n, size):
         seeds = [7 * s + n for s in range(size)]
-        stack = curvature.random_curvatures(n, seeds)
+        stack = random_curvatures(n, seeds)
         assert stack.shape == (size,) + (n,) * 4 and not stack.flags.writeable
         for seed, entry in zip(seeds, stack):
-            assert np.array_equal(entry, curvature.random_curvatures(n, [seed])[0])
-            assert np.array_equal(entry, curvature.random_curvatures(n, [seed + 1, seed])[1])
+            assert np.array_equal(entry, random_curvatures(n, [seed])[0])
+            assert np.array_equal(entry, random_curvatures(n, [seed + 1, seed])[1])
 
     @pytest.mark.parametrize("size", BLOCK_SIZES)
     @pytest.mark.parametrize("m", range(1, 4))
     def test_kahler_entries_do_not_depend_on_position(self, m, size):
         seeds = [5 * s + m for s in range(size)]
-        stack = curvature.random_kahler_curvatures(m, seeds)
+        stack = random_kahler_curvatures(m, seeds)
         assert stack.shape == (size,) + (2 * m,) * 4 and not stack.flags.writeable
         for seed, entry in zip(seeds, stack):
-            assert np.array_equal(entry, curvature.random_kahler_curvatures(m, [seed])[0])
-            assert np.array_equal(entry, curvature.random_kahler_curvatures(m, [seed + 1, seed])[1])
+            assert np.array_equal(entry, random_kahler_curvatures(m, [seed])[0])
+            assert np.array_equal(entry, random_kahler_curvatures(m, [seed + 1, seed])[1])
 
     def test_stacked_builders_reject_small_sizes(self):
         with pytest.raises(InvalidInputError, match="at least 2"):
-            curvature.random_curvatures(1, [0])
+            random_curvatures(1, [0])
         with pytest.raises(InvalidInputError, match="at least 1"):
-            curvature.random_kahler_curvatures(0, [0])
+            random_kahler_curvatures(0, [0])
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_each_violation_has_its_message(self, n):
@@ -743,7 +748,7 @@ class TestStackedBuilders:
         # a stack fails as checking its tensors one by one would: the first
         # failing tensor in stack order, with the first check it fails,
         # whatever later tensors fail
-        good = curvature.random_curvatures(n, range(6)).copy()
+        good = random_curvatures(n, range(6)).copy()
         bad = violations(n)
         for first in range(len(bad)):
             for later in range(len(bad)):
@@ -769,8 +774,8 @@ class TestStackedBuilders:
                 curvature.check_identities(huge)
 
     def test_product_components_of_stacks_are_the_single_products(self):
-        a = curvature.random_curvatures(3, range(5))
-        b = curvature.random_kahler_curvatures(1, range(10, 15))
+        a = random_curvatures(3, range(5))
+        b = random_kahler_curvatures(1, range(10, 15))
         line = flat_tensor(1).components
         stacked = curvature.product_components([a, b, line])
         assert stacked.shape == (5,) + (6,) * 4
@@ -794,7 +799,7 @@ def planted(n, seed, faults, huge, stack=True):
     entry pair ``huge`` whose first-pair residual overflows. A stack
     ``(len(faults), n, n, n, n)``, or the one tensor when ``stack`` is
     false."""
-    c = curvature.random_curvatures(n, range(seed, seed + len(faults))).copy()
+    c = random_curvatures(n, range(seed, seed + len(faults))).copy()
     for t, fault in zip(c, faults):
         if fault in ("nan", "inf", "-inf"):
             t[0, 1, 0, 1] = float(fault)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secondkind.curvature import random_curvatures, random_kahler_curvatures
 from secondkind.errors import ConvergenceError, InvalidInputError
 from secondkind.numerics import (
     CLUSTER_REL_TOL,
@@ -18,6 +17,7 @@ from secondkind.numerics import (
 
 import reference
 from reference import cluster_spectrum_loop, jacobi_eigen
+from samples import random_curvatures, random_kahler_curvatures
 
 
 def random_symmetric(n, seed, scale=1.0):

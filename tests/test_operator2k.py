@@ -50,7 +50,12 @@ from reference import (
     operator_matrix_einsum,
     spectrum_from_eigenvalues,
 )
-from samples import random_kahler_tensor, random_tensor
+from samples import (
+    random_curvatures,
+    random_kahler_curvatures,
+    random_kahler_tensor,
+    random_tensor,
+)
 
 
 def clusters_match(clusters, expected, tol=1e-9):
@@ -608,11 +613,11 @@ class TestKahlerFamilyTraces:
 BLOCK_SIZES = (1, numerics.MAX_BLOCK - 1, numerics.MAX_BLOCK, numerics.MAX_BLOCK + 1)
 STACKED_FAMILIES = {
     # name -> (seeds -> factor component stacks of one product each)
-    "line": lambda seeds: [curvature.random_curvatures(4, seeds), flat_tensor(1).components],
-    "spheres": lambda seeds: [curvature.random_curvatures(2, seeds),
-                              curvature.random_curvatures(3, [s + 1 for s in seeds])],
-    "kahler": lambda seeds: [curvature.random_kahler_curvatures(1, seeds),
-                             curvature.random_kahler_curvatures(2, [s + 1 for s in seeds])],
+    "line": lambda seeds: [random_curvatures(4, seeds), flat_tensor(1).components],
+    "spheres": lambda seeds: [random_curvatures(2, seeds),
+                              random_curvatures(3, [s + 1 for s in seeds])],
+    "kahler": lambda seeds: [random_kahler_curvatures(1, seeds),
+                             random_kahler_curvatures(2, [s + 1 for s in seeds])],
 }
 
 

@@ -25,7 +25,7 @@ from secondkind.rigidity import (
 )
 
 from reference import f_lemma
-from samples import random_tensor
+from samples import random_curvatures, random_kahler_curvatures, random_tensor
 
 
 def exact_g(clusters, alpha):
@@ -529,7 +529,7 @@ class TestSampleBlocks:
         monkeypatch.setattr(curvature, "fill_standard_normal", corrupting)
         monkeypatch.setattr(np.linalg, "eigvalsh", finite_only)
         dim, kahler = factor
-        build = curvature.random_kahler_curvatures if kahler else curvature.random_curvatures
+        build = random_kahler_curvatures if kahler else random_curvatures
         with np.errstate(over="raise", invalid="raise"):
             with pytest.raises((InvalidInputError, FloatingPointError)) as info:
                 build(dim, [seed])
@@ -547,10 +547,10 @@ def _factor_stack(kahler, d, seeds):
     """Seeded stack of one factor: real of dimension d, the flat line R for
     d = 1, or Kahler of complex dimension d."""
     if kahler:
-        return curvature.random_kahler_curvatures(d, seeds)
+        return random_kahler_curvatures(d, seeds)
     if d == 1:
         return np.zeros((len(seeds), 1, 1, 1, 1))
-    return curvature.random_curvatures(d, seeds)
+    return random_curvatures(d, seeds)
 
 
 def bordered_spectra(mats, n1, n2):
@@ -858,7 +858,7 @@ class TestFactorMaps:
     def test_one_fill_per_factor_dimension_and_detectors_read_the_builders_tensors(
             self, argv, kahler, dims, fills, monkeypatch, capsys):
         kind = _kind(kahler)
-        build = curvature.random_kahler_curvatures if kahler else curvature.random_curvatures
+        build = random_kahler_curvatures if kahler else random_curvatures
         draws, detected = [], []
 
         def drawing(seeds, shape):
@@ -918,7 +918,7 @@ class TestFactorMaps:
         # detectors read its block's own draws, drawn by one fill per factor
         # dimension per block
         kind = _kind(kahler)
-        build = curvature.random_kahler_curvatures if kahler else curvature.random_curvatures
+        build = random_kahler_curvatures if kahler else random_curvatures
         real_fill = curvature.fill_standard_normal
         fills, detected = [], []
 
