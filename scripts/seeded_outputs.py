@@ -93,7 +93,13 @@ for ``--samples 6`` (an abbreviation), ``verify --n 6 line --samples 6``
 (an option before the positional), ``--seed 1 --seed 2`` (a repeat),
 ``--seed -3`` (a value that starts with ``-``), ``--samples x`` (a bad
 int, exit 2) and ``oracle descriptors/s4.json --samples 5`` (no required
-``--alpha``, exit 2).
+``--alpha``, exit 2); and ``oracle`` at two operator widths that the
+descriptors miss, so that the oracle's sampled bases are compared there too:
+N = 5, a ``custom`` n = 3 tensor at alpha in {1.5, 3, line, 5} with both
+oracle runs above, and N = 35, S^4 x S^4, whose blocks hold 38 samples, at
+alpha in {1.5, A, 35} with ``--samples 65`` at seeds 0 and 7, so that a
+block seam is crossed; alpha = N makes every basis tie the trace, so the
+argmin falls on a re-drawn basis.
 Each record holds the command line, the exit code, stderr, stdout parsed as
 JSON with every ``timing`` block removed, and the raw stdout text with every
 ``"seconds": <number>`` masked, so that a change in the emitted bytes shows
@@ -261,6 +267,23 @@ IDENTITY_FAULTS = {
                                       for b, y in OMEGA.items()}),
     "fault_overflow.json": _custom(2, {(0, 1, 0, 1): 1.5e308, (1, 0, 0, 1): 1.5e308}),
 }
+# a symmetric form on the 2-vectors e0^e1, e0^e2, e1^e2 of R^3; in
+# dimension 3 its Bianchi part vanishes, so it is a curvature tensor as it is
+PAIRS3 = ((0, 1), (0, 2), (1, 2))
+PAIR_FORM3 = ((1.0, 0.5, -0.25), (0.5, -2.0, 0.75), (-0.25, 0.75, 1.5))
+ORACLE_WIDTH_DESCRIPTORS = {
+    "custom3.json": _custom(3, {quad: sign * w
+                                for (i, j), row in zip(PAIRS3, PAIR_FORM3)
+                                for (k, l), w in zip(PAIRS3, row)
+                                for quad, sign in (((i, j, k, l), 1.0), ((j, i, l, k), 1.0),
+                                                   ((j, i, k, l), -1.0), ((i, j, l, k), -1.0))}),
+    "s4xs4.json": ('{"kind": "product", "factors": [{"kind": "sphere", "dim": 4, "kappa": 1}, '
+                   '{"kind": "sphere", "dim": 4, "kappa": 1}]}'),
+}
+ORACLE_WIDTH_RUNS = (
+    ("custom3.json", ("1.5", "3", "line", "5"), ORACLE_RUNS),
+    ("s4xs4.json", ("1.5", "A", "35"), (("65", "0"), ("65", "7"))),
+)
 LINE_DESCRIPTOR = "euclidean_line.json"
 LINE_TEXT = '{"kind": "euclidean", "dim": 1}'
 
@@ -347,6 +370,10 @@ def commands(tmp_dir):
     out += SPLIT_BLOCKS
     out += UNMAPPED_PAIRS
     out += FALLBACK_FORMS
+    out += [("oracle", os.path.join(tmp_dir, name), "--alpha", alpha,
+             "--samples", samples, "--seed", seed)
+            for name, alphas, runs in ORACLE_WIDTH_RUNS
+            for alpha in alphas for samples, seed in runs]
     return out
 
 
@@ -372,7 +399,7 @@ def run_all():
     with tempfile.TemporaryDirectory() as tmp:
         generated = {LINE_DESCRIPTOR: LINE_TEXT, **OVERFLOW_DESCRIPTORS, **SCALED_DESCRIPTORS,
                      **NARY_DESCRIPTORS, **MALFORMED_DESCRIPTORS, **NEAR_EQUAL_DESCRIPTORS,
-                     **EDGE_DESCRIPTORS, **IDENTITY_FAULTS}
+                     **EDGE_DESCRIPTORS, **IDENTITY_FAULTS, **ORACLE_WIDTH_DESCRIPTORS}
         for name, text in generated.items():
             Path(tmp, name).write_text(text, encoding="utf-8")
         for argv in commands(tmp):

@@ -9,13 +9,18 @@ stream completely (Salmon et al., "Parallel random numbers: as easy as 1, 2,
 3", SC'11). So one shared generator, built on the first draw and re-keyed
 before each draw, serves every seeded draw (``fill_standard_normal``: the
 oracle's bases and the random tensors' draws), and draws bit for bit what
-``seeded_stream``, the reference definition, draws.
+``seeded_stream``, the reference definition, draws. The draws are
+orthonormalized by the two LAPACK gufuncs under ``np.linalg.qr``
+(``_orthonormal_rows``), without its R; ``random_orthonormal_families`` adds
+the sign fix that makes a basis Haar-distributed (Mezzadri, "How to generate
+random matrices from the classical compact groups", Notices AMS 2007).
 """
 
 import math
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import ConvergenceError, InvalidInputError
 
@@ -132,6 +137,22 @@ def fill_standard_normal(seeds, out):
     return out
 
 
+def _orthonormal_rows(draws):
+    """Rows of the Q factor of each matrix of a stack ``draws`` ``(..., n,
+    n)`` of finite doubles, with no sign fix: bitwise
+    ``np.swapaxes(np.linalg.qr(draws)[0], -2, -1)``.
+
+    Calls the two LAPACK gufuncs that ``np.linalg.qr`` calls, geqrf
+    (``qr_r_raw``, in place) and then orgqr (``qr_reduced``), and skips its
+    copy of the input, its R and its wrapper. ``draws`` is overwritten by
+    its factorization, whose upper triangle is R. ``np.linalg.qr`` runs them
+    under an ``errstate`` that turns a LAPACK failure into LinAlgError; this
+    needs none, because the draws are finite and geqrf and orgqr cannot fail
+    on finite input.
+    """
+    return np.swapaxes(_umath_linalg.qr_reduced(draws, _umath_linalg.qr_r_raw(draws)), -2, -1)
+
+
 def random_orthonormal_families(n, seeds):
     """One random orthonormal basis of R^n per seed: ``n`` standard normal
     vectors, orthonormalized.
@@ -140,19 +161,21 @@ def random_orthonormal_families(n, seeds):
     vector per row, is drawn from the stream of ``seeded_stream(seeds[i])``
     alone, so a family depends only on its own seed and not on its position
     in the stack. The draws come from ``fill_standard_normal``, the one
-    shared generator re-keyed before each draw. The distribution is
-    invariant under orthogonal maps. The draws are orthonormalized by one
-    stacked QR, which LAPACK runs matrix by matrix, so each family is
-    bitwise equal to the one drawn on its own.
+    shared generator re-keyed before each draw. The draws are
+    orthonormalized by one stacked QR (``_orthonormal_rows``), which LAPACK
+    runs matrix by matrix, so each family is bitwise equal to the one drawn
+    on its own. Each row takes the sign of its diagonal entry of R, which
+    makes the distribution Haar, invariant under orthogonal maps.
     """
     if n < 1:
         raise InvalidInputError("ambient dimension must be positive")
-    q, r = np.linalg.qr(fill_standard_normal(seeds, np.empty((len(seeds), n, n))))
-    # sign fix makes the columns agree with Gram-Schmidt on the draws
-    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    draws = fill_standard_normal(seeds, np.empty((len(seeds), n, n)))
+    rows = _orthonormal_rows(draws)
+    # sign fix makes the rows agree with Gram-Schmidt on the draws' columns
+    signs = np.sign(np.diagonal(draws, axis1=-2, axis2=-1))
     signs[signs == 0.0] = 1.0
-    q *= signs[:, None, :]
-    return np.swapaxes(q, -2, -1)
+    rows *= signs[:, :, None]
+    return rows
 
 
 def joins_cluster(previous, value):

@@ -12,7 +12,15 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import InvalidInputError
-from .numerics import MAX_BLOCK, blocks, derived_seed, eigensolve, random_orthonormal_families
+from .numerics import (
+    MAX_BLOCK,
+    _orthonormal_rows,
+    blocks,
+    derived_seed,
+    eigensolve,
+    fill_standard_normal,
+    random_orthonormal_families,
+)
 from .sym2 import standard_basis, sym2_dim
 
 CLASSIFY_TOL = 1e-9
@@ -197,8 +205,9 @@ def bruteforce_min_alpha_sum(r, alpha, samples, seed):
     (1, ..., 1, alpha - floor(alpha)). The eigenvector basis is always
     evaluated as sample 0, so the returned minimum equals g(alpha) up to
     rounding whenever the sampling is consistent with the spectrum route.
-    Samples are drawn and contracted in stacked blocks; only the argmin's
-    basis is hashed.
+    Samples are drawn and contracted in stacked blocks, with LAPACK's row
+    signs, which leave every diagonal entry unchanged; only the argmin's
+    basis is hashed, and only it takes the sign fix.
     """
     if samples < 1:
         raise InvalidInputError("at least one sample is required")
@@ -213,7 +222,10 @@ def bruteforce_min_alpha_sum(r, alpha, samples, seed):
     diags = np.empty((samples + 1, n_dim))
     diags[0] = w
     for block in blocks(1, samples + 1, n_dim * n_dim, _ORACLE_BUDGET):
-        qs = random_orthonormal_families(n_dim, seeds[block.start:block.stop])
+        # a row's sign cancels in q^T M q bit for bit, so only the hashed
+        # basis below needs the sign fix
+        draws = np.empty((len(block), n_dim, n_dim))
+        qs = _orthonormal_rows(fill_standard_normal(seeds[block.start:block.stop], draws))
         diags[block.start:block.stop] = np.einsum("saj,saj->sa", qs @ mat, qs)
     diags.sort(axis=1)
     values = weighted_partial_sums(diags, alpha).tolist()

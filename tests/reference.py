@@ -39,6 +39,12 @@ None of these runs in ``secondkind`` itself:
   when it fails, checks each tensor on the single path;
   ``curvature.check_identities``, one pass for any shape, must raise the
   same exception with the same message and emit the same warnings.
+* ``signed_qr_families`` draws each seed's ``n x n`` standard normal matrix
+  from its own ``seeded_stream``, orthonormalizes the stack by
+  ``np.linalg.qr`` and gives each Q column the sign of its diagonal entry of
+  R; ``numerics.random_orthonormal_families``, which calls LAPACK's QR
+  gufuncs itself and reads R's diagonal off the factored draws, must return
+  its transposed Q bit for bit.
 """
 
 import json
@@ -59,7 +65,7 @@ from secondkind.curvature import (
     standard_complex_structure,
 )
 from secondkind.errors import ConvergenceError, InvalidInputError
-from secondkind.numerics import CLUSTER_REL_TOL, SYMMETRY_TOL, _checked_symmetric
+from secondkind.numerics import CLUSTER_REL_TOL, SYMMETRY_TOL, _checked_symmetric, seeded_stream
 from secondkind.operator2k import weighted_partial_sums
 from secondkind.sym2 import Sym2Basis, sym_product
 
@@ -359,3 +365,14 @@ def parse_descriptor_loads(text):
         raise descriptors.DescriptorError(f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise descriptors.DescriptorError("descriptor is nested too deeply to parse") from None
+
+
+def signed_qr_families(n, seeds):
+    """One orthonormal basis of R^n per seed, one vector per row: the Q of
+    ``np.linalg.qr`` of the seed's draws, each column signed by R's
+    diagonal (a zero diagonal entry keeps its sign)."""
+    q, r = np.linalg.qr(np.array([seeded_stream(seed).standard_normal((n, n)) for seed in seeds]))
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    signs[signs == 0.0] = 1.0
+    q *= signs[:, None, :]
+    return np.swapaxes(q, -2, -1)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from secondkind.errors import ConvergenceError, InvalidInputError
 from secondkind.numerics import (
     CLUSTER_REL_TOL,
+    _orthonormal_rows,
     cluster_spectrum,
     eigensolve,
     fill_standard_normal,
@@ -187,17 +188,13 @@ class TestRandomOrthonormalFamilies:
             single = random_orthonormal_families(dim, [seed])[0]
             assert np.ascontiguousarray(fam).tobytes() == np.ascontiguousarray(single).tobytes()
 
-    @pytest.mark.parametrize("dim", [1, 5, 20], ids=square_id)
+    @pytest.mark.parametrize("dim", [1, 2, 5, 9, 20, 44], ids=square_id)
     def test_pinned_to_seeded_stream(self, dim):
         # -5 and 2**70 + 3 check the 64-bit masking of the key
         seeds = [0, 1, 2**63, 2**64 - 1, -5, 2**70 + 3]
         stack = random_orthonormal_families(dim, seeds)
-        for fam, seed in zip(stack, seeds):
-            q, r = np.linalg.qr(seeded_stream(seed).standard_normal((dim, dim)))
-            signs = np.sign(np.diagonal(r))
-            signs[signs == 0.0] = 1.0
-            expected = (q * signs).T
-            assert np.ascontiguousarray(fam).tobytes() == np.ascontiguousarray(expected).tobytes()
+        expected = reference.signed_qr_families(dim, seeds)
+        assert stack.tobytes() == expected.tobytes()
 
     def test_rejects_empty_dimension(self):
         with pytest.raises(InvalidInputError, match="ambient dimension must be positive"):
@@ -218,6 +215,19 @@ class TestRandomOrthonormalFamilies:
         random_curvatures(4, [1])
         random_kahler_curvatures(2, [1])
         assert built == []
+
+
+class TestOrthonormalRows:
+    @pytest.mark.parametrize("count", [1, 63, 64])
+    @pytest.mark.parametrize("dim", [1, 2, 5, 9, 20, 44], ids=square_id)
+    def test_bitwise_equal_to_numpy_qr(self, dim, count):
+        draws = fill_standard_normal(range(count), np.empty((count, dim, dim)))
+        q, r = np.linalg.qr(draws)
+        rows = _orthonormal_rows(draws)
+        assert rows.shape == (count, dim, dim)
+        assert rows.tobytes() == np.swapaxes(q, -2, -1).tobytes()
+        # the draws now hold the factorization, R in the upper triangle
+        assert np.triu(draws).tobytes() == r.tobytes()
 
 
 class TestFillStandardNormal:

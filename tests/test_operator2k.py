@@ -496,6 +496,30 @@ class TestBruteforceOracle:
         assert narrow.argmin_sample == wide.argmin_sample
         assert narrow.argmin_digest == wide.argmin_digest
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 9])
+    def test_unsigned_rows_give_the_signed_diagonals_bitwise(self, n):
+        # N = 2, 5, 9, 20 and 44; at N = 44 the blocks shrink to 24 samples
+        r = random_tensor(n, seed=40 + n)
+        mat = operator_matrix(r, standard_basis(n))
+        dim, samples, seed = len(mat), 70, 17
+        seeds = [seed ^ s for s in range(samples + 1)]
+        block_rows = numerics.blocks(1, samples + 1, dim * dim, operator2k._ORACLE_BUDGET)
+        assert len(block_rows[0]) == (24 if dim == 44 else 64)
+        signed = np.empty((samples + 1, dim))
+        signed[0] = numerics.eigensolve(mat, vectors=True)[0]
+        for block in block_rows:
+            block_seeds = seeds[block.start:block.stop]
+            qs = numerics.random_orthonormal_families(dim, block_seeds)
+            rows = numerics._orthonormal_rows(
+                numerics.fill_standard_normal(block_seeds, np.empty((len(block), dim, dim))))
+            assert not np.array_equal(rows, qs)
+            signed[block.start:block.stop] = np.einsum("saj,saj->sa", qs @ mat, qs)
+            unsigned = np.einsum("saj,saj->sa", rows @ mat, rows)
+            assert unsigned.tobytes() == signed[block.start:block.stop].tobytes()
+        signed.sort(axis=1)
+        result = bruteforce_min_alpha_sum(r, 1.5, samples=samples, seed=seed)
+        assert result.sample_values == tuple(weighted_partial_sums(signed, 1.5).tolist())
+
     def test_rejects_samples_above_bound_before_sampling(self, monkeypatch):
         def boom(*args, **kwargs):
             raise AssertionError("sampled before checking the bound")
