@@ -63,19 +63,18 @@ def operator_matrix(r, basis):
         )
     if basis.count != sym2_dim(r.dim):
         raise InvalidInputError("basis does not span the traceless symmetric two-tensors")
-    return operator_matrices(r.components, basis)
+    return operator_matrices(r.components, basis.tensors)
 
 
-def operator_matrices(components, basis):
-    """``operator_matrix`` of components ``(n, n, n, n)`` in a basis of
-    matching dimension, unchecked, or one matrix per tensor of a stack
-    ``(..., n, n, n, n)``; numpy runs a stacked matmul matrix by matrix, so
-    each matrix of a stack is bitwise its tensor's own."""
+def operator_matrices(components, b):
+    """``operator_matrix`` of components ``(n, n, n, n)`` in the basis
+    tensors ``b`` ``(N, n, n)``, unchecked, or one matrix per tensor of a
+    stack ``(..., n, n, n, n)``; numpy runs a stacked matmul matrix by
+    matrix, so each matrix of a stack is bitwise its tensor's own."""
     # the two matmuls that np.einsum(..., optimize=True) reduces this
     # contraction to, in its operand order, without its per-call planning:
     # t[(j,k), a] = sum_(i,l) R[i,j,k,l] b_a[i,l], then mat[a, b] = <t_a, b_b>
-    n, count = basis.dim, basis.count
-    b = basis.tensors
+    count, n, _ = b.shape
     r_jk_il = components.swapaxes(-4, -3).swapaxes(-3, -2)
     r_jk_il = r_jk_il.reshape(components.shape[:-4] + (n * n, n * n))
     t = r_jk_il @ b.transpose(1, 2, 0).reshape(n * n, count)

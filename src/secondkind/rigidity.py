@@ -24,15 +24,17 @@ its spectrum is solved once per process and cached read-only
 (``_model_spectrum``); its verdicts are taken per request. A factor's part
 of a bordered block is the operator of its checked image (``_images``) on
 the directions that meet its index block (``_factor_directions``), linear
-in its standard normal draw. Where the factors' maps fit ``_TENSOR_BUDGET``
+in its standard normal draw, one fill per factor and block. Every size
+follows from the product's real dimensions (n1, n2), the line's R second,
+and the factor's index j. Where the factors' maps fit ``_TENSOR_BUDGET``
 (``line`` up to n = 7, the sphere products up to (5, 5) and (4, 6), the
-Kahler products up to (2, 2)) a block's blocks are its draws times cached
-maps, built from unit draws whose images are checked once: the identity
-residuals of a draw's image are the same combination of theirs. Larger
-sizes take the part of the block's own draws, and the detectors read the
-images of a classified sample's draws. One iff sweep decides each grid
-pair from its closed-form spectrum, with no tensor, and exactly where
-rounding could decide.
+Kahler products up to (2, 2)) a block's blocks are its draws times maps
+cached once per harness size (``_factor_maps``), built from unit draws
+whose images are checked once: the identity residuals of a draw's image
+are the same combination of theirs. Larger sizes take the part of the
+block's own draws, and the detectors read the images of a classified
+sample's draws. One iff sweep decides each grid pair from its closed-form
+spectrum, with no tensor, and exactly where rounding could decide.
 """
 
 import math
@@ -82,16 +84,16 @@ from .operator2k import (
     verdict,
     weighted_partial_sums,
 )
-from .sym2 import Sym2Basis, product_adapted_basis, standard_basis, sym2_dim
+from .sym2 import product_adapted_basis, standard_basis, sym2_dim
 
 DEFAULT_KAPPA_GRID = tuple(0.25 * k for k in range(1, 9))
 # Numbers one stack of a block of samples may hold: those of ``MAX_BLOCK``
 # tensors at n = 8 (2 MB). A sample's factor draws, its factors' images and
 # their assembly, and its W x W bordered block each hold at most n^4
 # numbers, n the total dimension, so a block holds this over n^4 samples,
-# down to one from n = 20 on. A factor map (``_factor_maps``) is used only
-# when it holds at most as many; it is built from blocks of unit draws
-# whose images hold at most ``_MAP_BUDGET`` numbers.
+# down to one from n = 20 on. A harness size's factor maps (``_factor_maps``)
+# are used only when each holds at most as many; they are built from blocks
+# of unit draws whose images hold at most ``_MAP_BUDGET`` numbers.
 _TENSOR_BUDGET = MAX_BLOCK * 8 ** 4
 _MAP_BUDGET = _TENSOR_BUDGET // 16
 _UNIT, _TINY = 2.0 ** -53, math.ulp(0.0)  # unit roundoff, least subnormal
@@ -143,6 +145,12 @@ class HarnessReport:
 def _check_tol(tol):
     if not 0.0 < tol < math.inf:  # also false for NaN
         raise InvalidInputError(f"tolerance must be positive and finite, got {tol}")
+
+
+def _checked_int(name, value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _check_total_dim(n):
@@ -273,7 +281,6 @@ class _Family:
     least: int          # the least value of each dimension parameter
     too_small: str
     dims: Callable      # parameters -> curved factor dimensions
-    total: Callable     # parameters -> total dimension of the product
     constant: Callable  # (parameters, one=1.0) -> optimal constant, in the type of one
     factors: _Factors
     sharp: bool
@@ -284,7 +291,6 @@ _LINE = _Family(
     names=("n",), least=4,
     too_small="the line harness needs total dimension at least 4",
     dims=lambda p: (p["n"] - 1,),
-    total=lambda p: p["n"],
     constant=lambda p, one=1.0: a_const(p["n"] - 1, 1, one),
     factors=_REAL, sharp=True,
     probe=lambda alpha, thr, tol: None,
@@ -294,7 +300,6 @@ _SPHERES = _Family(
     names=("n1", "n2"), least=2,
     too_small="both factor dimensions must be at least 2",
     dims=lambda p: (p["n1"], p["n2"]),
-    total=lambda p: p["n1"] + p["n2"],
     constant=lambda p, one=1.0: a_const(p["n1"], p["n2"], one),
     factors=_REAL, sharp=True,
     probe=lambda alpha, thr, tol: alpha - min(0.5, (alpha - 1.0) / 2.0),
@@ -304,7 +309,6 @@ _KAHLER = _Family(
     names=("m1", "m2"), least=1,
     too_small="both complex dimensions must be at least 1",
     dims=lambda p: (p["m1"], p["m2"]),
-    total=lambda p: 2 * (p["m1"] + p["m2"]),
     constant=lambda p, one=1.0: b_const(p["m1"], p["m2"], one),
     factors=_COMPLEX, sharp=False,
     probe=lambda alpha, thr, tol: (
@@ -332,6 +336,7 @@ def check_rigidity(case, params=None, seed=0, samples=200, tol=CLASSIFY_TOL):
     ``product-kahler``, ``iff-spheres``, ``iff-kahler``.
     """
     _check_tol(tol)
+    seed, samples = _checked_int("seed", seed), _checked_int("samples", samples)
     if samples < 0:
         raise InvalidInputError("sample count must be nonnegative")
     if samples > MAX_SAMPLES:
@@ -340,13 +345,16 @@ def check_rigidity(case, params=None, seed=0, samples=200, tol=CLASSIFY_TOL):
         raise InvalidInputError(f"unknown harness case {case!r}; expected one of {HARNESS_CASES}")
     family, sweep = _HARNESSES[case]
     given = dict(params or {})
-    params = {name: int(given.pop(name, family.least)) for name in family.names}
+    params = {name: _checked_int(name, given.pop(name, family.least)) for name in family.names}
     grid = _kappa_grid(given) if sweep else None
     if given:
         raise InvalidInputError(f"unexpected {case} parameters: {sorted(given)}")
     if min(params.values()) < family.least:
         raise InvalidInputError(family.too_small)
-    _check_total_dim(family.total(params))
+    dims = family.dims(params)
+    # the line's flat factor R is the second, of dimension 1
+    n1, n2 = [family.factors.real(d) for d in dims] + [1] * (2 - len(dims))
+    _check_total_dim(n1 + n2)
     alpha = family.constant(params)
     run = {"grid": list(grid)} if sweep else {"seed": seed, "samples": samples}
     report = HarnessReport(
@@ -358,7 +366,7 @@ def check_rigidity(case, params=None, seed=0, samples=200, tol=CLASSIFY_TOL):
         _sweep(report, family, params, alpha, grid, tol)
     else:
         _check_model(report, family, params, alpha, tol)
-        _sample(report, family, params, alpha, seed, samples, tol)
+        _sample(report, family, dims, n1, n2, alpha, seed, samples, tol)
     return report.finalize()
 
 
@@ -439,12 +447,13 @@ def _sample_record(idx, seeds, v, constants):
 
 @lru_cache(maxsize=32)
 def _bordered_basis(n1, n2):
-    """The product-adapted basis without its n1 n2 mixed (xi) directions,
-    ``[N1 | N2 | 1]``: a product's operator vanishes on those."""
+    """Read-only tensors ``(W, n1 + n2, n1 + n2)`` of the product-adapted
+    basis without its n1 n2 mixed (xi) directions, ``[N1 | N2 | 1]``: a
+    product's operator vanishes on those."""
     tensors = product_adapted_basis(n1, n2).tensors
     kept = np.concatenate([tensors[:sym2_dim(n1) + sym2_dim(n2)], tensors[-1:]])
     kept.flags.writeable = False
-    return Sym2Basis(n1 + n2, kept)
+    return kept
 
 
 def _with_mixed_zeros(rows, n1, n2):
@@ -463,56 +472,51 @@ def _images(kind, dim, draws):
     return images
 
 
-def _factor_directions(real, n1, n2, j):
+def _factor_directions(n1, n2, j):
     """The directions of ``_bordered_basis(n1, n2)`` that meet the index
-    block of factor j, of real dimension ``real``: their flat entries of the
-    W x W block and the ``Sym2Basis`` of their restrictions to the factor.
+    block of factor j, of real dimension ``(n1, n2)[j]``, read-only: their
+    flat entries of the W x W block and their restrictions to the factor.
     The factor's part of the block is its operator on the latter."""
     basis = _bordered_basis(n1, n2)
-    block = slice(n1 * j, n1 * j + real)
-    tensors = basis.tensors[:, block, block]
+    block = slice(n1 * j, n1 * j + (n1, n2)[j])
+    tensors = basis[:, block, block]
     met = np.flatnonzero(tensors.any(axis=(1, 2)))
-    return (met[:, None] * basis.count + met[None, :]).ravel(), Sym2Basis(real, tensors[met])
+    columns, restricted = (met[:, None] * len(basis) + met[None, :]).ravel(), tensors[met]
+    columns.flags.writeable = restricted.flags.writeable = False
+    return columns, restricted
 
 
 @lru_cache(maxsize=8)
-def _factor_maps_at(kind, dim, n1, n2, positions):
-    """Read-only ``(columns, mapped)`` of each factor position j in
-    ``positions``: the linear map from the K draw entries of a factor of
-    ``kind`` and size ``dim`` to its part of the bordered block of a product
-    of real dimensions n1, n2 at ``columns`` (``_factor_directions``); row k
-    of ``mapped`` is the part of the image of unit draw k. Every image passes
-    ``check_identities``, which so covers every draw: a draw's image, and
-    each identity residual of it, is the sum of w_k times the unit ones. The
-    unit draws go once, for every position, in ``numerics.blocks`` of
-    ``_MAP_BUDGET`` numbers, so that the temporaries stay small."""
-    shape = kind.shape(dim)
-    size = math.prod(shape)
-    real = kind.real(dim)
-    parts = [(columns, restricted, np.empty((size, len(columns))))
-             for columns, restricted in (_factor_directions(real, n1, n2, j) for j in positions)]
-    for rows in blocks(0, size, real ** 4, _MAP_BUDGET):
-        units = np.eye(len(rows), size, rows.start).reshape((len(rows),) + shape)
-        images = _images(kind, dim, units)
-        for _, restricted, mapped in parts:
-            mapped[rows.start:rows.stop] = operator_matrices(images, restricted).reshape(
-                len(rows), -1)
-    for columns, _, mapped in parts:
-        columns.flags.writeable = mapped.flags.writeable = False
-    return tuple((columns, mapped) for columns, _, mapped in parts)
-
-
 def _factor_maps(kind, dims, n1, n2):
-    """The map of each curved factor, built once per factor dimension for
-    all its positions by ``_factor_maps_at``, or None when one would hold
-    more than ``_TENSOR_BUDGET`` numbers over the whole operator."""
-    width = _bordered_basis(n1, n2).count
+    """Read-only ``(columns, mapped)`` of each curved factor j, of ``kind``
+    and size ``dims[j]``, or None when one would hold more than
+    ``_TENSOR_BUDGET`` numbers over the whole operator: the linear map from
+    the K draw entries of factor j to its part of the bordered block of a
+    product of real dimensions n1, n2 at ``columns``
+    (``_factor_directions``); row k of ``mapped`` is the part of the image
+    of unit draw k. Every image passes ``check_identities``, which so covers
+    every draw: a draw's image, and each identity residual of it, is the sum
+    of w_k times the unit ones. The unit draws of one size go once, for
+    every factor of that size, in ``numerics.blocks`` of ``_MAP_BUDGET``
+    numbers, so that the temporaries stay small."""
+    width = len(_bordered_basis(n1, n2))
     if any(math.prod(kind.shape(d)) * width ** 2 > _TENSOR_BUDGET for d in dims):
         return None
-    built = {d: iter(_factor_maps_at(kind, d, n1, n2,
-                                     tuple(j for j, e in enumerate(dims) if e == d)))
-             for d in dict.fromkeys(dims)}
-    return [next(built[d]) for d in dims]
+    directions = [_factor_directions(n1, n2, j) for j in range(len(dims))]
+    maps = [np.empty((math.prod(kind.shape(d)), len(columns)))
+            for d, (columns, _) in zip(dims, directions)]
+    for d in dict.fromkeys(dims):
+        shape = kind.shape(d)
+        size = math.prod(shape)
+        for rows in blocks(0, size, kind.real(d) ** 4, _MAP_BUDGET):
+            units = np.eye(len(rows), size, rows.start).reshape((len(rows),) + shape)
+            images = _images(kind, d, units)
+            for j in (j for j, e in enumerate(dims) if e == d):
+                maps[j][rows.start:rows.stop] = operator_matrices(
+                    images, directions[j][1]).reshape(len(rows), -1)
+    for mapped in maps:
+        mapped.flags.writeable = False
+    return tuple((columns, mapped) for (columns, _), mapped in zip(directions, maps))
 
 
 def _bordered_matrices(kind, dims, draws, n1, n2, maps=None):
@@ -520,14 +524,14 @@ def _bordered_matrices(kind, dims, draws, n1, n2, maps=None):
     factors of sizes ``dims`` are drawn as ``draws``, one stack per factor:
     the sum of each factor's part, its draws times its map of ``maps``
     (``_factor_maps``), or else taken of its images. R adds nothing."""
-    width = _bordered_basis(n1, n2).count
+    width = len(_bordered_basis(n1, n2))
     mats = np.zeros((len(draws[0]), width * width))
     for j, (d, w) in enumerate(zip(dims, draws)):
         if maps:
             columns, mapped = maps[j]
             mats[:, columns] += w.reshape(len(w), -1) @ mapped
         else:
-            columns, restricted = _factor_directions(kind.real(d), n1, n2, j)
+            columns, restricted = _factor_directions(n1, n2, j)
             mats[:, columns] += operator_matrices(_images(kind, d, w), restricted).reshape(
                 len(w), -1)
     return mats.reshape(-1, width, width)
@@ -579,38 +583,26 @@ def _block_verdicts(mats, n1, n2, alpha, tol):
     return verdicts
 
 
-def _draws(kind, dims, seeds):
-    """One stack of standard normal draws per curved factor of sizes
-    ``dims``, from one fill per factor dimension d over the seeds of every
-    factor of that dimension, factor after factor; ``seeds`` holds each
-    sample's factor seeds."""
-    size = len(seeds)
-    drawn = {d: standard_normal_draws(
-        [s for e, col in zip(dims, zip(*seeds)) if e == d for s in col], kind.shape(d))
-        for d in dict.fromkeys(dims)}
-    return [drawn[d][size * dims[:j].count(d):][:size] for j, d in enumerate(dims)]
-
-
-def _sample(report, family, params, alpha, seed, samples, tol):
-    """Classify seeded random products at the constant; a classified sample
-    must have factors of constant curvature with the verdict's sign. Sample
-    ``idx`` of a family with ``k`` random factors draws factor ``j`` from
-    seed ``seed ^ (k * idx + j)``. Samples run in ``numerics.blocks`` of
-    ``_TENSOR_BUDGET``, drawn by ``_draws``, assembled by
-    ``_bordered_matrices`` and classified by ``_block_verdicts``. The maps
-    (built for the first block, so a run without samples builds none) are
-    used where they fit the budget and the block's draws are finite; a
-    non-finite draw fails the check of its images. A classified sample's
-    detectors read the images of its own draws."""
-    dims = family.dims(params)
+def _sample(report, family, dims, n1, n2, alpha, seed, samples, tol):
+    """Classify seeded random products of real dimensions n1, n2 at the
+    constant; a classified sample must have factors of constant curvature
+    with the verdict's sign. Sample ``idx`` of a family with ``k`` random
+    factors, of sizes ``dims``, draws factor ``j`` from seed
+    ``seed ^ (k * idx + j)``. Samples run in ``numerics.blocks`` of
+    ``_TENSOR_BUDGET``, drawn by one ``standard_normal_draws`` fill per
+    factor, assembled by ``_bordered_matrices`` and classified by
+    ``_block_verdicts``. The maps (built for the first block, so a run
+    without samples builds none) are used where they fit the budget and the
+    block's draws are finite; a non-finite draw fails the check of its
+    images. A classified sample's detectors read the images of its own
+    draws."""
     kind = family.factors
-    # the line's flat factor R is the second, of dimension 1
-    n1, n2 = [kind.real(d) for d in dims] + [1] * (2 - len(dims))
     maps = _factor_maps(kind, dims, n1, n2) if samples else None
-    for block in blocks(0, samples, family.total(params) ** 4, _TENSOR_BUDGET):
+    for block in blocks(0, samples, (n1 + n2) ** 4, _TENSOR_BUDGET):
         seeds = [[derived_seed(seed, len(dims) * idx + j) for j in range(len(dims))]
                  for idx in block]
-        draws = _draws(kind, dims, seeds)
+        draws = [standard_normal_draws(column, kind.shape(d))
+                 for d, column in zip(dims, zip(*seeds))]
         finite = maps and all(np.isfinite(w).all() for w in draws)
         mats = _bordered_matrices(kind, dims, draws, n1, n2, maps if finite else None)
         verdicts = _block_verdicts(mats, n1, n2, alpha, tol)

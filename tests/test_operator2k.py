@@ -106,7 +106,10 @@ class TestOperatorMatrix:
     def test_standard_basis_bitwise_equals_einsum(self, n, seed):
         r = random_tensor(n, seed=seed)
         basis = standard_basis(n)
-        assert np.array_equal(operator_matrix(r, basis), operator_matrix_einsum(r, basis))
+        mat = operator_matrix(r, basis)
+        assert np.array_equal(mat, operator_matrix_einsum(r, basis))
+        # the unchecked assembly below it takes the basis tensors as an array
+        assert np.array_equal(operator2k.operator_matrices(r.components, basis.tensors), mat)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_kahler_basis_bitwise_equals_einsum(self, m):
@@ -654,7 +657,7 @@ class TestStackedSpectra:
         # path, entry by entry
         comp = curvature.product_components(STACKED_FAMILIES[family](range(0, 2 * size, 2)))
         basis = standard_basis(comp.shape[-1])
-        mats = operator2k.operator_matrices(comp, basis)
+        mats = operator2k.operator_matrices(comp, basis.tensors)
         rows = numerics.eigensolve(mats)
         assert rows.shape == (size, basis.count)
         singles = [curvature.unchecked_tensor(entry) for entry in comp]

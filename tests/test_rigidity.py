@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -405,6 +406,31 @@ class TestCheckRigidity:
         with pytest.raises(InvalidInputError):
             check_rigidity("line", {"n": 4, "bogus": 1})
 
+    @pytest.mark.parametrize("case,params,name,value", [
+        ("line", {"n": 5.9}, "n", 5.9),
+        ("product-spheres", {"n1": 2.5, "n2": 3}, "n1", 2.5),
+        ("product-spheres", {"n1": 2, "n2": True}, "n2", True),
+        ("product-kahler", {"m1": "2"}, "m1", "2"),
+        ("iff-kahler", {"m2": np.int64(2)}, "m2", np.int64(2)),
+        ("line", {"seed": 1.5}, "seed", 1.5),
+        ("product-spheres", {"seed": "3"}, "seed", "3"),
+        ("product-kahler", {"samples": True}, "samples", True),
+        ("line", {"samples": 2.5}, "samples", 2.5),
+        ("iff-spheres", {"samples": 2.0}, "samples", 2.0),
+    ], ids=["n-float", "n1-float", "n2-bool", "m1-str", "m2-numpy", "seed-float", "seed-str",
+            "samples-bool", "samples-float", "sweep-samples-float"])
+    def test_rejects_a_size_seed_or_sample_count_that_is_not_an_int(self, case, params, name,
+                                                                    value, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("ran before checking the integers")
+
+        monkeypatch.setattr(rigidity, "standard_normal_draws", boom)
+        sizes = {k: v for k, v in params.items() if k not in ("seed", "samples")}
+        run = {k: v for k, v in params.items() if k in ("seed", "samples")}
+        with pytest.raises(InvalidInputError,
+                           match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            check_rigidity(case, sizes, **run)
+
     @pytest.mark.parametrize("case", list(rigidity.HARNESS_CASES))
     def test_rejects_samples_above_bound_before_sampling(self, case, monkeypatch):
         def boom(*args, **kwargs):
@@ -599,10 +625,10 @@ class TestBorderedBlock:
         n1, n2 = (p.shape[-1] for p in parts)
         n = n1 + n2
         full = numerics.eigensolve(operator2k.operator_matrices(
-            curvature.product_components(parts), sym2.standard_basis(n)))
+            curvature.product_components(parts), sym2.standard_basis(n).tensors))
         peak = np.abs(full).max(axis=-1, keepdims=True)
         factors = np.sort(np.concatenate(
-            [numerics.eigensolve(operator2k.operator_matrices(p, sym2.standard_basis(d)))
+            [numerics.eigensolve(operator2k.operator_matrices(p, sym2.standard_basis(d).tensors))
              for p, d in zip(parts, (n1, n2)) if d >= 2], axis=-1))
         # the tensor route in either factor order, and the harnesses' route
         # from the same draws, whose flat line R comes second
@@ -635,9 +661,9 @@ class TestBorderedBlock:
         basis = rigidity._bordered_basis(3, 2)
         assert rigidity._bordered_basis(3, 2) is basis
         adapted = sym2.product_adapted_basis(3, 2).tensors
-        assert np.array_equal(basis.tensors, np.delete(adapted, range(7, 13), axis=0))
-        assert (basis.dim, basis.count) == (5, 8)
-        assert not basis.tensors.flags.writeable
+        assert np.array_equal(basis, np.delete(adapted, range(7, 13), axis=0))
+        assert basis.shape == (8, 5, 5)
+        assert not basis.flags.writeable
 
 
 def _kind(kahler):
@@ -661,9 +687,9 @@ def _map_built_alone(kind, dim, n1, n2, j):
     size = math.prod(shape)
     real = kind.real(dim)
     basis = rigidity._bordered_basis(n1, n2)
-    tensors = basis.tensors[:, n1 * j:n1 * j + real, n1 * j:n1 * j + real]
+    tensors = basis[:, n1 * j:n1 * j + real, n1 * j:n1 * j + real]
     met = np.flatnonzero(tensors.any(axis=(1, 2)))
-    restricted = sym2.Sym2Basis(real, tensors[met])
+    restricted = tensors[met]
     mapped = np.empty((size, len(met) ** 2))
     for rows in numerics.blocks(0, size, real ** 4, rigidity._MAP_BUDGET):
         units = np.eye(len(rows), size, rows.start).reshape((len(rows),) + shape)
@@ -671,7 +697,7 @@ def _map_built_alone(kind, dim, n1, n2, j):
         curvature.check_identities(images)
         mapped[rows.start:rows.stop] = operator2k.operator_matrices(
             images, restricted).reshape(len(rows), -1)
-    return (met[:, None] * basis.count + met[None, :]).ravel(), mapped
+    return (met[:, None] * len(basis) + met[None, :]).ravel(), mapped
 
 
 class TestFactorMaps:
@@ -681,9 +707,9 @@ class TestFactorMaps:
 
     @pytest.fixture(autouse=True)
     def fresh_maps(self):
-        rigidity._factor_maps_at.cache_clear()
+        rigidity._factor_maps.cache_clear()
         yield
-        rigidity._factor_maps_at.cache_clear()
+        rigidity._factor_maps.cache_clear()
 
     @pytest.mark.parametrize("kahler,d1,d2",
                              [(False, *p) for p in _REAL_PAIRS if _mapped(False, *p)]
@@ -697,12 +723,15 @@ class TestFactorMaps:
                  scale * _factor_stack(kahler, d2, factor_seeds[1])]
         n1, n2 = (p.shape[-1] for p in parts)
         curved = [(j, d) for j, d in enumerate((d1, d2)) if kahler or d >= 2]
-        maps = [rigidity._factor_maps_at(kind, d, n1, n2, (j,))[0] for j, d in curved]
+        # the harnesses put the flat line R second, so an R-first product is
+        # mapped as its mirror, whose spectra and verdicts are its own
+        sizes = (n1, n2) if curved[0][0] == 0 else (n2, n1)
+        dims = tuple(d for _, d in curved)
         draws = [(scale if j else 1.0)
                  * curvature.standard_normal_draws(factor_seeds[j], kind.shape(d))
                  for j, d in curved]
-        mapped_mats = rigidity._bordered_matrices(kind, [d for _, d in curved], draws, n1, n2,
-                                                  maps)
+        mapped_mats = rigidity._bordered_matrices(kind, dims, draws, *sizes,
+                                                  rigidity._factor_maps(kind, dims, *sizes))
         block_mats = block_matrices(parts)
         mapped = bordered_spectra(mapped_mats, n1, n2)
         block = bordered_spectra(block_mats, n1, n2)
@@ -714,7 +743,7 @@ class TestFactorMaps:
         for alpha in (1.5, constant, block.shape[-1] / 2):
             for tol in (1e-9, 50.0):
                 assert (operator2k.verdict(mapped, alpha, tol)
-                        == rigidity._block_verdicts(mapped_mats, n1, n2, alpha, tol)
+                        == rigidity._block_verdicts(mapped_mats, *sizes, alpha, tol)
                         == rigidity._block_verdicts(block_mats, n1, n2, alpha, tol)
                         == operator2k.verdict(block, alpha, tol))
 
@@ -722,12 +751,14 @@ class TestFactorMaps:
         (True, 2, 4, 4, 1), (True, 1, 2, 4, 0), (False, 5, 5, 1, 0), (False, 3, 2, 3, 1)])
     def test_map_is_the_full_assembly_on_the_factors_directions(self, kahler, dim, n1, n2, j):
         kind = _kind(kahler)
-        columns, mapped = rigidity._factor_maps_at(kind, dim, n1, n2, (j,))[0]
-        assert rigidity._factor_maps_at(kind, dim, n1, n2, (j,))[0][1] is mapped
+        dims = tuple(n // 2 if kahler else n for n in (n1, n2) if kahler or n >= 2)
+        assert dims[j] == dim
+        columns, mapped = rigidity._factor_maps(kind, dims, n1, n2)[j]
+        assert rigidity._factor_maps(kind, dims, n1, n2)[j][1] is mapped
         assert not columns.flags.writeable and not mapped.flags.writeable
         # the factor's standard directions and zeta, and no other
         count = (sym2.sym2_dim(n2) if j else sym2.sym2_dim(n1)) + 1
-        width = rigidity._bordered_basis(n1, n2).count
+        width = len(rigidity._bordered_basis(n1, n2))
         rows, cols = np.divmod(columns, width)
         met = set(range(sym2.sym2_dim(n1), width - 1) if j else range(sym2.sym2_dim(n1)))
         assert set(rows) == set(cols) == met | {width - 1}
@@ -748,20 +779,21 @@ class TestFactorMaps:
     def test_equal_factors_share_one_pass_bitwise_the_maps_built_alone(self, kahler, dim):
         kind = _kind(kahler)
         n = kind.real(dim)
-        shared = rigidity._factor_maps_at(kind, dim, n, n, (0, 1))
-        assert all(a is b for a, b in zip(rigidity._factor_maps(kind, (dim, dim), n, n), shared))
+        shared = rigidity._factor_maps(kind, (dim, dim), n, n)
+        assert rigidity._factor_maps(kind, (dim, dim), n, n) is shared
+        assert len(shared) == 2
         for j, (columns, mapped) in enumerate(shared):
             assert not columns.flags.writeable and not mapped.flags.writeable
-            for alone in (_map_built_alone(kind, dim, n, n, j),
-                          rigidity._factor_maps_at(kind, dim, n, n, (j,))[0]):
-                assert np.array_equal(columns, alone[0])
-                assert mapped.tobytes() == alone[1].tobytes()
+            alone = _map_built_alone(kind, dim, n, n, j)
+            assert np.array_equal(columns, alone[0])
+            assert mapped.tobytes() == alone[1].tobytes()
 
     @pytest.mark.parametrize("argv,kahler,draws", [
         (["product-kahler", "--m1", "2", "--m2", "2"], True, [256]),
         (["product-spheres", "--n1", "3", "--n2", "3"], False, [9]),
         (["product-kahler", "--m1", "2", "--m2", "1"], True, [256, 16]),
-    ], ids=["kahler22", "spheres33", "kahler21"])
+        (["product-spheres", "--n1", "2", "--n2", "3"], False, [1, 9]),
+    ], ids=["kahler22", "spheres33", "kahler21", "spheres23"])
     def test_a_cold_run_images_the_unit_draws_once_per_factor_size(self, argv, kahler, draws,
                                                                   monkeypatch, capsys):
         name = "kahler_image" if kahler else "real_image"
@@ -777,6 +809,8 @@ class TestFactorMaps:
         assert cli.run(["verify", *argv, "--samples", "3"]) == 0
         capsys.readouterr()
         assert sum(imaged) == sum(draws)
+        # one cache entry holds the maps of every factor of the size
+        assert rigidity._factor_maps.cache_info().currsize == 1
         assert cli.run(["verify", *argv, "--samples", "3", "--seed", "1"]) == 0
         capsys.readouterr()
         assert sum(imaged) == sum(draws)
@@ -794,11 +828,11 @@ class TestFactorMaps:
         report = check_rigidity("product-kahler", {"m1": 2, "m2": 2}, samples=0)
         assert report.details["model_check"] == "consistent"
         assert imaged == []
-        assert rigidity._factor_maps_at.cache_info().currsize == 0
+        assert rigidity._factor_maps.cache_info().currsize == 0
         # the first block of a sampled run builds them
         check_rigidity("product-kahler", {"m1": 2, "m2": 2}, samples=1)
         assert sum(imaged) == 256
-        assert rigidity._factor_maps_at.cache_info().currsize == 1
+        assert rigidity._factor_maps.cache_info().currsize == 1
 
     @pytest.mark.parametrize("argv,mapped", [
         (["line", "--n", "7"], True),
@@ -822,11 +856,11 @@ class TestFactorMaps:
         assert json.loads(capsys.readouterr().out)["samples_run"] == 3
         assert routes == [mapped]
 
-    @pytest.mark.parametrize("kahler,argv,dim", [
-        (False, ["line", "--n", "5"], 4),
-        (True, ["product-kahler", "--m1", "2", "--m2", "1"], 2),
+    @pytest.mark.parametrize("kahler,argv,dims", [
+        (False, ["line", "--n", "5"], (4,)),
+        (True, ["product-kahler", "--m1", "2", "--m2", "1"], (2, 1)),
     ], ids=["real", "kahler"])
-    def test_identity_check_of_the_unit_images_bites(self, kahler, argv, dim, monkeypatch,
+    def test_identity_check_of_the_unit_images_bites(self, kahler, argv, dims, monkeypatch,
                                                      capsys):
         # w (x) w with w = e0^e1 + e2^e3 holds every symmetry but Bianchi
         form = np.zeros((4, 4))
@@ -845,18 +879,18 @@ class TestFactorMaps:
         message = "components violate the first Bianchi identity"
         kind = _kind(kahler)
         with pytest.raises(InvalidInputError, match=message):
-            rigidity._factor_maps_at(kind, dim, kind.real(dim), 2 if kahler else 1, (0,))
+            rigidity._factor_maps(kind, dims, kind.real(dims[0]), 2 if kahler else 1)
         assert cli.run(["verify", *argv, "--samples", "3"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("argv,kahler,dims,fills", [
-        (["product-spheres", "--n1", "3", "--n2", "3"], False, (3, 3), [(3, 10)]),
-        (["product-spheres", "--n1", "2", "--n2", "3"], False, (2, 3), [(2, 5), (3, 5)]),
-        (["product-kahler", "--m1", "2", "--m2", "1"], True, (2, 1), [(2, 5), (1, 5)]),
-        (["line", "--n", "5"], False, (4,), [(4, 5)]),
+    @pytest.mark.parametrize("argv,kahler,dims", [
+        (["product-spheres", "--n1", "3", "--n2", "3"], False, (3, 3)),
+        (["product-spheres", "--n1", "2", "--n2", "3"], False, (2, 3)),
+        (["product-kahler", "--m1", "2", "--m2", "1"], True, (2, 1)),
+        (["line", "--n", "5"], False, (4,)),
     ], ids=["equal", "unequal", "kahler", "line"])
-    def test_one_fill_per_factor_dimension_and_detectors_read_the_builders_tensors(
-            self, argv, kahler, dims, fills, monkeypatch, capsys):
+    def test_one_fill_per_factor_and_detectors_read_the_builders_tensors(
+            self, argv, kahler, dims, monkeypatch, capsys):
         kind = _kind(kahler)
         build = random_kahler_curvatures if kahler else random_curvatures
         draws, detected = [], []
@@ -879,13 +913,11 @@ class TestFactorMaps:
         report = json.loads(capsys.readouterr().out)
         records = report["counterexamples"] + report["findings"]
         assert sorted(r["sample"] for r in records if "sample" in r) == list(range(5))
-        # one fill per factor dimension, over the seeds of every factor of
-        # that dimension, factor after factor: today's seeds
+        # one fill per factor, equal sizes included, over that factor's
+        # seeds: today's seeds
         seeds = [[numerics.derived_seed(0, len(dims) * idx + j) for idx in range(5)]
                  for j in range(len(dims))]
-        by_dim = {d: [s for e, col in zip(dims, seeds) if e == d for s in col] for d in dims}
-        assert [(kind.shape(d), by_dim[d]) for d, _ in fills] == draws
-        assert [len(s) for _, s in draws] == [count for _, count in fills]
+        assert [(kind.shape(d), seeds[j]) for j, d in enumerate(dims)] == draws
         # the draws are bitwise the builders' own
         for shape, drawn in draws:
             own = []
@@ -916,7 +948,7 @@ class TestFactorMaps:
         # mapped (line5, kahler11, kahler21) and unmapped (line8, kahler23),
         # over a block seam: every sample classifies at tol 50, and its
         # detectors read its block's own draws, drawn by one fill per factor
-        # dimension per block
+        # per block
         kind = _kind(kahler)
         build = random_kahler_curvatures if kahler else random_curvatures
         real_fill = curvature.fill_standard_normal
@@ -939,8 +971,7 @@ class TestFactorMaps:
         report = json.loads(capsys.readouterr().out)
         records = report["counterexamples"] + report["findings"]
         assert sorted(r["sample"] for r in records if "sample" in r) == list(range(sum(sizes)))
-        assert fills == [(kind.shape(d), size * dims.count(d))
-                         for size in sizes for d in dict.fromkeys(dims)]
+        assert fills == [(kind.shape(d), size) for size in sizes for d in dims]
         monkeypatch.undo()
         assert len(detected) == sum(sizes) * len(dims)
         for k, components in enumerate(detected):
@@ -973,7 +1004,8 @@ def _harness_blocks(case, params, seed, block):
     n1, n2 = [kind.real(d) for d in dims] + [1] * (2 - len(dims))
     seeds = [[numerics.derived_seed(seed, len(dims) * idx + j) for j in range(len(dims))]
              for idx in block]
-    draws = rigidity._draws(kind, dims, seeds)
+    draws = [curvature.standard_normal_draws(column, kind.shape(d))
+             for d, column in zip(dims, zip(*seeds))]
     routes = [rigidity._bordered_matrices(kind, dims, draws, n1, n2, maps)
               for maps in (rigidity._factor_maps(kind, dims, n1, n2), None)]
     parts = [_factor_stack(kind is rigidity._COMPLEX, d, [s[j] for s in seeds])
@@ -1196,7 +1228,8 @@ class TestClosedFormSweep:
         for module, names in (
                 (rigidity, ("space_form", "kahler_space_form", "flat_tensor", "product",
                             "operator_matrices", "operator_matrix", "eigensolve", "spectrum",
-                            "_draws", "_images", "_bordered_matrices", "_block_verdicts")),
+                            "standard_normal_draws", "_images", "_bordered_matrices",
+                            "_block_verdicts")),
                 (curvature, ("space_form", "kahler_space_form", "product_components")),
                 (operator2k, ("operator_matrices", "eigensolve")),
                 (numerics, ("eigensolve",)), (np.linalg, ("eigvalsh", "eigh"))):
