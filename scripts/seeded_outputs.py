@@ -99,7 +99,12 @@ N = 5, a ``custom`` n = 3 tensor at alpha in {1.5, 3, line, 5} with both
 oracle runs above, and N = 35, S^4 x S^4, whose blocks hold 38 samples, at
 alpha in {1.5, A, 35} with ``--samples 65`` at seeds 0 and 7, so that a
 block seam is crossed; alpha = N makes every basis tie the trace, so the
-argmin falls on a re-drawn basis.
+argmin falls on a re-drawn basis; and ``spectrum`` of descriptor files whose
+bytes test the read: CRLF line ends with a JSON error after a line break,
+lone CRs with one, CRLF, CR and LF mixed with one, a valid CRLF file, a UTF-8
+byte order mark before CRLF, an invalid UTF-8 byte, an empty file and a
+directory, so that the decoding, the newlines and the line and column of a
+JSON error are compared too.
 Each record holds the command line, the exit code, stderr, stdout parsed as
 JSON with every ``timing`` block removed, and the raw stdout text with every
 ``"seconds": <number>`` masked, so that a change in the emitted bytes shows
@@ -284,6 +289,17 @@ ORACLE_WIDTH_RUNS = (
     ("custom3.json", ("1.5", "3", "line", "5"), ORACLE_RUNS),
     ("s4xs4.json", ("1.5", "A", "35"), (("65", "0"), ("65", "7"))),
 )
+# file bytes that test the read of a descriptor, and a directory in its place
+READ_EDGE_DESCRIPTORS = {
+    "read_crlf_error.json": b'{\r\n  "kind": "sphere",\r\n  "dim": 3,\r\n  "kappa": 1,\r\n}\r\n',
+    "read_cr_error.json": b'{"kind": "sphere",\r"dim": 3,\r"kappa": x}',
+    "read_mixed_error.json": b'{\r\n"kind":\r\r\n "sphere",\n\r"dim": 3,\r\n"kappa" 1}',
+    "read_crlf_valid.json": b'{\r\n  "kind": "cp",\r\n  "m": 2,\r\n  "kappa": 0.5\r\n}\r\n',
+    "read_bom_crlf.json": b'\xef\xbb\xbf{\r\n"kind": "sphere", "dim": 3, "kappa": 1}',
+    "read_invalid_utf8.json": b'{"kind": "sph\xffere", "dim": 3, "kappa": 1}',
+    "read_empty.json": b"",
+}
+READ_EDGE_DIRECTORY = "read_directory.json"
 LINE_DESCRIPTOR = "euclidean_line.json"
 LINE_TEXT = '{"kind": "euclidean", "dim": 1}'
 
@@ -374,6 +390,8 @@ def commands(tmp_dir):
              "--samples", samples, "--seed", seed)
             for name, alphas, runs in ORACLE_WIDTH_RUNS
             for alpha in alphas for samples, seed in runs]
+    out += [("spectrum", os.path.join(tmp_dir, name))
+            for name in (*READ_EDGE_DESCRIPTORS, READ_EDGE_DIRECTORY)]
     return out
 
 
@@ -402,9 +420,14 @@ def run_all():
                      **EDGE_DESCRIPTORS, **IDENTITY_FAULTS, **ORACLE_WIDTH_DESCRIPTORS}
         for name, text in generated.items():
             Path(tmp, name).write_text(text, encoding="utf-8")
+        for name, data in READ_EDGE_DESCRIPTORS.items():
+            Path(tmp, name).write_bytes(data)
+        Path(tmp, READ_EDGE_DIRECTORY).mkdir()
         for argv in commands(tmp):
             record = run_one(argv)
             record["argv"] = " ".join(argv).replace(tmp, "<tmp>")
+            # a read error names the file
+            record["stderr"] = record["stderr"].replace(tmp, "<tmp>")
             records.append(record)
     return records
 

@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .curvature import einstein_constant, scalar
+from .curvature import _einstein_constant_of, scalar
 from .descriptors import (
     COMPLEX_KINDS,
     FLAT_KINDS,
@@ -151,11 +151,16 @@ def _clusters_obj(clusters):
 
 
 def _load_descriptor(path):
+    """Parse the descriptor file at ``path``: its bytes decoded as UTF-8 once,
+    with the newlines of a text-mode read, ``\r\n`` and a lone ``\r`` read
+    as ``\n``, so that a JSON error names the same line and column."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DescriptorError(f"cannot read descriptor file {path!r}: {exc}") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return parse_descriptor(text)
 
 
@@ -197,13 +202,15 @@ def _report_head(desc, tensor):
 
 def _base_report(desc, tensor):
     # computed in key order, so the first overflow is the one a report of
-    # huge curvature names
+    # huge curvature names; the clusters and the thresholds read one list
     report, s, started = _report_head(desc, tensor)
+    values = s.tolist()
+    total = scalar(tensor)
     report.update(
-        scalar_curvature=scalar(tensor),
-        einstein_constant=einstein_constant(tensor),
-        spectrum=_clusters_obj(cluster_spectrum(s)),
-        thresholds=_thresholds_obj(s),
+        scalar_curvature=total,
+        einstein_constant=_einstein_constant_of(tensor, total),
+        spectrum=_clusters_obj(cluster_spectrum(values)),
+        thresholds=_thresholds_obj(values),
         classifications=[],
         closed_form=None,
     )
@@ -241,7 +248,7 @@ def _cmd_classify(args):
 def _cmd_threshold(args):
     desc = _load_descriptor(args.file)
     report, s, started = _report_head(desc, build_tensor(desc))
-    report["thresholds"] = _thresholds_obj(s)
+    report["thresholds"] = _thresholds_obj(s.tolist())
     print(dumps_json(_finish(report, started)))
     return EXIT_OK
 
@@ -448,9 +455,9 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser():
-    """The command-line parser of ``_commands()``, built once per process:
-    ``parse_args`` returns a fresh namespace on every call, so ``run`` can
-    share it."""
+    """The command-line parser of ``_commands()``, built once per process,
+    on the first argv that ``_strict_namespace`` declines: ``parse_args``
+    returns a fresh namespace on every call, so ``run`` can share it."""
     parser = _ArgumentParser(
         prog="secondkind",
         description="Spectra and fractional nonnegativity thresholds of the "
@@ -510,11 +517,10 @@ def _strict_namespace(argv):
 
 
 def run(argv):
-    parser = build_parser()
     args = _strict_namespace(argv)
     if args is None:
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

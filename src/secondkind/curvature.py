@@ -283,9 +283,14 @@ def einstein_constant(r):
 
     The deviation threshold is ``DETECTOR_TOL * max(1, ||Ric||_inf)``.
     """
-    ric = ricci(r)
-    rho = scalar(r) / r.dim
-    return _matches(rho, ric, rho * np.eye(r.dim))
+    return _einstein_constant_of(r, scalar(r))
+
+
+def _einstein_constant_of(r, total):
+    """``einstein_constant(r)`` given ``total``, its ``scalar(r)``, so that
+    a report of both contracts the scalar curvature once."""
+    rho = total / r.dim
+    return _matches(rho, ricci(r), rho * np.eye(r.dim))
 
 
 def constant_sectional(r):

@@ -56,6 +56,11 @@ SINGLE_KINDS = tuple(_LEAVES)
 COMPLEX_KINDS = tuple(kind for kind, leaf in _LEAVES.items() if leaf.size == "m")
 FLAT_KINDS = tuple(kind for kind, leaf in _LEAVES.items() if not leaf.sign)
 KINDS = SINGLE_KINDS + ("product", "custom")
+# the fields each kind allows
+_LEAF_KEYS = {kind: frozenset(("kind", leaf.size) + (("kappa",) if leaf.sign else ()))
+              for kind, leaf in _LEAVES.items()}
+_PRODUCT_KEYS = frozenset(("kind", "factors"))
+_CUSTOM_KEYS = frozenset(("kind", "dim", "components"))
 
 
 @dataclass(frozen=True)
@@ -103,8 +108,9 @@ def _bounded_dim(dim, path):
 
 
 def _check_keys(obj, allowed, path):
-    extra = sorted(set(obj) - set(allowed))
-    if extra:
+    """Reject a field of ``obj`` outside the set ``allowed``."""
+    if not obj.keys() <= allowed:
+        extra = sorted(obj.keys() - allowed)
         _fail(path, f"unknown field(s) {extra}; allowed: {sorted(allowed)}")
 
 
@@ -118,14 +124,16 @@ def _from_obj(obj, path, depth=0):
         _fail(f"{path}.kind", f"expected one of {list(KINDS)}, got {kind!r}")
     leaf = _LEAVES.get(kind)
     if leaf is not None:
-        _check_keys(obj, ("kind", leaf.size) + (("kappa",) if leaf.sign else ()), path)
+        _check_keys(obj, _LEAF_KEYS[kind], path)
         size = _require_int(obj, leaf.size, path)
         if size < leaf.least:
             _fail(f"{path}.{leaf.size}", leaf.too_small)
-        _bounded_dim(2 * size if leaf.size == "m" else size, f"{path}.{leaf.size}")
+        dim = 2 * size if leaf.size == "m" else size
+        if dim > MAX_DIM:  # the error's path is built only to fail
+            _bounded_dim(dim, f"{path}.{leaf.size}")
         kappa = _require_positive_real(obj, "kappa", path) if leaf.sign else 0.0
         if leaf.size == "m":
-            return ManifoldDescriptor(kind=kind, m=size, dim=2 * size, kappa=kappa)
+            return ManifoldDescriptor(kind=kind, m=size, dim=dim, kappa=kappa)
         return ManifoldDescriptor(kind=kind, dim=size, kappa=kappa)
     if kind == "product":
         if depth >= MAX_DIM:
@@ -133,7 +141,7 @@ def _from_obj(obj, path, depth=0):
             # product adds one: the whole descriptor exceeds the limit
             _fail("$", f"products nested more than {MAX_DIM} levels deep exceed "
                        f"the total dimension limit {MAX_DIM}")
-        _check_keys(obj, ("kind", "factors"), path)
+        _check_keys(obj, _PRODUCT_KEYS, path)
         factors = obj.get("factors")
         if not isinstance(factors, list) or len(factors) < 2:
             _fail(f"{path}.factors", "a product needs a list of at least two factors")
@@ -142,7 +150,7 @@ def _from_obj(obj, path, depth=0):
         dim = _bounded_dim(sum(f.dim for f in parsed), f"{path}.factors")
         return ManifoldDescriptor(kind=kind, dim=dim, factors=parsed)
     # custom
-    _check_keys(obj, ("kind", "dim", "components"), path)
+    _check_keys(obj, _CUSTOM_KEYS, path)
     dim = _require_int(obj, "dim", path)
     if dim < 1:
         _fail(f"{path}.dim", "dimension must be at least 1")

@@ -1,7 +1,11 @@
 """Dense symmetric linear algebra at small sizes.
 
 Spectra come from LAPACK (``eigensolve``), so results are reproducible for
-a given numpy/LAPACK build. Random sampling uses a counter-based generator
+a given numpy/LAPACK build. LAPACK reads the symmetrized matrix, and a
+matrix equal to its transpose bit for bit, as every assembled operator is,
+is its own symmetrization, so it is not symmetrized again. The clusters of
+a spectrum (``cluster_spectrum``) are read off a float list, which a report
+shares with its thresholds. Random sampling uses a counter-based generator
 (Philox) keyed by the caller's seed, so independent streams are derived by
 distinct seeds rather than shared mutable state. The stream of a 64-bit
 seed ``s`` is Philox with key ``(s, 0)`` from counter 0; that pair fixes the
@@ -17,6 +21,7 @@ random matrices from the classical compact groups", Notices AMS 2007).
 """
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -31,6 +36,8 @@ CLUSTER_REL_TOL = 1e-7
 MAX_BLOCK = 64
 
 _SEED_MASK = (1 << 64) - 1
+# the largest peak whose doubling, a + a, is exact and finite
+_HALF_MAX = sys.float_info.max / 2.0
 
 
 def blocks(start, stop, size, budget):
@@ -51,14 +58,16 @@ def derived_seed(seed, index):
     return (int(seed) ^ index) & _SEED_MASK
 
 
-def _checked_symmetric(m):
-    """Symmetrized float copy of a finite, square, symmetric matrix of
-    dimension at least 1, or of a stack of them ``(..., N, N)``.
+def _symmetric_operand(m):
+    """The half-sum ``(a + aᵀ) / 2`` of the float form ``a`` of ``m``, after
+    the checks of ``_checked_symmetric``, or ``a`` itself where the half-sum
+    is ``a`` bit for bit: where ``a`` equals its transpose bit for bit, as
+    every assembled operator does, and its peak is at most half the largest
+    double, so that ``a + aᵀ`` is exactly ``2a``.
 
-    Non-finite entries anywhere raise ConvergenceError, because no
-    eigensolver can return a meaningful spectrum for them; the shape and
-    symmetry checks raise InvalidInputError. Each matrix is held to the
-    symmetry tolerance of its own largest entry.
+    Bits, not values: a ±0.0 pair, which the half-sum makes +0.0, takes the
+    half-sum, and so does a larger peak, whose overflow is raised or warned
+    as before.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -69,6 +78,10 @@ def _checked_symmetric(m):
     peak = float(np.abs(a).max())
     if not math.isfinite(peak):
         raise ConvergenceError(f"matrix of dimension {a.shape[-1]} has non-finite entries")
+    if peak <= _HALF_MAX:
+        bits = a.view(np.int64)
+        if (bits == bits.swapaxes(-1, -2)).all():
+            return a
     at = a.swapaxes(-1, -2)
     dev = np.abs(a - at)
     # every tolerance is at least SYMMETRY_TOL, so only a larger deviation
@@ -81,6 +94,19 @@ def _checked_symmetric(m):
     return (a + at) / 2.0
 
 
+def _checked_symmetric(m):
+    """Symmetrized float copy of a finite, square, symmetric matrix of
+    dimension at least 1, or of a stack of them ``(..., N, N)``.
+
+    Non-finite entries anywhere raise ConvergenceError, because no
+    eigensolver can return a meaningful spectrum for them; the shape and
+    symmetry checks raise InvalidInputError. Each matrix is held to the
+    symmetry tolerance of its own largest entry. The copy is always fresh,
+    so the caller may overwrite it.
+    """
+    return _symmetric_operand(m).copy()
+
+
 def eigensolve(m, vectors=False):
     """Ascending eigenvalues of a real symmetric matrix, by LAPACK, or one
     ascending row per matrix of a stack ``(..., N, N)``; LAPACK solves the
@@ -89,10 +115,13 @@ def eigensolve(m, vectors=False):
 
     With ``vectors=True`` returns ``(w, q)``, the columns of ``q`` being the
     matching orthonormal eigenvectors. The input must be finite, square and
-    symmetric (``_checked_symmetric``); a LAPACK failure raises
-    ConvergenceError.
+    symmetric (the checks of ``_checked_symmetric``). LAPACK reads the
+    symmetrized matrix, and a matrix that already equals its transpose bit
+    for bit is its own symmetrization, so it is read as it is
+    (``_symmetric_operand``); either way the result is bitwise that of
+    ``(m + mᵀ) / 2``. A LAPACK failure raises ConvergenceError.
     """
-    a = _checked_symmetric(m)
+    a = _symmetric_operand(m)
     try:
         if vectors:
             return np.linalg.eigh(a)
@@ -185,21 +214,32 @@ def joins_cluster(previous, value):
     return not value - previous > CLUSTER_REL_TOL * max(1.0, abs(previous))
 
 
+def _float_list(values):
+    """``values`` as a list of floats: a list, taken to hold floats, as it
+    is, and anything else as ``np.asarray(values, dtype=float).tolist()``,
+    so the readers of one spectrum can share one list."""
+    if type(values) is list:
+        return values
+    return np.asarray(values, dtype=float).tolist()
+
+
 def cluster_spectrum(values):
     """Group an ascending list into (value, multiplicity) clusters.
 
-    Consecutive entries join one cluster by ``joins_cluster``; the reported
-    value is the cluster mean, a Python sum over the cluster divided by its
-    size.
+    Consecutive entries join one cluster by ``joins_cluster``, whose test
+    the loop states inline; the reported value is the cluster mean, a
+    Python sum over the cluster divided by its size. ``values`` is read by
+    ``_float_list``.
     """
-    vals = np.asarray(values, dtype=float).tolist()
+    vals = _float_list(values)
     clusters = []
     start = 0
     for i in range(1, len(vals) + 1):
         if i < len(vals):
-            if vals[i] < vals[i - 1]:
+            previous, value = vals[i - 1], vals[i]
+            if value < previous:
                 raise InvalidInputError("values must be sorted ascending")
-            if joins_cluster(vals[i - 1], vals[i]):
+            if not value - previous > CLUSTER_REL_TOL * max(1.0, abs(previous)):
                 continue
         chunk = vals[start:i]
         clusters.append((sum(chunk) / len(chunk), len(chunk)))

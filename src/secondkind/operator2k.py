@@ -4,7 +4,6 @@ fractional nonnegativity classification, and a definition-level random-basis
 oracle for the classification.
 """
 
-import hashlib
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -14,6 +13,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .numerics import (
     MAX_BLOCK,
+    _float_list,
     _orthonormal_rows,
     blocks,
     derived_seed,
@@ -78,8 +78,11 @@ def operator_matrices(components, b):
     r_jk_il = components.swapaxes(-4, -3).swapaxes(-3, -2)
     r_jk_il = r_jk_il.reshape(components.shape[:-4] + (n * n, n * n))
     t = r_jk_il @ b.transpose(1, 2, 0).reshape(n * n, count)
-    mat = (b.reshape(count, n * n) @ t).swapaxes(-1, -2)
-    return (mat + mat.swapaxes(-1, -2)) / 2.0
+    # x is the matrix's transpose, and IEEE addition commutes, so the
+    # half-sum on the contiguous x is the matrix's, and it equals its
+    # transpose bit for bit, which ``eigensolve`` reads as it is
+    x = b.reshape(count, n * n) @ t
+    return (x + x.swapaxes(-1, -2)) / 2.0
 
 
 def spectrum(r):
@@ -155,19 +158,20 @@ def classify(r, alpha, tol=CLASSIFY_TOL):
 
 def nonneg_threshold(s):
     """Least alpha in [1, N] with g(alpha) >= 0 over the ascending float64
-    ``s``, using the exact root of the crossing linear segment; 1.0 when the
-    least eigenvalue is nonnegative, None when even g(N) is negative.
+    ``s``, an array or a list of floats, using the exact root of the
+    crossing linear segment; 1.0 when the least eigenvalue is nonnegative,
+    None when even g(N) is negative.
 
     The running sums are added left to right in one list scan, in the order
     and the rounding of ``np.cumsum``."""
-    values = np.asarray(s, dtype=float).tolist()
+    values = _float_list(s)
     if values[0] >= 0.0:
         return 1.0
     sums = list(accumulate(values))
     if not math.isfinite(sums[-1]):
         # a sum overflowed (or an entry is not finite): np.cumsum raises or
         # warns under the caller's np.errstate; Python's float sums do not
-        np.cumsum(s)
+        np.cumsum(values)
     for idx, total in enumerate(sums):
         if total >= 0.0:  # first crossing; idx >= 1, as sums[0] < 0
             return idx + (-sums[idx - 1]) / values[idx]
@@ -177,11 +181,14 @@ def nonneg_threshold(s):
 def nonpos_threshold(s):
     """Least alpha making the negated tensor's sum nonnegative: the
     ``nonneg_threshold`` of the eigenvalues negated in reverse order, which
-    is ascending."""
-    return nonneg_threshold(-s[::-1])
+    is ascending; ``s`` is an array or a list of floats."""
+    return nonneg_threshold([-v for v in reversed(_float_list(s))])
 
 
 def _digest(array):
+    # imported here, as only the oracle hashes
+    import hashlib
+
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()[:16]
 
 

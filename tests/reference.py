@@ -367,6 +367,18 @@ def parse_descriptor_loads(text):
         raise descriptors.DescriptorError("descriptor is nested too deeply to parse") from None
 
 
+def load_descriptor_text_mode(path):
+    """The descriptor of the file at ``path`` read in text mode, UTF-8 with
+    universal newlines, and its read errors worded as
+    ``cli._load_descriptor`` words them."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise descriptors.DescriptorError(f"cannot read descriptor file {path!r}: {exc}") from exc
+    return descriptors.parse_descriptor(text)
+
+
 def signed_qr_families(n, seeds):
     """One orthonormal basis of R^n per seed, one vector per row: the Q of
     ``np.linalg.qr`` of the seed's draws, each column signed by R's

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secondkind import cli, descriptors, rigidity
+from secondkind import cli, curvature, descriptors, rigidity
 from secondkind.cli import dumps_json, run
 from secondkind.curvature import MAX_DIM
 from secondkind.descriptors import (
@@ -29,11 +29,29 @@ from secondkind.descriptors import (
 )
 from secondkind.numerics import CLUSTER_REL_TOL, cluster_spectrum
 
-from reference import parse_descriptor_loads
+from reference import load_descriptor_text_mode, parse_descriptor_loads
 
 REPO = Path(__file__).resolve().parents[1]
 DESCRIPTORS = REPO / "descriptors"
 GOLDEN = REPO / "tests" / "golden"
+
+
+# name -> (command, descriptor text, options) of the golden reports of the
+# spectrum path: degenerate clusters at N = 77, an Einstein product of three
+# factors, a curvature off the dyadic grid, the thresholds alone, a verdict
+CP3_CH3 = ('{"kind": "product", "factors": [{"kind": "cp", "m": 3, "kappa": 0.25}, '
+           '{"kind": "ch", "m": 3, "kappa": 4}]}')
+GOLDEN_REPORTS = {
+    "spectrum_cp3xch3": ("spectrum", CP3_CH3, ()),
+    "spectrum_cp1xs3xs2": ("spectrum", '{"kind": "product", "factors": [{"kind": "cp", "m": 1, '
+                           '"kappa": 0.5}, {"kind": "sphere", "dim": 3, "kappa": 1}, '
+                           '{"kind": "sphere", "dim": 2, "kappa": 2}]}', ()),
+    "spectrum_cp2_0.3": ("spectrum", '{"kind": "cp", "m": 2, "kappa": 0.3}', ()),
+    "threshold_s4xh3": ("threshold", '{"kind": "product", "factors": [{"kind": "sphere", '
+                        '"dim": 4, "kappa": 0.3}, {"kind": "hyperbolic", "dim": 3, '
+                        '"kappa": 1.5}]}', ()),
+    "classify_cp3xch3_A": ("classify", CP3_CH3, ("--alpha", "A")),
+}
 
 
 Pair = namedtuple("Pair", "first second")
@@ -615,18 +633,21 @@ class TestCliCommands:
             "$" + ".factors[0]" * 32 + ".dim: euclidean dimension must be at least 1")
         assert parse_descriptor(nested_products(31)).dim == MAX_DIM
 
-    @pytest.mark.parametrize("text", [
-        '{"kind":"cp","m":2,"kappa":1e308}',
-        '{"kind":"sphere","dim":3,"kappa":1e308}',
-    ], ids=["cp-tensor-overflow", "sphere-operator-overflow"])
-    def test_overflow_exit_3_one_line(self, tmp_path, text):
+    @pytest.mark.parametrize("text,operation", [
+        ('{"kind":"cp","m":2,"kappa":1e308}', "multiply"),
+        ('{"kind":"sphere","dim":3,"kappa":1e308}', "add"),
+        # a bit-symmetric operator above half the largest double still takes
+        # the half-sum, whose overflow ends the command
+        ('{"kind":"product","factors":[{"kind":"sphere","dim":2,"kappa":1e308},'
+         '{"kind":"sphere","dim":2,"kappa":1}]}', "add"),
+    ], ids=["cp-tensor-overflow", "sphere-operator-overflow", "product-operator-overflow"])
+    def test_overflow_exit_3_one_line(self, tmp_path, text, operation):
         bad = tmp_path / "big.json"
         bad.write_text(text)
         proc = run_cli(["spectrum", str(bad)])
         assert proc.returncode == 3
         assert proc.stdout == ""
-        assert len(proc.stderr.splitlines()) == 1
-        assert proc.stderr.startswith("numeric failure: overflow")
+        assert proc.stderr == f"numeric failure: overflow encountered in {operation}\n"
 
     @pytest.mark.parametrize("path", sorted(DESCRIPTORS.glob("*.json")), ids=lambda p: p.stem)
     def test_oracle_consistent_on_every_descriptor(self, path, capsys):
@@ -732,6 +753,18 @@ class TestCliCommands:
         normalized = re.sub(r'"seconds": [0-9.eE+-]+', '"seconds": 0', proc.stdout)
         assert normalized.strip() == (GOLDEN / "spectrum_s3xr.json").read_text().strip()
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+    def test_golden_spectrum_path_report(self, name, tmp_path, capsys):
+        # recorded before a spectrum request stopped re-symmetrizing the
+        # assembled operator and read its clusters and thresholds off one
+        # list; byte-stable per numpy/LAPACK build, like spectrum_s3xr.json
+        command, text, options = GOLDEN_REPORTS[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        assert run([command, str(path), *options]) == 0
+        normalized = re.sub(r'"seconds": [0-9.eE+-]+', '"seconds": 0', capsys.readouterr().out)
+        assert normalized == (GOLDEN / f"{name}.json").read_text()
+
     def test_golden_oracle_report(self, capsys):
         # byte-stable per numpy/LAPACK build, like spectrum_s3xr.json:
         # argmin_digest hashes the LAPACK eigenbasis, and the other 200
@@ -782,7 +815,9 @@ class TestSharedParser:
             before = len(built)
             run(argv)
             counts.append(len(built) - before)
-        assert counts == [7, 0, 0]  # the parser and its six subparsers
+        # the parser and its six subparsers, built by the first argv that the
+        # strict grammar declines and by no argv that it accepts
+        assert counts == [0, 0, 7]
 
     def test_repeated_option_does_not_carry_over(self, capsys):
         s4 = str(DESCRIPTORS / "s4.json")
@@ -934,6 +969,24 @@ class TestStrictGrammar:
 
 
 class TestSpectrumRequest:
+    @pytest.mark.parametrize("command", ["spectrum", "classify"])
+    def test_scalar_curvature_contracted_once_per_report(self, command, monkeypatch, capsys):
+        # the report's scalar curvature and its Einstein test share one
+        # contraction
+        calls = []
+        contract = curvature.scalar
+
+        def counting(r):
+            calls.append(r.dim)
+            return contract(r)
+
+        monkeypatch.setattr(cli, "scalar", counting)
+        monkeypatch.setattr(curvature, "scalar", counting)
+        argv = [command, str(DESCRIPTORS / "s3xr.json")]
+        assert run(argv + (["--alpha", "A"] if command == "classify" else [])) == 0
+        assert calls == [4]
+        capsys.readouterr()
+
     # spectrum and classify print the clusters; threshold never reads them
     @pytest.mark.parametrize("command,clusterings", [
         ("spectrum", 1), ("threshold", 0), ("classify", 1),
@@ -955,6 +1008,79 @@ class TestSpectrumRequest:
             assert run(argv) == 0
             assert len(calls) - before == clusterings, name
         capsys.readouterr()
+
+
+# name -> (file bytes, the error line of ``spectrum`` on it); a JSON error
+# names the line and column of the text with its newlines read as "\n"
+READ_EDGES = {
+    "crlf-error": (b'{\r\n  "kind": "sphere",\r\n  "dim": 3,\r\n  "kappa": 1,\r\n}\r\n',
+                   "invalid JSON: Expecting property name enclosed in double quotes: "
+                   "line 5 column 1 (char 48)"),
+    "lone-cr-error": (b'{"kind": "sphere",\r"dim": 3,\r"kappa": x}',
+                      "invalid JSON: Expecting value: line 3 column 10 (char 38)"),
+    "mixed-newlines-error": (b'{\r\n"kind":\r\r\n "sphere",\n\r"dim": 3,\r\n"kappa" 1}',
+                             "invalid JSON: Expecting ':' delimiter: line 7 column 9 (char 41)"),
+    "bom": (b'\xef\xbb\xbf{"kind": "sphere", "dim": 3, "kappa": 1}',
+            "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+            "line 1 column 1 (char 0)"),
+    "invalid-utf8": (b'{"kind": "sph\xffere", "dim": 3, "kappa": 1}',
+                     "cannot read descriptor file {path!r}: 'utf-8' codec can't decode "
+                     "byte 0xff in position 13: invalid start byte"),
+    "empty": (b"", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+}
+
+
+def _load_outcome(load, path):
+    try:
+        return load(path)
+    except DescriptorError as exc:
+        return str(exc)
+
+
+class TestReadDescriptorBytes:
+    """A descriptor file is read as bytes and decoded once, with the
+    outcome of a text-mode read: the same descriptor, or the same error."""
+
+    @pytest.mark.parametrize("name", sorted(READ_EDGES))
+    def test_edge_keeps_exit_and_error_line(self, name, tmp_path, capsys):
+        data, message = READ_EDGES[name]
+        path = tmp_path / "edge.json"
+        path.write_bytes(data)
+        assert run(["spectrum", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message.format(path=str(path))}\n"
+        assert _load_outcome(cli._load_descriptor, str(path)) == \
+            _load_outcome(load_descriptor_text_mode, str(path))
+
+    def test_directory_keeps_exit_and_error_line(self, tmp_path, capsys):
+        path = str(tmp_path)
+        assert run(["spectrum", path]) == 2
+        assert capsys.readouterr().err == \
+            f"error: cannot read descriptor file {path!r}: [Errno 21] Is a directory: {path!r}\n"
+
+    def test_crlf_and_cr_read_as_lf(self, tmp_path, capsys):
+        text = '{\n  "kind": "cp",\n  "m": 2,\n  "kappa": 0.5\n}\n'
+        reports = []
+        for newline in ("\n", "\r\n", "\r"):
+            path = tmp_path / "cp2.json"
+            path.write_bytes(text.replace("\n", newline).encode())
+            assert run(["spectrum", str(path)]) == 0
+            reports.append(without_timing(capsys.readouterr().out))
+        assert reports[0] == reports[1] == reports[2]
+
+    @given(st.lists(st.sampled_from([b"\r", b"\n", b"\r\n", b" ", b"\xef\xbb\xbf", b"\xff",
+                                     b"\xc3\xa9", b"{", b"}", b",", b":", b'"kind"', b'"dim"',
+                                     b'"kappa"', b'"sphere"', b"3", b"1", b"x"]), max_size=24))
+    @settings(max_examples=200, deadline=None)
+    def test_any_bytes_read_as_text_mode_reads_them(self, pieces):
+        import tempfile
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp, "d.json"))
+            Path(path).write_bytes(b"".join(pieces))
+            assert _load_outcome(cli._load_descriptor, path) == \
+                _load_outcome(load_descriptor_text_mode, path)
 
 
 class TestInternalError:

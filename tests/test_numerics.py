@@ -5,20 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from secondkind.curvature import kahler_space_form, product, space_form
 from secondkind.errors import ConvergenceError, InvalidInputError
 from secondkind.numerics import (
     CLUSTER_REL_TOL,
+    _checked_symmetric,
     _orthonormal_rows,
+    _symmetric_operand,
     cluster_spectrum,
     eigensolve,
     fill_standard_normal,
     random_orthonormal_families,
     seeded_stream,
 )
+from secondkind.operator2k import operator_matrices, operator_matrix
+from secondkind.sym2 import standard_basis
 
 import reference
 from reference import cluster_spectrum_loop, jacobi_eigen
-from samples import random_curvatures, random_kahler_curvatures
+from samples import random_curvatures, random_kahler_curvatures, random_tensor
 
 
 def random_symmetric(n, seed, scale=1.0):
@@ -140,6 +145,96 @@ class TestEigensolve:
         monkeypatch.setattr(np.linalg, name, fail)
         with pytest.raises(ConvergenceError, match="did not converge"):
             eigensolve(np.eye(2), vectors=vectors)
+
+
+def _operator_stack(n, seeds):
+    """Operators ``(len(seeds), N, N)`` of seeded random curvature tensors
+    of dimension ``n``, assembled in one stacked call."""
+    return operator_matrices(random_curvatures(n, seeds), standard_basis(n).tensors)
+
+
+def _half_sum_solve(m, vectors=False):
+    """The LAPACK solve of ``(m + mᵀ) / 2``, the matrix ``eigensolve`` reads."""
+    sym = (m + np.swapaxes(m, -1, -2)) / 2.0
+    return np.linalg.eigh(sym) if vectors else np.linalg.eigvalsh(sym)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSymmetricOperand:
+    """``eigensolve`` reads a matrix that equals its transpose bit for bit as
+    it is, and every other one through the half-sum, with the same bits."""
+
+    @pytest.mark.parametrize("n", list(range(2, 13)) + [32])
+    def test_assembled_operator_solves_as_its_half_sum(self, n):
+        if n == 32:  # a random tensor of dimension 32 is needlessly big
+            m = operator_matrix(product(space_form(20, 0.5), kahler_space_form(6, -2.0)),
+                                standard_basis(n))
+        else:
+            m = operator_matrix(random_tensor(n, seed=n), standard_basis(n))
+        bits = m.view(np.int64)
+        assert np.array_equal(bits, bits.T)
+        assert _symmetric_operand(m) is m
+        assert _same_bits(eigensolve(m), _half_sum_solve(m))
+        for got, expected in zip(eigensolve(m, vectors=True), _half_sum_solve(m, True)):
+            assert _same_bits(got, expected)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_stacked_operators_solve_as_their_half_sums(self, n):
+        mats = _operator_stack(n, [n, n + 1, n + 2])
+        assert _symmetric_operand(mats) is mats
+        w = eigensolve(mats)
+        assert _same_bits(w, _half_sum_solve(mats))
+        for row, m in zip(w, mats):
+            assert _same_bits(row, _half_sum_solve(m))
+
+    def test_signed_zero_pair_takes_the_half_sum(self):
+        # -0.0 == 0.0, but the half-sum makes both +0.0: the test is on bits
+        m = np.array([[1.0, -0.0, 2.0], [0.0, 3.0, 0.5], [2.0, 0.5, -1.0]])
+        sym = (m + m.T) / 2.0
+        assert np.array_equal(m, m.T) and not _same_bits(m, sym)
+        assert _same_bits(_symmetric_operand(m), sym)
+        assert _same_bits(eigensolve(m), np.linalg.eigvalsh(sym))
+        for got, expected in zip(eigensolve(m, vectors=True), np.linalg.eigh(sym)):
+            assert _same_bits(got, expected)
+
+    def test_stack_with_one_signed_zero_pair_takes_the_half_sum(self):
+        mats = _operator_stack(3, [1, 2]).copy()
+        mats[1, 0, 1], mats[1, 1, 0] = -0.0, 0.0
+        assert _same_bits(eigensolve(mats), _half_sum_solve(mats))
+        assert _symmetric_operand(mats) is not mats
+
+    def test_peak_above_half_the_largest_double_overflows_as_before(self):
+        m = np.array([[1e308, 1.0], [1.0, 1.0]])
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow encountered in add"):
+                eigensolve(m)
+            with pytest.raises(FloatingPointError, match="overflow encountered in add"):
+                _checked_symmetric(m)
+        # at half the largest double the doubling is exact, so m is read as it is
+        half = np.array([[np.finfo(float).max / 2.0, 1.0], [1.0, 1.0]])
+        with np.errstate(over="raise"):
+            assert _symmetric_operand(half) is half
+            assert _same_bits(eigensolve(half), _half_sum_solve(half))
+
+    @pytest.mark.parametrize("make", [
+        lambda: operator_matrix(random_tensor(4, seed=3), standard_basis(4)),
+        lambda: _operator_stack(3, [5, 6]),
+        lambda: random_symmetric(5, seed=2),
+        lambda: random_symmetric(5, seed=2) + 1e-14 * np.triu(np.ones((5, 5)), 1),
+        lambda: np.array([[1.0, -0.0], [0.0, 2.0]]),
+    ], ids=["operator", "stack", "symmetric", "near-symmetric", "signed-zero"])
+    def test_checked_symmetric_is_a_fresh_half_sum(self, make):
+        # the Jacobi reference rotates the result in place, so it never
+        # aliases its input, a transposed view of it or a list of its rows
+        m = make()
+        sym = (m + np.swapaxes(m, -1, -2)) / 2.0
+        for source in (m, np.swapaxes(m, -1, -2), m.tolist()):
+            out = _checked_symmetric(source)
+            assert not np.may_share_memory(out, m)
+            assert _same_bits(out, sym)
 
 
 def square_id(dim):
@@ -290,6 +385,17 @@ class TestClusterSpectrum:
         expected = _bits(cluster_spectrum_loop(values))
         assert _bits(cluster_spectrum(values)) == expected
         assert _bits(cluster_spectrum(np.array(values))) == expected
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_spectrum_list_reads_as_the_array(self, n):
+        # a report clusters the one float list of its spectrum
+        for m in (operator_matrix(random_tensor(n, seed=n), standard_basis(n)),
+                  operator_matrix(product(space_form(n, 0.25), kahler_space_form(1, 4.0)),
+                                  standard_basis(n + 2))):
+            s = eigensolve(m)
+            expected = _bits(cluster_spectrum_loop(s))
+            assert _bits(cluster_spectrum(s)) == expected
+            assert _bits(cluster_spectrum(s.tolist())) == expected
 
     @pytest.mark.parametrize("values,sizes", [
         ([], []),

@@ -402,6 +402,22 @@ class TestThresholdParity:
         got = _threshold_outcome(nonneg_threshold, s, over)
         assert got == expected
 
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(_THRESHOLD_VALUES, min_size=1, max_size=80),
+           over=st.sampled_from(["raise", "warn"]))
+    @example(values=[-1e308, -1e308, 1.0], over="raise")
+    @example(values=[-1.0, 1e308, 1e308], over="warn")
+    @example(values=[-0.0, 0.0, -0.0, 0.0], over="raise")
+    def test_float_list_reads_as_the_array(self, values, over):
+        # a report reads both thresholds off one list of the spectrum
+        s = np.sort(np.array(values, dtype=float))
+        for threshold, reference in (
+                (nonneg_threshold, nonneg_threshold_cumsum),
+                (nonpos_threshold, lambda s: nonneg_threshold_cumsum(-s[::-1]))):
+            expected = _threshold_outcome(reference, s, over)
+            assert _threshold_outcome(threshold, s, over) == expected
+            assert _threshold_outcome(threshold, s.tolist(), over) == expected
+
     @pytest.mark.parametrize("values,over,outcome", [
         ([-1e308, -1e308, 1.0], "raise", ("FloatingPointError",
                                           "overflow encountered in accumulate")),

@@ -79,6 +79,26 @@ def test_numpy_random_is_imported_on_the_first_draw_only():
     assert proc.stdout == "[False, False, True]\n"
 
 
+def test_hashlib_is_imported_by_the_oracle_only():
+    # only the oracle hashes a basis, so start-up and a spectrum request
+    # never import hashlib
+    s4 = Path(__file__).resolve().parents[1] / "descriptors" / "s4.json"
+    code = (
+        "import contextlib, io, sys\n"
+        "import secondkind.cli as cli\n"
+        "loaded = ['hashlib' in sys.modules]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.run(['spectrum', {str(s4)!r}]) == 0\n"
+        "    loaded.append('hashlib' in sys.modules)\n"
+        f"    assert cli.run(['oracle', {str(s4)!r}, '--alpha', '2', '--samples', '3']) == 0\n"
+        "loaded.append('hashlib' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[False, False, True]\n"
+
+
 def test_fractions_is_imported_by_the_exact_sweep_fallback_only():
     # the iff sweeps decide in Fraction only where float rounding could
     # decide, so start-up and an ordinary sweep never import fractions
