@@ -7,8 +7,11 @@ Runs the commands of ``scripts/seeded_outputs.py`` in one process under a
 module-level statements count too. A statement is a line on which an
 ``ast`` statement starts and for which the compiled module emits a line
 event (so docstrings and ``global`` lines, which compile to no code, are
-left out). For each module of the package it prints the statement lines
-that never ran, with runs of consecutive lines as ranges.
+left out). For each module of the package it prints its line count and
+the statement lines that never ran, with runs of consecutive lines as
+ranges, and then the package's total line count. Lines are counted as
+``wc -l`` counts them, by newline characters, so a refactor's "line count
+goes down" can be read off this script's output at two checkouts.
 
 Usage: PYTHONPATH=src python scripts/line_trace.py
 (point PYTHONPATH at another checkout's ``src`` to trace that version). The
@@ -67,9 +70,13 @@ def main():
     finally:
         sys.settrace(None)
     print(f"{len(records)} commands traced over {package}")
+    total = 0
     for path in modules:
+        lines = path.read_bytes().count(b"\n")  # as wc -l counts them
+        total += lines
         never = statement_lines(path) - ran[str(path)]
-        print(f"{path.stem}: {ranges(never) if never else '-'}")
+        print(f"{path.stem}: {lines} lines; never ran: {ranges(never) if never else '-'}")
+    print(f"total: {total} lines")
 
 
 if __name__ == "__main__":

@@ -28,6 +28,8 @@ from .descriptors import (
     FLAT_KINDS,
     DescriptorError,
     build_tensor,
+    a_const,
+    b_const,
     closed_form_clusters,
     descriptor_to_obj,
     leaf_obj,
@@ -46,8 +48,6 @@ from .operator2k import (
 )
 from .rigidity import (
     HARNESS_CASES,
-    a_const,
-    b_const,
     check_rigidity,
     verify_product_structure,
 )

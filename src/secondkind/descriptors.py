@@ -1,5 +1,5 @@
-"""Model-space descriptors: JSON schema, tensor construction, and
-closed-form spectra.
+"""Model-space descriptors: JSON schema, tensor construction, and the
+closed forms of the model spaces.
 
 A descriptor is a JSON object with a ``kind`` and kind-specific fields, of
 total dimension at most ``MAX_DIM`` (32), products included:
@@ -16,6 +16,10 @@ total dimension at most ``MAX_DIM`` (32), products included:
 
 The six model-space kinds are the rows of one table, ``_LEAVES``, which
 parsing, the canonical form, tensor construction and the closed forms read.
+The closed forms are stated here alone, in the number type of their input:
+each kind's spectrum (``leaf_closed_form``), the Einstein product rule
+(``product_closed_form``), their fold (``closed_form_clusters``), and the
+constants A and B of the rigidity statements (``a_const``, ``b_const``).
 """
 
 import json
@@ -35,7 +39,6 @@ from .curvature import (
 )
 from .errors import InvalidInputError
 from .numerics import joins_cluster
-from .operator2k import einstein_product_eigenvalues
 from .sym2 import sym2_dim
 
 # One row per model-space kind: the size field (``m`` for the complex kinds,
@@ -244,51 +247,81 @@ def build_tensor(desc):
         raise DescriptorError(f"$.components: {exc}") from exc
 
 
+def _checked_int(name, value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def a_const(n1, n2, one=1.0):
+    """Optimal threshold constant for products of real factors, in the type
+    of ``one``: 1 + n1*n2 + (n1(n2-1) + n2(n1-1)) / (n1+n2)."""
+    if _checked_int("n1", n1) < 1 or _checked_int("n2", n2) < 1:
+        raise InvalidInputError("factor dimensions must be positive")
+    return one + n1 * n2 + one * (n1 * (n2 - 1) + n2 * (n1 - 1)) / (n1 + n2)
+
+
+def b_const(m1, m2, one=1.0):
+    """Optimal threshold constant for products of complex factors, in the
+    type of ``one``: 4 m1 m2 + 3/2 (m1^2 + m2^2) + m1 m2 / (m1+m2)."""
+    if _checked_int("m1", m1) < 1 or _checked_int("m2", m2) < 1:
+        raise InvalidInputError("complex factor dimensions must be positive")
+    return 4 * one * m1 * m2 + 3 * one / 2 * (m1 * m1 + m2 * m2) + one * (m1 * m2) / (m1 + m2)
+
+
 def leaf_closed_form(kind, dim, kappa):
-    """(eigenvalue list, rho) of a model space in kappa's number type. A curved
-    complex kind has two clusters and rho = 2(m+1)k, 2m = dim; every other
-    kind, C^m included, has one cluster at its curvature k and rho = (dim-1)k."""
+    """(clusters, rho, dim) of a model space in kappa's number type: its
+    (eigenvalue, multiplicity) list, Einstein constant and real dimension. A
+    curved complex kind has two clusters and rho = 2(m+1)k, 2m = dim; every
+    other kind, C^m included, has one cluster at its curvature k and rho =
+    (dim-1)k."""
     leaf = _LEAVES[kind]
     k = leaf.sign * kappa
     if leaf.size == "m" and leaf.sign:
         m = dim // 2
-        return [(-2 * k, (m - 1) * (m + 1)), (4 * k, m * (m + 1))], 2 * (m + 1) * k
-    return [(k, sym2_dim(dim))], (dim - 1) * k
+        return [(-2 * k, (m - 1) * (m + 1)), (4 * k, m * (m + 1))], 2 * (m + 1) * k, dim
+    return [(k, sym2_dim(dim))], (dim - 1) * k, dim
+
+
+def product_closed_form(first, second):
+    """The Einstein product rule: (clusters, rho, dim) of the product of two
+    Einstein factors given as such triples, in rho1's number type. Its
+    clusters are the factors', 0 (never -0.0) on the n1 n2 mixed directions
+    and once zeta = -(n2 rho1 + n1 rho2) / (n1 + n2); its rho is rho1 where
+    ``joins_cluster`` puts rho1 and rho2 in one cluster, else None."""
+    (c1, rho1, n1), (c2, rho2, n2) = first, second
+    zeta = -(n2 * rho1 + n1 * rho2) / (n1 + n2)
+    joined = joins_cluster(rho2, rho1) if rho2 < rho1 else joins_cluster(rho1, rho2)
+    return [*c1, *c2, (type(rho1)(0), n1 * n2), (zeta, 1)], rho1 if joined else None, n1 + n2
 
 
 def _closed_form_fold(desc):
-    """Return (eigenvalue list, rho, dim) or None when no closed form applies.
-
-    Product spectra come from the Einstein product rule: the factor
-    eigenvalues and those of ``einstein_product_eigenvalues``; it applies as
-    long as every partial product along the fold is Einstein.
-    """
+    """(clusters, rho, dim) of a descriptor, or None where no closed form
+    applies: ``product_closed_form`` folded over a product's factors, as
+    long as every partial product along the fold is Einstein."""
     if desc.kind in _LEAVES:
-        return (*leaf_closed_form(desc.kind, desc.dim, desc.kappa), desc.dim)
+        return leaf_closed_form(desc.kind, desc.dim, desc.kappa)
     if desc.kind != "product":
         return None
     parts = [_closed_form_fold(f) for f in desc.factors]
     if any(p is None for p in parts):
         return None
-    eigs, rho, n = parts[0]
-    for eigs2, rho2, n2 in parts[1:]:
-        if rho is None or rho2 is None:
+    folded = parts[0]
+    for part in parts[1:]:
+        if folded[1] is None or part[1] is None:
             return None
-        eigs = [*eigs, *eigs2, *einstein_product_eigenvalues(n, rho, n2, rho2)]
-        rho = rho if joins_cluster(*sorted((rho, rho2))) else None
-        n = n + n2
-    return eigs, rho, n
+        folded = product_closed_form(folded, part)
+    return folded
 
 
 def closed_form_clusters(desc):
     """Ascending (value, multiplicity) clusters predicted in closed form.
 
     Covers the single model spaces and every product of them whose partial
-    products are Einstein: a partial product has its first factor's
-    constant when ``joins_cluster`` puts the factors' constants in one
-    cluster. Returns None otherwise (custom tensors, products of mismatched
-    factors). Adjacent values merge by the same rule, that of
-    ``cluster_spectrum``, into their running weighted mean.
+    products are Einstein (``product_closed_form``). Returns None otherwise
+    (custom tensors, products of mismatched factors). Adjacent values merge
+    by the same rule, that of ``cluster_spectrum``, into their running
+    weighted mean.
     """
     folded = _closed_form_fold(desc)
     if folded is None:

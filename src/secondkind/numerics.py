@@ -59,11 +59,15 @@ def derived_seed(seed, index):
 
 
 def _symmetric_operand(m):
-    """The half-sum ``(a + aᵀ) / 2`` of the float form ``a`` of ``m``, after
-    the checks of ``_checked_symmetric``, or ``a`` itself where the half-sum
-    is ``a`` bit for bit: where ``a`` equals its transpose bit for bit, as
-    every assembled operator does, and its peak is at most half the largest
-    double, so that ``a + aᵀ`` is exactly ``2a``.
+    """The half-sum ``(a + aᵀ) / 2`` of the float form ``a`` of ``m``, a
+    square matrix of dimension at least 1 or a stack of them ``(..., N, N)``,
+    or ``a`` itself where the half-sum is ``a`` bit for bit: where ``a``
+    equals its transpose bit for bit, as every assembled operator does, and
+    its peak is at most half the largest double, so that ``a + aᵀ`` is
+    exactly ``2a``. Non-finite entries raise ConvergenceError, as no
+    eigensolver can return a meaningful spectrum for them; the shape and
+    symmetry checks, each matrix at the tolerance of its largest entry,
+    raise InvalidInputError.
 
     Bits, not values: a ±0.0 pair, which the half-sum makes +0.0, takes the
     half-sum, and so does a larger peak, whose overflow is raised or warned
@@ -94,19 +98,6 @@ def _symmetric_operand(m):
     return (a + at) / 2.0
 
 
-def _checked_symmetric(m):
-    """Symmetrized float copy of a finite, square, symmetric matrix of
-    dimension at least 1, or of a stack of them ``(..., N, N)``.
-
-    Non-finite entries anywhere raise ConvergenceError, because no
-    eigensolver can return a meaningful spectrum for them; the shape and
-    symmetry checks raise InvalidInputError. Each matrix is held to the
-    symmetry tolerance of its own largest entry. The copy is always fresh,
-    so the caller may overwrite it.
-    """
-    return _symmetric_operand(m).copy()
-
-
 def eigensolve(m, vectors=False):
     """Ascending eigenvalues of a real symmetric matrix, by LAPACK, or one
     ascending row per matrix of a stack ``(..., N, N)``; LAPACK solves the
@@ -115,10 +106,9 @@ def eigensolve(m, vectors=False):
 
     With ``vectors=True`` returns ``(w, q)``, the columns of ``q`` being the
     matching orthonormal eigenvectors. The input must be finite, square and
-    symmetric (the checks of ``_checked_symmetric``). LAPACK reads the
-    symmetrized matrix, and a matrix that already equals its transpose bit
-    for bit is its own symmetrization, so it is read as it is
-    (``_symmetric_operand``); either way the result is bitwise that of
+    symmetric (the checks of ``_symmetric_operand``). A matrix equal to its
+    transpose bit for bit is its own symmetrization, so LAPACK reads it as
+    it is, and any other its half-sum: the result is bitwise that of
     ``(m + mᵀ) / 2``. A LAPACK failure raises ConvergenceError.
     """
     a = _symmetric_operand(m)
@@ -217,10 +207,14 @@ def joins_cluster(previous, value):
 def _float_list(values):
     """``values`` as a list of floats: a list, taken to hold floats, as it
     is, and anything else as ``np.asarray(values, dtype=float).tolist()``,
-    so the readers of one spectrum can share one list."""
+    so the readers of one spectrum can share one list; an array that is not
+    1-D raises InvalidInputError."""
     if type(values) is list:
         return values
-    return np.asarray(values, dtype=float).tolist()
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise InvalidInputError(f"expected a 1-D list of eigenvalues, got shape {values.shape}")
+    return values.tolist()
 
 
 def cluster_spectrum(values):

@@ -1,7 +1,7 @@
 """The curvature operator on traceless symmetric two-tensors, as a finite
 symmetric matrix: assembly, spectra, weighted partial eigenvalue sums,
-fractional nonnegativity classification, and a definition-level random-basis
-oracle for the classification.
+fractional nonnegativity verdicts and thresholds, and a definition-level
+random-basis oracle for them; the closed forms live in ``descriptors``.
 """
 
 import math
@@ -93,14 +93,6 @@ def spectrum(r):
     return eigensolve(operator_matrix(r, standard_basis(r.dim)))
 
 
-def einstein_product_eigenvalues(n1, rho1, n2, rho2):
-    """(value, multiplicity) pairs, in rho1's number type, that a product of
-    Einstein factors of dimensions n1, n2 and constants rho1, rho2 adds to the
-    factor spectra: 0 (never -0.0) on the n1 n2 mixed products, and once
-    zeta = -(n2 rho1 + n1 rho2) / (n1 + n2)."""
-    return [(type(rho1)(0), n1 * n2), (-(n2 * rho1 + n1 * rho2) / (n1 + n2), 1)]
-
-
 def _split_alpha(alpha, n_values):
     if not 1.0 <= alpha <= n_values:
         raise InvalidInputError(f"alpha must lie in [1, {n_values}], got {alpha}")
@@ -144,6 +136,7 @@ def verdict(s, alpha, tol=CLASSIFY_TOL):
     """
     if not 0.0 <= tol < math.inf:  # also false for NaN
         raise InvalidInputError(f"tolerance must be nonnegative and finite, got {tol}")
+    s = np.asarray(s, dtype=float)
     nonneg = weighted_partial_sums(s, alpha) >= -tol
     nonpos = weighted_partial_sums(-s[..., ::-1], alpha) >= -tol
     if nonneg.ndim:
@@ -165,6 +158,8 @@ def nonneg_threshold(s):
     The running sums are added left to right in one list scan, in the order
     and the rounding of ``np.cumsum``."""
     values = _float_list(s)
+    if not values:
+        raise InvalidInputError("a threshold needs at least one eigenvalue")
     if values[0] >= 0.0:
         return 1.0
     sums = list(accumulate(values))

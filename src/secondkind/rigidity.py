@@ -1,4 +1,4 @@
-"""Rigidity constants and randomized verification harnesses.
+"""Randomized verification harnesses of the rigidity statements.
 
 The harnesses are falsification suites: they sample seeded random tensors
 and report ``consistent`` when no counterexample was found, never claiming a
@@ -33,8 +33,8 @@ cached once per harness size (``_factor_maps``), built from unit draws
 whose images are checked once: the identity residuals of a draw's image
 are the same combination of theirs. Larger sizes take the part of the
 block's own draws, and the detectors read the images of a classified
-sample's draws. One iff sweep decides each grid pair from its closed-form
-spectrum, with no tensor, and exactly where rounding could decide.
+sample's draws. One iff sweep decides each grid pair from the closed form
+of ``descriptors``, with no tensor, and exactly where rounding could decide.
 """
 
 import math
@@ -63,7 +63,7 @@ from .curvature import (
     standard_normal_draws,
     unchecked_tensor,
 )
-from .descriptors import leaf_closed_form
+from .descriptors import _checked_int, a_const, b_const, leaf_closed_form, product_closed_form
 from .errors import InvalidInputError
 from .numerics import MAX_BLOCK, blocks, derived_seed, eigensolve
 from .operator2k import (
@@ -76,7 +76,6 @@ from .operator2k import (
     VERDICT_NONPOSITIVE,
     VERDICTS,
     alpha_sum,
-    einstein_product_eigenvalues,
     nonneg_threshold,
     operator_matrices,
     operator_matrix,
@@ -97,22 +96,6 @@ DEFAULT_KAPPA_GRID = tuple(0.25 * k for k in range(1, 9))
 _TENSOR_BUDGET = MAX_BLOCK * 8 ** 4
 _MAP_BUDGET = _TENSOR_BUDGET // 16
 _UNIT, _TINY = 2.0 ** -53, math.ulp(0.0)  # unit roundoff, least subnormal
-
-
-def a_const(n1, n2, one=1.0):
-    """Optimal threshold constant for products of real factors, in the type
-    of ``one``: 1 + n1*n2 + (n1(n2-1) + n2(n1-1)) / (n1+n2)."""
-    if n1 < 1 or n2 < 1:
-        raise InvalidInputError("factor dimensions must be positive")
-    return one + n1 * n2 + one * (n1 * (n2 - 1) + n2 * (n1 - 1)) / (n1 + n2)
-
-
-def b_const(m1, m2, one=1.0):
-    """Optimal threshold constant for products of complex factors, in the
-    type of ``one``: 4 m1 m2 + 3/2 (m1^2 + m2^2) + m1 m2 / (m1+m2)."""
-    if m1 < 1 or m2 < 1:
-        raise InvalidInputError("complex factor dimensions must be positive")
-    return 4 * one * m1 * m2 + 3 * one / 2 * (m1 * m1 + m2 * m2) + one * (m1 * m2) / (m1 + m2)
 
 
 @dataclass
@@ -145,12 +128,6 @@ class HarnessReport:
 def _check_tol(tol):
     if not 0.0 < tol < math.inf:  # also false for NaN
         raise InvalidInputError(f"tolerance must be positive and finite, got {tol}")
-
-
-def _checked_int(name, value):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def _check_total_dim(n):
@@ -195,15 +172,14 @@ def verify_product_structure(r1, r2, tol=CLASSIFY_TOL):
     report.details["xi_row_max_norm"] = xi_norm
     _record_check(report, "xi_block", "max_row_norm", xi_norm, tol)
 
-    rho1 = einstein_constant(r1)
-    rho2 = einstein_constant(r2)
+    rho1, rho2 = einstein_constant(r1), einstein_constant(r2)
     report.details["einstein_constants"] = [rho1, rho2]
     if rho1 is None or rho2 is None:
         report.details["einstein_blocks"] = "not-applicable"
         report.details["spectrum_multiset"] = "not-applicable"
         return report.finalize()
 
-    (_, zeros), (zeta_expected, _) = einstein_product_eigenvalues(n1, rho1, n2, rho2)
+    [(_, zeros), (zeta_expected, _)], _, _ = product_closed_form(([], rho1, n1), ([], rho2, n2))
     expected = np.zeros_like(mat)
     # each factor's spectrum is the spectrum of its block
     factor_values = []
@@ -245,7 +221,7 @@ class _Factors:
 
 _REAL = _Factors(
     model=lambda n, kappa: space_form(n, kappa),
-    leaf=lambda n, kappa: (*leaf_closed_form("sphere", n, kappa), n),
+    leaf=lambda n, kappa: leaf_closed_form("sphere", n, kappa),
     real=lambda n: n,
     shape=lambda n: real_draw_shape(n),
     image=lambda n, w: real_image(w, n),
@@ -254,7 +230,7 @@ _REAL = _Factors(
 
 _COMPLEX = _Factors(
     model=lambda m, kappa: kahler_space_form(m, kappa),
-    leaf=lambda m, kappa: (*leaf_closed_form("cp", 2 * m, kappa), 2 * m),
+    leaf=lambda m, kappa: leaf_closed_form("cp", 2 * m, kappa),
     real=lambda m: 2 * m,
     shape=lambda m: kahler_draw_shape(m),
     image=lambda m, t: kahler_image(t),
@@ -655,9 +631,9 @@ def _cluster_sum(clusters, alpha):
 
 def _pair_sums(first, second, alpha):
     """``_cluster_sum`` of the product of two model leaves ``(clusters, rho,
-    dim)`` and of its negation, and the product's largest |eigenvalue|."""
-    (c1, rho1, n1), (c2, rho2, n2) = first, second
-    clusters = sorted([*c1, *c2, *einstein_product_eigenvalues(n1, rho1, n2, rho2)])
+    dim)`` (``product_closed_form``) and of its negation, and the product's
+    largest |eigenvalue|."""
+    clusters = sorted(product_closed_form(first, second)[0])
     negated = [(-v, m) for v, m in reversed(clusters)]
     peak = max(negated[-1][0], clusters[-1][0])
     return [_cluster_sum(side, alpha) for side in (clusters, negated)], peak

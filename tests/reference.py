@@ -65,7 +65,7 @@ from secondkind.curvature import (
     standard_complex_structure,
 )
 from secondkind.errors import ConvergenceError, InvalidInputError
-from secondkind.numerics import CLUSTER_REL_TOL, SYMMETRY_TOL, _checked_symmetric, seeded_stream
+from secondkind.numerics import CLUSTER_REL_TOL, SYMMETRY_TOL, _symmetric_operand, seeded_stream
 from secondkind.operator2k import weighted_partial_sums
 from secondkind.sym2 import Sym2Basis, sym_product
 
@@ -162,7 +162,7 @@ def jacobi_eigen(m):
     norm below ``1e-13 * max(1, ||m||_F)`` within 100 sweeps, else
     ConvergenceError.
     """
-    a = _checked_symmetric(m)
+    a = _symmetric_operand(m).copy()  # rotated in place below
     n = a.shape[0]
     v = np.eye(n)
     tol = JACOBI_REL_TOL * max(1.0, float(np.linalg.norm(a)))

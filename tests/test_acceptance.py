@@ -21,6 +21,7 @@ from secondkind.curvature import (
     scalar,
     space_form,
 )
+from secondkind.descriptors import a_const, b_const
 from secondkind.numerics import cluster_spectrum
 from secondkind.operator2k import (
     alpha_sum,
@@ -30,7 +31,7 @@ from secondkind.operator2k import (
     operator_matrix,
     spectrum,
 )
-from secondkind.rigidity import a_const, b_const, check_rigidity
+from secondkind.rigidity import check_rigidity
 from secondkind.sym2 import product_adapted_basis, sym2_dim
 
 from reference import f_lemma, negate_spectrum

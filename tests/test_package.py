@@ -1,3 +1,4 @@
+import ast
 import re
 import subprocess
 import sys
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 
 import secondkind
+from secondkind import descriptors, operator2k
 from secondkind.curvature import CurvatureTensor
+from secondkind.errors import InvalidInputError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -116,3 +119,60 @@ def test_fractions_is_imported_by_the_exact_sweep_fallback_only():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[False, False, True]\n"
+
+
+PACKAGE = Path(secondkind.__file__).resolve().parent
+CLOSED_FORMS = ("a_const", "b_const", "leaf_closed_form", "product_closed_form",
+                "closed_form_clusters")
+
+
+def test_descriptors_alone_states_the_closed_forms():
+    # the leaf spectra, the Einstein product rule and the constants A and B
+    # have one owner, which imports neither the operator nor its users
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / "descriptors.py").read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            # ``from . import cli`` names the module among the aliases
+            imported.update(alias.name for alias in node.names)
+            imported.add(getattr(node, "module", None) or "")
+    assert not {part for name in imported for part in name.split(".")} & {
+        "operator2k", "rigidity", "cli"}, imported
+    for path in PACKAGE.glob("*.py"):
+        defined = {node.name for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.FunctionDef)}
+        assert bool(defined & set(CLOSED_FORMS)) == (path.stem == "descriptors"), path.stem
+    for name in CLOSED_FORMS:
+        assert getattr(descriptors, name).__module__ == "secondkind.descriptors"
+    assert secondkind.a_const is descriptors.a_const
+    assert not hasattr(operator2k, "einstein_product_eigenvalues")
+
+
+@pytest.mark.parametrize("threshold", [secondkind.nonneg_threshold, operator2k.nonpos_threshold])
+def test_threshold_of_no_eigenvalues_is_an_input_error(threshold):
+    for empty in ([], np.array([])):
+        with pytest.raises(InvalidInputError, match="^a threshold needs at least one eigenvalue$"):
+            threshold(empty)
+
+
+@pytest.mark.parametrize("threshold", [secondkind.nonneg_threshold, operator2k.nonpos_threshold])
+def test_threshold_of_a_matrix_is_an_input_error(threshold):
+    for values in (np.zeros((2, 2)), np.float64(1.0)):
+        with pytest.raises(InvalidInputError, match="^expected a 1-D list of eigenvalues"):
+            threshold(values)
+
+
+def test_verdict_reads_a_list_as_weighted_partial_sums_do():
+    assert operator2k.weighted_partial_sums([1.0, 2.0], 1.5) == 2.0
+    assert secondkind.verdict([1.0, 2.0], 1.5) == "nonnegative"
+    assert secondkind.verdict([-2.0, 3.0], 1.5) == "neither"
+    assert secondkind.verdict([[1.0, 2.0], [-2.0, -1.0]], 2) == ["nonnegative", "nonpositive"]
+
+
+@pytest.mark.parametrize("const,args", [
+    (secondkind.a_const, (2.5, 1)), (secondkind.a_const, (True, 1)),
+    (secondkind.a_const, (3, np.int64(1))), (descriptors.b_const, (1.5, 1)),
+    (descriptors.b_const, (1, False)), (descriptors.b_const, (np.int32(2), 2)),
+], ids=["a-float", "a-bool", "a-numpy", "b-float", "b-bool", "b-numpy"])
+def test_constants_take_integer_sizes_only(const, args):
+    with pytest.raises(InvalidInputError, match=r"^[nm][12] must be an integer, got "):
+        const(*args)

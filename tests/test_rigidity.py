@@ -18,12 +18,8 @@ from secondkind.curvature import (
 )
 from secondkind import cli, curvature, descriptors, numerics, operator2k, rigidity, sym2
 from secondkind.errors import ConvergenceError, InvalidInputError
-from secondkind.rigidity import (
-    a_const,
-    b_const,
-    check_rigidity,
-    verify_product_structure,
-)
+from secondkind.descriptors import a_const, b_const
+from secondkind.rigidity import check_rigidity, verify_product_structure
 
 from reference import f_lemma
 from samples import random_curvatures, random_kahler_curvatures, random_tensor
@@ -46,9 +42,9 @@ def exact_g(clusters, alpha):
 def product_clusters(kind, n1, kappa1, n2, kappa2, kind2=None):
     """Clusters of the product of two model spaces of real dimensions n1, n2
     by the closed form, in the number type of the kappas."""
-    (c1, rho1), (c2, rho2) = (descriptors.leaf_closed_form(k, n, c) for k, n, c in
-                              ((kind, n1, kappa1), (kind2 or kind, n2, kappa2)))
-    return [*c1, *c2, *operator2k.einstein_product_eigenvalues(n1, rho1, n2, rho2)]
+    first = descriptors.leaf_closed_form(kind, n1, kappa1)
+    second = descriptors.leaf_closed_form(kind2 or kind, n2, kappa2)
+    return descriptors.product_closed_form(first, second)[0]
 
 
 def exact_a(n1, n2):
