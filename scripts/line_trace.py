@@ -49,7 +49,12 @@ def ranges(lines):
 
 
 def main():
-    package = Path(importlib.util.find_spec("secondkind").submodule_search_locations[0])
+    spec = importlib.util.find_spec("secondkind")
+    if spec is None:
+        print("line_trace.py: cannot import secondkind; run it with PYTHONPATH=src",
+              file=sys.stderr)
+        sys.exit(2)
+    package = Path(spec.submodule_search_locations[0])
     modules = sorted(package.glob("*.py"))
     ran = {str(p): set() for p in modules}
 

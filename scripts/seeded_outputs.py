@@ -121,11 +121,19 @@ import io
 import json
 import os
 import re
+import sys
 import tempfile
 import warnings
 from pathlib import Path
 
-from secondkind.cli import run
+try:
+    from secondkind.cli import run
+except ModuleNotFoundError as exc:
+    if exc.name != "secondkind":
+        raise
+    print("seeded_outputs.py: cannot import secondkind; run it with PYTHONPATH=src",
+          file=sys.stderr)
+    sys.exit(2)
 
 REPO = Path(__file__).resolve().parents[1]
 HARNESSES = ("line", "product-spheres", "product-kahler", "iff-spheres", "iff-kahler")

@@ -18,8 +18,8 @@ The six model-space kinds are the rows of one table, ``_LEAVES``, which
 parsing, the canonical form, tensor construction and the closed forms read.
 The closed forms are stated here alone, in the number type of their input:
 each kind's spectrum (``leaf_closed_form``), the Einstein product rule
-(``product_closed_form``), their fold (``closed_form_clusters``), and the
-constants A and B of the rigidity statements (``a_const``, ``b_const``).
+(``product_closed_form``), their fold, the one Einstein test of a product
+(``closed_form_clusters``), and the constants A and B (``a_const``, ``b_const``).
 """
 
 import json
@@ -253,12 +253,24 @@ def _checked_int(name, value):
     return value
 
 
+def _finite(constant):
+    """The value of ``constant()``, where it is below inf: sizes whose
+    constant overflows a double, or rounds to inf, are an input error."""
+    try:
+        value = constant()
+        if value < math.inf:
+            return value
+    except OverflowError:
+        pass
+    raise InvalidInputError("factor dimensions too large: the constant overflows a double")
+
+
 def a_const(n1, n2, one=1.0):
     """Optimal threshold constant for products of real factors, in the type
     of ``one``: 1 + n1*n2 + (n1(n2-1) + n2(n1-1)) / (n1+n2)."""
     if _checked_int("n1", n1) < 1 or _checked_int("n2", n2) < 1:
         raise InvalidInputError("factor dimensions must be positive")
-    return one + n1 * n2 + one * (n1 * (n2 - 1) + n2 * (n1 - 1)) / (n1 + n2)
+    return _finite(lambda: one + n1 * n2 + one * (n1 * (n2 - 1) + n2 * (n1 - 1)) / (n1 + n2))
 
 
 def b_const(m1, m2, one=1.0):
@@ -266,7 +278,8 @@ def b_const(m1, m2, one=1.0):
     type of ``one``: 4 m1 m2 + 3/2 (m1^2 + m2^2) + m1 m2 / (m1+m2)."""
     if _checked_int("m1", m1) < 1 or _checked_int("m2", m2) < 1:
         raise InvalidInputError("complex factor dimensions must be positive")
-    return 4 * one * m1 * m2 + 3 * one / 2 * (m1 * m1 + m2 * m2) + one * (m1 * m2) / (m1 + m2)
+    return _finite(lambda: 4 * one * m1 * m2 + 3 * one / 2 * (m1 * m1 + m2 * m2)
+                   + one * (m1 * m2) / (m1 + m2))
 
 
 def leaf_closed_form(kind, dim, kappa):
@@ -284,21 +297,20 @@ def leaf_closed_form(kind, dim, kappa):
 
 
 def product_closed_form(first, second):
-    """The Einstein product rule: (clusters, rho, dim) of the product of two
-    Einstein factors given as such triples, in rho1's number type. Its
-    clusters are the factors', 0 (never -0.0) on the n1 n2 mixed directions
-    and once zeta = -(n2 rho1 + n1 rho2) / (n1 + n2); its rho is rho1 where
-    ``joins_cluster`` puts rho1 and rho2 in one cluster, else None."""
+    """The Einstein product rule: the (eigenvalue, multiplicity) clusters of
+    the product of two Einstein factors given as (clusters, rho, dim)
+    triples, in rho1's number type: the factors', 0 (never -0.0) on the
+    n1 n2 mixed directions and once zeta = -(n2 rho1 + n1 rho2) / (n1 + n2)."""
     (c1, rho1, n1), (c2, rho2, n2) = first, second
     zeta = -(n2 * rho1 + n1 * rho2) / (n1 + n2)
-    joined = joins_cluster(rho2, rho1) if rho2 < rho1 else joins_cluster(rho1, rho2)
-    return [*c1, *c2, (type(rho1)(0), n1 * n2), (zeta, 1)], rho1 if joined else None, n1 + n2
+    return [*c1, *c2, (type(rho1)(0), n1 * n2), (zeta, 1)]
 
 
 def _closed_form_fold(desc):
     """(clusters, rho, dim) of a descriptor, or None where no closed form
     applies: ``product_closed_form`` folded over a product's factors, as
-    long as every partial product along the fold is Einstein."""
+    long as every partial product along the fold is Einstein: its rho is
+    rho1 where ``joins_cluster`` puts rho1 and rho2 in one cluster, else None."""
     if desc.kind in _LEAVES:
         return leaf_closed_form(desc.kind, desc.dim, desc.kappa)
     if desc.kind != "product":
@@ -308,9 +320,11 @@ def _closed_form_fold(desc):
         return None
     folded = parts[0]
     for part in parts[1:]:
-        if folded[1] is None or part[1] is None:
+        (_, rho1, n1), (_, rho2, n2) = folded, part
+        if rho1 is None or rho2 is None:
             return None
-        folded = product_closed_form(folded, part)
+        joined = joins_cluster(rho2, rho1) if rho2 < rho1 else joins_cluster(rho1, rho2)
+        folded = product_closed_form(folded, part), rho1 if joined else None, n1 + n2
     return folded
 
 

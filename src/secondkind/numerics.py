@@ -204,14 +204,31 @@ def joins_cluster(previous, value):
     return not value - previous > CLUSTER_REL_TOL * max(1.0, abs(previous))
 
 
+def _float_array(values):
+    """``np.asarray(values, dtype=float)``; a value it cannot read raises InvalidInputError."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInputError("expected real numbers in rows of one length") from None
+
+
+def _real(name, value):
+    """``float(value)``; a value it cannot read raises InvalidInputError."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        kind = type(value).__name__
+        raise InvalidInputError(f"{name} must be a real number, got {kind}") from None
+
+
 def _float_list(values):
     """``values`` as a list of floats: a list, taken to hold floats, as it
     is, and anything else as ``np.asarray(values, dtype=float).tolist()``,
     so the readers of one spectrum can share one list; an array that is not
-    1-D raises InvalidInputError."""
+    1-D, or whose entries are not real numbers, raises InvalidInputError."""
     if type(values) is list:
         return values
-    values = np.asarray(values, dtype=float)
+    values = _float_array(values)
     if values.ndim != 1:
         raise InvalidInputError(f"expected a 1-D list of eigenvalues, got shape {values.shape}")
     return values.tolist()

@@ -13,8 +13,10 @@ import numpy as np
 from .errors import InvalidInputError
 from .numerics import (
     MAX_BLOCK,
+    _float_array,
     _float_list,
     _orthonormal_rows,
+    _real,
     blocks,
     derived_seed,
     eigensolve,
@@ -93,7 +95,13 @@ def spectrum(r):
     return eigensolve(operator_matrix(r, standard_basis(r.dim)))
 
 
+# the threshold scans trust a list to hold numbers and turn the error of
+# their own operations into this one, so that a valid list pays for no check
+_NOT_NUMBERS = "expected a 1-D list of eigenvalues, got an entry that is not a real number"
+
+
 def _split_alpha(alpha, n_values):
+    alpha = _real("alpha", alpha)
     if not 1.0 <= alpha <= n_values:
         raise InvalidInputError(f"alpha must lie in [1, {n_values}], got {alpha}")
     k = int(math.floor(alpha))
@@ -107,8 +115,8 @@ def weighted_partial_sums(rows, alpha):
     ``rows`` is one ascending row or a stack of them; returns a scalar or
     one value per row.
     """
-    rows = np.asarray(rows, dtype=float)
-    k, frac = _split_alpha(float(alpha), rows.shape[-1])
+    rows = _float_array(rows)
+    k, frac = _split_alpha(alpha, rows.shape[-1])
     total = rows[..., :k].sum(axis=-1)
     if frac > 0.0:
         total = total + frac * rows[..., k]
@@ -134,9 +142,10 @@ def verdict(s, alpha, tol=CLASSIFY_TOL):
     reversed negation. Flat tensors report both. The tolerance must be
     nonnegative and finite.
     """
+    tol = _real("tolerance", tol)
     if not 0.0 <= tol < math.inf:  # also false for NaN
         raise InvalidInputError(f"tolerance must be nonnegative and finite, got {tol}")
-    s = np.asarray(s, dtype=float)
+    s = _float_array(s)
     nonneg = weighted_partial_sums(s, alpha) >= -tol
     nonpos = weighted_partial_sums(-s[..., ::-1], alpha) >= -tol
     if nonneg.ndim:
@@ -160,16 +169,19 @@ def nonneg_threshold(s):
     values = _float_list(s)
     if not values:
         raise InvalidInputError("a threshold needs at least one eigenvalue")
-    if values[0] >= 0.0:
-        return 1.0
-    sums = list(accumulate(values))
-    if not math.isfinite(sums[-1]):
-        # a sum overflowed (or an entry is not finite): np.cumsum raises or
-        # warns under the caller's np.errstate; Python's float sums do not
-        np.cumsum(values)
-    for idx, total in enumerate(sums):
-        if total >= 0.0:  # first crossing; idx >= 1, as sums[0] < 0
-            return idx + (-sums[idx - 1]) / values[idx]
+    try:
+        if values[0] >= 0.0:
+            return 1.0
+        sums = list(accumulate(values))
+        if not math.isfinite(sums[-1]):
+            # a sum overflowed (or an entry is not finite): np.cumsum raises
+            # or warns under the caller's np.errstate; Python's float sums do not
+            np.cumsum(values)
+        for idx, total in enumerate(sums):
+            if total >= 0.0:  # first crossing; idx >= 1, as sums[0] < 0
+                return idx + (-sums[idx - 1]) / values[idx]
+    except (TypeError, ValueError):  # ValueError: the truth value of an array entry
+        raise InvalidInputError(_NOT_NUMBERS) from None
     return None
 
 
@@ -177,7 +189,11 @@ def nonpos_threshold(s):
     """Least alpha making the negated tensor's sum nonnegative: the
     ``nonneg_threshold`` of the eigenvalues negated in reverse order, which
     is ascending; ``s`` is an array or a list of floats."""
-    return nonneg_threshold([-v for v in reversed(_float_list(s))])
+    try:
+        negated = [-v for v in reversed(_float_list(s))]
+    except TypeError:
+        raise InvalidInputError(_NOT_NUMBERS) from None
+    return nonneg_threshold(negated)
 
 
 def _digest(array):
@@ -217,7 +233,7 @@ def bruteforce_min_alpha_sum(r, alpha, samples, seed):
     basis = standard_basis(r.dim)
     mat = operator_matrix(r, basis)
     n_dim = basis.count
-    _split_alpha(float(alpha), n_dim)  # reject a bad alpha before sampling
+    _split_alpha(alpha, n_dim)  # reject a bad alpha before sampling
     w, vecs = eigensolve(mat, vectors=True)
     seeds = [derived_seed(seed, s) for s in range(samples + 1)]
     diags = np.empty((samples + 1, n_dim))

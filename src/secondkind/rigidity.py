@@ -23,7 +23,7 @@ unit-curvature model, the same matrix on every request of one size, so
 its spectrum is solved once per process and cached read-only
 (``_model_spectrum``); its verdicts are taken per request. A factor's part
 of a bordered block is the operator of its checked image (``_images``) on
-the directions that meet its index block (``_factor_directions``), linear
+its standard block and zeta, by position (``_factor_directions``), linear
 in its standard normal draw, one fill per factor and block. Every size
 follows from the product's real dimensions (n1, n2), the line's R second,
 and the factor's index j. Where the factors' maps fit ``_TENSOR_BUDGET``
@@ -179,7 +179,7 @@ def verify_product_structure(r1, r2, tol=CLASSIFY_TOL):
         report.details["spectrum_multiset"] = "not-applicable"
         return report.finalize()
 
-    [(_, zeros), (zeta_expected, _)], _, _ = product_closed_form(([], rho1, n1), ([], rho2, n2))
+    [(_, zeros), (zeta_expected, _)] = product_closed_form(([], rho1, n1), ([], rho2, n2))
     expected = np.zeros_like(mat)
     # each factor's spectrum is the spectrum of its block
     factor_values = []
@@ -421,17 +421,6 @@ def _sample_record(idx, seeds, v, constants):
     return {"sample": idx, "seeds": seeds, "verdict": v, "constants": constants}
 
 
-@lru_cache(maxsize=32)
-def _bordered_basis(n1, n2):
-    """Read-only tensors ``(W, n1 + n2, n1 + n2)`` of the product-adapted
-    basis without its n1 n2 mixed (xi) directions, ``[N1 | N2 | 1]``: a
-    product's operator vanishes on those."""
-    tensors = product_adapted_basis(n1, n2).tensors
-    kept = np.concatenate([tensors[:sym2_dim(n1) + sym2_dim(n2)], tensors[-1:]])
-    kept.flags.writeable = False
-    return kept
-
-
 def _with_mixed_zeros(rows, n1, n2):
     """Ascending spectra of products from the eigenvalues ``rows`` of their
     bordered blocks and the n1 n2 exact zeros of the mixed directions
@@ -449,15 +438,19 @@ def _images(kind, dim, draws):
 
 
 def _factor_directions(n1, n2, j):
-    """The directions of ``_bordered_basis(n1, n2)`` that meet the index
-    block of factor j, of real dimension ``(n1, n2)[j]``, read-only: their
-    flat entries of the W x W block and their restrictions to the factor.
-    The factor's part of the block is its operator on the latter."""
-    basis = _bordered_basis(n1, n2)
+    """Factor j's directions of the bordered block ``[N1 | N2 | 1]``, W =
+    N1 + N2 + 1 wide, read-only: their flat entries of the W x W block and
+    their tensors of ``product_adapted_basis(n1, n2)``, laid out as
+    ``[N1 | N2 | n1 n2 | 1]``, restricted to the index block of factor j,
+    of real dimension at least 2. By position they are its standard block
+    and zeta, the directions that meet that block; the factor's part is
+    its operator on the restrictions."""
+    counts = (sym2_dim(n1), sym2_dim(n2))
+    own = np.arange(counts[0] * j, counts[0] * j + counts[j])
     block = slice(n1 * j, n1 * j + (n1, n2)[j])
-    tensors = basis[:, block, block]
-    met = np.flatnonzero(tensors.any(axis=(1, 2)))
-    columns, restricted = (met[:, None] * len(basis) + met[None, :]).ravel(), tensors[met]
+    restricted = product_adapted_basis(n1, n2).tensors[:, block, block][np.append(own, -1)]
+    met = np.append(own, sum(counts))  # zeta is the block's last direction
+    columns = (met[:, None] * (sum(counts) + 1) + met[None, :]).ravel()
     columns.flags.writeable = restricted.flags.writeable = False
     return columns, restricted
 
@@ -475,7 +468,7 @@ def _factor_maps(kind, dims, n1, n2):
     of w_k times the unit ones. The unit draws of one size go once, for
     every factor of that size, in ``numerics.blocks`` of ``_MAP_BUDGET``
     numbers, so that the temporaries stay small."""
-    width = len(_bordered_basis(n1, n2))
+    width = sym2_dim(n1) + sym2_dim(n2) + 1
     if any(math.prod(kind.shape(d)) * width ** 2 > _TENSOR_BUDGET for d in dims):
         return None
     directions = [_factor_directions(n1, n2, j) for j in range(len(dims))]
@@ -500,7 +493,7 @@ def _bordered_matrices(kind, dims, draws, n1, n2, maps=None):
     factors of sizes ``dims`` are drawn as ``draws``, one stack per factor:
     the sum of each factor's part, its draws times its map of ``maps``
     (``_factor_maps``), or else taken of its images. R adds nothing."""
-    width = len(_bordered_basis(n1, n2))
+    width = sym2_dim(n1) + sym2_dim(n2) + 1
     mats = np.zeros((len(draws[0]), width * width))
     for j, (d, w) in enumerate(zip(dims, draws)):
         if maps:
@@ -633,7 +626,7 @@ def _pair_sums(first, second, alpha):
     """``_cluster_sum`` of the product of two model leaves ``(clusters, rho,
     dim)`` (``product_closed_form``) and of its negation, and the product's
     largest |eigenvalue|."""
-    clusters = sorted(product_closed_form(first, second)[0])
+    clusters = sorted(product_closed_form(first, second))
     negated = [(-v, m) for v, m in reversed(clusters)]
     peak = max(negated[-1][0], clusters[-1][0])
     return [_cluster_sum(side, alpha) for side in (clusters, negated)], peak

@@ -266,6 +266,20 @@ class TestClosedForms:
         assert clusters is not None
         assert sum(m for _, m in clusters) == 14
 
+    def test_no_closed_form_past_a_partial_product_that_is_not_einstein(self):
+        factors = [leaf_obj("sphere", 2, 1.0), leaf_obj("sphere", 2, 2.0),
+                   leaf_obj("sphere", 3, 0.5)]
+        desc = parse_descriptor(json.dumps({"kind": "product", "factors": factors}))
+        assert closed_form_clusters(desc) is None
+
+    def test_near_einstein_partial_product_folds_in_r(self):
+        # S^2(1) x S^2(1.00000005) has rho 1 and 1.00000005, one cluster
+        factors = [leaf_obj("sphere", 2, 1.0), leaf_obj("sphere", 2, 1.00000005),
+                   leaf_obj("euclidean", 1)]
+        desc = parse_descriptor(json.dumps({"kind": "product", "factors": factors}))
+        assert closed_form_clusters(desc) == [
+            (-1.0000000249999998, 1), (-0.2, 1), (0.0, 8), (1.0000000249999998, 4)]
+
     @staticmethod
     def near_equal_report(tmp_path, capsys, flat_factor):
         """The ``spectrum`` report of S^2(1) x S^2(1.00000005), times R when

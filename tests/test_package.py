@@ -1,8 +1,10 @@
 import ast
+import os
 import re
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -156,7 +158,9 @@ def test_threshold_of_no_eigenvalues_is_an_input_error(threshold):
 
 @pytest.mark.parametrize("threshold", [secondkind.nonneg_threshold, operator2k.nonpos_threshold])
 def test_threshold_of_a_matrix_is_an_input_error(threshold):
-    for values in (np.zeros((2, 2)), np.float64(1.0)):
+    # the lists are read as they are, so their entries fail in the scan
+    for values in (np.zeros((2, 2)), np.float64(1.0), [[-1.0, 2.0]], ["a"], [-1.0, "a"],
+                   [np.array([-1.0, 2.0])]):
         with pytest.raises(InvalidInputError, match="^expected a 1-D list of eigenvalues"):
             threshold(values)
 
@@ -166,6 +170,15 @@ def test_verdict_reads_a_list_as_weighted_partial_sums_do():
     assert secondkind.verdict([1.0, 2.0], 1.5) == "nonnegative"
     assert secondkind.verdict([-2.0, 3.0], 1.5) == "neither"
     assert secondkind.verdict([[1.0, 2.0], [-2.0, -1.0]], 2) == ["nonnegative", "nonpositive"]
+    for s, alpha, message in (([[1.0, 2.0], [3.0]], 1.0, "^expected real numbers in rows"),
+                              (["a"], 1.0, "^expected real numbers in rows"),
+                              ([1.0, 2.0], "x", "^alpha must be a real number, got str$")):
+        with pytest.raises(InvalidInputError, match=message):
+            secondkind.verdict(s, alpha)
+    with pytest.raises(InvalidInputError, match="^tolerance must be a real number, got str$"):
+        secondkind.verdict([1.0, 2.0], 1.0, "x")
+    with pytest.raises(InvalidInputError, match="^expected real numbers in rows"):
+        operator2k.weighted_partial_sums(["a"], 1.0)
 
 
 @pytest.mark.parametrize("const,args", [
@@ -176,3 +189,25 @@ def test_verdict_reads_a_list_as_weighted_partial_sums_do():
 def test_constants_take_integer_sizes_only(const, args):
     with pytest.raises(InvalidInputError, match=r"^[nm][12] must be an integer, got "):
         const(*args)
+
+
+@pytest.mark.parametrize("const,args", [
+    (secondkind.a_const, (10 ** 400, 1)), (descriptors.b_const, (10 ** 400, 1)),
+    (descriptors.b_const, (9 * 10 ** 153, 9 * 10 ** 153)),
+], ids=["a-overflows", "b-overflows", "b-rounds-to-inf"])
+def test_constants_that_overflow_a_double_are_input_errors(const, args):
+    with pytest.raises(InvalidInputError,
+                       match="^factor dimensions too large: the constant overflows a double$"):
+        const(*args)
+    assert const(*args, Fraction(1)) > 10 ** 300  # exact, so never too large
+
+
+@pytest.mark.parametrize("script", ["line_trace.py", "seeded_outputs.py"])
+def test_scripts_without_the_package_on_the_path_fail_in_one_line(script, tmp_path):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    path = Path(__file__).resolve().parents[1] / "scripts" / script
+    proc = subprocess.run([sys.executable, str(path), str(tmp_path / "out.json")],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"{script}: cannot import secondkind; run it with PYTHONPATH=src\n"

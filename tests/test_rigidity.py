@@ -44,7 +44,7 @@ def product_clusters(kind, n1, kappa1, n2, kappa2, kind2=None):
     by the closed form, in the number type of the kappas."""
     first = descriptors.leaf_closed_form(kind, n1, kappa1)
     second = descriptors.leaf_closed_form(kind2 or kind, n2, kappa2)
-    return descriptors.product_closed_form(first, second)[0]
+    return descriptors.product_closed_form(first, second)
 
 
 def exact_a(n1, n2):
@@ -582,15 +582,36 @@ def bordered_spectra(mats, n1, n2):
     return rigidity._with_mixed_zeros(numerics.eigensolve(mats), n1, n2)
 
 
+def bordered_basis(n1, n2):
+    """The tensors ``(W, n1 + n2, n1 + n2)`` of the product-adapted basis
+    without its n1 n2 mixed (xi) directions, ``[N1 | N2 | 1]``: a product's
+    operator vanishes on those."""
+    mixed = sym2.sym2_dim(n1) + sym2.sym2_dim(n2)
+    return np.delete(sym2.product_adapted_basis(n1, n2).tensors,
+                     range(mixed, mixed + n1 * n2), axis=0)
+
+
+def scanned_directions(n1, n2, j):
+    """The directions of ``bordered_basis(n1, n2)`` whose restrictions to
+    the index block of factor j are nonzero, found by a scan: their flat
+    entries of the W x W block and those restrictions. The reference that
+    ``rigidity._factor_directions`` reads by position."""
+    basis = bordered_basis(n1, n2)
+    block = slice(n1 * j, n1 * j + (n1, n2)[j])
+    tensors = basis[:, block, block]
+    met = np.flatnonzero(tensors.any(axis=(1, 2)))
+    return (met[:, None] * len(basis) + met[None, :]).ravel(), tensors[met]
+
+
 def block_matrices(parts):
     """The bordered blocks of a block of products of two factors, one per
     entry of the factors' component stacks ``parts``, by the product
     tensor: one block fill and one stacked assembly over
-    ``rigidity._bordered_basis``. The reference route that
+    ``bordered_basis``. The reference route that
     ``rigidity._bordered_matrices`` replaced."""
     n1, n2 = (p.shape[-1] for p in parts)
     return operator2k.operator_matrices(curvature.product_components(parts),
-                                        rigidity._bordered_basis(n1, n2))
+                                        bordered_basis(n1, n2))
 
 
 _REAL_PAIRS = [(n1, n2) for n1 in range(1, 8) for n2 in range(1, 8)
@@ -653,13 +674,20 @@ class TestBorderedBlock:
             assert (block[:, :-1] <= factors + slack).all()
             assert (factors <= block[:, 1:] + slack).all()
 
-    def test_bordered_basis_is_the_adapted_basis_without_xi(self):
-        basis = rigidity._bordered_basis(3, 2)
-        assert rigidity._bordered_basis(3, 2) is basis
-        adapted = sym2.product_adapted_basis(3, 2).tensors
-        assert np.array_equal(basis, np.delete(adapted, range(7, 13), axis=0))
-        assert basis.shape == (8, 5, 5)
-        assert not basis.flags.writeable
+    @pytest.mark.parametrize("n1,n2,j", [
+        (n1, n2, j) for n1, n2 in [(n1, n2) for n1 in range(1, 12) for n2 in range(1, 13 - n1)]
+        + [(31, 1), (16, 16)] for j, n in enumerate((n1, n2)) if n >= 2])
+    def test_factor_directions_are_the_scan_of_the_bordered_basis(self, n1, n2, j):
+        # by position, the factor's standard block and zeta, bit for bit the
+        # directions whose restrictions to the factor's index block are nonzero
+        columns, restricted = rigidity._factor_directions(n1, n2, j)
+        scanned_columns, scanned = scanned_directions(n1, n2, j)
+        assert columns.dtype == scanned_columns.dtype
+        assert columns.tobytes() == scanned_columns.tobytes()
+        assert restricted.shape == scanned.shape == (len(scanned),) + ((n1, n2)[j],) * 2
+        assert restricted.tobytes() == scanned.tobytes()
+        assert len(scanned) == sym2.sym2_dim((n1, n2)[j]) + 1
+        assert not columns.flags.writeable and not restricted.flags.writeable
 
 
 def _kind(kahler):
@@ -671,7 +699,7 @@ def _mapped(kahler, d1, d2):
     budget; a real factor of dimension 1 is the flat line R."""
     kind = _kind(kahler)
     n1, n2 = kind.real(d1), kind.real(d2)
-    width = sym2.sym2_dim(n1) + sym2.sym2_dim(n2) + 1
+    width = len(bordered_basis(n1, n2))
     return all(math.prod(kind.shape(d)) * width ** 2 <= rigidity._TENSOR_BUDGET
                for d in (d1, d2) if kahler or d >= 2)
 
@@ -681,19 +709,15 @@ def _map_built_alone(kind, dim, n1, n2, j):
     same blocks, through the same image, check and restricted assembly."""
     shape = kind.shape(dim)
     size = math.prod(shape)
-    real = kind.real(dim)
-    basis = rigidity._bordered_basis(n1, n2)
-    tensors = basis[:, n1 * j:n1 * j + real, n1 * j:n1 * j + real]
-    met = np.flatnonzero(tensors.any(axis=(1, 2)))
-    restricted = tensors[met]
-    mapped = np.empty((size, len(met) ** 2))
-    for rows in numerics.blocks(0, size, real ** 4, rigidity._MAP_BUDGET):
+    columns, restricted = scanned_directions(n1, n2, j)
+    mapped = np.empty((size, len(columns)))
+    for rows in numerics.blocks(0, size, kind.real(dim) ** 4, rigidity._MAP_BUDGET):
         units = np.eye(len(rows), size, rows.start).reshape((len(rows),) + shape)
         images = kind.image(dim, units)
         curvature.check_identities(images)
         mapped[rows.start:rows.stop] = operator2k.operator_matrices(
             images, restricted).reshape(len(rows), -1)
-    return (met[:, None] * len(basis) + met[None, :]).ravel(), mapped
+    return columns, mapped
 
 
 class TestFactorMaps:
@@ -754,7 +778,7 @@ class TestFactorMaps:
         assert not columns.flags.writeable and not mapped.flags.writeable
         # the factor's standard directions and zeta, and no other
         count = (sym2.sym2_dim(n2) if j else sym2.sym2_dim(n1)) + 1
-        width = len(rigidity._bordered_basis(n1, n2))
+        width = len(bordered_basis(n1, n2))
         rows, cols = np.divmod(columns, width)
         met = set(range(sym2.sym2_dim(n1), width - 1) if j else range(sym2.sym2_dim(n1)))
         assert set(rows) == set(cols) == met | {width - 1}
@@ -765,7 +789,7 @@ class TestFactorMaps:
         images = kind.image(dim, np.eye(size).reshape((size,) + kind.shape(dim)))
         flat = np.zeros((size,) + (n1 if j else n2,) * 4)
         full = operator2k.operator_matrices(curvature.product_components(
-            [flat, images] if j else [images, flat]), rigidity._bordered_basis(n1, n2))
+            [flat, images] if j else [images, flat]), bordered_basis(n1, n2))
         full = full.reshape(size, width * width)
         assert not np.delete(full, columns, axis=1).any()
         assert np.allclose(full[:, columns], mapped, rtol=0.0, atol=1e-14)
@@ -1249,6 +1273,22 @@ class TestClosedFormSweep:
         real_dims = [2 * p for p in params.values()] if case == "iff-kahler" else params.values()
         assert floats == sorted((d, k) for d in real_dims for k in grid)
         assert len(leaves) > len(floats) or case == "iff-kahler"
+
+    @pytest.mark.parametrize("case,params", _SWEEP_SIZES)
+    def test_sweep_runs_no_einstein_test(self, case, params, monkeypatch):
+        # only a fold over more factors reads a product's rho, so no grid
+        # pair, float or Fraction, compares the factors' Einstein constants
+        calls = []
+        real = descriptors.joins_cluster
+
+        def counting(previous, value):
+            calls.append((previous, value))
+            return real(previous, value)
+
+        monkeypatch.setattr(descriptors, "joins_cluster", counting)
+        report = check_rigidity(case, {**params, "grid": [0.5, 1.0, 2.0, 1e30]})
+        assert report.samples_run == 32
+        assert calls == []
 
     @pytest.mark.parametrize("tol", [1e-9, 50.0])
     @pytest.mark.parametrize("grid", _SEEDED_GRIDS, ids=["default", "three", "nine"])
