@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .curvature import _einstein_constant_of, scalar
+from .curvature import einstein_constant, scalar
 from .descriptors import (
     COMPLEX_KINDS,
     FLAT_KINDS,
@@ -205,10 +205,9 @@ def _base_report(desc, tensor):
     # huge curvature names; the clusters and the thresholds read one list
     report, s, started = _report_head(desc, tensor)
     values = s.tolist()
-    total = scalar(tensor)
     report.update(
-        scalar_curvature=total,
-        einstein_constant=_einstein_constant_of(tensor, total),
+        scalar_curvature=scalar(tensor),
+        einstein_constant=einstein_constant(tensor),
         spectrum=_clusters_obj(cluster_spectrum(values)),
         thresholds=_thresholds_obj(values),
         classifications=[],

@@ -281,15 +281,10 @@ def _matches(value, actual, model):
 def einstein_constant(r):
     """Return rho with Ric = rho * Id, or None when Ricci is not proportional.
 
-    The deviation threshold is ``DETECTOR_TOL * max(1, ||Ric||_inf)``.
+    rho is ``scalar(r) / n``, contracted here; the deviation threshold is
+    ``DETECTOR_TOL * max(1, ||Ric||_inf)``.
     """
-    return _einstein_constant_of(r, scalar(r))
-
-
-def _einstein_constant_of(r, total):
-    """``einstein_constant(r)`` given ``total``, its ``scalar(r)``, so that
-    a report of both contracts the scalar curvature once."""
-    rho = total / r.dim
+    rho = scalar(r) / r.dim
     return _matches(rho, ricci(r), rho * np.eye(r.dim))
 
 

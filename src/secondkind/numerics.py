@@ -213,9 +213,12 @@ def _float_array(values):
 
 
 def _real(name, value):
-    """``float(value)``; a value it cannot read raises InvalidInputError."""
+    """``float(value)``, which rounds a number beyond the doubles, such as a
+    huge int, to a signed inf; a value it cannot read raises InvalidInputError."""
     try:
         return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
     except (TypeError, ValueError):
         kind = type(value).__name__
         raise InvalidInputError(f"{name} must be a real number, got {kind}") from None
@@ -237,10 +240,9 @@ def _float_list(values):
 def cluster_spectrum(values):
     """Group an ascending list into (value, multiplicity) clusters.
 
-    Consecutive entries join one cluster by ``joins_cluster``, whose test
-    the loop states inline; the reported value is the cluster mean, a
-    Python sum over the cluster divided by its size. ``values`` is read by
-    ``_float_list``.
+    Consecutive entries join one cluster by ``joins_cluster``; the reported
+    value is the cluster mean, a Python sum over the cluster divided by its
+    size. ``values`` is read by ``_float_list``.
     """
     vals = _float_list(values)
     clusters = []
@@ -250,7 +252,7 @@ def cluster_spectrum(values):
             previous, value = vals[i - 1], vals[i]
             if value < previous:
                 raise InvalidInputError("values must be sorted ascending")
-            if not value - previous > CLUSTER_REL_TOL * max(1.0, abs(previous)):
+            if joins_cluster(previous, value):
                 continue
         chunk = vals[start:i]
         clusters.append((sum(chunk) / len(chunk), len(chunk)))

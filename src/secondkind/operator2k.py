@@ -1,6 +1,7 @@
 """The curvature operator on traceless symmetric two-tensors, as a finite
 symmetric matrix: assembly, spectra, weighted partial eigenvalue sums,
-fractional nonnegativity verdicts and thresholds, and a definition-level
+fractional nonnegativity verdicts (``VERDICTS``; the negated tensor's is
+that of the reversed key) and thresholds, and a definition-level
 random-basis oracle for them; the closed forms live in ``descriptors``.
 """
 
@@ -40,13 +41,6 @@ VERDICT_NONNEGATIVE = "nonnegative"
 VERDICT_NONPOSITIVE = "nonpositive"
 VERDICT_BOTH = "both"
 VERDICT_NEITHER = "neither"
-# the verdict of the negated tensor, read from the verdict of the tensor
-NEGATED_VERDICT = {
-    VERDICT_NONNEGATIVE: VERDICT_NONPOSITIVE,
-    VERDICT_NONPOSITIVE: VERDICT_NONNEGATIVE,
-    VERDICT_BOTH: VERDICT_BOTH,
-    VERDICT_NEITHER: VERDICT_NEITHER,
-}
 # (nonnegative, nonpositive) -> verdict
 VERDICTS = {
     (True, True): VERDICT_BOTH,

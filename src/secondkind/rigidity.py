@@ -38,6 +38,7 @@ of ``descriptors``, with no tensor, and exactly where rounding could decide.
 """
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import accumulate
@@ -48,6 +49,7 @@ import numpy as np
 from .curvature import (
     DETECTOR_TOL,
     MAX_DIM,
+    CurvatureTensor,
     check_identities,
     constant_holomorphic,
     constant_sectional,
@@ -65,11 +67,10 @@ from .curvature import (
 )
 from .descriptors import _checked_int, a_const, b_const, leaf_closed_form, product_closed_form
 from .errors import InvalidInputError
-from .numerics import MAX_BLOCK, blocks, derived_seed, eigensolve
+from .numerics import MAX_BLOCK, _real, blocks, derived_seed, eigensolve
 from .operator2k import (
     CLASSIFY_TOL,
     MAX_SAMPLES,
-    NEGATED_VERDICT,
     VERDICT_BOTH,
     VERDICT_NEITHER,
     VERDICT_NONNEGATIVE,
@@ -126,8 +127,10 @@ class HarnessReport:
 
 
 def _check_tol(tol):
+    tol = _real("tolerance", tol)
     if not 0.0 < tol < math.inf:  # also false for NaN
         raise InvalidInputError(f"tolerance must be positive and finite, got {tol}")
+    return tol
 
 
 def _check_total_dim(n):
@@ -154,7 +157,9 @@ def verify_product_structure(r1, r2, tol=CLASSIFY_TOL):
     entry, and the multiset spectrum identity; those checks report
     not-applicable otherwise.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
+    if not (isinstance(r1, CurvatureTensor) and isinstance(r2, CurvatureTensor)):
+        raise InvalidInputError("product structure needs two curvature tensors")
     n1, n2 = r1.dim, r2.dim
     _check_total_dim(n1 + n2)
     r = product(r1, r2)
@@ -311,20 +316,22 @@ def check_rigidity(case, params=None, seed=0, samples=200, tol=CLASSIFY_TOL):
     Cases: ``line`` (one flat direction), ``product-spheres``,
     ``product-kahler``, ``iff-spheres``, ``iff-kahler``.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     seed, samples = _checked_int("seed", seed), _checked_int("samples", samples)
     if samples < 0:
         raise InvalidInputError("sample count must be nonnegative")
     if samples > MAX_SAMPLES:
         raise InvalidInputError(f"{samples} samples exceed the limit {MAX_SAMPLES}")
-    if case not in _HARNESSES:
+    if not isinstance(case, str) or case not in _HARNESSES:
         raise InvalidInputError(f"unknown harness case {case!r}; expected one of {HARNESS_CASES}")
     family, sweep = _HARNESSES[case]
+    if not isinstance(params or {}, Mapping):
+        raise InvalidInputError(f"{case} parameters must be a mapping, got {type(params).__name__}")
     given = dict(params or {})
     params = {name: _checked_int(name, given.pop(name, family.least)) for name in family.names}
     grid = _kappa_grid(given) if sweep else None
     if given:
-        raise InvalidInputError(f"unexpected {case} parameters: {sorted(given)}")
+        raise InvalidInputError(f"unexpected {case} parameters: {sorted(given, key=str)}")
     if min(params.values()) < family.least:
         raise InvalidInputError(family.too_small)
     dims = family.dims(params)
@@ -604,7 +611,10 @@ def _kappa_grid(params):
     grid = params.pop("grid", None)
     if grid is None:
         return DEFAULT_KAPPA_GRID
-    grid = tuple(float(g) for g in grid)
+    try:
+        grid = tuple(_real("kappa grid value", g) for g in grid)
+    except TypeError:  # not iterable
+        raise InvalidInputError(f"kappa grid must be a list, got {type(grid).__name__}") from None
     if not grid or not all(0.0 < g < math.inf for g in grid):  # false for NaN too
         raise InvalidInputError("kappa grid values must be positive and finite")
     # a sweep classifies two models per grid pair and may hold a finding each
@@ -653,10 +663,9 @@ def _sweep(report, family, params, alpha, grid, tol):
                 from fractions import Fraction  # Fraction >= float compares exactly
                 sums, _ = _pair_sums(*map(family.factors.leaf, dims, map(Fraction, (k1, k2))),
                                      family.constant(params, Fraction(1)))
-            positive = VERDICTS[tuple(g >= -tol for g, _ in sums)]
-            for name, v, expected in (("positive", positive, VERDICT_NONNEGATIVE),
-                                      ("negative", NEGATED_VERDICT[positive],
-                                       VERDICT_NONPOSITIVE)):
+            pair = tuple(g >= -tol for g, _ in sums)
+            for name, v, expected in (("positive", VERDICTS[pair], VERDICT_NONNEGATIVE),
+                                      ("negative", VERDICTS[pair[::-1]], VERDICT_NONPOSITIVE)):
                 if (v == expected) != (k1 == k2):
                     report.findings.append({"family": name, "kappa1": k1, "kappa2": k2,
                                             "verdict": v, "equal_kappa": k1 == k2})

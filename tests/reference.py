@@ -27,6 +27,9 @@ None of these runs in ``secondkind`` itself:
   an ascending array, from given eigenvalues by sorting them; the negated
   tensor's verdict and threshold, which ``operator2k`` reads off the
   tensor's own eigenvalues, must equal those of ``negate_spectrum``.
+* ``NEGATED_VERDICT`` maps a tensor's verdict to its negation's, read off
+  ``operator2k.VERDICTS`` with the (nonnegative, nonpositive) key reversed,
+  as ``rigidity._sweep`` reads the negative family's verdict.
 * ``nonneg_threshold_cumsum`` is the threshold read off ``np.cumsum`` and
   ``np.argmax``; ``operator2k.nonneg_threshold``, one scan of Python float
   sums, must return the same value bit for bit and raise or warn as it does
@@ -66,8 +69,10 @@ from secondkind.curvature import (
 )
 from secondkind.errors import ConvergenceError, InvalidInputError
 from secondkind.numerics import CLUSTER_REL_TOL, SYMMETRY_TOL, _symmetric_operand, seeded_stream
-from secondkind.operator2k import weighted_partial_sums
+from secondkind.operator2k import VERDICTS, weighted_partial_sums
 from secondkind.sym2 import Sym2Basis, sym_product
+
+NEGATED_VERDICT = {v: VERDICTS[key[::-1]] for key, v in VERDICTS.items()}
 
 JACOBI_REL_TOL = 1e-13
 JACOBI_MAX_SWEEPS = 100

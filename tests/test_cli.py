@@ -984,18 +984,16 @@ class TestStrictGrammar:
 
 class TestSpectrumRequest:
     @pytest.mark.parametrize("command", ["spectrum", "classify"])
-    def test_scalar_curvature_contracted_once_per_report(self, command, monkeypatch, capsys):
-        # the report's scalar curvature and its Einstein test share one
-        # contraction
+    def test_einstein_constant_called_once_per_report(self, command, monkeypatch, capsys):
+        # the report's Einstein test is the detector itself, called once
         calls = []
-        contract = curvature.scalar
+        detect = curvature.einstein_constant
 
         def counting(r):
             calls.append(r.dim)
-            return contract(r)
+            return detect(r)
 
-        monkeypatch.setattr(cli, "scalar", counting)
-        monkeypatch.setattr(curvature, "scalar", counting)
+        monkeypatch.setattr(cli, "einstein_constant", counting)
         argv = [command, str(DESCRIPTORS / "s3xr.json")]
         assert run(argv + (["--alpha", "A"] if command == "classify" else [])) == 0
         assert calls == [4]

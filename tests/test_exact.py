@@ -1,16 +1,22 @@
-"""The Einstein product rule of ``descriptors`` checked exactly: at each
-value of the closed form, the inertia of the rational operator (``exact``)
-counts its multiplicity, with no float and no LAPACK on the way."""
+"""The spectra checked exactly by the inertia of the rational operator
+(``exact``), with no float and no LAPACK on the way: at each value of the
+Einstein product rule of ``descriptors`` it counts the multiplicity; at the
+sharp constants A and B - 3/2 of the model products g(alpha) is exactly 0;
+and LAPACK's eigenvalues of seeded random tensors lie within a stated
+bound of the exact ones."""
 
 import json
+import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from secondkind import descriptors, sym2
+from secondkind import descriptors, operator2k, sym2
 
 import exact
+from samples import random_kahler_tensor, random_tensor
 
 # each product as its two factors' (kind, size)
 PRODUCTS = {
@@ -23,9 +29,11 @@ PRODUCTS = {
 KAPPAS = {"1,1": (1, 1), "1/2,2": (Fraction(1, 2), 2), "2,1/2": (2, Fraction(1, 2))}
 
 
-@pytest.mark.parametrize("kappas", KAPPAS.values(), ids=KAPPAS)
-@pytest.mark.parametrize("factors", PRODUCTS.values(), ids=PRODUCTS)
-def test_product_rule_is_the_exact_inertia(factors, kappas):
+def certified_clusters(factors, kappas):
+    """The closed-form (value, multiplicity) clusters of a product of two
+    model leaves, ascending and merged, in ``Fraction``, each certified by
+    the exact inertia of the product's rational operator; and that operator
+    as its pencil (A, G)."""
     objs = [descriptors.leaf_obj(kind, size, None if kind in descriptors.FLAT_KINDS else float(k))
             for (kind, size), k in zip(factors, kappas)]
     desc = descriptors.parse_descriptor(json.dumps({"kind": "product", "factors": objs}))
@@ -37,12 +45,59 @@ def test_product_rule_is_the_exact_inertia(factors, kappas):
     for value, mult in descriptors.product_closed_form(*leaves):
         assert type(value) is Fraction
         multiplicity[value] += mult
+    clusters = sorted((v, mult) for v, mult in multiplicity.items() if mult)
     below = 0
-    for value in sorted(v for v, mult in multiplicity.items() if mult):
-        at = multiplicity[value]
+    for value, at in clusters:
         assert exact.inertia(a, gram, value) == (below, at, len(a) - below - at)
         below += at
     assert below == len(a)
+    return clusters, (a, gram)
+
+
+@pytest.mark.parametrize("kappas", KAPPAS.values(), ids=KAPPAS)
+@pytest.mark.parametrize("factors", PRODUCTS.values(), ids=PRODUCTS)
+def test_product_rule_is_the_exact_inertia(factors, kappas):
+    certified_clusters(factors, kappas)
+
+
+def exact_g(clusters, alpha):
+    """g(alpha) over ascending (value, multiplicity) clusters, exactly: the
+    floor(alpha) smallest eigenvalues plus frac(alpha) times the next one."""
+    total, left = Fraction(0), Fraction(alpha)
+    for value, mult in clusters:
+        if left <= 0:
+            break
+        taken = min(mult, left)
+        total += taken * value
+        left -= taken
+    return total
+
+
+# the sharp families at kappa = 1 as (n1, n2): the line S^(n-1) x R at
+# n = 4..7, whose constant is that of n1 = n - 1 and n2 = 1, and the
+# sphere products S^n1 x S^n2
+SHARP = {f"s{n - 1}xr": (n - 1, 1) for n in range(4, 8)}
+SHARP.update({f"s{n1}xs{n2}": (n1, n2) for n1 in (2, 3, 4) for n2 in (2, 3, 4)})
+
+
+@pytest.mark.parametrize("n1,n2", SHARP.values(), ids=SHARP)
+def test_sharp_constant_is_exactly_the_model_threshold(n1, n2):
+    second = ("euclidean", 1) if n2 == 1 else ("sphere", n2)
+    clusters, pencil = certified_clusters((("sphere", n1), second), (1, 1))
+    alpha = descriptors.a_const(n1, n2, Fraction(1))
+    assert type(alpha) is Fraction
+    assert exact_g(clusters, alpha) == 0
+    # g's slope just below A is the ceil(A)-th smallest eigenvalue; it is
+    # positive, so g < 0 there
+    below, at, _ = exact.inertia(*pencil, 0)
+    assert below + at < math.ceil(alpha)
+
+
+@pytest.mark.parametrize("m", [1, 2], ids=["cp1xcp1", "cp2xcp2"])
+def test_kahler_model_threshold_lies_three_halves_below_b(m):
+    clusters, _ = certified_clusters((("cp", m), ("cp", m)), (1, 1))
+    constant = descriptors.b_const(m, m, Fraction(1))
+    assert exact_g(clusters, constant - Fraction(3, 2)) == 0 < exact_g(clusters, constant)
 
 
 @pytest.mark.parametrize("a,gram,t,expected", [
@@ -67,3 +122,32 @@ def test_rational_operator_is_the_assembly_before_normalization():
     a, gram = exact.rational_operator(descriptors.build_tensor(desc).components)
     assert gram == [2, 2, 2, 2, 6]
     assert a == [[g if i == j else 0 for j in range(5)] for i, g in enumerate(gram)]
+
+
+# seeded random tensors: real of dimension n = 3, 4, 5 and Kahler of
+# complex dimension m = 1, 2 (N = 5, 9, 14, 2 and 9), seeds 11 and 12 each
+RANDOM = {f"{label}{size}-seed{seed}": (make, size, seed)
+          for label, make, sizes in (("real", random_tensor, (3, 4, 5)),
+                                     ("kahler", random_kahler_tensor, (1, 2)))
+          for size in sizes for seed in (11, 12)}
+
+
+@pytest.mark.parametrize("make,size,seed", RANDOM.values(), ids=RANDOM)
+def test_lapack_eigenvalues_lie_within_the_stated_bound(make, size, seed):
+    # LAPACK's eigenvalues of M lie within p(N) u ||M||_2 of the exact
+    # ones, with p(N) <= 28 N and ||M||_2 <= N max|m_ij|, as in
+    # ``rigidity._block_verdicts`` with W = N: delta = 28 N u N max|m_ij|,
+    # 1.2e-15 to 1.5e-12 here. The exact counts at each computed value
+    # +- delta bracket its index, so the exact eigenvalue of that index lies
+    # within delta of it. All ten tensors take about 1 s on a 2-core x86
+    # machine, three quarters of it at n = 5.
+    r = make(size, seed)
+    mat = operator2k.operator_matrix(r, sym2.standard_basis(r.dim))
+    values = operator2k.spectrum(r).tolist()
+    n_values = len(values)
+    delta = Fraction(28 * n_values * 2.0 ** -53 * n_values * float(np.abs(mat).max()))
+    a, gram = exact.rational_operator(r.components)
+    for i, value in enumerate(values):
+        below, _, _ = exact.inertia(a, gram, Fraction(value) - delta)
+        _, _, above = exact.inertia(a, gram, Fraction(value) + delta)
+        assert below <= i < n_values - above

@@ -23,7 +23,6 @@ from secondkind import curvature, numerics, operator2k
 from secondkind.errors import ConvergenceError, InvalidInputError
 from secondkind.operator2k import (
     CLASSIFY_TOL,
-    NEGATED_VERDICT,
     alpha_sum,
     bruteforce_min_alpha_sum,
     classify,
@@ -43,6 +42,7 @@ from secondkind.sym2 import (
 )
 
 from reference import (
+    NEGATED_VERDICT,
     f_lemma,
     kahler_basis,
     negate_spectrum,

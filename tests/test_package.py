@@ -181,6 +181,14 @@ def test_verdict_reads_a_list_as_weighted_partial_sums_do():
         operator2k.weighted_partial_sums(["a"], 1.0)
 
 
+def test_a_number_beyond_the_doubles_is_read_as_inf():
+    with pytest.raises(InvalidInputError, match=r"^alpha must lie in \[1, 2\], got inf$"):
+        secondkind.verdict([1.0, 2.0], 10 ** 400)
+    with pytest.raises(InvalidInputError,
+                       match="^tolerance must be nonnegative and finite, got -inf$"):
+        secondkind.verdict([1.0, 2.0], 1.0, -10 ** 400)
+
+
 @pytest.mark.parametrize("const,args", [
     (secondkind.a_const, (2.5, 1)), (secondkind.a_const, (True, 1)),
     (secondkind.a_const, (3, np.int64(1))), (descriptors.b_const, (1.5, 1)),

@@ -21,7 +21,7 @@ from secondkind.errors import ConvergenceError, InvalidInputError
 from secondkind.descriptors import a_const, b_const
 from secondkind.rigidity import check_rigidity, verify_product_structure
 
-from reference import f_lemma
+from reference import NEGATED_VERDICT, f_lemma
 from samples import random_curvatures, random_kahler_curvatures, random_tensor
 
 
@@ -216,6 +216,17 @@ class TestVerifyProductStructure:
         with pytest.raises(InvalidInputError, match=f"total dimension {2 * half} exceeds"):
             verify_product_structure(flat_tensor(half), flat_tensor(half))
 
+    @pytest.mark.parametrize("args,kwargs,message", [
+        ((space_form(2, 1.0), space_form(2, 1.0)), {"tol": "x"},
+         "tolerance must be a real number, got str"),
+        ((5, space_form(2, 1.0)), {}, "product structure needs two curvature tensors"),
+        ((space_form(2, 1.0), None), {}, "product structure needs two curvature tensors"),
+    ], ids=["tol-str", "first-int", "second-none"])
+    def test_rejects_an_input_that_is_not_a_tensor_or_a_number_in_one_line(self, args, kwargs,
+                                                                            message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            verify_product_structure(*args, **kwargs)
+
     @pytest.mark.parametrize("r1,r2,assemblies", [
         (space_form(3, 1.0), space_form(2, 0.5), 4),
         (kahler_space_form(2, 1.0), kahler_space_form(1, 2.0), 4),
@@ -382,7 +393,7 @@ class TestCheckRigidity:
         for k1 in (0.5, 1.0, 2.0):
             for k2 in (0.5, 1.0, 2.0):
                 s = operator2k.spectrum(product(factor(d1, k1), factor(d2, k2)))
-                negated = operator2k.NEGATED_VERDICT[operator2k.verdict(s, alpha)]
+                negated = NEGATED_VERDICT[operator2k.verdict(s, alpha)]
                 assert negated == operator2k.classify(product(factor(d1, -k1), factor(d2, -k2)),
                                                       alpha)
 
@@ -397,6 +408,29 @@ class TestCheckRigidity:
     def test_rejects_unknown_case(self):
         with pytest.raises(InvalidInputError):
             check_rigidity("nonsense", {})
+
+    @pytest.mark.parametrize("args,kwargs,message", [
+        (("line",), {"tol": "x"}, "tolerance must be a real number, got str"),
+        (("line",), {"tol": None}, "tolerance must be a real number, got NoneType"),
+        (("line",), {"tol": 10 ** 400}, "tolerance must be positive and finite, got inf"),
+        (("iff-spheres", {"grid": ["x"]}), {}, "kappa grid value must be a real number, got str"),
+        (("iff-spheres", {"grid": 5}), {}, "kappa grid must be a list, got int"),
+        (("iff-spheres", {"grid": [10 ** 400]}), {},
+         "kappa grid values must be positive and finite"),
+        (("line", 5), {}, "line parameters must be a mapping, got int"),
+        (("line", ["n"]), {}, "line parameters must be a mapping, got list"),
+        ((["line"],), {}, re.escape("unknown harness case ['line']; expected one of ")),
+        (("line", {1: 2, "a": 3}), {}, re.escape("unexpected line parameters: [1, 'a']")),
+    ], ids=["tol-str", "tol-none", "tol-huge-int", "grid-str", "grid-int", "grid-huge-int",
+            "params-int", "params-list", "case-list", "params-mixed-keys"])
+    def test_rejects_a_malformed_input_in_one_line(self, args, kwargs, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}"):
+            check_rigidity(*args, **kwargs)
+
+    def test_reads_the_tolerance_as_a_float(self):
+        report = check_rigidity("line", samples=0, tol=np.float64(1e-9))
+        assert type(report.parameters["tol"]) is float
+        assert report.to_dict() == check_rigidity("line", samples=0, tol=1e-9).to_dict()
 
     def test_rejects_unknown_params(self):
         with pytest.raises(InvalidInputError):
@@ -1199,7 +1233,7 @@ def _findings(pairs, positives):
     out = []
     for (k1, k2), positive in zip(pairs, positives):
         for name, v, expected in (("positive", positive, "nonnegative"),
-                                  ("negative", operator2k.NEGATED_VERDICT[positive],
+                                  ("negative", NEGATED_VERDICT[positive],
                                    "nonpositive")):
             if (v == expected) != (k1 == k2):
                 out.append({"family": name, "kappa1": k1, "kappa2": k2,
