@@ -59,8 +59,8 @@ blocks of unequal factor widths are compared too: ``product-spheres --n1 2
 ``--m1 2 --m2 1``, each ``--samples 70 --tol 50 --seed 3``; and both iff
 sweeps at their default sizes on grids at the ends of the double range, so
 that the closed-form sweep's overflow, its exact fallback and its
-underflow are compared too: ``--kappa-grid 1e308,1`` (overflow, exit 3),
-``3e307,1`` (Kahler overflows, the spheres do not), twelve non-dyadic
+underflow are compared too: ``--kappa-grid 1e308,1`` (overflow, decided
+exactly), ``3e307,1`` (Kahler overflows, the spheres do not), twelve non-dyadic
 values ``1e30 * (1 + k/7)`` (rounding of about 1e15 against g = 0 at equal
 curvatures) and ``5e-324,1e-323,1`` with ``--tol 5e-324`` (subnormal
 curvatures and tolerance), and ``iff-kahler --kappa-grid 1e307,1``, whose

@@ -92,6 +92,7 @@ def spectrum(r):
 # the threshold scans trust a list to hold numbers and turn the error of
 # their own operations into this one, so that a valid list pays for no check
 _NOT_NUMBERS = "expected a 1-D list of eigenvalues, got an entry that is not a real number"
+_NOT_FINITE = "eigenvalues must be finite"
 
 
 def _split_alpha(alpha, n_values):
@@ -134,12 +135,14 @@ def verdict(s, alpha, tol=CLASSIFY_TOL):
     Nonnegative means g(alpha) >= -tol on the eigenvalues; nonpositive is the
     same test on the negated eigenvalues, read in ascending order as the
     reversed negation. Flat tensors report both. The tolerance must be
-    nonnegative and finite.
+    nonnegative and finite, and the eigenvalues finite.
     """
     tol = _real("tolerance", tol)
     if not 0.0 <= tol < math.inf:  # also false for NaN
         raise InvalidInputError(f"tolerance must be nonnegative and finite, got {tol}")
     s = _float_array(s)
+    if not np.isfinite(s).all():
+        raise InvalidInputError(_NOT_FINITE)
     nonneg = weighted_partial_sums(s, alpha) >= -tol
     nonpos = weighted_partial_sums(-s[..., ::-1], alpha) >= -tol
     if nonneg.ndim:
@@ -159,7 +162,8 @@ def nonneg_threshold(s):
     None when even g(N) is negative.
 
     The running sums are added left to right in one list scan, in the order
-    and the rounding of ``np.cumsum``."""
+    and the rounding of ``np.cumsum``; where the last is not finite, an entry
+    that is not finite raises InvalidInputError."""
     values = _float_list(s)
     if not values:
         raise InvalidInputError("a threshold needs at least one eigenvalue")
@@ -171,9 +175,13 @@ def nonneg_threshold(s):
             # a sum overflowed (or an entry is not finite): np.cumsum raises
             # or warns under the caller's np.errstate; Python's float sums do not
             np.cumsum(values)
+            if not all(map(math.isfinite, values)):
+                raise InvalidInputError(_NOT_FINITE)
         for idx, total in enumerate(sums):
             if total >= 0.0:  # first crossing; idx >= 1, as sums[0] < 0
                 return idx + (-sums[idx - 1]) / values[idx]
+    except InvalidInputError:  # a ValueError, raised above
+        raise
     except (TypeError, ValueError):  # ValueError: the truth value of an array entry
         raise InvalidInputError(_NOT_NUMBERS) from None
     return None

@@ -611,10 +611,13 @@ def _kappa_grid(params):
     grid = params.pop("grid", None)
     if grid is None:
         return DEFAULT_KAPPA_GRID
+    not_a_list = InvalidInputError(f"kappa grid must be a list, got {type(grid).__name__}")
+    if isinstance(grid, (str, bytes, bytearray, Mapping)):  # iterable, but not of values
+        raise not_a_list
     try:
         grid = tuple(_real("kappa grid value", g) for g in grid)
     except TypeError:  # not iterable
-        raise InvalidInputError(f"kappa grid must be a list, got {type(grid).__name__}") from None
+        raise not_a_list from None
     if not grid or not all(0.0 < g < math.inf for g in grid):  # false for NaN too
         raise InvalidInputError("kappa grid values must be positive and finite")
     # a sweep classifies two models per grid pair and may hold a finding each
@@ -625,11 +628,10 @@ def _kappa_grid(params):
 
 
 def _cluster_sum(clusters, alpha):
-    """g(alpha) and the sum of its |terms| over ascending (value, mult) clusters."""
+    """g(alpha) over ascending (value, mult) clusters."""
     starts = accumulate((mult for _, mult in clusters), initial=0)
-    terms = [min(mult, alpha - start) * value
-             for (value, mult), start in zip(clusters, starts) if alpha > start]
-    return sum(terms), sum(map(abs, terms))
+    return sum(min(mult, alpha - start) * value
+               for (value, mult), start in zip(clusters, starts) if alpha > start)
 
 
 def _pair_sums(first, second, alpha):
@@ -645,25 +647,23 @@ def _pair_sums(first, second, alpha):
 def _sweep(report, family, params, alpha, grid, tol):
     """Classify the space-form products over the grid: the positive family
     should be nonnegative, and the negative one nonpositive, exactly when
-    the two curvatures are equal; each disagreement is a finding. Verdicts
-    come from the closed-form clusters, the factors' made once per grid
-    value, and where a float g lies within twice its rounding bound of -tol,
-    from them in ``Fraction`` (Shewchuk 1997). The bound (Higham, ch. 3) is
-    gamma_16 (sum |w_i l_i| + alpha max |l_i|), for 6 terms, 3 roundings of
-    alpha and 4 of a value, plus 8 alpha subnormals for underflow."""
+    the two curvatures are equal; each disagreement is a finding. A pair's
+    verdicts come from its closed-form clusters, in floats where both its
+    sums g are finite and lie more than twice their bound from -tol, and
+    else, NaN or overflow too, in ``Fraction`` (Shewchuk 1997). g rounds by
+    at most gamma_16 (sum |w_i l_i| + alpha max |l_i|) <= 32 u alpha max |l_i|,
+    w_i >= 0 of sum alpha, plus 8 alpha subnormals (Higham, ch. 3)."""
     dims = family.dims(params)
     leaves = [{k: family.factors.leaf(d, k) for k in grid} for d in dims]
     for k1 in grid:
         for k2 in grid:
             sums, peak = _pair_sums(leaves[0][k1], leaves[1][k2], alpha)
-            if not all(math.isfinite(size) for _, size in sums):
-                raise FloatingPointError("overflow encountered in a closed-form spectrum")
-            bound = 16 * _UNIT * alpha * peak + 8 * _TINY * alpha
-            if any(abs(g + tol) <= 2 * (bound + 16 * _UNIT * size) for g, size in sums):
+            bound = 32 * _UNIT * alpha * peak + 8 * _TINY * alpha
+            if not all(2 * bound < abs(g + tol) < math.inf for g in sums):
                 from fractions import Fraction  # Fraction >= float compares exactly
                 sums, _ = _pair_sums(*map(family.factors.leaf, dims, map(Fraction, (k1, k2))),
                                      family.constant(params, Fraction(1)))
-            pair = tuple(g >= -tol for g, _ in sums)
+            pair = tuple(g >= -tol for g in sums)
             for name, v, expected in (("positive", VERDICTS[pair], VERDICT_NONNEGATIVE),
                                       ("negative", VERDICTS[pair[::-1]], VERDICT_NONPOSITIVE)):
                 if (v == expected) != (k1 == k2):

@@ -1,6 +1,7 @@
 """The spectra checked exactly by the inertia of the rational operator
-(``exact``), with no float and no LAPACK on the way: at each value of the
-Einstein product rule of ``descriptors`` it counts the multiplicity; at the
+(``exact``), with no float and no LAPACK on the way: at each value of a
+leaf's closed form and of the Einstein product rule of ``descriptors``, over
+the ``examples`` families up to N = 20, it counts the multiplicity; at the
 sharp constants A and B - 3/2 of the model products g(alpha) is exactly 0;
 and LAPACK's eigenvalues of seeded random tensors lie within a stated
 bound of the exact ones."""
@@ -13,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from secondkind import descriptors, operator2k, sym2
+from secondkind import cli, descriptors, operator2k, sym2
 
 import exact
 from samples import random_kahler_tensor, random_tensor
@@ -29,20 +30,26 @@ PRODUCTS = {
 KAPPAS = {"1,1": (1, 1), "1/2,2": (Fraction(1, 2), 2), "2,1/2": (2, Fraction(1, 2))}
 
 
-def certified_clusters(factors, kappas):
-    """The closed-form (value, multiplicity) clusters of a product of two
-    model leaves, ascending and merged, in ``Fraction``, each certified by
-    the exact inertia of the product's rational operator; and that operator
-    as its pencil (A, G)."""
-    objs = [descriptors.leaf_obj(kind, size, None if kind in descriptors.FLAT_KINDS else float(k))
-            for (kind, size), k in zip(factors, kappas)]
-    desc = descriptors.parse_descriptor(json.dumps({"kind": "product", "factors": objs}))
+def product_obj(factors, kappas):
+    """JSON form of the product of two model leaves ``(kind, size)`` of
+    curvatures ``kappas``."""
+    return {"kind": "product", "factors": [
+        descriptors.leaf_obj(kind, size, None if kind in descriptors.FLAT_KINDS else float(k))
+        for (kind, size), k in zip(factors, kappas)]}
+
+
+def certified_clusters(obj):
+    """The closed-form (value, multiplicity) clusters of a model leaf or of a
+    product of two, given as JSON, ascending and merged, in ``Fraction``,
+    each certified by the exact inertia of its rational operator; and that
+    operator as its pencil (A, G)."""
+    desc = descriptors.parse_descriptor(json.dumps(obj))
     a, gram = exact.rational_operator(descriptors.build_tensor(desc).components)
     assert len(a) == len(gram) == sym2.sym2_dim(desc.dim)
-    leaves = [descriptors.leaf_closed_form(f.kind, f.dim, Fraction(k))
-              for f, k in zip(desc.factors, kappas)]
+    leaves = [descriptors.leaf_closed_form(f.kind, f.dim, Fraction(f.kappa))
+              for f in desc.factors or (desc,)]
     multiplicity = Counter()
-    for value, mult in descriptors.product_closed_form(*leaves):
+    for value, mult in descriptors.product_closed_form(*leaves) if desc.factors else leaves[0][0]:
         assert type(value) is Fraction
         multiplicity[value] += mult
     clusters = sorted((v, mult) for v, mult in multiplicity.items() if mult)
@@ -57,7 +64,33 @@ def certified_clusters(factors, kappas):
 @pytest.mark.parametrize("kappas", KAPPAS.values(), ids=KAPPAS)
 @pytest.mark.parametrize("factors", PRODUCTS.values(), ids=PRODUCTS)
 def test_product_rule_is_the_exact_inertia(factors, kappas):
-    certified_clusters(factors, kappas)
+    certified_clusters(product_obj(factors, kappas))
+
+
+def _leaf_id(obj):
+    size = obj.get("dim", obj.get("m"))
+    return f"{obj['kind']}{size}" + (f"@{obj['kappa']}" if "kappa" in obj else "")
+
+
+# the cases of every other ``examples`` family, at its curvatures 1/2, 1 and
+# 2, whose operator is at most N = 20 wide (total dimension at most 6)
+EXAMPLES = {" x ".join(map(_leaf_id, obj.get("factors", [obj]))): obj
+            for name, objs in cli._example_families()
+            if name in ("space-forms", "complex-space-forms", "hyperbolic-x-hyperbolic",
+                        "sphere-x-euclidean", "hyperbolic-x-euclidean", "ch-x-ch",
+                        "cp-x-complex-euclidean", "ch-x-complex-euclidean", "euclidean-flat")
+            for obj in objs
+            if descriptors.parse_descriptor(json.dumps(obj)).dim <= 6}
+
+
+@pytest.mark.parametrize("obj", EXAMPLES.values(), ids=EXAMPLES)
+def test_examples_closed_form_is_the_exact_inertia(obj, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("reached LAPACK")
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, boom)
+    certified_clusters(obj)
 
 
 def exact_g(clusters, alpha):
@@ -83,7 +116,7 @@ SHARP.update({f"s{n1}xs{n2}": (n1, n2) for n1 in (2, 3, 4) for n2 in (2, 3, 4)})
 @pytest.mark.parametrize("n1,n2", SHARP.values(), ids=SHARP)
 def test_sharp_constant_is_exactly_the_model_threshold(n1, n2):
     second = ("euclidean", 1) if n2 == 1 else ("sphere", n2)
-    clusters, pencil = certified_clusters((("sphere", n1), second), (1, 1))
+    clusters, pencil = certified_clusters(product_obj((("sphere", n1), second), (1, 1)))
     alpha = descriptors.a_const(n1, n2, Fraction(1))
     assert type(alpha) is Fraction
     assert exact_g(clusters, alpha) == 0
@@ -95,7 +128,7 @@ def test_sharp_constant_is_exactly_the_model_threshold(n1, n2):
 
 @pytest.mark.parametrize("m", [1, 2], ids=["cp1xcp1", "cp2xcp2"])
 def test_kahler_model_threshold_lies_three_halves_below_b(m):
-    clusters, _ = certified_clusters((("cp", m), ("cp", m)), (1, 1))
+    clusters, _ = certified_clusters(product_obj((("cp", m), ("cp", m)), (1, 1)))
     constant = descriptors.b_const(m, m, Fraction(1))
     assert exact_g(clusters, constant - Fraction(3, 2)) == 0 < exact_g(clusters, constant)
 

@@ -1,4 +1,6 @@
 import ast
+import json
+import math
 import os
 import re
 import subprocess
@@ -165,6 +167,18 @@ def test_threshold_of_a_matrix_is_an_input_error(threshold):
             threshold(values)
 
 
+@pytest.mark.parametrize("threshold,values", [
+    (secondkind.nonneg_threshold, [math.nan, 1.0]),
+    (operator2k.nonpos_threshold, [math.nan, 1.0]),
+    (secondkind.nonneg_threshold, [-1.0, math.inf]),
+    (secondkind.nonneg_threshold, np.array([math.nan, 1.0])),
+], ids=["nonneg-nan", "nonpos-nan", "nonneg-inf", "nonneg-nan-array"])
+def test_threshold_of_a_non_finite_eigenvalue_is_an_input_error(threshold, values):
+    # once None, None, 1.0 (though g(1) = -1) and None
+    with pytest.raises(InvalidInputError, match="^eigenvalues must be finite$"):
+        threshold(values)
+
+
 def test_verdict_reads_a_list_as_weighted_partial_sums_do():
     assert operator2k.weighted_partial_sums([1.0, 2.0], 1.5) == 2.0
     assert secondkind.verdict([1.0, 2.0], 1.5) == "nonnegative"
@@ -172,7 +186,12 @@ def test_verdict_reads_a_list_as_weighted_partial_sums_do():
     assert secondkind.verdict([[1.0, 2.0], [-2.0, -1.0]], 2) == ["nonnegative", "nonpositive"]
     for s, alpha, message in (([[1.0, 2.0], [3.0]], 1.0, "^expected real numbers in rows"),
                               (["a"], 1.0, "^expected real numbers in rows"),
-                              ([1.0, 2.0], "x", "^alpha must be a real number, got str$")):
+                              ([1.0, 2.0], "x", "^alpha must be a real number, got str$"),
+                              # the first once read as "neither"
+                              ([math.nan, 1.0], 1.5, "^eigenvalues must be finite$"),
+                              ([-1.0, math.inf], 1.5, "^eigenvalues must be finite$"),
+                              ([[0.0, 1.0], [1.0, math.nan]], 1.5,
+                               "^eigenvalues must be finite$")):
         with pytest.raises(InvalidInputError, match=message):
             secondkind.verdict(s, alpha)
     with pytest.raises(InvalidInputError, match="^tolerance must be a real number, got str$"):
@@ -219,3 +238,47 @@ def test_scripts_without_the_package_on_the_path_fail_in_one_line(script, tmp_pa
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"{script}: cannot import secondkind; run it with PYTHONPATH=src\n"
+
+
+def _record(argv, code=0, stdout=None, text="", stderr=""):
+    """A record of ``scripts/seeded_outputs.py``."""
+    return {"argv": argv, "exit": code, "stdout": stdout, "stdout_text": text, "stderr": stderr}
+
+
+def _diff_outputs(tmp_path, old, new):
+    paths = []
+    for name, records in (("old.json", old), ("new.json", new)):
+        paths.append(tmp_path / name)
+        if records is not None:
+            paths[-1].write_text(json.dumps(records))
+    script = Path(__file__).resolve().parents[1] / "scripts" / "diff_outputs.py"
+    return subprocess.run([sys.executable, str(script), *map(str, paths)],
+                          capture_output=True, text=True)
+
+
+def test_diff_outputs_names_each_record_that_differs(tmp_path):
+    old = [_record("verify line", stdout={"a": 1}, text="{}"), _record("spectrum s4.json"),
+           _record("verify iff-spheres", code=3, stderr="numeric failure: x\n"),
+           _record("examples", text="1")]
+    new = [_record("verify line", stdout={"a": 1}, text="{}"), _record("spectrum s4.json"),
+           _record("verify iff-spheres", stdout={"findings": []}), _record("examples", text="2")]
+    proc = _diff_outputs(tmp_path, old, new)
+    assert proc.returncode == 1
+    assert proc.stdout == ("verify iff-spheres: exit, stdout, stderr\n"
+                           "examples: stdout\n"
+                           "2 of 4 records differ\n")
+    same = _diff_outputs(tmp_path, old, old)
+    assert (same.returncode, same.stdout, same.stderr) == (0, "0 of 4 records differ\n", "")
+
+
+@pytest.mark.parametrize("new,message", [
+    ([_record("verify line")], "the two files hold different command lists"),
+    ([_record("verify line"), _record("examples")], "the two files hold different command lists"),
+    (None, "cannot read"),
+], ids=["other-command", "more-commands", "missing-file"])
+def test_diff_outputs_fails_on_other_commands_or_a_missing_file(tmp_path, new, message):
+    proc = _diff_outputs(tmp_path, [_record("examples")], new)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"diff_outputs.py: {message}")
+    assert proc.stderr.count("\n") == 1

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -415,13 +416,18 @@ class TestCheckRigidity:
         (("line",), {"tol": 10 ** 400}, "tolerance must be positive and finite, got inf"),
         (("iff-spheres", {"grid": ["x"]}), {}, "kappa grid value must be a real number, got str"),
         (("iff-spheres", {"grid": 5}), {}, "kappa grid must be a list, got int"),
+        (("iff-spheres", {"grid": "12"}), {}, "kappa grid must be a list, got str"),
+        (("iff-spheres", {"grid": b"12"}), {}, "kappa grid must be a list, got bytes"),
+        (("iff-spheres", {"grid": {2.0: "x", 1.0: "y"}}), {},
+         "kappa grid must be a list, got dict"),
         (("iff-spheres", {"grid": [10 ** 400]}), {},
          "kappa grid values must be positive and finite"),
         (("line", 5), {}, "line parameters must be a mapping, got int"),
         (("line", ["n"]), {}, "line parameters must be a mapping, got list"),
         ((["line"],), {}, re.escape("unknown harness case ['line']; expected one of ")),
         (("line", {1: 2, "a": 3}), {}, re.escape("unexpected line parameters: [1, 'a']")),
-    ], ids=["tol-str", "tol-none", "tol-huge-int", "grid-str", "grid-int", "grid-huge-int",
+    ], ids=["tol-str", "tol-none", "tol-huge-int", "grid-str", "grid-int", "grid-string",
+            "grid-bytes", "grid-mapping", "grid-huge-int",
             "params-int", "params-list", "case-list", "params-mixed-keys"])
     def test_rejects_a_malformed_input_in_one_line(self, args, kwargs, message):
         with pytest.raises(InvalidInputError, match=f"^{message}"):
@@ -1341,20 +1347,15 @@ class TestClosedFormSweep:
         assert report.findings == lapack_findings(*case, grid, tol)
 
     @given(case=st.sampled_from(_SWEEP_SIZES),
-           grid=st.lists(st.one_of(st.floats(5e-324, 1e307),
+           grid=st.lists(st.one_of(st.floats(5e-324, sys.float_info.max),
                                    st.sampled_from([5e-324, 1e-323, 2.2e-308, 1.0, 1e30,
-                                                    1.1e30, 1e300, 1e307])),
+                                                    1.1e30, 1e300, 1e307, 3e307, 1e308,
+                                                    sys.float_info.max])),
                          min_size=1, max_size=4),
            tol=st.one_of(st.sampled_from([5e-324, 1e-9, 50.0]), st.floats(5e-324, 1e3)))
     @settings(max_examples=200, deadline=None)
     def test_filtered_route_equals_the_fraction_route(self, case, grid, tol):
-        try:
-            report = check_rigidity(case[0], {**case[1], "grid": grid}, tol=tol)
-        except FloatingPointError as exc:
-            # the float closed form overflows only near the top of the range
-            assert str(exc) == "overflow encountered in a closed-form spectrum"
-            assert max(grid) > 1e305
-            return
+        report = check_rigidity(case[0], {**case[1], "grid": grid}, tol=tol)
         assert report.findings == fraction_findings(*case, grid, tol)
 
     @pytest.mark.parametrize("scale", [1e30, 1e100])
@@ -1379,12 +1380,29 @@ class TestClosedFormSweep:
         assert exact_g(clusters, exact_b(1, 1)) == 6
 
     @pytest.mark.parametrize("case", ["iff-spheres", "iff-kahler"])
-    @pytest.mark.parametrize("grid", ["1e308,1", "5e307,1"])
-    def test_overflowing_closed_form_is_a_numeric_failure(self, case, grid, capsys):
-        assert cli.run(["verify", case, "--kappa-grid", grid]) == 3
+    @pytest.mark.parametrize("grid", ["1e308,1", "5e307,1", "3e307,1",
+                                      "1.7976931348623157e308,1"])
+    def test_overflowing_closed_form_is_decided_exactly(self, case, grid, capsys):
+        # the float sums overflow to inf or NaN, so these pairs take the
+        # Fraction route instead of ending in a numeric failure
+        assert cli.run(["verify", case, "--kappa-grid", grid]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "numeric failure: overflow encountered in a closed-form spectrum\n"
-        # Python floats do not raise under np.errstate, so the sweep does
-        with pytest.raises(FloatingPointError):
-            check_rigidity(case, {"grid": [float(k) for k in grid.split(",")]})
+        assert captured.err == ""
+        kappas = [float(k) for k in grid.split(",")]
+        report = json.loads(captured.out)
+        params = {name: report["parameters"][name] for name in rigidity._HARNESSES[case][0].names}
+        assert report["findings"] == fraction_findings(case, params, kappas, 1e-9)
+
+    @pytest.mark.parametrize("case", ["iff-spheres", "iff-kahler"])
+    def test_default_grid_takes_no_fraction_route(self, case, monkeypatch):
+        alphas = []
+        real = rigidity._pair_sums
+
+        def counting(first, second, alpha):
+            alphas.append(alpha)
+            return real(first, second, alpha)
+
+        monkeypatch.setattr(rigidity, "_pair_sums", counting)
+        check_rigidity(case)
+        assert len(alphas) == len(rigidity.DEFAULT_KAPPA_GRID) ** 2
+        assert not [a for a in alphas if type(a) is Fraction]
