@@ -104,7 +104,10 @@ bytes test the read: CRLF line ends with a JSON error after a line break,
 lone CRs with one, CRLF, CR and LF mixed with one, a valid CRLF file, a UTF-8
 byte order mark before CRLF, an invalid UTF-8 byte, an empty file and a
 directory, so that the decoding, the newlines and the line and column of a
-JSON error are compared too.
+JSON error are compared too; and both iff sweeps at their default sizes on
+each 4-value grid of {0.25, 0.5, 1, 2, 4}, written as the benchmark's
+``falsify`` workload writes them, so that every sweep input of that
+workload is compared too.
 Each record holds the command line, the exit code, stderr, stdout parsed as
 JSON with every ``timing`` block removed, and the raw stdout text with every
 ``"seconds": <number>`` masked, so that a change in the emitted bytes shows
@@ -118,6 +121,7 @@ Usage: PYTHONPATH=src python scripts/seeded_outputs.py OUT.json
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import re
@@ -308,6 +312,11 @@ READ_EDGE_DESCRIPTORS = {
     "read_empty.json": b"",
 }
 READ_EDGE_DIRECTORY = "read_directory.json"
+# every sweep input of the benchmark's falsify workload: 4 of its dyadic kappas
+FALSIFY_SWEEPS = tuple(
+    ("verify", case, "--kappa-grid", ",".join(map(str, grid)))
+    for case in ("iff-spheres", "iff-kahler")
+    for grid in itertools.combinations((0.25, 0.5, 1.0, 2.0, 4.0), 4))
 LINE_DESCRIPTOR = "euclidean_line.json"
 LINE_TEXT = '{"kind": "euclidean", "dim": 1}'
 
@@ -400,6 +409,7 @@ def commands(tmp_dir):
             for alpha in alphas for samples, seed in runs]
     out += [("spectrum", os.path.join(tmp_dir, name))
             for name in (*READ_EDGE_DESCRIPTORS, READ_EDGE_DIRECTORY)]
+    out += FALSIFY_SWEEPS
     return out
 
 

@@ -159,16 +159,20 @@ def nonneg_threshold(s):
     """Least alpha in [1, N] with g(alpha) >= 0 over the ascending float64
     ``s``, an array or a list of floats, using the exact root of the
     crossing linear segment; 1.0 when the least eigenvalue is nonnegative,
-    None when even g(N) is negative.
+    None when even g(N) is negative. An entry that is not finite raises
+    InvalidInputError.
 
-    The running sums are added left to right in one list scan, in the order
-    and the rounding of ``np.cumsum``; where the last is not finite, an entry
-    that is not finite raises InvalidInputError."""
+    Where the first entry is nonnegative the entries are only checked.
+    Otherwise the running sums are added left to right in one list scan, in
+    the order and the rounding of ``np.cumsum``, and the entries are checked
+    only where the last sum is not finite."""
     values = _float_list(s)
     if not values:
         raise InvalidInputError("a threshold needs at least one eigenvalue")
     try:
         if values[0] >= 0.0:
+            if not all(map(math.isfinite, values)):
+                raise InvalidInputError(_NOT_FINITE)
             return 1.0
         sums = list(accumulate(values))
         if not math.isfinite(sums[-1]):

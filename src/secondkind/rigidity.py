@@ -21,7 +21,8 @@ and classified by ``verdict``, bit for bit as if the whole block were
 solved. The model checks keep the full standard-basis operator of the
 unit-curvature model, the same matrix on every request of one size, so
 its spectrum is solved once per process and cached read-only
-(``_model_spectrum``); its verdicts are taken per request. A factor's part
+(``_model_spectrum``); its verdicts are taken once per size, alpha and tol
+and cached beside it (``_model_outcome``). A factor's part
 of a bordered block is the operator of its checked image (``_images``) on
 its standard block and zeta, by position (``_factor_directions``), linear
 in its standard normal draw, one fill per factor and block. Every size
@@ -33,8 +34,9 @@ cached once per harness size (``_factor_maps``), built from unit draws
 whose images are checked once: the identity residuals of a draw's image
 are the same combination of theirs. Larger sizes take the part of the
 block's own draws, and the detectors read the images of a classified
-sample's draws. One iff sweep decides each grid pair from the closed form
-of ``descriptors``, with no tensor, and exactly where rounding could decide.
+sample's draws. One iff sweep decides every grid pair from the closed form
+of ``descriptors``, with no tensor, in one array pass of floats, and
+exactly where rounding could decide.
 """
 
 import math
@@ -74,7 +76,6 @@ from .operator2k import (
     VERDICT_BOTH,
     VERDICT_NEITHER,
     VERDICT_NONNEGATIVE,
-    VERDICT_NONPOSITIVE,
     VERDICTS,
     alpha_sum,
     nonneg_threshold,
@@ -97,6 +98,10 @@ DEFAULT_KAPPA_GRID = tuple(0.25 * k for k in range(1, 9))
 _TENSOR_BUDGET = MAX_BLOCK * 8 ** 4
 _MAP_BUDGET = _TENSOR_BUDGET // 16
 _UNIT, _TINY = 2.0 ** -53, math.ulp(0.0)  # unit roundoff, least subnormal
+# Numbers per cluster of a grid pair that ``_grid_sums`` holds at once: the
+# two sides of about 8 arrays. An iff sweep's blocks of grid rows hold half
+# of ``_TENSOR_BUDGET`` (1 MB) of them.
+_SWEEP_NUMBERS = 16
 
 
 @dataclass
@@ -375,14 +380,17 @@ def _probe(details, s, probe, tol):
     return details["flatness_probe_verdict"]
 
 
-def _check_model(report, family, params, alpha, tol):
-    """Take every model verdict from the unit-curvature model's cached
-    spectrum, at this request's alpha and tol; the negatively curved model
-    is bitwise its negation, so it is nonpositive exactly when the model is
-    nonnegative, at the same threshold."""
+@lru_cache(maxsize=32)
+def _model_outcome(family, params, alpha, tol):
+    """``(details, counterexamples, findings)`` of the model check of the
+    harness size ``params`` (its items) at alpha and tol, all taken from the
+    unit-curvature model's cached spectrum; the negatively curved model is
+    bitwise its negation, so it is nonpositive exactly when the model is
+    nonnegative, at the same threshold. Read-only by its callers."""
+    params = dict(params)
     s = _model_spectrum(family.factors, family.dims(params))
     thr = nonneg_threshold(s)
-    details = report.details
+    details, counterexamples, findings = {}, [], []
     details["model_threshold"] = thr
     details["model_alpha_sum"] = alpha_sum(s, alpha)
     ok = not family.sharp or (
@@ -401,17 +409,35 @@ def _check_model(report, family, params, alpha, tol):
     details["model_check"] = "consistent" if ok else "violated"
     if not ok:
         checked = {"threshold": thr} if family.sharp else {}
-        report.counterexamples.append({"check": "model", **checked, "alpha": alpha})
+        counterexamples.append({"check": "model", **checked, "alpha": alpha})
     if not family.sharp and probe is not None:
         probe_verdict = _probe(details, s, probe, tol)
         if probe_verdict != VERDICT_NEITHER:
             # the flatness statement itself is in question at small m
-            report.findings.append({
+            findings.append({
                 "statement": "alpha below the product constant forces flatness",
                 **params, "alpha": probe, "constant": alpha,
                 "model_threshold": thr, "verdict": probe_verdict,
                 "note": "non-flat model space stays classified below the constant",
             })
+    return details, counterexamples, findings
+
+
+def _clear_model_caches():
+    """Empty the cached model spectra and the model outcomes read off them."""
+    _model_spectrum.cache_clear()
+    _model_outcome.cache_clear()
+
+
+def _check_model(report, family, params, alpha, tol):
+    """Add the model check of this request's size, alpha and tol to the
+    report: copies of its cached outcome (``_model_outcome``), so a report
+    changed by its caller changes no other."""
+    details, counterexamples, findings = _model_outcome(family, tuple(params.items()),
+                                                        alpha, tol)
+    report.details.update(details)
+    report.counterexamples += map(dict, counterexamples)
+    report.findings += map(dict, findings)
 
 
 def _signs_match(v, constants, tol):
@@ -636,12 +662,64 @@ def _cluster_sum(clusters, alpha):
 
 def _pair_sums(first, second, alpha):
     """``_cluster_sum`` of the product of two model leaves ``(clusters, rho,
-    dim)`` (``product_closed_form``) and of its negation, and the product's
-    largest |eigenvalue|."""
+    dim)`` (``product_closed_form``) and of its negation."""
     clusters = sorted(product_closed_form(first, second))
     negated = [(-v, m) for v, m in reversed(clusters)]
-    peak = max(negated[-1][0], clusters[-1][0])
-    return [_cluster_sum(side, alpha) for side in (clusters, negated)], peak
+    return [_cluster_sum(side, alpha) for side in (clusters, negated)]
+
+
+def _exact_sums(family, params):
+    """``(k1, k2) -> _pair_sums`` of that grid pair in ``Fraction``: the
+    exact grid values' leaves, each made once per factor and grid value, at
+    the exact constant, made once."""
+    from fractions import Fraction  # Fraction >= float compares exactly
+
+    dims = family.dims(params)
+    alpha = family.constant(params, Fraction(1))
+    leaf = lru_cache(maxsize=None)(lambda j, k: family.factors.leaf(dims[j], Fraction(k)))
+    return lambda k1, k2: _pair_sums(leaf(0, k1), leaf(1, k2), alpha)
+
+
+def _stacked_leaf(rows):
+    """The float leaves ``(clusters, rho, dim)`` of one factor, one per grid
+    value, as one leaf of ``(G,)`` arrays: each cluster's values and rho."""
+    clusters, _, dim = rows[0]
+    return ([(np.array([row[0][c][0] for row in rows]), mult)
+             for c, (_, mult) in enumerate(clusters)],
+            np.array([row[1] for row in rows]), dim)
+
+
+def _grid_sums(first, second, rows, alpha, tol):
+    """The two sums g, the product's and its negation's ``(2, R, G)``, of
+    the grid pairs of ``rows`` of the first factor's stacked leaf with every
+    value of the second's, and where floats decide them: the clusters of
+    ``product_closed_form`` (C <= 6 per pair), ascending as ``sorted`` puts
+    them, value ties by multiplicity, and the weighted sum of each side
+    added left to right over them, as ``_cluster_sum`` adds; a cluster of
+    weight 0 adds exactly 0."""
+    (c1, rho1, n1), (c2, rho2, n2) = first, second
+    clusters = product_closed_form(([(v[rows, None], m) for v, m in c1], rho1[rows, None], n1),
+                                   ([(v[None, :], m) for v, m in c2], rho2[None, :], n2))
+    # a stable sort keeps the columns' order among equal values: ascending mult
+    clusters.sort(key=lambda cluster: cluster[1])
+    shape = (len(rho1[rows]), len(rho2))
+    values = np.empty(shape + (len(clusters),))
+    for c, (v, _) in enumerate(clusters):
+        values[..., c] = v
+    values = values.reshape(-1, len(clusters))
+    order = np.argsort(values, axis=-1, kind="stable")
+    values = values[np.arange(len(values))[:, None], order]
+    mults = np.array([m for _, m in clusters])[order]
+    sides = np.array([values, -values[:, ::-1]])
+    mults = np.array([mults, mults[:, ::-1]])
+    starts = np.cumsum(mults, axis=-1) - mults
+    terms = np.where(alpha > starts, np.minimum(mults, alpha - starts) * sides, 0.0)
+    sums = terms.sum(axis=-1)
+    peak = np.maximum(sides[1, :, -1], values[:, -1])
+    bound = 32 * _UNIT * alpha * peak + 8 * _TINY * alpha
+    gap = np.abs(sums + tol)
+    decided = ((2 * bound < gap) & (gap < math.inf)).all(axis=0)
+    return sums.reshape((2,) + shape), decided.reshape(shape)
 
 
 def _sweep(report, family, params, alpha, grid, tol):
@@ -652,21 +730,36 @@ def _sweep(report, family, params, alpha, grid, tol):
     sums g are finite and lie more than twice their bound from -tol, and
     else, NaN or overflow too, in ``Fraction`` (Shewchuk 1997). g rounds by
     at most gamma_16 (sum |w_i l_i| + alpha max |l_i|) <= 32 u alpha max |l_i|,
-    w_i >= 0 of sum alpha, plus 8 alpha subnormals (Higham, ch. 3)."""
-    dims = family.dims(params)
-    leaves = [{k: family.factors.leaf(d, k) for k in grid} for d in dims]
-    for k1 in grid:
-        for k2 in grid:
-            sums, peak = _pair_sums(leaves[0][k1], leaves[1][k2], alpha)
-            bound = 32 * _UNIT * alpha * peak + 8 * _TINY * alpha
-            if not all(2 * bound < abs(g + tol) < math.inf for g in sums):
-                from fractions import Fraction  # Fraction >= float compares exactly
-                sums, _ = _pair_sums(*map(family.factors.leaf, dims, map(Fraction, (k1, k2))),
-                                     family.constant(params, Fraction(1)))
-            pair = tuple(g >= -tol for g in sums)
-            for name, v, expected in (("positive", VERDICTS[pair], VERDICT_NONNEGATIVE),
-                                      ("negative", VERDICTS[pair[::-1]], VERDICT_NONPOSITIVE)):
-                if (v == expected) != (k1 == k2):
-                    report.findings.append({"family": name, "kappa1": k1, "kappa2": k2,
-                                            "verdict": v, "equal_kappa": k1 == k2})
+    w_i >= 0 of sum alpha, plus 8 alpha subnormals (Higham, ch. 3): one
+    rounding per product and at most C - 1 <= 5 additions, in any order.
+    Every pair's floats are taken in one array pass (``_grid_sums``), in
+    ``numerics.blocks`` of grid rows of ``_SWEEP_NUMBERS`` per cluster,
+    under its own ``np.errstate``, so that an overflow, a NaN or an
+    underflow warns or raises nothing whatever the caller's; only the pairs
+    the floats leave open go to ``Fraction``. The findings keep the order
+    of the pairs (k1, k2)."""
+    leaves = [_stacked_leaf([family.factors.leaf(d, k) for k in grid])
+              for d in family.dims(params)]
+    width = 2 + sum(len(clusters) for clusters, _, _ in leaves)
+    kappas = np.array(grid)
+    exact = None
+    for rows in blocks(0, len(grid), _SWEEP_NUMBERS * len(grid) * width,
+                       _TENSOR_BUDGET // 2):
+        rows = slice(rows.start, rows.stop)
+        with np.errstate(all="ignore"):
+            sums, decided = _grid_sums(*leaves, rows, alpha, tol)
+        signs = sums >= -tol
+        for i, j in zip(*(axis.tolist() for axis in np.nonzero(~decided))):
+            exact = exact or _exact_sums(family, params)
+            signs[:, i, j] = [g >= -tol for g in exact(grid[rows.start + i], grid[j])]
+        # the positive verdict (the key ``pair``) is nonnegative exactly where
+        # the negative one (the reversed key) is nonpositive, so a pair whose
+        # predicate disagrees holds both findings
+        mismatched = (signs[0] & ~signs[1]) != (kappas[rows, None] == kappas)
+        nonneg, nonpos = signs.tolist()
+        for i, j in zip(*(axis.tolist() for axis in np.nonzero(mismatched))):
+            k1, k2, pair = grid[rows.start + i], grid[j], (nonneg[i][j], nonpos[i][j])
+            for name, v in (("positive", VERDICTS[pair]), ("negative", VERDICTS[pair[::-1]])):
+                report.findings.append({"family": name, "kappa1": k1, "kappa2": k2,
+                                        "verdict": v, "equal_kappa": k1 == k2})
     report.details["mismatches"] = len(report.findings)

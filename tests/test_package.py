@@ -172,9 +172,13 @@ def test_threshold_of_a_matrix_is_an_input_error(threshold):
     (operator2k.nonpos_threshold, [math.nan, 1.0]),
     (secondkind.nonneg_threshold, [-1.0, math.inf]),
     (secondkind.nonneg_threshold, np.array([math.nan, 1.0])),
-], ids=["nonneg-nan", "nonpos-nan", "nonneg-inf", "nonneg-nan-array"])
+    (secondkind.nonneg_threshold, [1.0, math.nan]),
+    (secondkind.nonneg_threshold, [math.inf]),
+    (operator2k.nonpos_threshold, [-math.inf]),
+], ids=["nonneg-nan", "nonpos-nan", "nonneg-inf", "nonneg-nan-array", "nonneg-nan-last",
+        "nonneg-inf-only", "nonpos-minus-inf-only"])
 def test_threshold_of_a_non_finite_eigenvalue_is_an_input_error(threshold, values):
-    # once None, None, 1.0 (though g(1) = -1) and None
+    # once None, None, 1.0 (though g(1) = -1), None, and 1.0 for the last three
     with pytest.raises(InvalidInputError, match="^eigenvalues must be finite$"):
         threshold(values)
 

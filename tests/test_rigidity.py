@@ -318,16 +318,16 @@ class TestCheckRigidity:
     def test_model_solved_once(self, case, monkeypatch):
         # the model's verdicts, its nonpositive dual and the flatness probe
         # all come from one spectrum, solved once per process
-        rigidity._model_spectrum.cache_clear()
+        rigidity._clear_model_caches()
         solved = self.count_solved(monkeypatch)
         report = check_rigidity(case, samples=0)
         assert report.details["model_check"] == "consistent"
         assert solved == [1]
         # a warm request solves no model, and its details at its own tol are
-        # those of a cold one: no verdict is cached with the spectrum
+        # those of a cold one: the verdicts are cached per tol
         warm = check_rigidity(case, seed=5, samples=0, tol=50.0)
         assert solved == [1]
-        rigidity._model_spectrum.cache_clear()
+        rigidity._clear_model_caches()
         cold = check_rigidity(case, seed=5, samples=0, tol=50.0)
         assert solved == [1, 1]
         assert warm.details == cold.details
@@ -338,6 +338,24 @@ class TestCheckRigidity:
         s = rigidity._model_spectrum(family.factors, family.dims(cold.parameters))
         with pytest.raises(ValueError):
             s[0] = 0.0
+
+    @pytest.mark.parametrize("case,params,tol,records", [
+        ("product-spheres", {"n1": 3, "n2": 3}, 50.0, "counterexamples"),
+        ("product-kahler", {"m1": 1, "m2": 1}, 1e-9, "findings")])
+    def test_a_changed_report_leaves_the_next_unchanged(self, case, params, tol, records):
+        # at tol 50 the spheres' model check is violated, and the Kahler
+        # probe at m = 1 is a finding; both come from the cached outcome
+        first = check_rigidity(case, params, samples=0, tol=tol)
+        expected = check_rigidity(case, params, samples=0, tol=tol).to_dict()
+        assert getattr(first, records)
+        first.details["model_check"] = "changed"
+        first.details["model_threshold"] = -1.0
+        getattr(first, records)[0]["alpha"] = -1.0
+        getattr(first, records).append({"check": "added"})
+        again = check_rigidity(case, params, samples=0, tol=tol)
+        assert again.to_dict() == expected
+        rigidity._clear_model_caches()
+        assert check_rigidity(case, params, samples=0, tol=tol).to_dict() == expected
 
     @pytest.mark.parametrize("grid", [
         [float("nan"), 1.0], [float("inf"), 1.0], [1.0, float("-inf")], [0.0], [-0.5], [],
@@ -554,7 +572,7 @@ class TestSampleBlocks:
         for module in (operator2k, rigidity):
             monkeypatch.setattr(module, "eigensolve", recording)
         monkeypatch.setattr(rigidity, "_block_verdicts", assembling)
-        rigidity._model_spectrum.cache_clear()
+        rigidity._clear_model_caches()
         assert cli.run(["verify", "line", "--n", "32", "--samples", "3"]) == 0
         assert json.loads(capsys.readouterr().out)["samples_run"] == 3
         # three blocks of one sample each, assembled on the 496-wide
@@ -1198,7 +1216,7 @@ class TestDiagonalCertificate:
 
     @pytest.mark.parametrize("tol,solved", [("1e-9", [1]), ("50", [1, 64])])
     def test_one_solve_at_the_default_tol(self, tol, solved, monkeypatch, capsys):
-        rigidity._model_spectrum.cache_clear()
+        rigidity._clear_model_caches()
         counted = TestCheckRigidity.count_solved(monkeypatch)
         assert cli.run(["verify", "line", "--n", "6", "--samples", "64", "--tol", tol]) in (0, 1)
         capsys.readouterr()
@@ -1393,8 +1411,9 @@ class TestClosedFormSweep:
         params = {name: report["parameters"][name] for name in rigidity._HARNESSES[case][0].names}
         assert report["findings"] == fraction_findings(case, params, kappas, 1e-9)
 
-    @pytest.mark.parametrize("case", ["iff-spheres", "iff-kahler"])
-    def test_default_grid_takes_no_fraction_route(self, case, monkeypatch):
+    @staticmethod
+    def count_exact(monkeypatch):
+        """List that gets the alpha of each grid pair the exact route decides."""
         alphas = []
         real = rigidity._pair_sums
 
@@ -1403,6 +1422,55 @@ class TestClosedFormSweep:
             return real(first, second, alpha)
 
         monkeypatch.setattr(rigidity, "_pair_sums", counting)
+        return alphas
+
+    @pytest.mark.parametrize("case", ["iff-spheres", "iff-kahler"])
+    def test_default_grid_takes_no_fraction_route(self, case, monkeypatch):
+        alphas = self.count_exact(monkeypatch)
         check_rigidity(case)
-        assert len(alphas) == len(rigidity.DEFAULT_KAPPA_GRID) ** 2
-        assert not [a for a in alphas if type(a) is Fraction]
+        assert alphas == []
+
+    @pytest.mark.parametrize("case,grid,pairs", [
+        ("iff-spheres", [1e308, 1.0], 3), ("iff-spheres", [3e307, 1.0], 1),
+        ("iff-spheres", [5e307, 1.0], 1), ("iff-kahler", [1e308, 1.0], 3),
+        ("iff-kahler", [3e307, 1.0], 3), ("iff-kahler", [5e307, 1.0], 3)])
+    def test_array_pass_leaves_the_pairs_of_the_per_pair_floats_open(
+            self, case, grid, pairs, monkeypatch):
+        # the pairs that the floats of one pair at a time sent to Fraction,
+        # counted before the array pass: the same floats, so the same pairs
+        alphas = self.count_exact(monkeypatch)
+        check_rigidity(case, {"grid": grid})
+        assert len(alphas) == pairs
+        assert all(type(a) is Fraction for a in alphas)
+
+    @pytest.mark.parametrize("case", ["iff-spheres", "iff-kahler"])
+    def test_overflowing_sweep_is_quiet_under_any_errstate(self, case, capsys):
+        # the array pass ignores overflow and invalid values itself, so a
+        # caller whose errstate raises everything still gets the exact route
+        with np.errstate(all="raise"):
+            assert cli.run(["verify", case, "--kappa-grid", "1e308,1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["samples_run"] == 8
+
+    def test_exact_route_makes_each_leaf_and_the_constant_once(self, monkeypatch):
+        leaves, constants = [], []
+        real_leaf, real_constant = rigidity.leaf_closed_form, rigidity.b_const
+
+        def leaf(kind, dim, kappa):
+            leaves.append((dim, kappa))
+            return real_leaf(kind, dim, kappa)
+
+        def constant(m1, m2, one=1.0):
+            constants.append(one)
+            return real_constant(m1, m2, one)
+
+        monkeypatch.setattr(rigidity, "leaf_closed_form", leaf)
+        monkeypatch.setattr(rigidity, "b_const", constant)
+        grid = [1.7976931348623157e308 * (1 - k / 1000) for k in range(5)]
+        check_rigidity("iff-kahler", {"grid": grid})
+        exact = [(d, k) for d, k in leaves if type(k) is Fraction]
+        # every pair goes to Fraction, yet each factor's leaf is made once
+        # per grid value, and the exact constant once
+        assert sorted(exact) == sorted((2, Fraction(k)) for _ in range(2) for k in grid)
+        assert [type(one) for one in constants] == [float, Fraction]
