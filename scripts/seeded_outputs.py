@@ -107,7 +107,12 @@ directory, so that the decoding, the newlines and the line and column of a
 JSON error are compared too; and both iff sweeps at their default sizes on
 each 4-value grid of {0.25, 0.5, 1, 2, 4}, written as the benchmark's
 ``falsify`` workload writes them, so that every sweep input of that
-workload is compared too.
+workload is compared too; and two ``iff-kahler`` sweeps at ``--tol
+5e-324`` whose grids hold a pair at an end of the exact interval of ratios
+k2/k1 where the product is nonnegative at B, so g is exactly 0 there:
+``--m1 1 --m2 2 --kappa-grid 4,13`` (r = 4/13) and ``--m1 2 --m2 2
+--kappa-grid 3,5`` (r = 3/5, two forms on each side), so that a tie of the
+sweep's forms is compared too.
 Each record holds the command line, the exit code, stderr, stdout parsed as
 JSON with every ``timing`` block removed, and the raw stdout text with every
 ``"seconds": <number>`` masked, so that a change in the emitted bytes shows
@@ -317,6 +322,14 @@ FALSIFY_SWEEPS = tuple(
     ("verify", case, "--kappa-grid", ",".join(map(str, grid)))
     for case in ("iff-spheres", "iff-kahler")
     for grid in itertools.combinations((0.25, 0.5, 1.0, 2.0, 4.0), 4))
+# pairs at the ends of the interval of ratios where the Kahler product is
+# nonnegative at B, where g = 0 exactly
+TIE_SWEEPS = (
+    ("verify", "iff-kahler", "--m1", "1", "--m2", "2", "--kappa-grid", "4,13",
+     "--tol", "5e-324"),
+    ("verify", "iff-kahler", "--m1", "2", "--m2", "2", "--kappa-grid", "3,5",
+     "--tol", "5e-324"),
+)
 LINE_DESCRIPTOR = "euclidean_line.json"
 LINE_TEXT = '{"kind": "euclidean", "dim": 1}'
 
@@ -410,6 +423,7 @@ def commands(tmp_dir):
     out += [("spectrum", os.path.join(tmp_dir, name))
             for name in (*READ_EDGE_DESCRIPTORS, READ_EDGE_DIRECTORY)]
     out += FALSIFY_SWEEPS
+    out += TIE_SWEEPS
     return out
 
 

@@ -300,13 +300,10 @@ def product_closed_form(first, second):
     """The Einstein product rule: the (eigenvalue, multiplicity) clusters of
     the product of two Einstein factors given as (clusters, rho, dim)
     triples, in rho1's number type: the factors', 0 (never -0.0) on the
-    n1 n2 mixed directions and once zeta = -(n2 rho1 + n1 rho2) / (n1 + n2).
-    Arrays of float rho and cluster values that broadcast give the clusters
-    of every product of the grid at once, each value an array but the 0.0."""
+    n1 n2 mixed directions and once zeta = -(n2 rho1 + n1 rho2) / (n1 + n2)."""
     (c1, rho1, n1), (c2, rho2, n2) = first, second
     zeta = -(n2 * rho1 + n1 * rho2) / (n1 + n2)
-    zero = 0.0 if isinstance(rho1, np.ndarray) else type(rho1)(0)
-    return [*c1, *c2, (zero, n1 * n2), (zeta, 1)]
+    return [*c1, *c2, (type(rho1)(0), n1 * n2), (zeta, 1)]
 
 
 def _closed_form_fold(desc):

@@ -34,9 +34,10 @@ cached once per harness size (``_factor_maps``), built from unit draws
 whose images are checked once: the identity residuals of a draw's image
 are the same combination of theirs. Larger sizes take the part of the
 block's own draws, and the detectors read the images of a classified
-sample's draws. One iff sweep decides every grid pair from the closed form
-of ``descriptors``, with no tensor, in one array pass of floats, and
-exactly where rounding could decide.
+sample's draws. One iff sweep decides every grid pair by the exact Ky Fan
+forms of its size, read once off the closed form of ``descriptors`` with no
+tensor (``_sweep_forms``): in floats where their rounding cannot decide,
+and exactly elsewhere.
 """
 
 import math
@@ -98,10 +99,6 @@ DEFAULT_KAPPA_GRID = tuple(0.25 * k for k in range(1, 9))
 _TENSOR_BUDGET = MAX_BLOCK * 8 ** 4
 _MAP_BUDGET = _TENSOR_BUDGET // 16
 _UNIT, _TINY = 2.0 ** -53, math.ulp(0.0)  # unit roundoff, least subnormal
-# Numbers per cluster of a grid pair that ``_grid_sums`` holds at once: the
-# two sides of about 8 arrays. An iff sweep's blocks of grid rows hold half
-# of ``_TENSOR_BUDGET`` (1 MB) of them.
-_SWEEP_NUMBERS = 16
 
 
 @dataclass
@@ -424,9 +421,11 @@ def _model_outcome(family, params, alpha, tol):
 
 
 def _clear_model_caches():
-    """Empty the cached model spectra and the model outcomes read off them."""
+    """Empty the cached model spectra, the model outcomes read off them and
+    the iff sweeps' forms."""
     _model_spectrum.cache_clear()
     _model_outcome.cache_clear()
+    _sweep_forms.cache_clear()
 
 
 def _check_model(report, family, params, alpha, tol):
@@ -653,109 +652,90 @@ def _kappa_grid(params):
     return grid
 
 
-def _cluster_sum(clusters, alpha):
-    """g(alpha) over ascending (value, mult) clusters."""
-    starts = accumulate((mult for _, mult in clusters), initial=0)
-    return sum(min(mult, alpha - start) * value
-               for (value, mult), start in zip(clusters, starts) if alpha > start)
+@lru_cache(maxsize=8)
+def _sweep_forms(family, params):
+    """``(forms, floats)`` of the harness size ``params`` (its items): g of
+    the product of space forms of curvatures (k1, k2), and of its negation,
+    is each the least of its side's forms a k1 + b k2, K <= 2 of them at
+    every size tried. ``forms`` holds each side's (a, b) in ``Fraction``,
+    the shorter side padded by a repeat; ``floats``, read-only ``(2, K,
+    2)``, rounds each once. Each eigenvalue is a line a k1 + b k2, read off
+    ``product_closed_form`` at (1, 0) and (0, 1), so the clusters keep one
+    order, a probe's, between the ratios k2/k1 > 0 where lines cross. An
+    order's Ky Fan weights ``min(mult, alpha - start)``, clipped at 0, give
+    a form at least g everywhere and equal to g where it sorts (Ky Fan
+    1949); g is continuous, so it is the least form at every ratio."""
+    from fractions import Fraction  # the sweeps alone import it
 
-
-def _pair_sums(first, second, alpha):
-    """``_cluster_sum`` of the product of two model leaves ``(clusters, rho,
-    dim)`` (``product_closed_form``) and of its negation."""
-    clusters = sorted(product_closed_form(first, second))
-    negated = [(-v, m) for v, m in reversed(clusters)]
-    return [_cluster_sum(side, alpha) for side in (clusters, negated)]
-
-
-def _exact_sums(family, params):
-    """``(k1, k2) -> _pair_sums`` of that grid pair in ``Fraction``: the
-    exact grid values' leaves, each made once per factor and grid value, at
-    the exact constant, made once."""
-    from fractions import Fraction  # Fraction >= float compares exactly
-
-    dims = family.dims(params)
+    params = dict(params)
     alpha = family.constant(params, Fraction(1))
-    leaf = lru_cache(maxsize=None)(lambda j, k: family.factors.leaf(dims[j], Fraction(k)))
-    return lambda k1, k2: _pair_sums(leaf(0, k1), leaf(1, k2), alpha)
+    (one1, zero1), (one2, zero2) = ([family.factors.leaf(d, Fraction(k)) for k in (1, 0)]
+                                    for d in family.dims(params))
+    lines = [(a, b, mult) for (a, mult), (b, _) in zip(product_closed_form(one1, zero2),
+                                                        product_closed_form(zero1, one2))]
+    crossings = {(a2 - a1) / (b1 - b2) for a1, b1, _ in lines for a2, b2, _ in lines
+                 if b1 != b2}
+    ends = [Fraction(0), *sorted(r for r in crossings if r > 0)]
+    sides = ({}, {})  # each side's distinct forms, in order
+    for r in [(r + s) / 2 for r, s in zip(ends, ends[1:])] + [ends[-1] + 1]:
+        ascending = sorted(lines, key=lambda line: line[0] + line[1] * r)
+        negated = [(-a, -b, mult) for a, b, mult in reversed(ascending)]
+        for side, ordered in zip(sides, (ascending, negated)):
+            starts = accumulate((mult for _, _, mult in ordered), initial=0)
+            weights = [max(0, min(mult, alpha - start))
+                       for (_, _, mult), start in zip(ordered, starts)]
+            side[tuple(sum(w * line[i] for w, line in zip(weights, ordered))
+                       for i in (0, 1))] = None
+    count = max(map(len, sides))
+    forms = tuple((*side, *[next(iter(side))] * (count - len(side))) for side in sides)
+    floats = np.array(forms, dtype=float)
+    floats.flags.writeable = False
+    return forms, floats
 
 
-def _stacked_leaf(rows):
-    """The float leaves ``(clusters, rho, dim)`` of one factor, one per grid
-    value, as one leaf of ``(G,)`` arrays: each cluster's values and rho."""
-    clusters, _, dim = rows[0]
-    return ([(np.array([row[0][c][0] for row in rows]), mult)
-             for c, (_, mult) in enumerate(clusters)],
-            np.array([row[1] for row in rows]), dim)
+def _exact_g(forms, k1, k2):
+    """g of each side of ``forms`` (``_sweep_forms``) at the grid pair
+    (k1, k2), exactly: the least of its forms at the exact grid values."""
+    from fractions import Fraction
 
-
-def _grid_sums(first, second, rows, alpha, tol):
-    """The two sums g, the product's and its negation's ``(2, R, G)``, of
-    the grid pairs of ``rows`` of the first factor's stacked leaf with every
-    value of the second's, and where floats decide them: the clusters of
-    ``product_closed_form`` (C <= 6 per pair), ascending as ``sorted`` puts
-    them, value ties by multiplicity, and the weighted sum of each side
-    added left to right over them, as ``_cluster_sum`` adds; a cluster of
-    weight 0 adds exactly 0."""
-    (c1, rho1, n1), (c2, rho2, n2) = first, second
-    clusters = product_closed_form(([(v[rows, None], m) for v, m in c1], rho1[rows, None], n1),
-                                   ([(v[None, :], m) for v, m in c2], rho2[None, :], n2))
-    # a stable sort keeps the columns' order among equal values: ascending mult
-    clusters.sort(key=lambda cluster: cluster[1])
-    shape = (len(rho1[rows]), len(rho2))
-    values = np.empty(shape + (len(clusters),))
-    for c, (v, _) in enumerate(clusters):
-        values[..., c] = v
-    values = values.reshape(-1, len(clusters))
-    order = np.argsort(values, axis=-1, kind="stable")
-    values = values[np.arange(len(values))[:, None], order]
-    mults = np.array([m for _, m in clusters])[order]
-    sides = np.array([values, -values[:, ::-1]])
-    mults = np.array([mults, mults[:, ::-1]])
-    starts = np.cumsum(mults, axis=-1) - mults
-    terms = np.where(alpha > starts, np.minimum(mults, alpha - starts) * sides, 0.0)
-    sums = terms.sum(axis=-1)
-    peak = np.maximum(sides[1, :, -1], values[:, -1])
-    bound = 32 * _UNIT * alpha * peak + 8 * _TINY * alpha
-    gap = np.abs(sums + tol)
-    decided = ((2 * bound < gap) & (gap < math.inf)).all(axis=0)
-    return sums.reshape((2,) + shape), decided.reshape(shape)
+    k1, k2 = Fraction(k1), Fraction(k2)
+    return [min(a * k1 + b * k2 for a, b in side) for side in forms]
 
 
 def _sweep(report, family, params, alpha, grid, tol):
     """Classify the space-form products over the grid: the positive family
     should be nonnegative, and the negative one nonpositive, exactly when
-    the two curvatures are equal; each disagreement is a finding. A pair's
-    verdicts come from its closed-form clusters, in floats where both its
-    sums g are finite and lie more than twice their bound from -tol, and
-    else, NaN or overflow too, in ``Fraction`` (Shewchuk 1997). g rounds by
-    at most gamma_16 (sum |w_i l_i| + alpha max |l_i|) <= 32 u alpha max |l_i|,
-    w_i >= 0 of sum alpha, plus 8 alpha subnormals (Higham, ch. 3): one
-    rounding per product and at most C - 1 <= 5 additions, in any order.
-    Every pair's floats are taken in one array pass (``_grid_sums``), in
-    ``numerics.blocks`` of grid rows of ``_SWEEP_NUMBERS`` per cluster,
-    under its own ``np.errstate``, so that an overflow, a NaN or an
-    underflow warns or raises nothing whatever the caller's; only the pairs
-    the floats leave open go to ``Fraction``. The findings keep the order
-    of the pairs (k1, k2)."""
-    leaves = [_stacked_leaf([family.factors.leaf(d, k) for k in grid])
-              for d in family.dims(params)]
-    width = 2 + sum(len(clusters) for clusters, _, _ in leaves)
+    the two curvatures are equal; each disagreement is a finding. A side's
+    g is at least -tol exactly where each of its forms (``_sweep_forms``)
+    is. Floats decide a pair where every form of both sides is finite and
+    lies more than twice its bound from -tol, and ``_exact_g`` every other
+    pair, NaN or overflow too (Shewchuk 1997). A float form rounds a and b
+    once, takes two products and one sum: it is within gamma_3 (|a| k1 +
+    |b| k2) <= 4 u (|a| k1 + |b| k2) of its value, plus half a subnormal
+    per product (Higham, ch. 3); the bound adds 4 subnormals, and the
+    factor 2 covers its own rounding and the gap's. The forms are taken in
+    ``numerics.blocks`` of grid rows under their own ``np.errstate``, so
+    that an overflow, a NaN or an underflow warns or raises nothing
+    whatever the caller's. The findings keep the order of the pairs
+    (k1, k2)."""
+    forms, floats = _sweep_forms(family, tuple(params.items()))
+    a, b = (floats[..., i, None, None] for i in (0, 1))  # (2, K, 1, 1)
     kappas = np.array(grid)
-    exact = None
-    for rows in blocks(0, len(grid), _SWEEP_NUMBERS * len(grid) * width,
-                       _TENSOR_BUDGET // 2):
-        rows = slice(rows.start, rows.stop)
+    # a pair's 2K form values in at most about 8 arrays at once, 1 MB a block
+    for rows in blocks(0, len(grid), 4 * floats.size * len(grid), _TENSOR_BUDGET // 2):
+        row_kappas = kappas[rows.start:rows.stop, None]
         with np.errstate(all="ignore"):
-            sums, decided = _grid_sums(*leaves, rows, alpha, tol)
-        signs = sums >= -tol
+            values = a * row_kappas + b * kappas  # (2, K, R, G)
+            bound = 4 * _UNIT * (abs(a) * row_kappas + abs(b) * kappas) + 4 * _TINY
+            gap = np.abs(values + tol)
+            decided = ((2 * bound < gap) & (gap < math.inf)).all(axis=(0, 1))
+            signs = (values >= -tol).all(axis=1)
         for i, j in zip(*(axis.tolist() for axis in np.nonzero(~decided))):
-            exact = exact or _exact_sums(family, params)
-            signs[:, i, j] = [g >= -tol for g in exact(grid[rows.start + i], grid[j])]
+            signs[:, i, j] = [g >= -tol for g in _exact_g(forms, grid[rows.start + i], grid[j])]
         # the positive verdict (the key ``pair``) is nonnegative exactly where
         # the negative one (the reversed key) is nonpositive, so a pair whose
         # predicate disagrees holds both findings
-        mismatched = (signs[0] & ~signs[1]) != (kappas[rows, None] == kappas)
+        mismatched = (signs[0] & ~signs[1]) != (row_kappas == kappas)
         nonneg, nonpos = signs.tolist()
         for i, j in zip(*(axis.tolist() for axis in np.nonzero(mismatched))):
             k1, k2, pair = grid[rows.start + i], grid[j], (nonneg[i][j], nonpos[i][j])

@@ -106,17 +106,19 @@ def test_hashlib_is_imported_by_the_oracle_only():
     assert proc.stdout == "[False, False, True]\n"
 
 
-def test_fractions_is_imported_by_the_exact_sweep_fallback_only():
-    # the iff sweeps decide in Fraction only where float rounding could
-    # decide, so start-up and an ordinary sweep never import fractions
+def test_fractions_is_imported_by_the_iff_sweeps_only():
+    # the iff sweeps build their exact forms in Fraction, so start-up and
+    # every other command never import fractions
+    s4 = Path(__file__).resolve().parents[1] / "descriptors" / "s4.json"
     code = (
         "import contextlib, io, sys\n"
         "import secondkind.cli as cli\n"
         "loaded = ['fractions' in sys.modules]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.run(['verify', 'iff-spheres']) == 0\n"
+        f"    assert cli.run(['spectrum', {str(s4)!r}]) == 0\n"
+        "    assert cli.run(['verify', 'product-kahler', '--samples', '3']) == 0\n"
         "    loaded.append('fractions' in sys.modules)\n"
-        "    assert cli.run(['verify', 'iff-spheres', '--kappa-grid', '1e30,1']) == 0\n"
+        "    assert cli.run(['verify', 'iff-spheres']) == 0\n"
         "loaded.append('fractions' in sys.modules)\n"
         "print(loaded)\n"
     )

@@ -1321,16 +1321,17 @@ class TestClosedFormSweep:
             return real(kind, dim, kappa)
 
         monkeypatch.setattr(rigidity, "leaf_closed_form", counting)
+        rigidity._clear_model_caches()
         grid = [0.5, 1.0, 2.0, 1e30]
-        report = check_rigidity(case, {**params, "grid": grid})
-        assert report.samples_run == 2 * len(grid) ** 2
-        assert report.details["mismatches"] == len(report.findings)
-        # float leaves once per factor and grid value, Fraction ones only on
-        # the exact fallback, which the spheres take at equal curvatures 1e30
-        floats = sorted((d, k) for d, k in leaves if type(k) is float)
+        for _ in range(2):
+            report = check_rigidity(case, {**params, "grid": grid})
+            assert report.samples_run == 2 * len(grid) ** 2
+            assert report.details["mismatches"] == len(report.findings)
+        # no float leaf: each factor's exact leaves at curvatures 1 and 0
+        # once, for the forms of the first sweep, which the second reads
         real_dims = [2 * p for p in params.values()] if case == "iff-kahler" else params.values()
-        assert floats == sorted((d, k) for d in real_dims for k in grid)
-        assert len(leaves) > len(floats) or case == "iff-kahler"
+        assert sorted(leaves) == sorted((d, k) for d in real_dims for k in (0, 1))
+        assert all(type(k) is Fraction for _, k in leaves)
 
     @pytest.mark.parametrize("case,params", _SWEEP_SIZES)
     def test_sweep_runs_no_einstein_test(self, case, params, monkeypatch):
@@ -1413,35 +1414,41 @@ class TestClosedFormSweep:
 
     @staticmethod
     def count_exact(monkeypatch):
-        """List that gets the alpha of each grid pair the exact route decides."""
-        alphas = []
-        real = rigidity._pair_sums
+        """List that gets each grid pair (k1, k2) the exact route decides."""
+        pairs = []
+        real = rigidity._exact_g
 
-        def counting(first, second, alpha):
-            alphas.append(alpha)
-            return real(first, second, alpha)
+        def counting(forms, k1, k2):
+            pairs.append((k1, k2))
+            return real(forms, k1, k2)
 
-        monkeypatch.setattr(rigidity, "_pair_sums", counting)
-        return alphas
+        monkeypatch.setattr(rigidity, "_exact_g", counting)
+        return pairs
 
     @pytest.mark.parametrize("case", ["iff-spheres", "iff-kahler"])
     def test_default_grid_takes_no_fraction_route(self, case, monkeypatch):
-        alphas = self.count_exact(monkeypatch)
+        pairs = self.count_exact(monkeypatch)
         check_rigidity(case)
-        assert alphas == []
+        assert pairs == []
 
     @pytest.mark.parametrize("case,grid,pairs", [
         ("iff-spheres", [1e308, 1.0], 3), ("iff-spheres", [3e307, 1.0], 1),
         ("iff-spheres", [5e307, 1.0], 1), ("iff-kahler", [1e308, 1.0], 3),
         ("iff-kahler", [3e307, 1.0], 3), ("iff-kahler", [5e307, 1.0], 3)])
-    def test_array_pass_leaves_the_pairs_of_the_per_pair_floats_open(
+    def test_exact_route_takes_the_pairs_whose_float_forms_overflow(
             self, case, grid, pairs, monkeypatch):
-        # the pairs that the floats of one pair at a time sent to Fraction,
-        # counted before the array pass: the same floats, so the same pairs
-        alphas = self.count_exact(monkeypatch)
+        # and the spheres' equal curvatures above 1, where g is exactly 0
+        # and the forms' rounding bound is above tol
+        taken = self.count_exact(monkeypatch)
         check_rigidity(case, {"grid": grid})
-        assert len(alphas) == pairs
-        assert all(type(a) is Fraction for a in alphas)
+        family, _ = rigidity._HARNESSES[case]
+        _, floats = rigidity._sweep_forms(family, tuple((n, family.least) for n in family.names))
+        with np.errstate(over="ignore"):
+            overflowing = {(k1, k2) for k1 in grid for k2 in grid
+                           if not np.isfinite(np.abs(floats) @ [k1, k2]).all()}
+        ties = {(k, k) for k in grid if k > 1.0} if case == "iff-spheres" else set()
+        assert len(taken) == len(set(taken)) == pairs
+        assert set(taken) == overflowing | ties
 
     @pytest.mark.parametrize("case", ["iff-spheres", "iff-kahler"])
     def test_overflowing_sweep_is_quiet_under_any_errstate(self, case, capsys):
@@ -1467,10 +1474,82 @@ class TestClosedFormSweep:
 
         monkeypatch.setattr(rigidity, "leaf_closed_form", leaf)
         monkeypatch.setattr(rigidity, "b_const", constant)
+        rigidity._clear_model_caches()
+        pairs = self.count_exact(monkeypatch)
         grid = [1.7976931348623157e308 * (1 - k / 1000) for k in range(5)]
         check_rigidity("iff-kahler", {"grid": grid})
-        exact = [(d, k) for d, k in leaves if type(k) is Fraction]
-        # every pair goes to Fraction, yet each factor's leaf is made once
-        # per grid value, and the exact constant once
-        assert sorted(exact) == sorted((2, Fraction(k)) for _ in range(2) for k in grid)
+        # every pair goes exact, yet the forms are made once, of the unit
+        # leaves and the exact constant, beside the report's float constant
+        assert len(pairs) == len(grid) ** 2
+        assert sorted(leaves) == [(2, 0), (2, 0), (2, 1), (2, 1)]
         assert [type(one) for one in constants] == [float, Fraction]
+        # a second sweep of that size makes no leaf and no exact constant
+        check_rigidity("iff-kahler", {"grid": grid})
+        assert len(pairs) == 2 * len(grid) ** 2
+        assert len(leaves) == 4
+        assert [type(one) for one in constants] == [float, Fraction, float]
+
+
+# every sweep size of real dimension n1 + n2 <= 12
+_FORM_SIZES = (
+    [("iff-spheres", {"n1": n1, "n2": n2}) for n1 in range(2, 11) for n2 in range(2, 13 - n1)]
+    + [("iff-kahler", {"m1": m1, "m2": m2}) for m1 in range(1, 6) for m2 in range(1, 7 - m1)])
+
+
+def _forms(case, params):
+    family, _ = rigidity._HARNESSES[case]
+    return rigidity._sweep_forms(family, tuple(params.items()))
+
+
+class TestSweepForms:
+    """Each side's g of a product of two space forms is the least of its
+    sweep forms, exactly, at every pair of positive curvatures."""
+
+    @pytest.mark.parametrize("case,params", _FORM_SIZES,
+                             ids=[f"{c}-{'-'.join(map(str, p.values()))}" for c, p in _FORM_SIZES])
+    def test_least_form_is_the_exact_g(self, case, params):
+        d1, d2 = params.values()
+        if case == "iff-spheres":
+            kind, n1, n2, constant = "sphere", d1, d2, exact_a(d1, d2)
+        else:
+            kind, n1, n2, constant = "cp", 2 * d1, 2 * d2, exact_b(d1, d2)
+        forms, floats = _forms(case, params)
+        # the crossings of the cluster lines, where the clusters tie
+        lines = list(zip(product_clusters(kind, n1, Fraction(1), n2, Fraction(0)),
+                         product_clusters(kind, n1, Fraction(0), n2, Fraction(1))))
+        crossings = {(a2 - a1) / (b1 - b2) for (a1, _), (b1, _) in lines
+                     for (a2, _), (b2, _) in lines if b1 != b2}
+        rng = np.random.default_rng(sum(map(ord, case)) + 100 * d1 + d2)
+        kappas = [(Fraction(int(p), int(q)), Fraction(int(s), int(t)))
+                  for p, q, s, t in rng.integers(1, 1000, size=(20, 4))]
+        kappas += [(Fraction(1), r) for r in crossings if r > 0]
+        for k1, k2 in kappas:
+            clusters = product_clusters(kind, n1, k1, n2, k2)
+            negated = [(-v, m) for v, m in clusters]
+            assert [min(a * k1 + b * k2 for a, b in side) for side in forms] == [
+                exact_g(clusters, constant), exact_g(negated, constant)]
+        assert floats.tolist() == [[[float(a), float(b)] for a, b in side] for side in forms]
+        assert len(forms[0]) == len(forms[1]) <= 2
+        with pytest.raises(ValueError):
+            floats[0, 0, 0] = 0.0
+
+    @pytest.mark.parametrize("case,params,product_forms", [
+        ("iff-spheres", {"n1": 2, "n2": 2}, {(Fraction(-1, 2), Fraction(1, 2)),
+                                             (Fraction(1, 2), Fraction(-1, 2))}),
+        ("iff-kahler", {"m1": 1, "m2": 1}, {(0, 6), (6, 0)}),
+        ("iff-kahler", {"m1": 2, "m2": 2}, {(-9, 15), (15, -9)}),
+        ("iff-kahler", {"m1": 1, "m2": 2}, {(Fraction(-8, 3), Fraction(26, 3)),
+                                            (Fraction(16, 3), Fraction(2, 3))})])
+    def test_product_forms_of_four_sizes(self, case, params, product_forms):
+        # S^2 x S^2 at A: -|k1 - k2| / 2; CP^1 x CP^1 at B: 6 min(k1, k2)
+        assert set(_forms(case, params)[0][0]) == product_forms
+
+    def test_a_warm_sweep_builds_no_form(self):
+        rigidity._clear_model_caches()
+        check_rigidity("iff-kahler", {"m1": 1, "m2": 2})
+        assert rigidity._sweep_forms.cache_info().misses == 1
+        # another grid and tol of the same size read the same forms
+        check_rigidity("iff-kahler", {"m1": 1, "m2": 2, "grid": [1e308, 1.0]}, tol=50.0)
+        assert rigidity._sweep_forms.cache_info()[:2] == (1, 1)  # hits, misses
+        rigidity._clear_model_caches()
+        assert rigidity._sweep_forms.cache_info().currsize == 0
